@@ -257,7 +257,8 @@ def _summarize(chain: InducedChain, cls: list[int]) -> RecurrentClassSummary:
         w = stationary[src]
         for succ, p in rows[src].items():
             back[succ] += w * p
-    assert back == stationary
+    if back != stationary:
+        raise ChainError("solved class distribution is not stationary")
     weights: dict[ColourToken, Fraction] = {}
     for node in cls:
         for mv in chain.moves[node]:
@@ -346,12 +347,10 @@ def absorption_from(chain: InducedChain,
     return result
 
 
-def discounted_values(arena: Arena, sigma, tau,
-                      seeds: Optional[Sequence[tuple]] = None
-                      ) -> tuple[InducedChain, list[Fraction]]:
+def discounted_values(chain: InducedChain) -> list[Fraction]:
     """Unique solution of v = r + Lambda P v on the product chain, with
-    per-(node, action) rewards and discounts from the colouring."""
-    chain = induce_chain(arena, sigma, tau, seeds)
+    per-(node, action) rewards and discounts from the colouring; one value
+    per chain node."""
     n = len(chain)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     rhs = [Fraction(0)] * n
@@ -364,4 +363,4 @@ def discounted_values(arena: Arena, sigma, tau,
             rhs[i] += mv.weight * r
             for succ, p in mv.successors:
                 matrix[i][succ] -= mv.weight * lam * p
-    return chain, solve_linear(matrix, rhs)
+    return solve_linear(matrix, rhs)

@@ -71,8 +71,10 @@ def _load_arena(spec: str) -> Arena:
     return parse_arena(Path(spec).read_text())
 
 
-def _load_strategy(path: str, player: int):
-    return strategy_from_json(Path(path).read_text(), player)
+def _load_strategy(path: str, player: int, arena: Arena):
+    strategy = strategy_from_json(Path(path).read_text(), player)
+    strategy.check_in(arena)
+    return strategy
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -223,7 +225,7 @@ def _dispatch(args) -> int:
     if cmd == "best-response":
         arena = _load_arena(args.game)
         spec = parse_payoff_spec(args.payoff)
-        sigma = _load_strategy(args.sigma, 1)
+        sigma = _load_strategy(args.sigma, 1, arena)
         if not isinstance(sigma, PureStationaryStrategy):
             raise StrategyError("best-response needs a pure stationary sigma")
         response = solve.best_response_min(arena, spec, sigma, args.budget)
@@ -259,8 +261,8 @@ def _dispatch(args) -> int:
         arena = _load_arena(args.game)
         spec = parse_payoff_spec(args.payoff)
         values = solve.brute_force_value(arena, spec, args.budget)
-        sigma = _load_strategy(args.sigma, 1)
-        tau = _load_strategy(args.tau, 2)
+        sigma = _load_strategy(args.sigma, 1, arena)
+        tau = _load_strategy(args.tau, 2, arena)
         source = args.source or arena.states[0]
         report = solve.martingale_check(arena, values, sigma, tau, source)
         _emit({
@@ -272,8 +274,8 @@ def _dispatch(args) -> int:
 
     if cmd == "simulate":
         arena = _load_arena(args.game)
-        sigma = as_finite_memory(_load_strategy(args.sigma, 1))
-        tau = as_finite_memory(_load_strategy(args.tau, 2))
+        sigma = as_finite_memory(_load_strategy(args.sigma, 1, arena))
+        tau = as_finite_memory(_load_strategy(args.tau, 2, arena))
         source = args.source or arena.states[0]
         rng = random.Random(args.seed)
         terminal: dict[str, int] = {}
@@ -307,7 +309,7 @@ def _dispatch(args) -> int:
                 arena, spec, args.budget, args.memory, args.candidates,
                 args.seed)
         else:
-            sigma = _load_strategy(args.sigma, 1)
+            sigma = _load_strategy(args.sigma, 1, arena)
             report = verify.verify_subgame_perfect(
                 arena, spec, sigma, Fraction(args.epsilon), args.budget)
         return _report_exit(report, fmt)

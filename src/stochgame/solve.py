@@ -52,39 +52,52 @@ def _require_evaluable(spec: PayoffSpec) -> None:
             "use the verification module's specialized routines")
 
 
+class PairEvaluator:
+    """The product chain of one strategy pair, built once, mapping each
+    evaluable payoff to its exact expected values at the seed nodes.
+
+    `seeds` default to every state at both strategies' initial memories,
+    the default of `induce_chain`.  The bottom-class analysis (classes and
+    absorption probabilities) is built on first use and shared by every
+    class-determined payoff; the discounted payoff never builds it.
+    """
+
+    def __init__(self, arena: Arena, sigma, tau,
+                 seeds: Optional[Sequence[tuple]] = None):
+        if seeds is None:
+            seeds = [(s, sigma.initial_memory, tau.initial_memory)
+                     for s in arena.states]
+        self.chain = induce_chain(arena, sigma, tau, seeds)
+        self._seed_nodes = [self.chain.index[seed] for seed in seeds]
+        self._classes: Optional[list] = None
+        self._absorb: Optional[list] = None
+
+    def values(self, spec: PayoffSpec) -> list[Fraction]:
+        """Exact expected payoff from each seed node, in seed order."""
+        _require_evaluable(spec)
+        if spec.name == "discounted":
+            vals = discounted_values(self.chain)
+            return [vals[node] for node in self._seed_nodes]
+        if self._classes is None:
+            self._classes = bottom_sccs(self.chain)
+            self._absorb = absorption_from(self.chain, self._classes)
+        cls_vals = [class_value(spec, cls) for cls in self._classes]
+        return [sum((p * cls_vals[ci] for ci, p in self._absorb[node].items()),
+                    Fraction(0))
+                for node in self._seed_nodes]
+
+
 def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
-                seeds: Sequence[tuple]) -> list[Fraction]:
+                seeds: Optional[Sequence[tuple]] = None) -> list[Fraction]:
     """Exact expected payoff from each seed node under the fixed pair."""
-    _require_evaluable(spec)
-    if spec.name == "discounted":
-        chain, vals = discounted_values(arena, sigma, tau, seeds)
-        return [vals[chain.index[seed]] for seed in seeds]
-    chain = induce_chain(arena, sigma, tau, seeds)
-    classes = bottom_sccs(chain)
-    cls_vals = [class_value(spec, cls) for cls in classes]
-    absorb = absorption_from(chain, classes)
-    out = []
-    for seed in seeds:
-        node = chain.index[seed]
-        out.append(sum((p * cls_vals[ci] for ci, p in absorb[node].items()),
-                       Fraction(0)))
-    return out
+    return PairEvaluator(arena, sigma, tau, seeds).values(spec)
 
 
 def expected_payoff(arena: Arena, spec: PayoffSpec, sigma, tau,
                     source: str) -> Fraction:
     """Expected payoff of the strategy pair from one state."""
-    seed = (source, as_finite_memory(sigma).initial,
-            as_finite_memory(tau).initial)
+    seed = (source, sigma.initial_memory, tau.initial_memory)
     return node_values(arena, spec, sigma, tau, [seed])[0]
-
-
-def _all_state_values(arena: Arena, spec: PayoffSpec, sigma, tau
-                      ) -> dict[str, Fraction]:
-    seeds = [(s, as_finite_memory(sigma).initial, as_finite_memory(tau).initial)
-             for s in arena.states]
-    vals = node_values(arena, spec, sigma, tau, seeds)
-    return dict(zip(arena.states, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -104,35 +117,14 @@ class GridSolver:
                 "split the arena or raise the budget")
         self.sigmas = list(enumerate_pure_stationary(arena, P1))
         self.taus = list(enumerate_pure_stationary(arena, P2))
-        self._analysis: dict[tuple[int, int], tuple] = {}
-        self._values: dict[tuple[str, int, int], dict[str, Fraction]] = {}
+        self._pairs: dict[tuple[int, int], PairEvaluator] = {}
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
-        key = (spec.format(), i, j)
-        if key in self._values:
-            return self._values[key]
-        sigma, tau = self.sigmas[i], self.taus[j]
-        if spec.name == "discounted":
-            seeds = [(s, 0, 0) for s in self.arena.states]
-            chain, vals = discounted_values(self.arena, sigma, tau, seeds)
-            out = {s: vals[chain.index[(s, 0, 0)]] for s in self.arena.states}
-        else:
-            _require_evaluable(spec)
-            if (i, j) not in self._analysis:
-                seeds = [(s, 0, 0) for s in self.arena.states]
-                chain = induce_chain(self.arena, sigma, tau, seeds)
-                classes = bottom_sccs(chain)
-                absorb = absorption_from(chain, classes)
-                self._analysis[(i, j)] = (chain, classes, absorb)
-            chain, classes, absorb = self._analysis[(i, j)]
-            cls_vals = [class_value(spec, cls) for cls in classes]
-            out = {}
-            for s in self.arena.states:
-                node = chain.index[(s, 0, 0)]
-                out[s] = sum((p * cls_vals[ci]
-                              for ci, p in absorb[node].items()), Fraction(0))
-        self._values[key] = out
-        return out
+        pair = self._pairs.get((i, j))
+        if pair is None:
+            pair = self._pairs[(i, j)] = PairEvaluator(
+                self.arena, self.sigmas[i], self.taus[j])
+        return dict(zip(self.arena.states, pair.values(spec)))
 
 
 @dataclass(frozen=True)
@@ -163,19 +155,17 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
         raise BudgetError(f"{n} responses exceed budget {budget}")
     best: dict[str, Fraction] = {}
     argmin: dict[str, PureStationaryStrategy] = {}
-    uniform = None
+    uniform = uniform_vals = None
     for tau in enumerate_pure_stationary(arena, P2):
-        vals = _all_state_values(arena, spec, sigma, tau)
+        vals = dict(zip(arena.states, node_values(arena, spec, sigma, tau)))
         for s, v in vals.items():
             if s not in best or v < best[s]:
                 best[s] = v
                 argmin[s] = tau
-        if all(vals[s] == best[s] for s in arena.states):
-            uniform = tau
-    if uniform is not None:
-        vals = _all_state_values(arena, spec, sigma, uniform)
-        if any(vals[s] != best[s] for s in arena.states):
-            uniform = None
+        if vals == best:
+            uniform, uniform_vals = tau, vals
+    if uniform_vals != best:
+        uniform = None
     return BestResponse(best, argmin, uniform)
 
 
@@ -230,7 +220,10 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
     for s in states:
         j = min(range(n_tau), key=lambda j: vals[best_i][j][s])
         certificates[s] = (grid.taus[j], vals[best_i][j][s])
-        assert certificates[s][1] == maxmin[s]
+        if certificates[s][1] != maxmin[s]:
+            raise SaddlePointError(
+                f"certificate at {s} reaches {certificates[s][1]}, "
+                f"not the value {maxmin[s]}")
     return ValueVector(maxmin, grid.sigmas[best_i], certificates, spec,
                        arena.fingerprint())
 

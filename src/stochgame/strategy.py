@@ -162,22 +162,20 @@ def count_pure_stationary(arena: Arena, player: int) -> int:
 
 def product_values(arena: Arena, spec: PayoffSpec, sigma: Strategy,
                    budget: int = 2_000_000) -> dict[tuple, Fraction]:
-    """For each (memory, state): the exact worst-case expected payoff when
-    play starts there with the maximizer frozen to sigma.
+    """For each (memory, state): the worst-case expected payoff when play
+    starts there with the maximizer frozen to sigma.
 
     The minimizer's best response is computed by enumerating deterministic
     stationary strategies on the product of the arena with sigma's memory;
     the memory is a deterministic function of the history, so these are
     legitimate (finite-memory) strategies of the original game, and for the
     positional payoff catalog they attain the true infimum of the product
-    decision process.
+    decision process, so the result is exact.  For any other payoff the
+    result is the worst case over this bounded response class only, an
+    upper bound on the true guarantee.
     """
     from . import solve
 
-    if not spec.is_both_positional:
-        raise StrategyError(
-            f"product values need a payoff with positional best responses, "
-            f"not {spec.format()}")
     sigma_fm = as_finite_memory(sigma)
     sigma_fm.check_in(arena)
     pairs = [(m, s) for m in sigma_fm.memory_states for s in arena.states]
@@ -187,8 +185,7 @@ def product_values(arena: Arena, spec: PayoffSpec, sigma: Strategy,
     for m, s in p2_pairs:
         total *= len(arena.available[s])
     if total > budget:
-        raise solve.BudgetError(
-            f"{total} product best responses exceed budget {budget}")
+        raise solve.BudgetError(f"{total} responses exceed budget {budget}")
     best: dict[tuple, Fraction] = {}
     for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
         table = dict(zip(p2_pairs, combo))
@@ -241,6 +238,10 @@ def weakness_set(arena: Arena, spec: PayoffSpec, sigma: Strategy,
     if values is None:
         values = solve.brute_force_value(arena, spec).values
     if guaranteed is None:
+        if not spec.is_both_positional:
+            raise StrategyError(
+                f"product values need a payoff with positional best "
+                f"responses, not {spec.format()}")
         guaranteed = product_values(arena, spec, sigma)
     pairs = frozenset(pair for pair, v in guaranteed.items()
                       if v < values[pair[1]] - 2 * epsilon)

@@ -181,8 +181,9 @@ def test_absorption_monte_carlo_cross_check():
 def test_discounted_self_loop():
     arena = _one_action_arena({"s": {"s": F(1)}},
                               colours={"s": discounted(1, F(1, 2))})
-    chain, vals = discounted_values(arena, _first_choice(arena, P1),
-                                    _first_choice(arena, P2))
+    chain = induce_chain(arena, _first_choice(arena, P1),
+                         _first_choice(arena, P2))
+    vals = discounted_values(chain)
     assert vals[chain.index[("s", 0, 0)]] == 2
 
 
@@ -190,8 +191,9 @@ def test_discounted_zero_factor_truncates():
     arena = _one_action_arena({
         "s": {"t": F(1)}, "t": {"s": F(1)},
     }, colours={"s": discounted(5, F(0)), "t": discounted(-3, F(0))})
-    chain, vals = discounted_values(arena, _first_choice(arena, P1),
-                                    _first_choice(arena, P2))
+    chain = induce_chain(arena, _first_choice(arena, P1),
+                         _first_choice(arena, P2))
+    vals = discounted_values(chain)
     assert vals[chain.index[("s", 0, 0)]] == 5
     assert vals[chain.index[("t", 0, 0)]] == -3
 
@@ -200,8 +202,9 @@ def test_discounted_two_node_cycle():
     arena = _one_action_arena({
         "s": {"t": F(1)}, "t": {"s": F(1)},
     }, colours={"s": discounted(1, F(1, 2)), "t": discounted(0, F(1, 2))})
-    chain, vals = discounted_values(arena, _first_choice(arena, P1),
-                                    _first_choice(arena, P2))
+    chain = induce_chain(arena, _first_choice(arena, P1),
+                         _first_choice(arena, P2))
+    vals = discounted_values(chain)
     assert vals[chain.index[("s", 0, 0)]] == F(4, 3)
     assert vals[chain.index[("t", 0, 0)]] == F(2, 3)
 
@@ -209,7 +212,8 @@ def test_discounted_two_node_cycle():
 def test_discounted_matches_truncated_series():
     arena = random_arena(4, 3, seed=21, kind="discounted")
     sigma, tau = _first_choice(arena, P1), _first_choice(arena, P2)
-    chain, vals = discounted_values(arena, sigma, tau)
+    chain = induce_chain(arena, sigma, tau)
+    vals = discounted_values(chain)
     source = chain.index[(arena.states[0], 0, 0)]
     # unroll the series by dynamic programming over N steps
     n_steps = 60

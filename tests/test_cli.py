@@ -104,6 +104,16 @@ def test_best_response(tmp_path, capsys):
     assert "s: 0" in out  # staying forever earns the loop reward 0
 
 
+def test_strategy_missing_a_state_is_a_usage_error(tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text('{"x": "1"}')
+    code, out, err = run_capture(
+        capsys, ["best-response", E3, "--payoff", "mean",
+                 "--sigma", str(sigma)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate(tmp_path, capsys):
     sigma = tmp_path / "sigma.json"
     tau = tmp_path / "tau.json"

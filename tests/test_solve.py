@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochgame import solve
 from stochgame.arena import P1, P2, Arena, random_arena
+from stochgame.chain import bottom_sccs
 from stochgame.fixtures import build_e2, build_e3
 from stochgame.payoff import parse_payoff_spec, reward
 from stochgame.solve import (
@@ -127,6 +129,19 @@ def test_brute_force_value_one_state():
 def test_brute_force_budget_gate():
     with pytest.raises(BudgetError):
         brute_force_value(random_arena(4, 3, seed=1), mean, budget=1)
+
+
+def test_discounted_grid_never_builds_class_analysis(monkeypatch):
+    calls = []
+
+    def counting(chain):
+        calls.append(len(chain))
+        return bottom_sccs(chain)
+
+    monkeypatch.setattr(solve, "bottom_sccs", counting)
+    arena = random_arena(4, 3, seed=0, kind="discounted")
+    brute_force_value(arena, parse_payoff_spec("discounted"))
+    assert calls == []
 
 
 @given(st.integers(0, 3000))

@@ -104,6 +104,14 @@ def test_weakness_needs_shift_invariance():
         weakness_set(arena, parse_payoff_spec("discounted"), sigma, eps)
 
 
+def test_weakness_needs_positional_product_values():
+    arena, sigma, eps = build_weak_memory_fixture()
+    vv = brute_force_value(arena, mean)
+    with pytest.raises(StrategyError, match="positional best responses"):
+        weakness_set(arena, parse_payoff_spec("posavg"), sigma, eps,
+                     values=vv.values)
+
+
 def test_reset_with_empty_weakness_is_behaviourally_identical():
     arena, sigma, _ = build_weak_memory_fixture()
     vv = brute_force_value(arena, mean)

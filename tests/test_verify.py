@@ -16,6 +16,7 @@ from stochgame.payoff import (
 from stochgame.strategy import PartitionAtState, PureStationaryStrategy
 from stochgame.verify import (
     FlagGateError, SearchBounds, _cycle_stats, _fast_violations,
+    _stationary_guarantees,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
@@ -43,6 +44,24 @@ def test_halfpos_flag_gate():
 def test_halfpos_budget_inconclusive():
     report = verify_halfpos(random_arena(4, 3, seed=1), mean, budget=1)
     assert report.verdict == "inconclusive"
+
+
+def test_stationary_pair_chains_hold_each_state_once(monkeypatch):
+    arena = random_arena(4, 3, seed=0)
+    sizes = []
+    induce_chain = solve.induce_chain
+
+    def recording(*args, **kwargs):
+        chain = induce_chain(*args, **kwargs)
+        sizes.append(len(chain))
+        return chain
+
+    monkeypatch.setattr(solve, "induce_chain", recording)
+    vv = solve.brute_force_value(arena, mean)
+    solve.best_response_min(arena, mean, vv.sigma_star)
+    _stationary_guarantees(arena, parse_payoff_spec("posavg"),
+                           solve.DEFAULT_BUDGET)
+    assert sizes and set(sizes) == {len(arena.states)}
 
 
 def test_halfpos_sweep_posavg_small():
