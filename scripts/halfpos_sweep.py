@@ -3,12 +3,17 @@
 
 Example:
     python scripts/halfpos_sweep.py --payoff posavg --arenas 50 --candidates 8
+
+One progress line per arena (seed, verdict, seconds) goes to stderr; the
+report on stdout is unchanged by it.
 """
 
 import argparse
+import sys
+import time
 
 from stochgame.arena import random_arena
-from stochgame.payoff import parse_payoff_spec
+from stochgame.payoff import PayoffError, parse_payoff_spec
 from stochgame.verify import verify_halfpos
 
 KINDS = {"mean": "reward", "limsup": "reward", "liminf": "reward",
@@ -29,15 +34,24 @@ def main() -> int:
     ap.add_argument("--seed0", type=int, default=0)
     args = ap.parse_args()
 
-    spec = parse_payoff_spec(args.payoff)
+    try:
+        spec = parse_payoff_spec(args.payoff)
+    except PayoffError as e:
+        sys.exit(f"error: {e}")
+    if spec.name not in KINDS:
+        sys.exit(f"error: no random arena kind for payoff {spec.name!r}; "
+                 f"sweepable: {', '.join(KINDS)}")
     kind = KINDS[spec.name]
     verdicts = {"confirmed": 0, "refuted": 0, "inconclusive": 0}
     for i in range(args.arenas):
         seed = args.seed0 + i
+        started = time.perf_counter()
         arena = random_arena(args.states, args.actions, seed=seed, kind=kind)
         report = verify_halfpos(arena, spec, memory_bound=args.memory,
                                 candidates=args.candidates, seed=seed)
         verdicts[report.verdict] += 1
+        print(f"seed {seed}: {report.verdict} "
+              f"{time.perf_counter() - started:.2f}s", file=sys.stderr)
         if report.verdict != "confirmed":
             print(f"seed {seed}: {report.verdict}")
             print(report.to_json(structured=False))

@@ -189,38 +189,64 @@ def parse_arena(text: str) -> Arena:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ArenaError(f"syntax error at line {e.lineno} col {e.colno}: {e.msg}")
-    try:
-        state_list = doc["states"]
-        action_list = doc["actions"]
-    except (TypeError, KeyError) as e:
-        raise ArenaError(f"missing top-level field {e}")
+    state_list = _field(doc, "states", "game", list)
+    action_list = _field(doc, "actions", "game", list)
     states, owner = [], {}
-    for entry in state_list:
-        name = entry["name"]
+    for i, entry in enumerate(state_list):
+        name = _field(entry, "name", f"states[{i}]", str)
         states.append(name)
-        try:
-            owner[name] = {"P1": P1, "P2": P2}[entry["owner"]]
-        except KeyError:
+        tag = entry.get("owner")
+        if tag not in ("P1", "P2"):
             raise ArenaError(f"state {name}: owner must be P1 or P2")
+        owner[name] = P1 if tag == "P1" else P2
     available: dict[str, list] = {s: [] for s in states}
     transition, colour = {}, {}
-    for entry in action_list:
-        s, a = entry["state"], entry["action"]
+    for i, entry in enumerate(action_list):
+        where = f"actions[{i}]"
+        s = _field(entry, "state", where, str)
+        a = _field(entry, "action", where, str)
         if s not in owner:
             raise ArenaError(f"action row for unknown state {s}")
         if a in available[s]:
             raise ArenaError(f"duplicate action {a} at state {s}")
         available[s].append(a)
         dist = {}
-        for succ in entry["successors"]:
-            t = succ["state"]
+        for k, succ in enumerate(_field(entry, "successors", where, list)):
+            at = f"{where}.successors[{k}]"
+            t = _field(succ, "state", at, str)
             if t in dist:
                 raise ArenaError(f"duplicate successor {t} at ({s},{a})")
-            dist[t] = Fraction(succ["prob"])
+            prob = _field(succ, "prob", at, (str, int, float))
+            try:
+                dist[t] = Fraction(prob)
+            except (ValueError, OverflowError):
+                raise ArenaError(f"{at}: field 'prob' is not a rational: {prob!r}") \
+                    from None
         transition[(s, a)] = dist
-        colour[(s, a)] = colour_from_json(entry["colour"])
+        token = _field(entry, "colour", where)
+        try:
+            colour[(s, a)] = colour_from_json(token)
+        except (TypeError, ValueError):
+            raise ArenaError(f"{where}: field 'colour' is not a colour: {token!r}") \
+                from None
     return Arena(tuple(states), owner,
                  {s: tuple(v) for s, v in available.items()}, transition, colour)
+
+
+_JSON_KINDS = {str: "a string", list: "a list",
+               (str, int, float): "a number or a string"}
+
+
+def _field(entry, key: str, where: str, kind=object):
+    """`entry[key]`, or an ArenaError naming the field and its position if
+    it is missing or not a `kind`."""
+    try:
+        value = entry[key]
+    except (TypeError, KeyError):
+        raise ArenaError(f"{where}: missing field {key!r}") from None
+    if not isinstance(value, kind):
+        raise ArenaError(f"{where}: field {key!r} must be {_JSON_KINDS[kind]}")
+    return value
 
 
 def print_arena(arena: Arena) -> str:

@@ -1,12 +1,18 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
 bottom SCCs with stationary distributions, absorption probabilities, and
-discounted linear systems.  All arithmetic is rational."""
+discounted linear systems.
+
+Every result is an exact rational.  The linear systems behind them are
+assembled from integer rows (each chain row as a denominator plus integer
+numerators) and solved by fraction-free elimination in Python `int`s, so
+no `Fraction` arithmetic happens inside an elimination."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arena import P1, Arena
@@ -56,6 +62,17 @@ class InducedChain:
 
     def row(self, node: int) -> dict[int, Fraction]:
         return self.rows()[node]
+
+    def int_rows(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """The rows over integers: `(d, {succ: n})` with
+        `row(node)[succ] == Fraction(n, d)` and `d` the least common
+        denominator of the row."""
+        cached = self.__dict__.get("_int_rows")
+        if cached is None:
+            cached = tuple(_integer_row((mv.weight, mv.successors) for mv in mvs)
+                           for mvs in self.moves)
+            object.__setattr__(self, "_int_rows", cached)
+        return cached
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -142,34 +159,64 @@ def induce_chain(arena: Arena, sigma, tau,
                         index)
 
 
+def _integer_row(terms) -> tuple[int, dict[int, int]]:
+    """Sum of `c * p` over `(c, successors)` terms and `(succ, p)`
+    successors, as `(d, {succ: n})` in lowest terms."""
+    parts = [(succ, c.numerator * p.numerator, c.denominator * p.denominator)
+             for c, succs in terms if c for succ, p in succs]
+    d = lcm(*(den for _, _, den in parts))
+    row: dict[int, int] = {}
+    for succ, num, den in parts:
+        row[succ] = row.get(succ, 0) + num * (d // den)
+    g = gcd(d, *row.values())
+    if g > 1:
+        d //= g
+        row = {succ: n // g for succ, n in row.items()}
+    return d, row
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 
 
 def solve_linear(matrix: list[list[Fraction]],
                  rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals.  Pivots prefer entries with
-    small numerator*denominator bit size to limit coefficient blow-up."""
+    """Solve `matrix x = rhs` exactly; entries are `int`s or `Fraction`s.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each row is cleared
+    to integers with the lcm of its denominators, and each step divides
+    exactly by the previous pivot, so every entry stays an integer minor of
+    the system.  The last pivot is the common denominator of the solution.
+    The arguments are not modified."""
     n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = []
+    for row, b in zip(matrix, rhs):
+        row = [*row, b]
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(n):
-        pivot, best = -1, None
+        pivot, best = -1, 0
         for r in range(col, n):
             x = a[r][col]
-            if x != 0:
-                size = x.numerator.bit_length() + x.denominator.bit_length()
-                if best is None or size < best:
-                    pivot, best = r, size
+            if x and (pivot < 0 or x.bit_length() < best):
+                pivot, best = r, x.bit_length()
         if pivot < 0:
             raise ChainError("singular system")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv if x else x for x in a[col]]
+        # Entries left of `col` are never read again: other rows' are zero
+        # and every diagonal ends equal to the last pivot.
+        tail = a[col][col + 1:]
+        p = a[col][col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+            row = a[r]
+            f = row[col]
+            if r == col or (not f and p == prev):
+                continue
+            row[col + 1:] = [(p * x - f * y) // prev
+                             for x, y in zip(row[col + 1:], tail)]
+        prev = p
+    return [Fraction(row[n], prev) for row in a]
 
 
 def _sccs(succ: list[list[int]]) -> list[list[int]]:
@@ -222,8 +269,7 @@ def _sccs(succ: list[list[int]]) -> list[list[int]]:
 def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
     """Closed strongly connected components with their exact stationary
     distributions and stationary colour weights."""
-    succ = [sorted({j for mv in chain.moves[i] for j, _ in mv.successors})
-            for i in range(len(chain))]
+    succ = [sorted(row) for _, row in chain.int_rows()]
     comps = _sccs(succ)
     classes = []
     for comp in comps:
@@ -238,35 +284,41 @@ def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
 def _summarize(chain: InducedChain, cls: list[int]) -> RecurrentClassSummary:
     pos = {node: k for k, node in enumerate(cls)}
     n = len(cls)
-    rows = chain.rows()
+    int_rows = chain.int_rows()
+    rows = [int_rows[node] for node in cls]
     # pi P = pi restricted to the class, with sum(pi) = 1 replacing one row.
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for node in cls:
-        for succ, p in rows[node].items():
-            matrix[pos[succ]][pos[node]] += p
-    for k in range(n):
-        matrix[k][k] -= 1
-    matrix[n - 1] = [Fraction(1)] * n
-    rhs[n - 1] = Fraction(1)
-    pi = solve_linear(matrix, rhs)
-    stationary = {node: pi[k] for k, node in enumerate(cls)}
-    # Exactness check: the solved distribution really is stationary.
-    back = {node: Fraction(0) for node in cls}
-    for src in cls:
-        w = stationary[src]
-        for succ, p in rows[src].items():
-            back[succ] += w * p
-    if back != stationary:
+    # The unknowns are y = pi / d row by row, which keeps the matrix integer.
+    matrix = [[0] * n for _ in range(n)]
+    for k, (d, row) in enumerate(rows):
+        for succ, num in row.items():
+            matrix[pos[succ]][k] += num
+        matrix[k][k] -= d
+    matrix[n - 1] = [d for d, _ in rows]
+    y = solve_linear(matrix, [0] * (n - 1) + [1])
+    # Exactness check: the solved distribution really is stationary.  With
+    # z = y over its common denominator, sum_src z_src n[src][k] == d_k z_k.
+    common = lcm(*(x.denominator for x in y))
+    z = [x.numerator * (common // x.denominator) for x in y]
+    back = [0] * n
+    for zk, (_, row) in zip(z, rows):
+        for succ, num in row.items():
+            back[pos[succ]] += zk * num
+    if any(b != d * zk for b, zk, (d, _) in zip(back, z, rows)):
         raise ChainError("solved class distribution is not stationary")
-    weights: dict[ColourToken, Fraction] = {}
-    for node in cls:
-        for mv in chain.moves[node]:
-            if mv.weight == 0:
-                continue
-            weights[mv.colour] = weights.get(mv.colour, Fraction(0)) \
-                + stationary[node] * mv.weight
-    colour_weights = tuple(weights.items())
+    stationary = {node: d * x for node, x, (d, _) in zip(cls, y, rows)}
+    # Colour weights sum pi_k * weight, over the common denominator of z
+    # and the move weights.
+    moves = [chain.moves[node] for node in cls]
+    wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
+    weights: dict[ColourToken, int] = {}
+    for mvs, zk, (d, _) in zip(moves, z, rows):
+        for mv in mvs:
+            w = mv.weight
+            if w:
+                weights[mv.colour] = weights.get(mv.colour, 0) \
+                    + d * zk * w.numerator * (wden // w.denominator)
+    colour_weights = tuple((tok, Fraction(v, common * wden))
+                           for tok, v in weights.items())
     has_potential = None
     if all(tok.kind == INCREMENT for tok in weights):
         has_potential = _potential_exists(chain, cls)
@@ -315,23 +367,24 @@ def absorption_from(chain: InducedChain,
             in_class[node] = ci
     transient = [i for i in range(len(chain)) if i not in in_class]
     pos = {node: k for k, node in enumerate(transient)}
-    rows = chain.rows()
+    rows = chain.int_rows()
     n = len(transient)
-    base = [[Fraction(0)] * n for _ in range(n)]
-    for node in transient:
-        for succ, p in rows[node].items():
+    # d h_k - sum_{j transient} n_kj h_j = sum_{j in class} n_kj
+    base = [[0] * n for _ in range(n)]
+    for k, node in enumerate(transient):
+        d, row = rows[node]
+        base[k][k] = d
+        for succ, num in row.items():
             if succ in pos:
-                base[pos[node]][pos[succ]] -= p
-    for k in range(n):
-        base[k][k] += 1
+                base[k][pos[succ]] -= num
     result = [dict() for _ in range(len(chain))]
     for ci, cls in enumerate(classes):
         members = set(cls.nodes)
         if n:
-            rhs = [sum((p for succ, p in rows[node].items() if succ in members),
-                       Fraction(0))
+            rhs = [sum(num for succ, num in rows[node][1].items()
+                       if succ in members)
                    for node in transient]
-            hit = solve_linear([row[:] for row in base], rhs)
+            hit = solve_linear(base, rhs)
         else:
             hit = []
         for node in range(len(chain)):
@@ -352,15 +405,17 @@ def discounted_values(chain: InducedChain) -> list[Fraction]:
     per-(node, action) rewards and discounts from the colouring; one value
     per chain node."""
     n = len(chain)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for i in range(n):
-        matrix[i][i] += 1
-        for mv in chain.moves[i]:
-            if mv.colour.kind != "discounted":
-                raise ChainError("discounted payoff needs reward-discount colours")
-            r, lam = mv.colour.value
-            rhs[i] += mv.weight * r
-            for succ, p in mv.successors:
-                matrix[i][succ] -= mv.weight * lam * p
+    matrix = [[0] * n for _ in range(n)]
+    rhs = []
+    for i, mvs in enumerate(chain.moves):
+        if any(mv.colour.kind != "discounted" for mv in mvs):
+            raise ChainError("discounted payoff needs reward-discount colours")
+        # d v_i - sum_j n_ij v_j = d sum_moves weight * reward, with n / d
+        # the discounted row sum_moves weight * lambda * P
+        d, row = _integer_row((mv.weight * mv.colour.value[1], mv.successors)
+                              for mv in mvs)
+        matrix[i][i] = d
+        for succ, num in row.items():
+            matrix[i][succ] -= num
+        rhs.append(d * sum(mv.weight * mv.colour.value[0] for mv in mvs))
     return solve_linear(matrix, rhs)

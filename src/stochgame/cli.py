@@ -2,7 +2,8 @@
 simulate, check, verify, reproduce, doob.
 
 Exit codes: 0 confirmed/success, 2 refuted (witness printed), 3 inconclusive,
-1 usage or validation error.  All randomness is seeded (fixed default) and
+1 usage or validation error, or standard output closed before all of it
+was written.  All randomness is seeded (fixed default) and
 identical invocations produce byte-identical structured output.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -52,12 +54,18 @@ class RunConfig:
     fmt: str = "human"
 
 
+RANDOM_KEYS = ("states", "actions", "lo", "hi", "density", "seed", "kind")
+
+
 def _load_arena(spec: str) -> Arena:
     if spec.startswith("random:"):
         params = {}
         for part in spec[len("random:"):].split(","):
             if part:
                 k, _, v = part.partition("=")
+                if k not in RANDOM_KEYS:
+                    raise ArenaError(f"unknown random: key {k!r}; accepted: "
+                                     + ", ".join(RANDOM_KEYS))
                 params[k] = v
         return random_arena(
             num_states=int(params.get("states", 4)),
@@ -273,6 +281,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "simulate":
+        if args.trials < 1:
+            raise ValueError("--trials must be >= 1")
         arena = _load_arena(args.game)
         sigma = as_finite_memory(_load_strategy(args.sigma, 1, arena))
         tau = as_finite_memory(_load_strategy(args.tau, 2, arena))
@@ -329,7 +339,15 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the interpreter's own flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

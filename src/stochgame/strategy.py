@@ -122,17 +122,29 @@ Strategy = Union[PureStationaryStrategy, FiniteMemoryStrategy]
 
 
 def strategy_from_json(text: str, player: int) -> Strategy:
+    """A stationary strategy `{state: action}` or a finite-memory one
+    `{memory_states, initial, update, choice}` as `to_json` writes it."""
     doc = json.loads(text)
-    if isinstance(doc, dict) and "memory_states" not in doc:
-        return PureStationaryStrategy(player, {s: a for s, a in doc.items()})
-    return FiniteMemoryStrategy(
-        player=player,
-        memory_states=tuple(doc["memory_states"]),
-        initial=doc["initial"],
-        update={(m, s, a, t): m2 for m, s, a, t, m2 in doc["update"]},
-        choices={(m, s): {a: Fraction(w) for a, w in dist.items()}
-                 for m, s, dist in doc["choice"]},
-    )
+    if not isinstance(doc, dict):
+        raise StrategyError("strategy document must be a JSON object")
+    if "memory_states" not in doc:
+        if not all(isinstance(a, str) for a in doc.values()):
+            raise StrategyError("stationary strategy must map states to actions")
+        return PureStationaryStrategy(player, dict(doc))
+    missing = [k for k in ("initial", "update", "choice") if k not in doc]
+    if missing:
+        raise StrategyError(f"finite-memory strategy misses {', '.join(missing)}")
+    try:
+        memory_states = tuple(doc["memory_states"])
+        update = {(m, s, a, t): m2 for m, s, a, t, m2 in doc["update"]}
+        choices = {(m, s): {a: Fraction(w) for a, w in dist.items()}
+                   for m, s, dist in doc["choice"]}
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError):
+        raise StrategyError("finite-memory strategy needs a memory_states list, "
+                            "[m, s, a, t, m'] update rows and "
+                            "[m, s, {action: weight}] choice rows") from None
+    return FiniteMemoryStrategy(player, memory_states, doc["initial"], update,
+                                choices)
 
 
 def as_finite_memory(strategy: Strategy) -> FiniteMemoryStrategy:

@@ -1,8 +1,10 @@
 """Induced chains: bottom SCCs, stationary distributions, absorption,
 discounted systems.  All assertions are exact unless marked Monte Carlo."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,35 @@ from stochgame.chain import (
 )
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
 from stochgame.payoff import discounted, increment, reward
-from stochgame.strategy import PureStationaryStrategy
+from stochgame.strategy import FiniteMemoryStrategy, PureStationaryStrategy
+from stochgame.verify import _random_memory_strategy
 
 F = Fraction
+
+
+def _gauss_oracle(matrix, rhs):
+    """Gaussian elimination over Fractions: the reference for solve_linear.
+    Pivots prefer entries with small numerator*denominator bit size."""
+    n = len(matrix)
+    a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot, best = -1, None
+        for r in range(col, n):
+            x = a[r][col]
+            if x != 0:
+                size = x.numerator.bit_length() + x.denominator.bit_length()
+                if best is None or size < best:
+                    pivot, best = r, size
+        if pivot < 0:
+            raise ChainError("singular system")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv if x else x for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
 
 
 def _first_choice(arena, player):
@@ -43,6 +71,139 @@ def test_solve_linear_small():
     assert sol == [F(2), F(1)]
     with pytest.raises(ChainError):
         solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
+
+
+@st.composite
+def _systems(draw):
+    """Square systems of size 1-9 with small-denominator entries, about 40 %
+    zeros, `int`s mixed in, and a dependent last row half the time."""
+    n = draw(st.integers(1, 9))
+    entry = st.tuples(st.integers(0, 9), st.integers(-5, 5),
+                      st.integers(1, 6)).map(
+        lambda t: 0 if t[0] < 4 else t[1] if t[2] == 1 else F(t[1], t[2]))
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(entry) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(entry)
+        matrix[-1] = [k * x for x in matrix[0]]
+    return matrix, rhs
+
+
+@given(_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_linear_matches_fraction_oracle(system):
+    matrix, rhs = system
+    before = ([row[:] for row in matrix], rhs[:])
+    try:
+        want = _gauss_oracle(matrix, rhs)
+    except ChainError:
+        with pytest.raises(ChainError, match="singular system"):
+            solve_linear(matrix, rhs)
+    else:
+        got = solve_linear(matrix, rhs)
+        assert got == want
+        assert all(type(x) is F for x in got)
+    assert (matrix, rhs) == before
+
+
+def _mixed_two_memory(arena, rng):
+    """A 2-memory maximizer strategy mixing up to two actions per choice
+    (`_random_memory_strategy` plays pure ones)."""
+    mems = ("m0", "m1")
+    update = {(m, s, a, t): rng.choice(mems) for m in mems for s in arena.states
+              for a in arena.available[s] for t in arena.states}
+    choices = {}
+    for m in mems:
+        for s in arena.player_states(P1):
+            acts = rng.sample(arena.available[s], min(2, len(arena.available[s])))
+            w = rng.choice((F(1), F(1, 3), F(1, 2), F(3, 4)))
+            dist = {acts[0]: F(1)} if len(acts) == 1 or w == 1 else \
+                {acts[0]: w, acts[1]: 1 - w}
+            choices[(m, s)] = dist
+    return FiniteMemoryStrategy(P1, mems, "m0", update, choices)
+
+
+def _oracle_stationary(chain, nodes):
+    pos = {node: k for k, node in enumerate(nodes)}
+    n = len(nodes)
+    rows = chain.rows()
+    matrix = [[F(0)] * n for _ in range(n)]
+    for node in nodes:
+        for succ, p in rows[node].items():
+            matrix[pos[succ]][pos[node]] += p
+    for k in range(n):
+        matrix[k][k] -= 1
+    matrix[n - 1] = [F(1)] * n
+    pi = _gauss_oracle(matrix, [F(0)] * (n - 1) + [F(1)])
+    return dict(zip(nodes, pi))
+
+
+def _oracle_absorption(chain, classes):
+    rows = chain.rows()
+    in_class = {node for cls in classes for node in cls.nodes}
+    transient = [i for i in range(len(chain)) if i not in in_class]
+    pos = {node: k for k, node in enumerate(transient)}
+    n = len(transient)
+    base = [[F(int(j == k)) for j in range(n)] for k in range(n)]
+    for node in transient:
+        for succ, p in rows[node].items():
+            if succ in pos:
+                base[pos[node]][pos[succ]] -= p
+    out = [dict() for _ in range(len(chain))]
+    for ci, cls in enumerate(classes):
+        members = set(cls.nodes)
+        rhs = [sum((p for succ, p in rows[node].items() if succ in members), F(0))
+               for node in transient]
+        hit = _gauss_oracle(base, rhs) if n else []
+        for node in range(len(chain)):
+            p = F(1) if node in members else hit[pos[node]] if node in pos else 0
+            if p:
+                out[node][ci] = p
+    return out
+
+
+def _oracle_discounted(chain):
+    n = len(chain)
+    matrix = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    rhs = [F(0)] * n
+    for i in range(n):
+        for mv in chain.moves[i]:
+            r, lam = mv.colour.value
+            rhs[i] += mv.weight * r
+            for succ, p in mv.successors:
+                matrix[i][succ] -= mv.weight * lam * p
+    return _gauss_oracle(matrix, rhs)
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 5))
+def test_integer_chain_algebra_matches_fraction_oracles(seed):
+    # seeds 85, 90 and 115 give chains with two bottom classes
+    rng = random.Random(seed)
+    arena = random_arena(4, 3, seed=seed, kind="discounted")
+    # one discount factor per action, so mixed rows combine several
+    arena = dataclasses.replace(arena, colour={
+        sa: discounted(tok.value[0], rng.choice((F(0), F(1, 3), F(1, 2), F(4, 5))))
+        for sa, tok in arena.colour.items()})
+    tau = _first_choice(arena, P2)
+    for sigma in (_random_memory_strategy(arena, rng, 2),
+                  _mixed_two_memory(arena, rng)):
+        seeds = [(s, m, tau.initial_memory) for s in arena.states
+                 for m in sigma.memory_states]
+        chain = induce_chain(arena, sigma, tau, seeds)
+        for node, (d, row) in enumerate(chain.int_rows()):
+            assert {succ: F(n, d) for succ, n in row.items()} == chain.row(node)
+            assert gcd(d, *row.values()) == 1
+        classes = bottom_sccs(chain)
+        for cls in classes:
+            assert cls.stationary == _oracle_stationary(chain, cls.nodes)
+            weights = {}
+            for node in cls.nodes:
+                for mv in chain.moves[node]:
+                    weights[mv.colour] = weights.get(mv.colour, 0) \
+                        + cls.stationary[node] * mv.weight
+            assert cls.colour_weights == tuple(weights.items())
+        assert absorption_from(chain, classes) == _oracle_absorption(chain, classes)
+        assert discounted_values(chain) == _oracle_discounted(chain)
 
 
 def test_one_state_chain():

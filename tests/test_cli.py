@@ -1,13 +1,19 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from stochgame.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, run,
 )
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus" / "v1"
 E2 = str(CORPUS / "e2.game")
 E3 = str(CORPUS / "e3.game")
 FIG1 = str(CORPUS / "fig1.game")
@@ -114,6 +120,101 @@ def test_strategy_missing_a_state_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_one_error_line(code, out, err, *words):
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize("doc", ['[1, 2]', '"x"', '{"memory_states": ["m0"]}'])
+def test_malformed_strategy_document_is_a_usage_error(tmp_path, capsys, doc):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(doc)
+    _assert_one_error_line(*run_capture(
+        capsys, ["best-response", E2, "--payoff", "mean",
+                 "--sigma", str(sigma)]))
+
+
+def _solve_edited_e2(tmp_path, capsys, where, edit):
+    """Run `solve` on a copy of e2.game whose entry at path `where` was
+    passed through `edit`."""
+    doc = json.loads(Path(E2).read_text())
+    entry = doc
+    for key in where:
+        entry = entry[key]
+    edit(entry)
+    game = tmp_path / "e2.game"
+    game.write_text(json.dumps(doc))
+    return run_capture(capsys, ["solve", str(game), "--payoff", "mean"])
+
+
+def _case_ids(cases):
+    return [".".join(map(str, (*where, field))) for where, field, *_ in cases]
+
+
+MISSING_FIELDS = [
+    (("states", 0), "name"),
+    *[(("actions", 0), f) for f in ("successors", "state", "action", "colour")],
+    *[(("actions", 0, "successors", 0), f) for f in ("state", "prob")],
+]
+
+
+@pytest.mark.parametrize("where, field", MISSING_FIELDS,
+                         ids=_case_ids(MISSING_FIELDS))
+def test_game_file_missing_field_is_a_usage_error(tmp_path, capsys, where, field):
+    _assert_one_error_line(
+        *_solve_edited_e2(tmp_path, capsys, where, lambda e: e.pop(field)),
+        f"missing field '{field}'")
+
+
+WRONG_VALUES = [
+    ((), "states", 5),
+    (("states", 0), "name", ["s"]),
+    (("actions", 0), "action", ["stay"]),
+    (("actions", 0), "successors", 3),
+    (("actions", 0), "colour", {"vector": 5}),
+    (("actions", 0), "colour", {"shade": 1}),
+    (("actions", 0, "successors", 0), "state", None),
+    (("actions", 0, "successors", 0), "prob", [1]),
+    (("actions", 0, "successors", 0), "prob", float("inf")),
+]
+
+
+@pytest.mark.parametrize("where, field, value", WRONG_VALUES,
+                         ids=_case_ids(WRONG_VALUES))
+def test_game_file_wrong_value_is_a_usage_error(tmp_path, capsys, where, field,
+                                                value):
+    _assert_one_error_line(
+        *_solve_edited_e2(tmp_path, capsys, where,
+                          lambda e: e.__setitem__(field, value)),
+        f"'{field}'")
+
+
+def test_unknown_random_key_is_a_usage_error(capsys):
+    _assert_one_error_line(*run_capture(
+        capsys, ["solve", "random:state=9", "--payoff", "mean"]),
+        "'state'", "states, actions, lo, hi, density, seed, kind")
+
+
+def test_closed_stdout_exits_quietly():
+    # The read end is closed before the command starts, so its first write
+    # to stdout fails with a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochgame", "solve",
+             "random:states=5,seed=3,kind=discounted", "--payoff", "discounted",
+             "--format", "structured"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_USAGE
+
+
 def test_simulate(tmp_path, capsys):
     sigma = tmp_path / "sigma.json"
     tau = tmp_path / "tau.json"
@@ -124,6 +225,12 @@ def test_simulate(tmp_path, capsys):
                  "--horizon", "5", "--trials", "400", "--seed", "9"])
     assert code == EXIT_OK
     assert "terminal_frequencies" in out
+
+
+def test_simulate_without_trials_is_a_usage_error(capsys):
+    _assert_one_error_line(*run_capture(
+        capsys, ["simulate", E2, "--sigma", WEAK, "--tau", WEAK,
+                 "--trials", "0"]), "--trials")
 
 
 def test_doob_cli(capsys):

@@ -1,9 +1,22 @@
-"""Source-level rules for the library."""
+"""Source-level rules for the library, and the scripts' command lines."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stochgame"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stochgame"
+
+
+def _sweep(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "halfpos_sweep.py"), *args],
+        capture_output=True, text=True, env=env, timeout=300)
 
 
 def test_library_raises_instead_of_asserting():
@@ -13,3 +26,19 @@ def test_library_raises_instead_of_asserting():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")) and not found, found
+
+
+def test_halfpos_sweep_reports_progress_on_stderr():
+    proc = _sweep("--payoff", "posavg", "--arenas", "2", "--candidates", "2")
+    assert proc.returncode == 0
+    assert proc.stdout == "posavg: {'confirmed': 2, 'refuted': 0, 'inconclusive': 0}\n"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(re.fullmatch(rf"seed {i}: confirmed \d+\.\d\ds", line)
+               for i, line in enumerate(lines)), lines
+
+
+def test_halfpos_sweep_rejects_a_payoff_without_arena_kind():
+    proc = _sweep("--payoff", "geomfirstone", "--arenas", "1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
