@@ -34,6 +34,10 @@ def main() -> int:
     ap.add_argument("--seed0", type=int, default=0)
     args = ap.parse_args()
 
+    for flag, value in (("--memory", args.memory),
+                        ("--candidates", args.candidates)):
+        if value < 1:
+            sys.exit(f"error: {flag} must be >= 1, not {value}")
     try:
         spec = parse_payoff_spec(args.payoff)
     except PayoffError as e:

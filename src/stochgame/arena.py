@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -91,6 +93,17 @@ class Arena:
         col = {(s, a): c for (s, a), c in self.colour.items()
                if s != state or a in keep}
         return Arena(self.states, dict(self.owner), avail, trans, col)
+
+    def step_laws(self) -> dict[tuple[str, str], tuple[tuple, tuple[float, ...]]]:
+        """The transition table as the sampler reads it: `(s, a) ->
+        (successors, cumulative float weights)` in the table's order, as
+        `_cumulative` builds them (the last weight is infinite).  Built once
+        and cached; the exact table stays the `Fraction` one."""
+        cached = self.__dict__.get("_step_laws")
+        if cached is None:
+            cached = {sa: _cumulative(dist) for sa, dist in self.transition.items()}
+            object.__setattr__(self, "_step_laws", cached)
+        return cached
 
     def fingerprint(self) -> str:
         return hashlib.sha256(print_arena(self).encode()).hexdigest()[:16]
@@ -348,33 +361,64 @@ def _wrap_colour(kind: str, payload: int, lo: int, hi: int,
 def sample_play(arena: Arena, sigma, tau, source: str, horizon: int,
                 rng: random.Random) -> FinitePlay:
     """Sample `horizon` steps: the mover's strategy draws the action, the
-    transition table draws the successor.  Deterministic given the stream."""
+    transition table draws the successor.  Deterministic given the stream.
+
+    Each step takes exactly two `rng.random()` draws, action first, and
+    picks the first entry whose cumulative float weight (summed in the
+    law's own order) exceeds the draw, or the last entry if none does.
+    The successor laws come from `arena.step_laws()`, built once per arena.
+    Within one call, the mover's action law and both next memories are
+    memoized per product node (state, sigma's memory, tau's memory): every
+    strategy's `action_dist` and `next_memory` are functions of their
+    arguments, as `chain.induce_chain` also assumes.
+    """
+    if horizon < 0:
+        raise ArenaError("horizon must be >= 0")
     if source not in arena.owner:
         raise ArenaError(f"unknown source state {source}")
+    owner = arena.owner
+    step_laws = arena.step_laws()
+    draw = rng.random
+    # (s, mem1, mem2) -> (actions, cumulative weights, {(a, t): memories})
+    nodes: dict[tuple, tuple] = {}
     mem1 = sigma.initial_memory
     mem2 = tau.initial_memory
     states = [source]
     actions: list[str] = []
     s = source
     for _ in range(horizon):
-        strat, mem = (sigma, mem1) if arena.owner[s] == P1 else (tau, mem2)
-        dist = strat.action_dist(mem, s)
-        a = _draw(dist, rng)
-        t = _draw(arena.transition[(s, a)], rng)
-        mem1 = sigma.next_memory(mem1, s, a, t)
-        mem2 = tau.next_memory(mem2, s, a, t)
+        node = nodes.get((s, mem1, mem2))
+        if node is None:
+            strat, mem = (sigma, mem1) if owner[s] == P1 else (tau, mem2)
+            node = nodes[(s, mem1, mem2)] = (
+                *_cumulative(strat.action_dist(mem, s)), {})
+        keys, cum, moves = node
+        a = keys[bisect_right(cum, draw())]
+        keys, cum = step_laws[(s, a)]
+        t = keys[bisect_right(cum, draw())]
+        nxt = moves.get((a, t))
+        if nxt is None:
+            nxt = moves[(a, t)] = (sigma.next_memory(mem1, s, a, t),
+                                   tau.next_memory(mem2, s, a, t))
+        mem1, mem2 = nxt
         actions.append(a)
         states.append(t)
         s = t
     return FinitePlay(tuple(states), tuple(actions))
 
 
-def _draw(dist: dict, rng: random.Random):
-    u = rng.random()
-    acc = 0.0
-    items = list(dist.items())
-    for key, w in items:
+def _cumulative(dist: dict) -> tuple[tuple, tuple[float, ...]]:
+    """`(keys, cumulative float weights)` in the law's order, for
+    `bisect_right`: the first key whose running sum exceeds a draw `u` in
+    [0, 1).  The running maximum keeps the sums sorted even past a negative
+    weight, and the last entry is infinite, so a draw at or above the float
+    sum picks the last key."""
+    acc = top = 0.0
+    cum = []
+    for w in dist.values():
         acc += float(w)
-        if u < acc:
-            return key
-    return items[-1][0]
+        top = max(top, acc)
+        cum.append(top)
+    if cum:
+        cum[-1] = math.inf
+    return tuple(dist), tuple(cum)

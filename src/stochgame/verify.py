@@ -87,9 +87,14 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     `memory_bound` memories) try to beat the best stationary strategy, all
     values computed against stationary responses on the respective memory
     products (`strategy.product_values`).  A candidate that beats it at
-    some state is reported as the witness.
+    some state is reported as the witness.  `memory_bound` and `candidates`
+    must be at least 1 (`ValueError`).
     """
     started = time.perf_counter()
+    if memory_bound < 1:
+        raise ValueError(f"memory_bound must be >= 1, not {memory_bound}")
+    if candidates < 1:
+        raise ValueError(f"candidates must be >= 1, not {candidates}")
     if not (spec.is_shift_invariant and spec.is_submixing):
         raise FlagGateError(
             f"{spec.format()} is not flagged shift-invariant and submixing; "
@@ -795,12 +800,14 @@ def _last_value_change(arena, values, classification, sigma, tau, source,
                        trials, horizon, seed) -> int:
     rng = random.Random(seed)
     sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
+    changing = {sa for sa, facts in classification.table.items()
+                if not facts.value_preserving}
     worst = 0
     for _ in range(trials):
         play = sample_play(arena, sig, ta, source, horizon, rng)
         last = 0
-        for i, a in enumerate(play.actions):
-            if not classification.table[(play.states[i], a)].value_preserving:
-                last = i + 1
+        for i, step in enumerate(zip(play.states, play.actions), 1):
+            if step in changing:
+                last = i
         worst = max(worst, last)
     return worst

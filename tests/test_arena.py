@@ -15,7 +15,10 @@ from stochgame.arena import (
 )
 from stochgame.fixtures import build_e2, build_e3, build_fig1
 from stochgame.payoff import reward
-from stochgame.strategy import PureStationaryStrategy
+from stochgame.strategy import (
+    FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
+    StrategyError, WeaknessSet, reset_strategy, trigger_strategy,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
@@ -222,6 +225,132 @@ def test_sample_play_randomized_action_law():
     stays = sum(sample_play(e2, sigma, tau, "s", 1, rng).target == "s"
                 for _ in range(20_000))
     assert abs(stays / 20_000 - 0.75) < 0.01
+
+
+# -- the sampler against the per-step Fraction draw it replaced ----------------------
+
+def _sample_play_oracle(arena, sigma, tau, source, horizon, rng):
+    """The sampler as first written: every step rebuilds the float running
+    sums of the mover's and the transition's `Fraction` laws."""
+    if source not in arena.owner:
+        raise ArenaError(f"unknown source state {source}")
+    mem1 = sigma.initial_memory
+    mem2 = tau.initial_memory
+    states = [source]
+    actions = []
+    s = source
+    for _ in range(horizon):
+        strat, mem = (sigma, mem1) if arena.owner[s] == P1 else (tau, mem2)
+        a = _draw_oracle(strat.action_dist(mem, s), rng)
+        t = _draw_oracle(arena.transition[(s, a)], rng)
+        mem1 = sigma.next_memory(mem1, s, a, t)
+        mem2 = tau.next_memory(mem2, s, a, t)
+        actions.append(a)
+        states.append(t)
+        s = t
+    return FinitePlay(tuple(states), tuple(actions))
+
+
+def _draw_oracle(dist, rng):
+    u = rng.random()
+    acc = 0.0
+    items = list(dist.items())
+    for key, w in items:
+        acc += float(w)
+        if u < acc:
+            return key
+    return items[-1][0]
+
+
+def _mixed_memory_strategy(arena, player, rng, memories=2):
+    """Random Mealy strategy: sparse memory updates (the rest keep the
+    memory) and rational action laws, some with zero-weight entries."""
+    mems = tuple(f"m{i}" for i in range(memories))
+    update = {(m, s, a, t): rng.choice(mems)
+              for m in mems for s in arena.states
+              for a in arena.available[s] for t in arena.states
+              if rng.random() < 0.7}
+    choices = {}
+    for m in mems:
+        for s in arena.player_states(player):
+            weights = [rng.randint(0, 3) for _ in arena.available[s]]
+            weights[rng.randrange(len(weights))] += 1
+            choices[(m, s)] = {a: Fraction(w, sum(weights))
+                               for a, w in zip(arena.available[s], weights)}
+    return FiniteMemoryStrategy(player, mems, mems[0], update, choices)
+
+
+def _oracle_pairs(arena, rng):
+    """Strategy pairs for one arena: mixed 2-memory on both sides, the reset
+    construction against a trigger strategy where a maximizer state has two
+    actions to split, and both players' first actions."""
+    sigma = _mixed_memory_strategy(arena, P1, rng)
+    tau = _mixed_memory_strategy(arena, P2, rng)
+    weak = WeaknessSet(frozenset((m, s) for m in sigma.memory_states
+                                 for s in arena.states if rng.random() < 0.3),
+                       Fraction(0), {}, {})
+    pairs = [(sigma, tau), (reset_strategy(sigma, weak), tau),
+             _unique_strategies(arena)]
+    pivots = [s for s in arena.player_states(P1) if len(arena.available[s]) > 1]
+    if pivots:
+        acts = arena.available[pivots[0]]
+        split = PartitionAtState(pivots[0], frozenset(acts[:1]),
+                                 frozenset(acts[1:]))
+        trigger = trigger_strategy(tau, _mixed_memory_strategy(arena, P2, rng),
+                                   split, arena)
+        pairs.append((reset_strategy(sigma, weak), trigger))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_sample_play_matches_fraction_oracle(seed):
+    arena = random_arena(4, 3, seed=seed)
+    rng = random.Random(seed)
+    for sigma, tau in _oracle_pairs(arena, rng):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for horizon in (0, 1, 50, *(rng.randint(0, 50) for _ in range(5))):
+            source = rng.choice(arena.states)
+            play = sample_play(arena, sigma, tau, source, horizon, fast)
+            assert play == _sample_play_oracle(arena, sigma, tau, source,
+                                               horizon, slow)
+            assert fast.getstate() == slow.getstate()
+
+
+def test_sample_play_matches_oracle_on_unvalidated_laws():
+    # laws that check_in would reject still draw as the oracle does: a
+    # negative weight inside the law, weights summing below 1 (the last key
+    # takes the rest) and trailing zero weights
+    acts = ("a", "b", "c")
+    arena = Arena(("s",), {"s": P1}, {"s": acts},
+                  {("s", a): {"s": Fraction(1)} for a in acts},
+                  {("s", a): reward(0) for a in acts})
+    tau = PureStationaryStrategy(P2, {})
+    for weights in ((1, -1, 2), (2, -3, 5), (1, 1, 0), (1, 0, 0), (0, 2, 1)):
+        law = {a: Fraction(w, 4) for a, w in zip(acts, weights)}
+        sigma = FiniteMemoryStrategy(P1, ("m",), "m", {}, {("m", "s"): law})
+        fast, slow = random.Random(3), random.Random(3)
+        for _ in range(100):
+            assert sample_play(arena, sigma, tau, "s", 5, fast) == \
+                _sample_play_oracle(arena, sigma, tau, "s", 5, slow)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_sample_play_contract_errors():
+    e2 = build_e2()
+    sigma = PureStationaryStrategy(P1, {"s": "go", "t": "loop"})
+    tau = PureStationaryStrategy(P2, {})
+    rng = random.Random(1)
+    before = rng.getstate()
+    with pytest.raises(ArenaError, match="horizon must be >= 0"):
+        sample_play(e2, sigma, tau, "s", -3, rng)
+    with pytest.raises(ArenaError, match="unknown source state x"):
+        sample_play(e2, sigma, tau, "x", 3, rng)
+    assert sample_play(e2, sigma, tau, "t", 0, rng) == FinitePlay(("t",), ())
+    assert rng.getstate() == before
+    partial = FiniteMemoryStrategy(P1, ("m",), "m", {},
+                                   {("m", "s"): {"go": Fraction(1)}})
+    with pytest.raises(StrategyError, match="no choice at memory m, state t"):
+        sample_play(e2, partial, tau, "s", 3, rng)
 
 
 # -- restriction -------------------------------------------------------------------

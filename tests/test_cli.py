@@ -227,6 +227,53 @@ def test_simulate(tmp_path, capsys):
     assert "terminal_frequencies" in out
 
 
+def test_simulate_rejects_a_negative_horizon(tmp_path, capsys):
+    tau = tmp_path / "tau.json"
+    tau.write_text("{}")
+    argv = ["simulate", E2, "--sigma", WEAK, "--tau", str(tau)]
+    _assert_one_error_line(*run_capture(capsys, argv + ["--horizon", "-3"]),
+                           "horizon")
+    code, out, _ = run_capture(capsys, argv + ["--horizon", "0", "--trials", "3"])
+    assert code == EXIT_OK and "s: 1.0" in out
+
+
+GOLDEN = ROOT / "tests" / "golden"
+
+
+SEEDED_DOOB = [
+    ("doob_e2_mean.json", [E2, "--payoff", "mean"]),
+    ("doob_priority_parity.json",
+     ["random:states=4,actions=3,seed=11,kind=priority", "--payoff", "parity"]),
+    # value-changing steps up to date 10 and a first-hit estimate off its
+    # exact value: the play sampler's draws all show in this report
+    ("doob_reward_mean.json",
+     ["random:states=4,actions=3,seed=39,kind=reward", "--payoff", "mean"]),
+]
+
+
+def test_simulate_seeded_output_is_pinned(tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    tau = tmp_path / "tau.json"
+    sigma.write_text('{"s": "a", "t": "loop", "u": "loop"}')
+    tau.write_text("{}")
+    code, out, _ = run_capture(
+        capsys, ["--format", "structured", "simulate", E3, "--sigma", str(sigma),
+                 "--tau", str(tau), "--horizon", "5", "--trials", "400",
+                 "--seed", "9"])
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "simulate_e3.json").read_text()
+
+
+@pytest.mark.parametrize("golden, argv", SEEDED_DOOB,
+                         ids=[g for g, _ in SEEDED_DOOB])
+def test_doob_seeded_output_is_pinned(capsys, golden, argv):
+    code, out, _ = run_capture(
+        capsys, ["--format", "structured", "doob", *argv,
+                 "--trials", "2000", "--seed", "5"])
+    assert code == EXIT_OK
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_simulate_without_trials_is_a_usage_error(capsys):
     _assert_one_error_line(*run_capture(
         capsys, ["simulate", E2, "--sigma", WEAK, "--tau", WEAK,
@@ -249,6 +296,14 @@ def test_usage_errors(capsys):
     code, _, err = run_capture(
         capsys, ["verify", "halfpos", E2, "--payoff", "genmean:2"])
     assert code == EXIT_USAGE  # flag gate maps to a validation error
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--memory", "0", "memory_bound"), ("--candidates", "-3", "candidates")])
+def test_verify_halfpos_rejects_a_bound_below_one(capsys, flag, value, name):
+    _assert_one_error_line(*run_capture(
+        capsys, ["verify", "halfpos", "random:states=4,actions=3,seed=7",
+                 "--payoff", "posavg", flag, value]), name, value)
 
 
 def test_inconclusive_exit_code(capsys):

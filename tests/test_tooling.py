@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stochgame"
 
@@ -42,3 +44,10 @@ def test_halfpos_sweep_rejects_a_payoff_without_arena_kind():
     proc = _sweep("--payoff", "geomfirstone", "--arenas", "1")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--memory", "--candidates"])
+def test_halfpos_sweep_rejects_a_bound_below_one(flag):
+    proc = _sweep("--payoff", "posavg", "--arenas", "1", flag, "0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {flag} must be >= 1, not 0\n"

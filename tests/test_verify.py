@@ -74,6 +74,21 @@ def test_halfpos_sweep_posavg_small():
         assert "response_class" in report.quantities
 
 
+@pytest.mark.parametrize("payoff", ["posavg", "mean"])
+@pytest.mark.parametrize("bounds, name", [
+    ({"memory_bound": 0}, "memory_bound"), ({"candidates": 0}, "candidates"),
+    ({"candidates": -3}, "candidates")],
+    ids=["memory_bound=0", "candidates=0", "candidates=-3"])
+def test_halfpos_rejects_bounds_below_one(monkeypatch, payoff, bounds, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify_halfpos started work on a bad bound")
+    monkeypatch.setattr(solve, "GridSolver", no_work)
+    monkeypatch.setattr(solve, "brute_force_value", no_work)
+    with pytest.raises(ValueError, match=name):
+        verify_halfpos(random_arena(3, 2, seed=0), parse_payoff_spec(payoff),
+                       **bounds)
+
+
 # -- searches --------------------------------------------------------------------
 
 def test_submixing_search_confirms_mean_small():
