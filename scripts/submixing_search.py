@@ -7,6 +7,7 @@ Example:
 """
 
 import argparse
+import sys
 
 from stochgame.payoff import parse_payoff_spec
 from stochgame.verify import (
@@ -25,8 +26,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    spec = parse_payoff_spec(args.payoff)
-    bounds = SearchBounds(max_cycle=args.max_cycle, random_cases=args.cases)
+    try:
+        spec = parse_payoff_spec(args.payoff)
+        bounds = SearchBounds(max_cycle=args.max_cycle, random_cases=args.cases)
+    except ValueError as e:
+        sys.exit(f"error: {e}")
     search = (search_submixing_violation if args.property == "submixing"
               else search_shift_invariance_violation)
     report = search(spec, bounds, args.seed)

@@ -281,7 +281,3 @@ CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     counterexample, reset_strategy_checks, martingale_suite,
     oracle_equivalence,
 )
-
-
-def run_all() -> list[CriterionResult]:
-    return [criterion() for criterion in CRITERIA]

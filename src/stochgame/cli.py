@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,26 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    game: str = ""
-    payoff: str = ""
-    sigma: str = ""
-    tau: str = ""
-    source: str = ""
-    epsilon: str = "1/4"
-    seed: int = DEFAULT_SEED
-    budget: int = solve.DEFAULT_BUDGET
-    memory: int = 2
-    candidates: int = 12
-    trials: int = 10_000
-    horizon: int = 50
-    max_cycle: int = 4
-    cases: int = 2000
-    fmt: str = "human"
 
 
 RANDOM_KEYS = ("states", "actions", "lo", "hi", "density", "seed", "kind")

@@ -8,8 +8,11 @@ over a corpus is only evidence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -208,14 +211,15 @@ class Lasso:
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
 
     def suffix(self, k: int = 1) -> "Lasso":
-        """The word with its first k letters removed."""
-        pre, cyc = list(self.prefix), list(self.cycle)
-        for _ in range(k):
-            if pre:
-                pre.pop(0)
-            else:
-                cyc = cyc[1:] + cyc[:1]
-        return Lasso(tuple(pre), tuple(cyc))
+        """The word with its first k letters removed: a shorter prefix, or
+        the cycle rotated by the letters taken past the prefix."""
+        if k < 0:
+            raise PayoffError(f"cannot remove {k} letters from a word")
+        p = len(self.prefix)
+        if k <= p:
+            return Lasso(self.prefix[k:], self.cycle)
+        r = (k - p) % len(self.cycle)
+        return Lasso((), self.cycle[r:] + self.cycle[:r])
 
     def unroll(self, n: int) -> list:
         return [self.letter(i) for i in range(n)]
@@ -235,17 +239,24 @@ def vector_lasso(prefix: Sequence, cycle: Sequence) -> Lasso:
 
 def _check_kind(spec: PayoffSpec, word: Lasso) -> None:
     want = spec.colour_kind
+    dim = spec.dim if spec.name in ("genmean", "optgenmean") else None
     for tok in word.prefix + word.cycle:
         if not isinstance(tok, ColourToken) or tok.kind != want:
             raise ColourKindError(
                 f"payoff {spec.format()} needs {want} colours, got {tok!r}")
-        if spec.name in ("genmean", "optgenmean") and len(tok.value) != spec.dim:
+        if dim is not None and len(tok.value) != dim:
             raise ColourKindError(
-                f"{spec.format()} needs vectors of dimension {spec.dim}")
+                f"{spec.format()} needs vectors of dimension {dim}")
 
 
 # ---------------------------------------------------------------------------
 # Exact evaluation on lasso words
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
@@ -253,53 +264,67 @@ def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
 
     Win/lose conditions return indicator values 0/1; the mean-co-Buchi
     payoff substitutes the finite penalty -B for the unbounded penalty.
+
+    The cycle decides every prefix-independent payoff.  Its rational values
+    are read once as integer numerators over the lcm of their denominators,
+    so sums, signs and comparisons are integer operations: a returned mean
+    is the one `Fraction` built, `limsup`/`liminf` return the cycle's own
+    extreme value, and the 0/1 verdicts are the constants `_ZERO`/`_ONE`.
     """
     _check_kind(spec, word)
     cyc = word.cycle
     name = spec.name
 
     if name == "mean":
-        return _cycle_mean([t.value for t in cyc])
-    if name == "limsup":
-        return max(t.value for t in cyc)
-    if name == "liminf":
-        return min(t.value for t in cyc)
+        nums, den = _scaled([t.value for t in cyc])
+        return Fraction(sum(nums), den * len(cyc))
+    if name in ("limsup", "liminf"):
+        values = [t.value for t in cyc]
+        nums, _ = _scaled(values)
+        return values[nums.index(max(nums) if name == "limsup" else min(nums))]
     if name == "parity":
-        return Fraction(max(t.value for t in cyc) % 2)
+        return _ONE if max(t.value for t in cyc) % 2 else _ZERO
     if name == "posavg":
-        return Fraction(1) if _cycle_mean([t.value for t in cyc]) > 0 else Fraction(0)
+        nums, _ = _scaled([t.value for t in cyc])
+        return _ONE if sum(nums) > 0 else _ZERO
     if name == "counter+inf":
         # Partial sums are unbounded above iff the cycle gains per pass.
-        return Fraction(1) if sum(t.value for t in cyc) > 0 else Fraction(0)
+        return _ONE if sum(t.value for t in cyc) > 0 else _ZERO
     if name == "counter-inf":
-        return Fraction(1) if sum(t.value for t in cyc) < 0 else Fraction(0)
-    if name == "genmean":
-        means = _vector_cycle_means(cyc, spec.dim)
-        return Fraction(1) if all(m > 0 for m in means) else Fraction(0)
-    if name == "optgenmean":
-        means = _vector_cycle_means(cyc, spec.dim)
-        return Fraction(1) if any(m >= 0 for m in means) else Fraction(0)
+        return _ONE if sum(t.value for t in cyc) < 0 else _ZERO
+    if name in ("genmean", "optgenmean"):
+        # One integer sum per dimension over one common denominator: its
+        # sign is the sign of that dimension's mean.
+        nums, _ = _scaled([x for t in cyc for x in t.value])
+        dim = spec.dim
+        sums = [sum(nums[i::dim]) for i in range(dim)]
+        if name == "genmean":
+            return _ONE if all(s > 0 for s in sums) else _ZERO
+        return _ONE if any(s >= 0 for s in sums) else _ZERO
     if name == "meancobuchi":
         if any(t.value[1] for t in cyc):
             return -spec.penalty
-        return _cycle_mean([t.value[0] for t in cyc])
+        nums, den = _scaled([t.value[0] for t in cyc])
+        return Fraction(sum(nums), den * len(cyc))
     if name == "discounted":
         return _discounted_value(word)
     if name == "suffixtarget":
         # The target word has strictly growing runs, so it is not ultimately
         # periodic and no ultimately periodic word shares a suffix with it.
-        return Fraction(1)
+        return _ONE
     if name == "geomfirstone":
         return _geom_first_one(word)
     raise PayoffError(name)
 
 
-def _cycle_mean(values) -> Fraction:
-    return Fraction(sum(values), len(values))
-
-
-def _vector_cycle_means(cyc, dim) -> list:
-    return [Fraction(sum(t.value[i] for t in cyc), len(cyc)) for i in range(dim)]
+def _scaled(values) -> tuple[list[int], int]:
+    """Integer numerators of `values` over the lcm of their denominators,
+    and that lcm: `values[i] == nums[i] / den` for every i."""
+    dens = list(map(_DENOMINATOR, values))
+    den = lcm(*dens)
+    if den == 1:
+        return list(map(_NUMERATOR, values)), 1
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _discounted_value(word: Lasso) -> Fraction:
@@ -434,6 +459,8 @@ def shuffle(u: Lasso, v: Lasso, pattern: ShufflePattern) -> Lasso:
 
     Every letter of u and of v appears exactly once, in order; the result is
     again a lasso.  Raises ShuffleError when the pattern starves one word.
+    Each word is read as one stream, prefix then its cycle forever, and each
+    block is sliced off its stream whole; `pu`/`pv` count the letters taken.
     """
     if pattern.tail_u == 0:
         raise ShuffleError("pattern never places letters of u")
@@ -441,31 +468,23 @@ def shuffle(u: Lasso, v: Lasso, pattern: ShufflePattern) -> Lasso:
         raise ShuffleError("pattern never places letters of v")
 
     out: list = []
+    su = itertools.chain(u.prefix, itertools.cycle(u.cycle))
+    sv = itertools.chain(v.prefix, itertools.cycle(v.cycle))
     pu = pv = 0
 
-    def take(word: Lasso, pos: int, n: int) -> int:
-        for i in range(n):
-            out.append(word.letter(pos + i))
-        return pos + n
+    def blocks(lengths: tuple) -> None:
+        nonlocal pu, pv
+        for bu, bv in zip(lengths[0::2], lengths[1::2]):
+            out.extend(itertools.islice(su, bu))
+            out.extend(itertools.islice(sv, bv))
+            pu += bu
+            pv += bv
 
-    for i, blk in enumerate(pattern.prefix):
-        if i % 2 == 0:
-            pu = take(u, pu, blk)
-        else:
-            pv = take(v, pv, blk)
-
+    blocks(pattern.prefix)
     # Advance whole tail periods until both streams sit inside their cycles,
     # then until the pair of cycle offsets repeats; that block is the w-cycle.
-    def period() -> None:
-        nonlocal pu, pv
-        for i, blk in enumerate(pattern.tail):
-            if i % 2 == 0:
-                pu = take(u, pu, blk)
-            else:
-                pv = take(v, pv, blk)
-
     while pu < len(u.prefix) or pv < len(v.prefix):
-        period()
+        blocks(pattern.tail)
     seen: dict = {}
     marks: list = []
     while True:
@@ -476,7 +495,7 @@ def shuffle(u: Lasso, v: Lasso, pattern: ShufflePattern) -> Lasso:
             return Lasso(tuple(out[:marks[start]]), tuple(out[marks[start]:]))
         seen[key] = len(marks)
         marks.append(len(out))
-        period()
+        blocks(pattern.tail)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,10 @@ class FiniteMemoryStrategy:
                 dist = self.choices.get((m, s))
                 if not dist:
                     raise StrategyError(f"no choice at ({m}, {s})")
+                for a, w in dist.items():
+                    if not (0 <= w <= 1):
+                        raise StrategyError(
+                            f"weight {w} of {a} at ({m}, {s}) outside [0,1]")
                 if sum(dist.values()) != 1:
                     raise StrategyError(f"choice at ({m}, {s}) does not sum to 1")
                 for a in dist:

@@ -191,11 +191,27 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Sizes of the refutation searches, checked when constructed: cycles of
+    1..max_cycle letters, (u, v) block patterns of positive lengths,
+    random_cases >= 0 seeded cases and 1..shifts suffixes per word."""
+
     max_cycle: int = 4
     patterns: tuple = ((1, 1), (1, 2), (2, 1), (2, 2))
     random_cases: int = 2000
     exhaustive: bool = True
     shifts: int = 6
+
+    def __post_init__(self):
+        for name, least in (("max_cycle", 1), ("random_cases", 0),
+                            ("shifts", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, not {value}")
+        for pattern in self.patterns:
+            if not (isinstance(pattern, (tuple, list)) and len(pattern) == 2
+                    and all(isinstance(b, int) and b >= 1 for b in pattern)):
+                raise ValueError(
+                    f"patterns: {pattern!r} is not a pair of positive ints")
 
 
 def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:

@@ -311,3 +311,52 @@ def test_inconclusive_exit_code(capsys):
         capsys, ["verify", "halfpos", "random:states=4,actions=3,seed=2",
                  "--payoff", "mean", "--budget", "1"])
     assert code == EXIT_INCONCLUSIVE
+
+
+SEEDED_CHECKS = [
+    # refuted by the closed-form sweep, witness replayed through shuffle
+    ("check_submixing_genmean2.json", ["submixing", "--payoff", "genmean:2"]),
+    ("check_shift_discounted.json",
+     ["shift-invariance", "--payoff", "discounted"]),
+    # confirmed: every random case is evaluated on lassos and shuffles
+    ("check_submixing_optgenmean2.json",
+     ["submixing", "--payoff", "optgenmean:2", "--cases", "300"]),
+    ("check_shift_mean.json",
+     ["shift-invariance", "--payoff", "mean", "--cases", "300"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", SEEDED_CHECKS,
+                         ids=[g for g, _ in SEEDED_CHECKS])
+def test_check_seeded_output_is_pinned(capsys, golden, argv):
+    code, out, _ = run_capture(capsys, ["--format", "structured", "check", *argv])
+    assert code == (EXIT_REFUTED if "refuted" in out else EXIT_OK)
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("prop", ["submixing", "shift-invariance"])
+@pytest.mark.parametrize("flag, value, name", [
+    ("--max-cycle", "0", "max_cycle"), ("--cases", "-5", "random_cases")])
+def test_check_rejects_a_bad_search_bound(capsys, prop, flag, value, name):
+    _assert_one_error_line(*run_capture(
+        capsys, ["check", prop, "--payoff", "mean", flag, value]), name, value)
+
+
+NEGATIVE_WEIGHT_SIGMA = {
+    "memory_states": ["m0"], "initial": "m0", "update": [],
+    "choice": [["m0", "s", {"stay": "-1/2", "go": "3/2"}],
+               ["m0", "t", {"loop": "1"}]],
+}
+
+
+def test_strategy_with_a_negative_weight_is_a_usage_error(tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    tau = tmp_path / "tau.json"
+    sigma.write_text(json.dumps(NEGATIVE_WEIGHT_SIGMA))
+    tau.write_text("{}")
+    _assert_one_error_line(*run_capture(
+        capsys, ["verify", "subgame", E2, "--payoff", "mean",
+                 "--sigma", str(sigma), "--epsilon", "1/4"]), "-1/2", "[0,1]")
+    _assert_one_error_line(*run_capture(
+        capsys, ["simulate", E2, "--sigma", str(sigma), "--tau", str(tau)]),
+        "-1/2", "[0,1]")

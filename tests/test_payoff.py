@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochgame import payoff
 from stochgame.payoff import (
-    ColourKindError, Lasso, PayoffError, ShuffleError,
+    VECTOR, ColourKindError, ColourToken, Lasso, PayoffError, ShuffleError,
     ShufflePattern, check_shift_invariance, check_submixing, class_value,
     colour_from_json, colour_to_json, discounted, evaluate_lasso, increment,
     letter, parse_payoff_spec, priority, priority_lasso, reward,
@@ -184,6 +185,11 @@ def test_suffix_of_lasso():
     assert word.suffix(3).unroll(5) == word.unroll(8)[3:]
 
 
+def test_suffix_rejects_a_negative_count():
+    with pytest.raises(PayoffError):
+        reward_lasso([1, 2], [3, 4]).suffix(-1)
+
+
 def test_shift_invariance_mean_has_no_witness():
     assert check_shift_invariance(mean, reward_lasso([2, -1], [0, 1]), 6) is None
 
@@ -353,3 +359,210 @@ def test_class_value_rejects_bad_weights():
 ])
 def test_colour_json_round_trip(tok):
     assert colour_from_json(colour_to_json(tok)) == tok
+
+
+# -- the Fraction implementations, kept as oracles -------------------------------
+#
+# The library evaluates lassos over integer numerators, slices suffixes and
+# streams shuffles; these are the letter-by-letter `Fraction` versions it
+# replaced, and the properties below require both to agree exactly.
+
+
+def _check_kind_oracle(spec, word):
+    want = spec.colour_kind
+    for tok in word.prefix + word.cycle:
+        if not isinstance(tok, ColourToken) or tok.kind != want:
+            raise ColourKindError(
+                f"payoff {spec.format()} needs {want} colours, got {tok!r}")
+        if spec.name in ("genmean", "optgenmean") and len(tok.value) != spec.dim:
+            raise ColourKindError(
+                f"{spec.format()} needs vectors of dimension {spec.dim}")
+
+
+def _cycle_mean(values):
+    return Fraction(sum(values), len(values))
+
+
+def _vector_cycle_means(cyc, dim):
+    return [Fraction(sum(t.value[i] for t in cyc), len(cyc)) for i in range(dim)]
+
+
+def _evaluate_lasso_oracle(spec, word):
+    _check_kind_oracle(spec, word)
+    cyc = word.cycle
+    name = spec.name
+    if name == "mean":
+        return _cycle_mean([t.value for t in cyc])
+    if name == "limsup":
+        return max(t.value for t in cyc)
+    if name == "liminf":
+        return min(t.value for t in cyc)
+    if name == "parity":
+        return Fraction(max(t.value for t in cyc) % 2)
+    if name == "posavg":
+        return Fraction(1) if _cycle_mean([t.value for t in cyc]) > 0 else Fraction(0)
+    if name == "counter+inf":
+        return Fraction(1) if sum(t.value for t in cyc) > 0 else Fraction(0)
+    if name == "counter-inf":
+        return Fraction(1) if sum(t.value for t in cyc) < 0 else Fraction(0)
+    if name == "genmean":
+        means = _vector_cycle_means(cyc, spec.dim)
+        return Fraction(1) if all(m > 0 for m in means) else Fraction(0)
+    if name == "optgenmean":
+        means = _vector_cycle_means(cyc, spec.dim)
+        return Fraction(1) if any(m >= 0 for m in means) else Fraction(0)
+    if name == "meancobuchi":
+        if any(t.value[1] for t in cyc):
+            return -spec.penalty
+        return _cycle_mean([t.value[0] for t in cyc])
+    if name == "discounted":
+        return payoff._discounted_value(word)
+    if name == "suffixtarget":
+        return Fraction(1)
+    if name == "geomfirstone":
+        return payoff._geom_first_one(word)
+    raise PayoffError(name)
+
+
+def _suffix_oracle(word, k):
+    pre, cyc = list(word.prefix), list(word.cycle)
+    for _ in range(k):
+        if pre:
+            pre.pop(0)
+        else:
+            cyc = cyc[1:] + cyc[:1]
+    return Lasso(tuple(pre), tuple(cyc))
+
+
+def _shuffle_oracle(u, v, pattern):
+    if pattern.tail_u == 0:
+        raise ShuffleError("pattern never places letters of u")
+    if pattern.tail_v == 0:
+        raise ShuffleError("pattern never places letters of v")
+    out = []
+    pu = pv = 0
+
+    def take(word, pos, n):
+        for i in range(n):
+            out.append(word.letter(pos + i))
+        return pos + n
+
+    for i, blk in enumerate(pattern.prefix):
+        if i % 2 == 0:
+            pu = take(u, pu, blk)
+        else:
+            pv = take(v, pv, blk)
+
+    def period():
+        nonlocal pu, pv
+        for i, blk in enumerate(pattern.tail):
+            if i % 2 == 0:
+                pu = take(u, pu, blk)
+            else:
+                pv = take(v, pv, blk)
+
+    while pu < len(u.prefix) or pv < len(v.prefix):
+        period()
+    seen, marks = {}, []
+    while True:
+        key = ((pu - len(u.prefix)) % len(u.cycle),
+               (pv - len(v.prefix)) % len(v.cycle))
+        if key in seen:
+            start = seen[key]
+            return Lasso(tuple(out[:marks[start]]), tuple(out[marks[start]:]))
+        seen[key] = len(marks)
+        marks.append(len(out))
+        period()
+
+
+def _outcome(f, *args):
+    """The value with its type, or the type of the exception raised."""
+    try:
+        value = f(*args)
+    except Exception as e:  # the exception type is the outcome compared
+        return ("raised", type(e))
+    return ("value", type(value), value)
+
+
+# Denominators 2 and 3 without 6 make the lcm differ from every single one.
+fractions_ = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+
+
+def vectors(dim):
+    return st.lists(fractions_, min_size=dim, max_size=dim).map(
+        lambda xs: vector(*xs))
+
+
+TOKENS = {
+    payoff.REWARD: st.builds(reward, fractions_),
+    payoff.PRIORITY: st.builds(priority, st.integers(0, 5)),
+    payoff.INCREMENT: st.builds(increment, st.integers(-3, 3)),
+    payoff.REWARD_BUCHI: st.builds(reward_buchi, fractions_,
+                                   st.sampled_from([False, False, True])),
+    payoff.DISCOUNTED: st.builds(discounted, fractions_,
+                                 st.sampled_from([0, Fraction(1, 2),
+                                                  Fraction(2, 3)])),
+    payoff.LETTER: st.builds(letter, st.sampled_from(["a", "b", ""])),
+}
+
+ORACLE_SPECS = [
+    "mean", "discounted", "parity", "limsup", "liminf", "posavg",
+    "counter+inf", "counter-inf", "genmean:1", "genmean:2", "genmean:3",
+    "optgenmean:1", "optgenmean:2", "optgenmean:3", "meancobuchi:100",
+    "meancobuchi:5/2", "suffixtarget:ab", "geomfirstone",
+]
+
+
+@st.composite
+def spec_and_word(draw):
+    spec = parse_payoff_spec(draw(st.sampled_from(ORACLE_SPECS)))
+    if spec.colour_kind == VECTOR:
+        tokens = vectors(spec.dim)
+    elif spec.name == "geomfirstone":
+        tokens = st.builds(reward, st.sampled_from([0, 0, 1, 1, 1, 2]))
+    else:
+        tokens = TOKENS[spec.colour_kind]
+    if draw(st.integers(0, 9)) == 0:
+        # letters of other kinds or dimensions, which both must reject
+        tokens = st.one_of(tokens, *TOKENS.values(), *map(vectors, (1, 2, 3)))
+    prefix = draw(st.lists(tokens, max_size=4))
+    cycle = draw(st.lists(tokens, min_size=1, max_size=6))
+    return spec, Lasso(tuple(prefix), tuple(cycle))
+
+
+@given(spec_and_word())
+@settings(max_examples=600)
+def test_evaluate_lasso_matches_fraction_oracle(case):
+    spec, word = case
+    assert _outcome(evaluate_lasso, spec, word) == \
+        _outcome(_evaluate_lasso_oracle, spec, word)
+
+
+letters = st.integers(0, 9)
+lassos = st.builds(Lasso.of, st.lists(letters, max_size=4),
+                   st.lists(letters, min_size=1, max_size=4))
+
+
+@given(lassos)
+@settings(max_examples=200)
+def test_suffix_matches_letter_by_letter_oracle(word):
+    for k in range(len(word.prefix) + 2 * len(word.cycle) + 1):
+        assert word.suffix(k) == _suffix_oracle(word, k)
+
+
+blocks = st.integers(0, 3)
+patterns = st.builds(
+    ShufflePattern,
+    st.lists(st.tuples(blocks, blocks), max_size=2).map(
+        lambda pairs: tuple(b for pair in pairs for b in pair)),
+    st.lists(st.tuples(blocks, blocks), min_size=1, max_size=2).map(
+        lambda pairs: tuple(b for pair in pairs for b in pair)).filter(sum))
+
+
+@given(lassos, lassos, patterns)
+@settings(max_examples=300)
+def test_shuffle_matches_letter_by_letter_oracle(u, v, pattern):
+    # letters of v are told apart from those of u by their sign
+    v = Lasso.of([-1 - x for x in v.prefix], [-1 - x for x in v.cycle])
+    assert _outcome(shuffle, u, v, pattern) == \
+        _outcome(_shuffle_oracle, u, v, pattern)

@@ -53,6 +53,16 @@ def test_check_in_catches_bad_choices():
         bad.check_in(e2)
 
 
+@pytest.mark.parametrize("law", [
+    {"go": F(3, 2), "stay": F(-1, 2)}, {"stay": F(-1, 2), "go": F(3, 2)}])
+def test_check_in_rejects_weights_outside_the_unit_interval(law):
+    # the law sums to 1, but it is no probability law
+    bad = FiniteMemoryStrategy(
+        P1, ("m",), "m", {}, {("m", "s"): law, ("m", "t"): {"loop": F(1)}})
+    with pytest.raises(StrategyError, match=r"outside \[0,1\]"):
+        bad.check_in(build_e2())
+
+
 # -- guaranteed values / weakness / reset -----------------------------------------
 
 def test_product_values_memoryless_independent_of_memory():

@@ -13,12 +13,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stochgame"
 
 
-def _sweep(*args):
+def _script(name, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "halfpos_sweep.py"), *args],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def _sweep(*args):
+    return _script("halfpos_sweep.py", *args)
 
 
 def test_library_raises_instead_of_asserting():
@@ -51,3 +55,21 @@ def test_halfpos_sweep_rejects_a_bound_below_one(flag):
     proc = _sweep("--payoff", "posavg", "--arenas", "1", flag, "0")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: {flag} must be >= 1, not 0\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--max-cycle", "0"), "max_cycle must be >= 1, not 0"),
+    (("--cases", "-5"), "random_cases must be >= 0, not -5"),
+    (("--property", "shift-invariance", "--max-cycle", "-1"),
+     "max_cycle must be >= 1, not -1"),
+])
+def test_submixing_search_rejects_a_bad_bound(args, message):
+    proc = _script("submixing_search.py", "mean", *args)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_submixing_search_rejects_an_unknown_payoff():
+    proc = _script("submixing_search.py", "meanest")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -116,6 +116,23 @@ def test_shift_search_refutes_geom_and_confirms_mean():
     assert report.verdict == "confirmed"
 
 
+@pytest.mark.parametrize("bounds, field", [
+    ({"max_cycle": 0}, "max_cycle"), ({"random_cases": -1}, "random_cases"),
+    ({"shifts": 0}, "shifts"), ({"patterns": ((1, 1), (0, 2))}, "patterns"),
+    ({"patterns": ((1, 2, 3),)}, "patterns"), ({"patterns": ("ab",)}, "patterns"),
+    ({"patterns": ((1, "2"),)}, "patterns"),
+])
+def test_search_bounds_reject_bad_values(bounds, field):
+    with pytest.raises(ValueError, match=field):
+        SearchBounds(**bounds)
+
+
+def test_search_bounds_accept_zero_random_cases():
+    report = search_submixing_violation(
+        mean, SearchBounds(max_cycle=1, random_cases=0), seed=1)
+    assert report.verdict == "confirmed"
+
+
 def test_shift_search_refutes_discounted():
     disc = parse_payoff_spec("discounted")
     report = search_shift_invariance_violation(disc, SearchBounds(), seed=1)
