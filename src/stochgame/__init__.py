@@ -18,12 +18,11 @@ from .payoff import (
 from .solve import (
     ActionClassification, ValueVector,
     best_response_min, brute_force_value, classify_actions, expected_payoff,
-    martingale_check, stopped_value_mc,
+    martingale_check, product_values, stopped_value_mc, weakness_set,
 )
 from .strategy import (
     FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
-    WeaknessSet, product_values, project, reset_strategy, trigger_strategy,
-    weakness_set,
+    WeaknessSet, project, reset_strategy, trigger_strategy,
 )
 from .verify import (
     VerificationReport, doob_suite, reproduce_counterexample,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .payoff import (
-    ColourToken, colour_from_json, colour_to_json,
+    ColourToken, Lasso, colour_from_json, colour_to_json,
     discounted, increment, letter, priority, reward, reward_buchi, vector,
 )
 
@@ -177,7 +177,6 @@ class LassoPlay:
         self.cycle.check_in(arena)
 
     def colour_word(self, arena: Arena):
-        from .payoff import Lasso
         return Lasso(self.prefix.colours(arena), self.cycle.colours(arena))
 
     def unroll(self, steps: int) -> FinitePlay:
@@ -285,8 +284,7 @@ def print_arena(arena: Arena) -> str:
 def random_arena(num_states: int, max_actions: int,
                  colour_lo: int = -2, colour_hi: int = 2,
                  density: Fraction = Fraction(1, 2), seed: int = 0,
-                 kind: str = "reward",
-                 discount_factor: Fraction = Fraction(1, 2)) -> Arena:
+                 kind: str = "reward") -> Arena:
     """Deterministic function of its arguments: same seed, same arena.
 
     Every action's support is non-empty by construction, weights are small
@@ -328,19 +326,17 @@ def random_arena(num_states: int, max_actions: int,
             transition[(s, a)] = {t: Fraction(w, total)
                                   for t, w in zip(support, weights)}
             payload = rng.randint(colour_lo, colour_hi)
-            colour[(s, a)] = _wrap_colour(kind, payload, colour_lo, colour_hi,
-                                          discount_factor)
+            colour[(s, a)] = _wrap_colour(kind, payload, colour_lo, colour_hi)
     return Arena(states, owner, available, transition, colour)
 
 
-def _wrap_colour(kind: str, payload: int, lo: int, hi: int,
-                 lam: Fraction) -> ColourToken:
+def _wrap_colour(kind: str, payload: int, lo: int, hi: int) -> ColourToken:
     if kind == "reward":
         return reward(payload)
     if kind == "priority":
         return priority(payload - lo)
     if kind == "discounted":
-        return discounted(payload, lam)
+        return discounted(payload, Fraction(1, 2))
     if kind == "vector2":
         # Second coordinate -1 - r makes the optimistic condition two-sided
         # (win iff mean >= 0 or mean <= -1) instead of trivially true.

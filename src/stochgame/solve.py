@@ -1,5 +1,6 @@
 """Strategy-pair evaluation, best responses, brute-force game values with
-certificates, value-preserving/stable action classification, and the
+certificates, the guaranteed values of a finite-memory strategy and its
+weakness set, value-preserving/stable action classification, and the
 martingale checks behind the stopped-value suites.
 
 Values are computed by exhaustive enumeration of deterministic stationary
@@ -9,10 +10,10 @@ game value, and the saddle-point assertion is the guard that it did.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, sqrt
+from math import log, prod, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,8 +22,9 @@ from .arena import P1, P2, Arena
 from .chain import absorption_from, bottom_sccs, discounted_values, induce_chain
 from .payoff import PayoffSpec, class_value
 from .strategy import (
-    PureStationaryStrategy, Strategy, WeaknessSet,
-    as_finite_memory, count_pure_stationary, enumerate_pure_stationary,
+    FiniteMemoryStrategy, PureStationaryStrategy, Strategy, StrategyError,
+    WeaknessSet, as_finite_memory, count_pure_stationary,
+    enumerate_pure_stationary,
 )
 
 
@@ -142,6 +144,39 @@ class BestResponse:
         return self.uniform is not None
 
 
+def _fold_responses(arena: Arena, spec: PayoffSpec,
+                    sigma_fm: FiniteMemoryStrategy, budget: int):
+    """Fold the minimizer's response tables on sigma's memory product, in
+    `itertools.product` order, into: the minimum at each (memory, state),
+    the first table attaining it, and a table attaining every minimum at
+    once (or None).  A table maps each (memory, minimizer state) pair to an
+    action, played by a strategy whose memory shadows sigma's automaton."""
+    pairs = [(m, s) for m in sigma_fm.memory_states for s in arena.states]
+    seeds = [(s, m, m) for m, s in pairs]
+    p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
+    total = prod(len(arena.available[s]) for _, s in p2_pairs)
+    if total > budget:
+        raise BudgetError(f"{total} responses exceed budget {budget}")
+    best: dict[tuple, Fraction] = {}
+    argmin: dict[tuple, dict] = {}
+    uniform = uniform_vals = None
+    for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
+        table = dict(zip(p2_pairs, combo))
+        tau = FiniteMemoryStrategy(
+            P2, sigma_fm.memory_states, sigma_fm.initial, sigma_fm.update,
+            {pair: {a: Fraction(1)} for pair, a in table.items()})
+        vals = dict(zip(pairs, node_values(arena, spec, sigma_fm, tau, seeds)))
+        for pair, v in vals.items():
+            if pair not in best or v < best[pair]:
+                best[pair] = v
+                argmin[pair] = table
+        if vals == best:
+            uniform, uniform_vals = table, vals
+    if uniform_vals != best:
+        uniform = None
+    return best, argmin, uniform
+
+
 def best_response_min(arena: Arena, spec: PayoffSpec,
                       sigma: PureStationaryStrategy,
                       budget: int = DEFAULT_BUDGET) -> BestResponse:
@@ -150,23 +185,16 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
         raise UnsupportedPayoffError(
             f"best responses are only enumerated for the positional catalog, "
             f"not {spec.format()}")
-    n = count_pure_stationary(arena, P2)
-    if n > budget:
-        raise BudgetError(f"{n} responses exceed budget {budget}")
-    best: dict[str, Fraction] = {}
-    argmin: dict[str, PureStationaryStrategy] = {}
-    uniform = uniform_vals = None
-    for tau in enumerate_pure_stationary(arena, P2):
-        vals = dict(zip(arena.states, node_values(arena, spec, sigma, tau)))
-        for s, v in vals.items():
-            if s not in best or v < best[s]:
-                best[s] = v
-                argmin[s] = tau
-        if vals == best:
-            uniform, uniform_vals = tau, vals
-    if uniform_vals != best:
-        uniform = None
-    return BestResponse(best, argmin, uniform)
+    best, argmin, uniform = _fold_responses(
+        arena, spec, as_finite_memory(sigma), budget)
+
+    def stationary(table):
+        return PureStationaryStrategy(P2, {s: a for (_, s), a in table.items()})
+
+    return BestResponse(
+        {s: v for (_, s), v in best.items()},
+        {s: stationary(table) for (_, s), table in argmin.items()},
+        None if uniform is None else stationary(uniform))
 
 
 @dataclass(frozen=True)
@@ -226,6 +254,51 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
                 f"not the value {maxmin[s]}")
     return ValueVector(maxmin, grid.sigmas[best_i], certificates, spec,
                        arena.fingerprint())
+
+
+# ---------------------------------------------------------------------------
+# Guaranteed values of a finite-memory strategy, weakness set
+
+
+def product_values(arena: Arena, spec: PayoffSpec, sigma: Strategy,
+                   budget: int = DEFAULT_BUDGET) -> dict[tuple, Fraction]:
+    """For each (memory, state): the worst-case expected payoff when play
+    starts there with the maximizer frozen to sigma.
+
+    The minimizer's best response is computed by enumerating deterministic
+    stationary strategies on the product of the arena with sigma's memory;
+    the memory is a deterministic function of the history, so these are
+    legitimate (finite-memory) strategies of the original game, and for the
+    positional payoff catalog they attain the true infimum of the product
+    decision process, so the result is exact.  For any other payoff the
+    result is the worst case over this bounded response class only, an
+    upper bound on the true guarantee.
+    """
+    sigma_fm = as_finite_memory(sigma)
+    sigma_fm.check_in(arena)
+    return _fold_responses(arena, spec, sigma_fm, budget)[0]
+
+
+def weakness_set(arena: Arena, spec: PayoffSpec, sigma: Strategy,
+                 epsilon: Fraction, values: Optional[dict] = None,
+                 guaranteed: Optional[dict] = None) -> WeaknessSet:
+    """Exact weakness set of a finite-memory strategy at threshold
+    val(s) - 2*epsilon.  `values` may carry precomputed game values."""
+    if not spec.is_shift_invariant:
+        raise StrategyError(
+            "the weakness construction needs a shift-invariant payoff")
+    epsilon = Fraction(epsilon)
+    if values is None:
+        values = brute_force_value(arena, spec).values
+    if guaranteed is None:
+        if not spec.is_both_positional:
+            raise StrategyError(
+                f"product values need a payoff with positional best "
+                f"responses, not {spec.format()}")
+        guaranteed = product_values(arena, spec, sigma)
+    pairs = frozenset(pair for pair, v in guaranteed.items()
+                      if v < values[pair[1]] - 2 * epsilon)
+    return WeaknessSet(pairs, epsilon, guaranteed, dict(values))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +380,8 @@ def martingale_check(arena: Arena, values: ValueVector, sigma, tau,
     submartingale inequality at every node, with equality everywhere exactly
     when the minimizer plays only value-preserving actions too.
     """
+    if source not in arena.states:
+        raise SolveError(f"source {source!r} is not a state of the arena")
     if classification is None:
         classification = classify_actions(arena, values)
     offender = locally_optimal(arena, classification, sigma)
@@ -350,6 +425,10 @@ def martingale_check(arena: Arena, values: ValueVector, sigma, tau,
 # Stopped-value Monte Carlo
 
 
+MC_CONFIDENCE = 0.99
+MC_MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class StoppedValueReport:
     estimate: float
@@ -364,16 +443,16 @@ class StoppedValueReport:
 
 
 def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
-                     source: str, stopping_rule, runs: int, seed: int,
-                     confidence: float = 0.99,
-                     max_steps: int = 10_000) -> StoppedValueReport:
+                     source: str, stopping_rule, runs: int, seed: int
+                     ) -> StoppedValueReport:
     """Monte Carlo estimate of the value process stopped by the given rule,
-    with a Hoeffding confidence interval.
+    with a Hoeffding interval at confidence `MC_CONFIDENCE`.
 
     Rules: ("horizon", n), ("first_hit", state set), or
     ("first_weakness", WeaknessSet).  Trajectories that never trigger a
-    first-hit rule are followed into their absorbing class, whose nodes all
-    share one value (Doob convergence), and contribute that value.
+    first-hit rule are followed (for at most `MC_MAX_STEPS` steps) into their
+    absorbing class, whose nodes all share one value (Doob convergence), and
+    contribute that value.
     """
     if runs < 1:
         raise SolveError("runs must be >= 1")
@@ -385,7 +464,7 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     node_val = np.array([float(values.values[chain.state_of(i)])
                          for i in range(n)])
     kind, payload = stopping_rule
-    horizon = payload if kind == "horizon" else max_steps
+    horizon = payload if kind == "horizon" else MC_MAX_STEPS
     if kind == "horizon":
         stop_mask = np.zeros(n, dtype=bool)
     elif kind == "first_hit":
@@ -450,8 +529,8 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
         stopped_node = current
         active[:] = False
     if active.any():
-        raise SolveError("trajectories neither stopped nor absorbed; "
-                         "raise max_steps")
+        raise SolveError("trajectories neither stopped nor absorbed within "
+                         f"{MC_MAX_STEPS} steps")
     counts = np.bincount(stopped_node, minlength=n)
     exact_value = []
     for i in range(n):
@@ -464,9 +543,9 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     lo = float(min(values.values.values()))
     hi = float(max(values.values.values()))
     estimate = float(exact_mean)
-    half = (hi - lo) * sqrt(log(2 / (1 - confidence)) / (2 * runs))
+    half = (hi - lo) * sqrt(log(2 / (1 - MC_CONFIDENCE)) / (2 * runs))
     ref = values.values[source]
     covered = abs(float(exact_mean - ref)) <= half
     return StoppedValueReport(
-        estimate, estimate - half, estimate + half, runs, confidence, ref,
+        estimate, estimate - half, estimate + half, runs, MC_CONFIDENCE, ref,
         covered, f"{kind}", seed)

@@ -1,6 +1,6 @@
 """Strategy representations and constructions: pure stationary and
-finite-memory strategies, weakness detection and the reset strategy, the
-pivot-state projections, and the minimizer's trigger strategy.
+finite-memory strategies, the reset strategy, the pivot-state projections,
+and the minimizer's trigger strategy.
 
 General history-dependent strategies are carried in finite-memory form only.
 For a shift-invariant payoff the behaviour of a finite-memory strategy after
@@ -14,10 +14,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .arena import P2, Arena, FinitePlay, LassoPlay
-from .payoff import Lasso, PayoffSpec, ShufflePattern
+from .payoff import Lasso, ShufflePattern
 
 
 class StrategyError(ValueError):
@@ -173,57 +173,7 @@ def count_pure_stationary(arena: Arena, player: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Guaranteed values of a finite-memory strategy, weakness set, reset
-
-
-def product_values(arena: Arena, spec: PayoffSpec, sigma: Strategy,
-                   budget: int = 2_000_000) -> dict[tuple, Fraction]:
-    """For each (memory, state): the worst-case expected payoff when play
-    starts there with the maximizer frozen to sigma.
-
-    The minimizer's best response is computed by enumerating deterministic
-    stationary strategies on the product of the arena with sigma's memory;
-    the memory is a deterministic function of the history, so these are
-    legitimate (finite-memory) strategies of the original game, and for the
-    positional payoff catalog they attain the true infimum of the product
-    decision process, so the result is exact.  For any other payoff the
-    result is the worst case over this bounded response class only, an
-    upper bound on the true guarantee.
-    """
-    from . import solve
-
-    sigma_fm = as_finite_memory(sigma)
-    sigma_fm.check_in(arena)
-    pairs = [(m, s) for m in sigma_fm.memory_states for s in arena.states]
-    seeds = [(s, m, m) for m, s in pairs]
-    p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
-    total = 1
-    for m, s in p2_pairs:
-        total *= len(arena.available[s])
-    if total > budget:
-        raise solve.BudgetError(f"{total} responses exceed budget {budget}")
-    best: dict[tuple, Fraction] = {}
-    for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
-        table = dict(zip(p2_pairs, combo))
-        tau = _mirror_strategy(sigma_fm, table)
-        values = solve.node_values(arena, spec, sigma_fm, tau, seeds)
-        for (m, s), v in zip(pairs, values):
-            if (m, s) not in best or v < best[(m, s)]:
-                best[(m, s)] = v
-    return best
-
-
-def _mirror_strategy(sigma_fm: FiniteMemoryStrategy,
-                     table: dict[tuple, str]) -> FiniteMemoryStrategy:
-    """A minimizer strategy whose memory shadows sigma's memory automaton and
-    whose choice reads the shadowed (memory, state) pair."""
-    return FiniteMemoryStrategy(
-        player=P2,
-        memory_states=sigma_fm.memory_states,
-        initial=sigma_fm.initial,
-        update=dict(sigma_fm.update),
-        choices={(m, s): {a: Fraction(1)} for (m, s), a in table.items()},
-    )
+# Weakness set and reset
 
 
 @dataclass(frozen=True)
@@ -238,30 +188,6 @@ class WeaknessSet:
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
-
-
-def weakness_set(arena: Arena, spec: PayoffSpec, sigma: Strategy,
-                 epsilon: Fraction, values: Optional[dict] = None,
-                 guaranteed: Optional[dict] = None) -> WeaknessSet:
-    """Exact weakness set of a finite-memory strategy at threshold
-    val(s) - 2*epsilon.  `values` may carry precomputed game values."""
-    from . import solve
-
-    if not spec.is_shift_invariant:
-        raise StrategyError(
-            "the weakness construction needs a shift-invariant payoff")
-    epsilon = Fraction(epsilon)
-    if values is None:
-        values = solve.brute_force_value(arena, spec).values
-    if guaranteed is None:
-        if not spec.is_both_positional:
-            raise StrategyError(
-                f"product values need a payoff with positional best "
-                f"responses, not {spec.format()}")
-        guaranteed = product_values(arena, spec, sigma)
-    pairs = frozenset(pair for pair, v in guaranteed.items()
-                      if v < values[pair[1]] - 2 * epsilon)
-    return WeaknessSet(pairs, epsilon, guaranteed, dict(values))
 
 
 def reset_strategy(sigma: Strategy, weak: WeaknessSet) -> FiniteMemoryStrategy:

@@ -25,16 +25,17 @@ import numpy as np
 
 from . import solve
 from .arena import P1, P2, Arena, sample_play
+from .chain import bottom_sccs, induce_chain
 from .fixtures import build_fig1, fig1_alternating_strategy
 from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
     ColourToken, Lasso, PayoffSpec, ShufflePattern,
-    check_shift_invariance, check_submixing, colour_to_json,
-    increment, priority, reward, reward_buchi, vector,
+    check_shift_invariance, check_submixing, colour_from_json, colour_to_json,
+    discounted, increment, letter, priority, reward, reward_buchi, vector,
 )
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, as_finite_memory,
-    product_values, reset_strategy, weakness_set,
+    reset_strategy,
 )
 
 
@@ -86,7 +87,7 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     get a bounded refutation sweep: seeded finite-memory candidates (up to
     `memory_bound` memories) try to beat the best stationary strategy, all
     values computed against stationary responses on the respective memory
-    products (`strategy.product_values`).  A candidate that beats it at
+    products (`solve.product_values`).  A candidate that beats it at
     some state is reported as the witness.  `memory_bound` and `candidates`
     must be at least 1 (`ValueError`).
     """
@@ -131,7 +132,7 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
         cand_count = 0
         for _ in range(candidates):
             cand = _random_memory_strategy(arena, rng, memory_bound)
-            guaranteed = product_values(arena, spec, cand, budget)
+            guaranteed = solve.product_values(arena, spec, cand, budget)
             cand_count += 1
             beats = {s: (guaranteed[(cand.initial, s)], v_plus[s])
                      for s in arena.states
@@ -198,7 +199,6 @@ class SearchBounds:
     max_cycle: int = 4
     patterns: tuple = ((1, 1), (1, 2), (2, 1), (2, 2))
     random_cases: int = 2000
-    exhaustive: bool = True
     shifts: int = 6
 
     def __post_init__(self):
@@ -237,10 +237,8 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
                 reward_buchi(0, True), reward_buchi(1, False),
                 reward_buchi(2, False)]
     if kind == "letter":
-        from .payoff import letter
         return [letter("a"), letter("b"), letter("")]
     if kind == "discounted":
-        from .payoff import discounted
         return [discounted(1, Fraction(1, 2)), discounted(0, Fraction(1, 2)),
                 discounted(-1, Fraction(1, 2)), discounted(2, Fraction(1, 3)),
                 discounted(-2, Fraction(2, 3))]
@@ -347,7 +345,7 @@ def search_submixing_violation(spec: PayoffSpec,
                 "random_cases": bounds.random_cases}
     cases = 0
 
-    if bounds.exhaustive and spec.name in _FAST_SPECS:
+    if spec.name in _FAST_SPECS:
         cycles = [c for n in range(1, bounds.max_cycle + 1)
                   for c in itertools.product(alphabet, repeat=n)]
         st = _cycle_stats(spec, cycles)
@@ -366,7 +364,7 @@ def search_submixing_violation(spec: PayoffSpec,
                 return _finish(VerificationReport(
                     "submixing", instance, "refuted",
                     {"cases": cases}, _submix_witness_doc(witness)), started)
-    elif bounds.exhaustive:
+    else:
         small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
                  for c in itertools.product(alphabet, repeat=n)]
         for cu, cv in itertools.product(small, repeat=2):
@@ -404,18 +402,17 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     instance = {"spec": spec.format(), "seed": seed, "shifts": bounds.shifts,
                 "random_cases": bounds.random_cases}
     cases = 0
-    if bounds.exhaustive:
-        for plen in range(0, 3):
-            for clen in range(1, 3):
-                for pre in itertools.product(alphabet, repeat=plen):
-                    for cyc in itertools.product(alphabet, repeat=clen):
-                        cases += 1
-                        word = Lasso(pre, cyc)
-                        w = check_shift_invariance(spec, word, bounds.shifts)
-                        if w is not None:
-                            return _finish(VerificationReport(
-                                "shift-invariance", instance, "refuted",
-                                {"cases": cases}, _shift_witness_doc(w)), started)
+    for plen in range(0, 3):
+        for clen in range(1, 3):
+            for pre in itertools.product(alphabet, repeat=plen):
+                for cyc in itertools.product(alphabet, repeat=clen):
+                    cases += 1
+                    word = Lasso(pre, cyc)
+                    w = check_shift_invariance(spec, word, bounds.shifts)
+                    if w is not None:
+                        return _finish(VerificationReport(
+                            "shift-invariance", instance, "refuted",
+                            {"cases": cases}, _shift_witness_doc(w)), started)
     rng = random.Random(seed)
     for _ in range(bounds.random_cases):
         word = _random_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
@@ -467,7 +464,6 @@ def _shift_witness_doc(w) -> dict:
 
 def replay_submixing_witness(spec: PayoffSpec, witness: dict) -> bool:
     """Re-evaluate an embedded witness document; True iff it still violates."""
-    from .payoff import colour_from_json
     u = Lasso(tuple(colour_from_json(t) for t in witness["u"]["prefix"]),
               tuple(colour_from_json(t) for t in witness["u"]["cycle"]))
     v = Lasso(tuple(colour_from_json(t) for t in witness["v"]["prefix"]),
@@ -490,17 +486,21 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
     reset strategy, exactly.  The report carries the same check for the
     unmodified base and the base's preconditions (local optimality and
     epsilon-optimality), so a failed precondition is visible rather than
-    silently blamed on the construction."""
+    silently blamed on the construction.  `epsilon` must be > 0
+    (`ValueError`)."""
     started = time.perf_counter()
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, not {epsilon}")
     values = solve.brute_force_value(arena, spec, budget)
     classification = solve.classify_actions(arena, values)
     sigma_fm = as_finite_memory(sigma)
-    base_guaranteed = product_values(arena, spec, sigma_fm, budget)
-    weak = weakness_set(arena, spec, sigma_fm, epsilon,
-                        values=values.values, guaranteed=base_guaranteed)
+    base_guaranteed = solve.product_values(arena, spec, sigma_fm, budget)
+    weak = solve.weakness_set(arena, spec, sigma_fm, epsilon,
+                              values=values.values,
+                              guaranteed=base_guaranteed)
     sigma_hat = reset_strategy(sigma_fm, weak)
-    hat_guaranteed = product_values(arena, spec, sigma_hat, budget)
+    hat_guaranteed = solve.product_values(arena, spec, sigma_hat, budget)
 
     def check(strategy, guaranteed) -> tuple[bool, dict]:
         reach = _reachable_pairs(arena, strategy)
@@ -589,7 +589,7 @@ def weakened_base(arena: Arena, spec: PayoffSpec, values: solve.ValueVector,
                     if rng.random() < 0.25:
                         update[("m1", s, a, t)] = "m0"
         sigma = build(update)
-        guaranteed = product_values(arena, spec, sigma)
+        guaranteed = solve.product_values(arena, spec, sigma)
         if all(guaranteed[("m0", s)] >= values.values[s] - epsilon
                for s in arena.states):
             return sigma
@@ -802,7 +802,6 @@ def _adversarial_min(arena: Arena,
 
 
 def _class_states(arena: Arena, sigma, tau) -> frozenset:
-    from .chain import bottom_sccs, induce_chain
     sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
     chain = induce_chain(arena, sig, ta)
     states = set()

@@ -360,3 +360,64 @@ def test_strategy_with_a_negative_weight_is_a_usage_error(tmp_path, capsys):
     _assert_one_error_line(*run_capture(
         capsys, ["simulate", E2, "--sigma", str(sigma), "--tau", str(tau)]),
         "-1/2", "[0,1]")
+
+
+PARITY_RANDOM = "random:states=4,actions=3,seed=48,kind=priority"
+
+SEEDED_RESPONSES = [
+    ("best_response_e2_mean.json",
+     ["best-response", E2, "--payoff", "mean"], '{"s": "stay", "t": "loop"}'),
+    # several responses reach the minimum at s0, s1 and s3, and the
+    # per-state minimizers differ: the enumeration order shows here
+    ("best_response_priority_parity.json",
+     ["best-response", PARITY_RANDOM, "--payoff", "parity"],
+     '{"s1": "a1", "s3": "a2"}'),
+    ("verify_subgame_e2weak.json",
+     ["verify", "subgame", E2, "--payoff", "mean", "--sigma", WEAK], None),
+    ("verify_halfpos_posavg.json",
+     ["verify", "halfpos", "random:states=4,actions=3,seed=7",
+      "--payoff", "posavg"], None),
+    ("verify_halfpos_mean.json",
+     ["verify", "halfpos", "random:states=4,actions=3,seed=7",
+      "--payoff", "mean"], None),
+    ("verify_halfpos_budget1.json",
+     ["verify", "halfpos", "random:states=4,actions=3,seed=2",
+      "--payoff", "mean", "--budget", "1"], None),
+]
+
+
+@pytest.mark.parametrize("golden, argv, sigma", SEEDED_RESPONSES,
+                         ids=[g for g, _, _ in SEEDED_RESPONSES])
+def test_response_output_is_pinned(tmp_path, capsys, golden, argv, sigma):
+    if sigma is not None:
+        path = tmp_path / "sigma.json"
+        path.write_text(sigma)
+        argv = [*argv, "--sigma", str(path)]
+    code, out, _ = run_capture(capsys, ["--format", "structured", *argv])
+    assert code == (EXIT_INCONCLUSIVE if "inconclusive" in out else EXIT_OK)
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_best_response_over_budget_is_a_usage_error(tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text('{"s1": "a1", "s3": "a2"}')
+    code, out, err = run_capture(
+        capsys, ["best-response", PARITY_RANDOM, "--payoff", "parity",
+                 "--sigma", str(sigma), "--budget", "1"])
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                "error: 6 responses exceed budget 1\n")
+
+
+def test_martingale_rejects_an_unknown_source(capsys):
+    _assert_one_error_line(*run_capture(
+        capsys, ["martingale", E2, "--payoff", "mean", "--sigma", WEAK,
+                 "--tau", WEAK, "--source", "zz"]), "'zz'")
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "0"])
+def test_verify_subgame_rejects_an_epsilon_that_is_not_positive(capsys,
+                                                                epsilon):
+    _assert_one_error_line(*run_capture(
+        capsys, ["verify", "subgame", E2, "--payoff", "mean",
+                 "--sigma", WEAK, "--epsilon", epsilon]),
+        f"epsilon must be > 0, not {epsilon}")

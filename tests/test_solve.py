@@ -16,9 +16,11 @@ from stochgame.payoff import parse_payoff_spec, reward
 from stochgame.solve import (
     BudgetError, SolveError, UnsupportedPayoffError,
     best_response_min, brute_force_value, classify_actions, expected_payoff,
-    martingale_check, stopped_value_mc,
+    martingale_check, node_values, stopped_value_mc,
 )
-from stochgame.strategy import FiniteMemoryStrategy, PureStationaryStrategy
+from stochgame.strategy import (
+    FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
+)
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -81,6 +83,58 @@ def test_best_response_rejects_unsupported_spec():
     with pytest.raises(UnsupportedPayoffError):
         best_response_min(build_e3(), parse_payoff_spec("posavg"),
                           _unique(build_e3(), P1))
+
+
+def _best_response_oracle(arena, spec, sigma):
+    """The minimizer's stationary strategies, enumerated one by one: per
+    state the minimum and the first strategy reaching it, the last strategy
+    reaching every minimum at once, and how many states more than one
+    strategy reaches the minimum at."""
+    best, argmin, rows = {}, {}, []
+    uniform = uniform_vals = None
+    for tau in enumerate_pure_stationary(arena, P2):
+        vals = dict(zip(arena.states, node_values(arena, spec, sigma, tau)))
+        rows.append(vals)
+        for s, v in vals.items():
+            if s not in best or v < best[s]:
+                best[s] = v
+                argmin[s] = tau
+        if vals == best:
+            uniform, uniform_vals = tau, vals
+    if uniform_vals != best:
+        uniform = None
+    ties = sum(sum(row[s] == best[s] for row in rows) > 1 for s in arena.states)
+    return best, argmin, uniform, ties
+
+
+POSITIONAL_KINDS = [("mean", "reward"), ("limsup", "reward"),
+                    ("liminf", "reward"), ("parity", "priority"),
+                    ("discounted", "discounted")]
+
+
+@pytest.mark.parametrize("name, kind", POSITIONAL_KINDS)
+def test_best_response_matches_the_stationary_enumeration(name, kind):
+    # values, per-state minimizers (first in enumeration order) and the
+    # uniform minimizer all agree with the one-strategy-at-a-time loop
+    spec = parse_payoff_spec(name)
+    rng = random.Random(name)
+    ties = 0
+    for n in (4, 5):
+        for seed in range(60):
+            arena = random_arena(n, 3, seed=seed, kind=kind)
+            sigma = PureStationaryStrategy(
+                P1, {s: rng.choice(arena.available[s])
+                     for s in arena.player_states(P1)})
+            best, argmin, uniform, tied = _best_response_oracle(arena, spec,
+                                                                sigma)
+            response = best_response_min(arena, spec, sigma)
+            assert response.values == best
+            assert {s: t.choice for s, t in response.minimizers.items()} \
+                == {s: t.choice for s, t in argmin.items()}
+            assert (response.uniform and response.uniform.choice) \
+                == (uniform and uniform.choice)
+            ties += tied
+    assert ties  # several responses reach some state's minimum
 
 
 def test_memory_responses_cannot_beat_stationary_minimum():
@@ -317,7 +371,7 @@ def test_stopped_value_submartingale_direction():
 
 def test_stopped_value_first_weakness_rule():
     from stochgame.fixtures import build_weak_memory_fixture
-    from stochgame.strategy import weakness_set
+    from stochgame.solve import weakness_set
     arena, sigma, eps = build_weak_memory_fixture()
     vv = brute_force_value(arena, mean)
     weak = weakness_set(arena, mean, sigma, eps, values=vv.values)

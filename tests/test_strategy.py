@@ -1,6 +1,7 @@
 """Strategy types and the three constructions: weakness/reset, projections,
 trigger strategy."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,12 +11,15 @@ from stochgame.arena import P1, P2, Arena, FinitePlay, LassoPlay, random_arena, 
 from stochgame.chain import induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import parse_payoff_spec, reward
-from stochgame.solve import brute_force_value
+from stochgame.solve import (
+    brute_force_value, node_values, product_values, weakness_set,
+)
 from stochgame.strategy import (
     FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
-    StrategyError, as_finite_memory, factor_pattern, play_tokens, product_values,
-    project, reset_strategy, strategy_from_json, trigger_strategy, weakness_set,
+    StrategyError, as_finite_memory, factor_pattern, play_tokens,
+    project, reset_strategy, strategy_from_json, trigger_strategy,
 )
+from stochgame.verify import _random_memory_strategy
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -73,6 +77,43 @@ def test_product_values_memoryless_independent_of_memory():
          for s, a in (("s", "go"), ("t", "loop"))})
     pv = product_values(e2, mean, sigma)
     assert pv[("m0", "s")] == pv[("m1", "s")] == 1
+
+
+def _mirror_strategy(sigma_fm, table):
+    """A minimizer strategy whose memory shadows sigma's memory automaton and
+    whose choice reads the shadowed (memory, state) pair."""
+    return FiniteMemoryStrategy(
+        P2, sigma_fm.memory_states, sigma_fm.initial, dict(sigma_fm.update),
+        {(m, s): {a: F(1)} for (m, s), a in table.items()})
+
+
+def _product_values_oracle(arena, spec, sigma):
+    """The per-(memory, state) minimum over every response table on sigma's
+    memory product, each played by its own mirror strategy."""
+    sigma_fm = as_finite_memory(sigma)
+    pairs = [(m, s) for m in sigma_fm.memory_states for s in arena.states]
+    seeds = [(s, m, m) for m, s in pairs]
+    p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
+    best = {}
+    for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
+        tau = _mirror_strategy(sigma_fm, dict(zip(p2_pairs, combo)))
+        for pair, v in zip(pairs, node_values(arena, spec, sigma_fm, tau, seeds)):
+            if pair not in best or v < best[pair]:
+                best[pair] = v
+    return best
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("mean", "reward"), ("posavg", "reward"), ("meancobuchi:100", "cobuchi"),
+    ("optgenmean:2", "vector2")])
+def test_product_values_match_the_mirror_strategy_enumeration(name, kind):
+    spec = parse_payoff_spec(name)
+    rng = random.Random(name)
+    for seed in range(24):
+        arena = random_arena(4, 3, seed=seed, kind=kind)
+        sigma = _random_memory_strategy(arena, rng, 2)
+        assert product_values(arena, spec, sigma) \
+            == _product_values_oracle(arena, spec, sigma)
 
 
 def test_product_values_of_optimal_strategy_equals_values():

@@ -34,6 +34,43 @@ def test_library_raises_instead_of_asserting():
     assert sorted(SRC.glob("*.py")) and not found, found
 
 
+def test_library_imports_only_at_module_level():
+    # an import inside a function hides a dependency from the module graph
+    found = sorted({f"{path.name}:{node.lineno}"
+                    for path in sorted(SRC.glob("*.py"))
+                    for func in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert sorted(SRC.glob("*.py")) and not found, found
+
+
+def test_library_module_graph_has_no_cycle():
+    # module-level imports only: an `if TYPE_CHECKING:` block is not run
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        deps = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps |= ({node.module} if node.module
+                         else {alias.name for alias in node.names})
+        graph[path.stem] = deps
+    done, active = set(), []
+
+    def visit(name):
+        assert name not in active, active[active.index(name):] + [name]
+        if name not in done:
+            active.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            active.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    assert "solve" not in graph["strategy"]
+
+
 def test_halfpos_sweep_reports_progress_on_stderr():
     proc = _sweep("--payoff", "posavg", "--arenas", "2", "--candidates", "2")
     assert proc.returncode == 0

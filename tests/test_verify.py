@@ -182,15 +182,27 @@ def test_subgame_crafted_fixture():
     assert report.quantities["weak_pairs"] == ["m1|s"]
 
 
-def test_subgame_epsilon_zero_reports_honestly():
-    # a strictly suboptimal base at epsilon 0: the reset cannot help because
-    # the fresh row itself is weak; the report surfaces the failed
-    # precondition instead of a confirmed verdict
+def test_subgame_suboptimal_base_reports_honestly():
+    # a strictly suboptimal base (guarantee 0 at s, value 1) at epsilon 1/8:
+    # the reset cannot help because the fresh row itself is weak; the report
+    # surfaces the failed precondition instead of a confirmed verdict
     e2 = build_e2()
     sigma = PureStationaryStrategy(P1, {"s": "stay", "t": "loop"})
-    report = verify_subgame_perfect(e2, mean, sigma, F(0))
+    report = verify_subgame_perfect(e2, mean, sigma, F(1, 8))
     assert report.verdict == "refuted"
     assert not report.quantities["base_epsilon_optimal"]
+
+
+@pytest.mark.parametrize("epsilon", [F(0), F(-1), F(-1, 4)])
+def test_subgame_rejects_an_epsilon_that_is_not_positive(epsilon, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("values computed before epsilon was checked")
+
+    monkeypatch.setattr(solve, "brute_force_value", no_work)
+    with pytest.raises(ValueError, match=f"epsilon must be > 0, not {epsilon}$"):
+        verify_subgame_perfect(
+            build_e2(), mean,
+            PureStationaryStrategy(P1, {"s": "go", "t": "loop"}), epsilon)
 
 
 def test_weakened_base_generator_contract():
@@ -201,7 +213,7 @@ def test_weakened_base_generator_contract():
         eps = F(1, 8)
         base = weakened_base(arena, mean, vv, cls, eps, random.Random(seed))
         assert solve.locally_optimal(arena, cls, base) is None
-        from stochgame.strategy import product_values
+        from stochgame.solve import product_values
         pv = product_values(arena, mean, base)
         for s in arena.states:
             assert pv[("m0", s)] >= vv.values[s] - eps
