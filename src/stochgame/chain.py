@@ -266,19 +266,25 @@ def _sccs(succ: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
-    """Closed strongly connected components with their exact stationary
-    distributions and stationary colour weights."""
+def bottom_classes(chain: InducedChain) -> list[list[int]]:
+    """The nodes of each closed strongly connected component, sorted, in
+    the order `bottom_sccs` summarizes them.  A graph pass only: no
+    stationary distribution is solved."""
     succ = [sorted(row) for _, row in chain.int_rows()]
-    comps = _sccs(succ)
     classes = []
-    for comp in comps:
+    for comp in _sccs(succ):
         members = set(comp)
         if all(j in members for i in comp for j in succ[i]):
             classes.append(sorted(comp))
     if not classes:
         raise ChainError("finite chain must have a bottom SCC")
-    return [_summarize(chain, cls) for cls in classes]
+    return classes
+
+
+def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
+    """Closed strongly connected components with their exact stationary
+    distributions and stationary colour weights."""
+    return [_summarize(chain, cls) for cls in bottom_classes(chain)]
 
 
 def _summarize(chain: InducedChain, cls: list[int]) -> RecurrentClassSummary:

@@ -169,9 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("human", "structured"),
                    default=argparse.SUPPRESS, dest="fmt")
 
-    p = sub.add_parser("doob", help="stopped-value Monte Carlo suite")
+    p = sub.add_parser(
+        "doob", help="optional-stopping checks decided from exact stopped "
+        "values; Monte Carlo estimates only report")
     common(p)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=10_000,
+                   help="seeded runs behind each reported estimate")
 
     return ap
 

@@ -1,7 +1,8 @@
 """Strategy-pair evaluation, best responses, brute-force game values with
 certificates, the guaranteed values of a finite-memory strategy and its
 weakness set, value-preserving/stable action classification, and the
-martingale checks behind the stopped-value suites.
+martingale checks and exact and sampled stopped values behind the
+stopped-value suites.
 
 Values are computed by exhaustive enumeration of deterministic stationary
 strategies: for the positional payoff catalog the enumerated grid attains the
@@ -13,13 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, prod, sqrt
+from math import lcm, log, prod, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .arena import P1, P2, Arena
-from .chain import absorption_from, bottom_sccs, discounted_values, induce_chain
+from .chain import (
+    InducedChain, absorption_from, bottom_classes, bottom_sccs,
+    discounted_values, induce_chain, solve_linear,
+)
 from .payoff import PayoffSpec, class_value
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, Strategy, StrategyError,
@@ -283,11 +287,14 @@ def weakness_set(arena: Arena, spec: PayoffSpec, sigma: Strategy,
                  epsilon: Fraction, values: Optional[dict] = None,
                  guaranteed: Optional[dict] = None) -> WeaknessSet:
     """Exact weakness set of a finite-memory strategy at threshold
-    val(s) - 2*epsilon.  `values` may carry precomputed game values."""
+    val(s) - 2*epsilon, for epsilon > 0.  `values` may carry precomputed
+    game values."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, not {epsilon}")
     if not spec.is_shift_invariant:
         raise StrategyError(
             "the weakness construction needs a shift-invariant payoff")
-    epsilon = Fraction(epsilon)
     if values is None:
         values = brute_force_value(arena, spec).values
     if guaranteed is None:
@@ -422,11 +429,134 @@ def martingale_check(arena: Arena, values: ValueVector, sigma, tau,
 
 
 # ---------------------------------------------------------------------------
-# Stopped-value Monte Carlo
+# Stopped values
 
 
 MC_CONFIDENCE = 0.99
 MC_MAX_STEPS = 10_000
+
+
+def _stopping_chain(arena: Arena, values: ValueVector, sigma, tau,
+                    source: str, stopping_rule
+                    ) -> tuple[InducedChain, list[bool], list[bool]]:
+    """The pair's chain from `source` (its node 0), whether each node stops
+    the rule, and whether it lies in a bottom class.  Every bottom class
+    must hold one state value: it is the limit of a trajectory absorbed
+    there without stopping."""
+    if source not in arena.states:
+        raise SolveError(f"source {source!r} is not a state of the arena")
+    sig = as_finite_memory(sigma)
+    ta = as_finite_memory(tau)
+    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    n = len(chain)
+    kind, payload = stopping_rule
+    if kind == "horizon":
+        stop = [False] * n
+    elif kind == "first_hit":
+        stop = [chain.state_of(i) in payload for i in range(n)]
+    elif kind == "first_weakness":
+        weak: WeaknessSet = payload
+        stop = [(chain.nodes[i][1], chain.state_of(i)) in weak.pairs
+                for i in range(n)]
+    else:
+        raise SolveError(f"unknown stopping rule {kind!r}")
+    absorbing = [False] * n
+    for cls in bottom_classes(chain):
+        if len({values.values[chain.state_of(i)] for i in cls}) != 1:
+            raise SolveError(
+                "bottom class mixes state values; the stopped limit is "
+                "undefined (strategies are not locally optimal)")
+        for i in cls:
+            absorbing[i] = True
+    return chain, stop, absorbing
+
+
+def stopped_value_exact(arena: Arena, values: ValueVector, sigma, tau,
+                        source: str, stopping_rule) -> Fraction:
+    """Exact expected value of the value process stopped by the given rule:
+    the quantity `stopped_value_mc` estimates, for the same rules, with the
+    same errors.
+
+    ("horizon", n) takes n steps of an integer row vector over one common
+    denominator.  The first-hit rules make the stop nodes and the
+    bottom-class nodes absorbing and solve one integer hitting system; a
+    trajectory absorbed without stopping gets its class value.
+    """
+    chain, stop, absorbing = _stopping_chain(arena, values, sigma, tau,
+                                             source, stopping_rule)
+    n = len(chain)
+    rows = chain.int_rows()
+    # state values as integer numerators over one denominator `vden`
+    node_val = [values.values[chain.state_of(i)] for i in range(n)]
+    vden = lcm(*(v.denominator for v in node_val))
+    vnum = [v.numerator * (vden // v.denominator) for v in node_val]
+    kind, payload = stopping_rule
+    if kind == "horizon":
+        common = lcm(*(d for d, _ in rows))
+        scale = [common // d for d, _ in rows]
+        # dist / den is the law of the node reached so far
+        dist = [0] * n
+        dist[0] = 1
+        den = 1
+        for _ in range(payload):
+            nxt = [0] * n
+            for i, x in enumerate(dist):
+                if x:
+                    x *= scale[i]
+                    for j, num in rows[i][1].items():
+                        nxt[j] += x * num
+            dist = nxt
+            den *= common
+        return Fraction(sum(x * v for x, v in zip(dist, vnum)), den * vden)
+    if stop[0] or absorbing[0]:
+        return node_val[0]
+    free = [i for i in range(n) if not (stop[i] or absorbing[i])]
+    pos = {node: k for k, node in enumerate(free)}
+    # d h_k - sum_{j free} n_kj h_j = sum_{j stopped or absorbed} n_kj v_j,
+    # with h the stopped value times vden
+    matrix = [[0] * len(free) for _ in free]
+    rhs = []
+    for k, node in enumerate(free):
+        d, row = rows[node]
+        matrix[k][k] = d
+        b = 0
+        for j, num in row.items():
+            if j in pos:
+                matrix[k][pos[j]] -= num
+            else:
+                b += num * vnum[j]
+        rhs.append(b)
+    return solve_linear(matrix, rhs)[0] / vden
+
+
+def _cumulative_tables(chain: InducedChain) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row tables for drawing successors with uniforms `u` in [0, 1):
+    the next node after `i` is `cols[i, k]`, with `k` the number of entries
+    of `sums[i]` below `u`.
+
+    They pick what a dense row of running sums over all n columns, with
+    column n - 1 set to 1, picks: the first column whose sum reaches `u`.
+    Row `i` lists column 0 at sum 0.0 (a draw of exactly 0.0 picks it), the
+    successors before column n - 1 at their running sums, then column n - 1
+    at infinity; padding is infinite too."""
+    n = len(chain)
+    tables = []
+    for row in chain.rows():
+        cols, sums, acc = [0], [0.0], 0.0
+        for j in sorted(row):
+            if j == n - 1:
+                break
+            acc += float(row[j])
+            cols.append(j)
+            sums.append(acc)
+        tables.append((cols + [n - 1], sums + [np.inf]))
+    width = max(len(cols) for cols, _ in tables)
+    col_table = np.full((n, width), n - 1, dtype=np.int64)
+    sum_table = np.full((n, width), np.inf)
+    for i, (cols, sums) in enumerate(tables):
+        col_table[i, :len(cols)] = cols
+        sum_table[i, :len(sums)] = sums
+    return col_table, sum_table
 
 
 @dataclass(frozen=True)
@@ -452,55 +582,21 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     ("first_weakness", WeaknessSet).  Trajectories that never trigger a
     first-hit rule are followed (for at most `MC_MAX_STEPS` steps) into their
     absorbing class, whose nodes all share one value (Doob convergence), and
-    contribute that value.
+    contribute that value.  `stopped_value_exact` computes the exact value.
     """
     if runs < 1:
         raise SolveError("runs must be >= 1")
-    sig = as_finite_memory(sigma)
-    ta = as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
-    start = chain.index[(source, sig.initial, ta.initial)]
+    chain, stop, absorbing = _stopping_chain(arena, values, sigma, tau,
+                                             source, stopping_rule)
     n = len(chain)
-    node_val = np.array([float(values.values[chain.state_of(i)])
-                         for i in range(n)])
     kind, payload = stopping_rule
     horizon = payload if kind == "horizon" else MC_MAX_STEPS
-    if kind == "horizon":
-        stop_mask = np.zeros(n, dtype=bool)
-    elif kind == "first_hit":
-        stop_mask = np.array([chain.state_of(i) in payload for i in range(n)])
-    elif kind == "first_weakness":
-        weak: WeaknessSet = payload
-        stop_mask = np.array([(chain.nodes[i][1], chain.state_of(i)) in weak.pairs
-                              for i in range(n)])
-    else:
-        raise SolveError(f"unknown stopping rule {kind!r}")
-
-    classes = bottom_sccs(chain)
-    absorbing_val = {}
-    absorbing_mask = np.zeros(n, dtype=bool)
-    for cls in classes:
-        class_vals = {values.values[chain.state_of(i)] for i in cls.nodes}
-        if len(class_vals) != 1:
-            raise SolveError(
-                "bottom class mixes state values; the stopped limit is "
-                "undefined (strategies are not locally optimal)")
-        val = next(iter(class_vals))
-        for i in cls.nodes:
-            absorbing_mask[i] = True
-            absorbing_val[i] = val
-
-    cum = np.zeros((n, n))
-    for i in range(n):
-        row = chain.row(i)
-        acc = 0.0
-        for j in range(n):
-            acc += float(row.get(j, 0))
-            cum[i, j] = acc
-        cum[i, n - 1] = 1.0
+    stop_mask = np.array(stop, dtype=bool)
+    absorbing_mask = np.array(absorbing, dtype=bool)
+    col_table, sum_table = _cumulative_tables(chain)
 
     rng = np.random.default_rng(seed)
-    current = np.full(runs, start, dtype=np.int64)
+    current = np.zeros(runs, dtype=np.int64)
     # stopped values come from the finite value set, so tally node indices
     # and average exactly; the float estimate is only the summary.
     stopped_node = np.full(runs, -1, dtype=np.int64)
@@ -514,9 +610,9 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
             break
         idx = np.nonzero(active)[0]
         u = rng.random(idx.size)
-        rows = cum[current[idx]]
-        nxt = (u[:, None] > rows).sum(axis=1)
-        current[idx] = nxt
+        rows = current[idx]
+        k = (u[:, None] > sum_table[rows]).sum(axis=1)
+        current[idx] = col_table[rows, k]
         if kind != "horizon":
             hit = stop_mask[current] & active
             stopped_node[hit] = current[hit]
@@ -531,15 +627,11 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     if active.any():
         raise SolveError("trajectories neither stopped nor absorbed within "
                          f"{MC_MAX_STEPS} steps")
+    # a run absorbed without stopping ends on a node of its class, whose
+    # state value is the class value
     counts = np.bincount(stopped_node, minlength=n)
-    exact_value = []
-    for i in range(n):
-        if absorbing_mask[i] and kind != "horizon" and not stop_mask[i]:
-            exact_value.append(absorbing_val[i])
-        else:
-            exact_value.append(values.values[chain.state_of(i)])
-    exact_mean = sum((int(counts[i]) * exact_value[i] for i in range(n)),
-                     Fraction(0)) / runs
+    exact_mean = sum((int(counts[i]) * values.values[chain.state_of(i)]
+                      for i in range(n)), Fraction(0)) / runs
     lo = float(min(values.values.values()))
     hi = float(max(values.values.values()))
     estimate = float(exact_mean)

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import solve
-from .arena import P1, P2, Arena, sample_play
-from .chain import bottom_sccs, induce_chain
+from .arena import P1, P2, Arena
+from .chain import bottom_classes, induce_chain
 from .fixtures import build_fig1, fig1_alternating_strategy
 from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
@@ -723,48 +723,56 @@ def reproduce_counterexample() -> VerificationReport:
 def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
                seed: int, budget: int = solve.DEFAULT_BUDGET
                ) -> VerificationReport:
-    """Stopped-value checks for a sampled locally-optimal strategy pair:
-    horizon-0 equality, absorption-time and fixed-horizon estimates whose
-    intervals must cover the exact value, the submartingale direction under
-    an adversarial minimizer, and the empirical finiteness of the last
-    value-changing date."""
+    """Optional-stopping checks for a sampled locally-optimal strategy pair
+    (sigma, tau) from the first state s, decided from exact stopped values
+    (`solve.stopped_value_exact`):
+
+    - `horizon_zero_exact`, `first_hit_covered` (stopping at the first
+      bottom-class state) and `fixed_horizon_covered` (25 steps): the
+      stopped value equals v(s);
+    - `submartingale_direction`: against `tau_adv`, a minimizer playing a
+      value-changing action wherever one exists, the 25-step value is at
+      least v(s);
+    - `value_changes_stop`: no value-changing (state, action) pair is played
+      on a bottom-class node of the (sigma, tau_adv) chain, so value changes
+      stop almost surely.  The offending pairs, sorted, are reported as
+      `value_changing_recurrent`.
+
+    Monte Carlo only reports: `first_hit` (estimate, Hoeffding interval and
+    exact reference) and `adversarial_estimate` are `trials` seeded runs of
+    `solve.stopped_value_mc` for the first-hit and the adversarial checks."""
     started = time.perf_counter()
     rng = random.Random(seed)
     values = solve.brute_force_value(arena, spec, budget)
     classification = solve.classify_actions(arena, values)
     sigma = _sample_locally_optimal(arena, classification, P1, rng)
     tau = _sample_locally_optimal(arena, classification, P2, rng)
-    source = arena.states[0]
-    checks = {}
-
-    zero = solve.stopped_value_mc(arena, values, sigma, tau, source,
-                                  ("horizon", 0), max(trials // 10, 1),
-                                  rng.randrange(2**32))
-    checks["horizon_zero_exact"] = zero.estimate == float(values.values[source])
-
-    chain_classes = _class_states(arena, sigma, tau)
-    first_hit = solve.stopped_value_mc(arena, values, sigma, tau, source,
-                                       ("first_hit", chain_classes), trials,
-                                       rng.randrange(2**32))
-    checks["first_hit_covered"] = first_hit.covered
-
-    fixed = solve.stopped_value_mc(arena, values, sigma, tau, source,
-                                   ("horizon", 25), trials,
-                                   rng.randrange(2**32))
-    checks["fixed_horizon_covered"] = fixed.covered
-
     tau_adv = _adversarial_min(arena, classification)
-    adv = solve.stopped_value_mc(arena, values, sigma, tau_adv, source,
-                                 ("horizon", 25), trials,
-                                 rng.randrange(2**32))
-    checks["submartingale_direction"] = \
-        adv.estimate >= float(values.values[source]) - (adv.ci_high - adv.estimate)
+    source = arena.states[0]
+    ref = values.values[source]
+    hit = ("first_hit", _class_states(arena, sigma, tau))
+    fixed = ("horizon", 25)
 
-    horizon = 200
-    last_change = _last_value_change(arena, values, classification, sigma,
-                                     tau_adv, source, min(trials, 200),
-                                     horizon, rng.randrange(2**32))
-    checks["value_changes_stop"] = last_change < horizon // 2
+    def exact(minimizer, rule) -> Fraction:
+        return solve.stopped_value_exact(arena, values, sigma, minimizer,
+                                         source, rule)
+
+    # One seed per check, in check order, drawn whether or not the check
+    # samples, so that each reported estimate keeps its seed.
+    seeds = [rng.randrange(2**32) for _ in range(4)]
+    first_hit = solve.stopped_value_mc(arena, values, sigma, tau, source, hit,
+                                       trials, seeds[1])
+    adv = solve.stopped_value_mc(arena, values, sigma, tau_adv, source, fixed,
+                                 trials, seeds[3])
+    recurrent = _value_changing_recurrent(arena, classification, sigma,
+                                          tau_adv, source)
+    checks = {
+        "horizon_zero_exact": exact(tau, ("horizon", 0)) == ref,
+        "first_hit_covered": exact(tau, hit) == ref,
+        "fixed_horizon_covered": exact(tau, fixed) == ref,
+        "submartingale_direction": exact(tau_adv, fixed) >= ref,
+        "value_changes_stop": not recurrent,
+    }
     ok = all(checks.values())
     return _finish(VerificationReport(
         "doob", {"arena": arena.fingerprint(), "spec": spec.format(),
@@ -775,7 +783,7 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
                        "ci": [first_hit.ci_low, first_hit.ci_high],
                        "reference": str(first_hit.reference)},
          "adversarial_estimate": adv.estimate,
-         "last_value_change": last_change}), started)
+         "value_changing_recurrent": recurrent}), started)
 
 
 def _sample_locally_optimal(arena: Arena,
@@ -802,27 +810,24 @@ def _adversarial_min(arena: Arena,
 
 
 def _class_states(arena: Arena, sigma, tau) -> frozenset:
+    """The states on the bottom-class nodes of the pair's chain from every
+    state."""
     sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
     chain = induce_chain(arena, sig, ta)
-    states = set()
-    for cls in bottom_sccs(chain):
-        for node in cls.nodes:
-            states.add(chain.state_of(node))
-    return frozenset(states)
+    return frozenset(chain.state_of(node)
+                     for cls in bottom_classes(chain) for node in cls)
 
 
-def _last_value_change(arena, values, classification, sigma, tau, source,
-                       trials, horizon, seed) -> int:
-    rng = random.Random(seed)
+def _value_changing_recurrent(arena: Arena,
+                              classification: solve.ActionClassification,
+                              sigma, tau, source: str) -> list[tuple[str, str]]:
+    """The value-changing (state, action) pairs played on a bottom-class
+    node of the pair's chain from `source`, sorted.  A graph fact: no
+    stationary distribution is solved."""
     sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
-    changing = {sa for sa, facts in classification.table.items()
-                if not facts.value_preserving}
-    worst = 0
-    for _ in range(trials):
-        play = sample_play(arena, sig, ta, source, horizon, rng)
-        last = 0
-        for i, step in enumerate(zip(play.states, play.actions), 1):
-            if step in changing:
-                last = i
-        worst = max(worst, last)
-    return worst
+    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    return sorted({(chain.state_of(node), mv.action)
+                   for cls in bottom_classes(chain) for node in cls
+                   for mv in chain.moves[node]
+                   if not classification.table[
+                       (chain.state_of(node), mv.action)].value_preserving})

@@ -244,8 +244,8 @@ SEEDED_DOOB = [
     ("doob_e2_mean.json", [E2, "--payoff", "mean"]),
     ("doob_priority_parity.json",
      ["random:states=4,actions=3,seed=11,kind=priority", "--payoff", "parity"]),
-    # value-changing steps up to date 10 and a first-hit estimate off its
-    # exact value: the play sampler's draws all show in this report
+    # a first-hit estimate off its exact value: the sampler's draws show in
+    # this report
     ("doob_reward_mean.json",
      ["random:states=4,actions=3,seed=39,kind=reward", "--payoff", "mean"]),
 ]
@@ -285,6 +285,23 @@ def test_doob_cli(capsys):
         capsys, ["doob", "random:states=3,actions=2,seed=4",
                  "--payoff", "mean", "--trials", "800"])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("game, payoff, seed", [
+    (E3, "mean", "3654591116"),
+    (str(CORPUS / "e3_parity.game"), "parity", "131"),
+])
+def test_doob_e3_seeds_once_refuted_by_an_interval_are_confirmed(
+        capsys, game, payoff, seed):
+    # From the first state the stopped value is 0 or 2 (0 or 1) with even
+    # odds; at these seeds a 99 % Hoeffding interval misses the exact value,
+    # which now only reports.
+    code, out, _ = run_capture(
+        capsys, ["--format", "structured", "doob", game, "--payoff", payoff,
+                 "--trials", "10000", "--seed", seed])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["verdict"] == "confirmed" and all(doc["quantities"]["checks"].values())
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,7 @@
 """Strategy-pair evaluation, grid values with certificates, action
 classification, martingale and stopped-value checks."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,17 +11,19 @@ from hypothesis import strategies as st
 
 from stochgame import solve
 from stochgame.arena import P1, P2, Arena, random_arena
-from stochgame.chain import bottom_sccs
+from stochgame.chain import bottom_sccs, induce_chain
 from stochgame.fixtures import build_e2, build_e3
 from stochgame.payoff import parse_payoff_spec, reward
 from stochgame.solve import (
     BudgetError, SolveError, UnsupportedPayoffError,
     best_response_min, brute_force_value, classify_actions, expected_payoff,
-    martingale_check, node_values, stopped_value_mc,
+    martingale_check, node_values, stopped_value_exact, stopped_value_mc,
 )
 from stochgame.strategy import (
-    FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
+    FiniteMemoryStrategy, PureStationaryStrategy, WeaknessSet,
+    as_finite_memory, enumerate_pure_stationary,
 )
+from stochgame.verify import _adversarial_min
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -379,3 +382,261 @@ def test_stopped_value_first_weakness_rule():
                               ("first_weakness", weak), runs=2000, seed=4)
     # stopping at the trap or absorbing at value 1: mean stays at val(s)=1
     assert report.covered
+
+
+def test_stopped_values_reject_an_unknown_source():
+    e2 = build_e2()
+    vv = brute_force_value(e2, mean)
+    sigma, tau = vv.sigma_star, _unique(e2, P2)
+    message = "source 'zz' is not a state of the arena"
+    with pytest.raises(SolveError, match=message):
+        stopped_value_mc(e2, vv, sigma, tau, "zz", ("horizon", 3), 10, 1)
+    with pytest.raises(SolveError, match=message):
+        stopped_value_exact(e2, vv, sigma, tau, "zz", ("horizon", 3))
+
+
+# -- exact stopped values against Fraction oracles ----------------------------------
+
+def _mixed_memory_strategy(arena, player, rng, allowed):
+    """A 2-memory strategy of `player` mixing up to two of `allowed(s)` at
+    each (memory, state), with random memory updates."""
+    mems = ("m0", "m1")
+    update = {(m, s, a, t): rng.choice(mems) for m in mems for s in arena.states
+              for a in arena.available[s] for t in arena.states}
+    choices = {}
+    for m in mems:
+        for s in arena.player_states(player):
+            acts = rng.sample(allowed(s), min(2, len(allowed(s))))
+            w = rng.choice((F(1), F(1, 3), F(1, 2), F(3, 4)))
+            choices[(m, s)] = {acts[0]: F(1)} if len(acts) == 1 or w == 1 \
+                else {acts[0]: w, acts[1]: 1 - w}
+    return FiniteMemoryStrategy(player, mems, "m0", update, choices)
+
+
+def _stopping_case(seed):
+    """A random arena with its values, a locally optimal 2-memory mixed
+    maximizer, an arbitrary 2-memory mixed minimizer, a source and the
+    three stopping rules.  At density 1/5 about one arena in five has more
+    than one state value (one in a hundred at the default 1/2)."""
+    rng = random.Random(seed)
+    kind, spec = (("reward", mean), ("priority", par))[seed % 2]
+    arena = random_arena(4, 3, seed=seed, kind=kind, density=F(1, 5))
+    vv = brute_force_value(arena, spec)
+    cls = classify_actions(arena, vv)
+    sigma = _mixed_memory_strategy(
+        arena, P1, rng, lambda s: cls.value_preserving_actions(arena, s))
+    tau = _mixed_memory_strategy(arena, P2, rng, lambda s: arena.available[s])
+    source = rng.choice(arena.states)
+    hit = frozenset(rng.sample(arena.states, rng.randint(0, 2)))
+    weak = WeaknessSet(frozenset(
+        (m, s) for m in ("m0", "m1") for s in arena.states
+        if rng.random() < 0.25), F(1, 4), {}, {})
+    rules = [("horizon", rng.randint(0, 12)), ("first_hit", hit),
+             ("first_weakness", weak)]
+    return arena, vv, sigma, tau, source, rules
+
+
+def _oracle_case(seed):
+    """`_stopping_case` with random state values in place of the game's,
+    equal on the states of each bottom class of the pair's chain (so no
+    class mixes values), so that every stopped node shows in the result."""
+    arena, vv, sigma, tau, source, rules = _stopping_case(seed)
+    rng = random.Random(-seed)
+    sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
+    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    classes = [{chain.state_of(i) for i in cls.nodes}
+               for cls in bottom_sccs(chain)]
+    vals = {s: F(rng.randint(-6, 6), rng.randint(1, 3)) for s in arena.states}
+    changed = True
+    while changed:
+        changed = False
+        for states in classes:
+            low = min(vals[s] for s in states)
+            changed |= any(vals[s] != low for s in states)
+            vals.update(dict.fromkeys(states, low))
+    return arena, dataclasses.replace(vv, values=vals), sigma, tau, source, rules
+
+
+def _fraction_solve(a):
+    """Gauss-Jordan over Fractions on an augmented matrix."""
+    n = len(a)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+def _stopped_value_oracle(arena, values, sigma, tau, source, rule):
+    """Fraction propagation (horizon) or a Fraction hitting solve over the
+    nodes that neither stop nor lie in a bottom class."""
+    sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
+    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    rows = chain.rows()
+    val = [values.values[chain.state_of(i)] for i in range(len(chain))]
+    kind, payload = rule
+    if kind == "horizon":
+        dist = {0: F(1)}
+        for _ in range(payload):
+            nxt = {}
+            for i, p in dist.items():
+                for j, q in rows[i].items():
+                    nxt[j] = nxt.get(j, F(0)) + p * q
+            dist = nxt
+        return sum((p * val[i] for i, p in dist.items()), F(0))
+    in_class = {i for cls in bottom_sccs(chain) for i in cls.nodes}
+    if kind == "first_hit":
+        stops = {i for i in range(len(chain)) if chain.state_of(i) in payload}
+    else:
+        stops = {i for i in range(len(chain))
+                 if (chain.nodes[i][1], chain.state_of(i)) in payload.pairs}
+    free = [i for i in range(len(chain)) if i not in stops | in_class]
+    if 0 not in free:
+        return val[0]
+    h = _fraction_solve(
+        [[F(int(i == j)) - rows[i].get(j, F(0)) for j in free]
+         + [sum((q * val[j] for j, q in rows[i].items() if j not in free), F(0))]
+         for i in free])
+    return h[free.index(0)]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_stopped_value_exact_matches_fraction_oracle(seed):
+    arena, vv, sigma, tau, source, rules = _oracle_case(seed)
+    for rule in rules:
+        got = stopped_value_exact(arena, vv, sigma, tau, source, rule)
+        assert type(got) is F
+        assert got == _stopped_value_oracle(arena, vv, sigma, tau, source, rule)
+
+
+def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
+                            runs, seed):
+    """`stopped_value_mc` with a dense n x n float matrix of running sums and
+    full class summaries: the reference for its per-row tables."""
+    import numpy as np
+    from math import log, sqrt
+    sig = as_finite_memory(sigma)
+    ta = as_finite_memory(tau)
+    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    start = chain.index[(source, sig.initial, ta.initial)]
+    n = len(chain)
+    kind, payload = stopping_rule
+    horizon = payload if kind == "horizon" else solve.MC_MAX_STEPS
+    if kind == "horizon":
+        stop_mask = np.zeros(n, dtype=bool)
+    elif kind == "first_hit":
+        stop_mask = np.array([chain.state_of(i) in payload for i in range(n)])
+    else:
+        stop_mask = np.array([(chain.nodes[i][1], chain.state_of(i))
+                              in payload.pairs for i in range(n)])
+    absorbing_val = {}
+    absorbing_mask = np.zeros(n, dtype=bool)
+    for cls in bottom_sccs(chain):
+        class_vals = {values.values[chain.state_of(i)] for i in cls.nodes}
+        if len(class_vals) != 1:
+            raise SolveError("bottom class mixes state values")
+        for i in cls.nodes:
+            absorbing_mask[i] = True
+            absorbing_val[i] = next(iter(class_vals))
+    cum = np.zeros((n, n))
+    for i in range(n):
+        row = chain.row(i)
+        acc = 0.0
+        for j in range(n):
+            acc += float(row.get(j, 0))
+            cum[i, j] = acc
+        cum[i, n - 1] = 1.0
+    rng = np.random.default_rng(seed)
+    current = np.full(runs, start, dtype=np.int64)
+    stopped_node = np.full(runs, -1, dtype=np.int64)
+    active = np.ones(runs, dtype=bool)
+    if kind != "horizon":
+        hit0 = stop_mask[current] & active
+        stopped_node[hit0] = current[hit0]
+        active &= ~hit0
+    for _ in range(horizon):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        u = rng.random(idx.size)
+        rows = cum[current[idx]]
+        current[idx] = (u[:, None] > rows).sum(axis=1)
+        if kind != "horizon":
+            hit = stop_mask[current] & active
+            stopped_node[hit] = current[hit]
+            active &= ~hit
+            absorbed = absorbing_mask[current] & active
+            stopped_node[absorbed] = current[absorbed]
+            active &= ~absorbed
+    if kind == "horizon":
+        stopped_node = current
+        active[:] = False
+    if active.any():
+        raise SolveError("trajectories neither stopped nor absorbed")
+    counts = np.bincount(stopped_node, minlength=n)
+    exact_value = [absorbing_val[i] if absorbing_mask[i] and kind != "horizon"
+                   and not stop_mask[i] else values.values[chain.state_of(i)]
+                   for i in range(n)]
+    exact_mean = sum((int(counts[i]) * exact_value[i] for i in range(n)),
+                     F(0)) / runs
+    lo = float(min(values.values.values()))
+    hi = float(max(values.values.values()))
+    estimate = float(exact_mean)
+    half = (hi - lo) * sqrt(log(2 / (1 - solve.MC_CONFIDENCE)) / (2 * runs))
+    ref = values.values[source]
+    covered = abs(float(exact_mean - ref)) <= half
+    return solve.StoppedValueReport(
+        estimate, estimate - half, estimate + half, runs, solve.MC_CONFIDENCE,
+        ref, covered, f"{kind}", seed)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_stopped_value_mc_matches_the_dense_sampler(seed):
+    arena, vv, sigma, tau, source, rules = _oracle_case(seed)
+    for k, rule in enumerate(rules):
+        args = (arena, vv, sigma, tau, source, rule, 300, 1000 * seed + k)
+        assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
+
+
+def test_stopped_value_exact_is_the_value_under_locally_optimal_play():
+    strict = 0
+    for seed in range(40):
+        arena, vv, sigma, tau, source, rules = _stopping_case(seed)
+        cls = classify_actions(arena, vv)
+        tau_opt = _mixed_memory_strategy(
+            arena, P2, random.Random(seed),
+            lambda s: cls.value_preserving_actions(arena, s))
+        ref = vv.values[source]
+        for rule in rules:
+            assert stopped_value_exact(arena, vv, sigma, tau_opt, source,
+                                       rule) == ref
+            # a bounded submartingale: stopping never loses value on average
+            for minimizer in (tau, _adversarial_min(arena, cls)):
+                got = stopped_value_exact(arena, vv, sigma, minimizer, source,
+                                          rule)
+                assert got >= ref
+                strict += got > ref
+    assert strict
+
+
+def test_stopped_value_exact_sees_a_non_locally_optimal_maximizer():
+    # one value-changing first step from s: E[v(X_1)] is its one-step value
+    changed = 0
+    for seed in range(30):
+        arena = random_arena(4, 3, seed=seed, density=F(1, 5))
+        vv = brute_force_value(arena, mean)
+        cls = classify_actions(arena, vv)
+        sigma, tau, _ = _locally_optimal_pair(arena, vv)
+        for s in arena.player_states(P1):
+            for a in arena.available[s]:
+                facts = cls.table[(s, a)]
+                if facts.value_preserving:
+                    continue
+                bad = PureStationaryStrategy(P1, {**sigma.choice, s: a})
+                got = stopped_value_exact(arena, vv, bad, tau, s, ("horizon", 1))
+                assert got == facts.one_step_value != vv.values[s]
+                changed += 1
+    assert changed

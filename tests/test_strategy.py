@@ -149,6 +149,19 @@ def test_weakness_set_thresholds():
     assert not weak1.pairs
 
 
+@pytest.mark.parametrize("epsilon", [F(-1), F(0)])
+def test_weakness_set_rejects_epsilon_at_or_below_zero(epsilon):
+    # the threshold val - 2*epsilon would lie at or above every value: at -1
+    # every pair of the optimal e2 strategy used to be weak
+    e2 = build_e2()
+    vv = brute_force_value(e2, mean)
+    with pytest.raises(ValueError, match=f"epsilon must be > 0, not {epsilon}"):
+        weakness_set(e2, mean, vv.sigma_star, epsilon, values=vv.values)
+    # before any work: the payoff's flags are not read yet
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        weakness_set(e2, parse_payoff_spec("discounted"), vv.sigma_star, epsilon)
+
+
 def test_weakness_needs_shift_invariance():
     arena, sigma, eps = build_weak_memory_fixture()
     with pytest.raises(StrategyError):

@@ -1,6 +1,7 @@
 """Source-level rules for the library, and the scripts' command lines."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from stochgame import acceptance
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stochgame"
@@ -110,3 +113,24 @@ def test_submixing_search_rejects_an_unknown_payoff():
     proc = _script("submixing_search.py", "meanest")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_run_acceptance_reports_progress_on_stderr(monkeypatch, capsys):
+    def holds():
+        return acceptance.CriterionResult("holds", True, "fine", 0.3)
+
+    def fails():
+        return acceptance.CriterionResult("fails", False, "broken", 0.5)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (holds, fails))
+    spec = importlib.util.spec_from_file_location(
+        "run_acceptance", ROOT / "scripts" / "run_acceptance.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert out == "[PASS] holds: fine (0.3s)\n[FAIL] fails: broken (0.5s)\n"
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"\[1/2\] holds \.\.\. \d+\.\d\ds", lines[0]), lines
+    assert re.fullmatch(r"\[2/2\] fails \.\.\. \d+\.\d\ds", lines[1]), lines

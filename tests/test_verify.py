@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 
 from stochgame import solve
-from stochgame.arena import P1, random_arena
+from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import (
-    Lasso, ShufflePattern, check_submixing, parse_payoff_spec,
+    Lasso, ShufflePattern, check_submixing, parse_payoff_spec, reward,
 )
 from stochgame.strategy import PartitionAtState, PureStationaryStrategy
 from stochgame.verify import (
     FlagGateError, SearchBounds, _cycle_stats, _fast_violations,
-    _stationary_guarantees,
+    _stationary_guarantees, _value_changing_recurrent,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
@@ -25,6 +25,7 @@ from stochgame.verify import (
 
 F = Fraction
 mean = parse_payoff_spec("mean")
+parity = parse_payoff_spec("parity")
 
 
 # -- verify_halfpos ------------------------------------------------------------
@@ -275,6 +276,39 @@ def test_doob_suite_confirms():
         report = doob_suite(arena, mean, trials=4000, seed=seed)
         assert report.verdict == "confirmed", report.quantities
         assert report.quantities["checks"]["horizon_zero_exact"]
+
+
+def test_doob_suite_confirms_at_few_trials():
+    # Seed 1127 is in range: its (sigma, tau_adv) chain stays transient for
+    # long, so 20 sampled 200-step plays used to show a value change past
+    # step 100 and refute the claim.  The verdict is exact now.
+    for seed in range(1110, 1140):
+        kind, spec = (("reward", mean), ("priority", parity))[seed % 2]
+        arena = random_arena(4, 3, seed=seed, kind=kind, density=F(1, 5))
+        report = doob_suite(arena, spec, trials=20, seed=seed)
+        assert report.verdict == "confirmed", (seed, report.quantities)
+        assert report.quantities["value_changing_recurrent"] == []
+
+
+def test_value_changing_recurrent_names_the_pairs_in_a_bottom_class():
+    # s (minimizer) may stay at 0 or go to t, where the maximizer may loop
+    # at 5 or come back: v(s) = 0, v(t) = 5.  Under go/back both actions are
+    # value-changing and {s, t} is the bottom class.
+    arena = Arena(
+        states=("s", "t"), owner={"s": P2, "t": P1},
+        available={"s": ("stay", "go"), "t": ("back", "loop")},
+        transition={("s", "stay"): {"s": F(1)}, ("s", "go"): {"t": F(1)},
+                    ("t", "back"): {"s": F(1)}, ("t", "loop"): {"t": F(1)}},
+        colour={("s", "stay"): reward(0), ("s", "go"): reward(0),
+                ("t", "back"): reward(0), ("t", "loop"): reward(5)})
+    values = solve.brute_force_value(arena, mean)
+    cls = solve.classify_actions(arena, values)
+    go = PureStationaryStrategy(P2, {"s": "go"})
+    back = PureStationaryStrategy(P1, {"t": "back"})
+    assert _value_changing_recurrent(arena, cls, back, go, "s") == [
+        ("s", "go"), ("t", "back")]
+    loop = PureStationaryStrategy(P1, {"t": "loop"})
+    assert _value_changing_recurrent(arena, cls, loop, go, "s") == []
 
 
 # -- report plumbing ---------------------------------------------------------------------
