@@ -18,7 +18,8 @@ from .payoff import (
 from .solve import (
     ActionClassification, ValueVector,
     best_response_min, brute_force_value, classify_actions, expected_payoff,
-    martingale_check, product_values, stopped_value_mc, weakness_set,
+    martingale_check, product_values, stopped_value_exact, stopped_value_mc,
+    weakness_set,
 )
 from .strategy import (
     FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,

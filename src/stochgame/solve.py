@@ -451,6 +451,8 @@ def _stopping_chain(arena: Arena, values: ValueVector, sigma, tau,
     n = len(chain)
     kind, payload = stopping_rule
     if kind == "horizon":
+        if payload < 0:
+            raise SolveError(f"horizon must be >= 0, not {payload}")
         stop = [False] * n
     elif kind == "first_hit":
         stop = [chain.state_of(i) in payload for i in range(n)]

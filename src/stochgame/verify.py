@@ -757,13 +757,13 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
         return solve.stopped_value_exact(arena, values, sigma, minimizer,
                                          source, rule)
 
-    # One seed per check, in check order, drawn whether or not the check
-    # samples, so that each reported estimate keeps its seed.
-    seeds = [rng.randrange(2**32) for _ in range(4)]
+    # Four seeds are drawn and two used, so that the reported estimates keep
+    # the seeds of earlier releases (the outputs pinned in tests/golden/).
+    _, hit_seed, _, adv_seed = (rng.randrange(2**32) for _ in range(4))
     first_hit = solve.stopped_value_mc(arena, values, sigma, tau, source, hit,
-                                       trials, seeds[1])
+                                       trials, hit_seed)
     adv = solve.stopped_value_mc(arena, values, sigma, tau_adv, source, fixed,
-                                 trials, seeds[3])
+                                 trials, adv_seed)
     recurrent = _value_changing_recurrent(arena, classification, sigma,
                                           tau_adv, source)
     checks = {

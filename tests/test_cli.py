@@ -291,11 +291,11 @@ def test_doob_cli(capsys):
     (E3, "mean", "3654591116"),
     (str(CORPUS / "e3_parity.game"), "parity", "131"),
 ])
-def test_doob_e3_seeds_once_refuted_by_an_interval_are_confirmed(
+def test_doob_e3_is_confirmed_where_the_interval_misses(
         capsys, game, payoff, seed):
     # From the first state the stopped value is 0 or 2 (0 or 1) with even
-    # odds; at these seeds a 99 % Hoeffding interval misses the exact value,
-    # which now only reports.
+    # odds; at these seeds the reported 99 % Hoeffding interval misses the
+    # exact value, which the exact verdict does not depend on.
     code, out, _ = run_capture(
         capsys, ["--format", "structured", "doob", game, "--payoff", payoff,
                  "--trials", "10000", "--seed", seed])

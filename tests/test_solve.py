@@ -4,7 +4,9 @@ classification, martingale and stopped-value checks."""
 import dataclasses
 import random
 from fractions import Fraction
+from math import log, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -395,6 +397,16 @@ def test_stopped_values_reject_an_unknown_source():
         stopped_value_exact(e2, vv, sigma, tau, "zz", ("horizon", 3))
 
 
+def test_stopped_values_reject_a_negative_horizon():
+    e2 = build_e2()
+    vv = brute_force_value(e2, mean)
+    sigma, tau = vv.sigma_star, _unique(e2, P2)
+    with pytest.raises(SolveError, match="horizon must be >= 0, not -3"):
+        stopped_value_mc(e2, vv, sigma, tau, "s", ("horizon", -3), 10, 1)
+    with pytest.raises(SolveError, match="horizon must be >= 0, not -3"):
+        stopped_value_exact(e2, vv, sigma, tau, "s", ("horizon", -3))
+
+
 # -- exact stopped values against Fraction oracles ----------------------------------
 
 def _mixed_memory_strategy(arena, player, rng, allowed):
@@ -516,8 +528,6 @@ def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
                             runs, seed):
     """`stopped_value_mc` with a dense n x n float matrix of running sums and
     full class summaries: the reference for its per-row tables."""
-    import numpy as np
-    from math import log, sqrt
     sig = as_finite_memory(sigma)
     ta = as_finite_memory(tau)
     chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])

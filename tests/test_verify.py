@@ -279,9 +279,9 @@ def test_doob_suite_confirms():
 
 
 def test_doob_suite_confirms_at_few_trials():
-    # Seed 1127 is in range: its (sigma, tau_adv) chain stays transient for
-    # long, so 20 sampled 200-step plays used to show a value change past
-    # step 100 and refute the claim.  The verdict is exact now.
+    # At seed 1127 the (sigma, tau_adv) chain stays transient for long: a
+    # play can still change value after step 100, yet no value-changing
+    # pair lies in a bottom class, so value changes stop almost surely.
     for seed in range(1110, 1140):
         kind, spec = (("reward", mean), ("priority", parity))[seed % 2]
         arena = random_arena(4, 3, seed=seed, kind=kind, density=F(1, 5))
