@@ -78,9 +78,6 @@ class Arena:
     def player_states(self, player: int) -> tuple[str, ...]:
         return tuple(s for s in self.states if self.owner[s] == player)
 
-    def support(self, s: str, a: str) -> tuple[str, ...]:
-        return tuple(t for t, p in self.transition[(s, a)].items() if p > 0)
-
     def restrict(self, state: str, actions: Iterable[str]) -> "Arena":
         """Sub-arena with the given state's actions cut down to `actions`."""
         keep = tuple(a for a in self.available[state] if a in set(actions))
@@ -231,14 +228,14 @@ def parse_arena(text: str) -> Arena:
             prob = _field(succ, "prob", at, (str, int, float))
             try:
                 dist[t] = Fraction(prob)
-            except (ValueError, OverflowError):
+            except (ValueError, OverflowError, ZeroDivisionError):
                 raise ArenaError(f"{at}: field 'prob' is not a rational: {prob!r}") \
                     from None
         transition[(s, a)] = dist
         token = _field(entry, "colour", where)
         try:
             colour[(s, a)] = colour_from_json(token)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ArenaError(f"{where}: field 'colour' is not a colour: {token!r}") \
                 from None
     return Arena(tuple(states), owner,
@@ -377,8 +374,8 @@ def sample_play(arena: Arena, sigma, tau, source: str, horizon: int,
     draw = rng.random
     # (s, mem1, mem2) -> (actions, cumulative weights, {(a, t): memories})
     nodes: dict[tuple, tuple] = {}
-    mem1 = sigma.initial_memory
-    mem2 = tau.initial_memory
+    mem1 = sigma.initial
+    mem2 = tau.initial
     states = [source]
     actions: list[str] = []
     s = source

@@ -115,8 +115,7 @@ def induce_chain(arena: Arena, sigma, tau,
     """Build the reachable product chain.  `seeds` defaults to every arena
     state paired with both initial memories."""
     if seeds is None:
-        seeds = [(s, sigma.initial_memory, tau.initial_memory)
-                 for s in arena.states]
+        seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
     index: dict[tuple, int] = {}
     nodes: list[tuple] = []
     todo: list[tuple] = []

@@ -21,8 +21,7 @@ from . import solve, verify
 from .arena import Arena, ArenaError, parse_arena, random_arena, sample_play
 from .payoff import PayoffError, parse_payoff_spec
 from .strategy import (
-    PureStationaryStrategy, StrategyError, as_finite_memory,
-    strategy_from_json,
+    PureStationaryStrategy, StrategyError, strategy_from_json,
 )
 
 DEFAULT_SEED = 2024
@@ -34,6 +33,13 @@ EXIT_INCONCLUSIVE = 3
 
 
 RANDOM_KEYS = ("states", "actions", "lo", "hi", "density", "seed", "kind")
+
+
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} is not a rational: {text!r}") from None
 
 
 def _load_arena(spec: str) -> Arena:
@@ -51,7 +57,7 @@ def _load_arena(spec: str) -> Arena:
             max_actions=int(params.get("actions", 3)),
             colour_lo=int(params.get("lo", -2)),
             colour_hi=int(params.get("hi", 2)),
-            density=Fraction(params.get("density", "1/2")),
+            density=_rational(params.get("density", "1/2"), "random: density"),
             seed=int(params.get("seed", DEFAULT_SEED)),
             kind=params.get("kind", "reward"),
         )
@@ -266,8 +272,8 @@ def _dispatch(args) -> int:
         if args.trials < 1:
             raise ValueError("--trials must be >= 1")
         arena = _load_arena(args.game)
-        sigma = as_finite_memory(_load_strategy(args.sigma, 1, arena))
-        tau = as_finite_memory(_load_strategy(args.tau, 2, arena))
+        sigma = _load_strategy(args.sigma, 1, arena)
+        tau = _load_strategy(args.tau, 2, arena)
         source = args.source or arena.states[0]
         rng = random.Random(args.seed)
         terminal: dict[str, int] = {}
@@ -303,7 +309,8 @@ def _dispatch(args) -> int:
         else:
             sigma = _load_strategy(args.sigma, 1, arena)
             report = verify.verify_subgame_perfect(
-                arena, spec, sigma, Fraction(args.epsilon), args.budget)
+                arena, spec, sigma, _rational(args.epsilon, "--epsilon"),
+                args.budget)
         return _report_exit(report, fmt)
 
     if cmd == "reproduce":

@@ -177,7 +177,11 @@ def parse_payoff_spec(text: str) -> PayoffSpec:
     if name == "meancobuchi":
         if not sep:
             raise PayoffError("meancobuchi needs a penalty, e.g. meancobuchi:100")
-        return PayoffSpec(name, penalty=Fraction(arg))
+        try:
+            return PayoffSpec(name, penalty=Fraction(arg))
+        except (ValueError, ZeroDivisionError):
+            raise PayoffError(
+                f"meancobuchi penalty is not a rational: {arg!r}") from None
     if name == "suffixtarget":
         return PayoffSpec(name, prefix=arg)
     if sep:

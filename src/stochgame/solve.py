@@ -26,9 +26,8 @@ from .chain import (
 )
 from .payoff import PayoffSpec, class_value
 from .strategy import (
-    FiniteMemoryStrategy, PureStationaryStrategy, Strategy, StrategyError,
-    WeaknessSet, as_finite_memory, count_pure_stationary,
-    enumerate_pure_stationary,
+    FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
+    count_pure_stationary, enumerate_pure_stationary,
 )
 
 
@@ -71,8 +70,7 @@ class PairEvaluator:
     def __init__(self, arena: Arena, sigma, tau,
                  seeds: Optional[Sequence[tuple]] = None):
         if seeds is None:
-            seeds = [(s, sigma.initial_memory, tau.initial_memory)
-                     for s in arena.states]
+            seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
         self.chain = induce_chain(arena, sigma, tau, seeds)
         self._seed_nodes = [self.chain.index[seed] for seed in seeds]
         self._classes: Optional[list] = None
@@ -102,7 +100,7 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
 def expected_payoff(arena: Arena, spec: PayoffSpec, sigma, tau,
                     source: str) -> Fraction:
     """Expected payoff of the strategy pair from one state."""
-    seed = (source, sigma.initial_memory, tau.initial_memory)
+    seed = (source, sigma.initial, tau.initial)
     return node_values(arena, spec, sigma, tau, [seed])[0]
 
 
@@ -149,13 +147,13 @@ class BestResponse:
 
 
 def _fold_responses(arena: Arena, spec: PayoffSpec,
-                    sigma_fm: FiniteMemoryStrategy, budget: int):
+                    sigma: FiniteMemoryStrategy, budget: int):
     """Fold the minimizer's response tables on sigma's memory product, in
     `itertools.product` order, into: the minimum at each (memory, state),
     the first table attaining it, and a table attaining every minimum at
     once (or None).  A table maps each (memory, minimizer state) pair to an
     action, played by a strategy whose memory shadows sigma's automaton."""
-    pairs = [(m, s) for m in sigma_fm.memory_states for s in arena.states]
+    pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     seeds = [(s, m, m) for m, s in pairs]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
     total = prod(len(arena.available[s]) for _, s in p2_pairs)
@@ -167,9 +165,9 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
         table = dict(zip(p2_pairs, combo))
         tau = FiniteMemoryStrategy(
-            P2, sigma_fm.memory_states, sigma_fm.initial, sigma_fm.update,
+            P2, sigma.memory_states, sigma.initial, sigma.update,
             {pair: {a: Fraction(1)} for pair, a in table.items()})
-        vals = dict(zip(pairs, node_values(arena, spec, sigma_fm, tau, seeds)))
+        vals = dict(zip(pairs, node_values(arena, spec, sigma, tau, seeds)))
         for pair, v in vals.items():
             if pair not in best or v < best[pair]:
                 best[pair] = v
@@ -189,8 +187,7 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
         raise UnsupportedPayoffError(
             f"best responses are only enumerated for the positional catalog, "
             f"not {spec.format()}")
-    best, argmin, uniform = _fold_responses(
-        arena, spec, as_finite_memory(sigma), budget)
+    best, argmin, uniform = _fold_responses(arena, spec, sigma, budget)
 
     def stationary(table):
         return PureStationaryStrategy(P2, {s: a for (_, s), a in table.items()})
@@ -264,7 +261,7 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
 # Guaranteed values of a finite-memory strategy, weakness set
 
 
-def product_values(arena: Arena, spec: PayoffSpec, sigma: Strategy,
+def product_values(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,
                    budget: int = DEFAULT_BUDGET) -> dict[tuple, Fraction]:
     """For each (memory, state): the worst-case expected payoff when play
     starts there with the maximizer frozen to sigma.
@@ -278,12 +275,11 @@ def product_values(arena: Arena, spec: PayoffSpec, sigma: Strategy,
     result is the worst case over this bounded response class only, an
     upper bound on the true guarantee.
     """
-    sigma_fm = as_finite_memory(sigma)
-    sigma_fm.check_in(arena)
-    return _fold_responses(arena, spec, sigma_fm, budget)[0]
+    sigma.check_in(arena)
+    return _fold_responses(arena, spec, sigma, budget)[0]
 
 
-def weakness_set(arena: Arena, spec: PayoffSpec, sigma: Strategy,
+def weakness_set(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,
                  epsilon: Fraction, values: Optional[dict] = None,
                  guaranteed: Optional[dict] = None) -> WeaknessSet:
     """Exact weakness set of a finite-memory strategy at threshold
@@ -355,13 +351,12 @@ def classify_actions(arena: Arena, values: ValueVector) -> ActionClassification:
 
 
 def locally_optimal(arena: Arena, classification: ActionClassification,
-                    strategy: Strategy) -> Optional[tuple]:
+                    strategy: FiniteMemoryStrategy) -> Optional[tuple]:
     """None if every action in the strategy's support is value-preserving,
     else the offending (memory, state, action)."""
-    fm = as_finite_memory(strategy)
-    for m in fm.memory_states:
-        for s in arena.player_states(fm.player):
-            for a, w in fm.action_dist(m, s).items():
+    for m in strategy.memory_states:
+        for s in arena.player_states(strategy.player):
+            for a, w in strategy.action_dist(m, s).items():
                 if w > 0 and not classification.table[(s, a)].value_preserving:
                     return (m, s, a)
     return None
@@ -376,12 +371,13 @@ class MartingaleReport:
 
 
 def martingale_check(arena: Arena, values: ValueVector, sigma, tau,
-                     source: str, horizon: Optional[int] = None,
+                     source: str,
                      classification: Optional[ActionClassification] = None
                      ) -> MartingaleReport:
     """Exhaustive one-step check of E[val(next)] against val(current) over
-    every node of the induced chain reachable from the source (optionally
-    within `horizon` steps).  Exact comparisons, no sampling.
+    every node of the induced chain reachable from the source: the chain
+    seeded at the source holds exactly those nodes.  Exact comparisons, no
+    sampling.
 
     Requires the maximizer locally optimal; the check then verifies the
     submartingale inequality at every node, with equality everywhere exactly
@@ -396,24 +392,10 @@ def martingale_check(arena: Arena, values: ValueVector, sigma, tau,
         raise SolveError(
             f"maximizer strategy is not locally optimal: plays {offender[2]} "
             f"at state {offender[1]} (memory {offender[0]})")
-    sig = as_finite_memory(sigma)
-    ta = as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
-    start = chain.index[(source, sig.initial, ta.initial)]
-    reach = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            if horizon is not None and reach[i] >= horizon:
-                continue
-            for j in chain.row(i):
-                if j not in reach:
-                    reach[j] = reach[i] + 1
-                    nxt.append(j)
-        frontier = nxt
+    chain = induce_chain(arena, sigma, tau,
+                         [(source, sigma.initial, tau.initial)])
     strict = []
-    for i in sorted(reach):
+    for i in range(len(chain)):
         s = chain.state_of(i)
         one_step = sum((p * values.values[chain.state_of(j)]
                         for j, p in chain.row(i).items()), Fraction(0))
@@ -424,7 +406,7 @@ def martingale_check(arena: Arena, values: ValueVector, sigma, tau,
         if one_step > values.values[s]:
             strict.append(chain.nodes[i])
     verdict = "martingale" if not strict else "submartingale"
-    return MartingaleReport(verdict, len(reach), tuple(strict),
+    return MartingaleReport(verdict, len(chain), tuple(strict),
                             {"source": source, "spec": values.spec.format()})
 
 
@@ -445,9 +427,8 @@ def _stopping_chain(arena: Arena, values: ValueVector, sigma, tau,
     there without stopping."""
     if source not in arena.states:
         raise SolveError(f"source {source!r} is not a state of the arena")
-    sig = as_finite_memory(sigma)
-    ta = as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    chain = induce_chain(arena, sigma, tau,
+                         [(source, sigma.initial, tau.initial)])
     n = len(chain)
     kind, payload = stopping_rule
     if kind == "horizon":

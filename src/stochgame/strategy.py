@@ -1,6 +1,6 @@
-"""Strategy representations and constructions: pure stationary and
-finite-memory strategies, the reset strategy, the pivot-state projections,
-and the minimizer's trigger strategy.
+"""Strategy representations and constructions: finite-memory strategies,
+with pure stationary strategies as their one-memory case, the reset
+strategy, the pivot-state projections, and the minimizer's trigger strategy.
 
 General history-dependent strategies are carried in finite-memory form only.
 For a shift-invariant payoff the behaviour of a finite-memory strategy after
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Union
 
 from .arena import P2, Arena, FinitePlay, LassoPlay
 from .payoff import Lasso, ShufflePattern
@@ -22,41 +21,6 @@ from .payoff import Lasso, ShufflePattern
 
 class StrategyError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PureStationaryStrategy:
-    """Deterministic action choice depending only on the current state."""
-
-    player: int
-    choice: dict[str, str]
-
-    @property
-    def initial_memory(self):
-        return 0
-
-    def next_memory(self, m, s, a, t):
-        return 0
-
-    def action_dist(self, m, s: str) -> dict[str, Fraction]:
-        return {self.choice[s]: Fraction(1)}
-
-    def check_in(self, arena: Arena) -> None:
-        for s in arena.player_states(self.player):
-            a = self.choice.get(s)
-            if a is None:
-                raise StrategyError(f"no choice at state {s}")
-            if a not in arena.available[s]:
-                raise StrategyError(f"choice {a} not available at {s}")
-
-    def as_finite_memory(self) -> "FiniteMemoryStrategy":
-        return FiniteMemoryStrategy(
-            player=self.player, memory_states=("m0",), initial="m0",
-            update={}, choices={("m0", s): {a: Fraction(1)}
-                                for s, a in self.choice.items()})
-
-    def to_json(self) -> str:
-        return json.dumps(dict(sorted(self.choice.items())), indent=1)
 
 
 @dataclass(frozen=True)
@@ -73,10 +37,6 @@ class FiniteMemoryStrategy:
     initial: object
     update: dict[tuple, object]          # (m, s, a, t) -> m'
     choices: dict[tuple, dict[str, Fraction]]  # (m, s) -> action law
-
-    @property
-    def initial_memory(self):
-        return self.initial
 
     def next_memory(self, m, s, a, t):
         return self.update.get((m, s, a, t), m)
@@ -122,10 +82,48 @@ class FiniteMemoryStrategy:
         return json.dumps(doc, indent=1)
 
 
-Strategy = Union[PureStationaryStrategy, FiniteMemoryStrategy]
+class PureStationaryStrategy(FiniteMemoryStrategy):
+    """Deterministic action choice depending only on the current state: the
+    finite-memory strategy with the one memory "m0" and no updates.
+
+    Only the state -> action map is stored; the (memory, state) law table
+    `choices` is derived from it on access.  `to_json` writes the bare map.
+    """
+
+    memory_states = ("m0",)
+    initial = "m0"
+    update: dict = {}   # shared by all instances; no update table is mutated
+
+    def __init__(self, player: int, choice: dict[str, str]):
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "choice", choice)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def choices(self) -> dict[tuple, dict[str, Fraction]]:
+        return {("m0", s): {a: Fraction(1)} for s, a in self.choice.items()}
+
+    def next_memory(self, m, s, a, t):
+        return "m0"
+
+    def action_dist(self, m, s: str) -> dict[str, Fraction]:
+        return {self.choice[s]: Fraction(1)}
+
+    def check_in(self, arena: Arena) -> None:
+        for s in arena.player_states(self.player):
+            a = self.choice.get(s)
+            if a is None:
+                raise StrategyError(f"no choice at state {s}")
+            if a not in arena.available[s]:
+                raise StrategyError(f"choice {a} not available at {s}")
+
+    def to_json(self) -> str:
+        return json.dumps(dict(sorted(self.choice.items())), indent=1)
 
 
-def strategy_from_json(text: str, player: int) -> Strategy:
+def strategy_from_json(text: str, player: int) -> FiniteMemoryStrategy:
     """A stationary strategy `{state: action}` or a finite-memory one
     `{memory_states, initial, update, choice}` as `to_json` writes it."""
     doc = json.loads(text)
@@ -140,21 +138,17 @@ def strategy_from_json(text: str, player: int) -> Strategy:
         raise StrategyError(f"finite-memory strategy misses {', '.join(missing)}")
     try:
         memory_states = tuple(doc["memory_states"])
+        frozenset(memory_states)  # memories key the product nodes
         update = {(m, s, a, t): m2 for m, s, a, t, m2 in doc["update"]}
         choices = {(m, s): {a: Fraction(w) for a, w in dist.items()}
                    for m, s, dist in doc["choice"]}
-    except (TypeError, ValueError, AttributeError, ZeroDivisionError):
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError,
+            OverflowError):
         raise StrategyError("finite-memory strategy needs a memory_states list, "
                             "[m, s, a, t, m'] update rows and "
                             "[m, s, {action: weight}] choice rows") from None
     return FiniteMemoryStrategy(player, memory_states, doc["initial"], update,
                                 choices)
-
-
-def as_finite_memory(strategy: Strategy) -> FiniteMemoryStrategy:
-    if isinstance(strategy, PureStationaryStrategy):
-        return strategy.as_finite_memory()
-    return strategy
 
 
 def enumerate_pure_stationary(arena: Arena, player: int):
@@ -190,7 +184,8 @@ class WeaknessSet:
         return pair in self.pairs
 
 
-def reset_strategy(sigma: Strategy, weak: WeaknessSet) -> FiniteMemoryStrategy:
+def reset_strategy(sigma: FiniteMemoryStrategy,
+                   weak: WeaknessSet) -> FiniteMemoryStrategy:
     """Reset the memory to its initial state whenever the play enters a weak
     (memory, state) pair.  The reset applies once per step: if the initial
     row is itself weak at the state the memory still lands there (no loop).
@@ -198,11 +193,10 @@ def reset_strategy(sigma: Strategy, weak: WeaknessSet) -> FiniteMemoryStrategy:
     The reset is folded into the memory update, so the result is an ordinary
     finite-memory strategy over the same memory set and choice table.
     """
-    fm = as_finite_memory(sigma)
     return _ResetStrategy(
-        player=fm.player, memory_states=fm.memory_states, initial=fm.initial,
-        update=dict(fm.update), choices=dict(fm.choices),
-        weak_pairs=weak.pairs)
+        player=sigma.player, memory_states=sigma.memory_states,
+        initial=sigma.initial, update=dict(sigma.update),
+        choices=dict(sigma.choices), weak_pairs=weak.pairs)
 
 
 @dataclass(frozen=True)
@@ -398,7 +392,7 @@ def play_tokens(play: LassoPlay) -> Lasso:
 # The trigger strategy
 
 
-def trigger_strategy(tau0: Strategy, tau1: Strategy,
+def trigger_strategy(tau0: FiniteMemoryStrategy, tau1: FiniteMemoryStrategy,
                      split: PartitionAtState, arena: Arena
                      ) -> FiniteMemoryStrategy:
     """Combine two minimizer strategies of the side sub-arenas: after a visit
@@ -410,14 +404,12 @@ def trigger_strategy(tau0: Strategy, tau1: Strategy,
     projected play, which the tests verify by recomputing the projection
     from scratch.
     """
-    t0 = as_finite_memory(tau0)
-    t1 = as_finite_memory(tau1)
-    for t, side in ((t0, 0), (t1, 1)):
+    for t, side in ((tau0, 0), (tau1, 1)):
         t.check_in(split.restricted(arena, side))
     memory_states = tuple((f, m0, m1)
                           for f in (0, 1)
-                          for m0 in t0.memory_states
-                          for m1 in t1.memory_states)
+                          for m0 in tau0.memory_states
+                          for m1 in tau1.memory_states)
     update: dict[tuple, object] = {}
     choices: dict[tuple, dict[str, Fraction]] = {}
     for f, m0, m1 in memory_states:
@@ -426,13 +418,14 @@ def trigger_strategy(tau0: Strategy, tau1: Strategy,
                 nf = split.side(a) if s == split.state else f
                 for t in arena.states:
                     if nf == 0:
-                        nm = (nf, t0.next_memory(m0, s, a, t), m1)
+                        nm = (nf, tau0.next_memory(m0, s, a, t), m1)
                     else:
-                        nm = (nf, m0, t1.next_memory(m1, s, a, t))
+                        nm = (nf, m0, tau1.next_memory(m1, s, a, t))
                     update[((f, m0, m1), s, a, t)] = nm
             if arena.owner[s] == P2:
-                active = t0.action_dist(m0, s) if f == 0 else t1.action_dist(m1, s)
+                active = (tau0.action_dist(m0, s) if f == 0
+                          else tau1.action_dist(m1, s))
                 choices[((f, m0, m1), s)] = dict(active)
     return FiniteMemoryStrategy(
         player=P2, memory_states=memory_states,
-        initial=(0, t0.initial, t1.initial), update=update, choices=choices)
+        initial=(0, tau0.initial, tau1.initial), update=update, choices=choices)

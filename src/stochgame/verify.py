@@ -34,8 +34,7 @@ from .payoff import (
     discounted, increment, letter, priority, reward, reward_buchi, vector,
 )
 from .strategy import (
-    FiniteMemoryStrategy, PureStationaryStrategy, as_finite_memory,
-    reset_strategy,
+    FiniteMemoryStrategy, PureStationaryStrategy, reset_strategy,
 )
 
 
@@ -190,14 +189,18 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
 # Submixing / shift-invariance searches
 
 
+# The (u, v) block lengths of the alternating shuffles the submixing search
+# tries.
+SEARCH_PATTERNS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Sizes of the refutation searches, checked when constructed: cycles of
-    1..max_cycle letters, (u, v) block patterns of positive lengths,
-    random_cases >= 0 seeded cases and 1..shifts suffixes per word."""
+    1..max_cycle letters, random_cases >= 0 seeded cases and 1..shifts
+    suffixes per word."""
 
     max_cycle: int = 4
-    patterns: tuple = ((1, 1), (1, 2), (2, 1), (2, 2))
     random_cases: int = 2000
     shifts: int = 6
 
@@ -207,11 +210,6 @@ class SearchBounds:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, not {value}")
-        for pattern in self.patterns:
-            if not (isinstance(pattern, (tuple, list)) and len(pattern) == 2
-                    and all(isinstance(b, int) and b >= 1 for b in pattern)):
-                raise ValueError(
-                    f"patterns: {pattern!r} is not a pair of positive ints")
 
 
 def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
@@ -341,7 +339,7 @@ def search_submixing_violation(spec: PayoffSpec,
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
-                "patterns": list(bounds.patterns),
+                "patterns": list(SEARCH_PATTERNS),
                 "random_cases": bounds.random_cases}
     cases = 0
 
@@ -349,7 +347,7 @@ def search_submixing_violation(spec: PayoffSpec,
         cycles = [c for n in range(1, bounds.max_cycle + 1)
                   for c in itertools.product(alphabet, repeat=n)]
         st = _cycle_stats(spec, cycles)
-        for a, b in bounds.patterns:
+        for a, b in SEARCH_PATTERNS:
             viol = _fast_violations(spec, st, a, b)
             cases += viol.size
             if viol.any():
@@ -368,7 +366,7 @@ def search_submixing_violation(spec: PayoffSpec,
         small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
                  for c in itertools.product(alphabet, repeat=n)]
         for cu, cv in itertools.product(small, repeat=2):
-            for a, b in bounds.patterns:
+            for a, b in SEARCH_PATTERNS:
                 cases += 1
                 witness = check_submixing(spec, Lasso((), cu), Lasso((), cv),
                                           ShufflePattern.alternating(a, b))
@@ -494,12 +492,11 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
         raise ValueError(f"epsilon must be > 0, not {epsilon}")
     values = solve.brute_force_value(arena, spec, budget)
     classification = solve.classify_actions(arena, values)
-    sigma_fm = as_finite_memory(sigma)
-    base_guaranteed = solve.product_values(arena, spec, sigma_fm, budget)
-    weak = solve.weakness_set(arena, spec, sigma_fm, epsilon,
+    base_guaranteed = solve.product_values(arena, spec, sigma, budget)
+    weak = solve.weakness_set(arena, spec, sigma, epsilon,
                               values=values.values,
                               guaranteed=base_guaranteed)
-    sigma_hat = reset_strategy(sigma_fm, weak)
+    sigma_hat = reset_strategy(sigma, weak)
     hat_guaranteed = solve.product_values(arena, spec, sigma_hat, budget)
 
     def check(strategy, guaranteed) -> tuple[bool, dict]:
@@ -510,10 +507,10 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
                 failures[f"{m}|{s}"] = str(guaranteed[(m, s)])
         return not failures, failures
 
-    base_ok, base_failures = check(sigma_fm, base_guaranteed)
+    base_ok, base_failures = check(sigma, base_guaranteed)
     hat_ok, hat_failures = check(sigma_hat, hat_guaranteed)
-    offender = solve.locally_optimal(arena, classification, sigma_fm)
-    eps_optimal = all(base_guaranteed[(sigma_fm.initial, s)]
+    offender = solve.locally_optimal(arena, classification, sigma)
+    eps_optimal = all(base_guaranteed[(sigma.initial, s)]
                       >= values.values[s] - epsilon for s in arena.states)
     quantities = {
         "epsilon": str(epsilon),
@@ -530,38 +527,43 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
         "subgame-perfect", {"arena": arena.fingerprint(),
                             "spec": spec.format(), "epsilon": str(epsilon)},
         "confirmed" if hat_ok else "refuted", quantities,
-        witness=None if hat_ok else {"failures": hat_failures,
-                                     "strategy": sigma_fm.to_json()})
+        # the witness is written in finite-memory form, a stationary base too
+        witness=None if hat_ok else {
+            "failures": hat_failures,
+            "strategy": FiniteMemoryStrategy.to_json(sigma)})
     return _finish(report, started)
 
 
 def _reachable_pairs(arena: Arena, strategy: FiniteMemoryStrategy) -> set:
     """(memory, state) pairs reachable from any state at the initial memory
     when the owner plays the strategy and the opponent plays anything."""
-    fm = as_finite_memory(strategy)
-    todo = [(fm.initial, s) for s in arena.states]
+    todo = [(strategy.initial, s) for s in arena.states]
     seen = set(todo)
     while todo:
         m, s = todo.pop()
-        if arena.owner[s] == fm.player:
-            actions = [a for a, w in fm.action_dist(m, s).items() if w > 0]
+        if arena.owner[s] == strategy.player:
+            actions = [a for a, w in strategy.action_dist(m, s).items() if w > 0]
         else:
             actions = list(arena.available[s])
         for a in actions:
             for t, p in arena.transition[(s, a)].items():
                 if p == 0:
                     continue
-                nxt = (fm.next_memory(m, s, a, t), t)
+                nxt = (strategy.next_memory(m, s, a, t), t)
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
     return seen
 
 
+# Candidates `weakened_base` draws before it degrades.
+WEAKENED_BASE_ATTEMPTS = 25
+
+
 def weakened_base(arena: Arena, spec: PayoffSpec, values: solve.ValueVector,
                   classification: solve.ActionClassification,
-                  epsilon: Fraction, rng: random.Random,
-                  attempts: int = 25) -> FiniteMemoryStrategy:
+                  epsilon: Fraction, rng: random.Random
+                  ) -> FiniteMemoryStrategy:
     """A random two-memory strategy that is locally optimal by construction
     (all rows play value-preserving actions) and certified epsilon-optimal
     by an exact product-value check; candidates failing the certificate are
@@ -579,7 +581,7 @@ def weakened_base(arena: Arena, spec: PayoffSpec, values: solve.ValueVector,
             choices[("m1", s)] = {rng.choice(vp[s]): Fraction(1)}
         return FiniteMemoryStrategy(P1, ("m0", "m1"), "m0", update, choices)
 
-    for _ in range(attempts):
+    for _ in range(WEAKENED_BASE_ATTEMPTS):
         update = {}
         for s in arena.states:
             for a in arena.available[s]:
@@ -654,8 +656,7 @@ def reproduce_counterexample() -> VerificationReport:
 
     verdicts = {}
     for name, action in (("stationary_1", "1"), ("stationary_2", "2")):
-        sigma = PureStationaryStrategy(
-            P1, {"c1": action, "c2": "1", "c3": "1"}).as_finite_memory()
+        sigma = PureStationaryStrategy(P1, {"c1": action, "c2": "1", "c3": "1"})
         per_visit, _ = run_letters(sigma, sigma.initial, 1)
         # every even target run is a multiple of the per-visit emission
         if not all((2 * k) % per_visit == 0 for k in range(1, 31)):
@@ -812,8 +813,7 @@ def _adversarial_min(arena: Arena,
 def _class_states(arena: Arena, sigma, tau) -> frozenset:
     """The states on the bottom-class nodes of the pair's chain from every
     state."""
-    sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta)
+    chain = induce_chain(arena, sigma, tau)
     return frozenset(chain.state_of(node)
                      for cls in bottom_classes(chain) for node in cls)
 
@@ -824,8 +824,7 @@ def _value_changing_recurrent(arena: Arena,
     """The value-changing (state, action) pairs played on a bottom-class
     node of the pair's chain from `source`, sorted.  A graph fact: no
     stationary distribution is solved."""
-    sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
     return sorted({(chain.state_of(node), mv.action)
                    for cls in bottom_classes(chain) for node in cls
                    for mv in chain.moves[node]

@@ -234,8 +234,8 @@ def _sample_play_oracle(arena, sigma, tau, source, horizon, rng):
     sums of the mover's and the transition's `Fraction` laws."""
     if source not in arena.owner:
         raise ArenaError(f"unknown source state {source}")
-    mem1 = sigma.initial_memory
-    mem2 = tau.initial_memory
+    mem1 = sigma.initial
+    mem2 = tau.initial
     states = [source]
     actions = []
     s = source

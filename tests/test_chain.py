@@ -17,7 +17,10 @@ from stochgame.chain import (
 )
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
 from stochgame.payoff import discounted, increment, reward
-from stochgame.strategy import FiniteMemoryStrategy, PureStationaryStrategy
+from stochgame.strategy import (
+    FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
+    strategy_from_json,
+)
 from stochgame.verify import _random_memory_strategy
 
 F = Fraction
@@ -187,7 +190,7 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
     tau = _first_choice(arena, P2)
     for sigma in (_random_memory_strategy(arena, rng, 2),
                   _mixed_two_memory(arena, rng)):
-        seeds = [(s, m, tau.initial_memory) for s in arena.states
+        seeds = [(s, m, tau.initial) for s in arena.states
                  for m in sigma.memory_states]
         chain = induce_chain(arena, sigma, tau, seeds)
         for node, (d, row) in enumerate(chain.int_rows()):
@@ -206,6 +209,22 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
         assert discounted_values(chain) == _oracle_discounted(chain)
 
 
+@given(st.integers(0, 5000))
+@settings(max_examples=40, deadline=None)
+def test_stationary_chain_has_one_node_per_state(seed):
+    # seeded at every state, a stationary pair's chain holds each state once,
+    # under memory "m0", whether sigma is stationary or its finite-memory form
+    arena = random_arena(4, 3, seed=seed)
+    rng = random.Random(seed)
+    sigma = rng.choice(list(enumerate_pure_stationary(arena, P1)))
+    tau = rng.choice(list(enumerate_pure_stationary(arena, P2)))
+    as_table = strategy_from_json(FiniteMemoryStrategy.to_json(sigma), P1)
+    assert type(as_table) is FiniteMemoryStrategy
+    chain = induce_chain(arena, sigma, tau)
+    assert sorted(chain.nodes) == [(s, "m0", "m0") for s in arena.states]
+    assert induce_chain(arena, as_table, tau).nodes == chain.nodes
+
+
 def test_one_state_chain():
     arena = random_arena(1, 1, seed=0)
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
@@ -220,7 +239,7 @@ def test_e3_chain_copies_transition_table():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
     assert len(chain) == 3
-    s = chain.index[("s", 0, 0)]
+    s = chain.index[("s", "m0", "m0")]
     row = chain.row(s)
     assert sorted(row.values()) == [F(1, 2), F(1, 2)]
 
@@ -230,15 +249,15 @@ def test_fig1_product_with_alternating_memory():
     arena = build_fig1()
     sigma = fig1_alternating_strategy()
     tau = PureStationaryStrategy(P2, {"sq": "1"})
-    seeds = [(s, m, 0) for s in arena.states for m in sigma.memory_states]
+    seeds = [(s, m, "m0") for s in arena.states for m in sigma.memory_states]
     chain = induce_chain(arena, sigma, tau, seeds)
     assert len(chain) == 8
     # from (sq, m0): tau plays 1 into c1; sigma's memory is untouched until c1
-    start = chain.index[("sq", "m0", 0)]
-    assert chain.row(start) == {chain.index[("c1", "m0", 0)]: F(1)}
+    start = chain.index[("sq", "m0", "m0")]
+    assert chain.row(start) == {chain.index[("c1", "m0", "m0")]: F(1)}
     # at (c1, m0) sigma plays branch action 1 and flips its memory
-    c1 = chain.index[("c1", "m0", 0)]
-    assert chain.row(c1) == {chain.index[("sq", "m1", 0)]: F(1)}
+    c1 = chain.index[("c1", "m0", "m0")]
+    assert chain.row(c1) == {chain.index[("sq", "m1", "m0")]: F(1)}
 
 
 def test_two_absorbing_classes():
@@ -280,7 +299,7 @@ def test_stationary_is_exactly_stationary(seed):
 def test_absorption_inside_class_is_one():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
-    t = chain.index[("t", 0, 0)]
+    t = chain.index[("t", "m0", "m0")]
     dist = absorption(chain, t)
     assert list(dist.values()) == [F(1)]
 
@@ -288,7 +307,7 @@ def test_absorption_inside_class_is_one():
 def test_absorption_e3_half_half():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
-    s = chain.index[("s", 0, 0)]
+    s = chain.index[("s", "m0", "m0")]
     assert sorted(absorption(chain, s).values()) == [F(1, 2), F(1, 2)]
 
 
@@ -300,7 +319,7 @@ def test_absorption_geometric_gadget():
         "u": {"u": F(1)},
     })
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
-    s = chain.index[("s", 0, 0)]
+    s = chain.index[("s", "m0", "m0")]
     assert sorted(absorption(chain, s).values()) == [F(1, 2), F(1, 2)]
 
 
@@ -322,7 +341,7 @@ def test_absorption_monte_carlo_cross_check():
     chain = induce_chain(arena, sigma, tau)
     classes = bottom_sccs(chain)
     source = arena.states[0]
-    exact = absorption_from(chain, classes)[chain.index[(source, 0, 0)]]
+    exact = absorption_from(chain, classes)[chain.index[(source, "m0", "m0")]]
     state_to_class = {}
     for ci, cls in enumerate(classes):
         for n in cls.nodes:
@@ -345,7 +364,7 @@ def test_discounted_self_loop():
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
     vals = discounted_values(chain)
-    assert vals[chain.index[("s", 0, 0)]] == 2
+    assert vals[chain.index[("s", "m0", "m0")]] == 2
 
 
 def test_discounted_zero_factor_truncates():
@@ -355,8 +374,8 @@ def test_discounted_zero_factor_truncates():
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
     vals = discounted_values(chain)
-    assert vals[chain.index[("s", 0, 0)]] == 5
-    assert vals[chain.index[("t", 0, 0)]] == -3
+    assert vals[chain.index[("s", "m0", "m0")]] == 5
+    assert vals[chain.index[("t", "m0", "m0")]] == -3
 
 
 def test_discounted_two_node_cycle():
@@ -366,8 +385,8 @@ def test_discounted_two_node_cycle():
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
     vals = discounted_values(chain)
-    assert vals[chain.index[("s", 0, 0)]] == F(4, 3)
-    assert vals[chain.index[("t", 0, 0)]] == F(2, 3)
+    assert vals[chain.index[("s", "m0", "m0")]] == F(4, 3)
+    assert vals[chain.index[("t", "m0", "m0")]] == F(2, 3)
 
 
 def test_discounted_matches_truncated_series():
@@ -375,7 +394,7 @@ def test_discounted_matches_truncated_series():
     sigma, tau = _first_choice(arena, P1), _first_choice(arena, P2)
     chain = induce_chain(arena, sigma, tau)
     vals = discounted_values(chain)
-    source = chain.index[(arena.states[0], 0, 0)]
+    source = chain.index[(arena.states[0], "m0", "m0")]
     # unroll the series by dynamic programming over N steps
     n_steps = 60
     lam_max = F(1, 2)

@@ -438,3 +438,55 @@ def test_verify_subgame_rejects_an_epsilon_that_is_not_positive(capsys,
         capsys, ["verify", "subgame", E2, "--payoff", "mean",
                  "--sigma", WEAK, "--epsilon", epsilon]),
         f"epsilon must be > 0, not {epsilon}")
+
+
+@pytest.mark.parametrize("where, field, message", [
+    (("actions", 0, "successors", 0), "prob",
+     "actions[0].successors[0]: field 'prob' is not a rational: '1/0'"),
+    (("actions", 0), "colour",
+     "actions[0]: field 'colour' is not a colour: '1/0'"),
+], ids=["prob", "colour"])
+def test_game_file_zero_denominator_is_a_usage_error(tmp_path, capsys, where,
+                                                     field, message):
+    code, out, err = _solve_edited_e2(tmp_path, capsys, where,
+                                      lambda e: e.__setitem__(field, "1/0"))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["solve", "random:states=3,density=1/0", "--payoff", "mean"],
+     ("density", "'1/0'")),
+    (["solve", E2, "--payoff", "meancobuchi:1/0"], ("penalty", "'1/0'")),
+    (["verify", "subgame", E2, "--payoff", "mean", "--sigma", WEAK,
+      "--epsilon", "1/0"], ("--epsilon", "'1/0'")),
+], ids=["density", "penalty", "epsilon"])
+def test_zero_denominator_argument_is_a_usage_error(capsys, argv, words):
+    _assert_one_error_line(*run_capture(capsys, argv), *words)
+
+
+PINNED_OUTPUTS = [
+    # a stationary base whose reset fails: the witness strategy is written
+    # in finite-memory form
+    ("verify_subgame_e2_stay.json", EXIT_REFUTED,
+     ["verify", "subgame", E2, "--payoff", "mean", "--epsilon", "1/8"],
+     '{"s": "stay", "t": "loop"}'),
+    ("martingale_e2weak.json", EXIT_OK,
+     ["martingale", E2, "--payoff", "mean", "--sigma", WEAK, "--tau", WEAK],
+     None),
+    ("solve_priority_parity.json", EXIT_OK,
+     ["solve", "random:states=4,actions=3,seed=5,kind=priority",
+      "--payoff", "parity"], None),
+]
+
+
+@pytest.mark.parametrize("golden, exit_code, argv, sigma", PINNED_OUTPUTS,
+                         ids=[g for g, *_ in PINNED_OUTPUTS])
+def test_structured_output_is_pinned(tmp_path, capsys, golden, exit_code, argv,
+                                     sigma):
+    if sigma is not None:
+        path = tmp_path / "sigma.json"
+        path.write_text(sigma)
+        argv = [*argv, "--sigma", str(path)]
+    code, out, _ = run_capture(capsys, ["--format", "structured", *argv])
+    assert code == exit_code
+    assert out == (GOLDEN / golden).read_text()

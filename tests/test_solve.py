@@ -23,7 +23,7 @@ from stochgame.solve import (
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, WeaknessSet,
-    as_finite_memory, enumerate_pure_stationary,
+    enumerate_pure_stationary,
 )
 from stochgame.verify import _adversarial_min
 
@@ -454,8 +454,7 @@ def _oracle_case(seed):
     class mixes values), so that every stopped node shows in the result."""
     arena, vv, sigma, tau, source, rules = _stopping_case(seed)
     rng = random.Random(-seed)
-    sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
     classes = [{chain.state_of(i) for i in cls.nodes}
                for cls in bottom_sccs(chain)]
     vals = {s: F(rng.randint(-6, 6), rng.randint(1, 3)) for s in arena.states}
@@ -485,8 +484,7 @@ def _fraction_solve(a):
 def _stopped_value_oracle(arena, values, sigma, tau, source, rule):
     """Fraction propagation (horizon) or a Fraction hitting solve over the
     nodes that neither stop nor lie in a bottom class."""
-    sig, ta = as_finite_memory(sigma), as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
+    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
     rows = chain.rows()
     val = [values.values[chain.state_of(i)] for i in range(len(chain))]
     kind, payload = rule
@@ -528,10 +526,8 @@ def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
                             runs, seed):
     """`stopped_value_mc` with a dense n x n float matrix of running sums and
     full class summaries: the reference for its per-row tables."""
-    sig = as_finite_memory(sigma)
-    ta = as_finite_memory(tau)
-    chain = induce_chain(arena, sig, ta, [(source, sig.initial, ta.initial)])
-    start = chain.index[(source, sig.initial, ta.initial)]
+    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
+    start = chain.index[(source, sigma.initial, tau.initial)]
     n = len(chain)
     kind, payload = stopping_rule
     horizon = payload if kind == "horizon" else solve.MC_MAX_STEPS

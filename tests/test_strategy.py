@@ -1,6 +1,7 @@
 """Strategy types and the three constructions: weakness/reset, projections,
 trigger strategy."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from stochgame.solve import (
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
-    StrategyError, as_finite_memory, factor_pattern, play_tokens,
+    StrategyError, factor_pattern, play_tokens,
     project, reset_strategy, strategy_from_json, trigger_strategy,
 )
 from stochgame.verify import _random_memory_strategy
@@ -32,6 +33,20 @@ def test_pure_strategy_round_trip():
     again = strategy_from_json(sigma.to_json(), P1)
     assert isinstance(again, PureStationaryStrategy)
     assert again.choice == sigma.choice
+
+
+def test_pure_strategy_is_the_one_memory_finite_memory_strategy():
+    sigma = PureStationaryStrategy(P1, {"s": "go", "t": "loop"})
+    assert isinstance(sigma, FiniteMemoryStrategy)
+    assert (sigma.memory_states, sigma.initial, dict(sigma.update)) \
+        == (("m0",), "m0", {})
+    assert sigma.choices == {("m0", "s"): {"go": F(1)}, ("m0", "t"): {"loop": F(1)}}
+    assert sigma.next_memory("m0", "s", "go", "t") == "m0"
+    as_table = strategy_from_json(FiniteMemoryStrategy.to_json(sigma), P1)
+    assert type(as_table) is FiniteMemoryStrategy
+    assert as_table.choices == sigma.choices
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sigma.choice = {}
 
 
 def test_finite_memory_round_trip():
@@ -90,14 +105,13 @@ def _mirror_strategy(sigma_fm, table):
 def _product_values_oracle(arena, spec, sigma):
     """The per-(memory, state) minimum over every response table on sigma's
     memory product, each played by its own mirror strategy."""
-    sigma_fm = as_finite_memory(sigma)
-    pairs = [(m, s) for m in sigma_fm.memory_states for s in arena.states]
+    pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     seeds = [(s, m, m) for m, s in pairs]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
     best = {}
     for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
-        tau = _mirror_strategy(sigma_fm, dict(zip(p2_pairs, combo)))
-        for pair, v in zip(pairs, node_values(arena, spec, sigma_fm, tau, seeds)):
+        tau = _mirror_strategy(sigma, dict(zip(p2_pairs, combo)))
+        for pair, v in zip(pairs, node_values(arena, spec, sigma, tau, seeds)):
             if pair not in best or v < best[pair]:
                 best[pair] = v
     return best
@@ -361,8 +375,8 @@ def test_trigger_equal_strategies_behave_identically():
     tau = PureStationaryStrategy(P2, {"p": "l", "q": "l"})
     trig = trigger_strategy(tau, tau, split, arena)
     sigma = PureStationaryStrategy(P1, {"s": "a"})
-    a = induce_chain(arena, sigma, tau, [("s", 0, tau.initial_memory)])
-    b = induce_chain(arena, sigma, trig, [("s", 0, trig.initial)])
+    a = induce_chain(arena, sigma, tau, [("s", "m0", tau.initial)])
+    b = induce_chain(arena, sigma, trig, [("s", "m0", trig.initial)])
     assert [n[0] for n in a.nodes] == [n[0] for n in b.nodes]
     assert [[(m.action, m.weight) for m in row] for row in a.moves] == \
         [[(m.action, m.weight) for m in row] for row in b.moves]
@@ -402,7 +416,7 @@ def test_trigger_action_law_matches_recomputed_projection():
         {("f0", "p", "l", "s"): "f1", ("f1", "p", "l", "s"): "f0"},
         {("f0", "p"): {"l": F(1)}, ("f1", "p"): {"r": F(1)},
          ("f0", "q"): {"l": F(1)}, ("f1", "q"): {"l": F(1)}})
-    tau1 = PureStationaryStrategy(P2, {"p": "r", "q": "r"}).as_finite_memory()
+    tau1 = PureStationaryStrategy(P2, {"p": "r", "q": "r"})
     trig = trigger_strategy(tau0, tau1, split, arena)
     sigma = FiniteMemoryStrategy(
         P1, ("x0", "x1"), "x0",
