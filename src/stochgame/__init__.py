@@ -8,7 +8,7 @@ from .arena import (
 )
 from .chain import (
     InducedChain, RecurrentClassSummary,
-    absorption, bottom_sccs, discounted_values, induce_chain,
+    bottom_sccs, discounted_values, induce_chain,
 )
 from .payoff import (
     ColourToken, Lasso, PayoffError, PayoffSpec, ShufflePattern,
@@ -17,7 +17,7 @@ from .payoff import (
 )
 from .solve import (
     ActionClassification, ValueVector,
-    best_response_min, brute_force_value, classify_actions, expected_payoff,
+    best_response_min, brute_force_value, classify_actions,
     martingale_check, product_values, stopped_value_exact, stopped_value_mc,
     weakness_set,
 )

@@ -9,14 +9,13 @@ no `Fraction` arithmetic happens inside an elimination."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arena import P1, Arena
-from .payoff import ColourToken, INCREMENT, colour_to_json
+from .payoff import ColourToken, INCREMENT
 
 
 class ChainError(ValueError):
@@ -76,20 +75,6 @@ class InducedChain:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def to_document(self) -> str:
-        """Debug printer mirroring the arena format."""
-        doc = {
-            "nodes": [{"name": "|".join(map(str, n))} for n in self.nodes],
-            "moves": [
-                {"node": i, "action": mv.action, "weight": str(mv.weight),
-                 "colour": colour_to_json(mv.colour),
-                 "successors": [{"node": j, "prob": str(p)}
-                                for j, p in mv.successors]}
-                for i in range(len(self.nodes)) for mv in self.moves[i]
-            ],
-        }
-        return json.dumps(doc, indent=1)
 
 
 @dataclass(frozen=True)
@@ -352,13 +337,6 @@ def _potential_exists(chain: InducedChain, cls: list[int]) -> bool:
                     phi[succ] = want
                     stack.append(succ)
     return True
-
-
-def absorption(chain: InducedChain, source: int) -> dict[int, Fraction]:
-    """Probability of absorption into each bottom SCC, keyed by the class's
-    position in bottom_sccs(chain).  Sums to exactly 1."""
-    classes = bottom_sccs(chain)
-    return absorption_from(chain, classes)[source]
 
 
 def absorption_from(chain: InducedChain,

@@ -106,8 +106,16 @@ def _report_exit(report: verify.VerificationReport, fmt: str) -> int:
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to `run` as one `error:` line; subparsers inherit
+    the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stochgame",
         description="Workbench for finite zero-sum stochastic games: exact "
                     "values, strategy constructions, and theorem checks.")
@@ -120,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("game", help="game file or random:states=..,seed=..")
         if payoff:
             p.add_argument("--payoff", required=True)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET)
+            # bounds the strategy enumeration behind every payoff evaluation
+            p.add_argument("--budget", type=int, default=solve.DEFAULT_BUDGET)
         # accepted after the subcommand too; SUPPRESS keeps the global value
         p.add_argument("--format", choices=("human", "structured"),
                        default=argparse.SUPPRESS, dest="fmt")
@@ -144,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample plays under two strategies")
     common(p, payoff=False)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--source", default="")
@@ -163,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="claim", required=True)
     ph = vsub.add_parser("halfpos")
     common(ph)
+    ph.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ph.add_argument("--memory", type=int, default=2)
     ph.add_argument("--candidates", type=int, default=12)
     ps = vsub.add_parser("subgame")
@@ -179,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "doob", help="optional-stopping checks decided from exact stopped "
         "values; Monte Carlo estimates only report")
     common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=10_000,
                    help="seeded runs behind each reported estimate")
 
@@ -186,13 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
+        return _dispatch(build_parser().parse_args(argv))
+    except SystemExit as e:  # -h printed the help
         return EXIT_USAGE if e.code else EXIT_OK
-    try:
-        return _dispatch(args)
     except (ArenaError, PayoffError, StrategyError, solve.SolveError,
             verify.FlagGateError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -202,10 +210,10 @@ def run(argv) -> int:
 def _dispatch(args) -> int:
     fmt = args.fmt
     cmd = args.command
+    arena = _load_arena(args.game) if "game" in args else None
+    spec = parse_payoff_spec(args.payoff) if "payoff" in args else None
 
     if cmd == "solve":
-        arena = _load_arena(args.game)
-        spec = parse_payoff_spec(args.payoff)
         values = solve.brute_force_value(arena, spec, args.budget)
         _emit({
             "values": {s: str(values.values[s]) for s in arena.states},
@@ -219,8 +227,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "best-response":
-        arena = _load_arena(args.game)
-        spec = parse_payoff_spec(args.payoff)
         sigma = _load_strategy(args.sigma, 1, arena)
         if not isinstance(sigma, PureStationaryStrategy):
             raise StrategyError("best-response needs a pure stationary sigma")
@@ -236,8 +242,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "classify":
-        arena = _load_arena(args.game)
-        spec = parse_payoff_spec(args.payoff)
         values = solve.brute_force_value(arena, spec, args.budget)
         cls = solve.classify_actions(arena, values)
         _emit({
@@ -254,8 +258,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "martingale":
-        arena = _load_arena(args.game)
-        spec = parse_payoff_spec(args.payoff)
         values = solve.brute_force_value(arena, spec, args.budget)
         sigma = _load_strategy(args.sigma, 1, arena)
         tau = _load_strategy(args.tau, 2, arena)
@@ -271,7 +273,6 @@ def _dispatch(args) -> int:
     if cmd == "simulate":
         if args.trials < 1:
             raise ValueError("--trials must be >= 1")
-        arena = _load_arena(args.game)
         sigma = _load_strategy(args.sigma, 1, arena)
         tau = _load_strategy(args.tau, 2, arena)
         source = args.source or arena.states[0]
@@ -289,7 +290,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "check":
-        spec = parse_payoff_spec(args.payoff)
         bounds = verify.SearchBounds(max_cycle=args.max_cycle,
                                      random_cases=args.cases)
         if args.property == "submixing":
@@ -300,8 +300,6 @@ def _dispatch(args) -> int:
         return _report_exit(report, fmt)
 
     if cmd == "verify":
-        arena = _load_arena(args.game)
-        spec = parse_payoff_spec(args.payoff)
         if args.claim == "halfpos":
             report = verify.verify_halfpos(
                 arena, spec, args.budget, args.memory, args.candidates,
@@ -318,8 +316,6 @@ def _dispatch(args) -> int:
         return _report_exit(report, fmt)
 
     if cmd == "doob":
-        arena = _load_arena(args.game)
-        spec = parse_payoff_spec(args.payoff)
         report = verify.doob_suite(arena, spec, args.trials, args.seed,
                                    args.budget)
         return _report_exit(report, fmt)

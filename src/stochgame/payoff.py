@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import RecurrentClassSummary
@@ -204,10 +204,6 @@ class Lasso:
     def __post_init__(self):
         if not self.cycle:
             raise PayoffError("lasso cycle must be non-empty")
-
-    @staticmethod
-    def of(prefix: Iterable, cycle: Iterable) -> "Lasso":
-        return Lasso(tuple(prefix), tuple(cycle))
 
     def letter(self, n: int):
         if n < len(self.prefix):

@@ -97,13 +97,6 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
     return PairEvaluator(arena, sigma, tau, seeds).values(spec)
 
 
-def expected_payoff(arena: Arena, spec: PayoffSpec, sigma, tau,
-                    source: str) -> Fraction:
-    """Expected payoff of the strategy pair from one state."""
-    seed = (source, sigma.initial, tau.initial)
-    return node_values(arena, spec, sigma, tau, [seed])[0]
-
-
 # ---------------------------------------------------------------------------
 # Grid enumeration
 

@@ -137,18 +137,25 @@ def strategy_from_json(text: str, player: int) -> FiniteMemoryStrategy:
     if missing:
         raise StrategyError(f"finite-memory strategy misses {', '.join(missing)}")
     try:
-        memory_states = tuple(doc["memory_states"])
+        memory_states = tuple(map(_memory, doc["memory_states"]))
         frozenset(memory_states)  # memories key the product nodes
-        update = {(m, s, a, t): m2 for m, s, a, t, m2 in doc["update"]}
-        choices = {(m, s): {a: Fraction(w) for a, w in dist.items()}
+        update = {(_memory(m), s, a, t): _memory(m2)
+                  for m, s, a, t, m2 in doc["update"]}
+        choices = {(_memory(m), s): {a: Fraction(w) for a, w in dist.items()}
                    for m, s, dist in doc["choice"]}
     except (TypeError, ValueError, AttributeError, ZeroDivisionError,
             OverflowError):
         raise StrategyError("finite-memory strategy needs a memory_states list, "
                             "[m, s, a, t, m'] update rows and "
                             "[m, s, {action: weight}] choice rows") from None
-    return FiniteMemoryStrategy(player, memory_states, doc["initial"], update,
-                                choices)
+    return FiniteMemoryStrategy(player, memory_states, _memory(doc["initial"]),
+                                update, choices)
+
+
+def _memory(value):
+    """A memory as `to_json` wrote it: JSON lists are read back as the
+    tuples they were written from (the trigger strategy's memories)."""
+    return tuple(map(_memory, value)) if isinstance(value, list) else value
 
 
 def enumerate_pure_stationary(arena: Arena, player: int):
@@ -184,31 +191,29 @@ class WeaknessSet:
         return pair in self.pairs
 
 
-def reset_strategy(sigma: FiniteMemoryStrategy,
-                   weak: WeaknessSet) -> FiniteMemoryStrategy:
+def reset_strategy(sigma: FiniteMemoryStrategy, weak: WeaknessSet,
+                   arena: Arena) -> FiniteMemoryStrategy:
     """Reset the memory to its initial state whenever the play enters a weak
     (memory, state) pair.  The reset applies once per step: if the initial
     row is itself weak at the state the memory still lands there (no loop).
 
-    The reset is folded into the memory update, so the result is an ordinary
-    finite-memory strategy over the same memory set and choice table.
+    The reset is folded into the memory update over every (m, s, a, t) of
+    the arena, so the result is an ordinary finite-memory strategy over the
+    same memory set and choice table.
     """
-    return _ResetStrategy(
+    update: dict[tuple, object] = {}
+    for m in sigma.memory_states:
+        for s in arena.states:
+            for a in arena.available[s]:
+                for t in arena.states:
+                    m2 = sigma.next_memory(m, s, a, t)
+                    if (m2, t) in weak.pairs:
+                        m2 = sigma.initial
+                    if m2 != m:
+                        update[(m, s, a, t)] = m2
+    return FiniteMemoryStrategy(
         player=sigma.player, memory_states=sigma.memory_states,
-        initial=sigma.initial, update=dict(sigma.update),
-        choices=dict(sigma.choices), weak_pairs=weak.pairs)
-
-
-@dataclass(frozen=True)
-class _ResetStrategy(FiniteMemoryStrategy):
-    """Finite-memory strategy with the reset rule applied to defaulted
-    (keep-memory) updates as well as the explicit table."""
-
-    weak_pairs: frozenset = frozenset()
-
-    def next_memory(self, m, s, a, t):
-        m2 = self.update.get((m, s, a, t), m)
-        return self.initial if (m2, t) in self.weak_pairs else m2
+        initial=sigma.initial, update=update, choices=dict(sigma.choices))
 
 
 # ---------------------------------------------------------------------------

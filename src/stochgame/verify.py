@@ -496,7 +496,7 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
     weak = solve.weakness_set(arena, spec, sigma, epsilon,
                               values=values.values,
                               guaranteed=base_guaranteed)
-    sigma_hat = reset_strategy(sigma, weak)
+    sigma_hat = reset_strategy(sigma, weak, arena)
     hat_guaranteed = solve.product_values(arena, spec, sigma_hat, budget)
 
     def check(strategy, guaranteed) -> tuple[bool, dict]:

@@ -289,7 +289,7 @@ def _oracle_pairs(arena, rng):
     weak = WeaknessSet(frozenset((m, s) for m in sigma.memory_states
                                  for s in arena.states if rng.random() < 0.3),
                        Fraction(0), {}, {})
-    pairs = [(sigma, tau), (reset_strategy(sigma, weak), tau),
+    pairs = [(sigma, tau), (reset_strategy(sigma, weak, arena), tau),
              _unique_strategies(arena)]
     pivots = [s for s in arena.player_states(P1) if len(arena.available[s]) > 1]
     if pivots:
@@ -298,7 +298,7 @@ def _oracle_pairs(arena, rng):
                                  frozenset(acts[1:]))
         trigger = trigger_strategy(tau, _mixed_memory_strategy(arena, P2, rng),
                                    split, arena)
-        pairs.append((reset_strategy(sigma, weak), trigger))
+        pairs.append((reset_strategy(sigma, weak, arena), trigger))
     return pairs
 
 

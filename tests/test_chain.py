@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stochgame.arena import P1, P2, Arena, random_arena, sample_play
 from stochgame.chain import (
-    ChainError, absorption, absorption_from, bottom_sccs, discounted_values,
+    ChainError, absorption_from, bottom_sccs, discounted_values,
     induce_chain, solve_linear,
 )
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
@@ -300,7 +300,7 @@ def test_absorption_inside_class_is_one():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
     t = chain.index[("t", "m0", "m0")]
-    dist = absorption(chain, t)
+    dist = absorption_from(chain, bottom_sccs(chain))[t]
     assert list(dist.values()) == [F(1)]
 
 
@@ -308,7 +308,7 @@ def test_absorption_e3_half_half():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
     s = chain.index[("s", "m0", "m0")]
-    assert sorted(absorption(chain, s).values()) == [F(1, 2), F(1, 2)]
+    assert sorted(absorption_from(chain, bottom_sccs(chain))[s].values()) == [F(1, 2), F(1, 2)]
 
 
 def test_absorption_geometric_gadget():
@@ -320,7 +320,7 @@ def test_absorption_geometric_gadget():
     })
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
     s = chain.index[("s", "m0", "m0")]
-    assert sorted(absorption(chain, s).values()) == [F(1, 2), F(1, 2)]
+    assert sorted(absorption_from(chain, bottom_sccs(chain))[s].values()) == [F(1, 2), F(1, 2)]
 
 
 @given(st.integers(0, 5000))
@@ -438,9 +438,3 @@ def test_potential_function_flags():
     assert drift == 0
     assert cls.has_potential is False
 
-
-def test_chain_debug_printer():
-    e3 = build_e3()
-    chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
-    doc = chain.to_document()
-    assert "nodes" in doc and "moves" in doc

@@ -490,3 +490,40 @@ def test_structured_output_is_pinned(tmp_path, capsys, golden, exit_code, argv,
     code, out, _ = run_capture(capsys, ["--format", "structured", *argv])
     assert code == exit_code
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", E2, "--payoff", "mean"], "--seed"),
+    (["best-response", E2, "--payoff", "mean", "--sigma", WEAK], "--seed"),
+    (["classify", E2, "--payoff", "mean"], "--seed"),
+    (["martingale", E2, "--payoff", "mean", "--sigma", WEAK, "--tau", WEAK],
+     "--seed"),
+    (["verify", "subgame", E2, "--payoff", "mean", "--sigma", WEAK], "--seed"),
+    (["simulate", E2, "--sigma", WEAK, "--tau", WEAK], "--budget"),
+], ids=lambda x: x[0] if isinstance(x, list) else x)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv,
+                                                             flag):
+    _assert_one_error_line(*run_capture(capsys, [*argv, flag, "5"]),
+                           "unrecognized arguments", flag)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["simulate", E2, "--sigma", WEAK, "--tau", WEAK, "--trials", "x"],
+     ("--trials", "'x'")),
+    (["solve", E2, "--payoff", "mean", "--frob"], ("--frob",)),
+    (["solve", E2], ("--payoff",)),
+    (["frob"], ("'frob'",)),
+], ids=["int", "unknown-flag", "missing-option", "unknown-command"])
+def test_an_argparse_error_is_one_error_line(capsys, argv, words):
+    _assert_one_error_line(*run_capture(capsys, argv), *words)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "halfpos", "-h"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == EXIT_OK and out.startswith("usage: stochgame") and err == ""
+
+
+def test_check_rejects_an_unknown_payoff(capsys):
+    _assert_one_error_line(*run_capture(
+        capsys, ["check", "submixing", "--payoff", "meanest"]), "meanest")

@@ -1,7 +1,7 @@
 """Fuzzing the command line: corpus game files, strategy files, `random:`
-specs, payoff specs and epsilons with one entry mutated never end in a
-traceback.  Every run exits 0, 1, 2 or 3, and exit 1 prints one `error:`
-line."""
+specs, payoff specs, epsilons and integer options with one entry mutated,
+and unknown flags, never end in a traceback.  Every run exits 0, 1, 2 or 3,
+and exit 1 prints one `error:` line."""
 
 import contextlib
 import io
@@ -26,6 +26,14 @@ STATIONARY = '{"s": "stay", "t": "loop"}'
 RANDOM_SPEC = {"states": "3", "actions": "2", "seed": "5", "density": "1/2",
                "lo": "-2", "hi": "2", "kind": "reward"}
 PAYOFFS = ("mean", "meancobuchi:100", "genmean:2", "discounted", "parity")
+SIMULATE = ["simulate", "@e2", "--sigma", "@weak", "--tau", "@weak"]
+HALFPOS = ["verify", "halfpos", "@e2", "--payoff", "mean"]
+CHECK = ["check", "submixing", "--payoff", "mean"]
+# every integer-typed option, with a command line that takes it
+INT_OPTIONS = {"--trials": SIMULATE, "--horizon": SIMULATE,
+               "--budget": ["solve", "@e2", "--payoff", "mean"],
+               "--memory": HALFPOS, "--candidates": HALFPOS,
+               "--max-cycle": CHECK, "--cases": CHECK}
 
 
 def _positions(doc, path=()):
@@ -105,7 +113,11 @@ def _argument_cases():
         st.builds(lambda g: ["solve", g, "--payoff", "mean"], spec),
         st.builds(lambda p: ["solve", "@e2", "--payoff", p], payoff),
         st.builds(lambda e: ["verify", "subgame", "@e2", "--payoff", "mean",
-                             "--sigma", "@weak", "--epsilon", e], words))
+                             "--sigma", "@weak", "--epsilon", e], words),
+        st.builds(lambda flag, w: [*INT_OPTIONS[flag], flag, w],
+                  st.sampled_from(list(INT_OPTIONS)), words),
+        st.builds(lambda argv, w: [*argv, "--frob", w],
+                  st.sampled_from([SIMULATE, HALFPOS, CHECK]), words))
     return st.tuples(argv, st.just({}))
 
 

@@ -539,8 +539,8 @@ def test_evaluate_lasso_matches_fraction_oracle(case):
 
 
 letters = st.integers(0, 9)
-lassos = st.builds(Lasso.of, st.lists(letters, max_size=4),
-                   st.lists(letters, min_size=1, max_size=4))
+lassos = st.builds(Lasso, st.lists(letters, max_size=4).map(tuple),
+                   st.lists(letters, min_size=1, max_size=4).map(tuple))
 
 
 @given(lassos)
@@ -563,6 +563,6 @@ patterns = st.builds(
 @settings(max_examples=300)
 def test_shuffle_matches_letter_by_letter_oracle(u, v, pattern):
     # letters of v are told apart from those of u by their sign
-    v = Lasso.of([-1 - x for x in v.prefix], [-1 - x for x in v.cycle])
+    v = Lasso(tuple(-1 - x for x in v.prefix), tuple(-1 - x for x in v.cycle))
     assert _outcome(shuffle, u, v, pattern) == \
         _outcome(_shuffle_oracle, u, v, pattern)

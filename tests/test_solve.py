@@ -18,7 +18,7 @@ from stochgame.fixtures import build_e2, build_e3
 from stochgame.payoff import parse_payoff_spec, reward
 from stochgame.solve import (
     BudgetError, SolveError, UnsupportedPayoffError,
-    best_response_min, brute_force_value, classify_actions, expected_payoff,
+    best_response_min, brute_force_value, classify_actions,
     martingale_check, node_values, stopped_value_exact, stopped_value_mc,
 )
 from stochgame.strategy import (
@@ -41,26 +41,27 @@ def test_expected_payoff_constant_loop():
     arena = Arena(
         states=("s",), owner={"s": P1}, available={"s": ("a",)},
         transition={("s", "a"): {"s": F(1)}}, colour={("s", "a"): reward(3)})
-    assert expected_payoff(arena, mean, _unique(arena, P1),
-                           _unique(arena, P2), "s") == 3
+    assert node_values(arena, mean, _unique(arena, P1), _unique(arena, P2),
+                       [("s", "m0", "m0")])[0] == 3
 
 
 def test_expected_payoff_e3_mean_and_parity():
     e3 = build_e3()
-    assert expected_payoff(e3, mean, _unique(e3, P1), _unique(e3, P2), "s") == 1
+    assert node_values(e3, mean, _unique(e3, P1), _unique(e3, P2),
+                       [("s", "m0", "m0")])[0] == 1
     e3p = build_e3("priority")
-    assert expected_payoff(e3p, par, _unique(e3p, P1),
-                           _unique(e3p, P2), "s") == F(1, 2)
+    assert node_values(e3p, par, _unique(e3p, P1), _unique(e3p, P2),
+                       [("s", "m0", "m0")])[0] == F(1, 2)
 
 
 def test_expected_payoff_rejects_global_payoffs():
     e3 = build_e3()
     with pytest.raises(UnsupportedPayoffError):
-        expected_payoff(e3, parse_payoff_spec("geomfirstone"),
-                        _unique(e3, P1), _unique(e3, P2), "s")
+        node_values(e3, parse_payoff_spec("geomfirstone"),
+                    _unique(e3, P1), _unique(e3, P2), [("s", "m0", "m0")])
     with pytest.raises(UnsupportedPayoffError):
-        expected_payoff(e3, parse_payoff_spec("suffixtarget:a"),
-                        _unique(e3, P1), _unique(e3, P2), "s")
+        node_values(e3, parse_payoff_spec("suffixtarget:a"),
+                    _unique(e3, P1), _unique(e3, P2), [("s", "m0", "m0")])
 
 
 def test_best_response_no_choices():
@@ -164,9 +165,10 @@ def test_memory_responses_cannot_beat_stationary_minimum():
                 for s in arena.player_states(P2):
                     choices[(m, s)] = {rng.choice(arena.available[s]): F(1)}
             tau = FiniteMemoryStrategy(P2, mems, "m0", update, choices)
-            for s in arena.states:
-                assert expected_payoff(arena, mean, sigma, tau, s) \
-                    >= stationary_min[s]
+            # every state at both initial memories, in state order
+            values = node_values(arena, mean, sigma, tau)
+            for s, v in zip(arena.states, values):
+                assert v >= stationary_min[s]
 
 
 def test_brute_force_value_e2():
@@ -181,8 +183,8 @@ def test_brute_force_value_one_state():
     arena = random_arena(1, 1, seed=3)
     vv = brute_force_value(arena, mean)
     (cls_value,) = vv.values.values()
-    assert cls_value == expected_payoff(arena, mean, _unique(arena, P1),
-                                        _unique(arena, P2), arena.states[0])
+    assert [cls_value] == node_values(arena, mean, _unique(arena, P1),
+                                      _unique(arena, P2))
 
 
 def test_brute_force_budget_gate():

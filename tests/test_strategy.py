@@ -195,7 +195,7 @@ def test_reset_with_empty_weakness_is_behaviourally_identical():
     vv = brute_force_value(arena, mean)
     weak = weakness_set(arena, mean, sigma, F(1), values=vv.values)
     assert not weak.pairs
-    hat = reset_strategy(sigma, weak)
+    hat = reset_strategy(sigma, weak, arena)
     a = induce_chain(arena, sigma, sigma)
     b = induce_chain(arena, hat, hat)
     assert a.nodes == b.nodes and a.moves == b.moves
@@ -205,7 +205,7 @@ def test_reset_repairs_crafted_trap():
     arena, sigma, eps = build_weak_memory_fixture()
     vv = brute_force_value(arena, mean)
     weak = weakness_set(arena, mean, sigma, eps, values=vv.values)
-    hat = reset_strategy(sigma, weak)
+    hat = reset_strategy(sigma, weak, arena)
     pv = product_values(arena, mean, hat)
     for (m, s), v in pv.items():
         assert v >= vv.values[s] - 2 * eps
@@ -223,16 +223,25 @@ def test_reset_is_single_shot_when_initial_row_is_weak():
     vv = brute_force_value(e2, mean)
     weak = weakness_set(e2, mean, sigma, F(1, 4), values=vv.values)
     assert ("m0", "s") in weak.pairs
-    hat = reset_strategy(sigma, weak)
+    hat = reset_strategy(sigma, weak, e2)
     play_chain = induce_chain(e2, hat, hat, [("s", "m0", "m0")])
     assert len(play_chain) == 1  # still the stay loop, no crash
+
+
+def test_reset_strategy_round_trips_through_json():
+    # the reset lives in the update table, so the written strategy keeps it
+    arena, sigma, eps = build_weak_memory_fixture()
+    vv = brute_force_value(arena, mean)
+    weak = weakness_set(arena, mean, sigma, eps, values=vv.values)
+    hat = reset_strategy(sigma, weak, arena)
+    assert strategy_from_json(hat.to_json(), P1) == hat
 
 
 def test_reset_weakness_gone_at_same_epsilon():
     arena, sigma, eps = build_weak_memory_fixture()
     vv = brute_force_value(arena, mean)
     weak = weakness_set(arena, mean, sigma, eps, values=vv.values)
-    hat = reset_strategy(sigma, weak)
+    hat = reset_strategy(sigma, weak, arena)
     weak_hat = weakness_set(arena, mean, hat, eps, values=vv.values)
     reachable = {("m0", "s"), ("m0", "t"), ("m1", "t")}
     assert not (weak_hat.pairs & reachable)
@@ -395,6 +404,15 @@ def test_trigger_switches_on_last_pivot_side():
     # after s --b--> q the side-1 strategy answers
     m_b = trig.next_memory(m, "s", "b", "q")
     assert trig.action_dist(m_b, "q") == {"r": F(1)}
+
+
+def test_trigger_strategy_round_trips_through_json():
+    # its memories are (side, m0, m1) tuples, written as JSON lists
+    arena = _pivot_game()
+    split = PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
+    tau = PureStationaryStrategy(P2, {"p": "l", "q": "l"})
+    trig = trigger_strategy(tau, tau, split, arena)
+    assert strategy_from_json(trig.to_json(), P2) == trig
 
 
 def test_trigger_rejects_strategies_outside_subarena():

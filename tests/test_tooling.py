@@ -1,6 +1,10 @@
-"""Source-level rules for the library, and the scripts' command lines."""
+"""Source-level rules for the library, the command line's declared
+options, and the scripts' command lines."""
 
+import argparse
 import ast
+import contextlib
+import io
 import importlib.util
 import os
 import re
@@ -10,22 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from stochgame import acceptance
+from stochgame import acceptance, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stochgame"
-
-
-def _script(name, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=300)
+CORPUS = ROOT / "corpus" / "v1"
 
 
 def _sweep(*args):
-    return _script("halfpos_sweep.py", *args)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "halfpos_sweep.py"), *args],
+        capture_output=True, text=True, env=env, timeout=300)
 
 
 def test_library_raises_instead_of_asserting():
@@ -74,6 +75,72 @@ def test_library_module_graph_has_no_cycle():
     assert "solve" not in graph["strategy"]
 
 
+# One small valid run of every subcommand; "@stay" is a stationary sigma.
+SUBCOMMAND_RUNS = {
+    "solve": ["solve", "@e2", "--payoff", "mean"],
+    "best-response": ["best-response", "@e2", "--payoff", "mean",
+                      "--sigma", "@stay"],
+    "classify": ["classify", "@e2", "--payoff", "mean"],
+    "martingale": ["martingale", "@e2", "--payoff", "mean", "--sigma", "@weak",
+                   "--tau", "@weak"],
+    "simulate": ["simulate", "@e2", "--sigma", "@weak", "--tau", "@weak",
+                 "--trials", "3"],
+    "check": ["check", "submixing", "--payoff", "mean", "--max-cycle", "1",
+              "--cases", "0"],
+    "verify halfpos": ["verify", "halfpos", "@e2", "--payoff", "mean",
+                       "--candidates", "1"],
+    "verify subgame": ["verify", "subgame", "@e2", "--payoff", "mean",
+                       "--sigma", "@weak"],
+    "reproduce": ["reproduce", "fig1"],
+    "doob": ["doob", "@e2", "--payoff", "mean", "--trials", "20"],
+}
+
+
+def _subcommands(parser, path=()):
+    """(name, parser) of every subcommand that runs, nested ones included."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs and path:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, (*path, name))
+
+
+def _recording(args: argparse.Namespace):
+    """A copy of `args` and the set of attribute names read from it."""
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**vars(args)), read
+
+
+def test_every_declared_option_is_read(tmp_path):
+    # an option the command never reads is a setting that changes nothing
+    stay = tmp_path / "stay.json"
+    stay.write_text('{"s": "stay", "t": "loop"}')
+    files = {"@e2": str(CORPUS / "e2.game"), "@weak": str(CORPUS / "e2weak.sigma"),
+             "@stay": str(stay)}
+    commands = dict(_subcommands(cli.build_parser()))
+    assert sorted(commands) == sorted(SUBCOMMAND_RUNS)
+    unread = {}
+    for name, parser in commands.items():
+        argv = [files.get(a, a) for a in SUBCOMMAND_RUNS[name]]
+        args, read = _recording(cli.build_parser().parse_args(argv))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._dispatch(args)
+        declared = {a.dest: a.option_strings[0] for a in parser._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        missed = sorted(flag for dest, flag in declared.items() if dest not in read)
+        if missed:
+            unread[name] = missed
+    assert not unread, unread
+
+
 def test_halfpos_sweep_reports_progress_on_stderr():
     proc = _sweep("--payoff", "posavg", "--arenas", "2", "--candidates", "2")
     assert proc.returncode == 0
@@ -95,24 +162,6 @@ def test_halfpos_sweep_rejects_a_bound_below_one(flag):
     proc = _sweep("--payoff", "posavg", "--arenas", "1", flag, "0")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: {flag} must be >= 1, not 0\n"
-
-
-@pytest.mark.parametrize("args, message", [
-    (("--max-cycle", "0"), "max_cycle must be >= 1, not 0"),
-    (("--cases", "-5"), "random_cases must be >= 0, not -5"),
-    (("--property", "shift-invariance", "--max-cycle", "-1"),
-     "max_cycle must be >= 1, not -1"),
-])
-def test_submixing_search_rejects_a_bad_bound(args, message):
-    proc = _script("submixing_search.py", "mean", *args)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
-
-
-def test_submixing_search_rejects_an_unknown_payoff():
-    proc = _script("submixing_search.py", "meanest")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_run_acceptance_reports_progress_on_stderr(monkeypatch, capsys):
