@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import random
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,7 +102,13 @@ class Arena:
         return cached
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(print_arena(self).encode()).hexdigest()[:16]
+        """A short hash of the arena's printed form, computed once and
+        cached like `step_laws`."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            cached = hashlib.sha256(print_arena(self).encode()).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -287,24 +292,20 @@ def random_arena(num_states: int, max_actions: int,
     Every action's support is non-empty by construction, weights are small
     integers normalized exactly.  `kind` wraps the same integer payload
     drawn in [colour_lo, colour_hi] into the requested colour token, so the
-    arena structure is identical across kinds for a fixed seed.
+    arena structure is identical across kinds for a fixed seed.  A
+    parameter out of its range raises `ArenaError`.
     """
-    clamped = {}
     if num_states < 1:
-        clamped["num_states"] = num_states
-        num_states = 1
+        raise ArenaError(f"random_arena needs num_states >= 1, not {num_states}")
     if max_actions < 1:
-        clamped["max_actions"] = max_actions
-        max_actions = 1
+        raise ArenaError(
+            f"random_arena needs max_actions >= 1, not {max_actions}")
     if colour_hi < colour_lo:
-        clamped["colour_hi"] = colour_hi
-        colour_hi = colour_lo
+        raise ArenaError(f"random_arena needs colour_hi >= colour_lo, "
+                         f"not {colour_hi} < {colour_lo}")
     density = Fraction(density)
     if not (0 <= density <= 1):
-        clamped["density"] = density
-        density = min(max(density, Fraction(0)), Fraction(1))
-    if clamped:
-        warnings.warn(f"random_arena clamped parameters: {clamped}")
+        raise ArenaError(f"random_arena needs a density in [0, 1], not {density}")
 
     rng = random.Random(seed)
     states = tuple(f"s{i}" for i in range(num_states))

@@ -1,6 +1,8 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
 bottom SCCs with stationary distributions, absorption probabilities, and
-discounted linear systems.
+discounted linear systems.  `induce_chain` builds one pair's chain; a
+`ProductSkeleton` holds every row of an enumeration's product once, and
+each pair's chain is picked from it.
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
@@ -117,30 +119,99 @@ def induce_chain(arena: Arena, sigma, tau,
     rows: dict[int, tuple[Move, ...]] = {}
     while todo:
         key = todo.pop()
-        i = index[key]
         s, m1, m2 = key
         strat, mem = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
-        dist = strat.action_dist(mem, s)
-        total = sum(dist.values())
-        if total != 1:
-            raise ChainError(f"choice at {key} sums to {total}")
-        mvs = []
-        for a, w in dist.items():
-            if w == 0:
-                continue
-            if a not in arena.available[s]:
-                raise ChainError(f"strategy plays unavailable action {a} at {s}")
-            succs = []
-            for t, p in arena.transition[(s, a)].items():
-                if p == 0:
-                    continue
-                n1 = sigma.next_memory(m1, s, a, t)
-                n2 = tau.next_memory(m2, s, a, t)
-                succs.append((node_id((t, n1, n2)), p))
-            mvs.append(Move(a, w, arena.colour[(s, a)], tuple(succs)))
-        rows[i] = tuple(mvs)
+        rows[index[key]] = _moves(
+            arena, key, strat.action_dist(mem, s),
+            lambda a, t: node_id((t, sigma.next_memory(m1, s, a, t),
+                                  tau.next_memory(m2, s, a, t))))
     return InducedChain(tuple(nodes), tuple(rows[i] for i in range(len(nodes))),
                         index)
+
+
+def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
+           successor) -> tuple[Move, ...]:
+    """The moves of the action law `law` at node `key`, whose state comes
+    first; `successor(a, t)` is the node reached by action `a` and arena
+    successor `t`.  Actions and successors of weight 0 are left out."""
+    s = key[0]
+    total = sum(law.values())
+    if total != 1:
+        raise ChainError(f"choice at {key} sums to {total}")
+    mvs = []
+    for a, w in law.items():
+        if w == 0:
+            continue
+        if a not in arena.available[s]:
+            raise ChainError(f"strategy plays unavailable action {a} at {s}")
+        succs = tuple((successor(a, t), p)
+                      for t, p in arena.transition[(s, a)].items() if p != 0)
+        mvs.append(Move(a, w, arena.colour[(s, a)], succs))
+    return tuple(mvs)
+
+
+@dataclass(frozen=True)
+class ProductSkeleton:
+    """Every row a family of strategy pairs can induce on one product,
+    built once.  Both memory coordinates of a node follow one automaton.
+
+    `moves[i]` and `int_rows[i]` list node i's options in the same order:
+    one per available action, in the arena's order, at an open node, and
+    the fixed strategy's law alone at a fixed node.  A choice vector holds
+    one option index per node (0 at a fixed node), and `pick` turns it into
+    the chain `induce_chain` builds for that pair: the same nodes in the
+    same order, the same moves and the same integer rows."""
+
+    nodes: tuple[tuple, ...]          # (state, mem, mem)
+    index: dict[tuple, int]
+    moves: tuple[tuple[tuple[Move, ...], ...], ...]
+    int_rows: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
+
+    def pick(self, choice: Sequence[int]) -> InducedChain:
+        chain = InducedChain(
+            self.nodes, tuple(opts[k] for opts, k in zip(self.moves, choice)),
+            self.index)
+        object.__setattr__(chain, "_int_rows", tuple(
+            opts[k] for opts, k in zip(self.int_rows, choice)))
+        return chain
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def product_skeleton(arena: Arena, sigma=None) -> ProductSkeleton:
+    """The skeleton of the stationary grid when `sigma` is None: one memory
+    "m0", and both players' nodes open.  Otherwise the skeleton of the
+    minimizer's responses to the maximizer strategy `sigma`: the response's
+    memory shadows sigma's, so the nodes are `(s, m, m)` for each of sigma's
+    memories m and each state s, in that order; maximizer nodes play
+    sigma's law and minimizer nodes are open.  Raises `induce_chain`'s
+    `ChainError` for a law that does not sum to 1 or plays an unavailable
+    action, and for a memory update that leaves sigma's memory set."""
+    memories = ("m0",) if sigma is None else sigma.memory_states
+    nodes = tuple((s, m, m) for m in memories for s in arena.states)
+    index = {node: i for i, node in enumerate(nodes)}
+    moves, int_rows = [], []
+    for key in nodes:
+        s, m, _ = key
+
+        def successor(a, t):
+            n = m if sigma is None else sigma.next_memory(m, s, a, t)
+            if (t, n, n) not in index:
+                raise ChainError(f"memory update at ({m}, {s}, {a}, {t}) "
+                                 "leaves the memory set")
+            return index[(t, n, n)]
+
+        if sigma is not None and arena.owner[s] == P1:
+            laws = [sigma.action_dist(m, s)]
+        else:
+            laws = [{a: Fraction(1)} for a in arena.available[s]]
+        opts = [_moves(arena, key, law, successor) for law in laws]
+        moves.append(tuple(opts))
+        int_rows.append(tuple(
+            _integer_row((mv.weight, mv.successors) for mv in mvs)
+            for mvs in opts))
+    return ProductSkeleton(nodes, index, tuple(moves), tuple(int_rows))
 
 
 def _integer_row(terms) -> tuple[int, dict[int, int]]:

@@ -7,6 +7,16 @@ stopped-value suites.
 Values are computed by exhaustive enumeration of deterministic stationary
 strategies: for the positional payoff catalog the enumerated grid attains the
 game value, and the saddle-point assertion is the guard that it did.
+
+Each enumeration builds its product once, as a `chain.ProductSkeleton`
+holding every row any of its pairs can induce: `GridSolver` one skeleton
+per arena, `_fold_responses` one per fixed maximizer strategy.  A strategy
+pair or response table is a choice vector over it, and picking the rows
+gives the pair's chain.  The pairs of one enumeration share a `ClassMemo`,
+so a bottom class that recurs with the same rows is summarized (its
+stationary distribution solved) once, and valued once per payoff.  The
+single-pair entry points (`node_values`, `martingale_check`, the stopped
+values) build their chain with `chain.induce_chain`, the general builder.
 """
 
 from __future__ import annotations
@@ -21,8 +31,9 @@ import numpy as np
 
 from .arena import P1, P2, Arena
 from .chain import (
-    InducedChain, absorption_from, bottom_classes, bottom_sccs,
-    discounted_values, induce_chain, solve_linear,
+    InducedChain, RecurrentClassSummary, _summarize, absorption_from,
+    bottom_classes, discounted_values, induce_chain, product_skeleton,
+    solve_linear,
 )
 from .payoff import PayoffSpec, class_value
 from .strategy import (
@@ -57,24 +68,59 @@ def _require_evaluable(spec: PayoffSpec) -> None:
             "use the verification module's specialized routines")
 
 
-class PairEvaluator:
-    """The product chain of one strategy pair, built once, mapping each
-    evaluable payoff to its exact expected values at the seed nodes.
+class ClassMemo:
+    """Bottom-class summaries and class values shared by the chains of one
+    enumeration, all picked from one `ProductSkeleton`.  A class is keyed
+    by its nodes and the choice at each of them, which fix its rows and
+    colours; a class value is keyed by the payoff and the class key."""
 
-    `seeds` default to every state at both strategies' initial memories,
-    the default of `induce_chain`.  The bottom-class analysis (classes and
-    absorption probabilities) is built on first use and shared by every
-    class-determined payoff; the discounted payoff never builds it.
+    def __init__(self):
+        self.summaries: dict[tuple, RecurrentClassSummary] = {}
+        self.values: dict[tuple, Fraction] = {}
+
+    def summary(self, chain: InducedChain, cls: list[int],
+                key: tuple) -> RecurrentClassSummary:
+        found = self.summaries.get(key)
+        if found is None:
+            found = self.summaries[key] = _summarize(chain, cls)
+        return found
+
+    def value(self, spec: PayoffSpec, key: tuple,
+              summary: RecurrentClassSummary) -> Fraction:
+        found = self.values.get((spec, key))
+        if found is None:
+            found = self.values[(spec, key)] = Fraction(
+                class_value(spec, summary))
+        return found
+
+
+class PairEvaluator:
+    """One strategy pair's chain, mapping each evaluable payoff to its exact
+    expected values at the seed nodes.
+
+    The chain comes from `induce_chain`, or from `ProductSkeleton.pick`
+    with its choice vector `choice`; then the classes are keyed by their
+    choices in `memo`, which the enumeration's other pairs share.  Without
+    a memo the evaluator keeps its own.  The bottom-class analysis is built
+    on first use and shared by every class-determined payoff; the discounted
+    payoff never builds it.  With one bottom class, every node is absorbed
+    there, so no absorption system is solved.
     """
 
-    def __init__(self, arena: Arena, sigma, tau,
-                 seeds: Optional[Sequence[tuple]] = None):
-        if seeds is None:
-            seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
-        self.chain = induce_chain(arena, sigma, tau, seeds)
-        self._seed_nodes = [self.chain.index[seed] for seed in seeds]
-        self._classes: Optional[list] = None
+    def __init__(self, chain: InducedChain, seed_nodes: Sequence[int],
+                 choice: Optional[tuple[int, ...]] = None,
+                 memo: Optional[ClassMemo] = None):
+        self.chain = chain
+        self._seed_nodes = seed_nodes
+        self._choice = choice
+        self._memo = ClassMemo() if memo is None else memo
+        self._classes: Optional[list[tuple]] = None   # (key, summary)
         self._absorb: Optional[list] = None
+
+    def _key(self, cls: list[int]) -> tuple:
+        if self._choice is None:
+            return tuple(cls), None
+        return tuple(cls), tuple(self._choice[node] for node in cls)
 
     def values(self, spec: PayoffSpec) -> list[Fraction]:
         """Exact expected payoff from each seed node, in seed order."""
@@ -83,9 +129,18 @@ class PairEvaluator:
             vals = discounted_values(self.chain)
             return [vals[node] for node in self._seed_nodes]
         if self._classes is None:
-            self._classes = bottom_sccs(self.chain)
-            self._absorb = absorption_from(self.chain, self._classes)
-        cls_vals = [class_value(spec, cls) for cls in self._classes]
+            self._classes = []
+            for cls in bottom_classes(self.chain):
+                key = self._key(cls)
+                self._classes.append(
+                    (key, self._memo.summary(self.chain, cls, key)))
+            if len(self._classes) > 1:
+                self._absorb = absorption_from(
+                    self.chain, [summary for _, summary in self._classes])
+        cls_vals = [self._memo.value(spec, key, summary)
+                    for key, summary in self._classes]
+        if self._absorb is None:
+            return [cls_vals[0]] * len(self._seed_nodes)
         return [sum((p * cls_vals[ci] for ci, p in self._absorb[node].items()),
                     Fraction(0))
                 for node in self._seed_nodes]
@@ -94,7 +149,11 @@ class PairEvaluator:
 def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
                 seeds: Optional[Sequence[tuple]] = None) -> list[Fraction]:
     """Exact expected payoff from each seed node under the fixed pair."""
-    return PairEvaluator(arena, sigma, tau, seeds).values(spec)
+    if seeds is None:
+        seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
+    chain = induce_chain(arena, sigma, tau, seeds)
+    return PairEvaluator(chain, [chain.index[seed] for seed in seeds]
+                         ).values(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +162,12 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
 
 class GridSolver:
     """Evaluates every deterministic stationary strategy pair once and
-    answers value queries for several payoffs over the shared chains."""
+    answers value queries for several payoffs over the shared chains.
+
+    The one-memory product skeleton, with both players' nodes open, is
+    built once per arena.  Pair (i, j) is the choice vector of sigma i's
+    and tau j's actions; its chain is picked on first use and kept for the
+    other payoffs.  All pairs share one `ClassMemo`."""
 
     def __init__(self, arena: Arena, budget: int = DEFAULT_BUDGET):
         self.arena = arena
@@ -114,13 +178,22 @@ class GridSolver:
                 "split the arena or raise the budget")
         self.sigmas = list(enumerate_pure_stationary(arena, P1))
         self.taus = list(enumerate_pure_stationary(arena, P2))
+        self._skeleton = product_skeleton(arena)
+        self._seed_nodes = [self._skeleton.index[(s, "m0", "m0")]
+                            for s in arena.states]
+        self._memo = ClassMemo()
         self._pairs: dict[tuple[int, int], PairEvaluator] = {}
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
         pair = self._pairs.get((i, j))
         if pair is None:
+            sigma, tau = self.sigmas[i].choice, self.taus[j].choice
+            avail = self.arena.available
+            choice = tuple(avail[s].index(sigma[s] if s in sigma else tau[s])
+                           for s, _, _ in self._skeleton.nodes)
             pair = self._pairs[(i, j)] = PairEvaluator(
-                self.arena, self.sigmas[i], self.taus[j])
+                self._skeleton.pick(choice), self._seed_nodes, choice,
+                self._memo)
         return dict(zip(self.arena.states, pair.values(spec)))
 
 
@@ -145,22 +218,33 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     `itertools.product` order, into: the minimum at each (memory, state),
     the first table attaining it, and a table attaining every minimum at
     once (or None).  A table maps each (memory, minimizer state) pair to an
-    action, played by a strategy whose memory shadows sigma's automaton."""
+    action, played by a strategy whose memory shadows sigma's automaton.
+
+    sigma's product skeleton is built once; a table is the choice vector
+    of its actions at the open minimizer nodes, and all tables share one
+    `ClassMemo`."""
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
-    seeds = [(s, m, m) for m, s in pairs]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
     total = prod(len(arena.available[s]) for _, s in p2_pairs)
     if total > budget:
         raise BudgetError(f"{total} responses exceed budget {budget}")
+    skeleton = product_skeleton(arena, sigma)
+    seed_nodes = [skeleton.index[(s, m, m)] for m, s in pairs]
+    open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
+    memo = ClassMemo()
+    choice = [0] * len(skeleton)
     best: dict[tuple, Fraction] = {}
     argmin: dict[tuple, dict] = {}
     uniform = uniform_vals = None
-    for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
-        table = dict(zip(p2_pairs, combo))
-        tau = FiniteMemoryStrategy(
-            P2, sigma.memory_states, sigma.initial, sigma.update,
-            {pair: {a: Fraction(1)} for pair, a in table.items()})
-        vals = dict(zip(pairs, node_values(arena, spec, sigma, tau, seeds)))
+    for combo in itertools.product(*(tuple(enumerate(arena.available[s]))
+                                     for _, s in p2_pairs)):
+        table = {}
+        for pair, node, (k, a) in zip(p2_pairs, open_nodes, combo):
+            table[pair] = a
+            choice[node] = k
+        picked = tuple(choice)
+        vals = dict(zip(pairs, PairEvaluator(
+            skeleton.pick(picked), seed_nodes, picked, memo).values(spec)))
         for pair, v in vals.items():
             if pair not in best or v < best[pair]:
                 best[pair] = v
@@ -260,7 +344,9 @@ def product_values(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,
     starts there with the maximizer frozen to sigma.
 
     The minimizer's best response is computed by enumerating deterministic
-    stationary strategies on the product of the arena with sigma's memory;
+    stationary strategies on the product of the arena with sigma's memory,
+    each a choice vector over one product skeleton built for sigma, with
+    bottom classes summarized once per distinct rows (`_fold_responses`);
     the memory is a deterministic function of the history, so these are
     legitimate (finite-memory) strategies of the original game, and for the
     positional payoff catalog they attain the true infimum of the product

@@ -1,7 +1,9 @@
 """Game model: parsing, validation, random generation, play sampling."""
 
+import hashlib
 import json
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,10 +103,28 @@ def test_random_arena_corpus_validates():
         random_arena(4, 3, seed=seed).validate()
 
 
-def test_random_arena_clamps_and_warns():
-    with pytest.warns(UserWarning, match="clamped"):
-        arena = random_arena(0, 0, seed=1)
-    assert len(arena.states) == 1
+@pytest.mark.parametrize("args, name", [
+    ({"num_states": 0}, "num_states"), ({"max_actions": 0}, "max_actions"),
+    ({"colour_lo": 1, "colour_hi": 0}, "colour_hi"),
+    ({"density": Fraction(3, 2)}, "density"),
+    ({"density": Fraction(-1, 2)}, "density"),
+    ({"density": Fraction(10**309)}, "density")])
+def test_random_arena_rejects_parameters_out_of_range(args, name):
+    params = {"num_states": 3, "max_actions": 2} | args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArenaError, match=name):
+            random_arena(**params)
+
+
+def test_fingerprint_is_cached_and_equals_a_fresh_hash():
+    arena = random_arena(4, 3, seed=3)
+    fresh = hashlib.sha256(print_arena(arena).encode()).hexdigest()[:16]
+    assert arena.fingerprint() == fresh
+    assert arena.__dict__["_fingerprint"] == fresh
+    assert arena.fingerprint() is arena.fingerprint()
+    # equal arenas keep equal fingerprints
+    assert random_arena(4, 3, seed=3).fingerprint() == fresh
 
 
 # -- plays ------------------------------------------------------------------------

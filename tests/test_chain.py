@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from stochgame.arena import P1, P2, Arena, random_arena, sample_play
 from stochgame.chain import (
     ChainError, absorption_from, bottom_sccs, discounted_values,
-    induce_chain, solve_linear,
+    induce_chain, product_skeleton, solve_linear,
 )
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
 from stochgame.payoff import discounted, increment, reward
@@ -207,6 +207,44 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
             assert cls.colour_weights == tuple(weights.items())
         assert absorption_from(chain, classes) == _oracle_absorption(chain, classes)
         assert discounted_values(chain) == _oracle_discounted(chain)
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 4))
+def test_skeleton_picks_the_chain_induce_chain_builds(seed):
+    # a picked chain has the nodes, moves and integer rows induce_chain
+    # builds for the same pair, seeded at the skeleton's nodes
+    rng = random.Random(seed)
+    arena = random_arena(4, 3, seed=seed)
+    for sigma in (None, _random_memory_strategy(arena, rng, 2),
+                  _mixed_two_memory(arena, rng)):
+        skeleton = product_skeleton(arena, sigma)
+        choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
+        picked = {(m, s): {arena.available[s][k]: F(1)}
+                  for (s, m, _), k in zip(skeleton.nodes, choice)}
+        if sigma is None:
+            sigma = PureStationaryStrategy(P1, {
+                s: next(iter(picked[("m0", s)])) for s in arena.player_states(P1)})
+        tau = FiniteMemoryStrategy(
+            P2, sigma.memory_states, sigma.initial, dict(sigma.update),
+            {pair: law for pair, law in picked.items()
+             if arena.owner[pair[1]] == P2})
+        want = induce_chain(arena, sigma, tau, skeleton.nodes)
+        got = skeleton.pick(choice)
+        assert (got.nodes, got.moves, got.int_rows()) \
+            == (want.nodes, want.moves, want.int_rows())
+
+
+@pytest.mark.parametrize("law, update, message", [
+    ({"a": F(1, 2)}, {}, "sums to 1/2"),
+    ({"b": F(1)}, {}, "unavailable action b"),
+    ({"a": F(1)}, {("m", "s", "a", "t"): "elsewhere"}, "leaves the memory set")])
+def test_skeleton_keeps_the_chain_checks(law, update, message):
+    e3 = build_e3()
+    sigma = FiniteMemoryStrategy(
+        P1, ("m",), "m", update,
+        {("m", "s"): law, ("m", "t"): {"loop": F(1)}, ("m", "u"): {"loop": F(1)}})
+    with pytest.raises(ChainError, match=message):
+        product_skeleton(e3, sigma)
 
 
 @given(st.integers(0, 5000))

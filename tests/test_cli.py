@@ -196,6 +196,15 @@ def test_unknown_random_key_is_a_usage_error(capsys):
         "'state'", "states, actions, lo, hi, density, seed, kind")
 
 
+@pytest.mark.parametrize("spec, word", [
+    ("random:states=0", "num_states"), ("random:actions=0", "max_actions"),
+    ("random:lo=2,hi=1", "colour_hi"), ("random:states=3,density=1e309", "density"),
+    ("random:density=-1/2", "density")])
+def test_out_of_range_random_parameter_is_a_usage_error(capsys, spec, word):
+    _assert_one_error_line(*run_capture(
+        capsys, ["solve", spec, "--payoff", "mean"]), word)
+
+
 def test_closed_stdout_exits_quietly():
     # The read end is closed before the command starts, so its first write
     # to stdout fails with a broken pipe.

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from stochgame import solve
 from stochgame.arena import P1, P2, Arena, random_arena
-from stochgame.chain import bottom_sccs, induce_chain
+from stochgame.chain import (
+    absorption_from, bottom_classes, bottom_sccs, induce_chain,
+)
 from stochgame.fixtures import build_e2, build_e3
-from stochgame.payoff import parse_payoff_spec, reward
+from stochgame.payoff import class_value, parse_payoff_spec, reward
 from stochgame.solve import (
     BudgetError, SolveError, UnsupportedPayoffError,
     best_response_min, brute_force_value, classify_actions,
@@ -143,6 +145,68 @@ def test_best_response_matches_the_stationary_enumeration(name, kind):
     assert ties  # several responses reach some state's minimum
 
 
+@pytest.mark.parametrize("name, kind", POSITIONAL_KINDS)
+def test_grid_matches_a_per_pair_node_values_grid(name, kind):
+    # the grid picks every pair's chain from one skeleton and shares class
+    # summaries between pairs; the oracle evaluates each pair with
+    # node_values on its own induce_chain chain.  Every pair value, the
+    # values, sigma* and the certificates are equal.
+    spec = parse_payoff_spec(name)
+    several = 0
+    for seed in range(12):
+        # sparse arenas give pairs with several bottom classes
+        density = (F(0), F(1, 4), F(1, 2))[seed % 3]
+        arena = random_arena(4, 3, density=density, seed=seed, kind=kind)
+        grid = solve.GridSolver(arena)
+        vals = [[dict(zip(arena.states, node_values(arena, spec, sigma, tau)))
+                 for tau in grid.taus] for sigma in grid.sigmas]
+        assert vals == [[grid.pair_values(spec, i, j)
+                         for j in range(len(grid.taus))]
+                        for i in range(len(grid.sigmas))]
+        several += sum(len(bottom_classes(induce_chain(arena, sigma, tau))) > 1
+                       for sigma in grid.sigmas for tau in grid.taus)
+        worst = [{s: min(row[s] for row in rows) for s in arena.states}
+                 for rows in vals]
+        value = {s: max(w[s] for w in worst) for s in arena.states}
+        best_i = next(i for i, w in enumerate(worst) if w == value)
+        vv = brute_force_value(arena, spec)
+        assert vv.values == value
+        assert vv.sigma_star.choice == grid.sigmas[best_i].choice
+        for s in arena.states:
+            j = min(range(len(grid.taus)), key=lambda j: vals[best_i][j][s])
+            tau, achieved = vv.best_response[s]
+            assert (tau.choice, achieved) == (grid.taus[j].choice, value[s])
+    assert several  # some pairs' chains have several bottom classes
+
+
+def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
+    # a chain with one bottom class is absorbed there from every node: its
+    # values equal the absorption path's, and no absorption system is solved
+    solved = []
+
+    def counting(chain, classes):
+        solved.append(len(classes))
+        return absorption_from(chain, classes)
+
+    monkeypatch.setattr(solve, "absorption_from", counting)
+    single = 0
+    for seed in range(40):
+        arena = random_arena(5, 3, density=(F(0), F(1, 2))[seed % 2], seed=seed)
+        sigma, tau = _unique(arena, P1), _unique(arena, P2)
+        chain = induce_chain(arena, sigma, tau)
+        classes = bottom_sccs(chain)
+        absorb = absorption_from(chain, classes)
+        want = [sum((p * class_value(mean, classes[ci])
+                     for ci, p in absorb[node].items()), F(0))
+                for node in range(len(chain))]
+        solved.clear()
+        assert node_values(arena, mean, sigma, tau) == want
+        assert all(isinstance(v, Fraction) for v in want)
+        assert solved == ([] if len(classes) == 1 else [len(classes)])
+        single += len(classes) == 1
+    assert 0 < single < 40
+
+
 def test_memory_responses_cannot_beat_stationary_minimum():
     # sampled two-memory minimizers never go below the enumerated stationary
     # minimum: evidence that the minimizer is positional for the mean payoff
@@ -197,9 +261,9 @@ def test_discounted_grid_never_builds_class_analysis(monkeypatch):
 
     def counting(chain):
         calls.append(len(chain))
-        return bottom_sccs(chain)
+        return bottom_classes(chain)
 
-    monkeypatch.setattr(solve, "bottom_sccs", counting)
+    monkeypatch.setattr(solve, "bottom_classes", counting)
     arena = random_arena(4, 3, seed=0, kind="discounted")
     brute_force_value(arena, parse_payoff_spec("discounted"))
     assert calls == []

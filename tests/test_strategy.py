@@ -9,11 +9,12 @@ from fractions import Fraction
 import pytest
 
 from stochgame.arena import P1, P2, Arena, FinitePlay, LassoPlay, random_arena, sample_play
-from stochgame.chain import induce_chain
+from stochgame.chain import bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import parse_payoff_spec, reward
 from stochgame.solve import (
-    brute_force_value, node_values, product_values, weakness_set,
+    DEFAULT_BUDGET, _fold_responses, brute_force_value, node_values,
+    product_values, weakness_set,
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
@@ -103,18 +104,31 @@ def _mirror_strategy(sigma_fm, table):
 
 
 def _product_values_oracle(arena, spec, sigma):
-    """The per-(memory, state) minimum over every response table on sigma's
-    memory product, each played by its own mirror strategy."""
+    """The minimizer's response tables on sigma's memory product, each
+    played by its own mirror strategy and evaluated by `node_values` on its
+    own `induce_chain` chain: per (memory, state) the minimum and the first
+    table reaching it, the last table reaching every minimum at once (or
+    None), and how many tables' chains have several bottom classes."""
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     seeds = [(s, m, m) for m, s in pairs]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
-    best = {}
+    best, argmin = {}, {}
+    uniform = uniform_vals = None
+    several = 0
     for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
-        tau = _mirror_strategy(sigma, dict(zip(p2_pairs, combo)))
-        for pair, v in zip(pairs, node_values(arena, spec, sigma, tau, seeds)):
+        table = dict(zip(p2_pairs, combo))
+        tau = _mirror_strategy(sigma, table)
+        vals = dict(zip(pairs, node_values(arena, spec, sigma, tau, seeds)))
+        several += len(bottom_classes(induce_chain(arena, sigma, tau, seeds))) > 1
+        for pair, v in vals.items():
             if pair not in best or v < best[pair]:
                 best[pair] = v
-    return best
+                argmin[pair] = table
+        if vals == best:
+            uniform, uniform_vals = table, vals
+    if uniform_vals != best:
+        uniform = None
+    return best, argmin, uniform, several
 
 
 @pytest.mark.parametrize("name, kind", [
@@ -127,7 +141,46 @@ def test_product_values_match_the_mirror_strategy_enumeration(name, kind):
         arena = random_arena(4, 3, seed=seed, kind=kind)
         sigma = _random_memory_strategy(arena, rng, 2)
         assert product_values(arena, spec, sigma) \
-            == _product_values_oracle(arena, spec, sigma)
+            == _product_values_oracle(arena, spec, sigma)[0]
+
+
+def _randomized_memory_strategy(arena, rng, memories):
+    """A finite-memory maximizer strategy with random update and random
+    action laws, some weights 0."""
+    sigma = _random_memory_strategy(arena, rng, memories)
+    choices = {}
+    for (m, s) in sigma.choices:
+        weights = [rng.randint(0, 3) for _ in arena.available[s]]
+        weights[rng.randrange(len(weights))] += 1
+        choices[(m, s)] = {a: F(w, sum(weights))
+                           for a, w in zip(arena.available[s], weights)}
+    return FiniteMemoryStrategy(P1, sigma.memory_states, sigma.initial,
+                                sigma.update, choices)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("mean", "reward"), ("limsup", "reward"), ("liminf", "reward"),
+    ("parity", "priority"), ("discounted", "discounted"), ("posavg", "reward"),
+    ("meancobuchi:100", "cobuchi"), ("optgenmean:2", "vector2"),
+    ("counter+inf", "increment")])
+def test_response_fold_matches_the_induce_chain_enumeration(name, kind):
+    # the fold picks each table's chain from one product skeleton and
+    # shares class summaries between tables; the oracle builds every chain
+    # anew.  Minima, argmin tables and the uniform table are equal.
+    spec = parse_payoff_spec(name)
+    rng = random.Random(name)
+    several = 0
+    for seed in range(16):
+        arena = random_arena(4, 3, seed=seed, kind=kind)
+        for sigma in (_random_memory_strategy(arena, rng, 1),
+                      _random_memory_strategy(arena, rng, 2),
+                      _randomized_memory_strategy(arena, rng, 2)):
+            best, argmin, uniform, multi = _product_values_oracle(arena, spec,
+                                                                  sigma)
+            assert _fold_responses(arena, spec, sigma, DEFAULT_BUDGET) \
+                == (best, argmin, uniform)
+            several += multi
+    assert several  # some response chains have several bottom classes
 
 
 def test_product_values_of_optimal_strategy_equals_values():

@@ -6,6 +6,7 @@ import ast
 import contextlib
 import io
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -183,3 +184,32 @@ def test_run_acceptance_reports_progress_on_stderr(monkeypatch, capsys):
     assert len(lines) == 2
     assert re.fullmatch(r"\[1/2\] holds \.\.\. \d+\.\d\ds", lines[0]), lines
     assert re.fullmatch(r"\[2/2\] fails \.\.\. \d+\.\d\ds", lines[1]), lines
+
+
+def test_every_bench_record_holds_its_pairs_and_both_shas():
+    # a speed claim counts only with the alternating pairs behind it
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        for sha in ("parent_sha", "change_sha"):
+            assert re.fullmatch(r"[0-9a-f]{40}", doc[sha]), (path.name, sha)
+        assert isinstance(doc["cores"], int) and doc["cores"] >= 1, path.name
+        assert set(doc["workloads"]) == workloads, path.name
+        for name, work in doc["workloads"].items():
+            where = (path.name, name)
+            assert len(work["seeds"]) == len(work["runs"]) == work["pairs"] >= 1, where
+            assert set(work["failed"]) == {"parent", "change"}, where
+            assert [r["seed"] for r in work["runs"]] == work["seeds"], where
+            for metric in metrics:
+                for side in ("parent", "change"):
+                    stats = work["metrics"][metric][side]
+                    assert stats["q1"] <= stats["median"] <= stats["q3"], \
+                        (*where, metric, side)
+        assert doc["trace"]["command"].startswith("python3 perfbench/run.py")
+        assert doc["trace"]["layers"], path.name
+        for layer, sides in doc["trace"]["layers"].items():
+            assert set(sides) == {"parent", "change"}, (path.name, layer)

@@ -48,21 +48,26 @@ def test_halfpos_budget_inconclusive():
 
 
 def test_stationary_pair_chains_hold_each_state_once(monkeypatch):
+    # every pair's chain is picked from its enumeration's product skeleton,
+    # so each skeleton must hold each state once, at the one memory
     arena = random_arena(4, 3, seed=0)
-    sizes = []
-    induce_chain = solve.induce_chain
+    products = []
+    product_skeleton = solve.product_skeleton
 
     def recording(*args, **kwargs):
-        chain = induce_chain(*args, **kwargs)
-        sizes.append(len(chain))
-        return chain
+        skeleton = product_skeleton(*args, **kwargs)
+        products.append(skeleton.nodes)
+        return skeleton
 
-    monkeypatch.setattr(solve, "induce_chain", recording)
+    monkeypatch.setattr(solve, "product_skeleton", recording)
     vv = solve.brute_force_value(arena, mean)
     solve.best_response_min(arena, mean, vv.sigma_star)
     _stationary_guarantees(arena, parse_payoff_spec("posavg"),
                            solve.DEFAULT_BUDGET)
-    assert sizes and set(sizes) == {len(arena.states)}
+    # the grid of brute_force_value, the response fold, the second grid
+    assert len(products) == 3
+    assert all(nodes == tuple((s, "m0", "m0") for s in arena.states)
+               for nodes in products)
 
 
 def test_halfpos_sweep_posavg_small():
