@@ -200,8 +200,8 @@ def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
                      for ci, p in absorb[node].items()), F(0))
                 for node in range(len(chain))]
         solved.clear()
-        assert node_values(arena, mean, sigma, tau) == want
-        assert all(isinstance(v, Fraction) for v in want)
+        got = node_values(arena, mean, sigma, tau)
+        assert got == want and all(type(v) is Fraction for v in got)
         assert solved == ([] if len(classes) == 1 else [len(classes)])
         single += len(classes) == 1
     assert 0 < single < 40
