@@ -12,15 +12,15 @@ import argparse
 import sys
 import time
 
-from stochgame.arena import random_arena
+from stochgame.arena import ArenaError, random_arena
 from stochgame.payoff import PayoffError, parse_payoff_spec
 from stochgame.verify import verify_halfpos
 
+# The random arena kind of each payoff flagged shift-invariant and
+# submixing, the payoffs the theorem covers.
 KINDS = {"mean": "reward", "limsup": "reward", "liminf": "reward",
-         "posavg": "reward", "parity": "priority", "discounted": "discounted",
-         "optgenmean": "vector2", "meancobuchi": "cobuchi",
-         "counter+inf": "increment", "counter-inf": "increment",
-         "genmean": "vector2"}
+         "posavg": "reward", "parity": "priority", "optgenmean": "vector2",
+         "meancobuchi": "cobuchi", "counter+inf": "increment"}
 
 
 def main() -> int:
@@ -43,14 +43,19 @@ def main() -> int:
     except PayoffError as e:
         sys.exit(f"error: {e}")
     if spec.name not in KINDS:
-        sys.exit(f"error: no random arena kind for payoff {spec.name!r}; "
-                 f"sweepable: {', '.join(KINDS)}")
-    kind = KINDS[spec.name]
+        sys.exit(f"error: payoff {spec.name!r} is not sweepable; the sweep "
+                 "takes the payoffs flagged shift-invariant and submixing: "
+                 f"{', '.join(KINDS)}")
+    try:
+        arenas = [random_arena(args.states, args.actions, seed=args.seed0 + i,
+                               kind=KINDS[spec.name])
+                  for i in range(args.arenas)]
+    except ArenaError as e:
+        sys.exit(f"error: {e}")
     verdicts = {"confirmed": 0, "refuted": 0, "inconclusive": 0}
-    for i in range(args.arenas):
+    for i, arena in enumerate(arenas):
         seed = args.seed0 + i
         started = time.perf_counter()
-        arena = random_arena(args.states, args.actions, seed=seed, kind=kind)
         report = verify_halfpos(arena, spec, memory_bound=args.memory,
                                 candidates=args.candidates, seed=seed)
         verdicts[report.verdict] += 1

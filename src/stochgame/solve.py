@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log, prod, sqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -212,13 +212,27 @@ class BestResponse:
         return self.uniform is not None
 
 
+class _Fold(NamedTuple):
+    best: dict[tuple, Fraction]      # minimum at each (memory, state)
+    argmin: dict[tuple, dict]        # the first table attaining it
+    uniform: Optional[dict]          # a table attaining every minimum
+    tables: int                      # response tables evaluated
+    total: int                       # response tables in the full fold
+
+
 def _fold_responses(arena: Arena, spec: PayoffSpec,
-                    sigma: FiniteMemoryStrategy, budget: int):
+                    sigma: FiniteMemoryStrategy, budget: int,
+                    floor: Optional[dict[tuple, Fraction]] = None) -> _Fold:
     """Fold the minimizer's response tables on sigma's memory product, in
     `itertools.product` order, into: the minimum at each (memory, state),
     the first table attaining it, and a table attaining every minimum at
     once (or None).  A table maps each (memory, minimizer state) pair to an
     action, played by a strategy whose memory shadows sigma's automaton.
+
+    With a `floor`, a map from (memory, state) pairs to values, the fold
+    stops as soon as each listed pair has met a table valued at or below
+    its floor; the minima are then partial.  It runs to the end, with
+    exact minima, only when some listed pair is never held to its floor.
 
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
@@ -236,6 +250,8 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     best: dict[tuple, Fraction] = {}
     argmin: dict[tuple, dict] = {}
     uniform = uniform_vals = None
+    pending = None if floor is None else set(floor)
+    tables = 0
     for combo in itertools.product(*(tuple(enumerate(arena.available[s]))
                                      for _, s in p2_pairs)):
         table = {}
@@ -245,15 +261,20 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
         picked = tuple(choice)
         vals = dict(zip(pairs, PairEvaluator(
             skeleton.pick(picked), seed_nodes, picked, memo).values(spec)))
+        tables += 1
         for pair, v in vals.items():
             if pair not in best or v < best[pair]:
                 best[pair] = v
                 argmin[pair] = table
         if vals == best:
             uniform, uniform_vals = table, vals
+        if pending is not None:
+            pending = {pair for pair in pending if vals[pair] > floor[pair]}
+            if not pending:
+                break
     if uniform_vals != best:
         uniform = None
-    return best, argmin, uniform
+    return _Fold(best, argmin, uniform, tables, total)
 
 
 def best_response_min(arena: Arena, spec: PayoffSpec,
@@ -264,15 +285,15 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
         raise UnsupportedPayoffError(
             f"best responses are only enumerated for the positional catalog, "
             f"not {spec.format()}")
-    best, argmin, uniform = _fold_responses(arena, spec, sigma, budget)
+    fold = _fold_responses(arena, spec, sigma, budget)
 
     def stationary(table):
         return PureStationaryStrategy(P2, {s: a for (_, s), a in table.items()})
 
     return BestResponse(
-        {s: v for (_, s), v in best.items()},
-        {s: stationary(table) for (_, s), table in argmin.items()},
-        None if uniform is None else stationary(uniform))
+        {s: v for (_, s), v in fold.best.items()},
+        {s: stationary(table) for (_, s), table in fold.argmin.items()},
+        None if fold.uniform is None else stationary(fold.uniform))
 
 
 @dataclass(frozen=True)
@@ -355,7 +376,35 @@ def product_values(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,
     upper bound on the true guarantee.
     """
     sigma.check_in(arena)
-    return _fold_responses(arena, spec, sigma, budget)[0]
+    return _fold_responses(arena, spec, sigma, budget).best
+
+
+class FloorCheck(NamedTuple):
+    """`guarantee_exceeds`'s answer: the (memory, state) pairs whose
+    guarantee lies strictly above their floor, each with that exact
+    guarantee (empty when responses hold every pair to its floor), and
+    the response tables evaluated out of the full fold's."""
+
+    above: dict[tuple, Fraction]
+    tables: int
+    total: int
+
+
+def guarantee_exceeds(arena: Arena, spec: PayoffSpec,
+                      sigma: FiniteMemoryStrategy,
+                      floor: dict[tuple, Fraction],
+                      budget: int = DEFAULT_BUDGET) -> FloorCheck:
+    """Does sigma's guarantee (`product_values`) exceed `floor` at some
+    listed (memory, state) pair?  The response fold stops once every
+    listed pair has met a response at or below its floor, so it usually
+    evaluates a few tables, not all of them.  A pair above its floor was
+    never held there, so the fold ran to the end and its guarantee is
+    exact.  The budget applies to the full fold, before any table is
+    evaluated."""
+    sigma.check_in(arena)
+    fold = _fold_responses(arena, spec, sigma, budget, floor)
+    return FloorCheck({pair: fold.best[pair] for pair, v in floor.items()
+                       if fold.best[pair] > v}, fold.tables, fold.total)
 
 
 def weakness_set(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,

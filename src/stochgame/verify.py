@@ -7,8 +7,11 @@ Searches are refuters: a refuted report always embeds a witness that
 replays.  A submixing witness found by the closed-form sweep is re-evaluated
 through the ordinary shuffle/evaluation path before being returned.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
-minimizer's responses are enumerated over a bounded class that is recorded
-in the report.
+minimizer's responses range over a bounded class that is recorded in the
+report.  Each memory candidate is decided against the stationary floor,
+the best stationary guarantee: its responses are enumerated only until
+every state is held to the floor, so a candidate's guarantee is computed
+exactly only where it beats the floor.
 """
 
 from __future__ import annotations
@@ -84,11 +87,15 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     Positional payoffs get the exact grid saddle point plus a best-response
     re-verification of the certified strategy.  Half-positional-only payoffs
     get a bounded refutation sweep: seeded finite-memory candidates (up to
-    `memory_bound` memories) try to beat the best stationary strategy, all
-    values computed against stationary responses on the respective memory
-    products (`solve.product_values`).  A candidate that beats it at
-    some state is reported as the witness.  `memory_bound` and `candidates`
-    must be at least 1 (`ValueError`).
+    `memory_bound` memories) try to beat the best stationary guarantee, the
+    floor, against stationary responses on their memory products.  Each
+    candidate is decided against the floor (`solve.guarantee_exceeds`): its
+    responses are enumerated until every state is held to the floor, so its
+    guarantee is exact only at the states where it beats the floor.  The
+    first candidate that beats it somewhere is reported as the witness,
+    with those exact guarantees.  `quantities["stats"]` counts the response
+    tables evaluated and the tables the full enumeration would evaluate.
+    `memory_bound` and `candidates` must be at least 1 (`ValueError`).
     """
     started = time.perf_counter()
     if memory_bound < 1:
@@ -129,19 +136,21 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     try:
         v_plus, sigma_plus = _stationary_guarantees(arena, spec, budget)
         cand_count = 0
+        stats = {"response_tables": 0, "response_tables_full": 0}
         for _ in range(candidates):
             cand = _random_memory_strategy(arena, rng, memory_bound)
-            guaranteed = solve.product_values(arena, spec, cand, budget)
+            check = solve.guarantee_exceeds(
+                arena, spec, cand,
+                {(cand.initial, s): v_plus[s] for s in arena.states}, budget)
             cand_count += 1
-            beats = {s: (guaranteed[(cand.initial, s)], v_plus[s])
-                     for s in arena.states
-                     if guaranteed[(cand.initial, s)] > v_plus[s]}
-            if beats:
+            stats["response_tables"] += check.tables
+            stats["response_tables_full"] += check.total
+            if check.above:
                 return _finish(VerificationReport(
-                    "halfpos", instance, "refuted",
+                    "halfpos", instance, "refuted", {"stats": stats},
                     witness={"strategy": cand.to_json(),
-                             "values": {s: [str(a), str(b)]
-                                        for s, (a, b) in beats.items()}},
+                             "values": {s: [str(v), str(v_plus[s])]
+                                        for (_, s), v in check.above.items()}},
                 ), started)
     except solve.BudgetError as e:
         return _finish(VerificationReport(
@@ -152,6 +161,7 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
          "best_stationary": sigma_plus.choice,
          "candidates_swept": cand_count,
          "response_class": "deterministic stationary on the memory product",
+         "stats": stats,
          "exact": False}), started)
 
 

@@ -5,16 +5,17 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from stochgame.arena import P1, P2, Arena, FinitePlay, LassoPlay, random_arena, sample_play
-from stochgame.chain import bottom_classes, induce_chain
+from stochgame.chain import ProductSkeleton, bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import parse_payoff_spec, reward
 from stochgame.solve import (
-    DEFAULT_BUDGET, _fold_responses, brute_force_value, node_values,
-    product_values, weakness_set,
+    DEFAULT_BUDGET, BudgetError, _fold_responses, brute_force_value,
+    guarantee_exceeds, node_values, product_values, weakness_set,
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
@@ -103,23 +104,31 @@ def _mirror_strategy(sigma_fm, table):
         {(m, s): {a: F(1)} for (m, s), a in table.items()})
 
 
-def _product_values_oracle(arena, spec, sigma):
-    """The minimizer's response tables on sigma's memory product, each
-    played by its own mirror strategy and evaluated by `node_values` on its
-    own `induce_chain` chain: per (memory, state) the minimum and the first
-    table reaching it, the last table reaching every minimum at once (or
-    None), and how many tables' chains have several bottom classes."""
+def _response_tables_oracle(arena, spec, sigma):
+    """The minimizer's response tables on sigma's memory product in
+    `itertools.product` order, each played by its own mirror strategy and
+    evaluated by `node_values` on its own `induce_chain` chain: the table,
+    its value at each (memory, state), and its chain's bottom classes."""
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     seeds = [(s, m, m) for m, s in pairs]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
-    best, argmin = {}, {}
-    uniform = uniform_vals = None
-    several = 0
     for combo in itertools.product(*(arena.available[s] for _, s in p2_pairs)):
         table = dict(zip(p2_pairs, combo))
         tau = _mirror_strategy(sigma, table)
-        vals = dict(zip(pairs, node_values(arena, spec, sigma, tau, seeds)))
-        several += len(bottom_classes(induce_chain(arena, sigma, tau, seeds))) > 1
+        yield (table,
+               dict(zip(pairs, node_values(arena, spec, sigma, tau, seeds))),
+               bottom_classes(induce_chain(arena, sigma, tau, seeds)))
+
+
+def _product_values_oracle(arena, spec, sigma):
+    """Per (memory, state) the minimum over the response tables and the
+    first table reaching it, the last table reaching every minimum at once
+    (or None), and how many tables' chains have several bottom classes."""
+    best, argmin = {}, {}
+    uniform = uniform_vals = None
+    several = 0
+    for table, vals, classes in _response_tables_oracle(arena, spec, sigma):
+        several += len(classes) > 1
         for pair, v in vals.items():
             if pair not in best or v < best[pair]:
                 best[pair] = v
@@ -177,10 +186,123 @@ def test_response_fold_matches_the_induce_chain_enumeration(name, kind):
                       _randomized_memory_strategy(arena, rng, 2)):
             best, argmin, uniform, multi = _product_values_oracle(arena, spec,
                                                                   sigma)
-            assert _fold_responses(arena, spec, sigma, DEFAULT_BUDGET) \
+            fold = _fold_responses(arena, spec, sigma, DEFAULT_BUDGET)
+            assert (fold.best, fold.argmin, fold.uniform) \
                 == (best, argmin, uniform)
+            assert fold.tables == fold.total == _table_count(arena, sigma)
             several += multi
     assert several  # some response chains have several bottom classes
+
+
+def _table_count(arena, sigma):
+    return prod(len(arena.available[s]) for _ in sigma.memory_states
+                for s in arena.player_states(P2))
+
+
+def _picks(monkeypatch):
+    """Count the response tables evaluated, as chains picked from a
+    product skeleton."""
+    picked = []
+    pick = ProductSkeleton.pick
+
+    def counting(self, choice):
+        picked.append(choice)
+        return pick(self, choice)
+
+    monkeypatch.setattr(ProductSkeleton, "pick", counting)
+    return picked
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("mean", "reward"), ("posavg", "reward"), ("meancobuchi:100", "cobuchi"),
+    ("optgenmean:2", "vector2"), ("counter+inf", "increment")])
+def test_guarantee_exceeds_returns_the_pairs_above_their_floor(name, kind):
+    # floors below, at and above product_values at a random subset of the
+    # pairs (on odd seeds none below): exactly the pairs strictly above come
+    # back, with their values
+    spec = parse_payoff_spec(name)
+    rng = random.Random(name)
+    above = held = 0
+    for seed in range(12):
+        arena = random_arena(4, 3, seed=seed, kind=kind)
+        sigma = _random_memory_strategy(arena, rng, rng.randint(1, 2))
+        guaranteed = product_values(arena, spec, sigma)
+        offsets = ((F(0), F(1, 3), F(1)) if seed % 2
+                   else (F(-1), F(-1, 3), F(0), F(1)))
+        floor = {pair: v + rng.choice(offsets)
+                 for pair, v in guaranteed.items() if rng.random() < 0.6}
+        check = guarantee_exceeds(arena, spec, sigma, floor)
+        want = {pair: guaranteed[pair] for pair in floor
+                if guaranteed[pair] > floor[pair]}
+        assert check.above == want
+        assert check.total == _table_count(arena, sigma)
+        assert check.tables == _stop_oracle(arena, spec, sigma, floor)
+        above += bool(want)
+        held += not want
+    assert above and held
+
+
+def _stop_oracle(arena, spec, sigma, floor):
+    """How many response tables, in order, it takes until every pair of
+    `floor` has met a table valued at or below its floor; all of them if
+    some pair never does."""
+    pending = set(floor)
+    for n, (_, vals, _) in enumerate(
+            _response_tables_oracle(arena, spec, sigma), 1):
+        pending = {pair for pair in pending if vals[pair] > floor[pair]}
+        if not pending:
+            return n
+    return n
+
+
+def test_guarantee_exceeds_holds_a_floor_at_the_guarantee():
+    # a guarantee equal to its floor does not exceed it, and the fold stops
+    # at the table where the last pair first reaches its minimum
+    spec = parse_payoff_spec("posavg")
+    rng = random.Random(5)
+    stopped_early = 0
+    for seed in range(8):
+        arena = random_arena(4, 3, seed=seed)
+        sigma = _random_memory_strategy(arena, rng, 2)
+        guaranteed = product_values(arena, spec, sigma)
+        check = guarantee_exceeds(arena, spec, sigma, guaranteed)
+        assert check.above == {}
+        assert check.tables == _stop_oracle(arena, spec, sigma, guaranteed)
+        stopped_early += check.tables < check.total
+    assert stopped_early
+
+
+def test_guarantee_exceeds_stops_after_one_table_above_every_value(monkeypatch):
+    spec = parse_payoff_spec("meancobuchi:100")
+    arena = random_arena(4, 3, seed=3, kind="cobuchi")
+    sigma = _random_memory_strategy(arena, random.Random(3), 2)
+    total = _table_count(arena, sigma)
+    assert total > 1
+    picked = _picks(monkeypatch)
+    guaranteed = product_values(arena, spec, sigma)
+    assert len(picked) == total
+    picked.clear()
+    check = guarantee_exceeds(arena, spec, sigma,
+                              {pair: F(101) for pair in guaranteed})
+    assert check == ({}, 1, total)
+    assert len(picked) == 1
+
+
+def test_guarantee_exceeds_checks_the_budget_before_any_table(monkeypatch):
+    arena = random_arena(4, 3, seed=3)
+    sigma = _random_memory_strategy(arena, random.Random(3), 2)
+    total = _table_count(arena, sigma)
+    picked = _picks(monkeypatch)
+    floor = {(sigma.initial, s): F(2) for s in arena.states}
+    for call in (guarantee_exceeds, product_values):
+        args = (floor,) if call is guarantee_exceeds else ()
+        with pytest.raises(BudgetError,
+                           match=f"^{total} responses exceed budget {total - 1}$"):
+            call(arena, parse_payoff_spec("posavg"), sigma, *args,
+                 budget=total - 1)
+    assert picked == []
+    assert guarantee_exceeds(arena, parse_payoff_spec("posavg"), sigma, floor,
+                             budget=total).tables == 1
 
 
 def test_product_values_of_optimal_strategy_equals_values():

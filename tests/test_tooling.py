@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from stochgame import acceptance, cli
+from stochgame.payoff import _CATALOG
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stochgame"
@@ -165,6 +166,42 @@ def test_halfpos_sweep_rejects_a_bound_below_one(flag):
     assert proc.stderr == f"error: {flag} must be >= 1, not 0\n"
 
 
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--payoff", "genmean:2"], "payoff 'genmean' is not sweepable"),
+    (["--payoff", "counter-inf"], "payoff 'counter-inf' is not sweepable"),
+    (["--payoff", "discounted"], "payoff 'discounted' is not sweepable"),
+    (["--states", "0"], "random_arena needs num_states >= 1, not 0")])
+def test_halfpos_sweep_rejects_bad_input_before_the_loop(monkeypatch, capsys,
+                                                         args, message):
+    script = _script("halfpos_sweep")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started on bad input")
+
+    monkeypatch.setattr(script, "verify_halfpos", no_work)
+    monkeypatch.setattr(sys, "argv", ["halfpos_sweep.py", *args])
+    with pytest.raises(SystemExit) as stop:
+        script.main()
+    # a string exit code is printed to stderr as one line, with status 1
+    assert stop.value.code.startswith(f"error: {message}")
+    assert "\n" not in stop.value.code
+    assert capsys.readouterr() == ("", "")
+
+
+def test_halfpos_sweep_takes_the_payoffs_the_theorem_covers():
+    covered = {name for name, (_, shift_invariant, submixing, *_)
+               in _CATALOG.items() if shift_invariant and submixing}
+    assert set(_script("halfpos_sweep").KINDS) == covered
+
+
 def test_run_acceptance_reports_progress_on_stderr(monkeypatch, capsys):
     def holds():
         return acceptance.CriterionResult("holds", True, "fine", 0.3)
@@ -173,11 +210,7 @@ def test_run_acceptance_reports_progress_on_stderr(monkeypatch, capsys):
         return acceptance.CriterionResult("fails", False, "broken", 0.5)
 
     monkeypatch.setattr(acceptance, "CRITERIA", (holds, fails))
-    spec = importlib.util.spec_from_file_location(
-        "run_acceptance", ROOT / "scripts" / "run_acceptance.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main() == 1
+    assert _script("run_acceptance").main() == 1
     out, err = capsys.readouterr()
     assert out == "[PASS] holds: fine (0.3s)\n[FAIL] fails: broken (0.5s)\n"
     lines = err.splitlines()

@@ -1,7 +1,9 @@
 """Theorem harness: half-positionality checks, refutation searches, reset
 threshold checks, the letter-game counter-example, stopped-value suites."""
 
+import collections
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from stochgame.payoff import (
 from stochgame.strategy import PartitionAtState, PureStationaryStrategy
 from stochgame.verify import (
     FlagGateError, SearchBounds, _cycle_stats, _fast_violations,
-    _stationary_guarantees, _value_changing_recurrent,
+    _random_memory_strategy, _stationary_guarantees, _value_changing_recurrent,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
@@ -78,6 +80,88 @@ def test_halfpos_sweep_posavg_small():
         assert report.verdict == "confirmed"
         assert report.quantities["exact"] is False
         assert "response_class" in report.quantities
+
+
+def _halfpos_sweep_oracle(arena, spec, budget, memory_bound, candidates, seed):
+    """The bounded sweep with every candidate's guarantee from
+    `product_values`, which enumerates all of its responses: the verdict,
+    quantities and witness of `verify_halfpos`'s structured report, without
+    the sweep's stats."""
+    rng = random.Random(seed)
+    try:
+        v_plus, sigma_plus = _stationary_guarantees(arena, spec, budget)
+        for _ in range(candidates):
+            cand = _random_memory_strategy(arena, rng, memory_bound)
+            guaranteed = solve.product_values(arena, spec, cand, budget)
+            beats = {s: [str(guaranteed[(cand.initial, s)]), str(v_plus[s])]
+                     for s in arena.states
+                     if guaranteed[(cand.initial, s)] > v_plus[s]}
+            if beats:
+                return ("refuted", {},
+                        {"strategy": cand.to_json(), "values": beats})
+    except solve.BudgetError as e:
+        return "inconclusive", {"reason": str(e)}, None
+    return ("confirmed",
+            {"stationary_values": {s: str(v_plus[s]) for s in arena.states},
+             "best_stationary": sigma_plus.choice,
+             "candidates_swept": candidates,
+             "response_class": "deterministic stationary on the memory product",
+             "exact": False},
+            None)
+
+
+def _sweep_matches_oracle(arena, spec, budget, memory_bound, candidates, seed):
+    """The structured report of `verify_halfpos` against the oracle's; the
+    verdict and the sweep's stats."""
+    report = verify_halfpos(arena, spec, budget, memory_bound, candidates, seed)
+    doc = json.loads(report.to_json())
+    stats = doc["quantities"].pop("stats", None)
+    verdict, quantities, witness = _halfpos_sweep_oracle(
+        arena, spec, budget, memory_bound, candidates, seed)
+    assert (doc["verdict"], doc["quantities"], doc["witness"]) \
+        == (verdict, json.loads(json.dumps(quantities)), witness)
+    if verdict == "inconclusive":
+        assert stats is None
+    else:
+        assert 1 <= stats["response_tables"] <= stats["response_tables_full"]
+    return verdict, stats
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("posavg", "reward"), ("meancobuchi:100", "cobuchi"),
+    ("optgenmean:2", "vector2"), ("counter+inf", "increment")])
+def test_floor_decided_sweep_reports_what_the_full_enumeration_reports(name,
+                                                                       kind):
+    # budget 729 keeps the oracle's full enumerations small: a larger grid
+    # or response fold is inconclusive on both sides, and at budget 26 so
+    # are most memory-3 runs
+    spec = parse_payoff_spec(name)
+    verdicts = collections.Counter()
+    saved = full = 0
+    for seed in range(6):
+        arena = random_arena(4, 3, seed=seed, kind=kind)
+        for memory_bound, budget in ((1, 729), (2, 729), (3, 729), (3, 26)):
+            verdict, stats = _sweep_matches_oracle(
+                arena, spec, budget, memory_bound, 4,
+                1000 * seed + memory_bound)
+            verdicts[verdict] += 1
+            if stats is not None:
+                saved += stats["response_tables"]
+                full += stats["response_tables_full"]
+    assert verdicts["confirmed"] and verdicts["inconclusive"], verdicts
+    assert saved < full
+
+
+def test_floor_decided_sweep_keeps_the_optgenmean_refutation():
+    # the open optgenmean:2 refutation (see CHANGES.md): a candidate beats
+    # the stationary floor against deterministic stationary responses; the
+    # floor-decided sweep reports the same witness with the same values
+    arena = random_arena(4, 3, seed=2613501048, kind="vector2")
+    spec = parse_payoff_spec("optgenmean:2")
+    verdict, stats = _sweep_matches_oracle(arena, spec, solve.DEFAULT_BUDGET,
+                                           2, 12, 3194134790)
+    assert verdict == "refuted"
+    assert stats == {"response_tables": 12, "response_tables_full": 18}
 
 
 @pytest.mark.parametrize("payoff", ["posavg", "mean"])
