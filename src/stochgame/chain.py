@@ -1,5 +1,6 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
-bottom SCCs with stationary distributions, absorption probabilities, and
+bottom SCCs with the colours they see infinitely often and, solved on first
+read, their stationary distributions; absorption probabilities; and
 discounted linear systems.  `induce_chain` builds one pair's chain; a
 `ProductSkeleton` holds every row of an enumeration's product once, and
 each pair's chain is picked from it.
@@ -12,6 +13,7 @@ no `Fraction` arithmetic happens inside an elimination."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -79,22 +81,87 @@ class InducedChain:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
 class RecurrentClassSummary:
-    """One bottom SCC: exact stationary distribution plus the stationary
-    colour weights its almost-sure payoff is computed from."""
+    """One bottom SCC of a chain.  The graph pass gives its `nodes` and
+    `colours`, the colours of its moves of positive weight: a play absorbed
+    in the class takes each of those moves infinitely often, almost surely,
+    and no other, so `colours` is the set of colours it sees infinitely
+    often.
 
-    nodes: tuple[int, ...]
-    stationary: dict[int, Fraction]
-    colour_weights: tuple[tuple[ColourToken, Fraction], ...]
-    has_potential: Optional[bool]   # increments a coboundary? (counter colours)
+    The exact stationary distribution is solved on first read of
+    `stationary` or `colour_weights` (the stationary colour weights), and
+    checked to be positive, to sum to 1 and to be really stationary.
+    `has_potential` (do the increments form a coboundary?) is found on first
+    read too, and is None unless every colour is a counter increment."""
 
-    def __post_init__(self):
-        total = sum(self.stationary.values())
+    def __init__(self, chain: InducedChain, nodes: Sequence[int]):
+        self.chain = chain
+        self.nodes = tuple(nodes)
+        self.colours = frozenset(mv.colour for node in self.nodes
+                                 for mv in chain.moves[node] if mv.weight)
+
+    @cached_property
+    def stationary(self) -> dict[int, Fraction]:
+        return self._solved[0]
+
+    @cached_property
+    def colour_weights(self) -> tuple[tuple[ColourToken, Fraction], ...]:
+        return self._solved[1]
+
+    @cached_property
+    def _solved(self):
+        """(stationary, colour_weights), from one solve."""
+        nodes = self.nodes
+        pos = {node: k for k, node in enumerate(nodes)}
+        n = len(nodes)
+        int_rows = self.chain.int_rows()
+        rows = [int_rows[node] for node in nodes]
+        # pi P = pi restricted to the class, with sum(pi) = 1 replacing one
+        # row.  The unknowns are y = pi / d row by row, which keeps the
+        # matrix integer.
+        matrix = [[0] * n for _ in range(n)]
+        for k, (d, row) in enumerate(rows):
+            for succ, num in row.items():
+                matrix[pos[succ]][k] += num
+            matrix[k][k] -= d
+        matrix[n - 1] = [d for d, _ in rows]
+        y = solve_linear(matrix, [0] * (n - 1) + [1])
+        # Exactness check: the solved distribution really is stationary.
+        # With z = y over its common denominator,
+        # sum_src z_src n[src][k] == d_k z_k.
+        common = lcm(*(x.denominator for x in y))
+        z = [x.numerator * (common // x.denominator) for x in y]
+        back = [0] * n
+        for zk, (_, row) in zip(z, rows):
+            for succ, num in row.items():
+                back[pos[succ]] += zk * num
+        if any(b != d * zk for b, zk, (d, _) in zip(back, z, rows)):
+            raise ChainError("solved class distribution is not stationary")
+        stationary = {node: d * x for node, x, (d, _) in zip(nodes, y, rows)}
+        total = sum(stationary.values())
         if total != 1:
             raise ChainError(f"stationary weights sum to {total}")
-        if any(w <= 0 for w in self.stationary.values()):
+        if any(w <= 0 for w in stationary.values()):
             raise ChainError("stationary weights must be positive")
+        # Colour weights sum pi_k * weight, over the common denominator of
+        # z and the move weights.
+        moves = [self.chain.moves[node] for node in nodes]
+        wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
+        weights: dict[ColourToken, int] = {}
+        for mvs, zk, (d, _) in zip(moves, z, rows):
+            for mv in mvs:
+                w = mv.weight
+                if w:
+                    weights[mv.colour] = weights.get(mv.colour, 0) \
+                        + d * zk * w.numerator * (wden // w.denominator)
+        return stationary, tuple((tok, Fraction(v, common * wden))
+                                 for tok, v in weights.items())
+
+    @cached_property
+    def has_potential(self) -> Optional[bool]:
+        if all(tok.kind == INCREMENT for tok in self.colours):
+            return _potential_exists(self.chain, self.nodes)
+        return None
 
 
 def induce_chain(arena: Arena, sigma, tau,
@@ -337,57 +404,12 @@ def bottom_classes(chain: InducedChain) -> list[list[int]]:
 
 
 def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
-    """Closed strongly connected components with their exact stationary
-    distributions and stationary colour weights."""
-    return [_summarize(chain, cls) for cls in bottom_classes(chain)]
+    """Closed strongly connected components, each summarized by its nodes
+    and colours; stationary distributions are solved on first read."""
+    return [RecurrentClassSummary(chain, cls) for cls in bottom_classes(chain)]
 
 
-def _summarize(chain: InducedChain, cls: list[int]) -> RecurrentClassSummary:
-    pos = {node: k for k, node in enumerate(cls)}
-    n = len(cls)
-    int_rows = chain.int_rows()
-    rows = [int_rows[node] for node in cls]
-    # pi P = pi restricted to the class, with sum(pi) = 1 replacing one row.
-    # The unknowns are y = pi / d row by row, which keeps the matrix integer.
-    matrix = [[0] * n for _ in range(n)]
-    for k, (d, row) in enumerate(rows):
-        for succ, num in row.items():
-            matrix[pos[succ]][k] += num
-        matrix[k][k] -= d
-    matrix[n - 1] = [d for d, _ in rows]
-    y = solve_linear(matrix, [0] * (n - 1) + [1])
-    # Exactness check: the solved distribution really is stationary.  With
-    # z = y over its common denominator, sum_src z_src n[src][k] == d_k z_k.
-    common = lcm(*(x.denominator for x in y))
-    z = [x.numerator * (common // x.denominator) for x in y]
-    back = [0] * n
-    for zk, (_, row) in zip(z, rows):
-        for succ, num in row.items():
-            back[pos[succ]] += zk * num
-    if any(b != d * zk for b, zk, (d, _) in zip(back, z, rows)):
-        raise ChainError("solved class distribution is not stationary")
-    stationary = {node: d * x for node, x, (d, _) in zip(cls, y, rows)}
-    # Colour weights sum pi_k * weight, over the common denominator of z
-    # and the move weights.
-    moves = [chain.moves[node] for node in cls]
-    wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
-    weights: dict[ColourToken, int] = {}
-    for mvs, zk, (d, _) in zip(moves, z, rows):
-        for mv in mvs:
-            w = mv.weight
-            if w:
-                weights[mv.colour] = weights.get(mv.colour, 0) \
-                    + d * zk * w.numerator * (wden // w.denominator)
-    colour_weights = tuple((tok, Fraction(v, common * wden))
-                           for tok, v in weights.items())
-    has_potential = None
-    if all(tok.kind == INCREMENT for tok in weights):
-        has_potential = _potential_exists(chain, cls)
-    return RecurrentClassSummary(tuple(cls), stationary, colour_weights,
-                                 has_potential)
-
-
-def _potential_exists(chain: InducedChain, cls: list[int]) -> bool:
+def _potential_exists(chain: InducedChain, cls: Sequence[int]) -> bool:
     """True iff a function phi on the class satisfies
     phi(succ) - phi(node) = increment(node, action) along every edge,
     i.e. every cycle of the class has increment sum zero."""

@@ -364,43 +364,50 @@ def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
     Only shift-invariant, class-determined payoffs are accepted; the
     discounted and geometric payoffs depend on the transient part and the
     suffix-target payoff is not determined by the class at all.
+
+    `limsup`, `liminf` and `parity` depend only on the colours seen
+    infinitely often, and so does `meancobuchi` on a class with a Buchi
+    move (value -B): these read `cls.colours` alone.  The other payoffs
+    read the stationary colour weights, whose first read solves the class's
+    stationary distribution.
     """
     if not spec.is_class_determined:
         raise PayoffError(
             f"payoff {spec.format()} is not determined by the recurrent class")
-    total = sum(w for _, w in cls.colour_weights)
-    if total != 1:
-        raise PayoffError(f"class colour weights sum to {total}, not 1")
-    toks = [t for t, _ in cls.colour_weights]
+    toks = cls.colours
     for t in toks:
         if t.kind != spec.colour_kind:
             raise ColourKindError(
                 f"payoff {spec.format()} needs {spec.colour_kind} colours")
     name = spec.name
 
-    if name == "mean":
-        return sum(w * t.value for t, w in cls.colour_weights)
     if name == "limsup":
         return max(t.value for t in toks)
     if name == "liminf":
         return min(t.value for t in toks)
     if name == "parity":
         return Fraction(max(t.value for t in toks) % 2)
+    if name == "meancobuchi" and any(t.value[1] for t in toks):
+        return -spec.penalty
+    weights = cls.colour_weights
+    total = sum(w for _, w in weights)
+    if total != 1:
+        raise PayoffError(f"class colour weights sum to {total}, not 1")
+    if name == "mean":
+        return sum(w * t.value for t, w in weights)
     if name == "posavg":
-        m = sum(w * t.value for t, w in cls.colour_weights)
+        m = sum(w * t.value for t, w in weights)
         return Fraction(1) if m > 0 else Fraction(0)
     if name in ("genmean", "optgenmean"):
-        means = [sum(w * t.value[i] for t, w in cls.colour_weights)
+        means = [sum(w * t.value[i] for t, w in weights)
                  for i in range(spec.dim)]
         if name == "genmean":
             return Fraction(1) if all(m > 0 for m in means) else Fraction(0)
         return Fraction(1) if any(m >= 0 for m in means) else Fraction(0)
     if name == "meancobuchi":
-        if any(t.value[1] for t in toks):
-            return -spec.penalty
-        return sum(w * t.value[0] for t, w in cls.colour_weights)
+        return sum(w * t.value[0] for t, w in weights)
     if name in ("counter+inf", "counter-inf"):
-        drift = sum(w * t.value for t, w in cls.colour_weights)
+        drift = sum(w * t.value for t, w in weights)
         if drift > 0:
             return Fraction(1) if name == "counter+inf" else Fraction(0)
         if drift < 0:

@@ -13,10 +13,13 @@ holding every row any of its pairs can induce: `GridSolver` one skeleton
 per arena, `_fold_responses` one per fixed maximizer strategy.  A strategy
 pair or response table is a choice vector over it, and picking the rows
 gives the pair's chain.  The pairs of one enumeration share a `ClassMemo`,
-so a bottom class that recurs with the same rows is summarized (its
-stationary distribution solved) once, and valued once per payoff.  The
-single-pair entry points (`node_values`, `martingale_check`, the stopped
-values) build their chain with `chain.induce_chain`, the general builder.
+so a bottom class that recurs with the same rows is summarized once and
+valued once per payoff.  A summary holds the class's nodes and colours; its
+stationary distribution is solved, once, only for a payoff that weighs the
+colours (see `payoff.class_value`), never for `limsup`, `liminf` or
+`parity`.  The single-pair entry points (`node_values`, `martingale_check`,
+the stopped values) build their chain with `chain.induce_chain`, the
+general builder.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .arena import P1, P2, Arena
 from .chain import (
-    InducedChain, RecurrentClassSummary, _summarize, absorption_from,
+    InducedChain, RecurrentClassSummary, absorption_from,
     bottom_classes, discounted_values, induce_chain, product_skeleton,
     solve_linear,
 )
@@ -61,6 +64,11 @@ class SaddlePointError(SolveError):
 DEFAULT_BUDGET = 2_000_000
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, not {budget}")
+
+
 def _require_evaluable(spec: PayoffSpec) -> None:
     if spec.name in ("suffixtarget", "geomfirstone"):
         raise UnsupportedPayoffError(
@@ -72,7 +80,10 @@ class ClassMemo:
     """Bottom-class summaries and class values shared by the chains of one
     enumeration, all picked from one `ProductSkeleton`.  A class is keyed
     by its nodes and the choice at each of them, which fix its rows and
-    colours; a class value is keyed by the payoff and the class key."""
+    colours; a class value is keyed by the payoff and the class key.  A
+    summary solves its stationary distribution on first read, so the memo
+    solves it at most once per class key, and only for payoffs that read
+    it."""
 
     def __init__(self):
         self.summaries: dict[tuple, RecurrentClassSummary] = {}
@@ -82,7 +93,7 @@ class ClassMemo:
                 key: tuple) -> RecurrentClassSummary:
         found = self.summaries.get(key)
         if found is None:
-            found = self.summaries[key] = _summarize(chain, cls)
+            found = self.summaries[key] = RecurrentClassSummary(chain, cls)
         return found
 
     def value(self, spec: PayoffSpec, key: tuple,
@@ -103,8 +114,9 @@ class PairEvaluator:
     choices in `memo`, which the enumeration's other pairs share.  Without
     a memo the evaluator keeps its own.  The bottom-class analysis is built
     on first use and shared by every class-determined payoff; the discounted
-    payoff never builds it.  With one bottom class, every node is absorbed
-    there, so no absorption system is solved.
+    payoff never builds it.  Absorption reads only the classes' nodes.  With
+    one bottom class, every node is absorbed there, so no absorption system
+    is solved.
     """
 
     def __init__(self, chain: InducedChain, seed_nodes: Sequence[int],
@@ -167,9 +179,11 @@ class GridSolver:
     The one-memory product skeleton, with both players' nodes open, is
     built once per arena.  Pair (i, j) is the choice vector of sigma i's
     and tau j's actions; its chain is picked on first use and kept for the
-    other payoffs.  All pairs share one `ClassMemo`."""
+    other payoffs.  All pairs share one `ClassMemo`.  A budget below 1 is a
+    `ValueError`, raised before any work."""
 
     def __init__(self, arena: Arena, budget: int = DEFAULT_BUDGET):
+        _check_budget(budget)
         self.arena = arena
         n_pairs = count_pure_stationary(arena, P1) * count_pure_stationary(arena, P2)
         if n_pairs > budget:
@@ -236,7 +250,8 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
 
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
-    `ClassMemo`."""
+    `ClassMemo`.  A budget below 1 is a `ValueError`."""
+    _check_budget(budget)
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
     total = prod(len(arena.available[s]) for _, s in p2_pairs)

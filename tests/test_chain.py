@@ -11,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochgame.arena import P1, P2, Arena, random_arena, sample_play
+from stochgame import chain as chain_module
 from stochgame.chain import (
-    ChainError, absorption_from, bottom_sccs, discounted_values,
+    ChainError, InducedChain, Move, RecurrentClassSummary, _potential_exists,
+    absorption_from, bottom_classes, bottom_sccs, discounted_values,
     induce_chain, product_skeleton, solve_linear,
 )
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
-from stochgame.payoff import discounted, increment, reward
+from stochgame.payoff import (
+    ColourKindError, class_value, discounted, increment, parse_payoff_spec,
+    priority, reward, reward_buchi,
+)
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
     strategy_from_json,
@@ -476,3 +481,153 @@ def test_potential_function_flags():
     assert drift == 0
     assert cls.has_potential is False
 
+
+
+# -- class values from the colour set, against the eager path ----------------
+
+# every class-determined payoff, by the random_arena colour kind it reads
+CLASS_PAYOFFS = {
+    "reward": ("mean", "limsup", "liminf", "posavg"),
+    "priority": ("parity",),
+    "cobuchi": ("meancobuchi:100",),
+    "vector2": ("genmean:2", "optgenmean:2"),
+    "increment": ("counter+inf", "counter-inf"),
+}
+# payoffs decided by the colours seen infinitely often (meancobuchi only on
+# a class with a Buchi move)
+COLOUR_SET_PAYOFFS = ("limsup", "liminf", "parity", "meancobuchi")
+
+
+def _eager_class_value(spec, chain, nodes):
+    """The eager path: solve the class's stationary distribution (the
+    Fraction oracle), sum its colour weights, and read every payoff off the
+    weighted colours."""
+    pi = _oracle_stationary(chain, nodes)
+    weights = {}
+    for node in nodes:
+        for mv in chain.moves[node]:
+            if mv.weight:
+                weights[mv.colour] = \
+                    weights.get(mv.colour, 0) + pi[node] * mv.weight
+    assert sum(weights.values()) == 1 and all(w > 0 for w in weights.values())
+    items = [(tok.value, w) for tok, w in weights.items()]
+    name = spec.name
+    if name == "mean":
+        return sum(w * v for v, w in items)
+    if name == "limsup":
+        return max(v for v, _ in items)
+    if name == "liminf":
+        return min(v for v, _ in items)
+    if name == "parity":
+        return F(max(v for v, _ in items) % 2)
+    if name == "posavg":
+        return F(int(sum(w * v for v, w in items) > 0))
+    if name in ("genmean", "optgenmean"):
+        means = [sum(w * v[i] for v, w in items) for i in range(spec.dim)]
+        if name == "genmean":
+            return F(int(all(m > 0 for m in means)))
+        return F(int(any(m >= 0 for m in means)))
+    if name == "meancobuchi":
+        if any(v[1] for v, _ in items):
+            return -spec.penalty
+        return sum(w * v[0] for v, w in items)
+    drift = sum(w * v for v, w in items)
+    if drift == 0:
+        return F(int(not _potential_exists(chain, nodes)))
+    return F(int((drift > 0) == (name == "counter+inf")))
+
+
+def _lazy_class_values(specs, chain, nodes):
+    """class_value on one fresh summary per payoff, and whether each read
+    solved the stationary distribution."""
+    out = []
+    for spec in specs:
+        summary = RecurrentClassSummary(chain, nodes)
+        out.append((class_value(spec, summary), "_solved" in vars(summary)))
+    return out
+
+
+def _sample_chains(arena, rng):
+    """Picked chains (the stationary grid's skeleton, and the response
+    skeletons of 1- and 2-memory maximizer strategies, pure and mixed) and
+    induced chains of the same strategies against a stationary minimizer."""
+    sigmas = [_random_memory_strategy(arena, rng, 1),
+              _random_memory_strategy(arena, rng, 2),
+              _mixed_two_memory(arena, rng)]
+    for sigma in [None] + sigmas:
+        skeleton = product_skeleton(arena, sigma)
+        for _ in range(3):
+            yield skeleton.pick([rng.randrange(len(opts))
+                                 for opts in skeleton.moves])
+    tau = _first_choice(arena, P2)
+    for sigma in sigmas:
+        yield induce_chain(arena, sigma, tau, [
+            (s, m, tau.initial) for s in arena.states
+            for m in sigma.memory_states])
+
+
+@pytest.mark.parametrize("kind", sorted(CLASS_PAYOFFS))
+@pytest.mark.parametrize("seed", range(0, 60, 3))
+def test_class_values_match_the_eager_path(kind, seed):
+    # every class-determined payoff, on the bottom classes of picked and
+    # induced chains: the value is the eager path's Fraction, and only the
+    # payoffs that weigh colours solve the stationary distribution
+    rng = random.Random(seed)
+    arena = random_arena(4, 3, seed=seed, density=(F(0), F(1, 2))[seed % 2],
+                         kind=kind)
+    specs = [parse_payoff_spec(name) for name in CLASS_PAYOFFS[kind]]
+    for chain in _sample_chains(arena, rng):
+        for nodes in bottom_classes(chain):
+            colours = RecurrentClassSummary(chain, nodes).colours
+            buchi = kind == "cobuchi" and any(tok.value[1] for tok in colours)
+            got = _lazy_class_values(specs, chain, nodes)
+            for spec, (value, solved) in zip(specs, got):
+                assert type(value) is F, spec
+                assert value == _eager_class_value(spec, chain, nodes), spec
+                assert solved == (spec.name not in COLOUR_SET_PAYOFFS or (
+                    spec.name == "meancobuchi" and not buchi)), spec
+
+
+def _zero_weight_chain(top, colour):
+    """One node whose move of weight 1 has colour `colour(1)` and whose move
+    of weight 0 has colour `top`: the class sees only `colour(1)`."""
+    stay = ((0, F(1)),)
+    return InducedChain((("s", "m0", "m0"),),
+                        ((Move("a", F(1), colour(1), stay),
+                          Move("b", F(0), top, stay)),),
+                        {("s", "m0", "m0"): 0})
+
+
+@pytest.mark.parametrize("name, top, colour, want", [
+    ("limsup", reward(5), reward, F(1)),
+    ("liminf", reward(-5), reward, F(1)),
+    ("parity", priority(3), lambda _: priority(2), F(0)),
+    ("meancobuchi:100", reward_buchi(7, True),
+     lambda r: reward_buchi(r, False), F(1)),
+    ("mean", reward(5), reward, F(1)),
+])
+def test_a_move_of_weight_zero_adds_no_colour(name, top, colour, want):
+    chain = _zero_weight_chain(top, colour)
+    (cls,) = bottom_sccs(chain)
+    assert cls.colours == {colour(1)}
+    spec = parse_payoff_spec(name)
+    assert class_value(spec, cls) == want
+    assert _eager_class_value(spec, chain, [0]) == want
+
+
+def test_a_colour_set_payoff_checks_the_kind_before_any_solve(monkeypatch):
+    # the wrong colour kind is the same error, now raised from the colour
+    # set alone, before any stationary solve
+    solves = []
+    monkeypatch.setattr(chain_module, "solve_linear",
+                        lambda *args: solves.append(args))
+    e3 = build_e3()
+    chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
+    for name in ("parity", "counter+inf"):
+        spec = parse_payoff_spec(name)
+        for cls in bottom_sccs(chain):
+            with pytest.raises(ColourKindError) as raised:
+                class_value(spec, cls)
+            assert str(raised.value) == \
+                f"payoff {name} needs {spec.colour_kind} colours"
+    assert solves == []

@@ -434,6 +434,31 @@ def test_best_response_over_budget_is_a_usage_error(tmp_path, capsys):
                                 "error: 6 responses exceed budget 1\n")
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["solve", E2, "--payoff", "mean"],
+    ["best-response", E2, "--payoff", "mean", "--sigma", "SIGMA"],
+    ["classify", E2, "--payoff", "mean"],
+    ["verify", "halfpos", E2, "--payoff", "parity"],
+    ["verify", "halfpos", "random:states=4,actions=3,seed=7",
+     "--payoff", "posavg"],
+], ids=["solve", "best-response", "classify", "halfpos", "halfpos-sweep"])
+def test_a_budget_below_one_is_a_usage_error(tmp_path, capsys, argv, budget):
+    # a budget that admits no strategy pair is an input error, not an
+    # inconclusive report or an over-budget enumeration
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text('{"s": "stay", "t": "loop"}')
+    argv = [str(sigma) if arg == "SIGMA" else arg for arg in argv]
+    _assert_one_error_line(*run_capture(capsys, [*argv, "--budget", budget]),
+                           f"budget must be >= 1, not {budget}")
+
+
+def test_a_payoff_of_the_wrong_colour_kind_keeps_its_message(capsys):
+    # parity on a reward game is refused from the classes' colours
+    assert run_capture(capsys, ["solve", E2, "--payoff", "parity"]) == (
+        EXIT_USAGE, "", "error: payoff parity needs priority colours\n")
+
+
 def test_martingale_rejects_an_unknown_source(capsys):
     _assert_one_error_line(*run_capture(
         capsys, ["martingale", E2, "--payoff", "mean", "--sigma", WEAK,

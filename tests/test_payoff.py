@@ -294,14 +294,16 @@ def test_submixing_parity_random_sweep(cu, cv, a, b):
 # -- class values ---------------------------------------------------------------
 
 def _summary(colour_weights, has_potential=None):
+    # a summary holding what a solved class holds, one node per colour
     from stochgame.chain import RecurrentClassSummary
-    total = sum(w for _, w in colour_weights)
     n = len(colour_weights)
-    return RecurrentClassSummary(
-        nodes=tuple(range(n)),
-        stationary={i: colour_weights[i][1] for i in range(n)},
-        colour_weights=tuple(colour_weights),
-        has_potential=has_potential)
+    cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
+    cls.nodes = tuple(range(n))
+    cls.colours = frozenset(tok for tok, _ in colour_weights)
+    cls.stationary = {i: colour_weights[i][1] for i in range(n)}
+    cls.colour_weights = tuple(colour_weights)
+    cls.has_potential = has_potential
+    return cls
 
 
 def test_class_value_single_state():
@@ -343,6 +345,7 @@ def test_class_value_rejects_bad_weights():
     from stochgame.chain import RecurrentClassSummary
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
     object.__setattr__(cls, "nodes", (0,))
+    object.__setattr__(cls, "colours", frozenset({reward(1)}))
     object.__setattr__(cls, "stationary", {0: Fraction(1)})
     object.__setattr__(cls, "colour_weights", ((reward(1), Fraction(1, 2)),))
     object.__setattr__(cls, "has_potential", None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochgame import chain as chain_module
 from stochgame import solve
 from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.chain import (
@@ -254,6 +255,51 @@ def test_brute_force_value_one_state():
 def test_brute_force_budget_gate():
     with pytest.raises(BudgetError):
         brute_force_value(random_arena(4, 3, seed=1), mean, budget=1)
+
+
+def test_a_budget_below_one_is_rejected_before_any_work(monkeypatch):
+    # budget 1 stays a valid budget that no arena of two pairs fits
+    def no_work(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(solve, "product_skeleton", no_work)
+    arena = random_arena(4, 3, seed=1)
+    sigma = next(enumerate_pure_stationary(arena, P1))
+    for budget in (0, -1):
+        message = f"^budget must be >= 1, not {budget}$"
+        with pytest.raises(ValueError, match=message) as raised:
+            brute_force_value(arena, mean, budget=budget)
+        assert not isinstance(raised.value, BudgetError)
+        with pytest.raises(ValueError, match=message):
+            best_response_min(arena, mean, sigma, budget)
+        with pytest.raises(ValueError, match=message):
+            solve.product_values(arena, mean, sigma, budget)
+    with pytest.raises(BudgetError):
+        brute_force_value(arena, mean, budget=1)
+
+
+def test_parity_grid_on_one_class_arena_solves_no_linear_system(monkeypatch):
+    # at density 1 every pair's chain is one bottom class, so no absorption
+    # system is solved, and parity reads only the class's colours; the mean
+    # grid on the same arena does solve the classes' distributions
+    solved = []
+    solve_linear = chain_module.solve_linear
+
+    def counting(matrix, rhs):
+        solved.append(len(matrix))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(chain_module, "solve_linear", counting)
+    arena = random_arena(4, 3, density=F(1), seed=3, kind="priority")
+    grid = solve.GridSolver(arena)
+    assert len(grid.sigmas) * len(grid.taus) > 1
+    assert all(len(bottom_classes(induce_chain(arena, sigma, tau))) == 1
+               for sigma in grid.sigmas for tau in grid.taus)
+    vv = brute_force_value(arena, par, grid=grid)
+    assert best_response_min(arena, par, vv.sigma_star).values == vv.values
+    assert solved == []
+    brute_force_value(random_arena(4, 3, density=F(1), seed=3), mean)
+    assert solved
 
 
 def test_discounted_grid_never_builds_class_analysis(monkeypatch):
