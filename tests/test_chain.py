@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochgame.arena import P1, P2, Arena, random_arena, sample_play
 from stochgame import chain as chain_module
+from stochgame.arena import P1, P2, Arena, random_arena, sample_play
 from stochgame.chain import (
     ChainError, InducedChain, Move, RecurrentClassSummary, _potential_exists,
     absorption_from, bottom_classes, bottom_sccs, discounted_values,
@@ -480,7 +480,6 @@ def test_potential_function_flags():
     drift = sum(w * t.value for t, w in cls.colour_weights)
     assert drift == 0
     assert cls.has_potential is False
-
 
 
 # -- class values from the colour set, against the eager path ----------------
