@@ -3,7 +3,7 @@ information: exact game model, payoff catalog, strategy constructions, and
 the theorem-checking harness."""
 
 from .arena import (
-    P1, P2, Arena, ArenaError, FinitePlay, LassoPlay,
+    P1, P2, Arena, ArenaError, FinitePlay,
     parse_arena, print_arena, random_arena, sample_play,
 )
 from .chain import (
@@ -22,8 +22,7 @@ from .solve import (
     weakness_set,
 )
 from .strategy import (
-    FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
-    WeaknessSet, project, reset_strategy, trigger_strategy,
+    FiniteMemoryStrategy, PureStationaryStrategy, WeaknessSet, reset_strategy,
 )
 from .verify import (
     VerificationReport, doob_suite, reproduce_counterexample,

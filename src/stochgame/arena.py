@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .payoff import (
-    ColourToken, Lasso, colour_from_json, colour_to_json,
+    ColourToken, colour_from_json, colour_to_json,
     discounted, increment, letter, priority, reward, reward_buchi, vector,
 )
 
@@ -141,55 +141,6 @@ class FinitePlay:
             if a not in arena.available[self.states[i]]:
                 raise ArenaError(
                     f"action {a} not available at {self.states[i]} (step {i})")
-
-    def colours(self, arena: Arena) -> tuple[ColourToken, ...]:
-        return tuple(arena.colour[(self.states[i], a)]
-                     for i, a in enumerate(self.actions))
-
-    def tokens(self) -> tuple:
-        """Flatten to ('s', name) / ('a', name) tokens, e.g. for shuffles."""
-        out = [("s", self.states[0])]
-        for i, a in enumerate(self.actions):
-            out.append(("a", a))
-            out.append(("s", self.states[i + 1]))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class LassoPlay:
-    """prefix . cycle^omega where the cycle returns to its own source."""
-
-    prefix: FinitePlay
-    cycle: FinitePlay
-
-    def __post_init__(self):
-        if self.cycle.source != self.cycle.target:
-            raise ArenaError("lasso cycle must return to its source")
-        if self.prefix.target != self.cycle.source:
-            raise ArenaError("lasso prefix must end at the cycle source")
-        if not self.cycle.actions:
-            raise ArenaError("lasso cycle must take at least one action")
-
-    @property
-    def source(self) -> str:
-        return self.prefix.source
-
-    def check_in(self, arena: Arena) -> None:
-        self.prefix.check_in(arena)
-        self.cycle.check_in(arena)
-
-    def colour_word(self, arena: Arena):
-        return Lasso(self.prefix.colours(arena), self.cycle.colours(arena))
-
-    def unroll(self, steps: int) -> FinitePlay:
-        states = list(self.prefix.states)
-        actions = list(self.prefix.actions)
-        i = 0
-        while len(actions) < steps:
-            actions.append(self.cycle.actions[i])
-            states.append(self.cycle.states[i + 1])
-            i = (i + 1) % len(self.cycle.actions)
-        return FinitePlay(tuple(states), tuple(actions))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def parse_payoff_spec(text: str) -> PayoffSpec:
 @dataclass(frozen=True)
 class Lasso:
     """An ultimately periodic word prefix . cycle^omega over arbitrary
-    letters (colour tokens here, play tokens in the projection tests)."""
+    letters (colour tokens here, integers in the shuffle property tests)."""
 
     prefix: tuple
     cycle: tuple

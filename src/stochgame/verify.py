@@ -804,6 +804,8 @@ def _sample_locally_optimal(arena: Arena,
     choice = {}
     for s in arena.player_states(player):
         pool = classification.value_preserving_actions(arena, s)
+        if not pool:
+            raise solve.SolveError(f"no value-preserving action at state {s}")
         choice[s] = rng.choice(pool)
     return PureStationaryStrategy(player, choice)
 

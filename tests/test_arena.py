@@ -1,6 +1,7 @@
 """Game model: parsing, validation, random generation, play sampling."""
 
 import hashlib
+import itertools
 import json
 import random
 import warnings
@@ -12,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochgame.arena import (
-    P1, P2, Arena, ArenaError, FinitePlay, LassoPlay,
+    P1, P2, Arena, ArenaError, FinitePlay,
     parse_arena, print_arena, random_arena, sample_play,
 )
 from stochgame.fixtures import build_e2, build_e3, build_fig1
 from stochgame.payoff import reward
 from stochgame.strategy import (
-    FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
-    StrategyError, WeaknessSet, reset_strategy, trigger_strategy,
+    FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
+    reset_strategy,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
@@ -144,26 +145,6 @@ def test_play_availability_is_syntactic():
         FinitePlay(("t", "t"), ("nope",)).check_in(e3)
 
 
-def test_lasso_play_validation():
-    e2 = build_e2()
-    prefix = FinitePlay(("s",), ())
-    cycle = FinitePlay(("s", "s"), ("stay",))
-    lasso = LassoPlay(prefix, cycle)
-    lasso.check_in(e2)
-    assert lasso.unroll(3).states == ("s", "s", "s", "s")
-    with pytest.raises(ArenaError):
-        LassoPlay(prefix, FinitePlay(("s", "t"), ("go",)))
-
-
-def test_colour_word_of_lasso():
-    e2 = build_e2()
-    lasso = LassoPlay(FinitePlay(("s", "t"), ("go",)),
-                      FinitePlay(("t", "t"), ("loop",)))
-    word = lasso.colour_word(e2)
-    assert word.prefix == (reward(0),)
-    assert word.cycle == (reward(1),)
-
-
 # -- sampling ----------------------------------------------------------------------
 
 def _unique_strategies(arena):
@@ -282,10 +263,10 @@ def _draw_oracle(dist, rng):
     return items[-1][0]
 
 
-def _mixed_memory_strategy(arena, player, rng, memories=2):
-    """Random Mealy strategy: sparse memory updates (the rest keep the
-    memory) and rational action laws, some with zero-weight entries."""
-    mems = tuple(f"m{i}" for i in range(memories))
+def _mixed_memory_strategy(arena, player, rng, mems=("m0", "m1")):
+    """Random Mealy strategy over the memories `mems`: sparse memory updates
+    (the rest keep the memory) and rational action laws, some with
+    zero-weight entries."""
     update = {(m, s, a, t): rng.choice(mems)
               for m in mems for s in arena.states
               for a in arena.available[s] for t in arena.states
@@ -302,24 +283,17 @@ def _mixed_memory_strategy(arena, player, rng, memories=2):
 
 def _oracle_pairs(arena, rng):
     """Strategy pairs for one arena: mixed 2-memory on both sides, the reset
-    construction against a trigger strategy where a maximizer state has two
-    actions to split, and both players' first actions."""
+    construction against a mixed minimizer with 8 tuple-named memories (a
+    product of three 2-memory automata), and both players' first actions."""
     sigma = _mixed_memory_strategy(arena, P1, rng)
     tau = _mixed_memory_strategy(arena, P2, rng)
     weak = WeaknessSet(frozenset((m, s) for m in sigma.memory_states
                                  for s in arena.states if rng.random() < 0.3),
                        Fraction(0), {}, {})
-    pairs = [(sigma, tau), (reset_strategy(sigma, weak, arena), tau),
-             _unique_strategies(arena)]
-    pivots = [s for s in arena.player_states(P1) if len(arena.available[s]) > 1]
-    if pivots:
-        acts = arena.available[pivots[0]]
-        split = PartitionAtState(pivots[0], frozenset(acts[:1]),
-                                 frozenset(acts[1:]))
-        trigger = trigger_strategy(tau, _mixed_memory_strategy(arena, P2, rng),
-                                   split, arena)
-        pairs.append((reset_strategy(sigma, weak, arena), trigger))
-    return pairs
+    tuples = tuple(itertools.product((0, 1), ("m0", "m1"), ("m0", "m1")))
+    reset = reset_strategy(sigma, weak, arena)
+    return [(sigma, tau), (reset, tau), _unique_strategies(arena),
+            (reset, _mixed_memory_strategy(arena, P2, rng, tuples))]
 
 
 @pytest.mark.parametrize("seed", range(50))

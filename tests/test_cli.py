@@ -296,6 +296,14 @@ def test_doob_cli(capsys):
     assert code == EXIT_OK
 
 
+def test_doob_without_a_value_preserving_action_is_a_usage_error(capsys):
+    # a discounted value is no martingale: at s2 every action changes it
+    assert run_capture(capsys, [
+        "doob", "random:states=3,actions=3,seed=0,kind=discounted",
+        "--payoff", "discounted"]) == (
+        EXIT_USAGE, "", "error: no value-preserving action at state s2\n")
+
+
 @pytest.mark.parametrize("game, payoff, seed", [
     (E3, "mean", "3654591116"),
     (str(CORPUS / "e3_parity.game"), "parity", "131"),

@@ -1,5 +1,5 @@
-"""Strategy types and the three constructions: weakness/reset, projections,
-trigger strategy."""
+"""Strategy types, serialization, product values and the weakness/reset
+construction."""
 
 import dataclasses
 import itertools
@@ -9,18 +9,17 @@ from math import prod
 
 import pytest
 
-from stochgame.arena import P1, P2, Arena, FinitePlay, LassoPlay, random_arena, sample_play
+from stochgame.arena import P1, P2, random_arena
 from stochgame.chain import ProductSkeleton, bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
-from stochgame.payoff import parse_payoff_spec, reward
+from stochgame.payoff import parse_payoff_spec
 from stochgame.solve import (
     DEFAULT_BUDGET, BudgetError, _fold_responses, brute_force_value,
     guarantee_exceeds, node_values, product_values, weakness_set,
 )
 from stochgame.strategy import (
-    FiniteMemoryStrategy, PartitionAtState, PureStationaryStrategy,
-    StrategyError, factor_pattern, play_tokens,
-    project, reset_strategy, strategy_from_json, trigger_strategy,
+    FiniteMemoryStrategy, PureStationaryStrategy, StrategyError,
+    reset_strategy, strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
 
@@ -51,13 +50,26 @@ def test_pure_strategy_is_the_one_memory_finite_memory_strategy():
         sigma.choice = {}
 
 
+def _tuple_memory_strategy():
+    """Memories named by tuples, one of them nested, as a product of memory
+    automata names them; JSON writes them as lists."""
+    mems = ((0, "m0"), (1, ("m0", "m1")))
+    choices = {(m, "s"): {"go": F(1, 2), "stay": F(1, 2)} for m in mems}
+    choices.update({(m, "t"): {"loop": F(1)} for m in mems})
+    return FiniteMemoryStrategy(
+        P1, mems, mems[1],
+        {(mems[0], "s", "stay", "s"): mems[1],
+         (mems[1], "s", "go", "t"): mems[0]}, choices)
+
+
 def test_finite_memory_round_trip():
-    _, sigma, _ = build_weak_memory_fixture()
-    again = strategy_from_json(sigma.to_json(), P1)
-    assert again.memory_states == sigma.memory_states
-    assert again.initial == sigma.initial
-    assert again.update == dict(sigma.update)
-    assert again.choices == sigma.choices
+    for sigma in (build_weak_memory_fixture()[1], _tuple_memory_strategy()):
+        sigma.check_in(build_e2())
+        again = strategy_from_json(sigma.to_json(), P1)
+        assert again.memory_states == sigma.memory_states
+        assert again.initial == sigma.initial
+        assert again.update == dict(sigma.update)
+        assert again.choices == sigma.choices
 
 
 def test_check_in_catches_bad_choices():
@@ -420,221 +432,3 @@ def test_reset_weakness_gone_at_same_epsilon():
     weak_hat = weakness_set(arena, mean, hat, eps, values=vv.values)
     reachable = {("m0", "s"), ("m0", "t"), ("m1", "t")}
     assert not (weak_hat.pairs & reachable)
-
-
-# -- projections ------------------------------------------------------------------
-
-def _loop_arena():
-    """Pivot with two self-loop actions on either side plus a detour."""
-    return Arena(
-        states=("s", "x"),
-        owner={"s": P1, "x": P1},
-        available={"s": ("a", "b"), "x": ("back",)},
-        transition={("s", "a"): {"s": F(1)}, ("s", "b"): {"s": F(1)},
-                    ("x", "back"): {"s": F(1)}},
-        colour={("s", "a"): reward(1), ("s", "b"): reward(-1),
-                ("x", "back"): reward(0)})
-
-
-def _split():
-    return PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
-
-
-def test_project_finite_play():
-    play = FinitePlay(("s", "s", "s", "s"), ("b", "a", "b"))
-    p0 = project(play, _split(), 0)
-    p1 = project(play, _split(), 1)
-    assert p0.states == ("s", "s") and p0.actions == ("a",)
-    assert p1.states == ("s", "s", "s") and p1.actions == ("b", "b")
-
-
-def test_project_keeps_open_factor():
-    arena = Arena(
-        states=("s", "x"), owner={"s": P1, "x": P1},
-        available={"s": ("a", "b"), "x": ("back",)},
-        transition={("s", "a"): {"x": F(1)}, ("s", "b"): {"s": F(1)},
-                    ("x", "back"): {"s": F(1)}},
-        colour={("s", "a"): reward(0), ("s", "b"): reward(0),
-                ("x", "back"): reward(0)})
-    play = FinitePlay(("s", "s", "s", "x"), ("b", "b", "a"))
-    p0 = project(play, _split(), 0)
-    assert p0.states == ("s", "x") and p0.actions == ("a",)
-
-
-def test_project_requires_pivot_source():
-    play = FinitePlay(("x", "s"), ("back",))
-    with pytest.raises(StrategyError):
-        project(play, _split(), 0)
-
-
-def test_project_lasso_one_sided_cycle_gives_finite_play():
-    # the cycle never uses side 0, so that projection is a finite play
-    play = LassoPlay(FinitePlay(("s", "s"), ("a",)),
-                     FinitePlay(("s", "s"), ("b",)))
-    p0 = project(play, _split(), 0)
-    p1 = project(play, _split(), 1)
-    assert isinstance(p0, FinitePlay)
-    assert p0.states == ("s", "s") and p0.actions == ("a",)
-    assert isinstance(p1, LassoPlay)
-    assert p1.cycle.actions == ("b",)
-
-
-def test_project_never_selected_side_is_single_state():
-    play = LassoPlay(FinitePlay(("s",), ()), FinitePlay(("s", "s"), ("b",)))
-    p0 = project(play, _split(), 0)
-    assert isinstance(p0, FinitePlay)
-    assert p0.states == ("s",) and not p0.actions
-
-
-def test_project_alternating_cycle_both_infinite():
-    play = LassoPlay(FinitePlay(("s",), ()),
-                     FinitePlay(("s", "s", "s"), ("a", "b")))
-    p0 = project(play, _split(), 0)
-    p1 = project(play, _split(), 1)
-    assert isinstance(p0, LassoPlay) and isinstance(p1, LassoPlay)
-    # both projections return to the pivot forever
-    assert p0.cycle.actions == ("a",) and p1.cycle.actions == ("b",)
-
-
-def test_project_lasso_with_pivot_only_in_prefix():
-    arena = _loop_arena()
-    play = LassoPlay(FinitePlay(("s", "s", "x"), ("a", "b")),
-                     FinitePlay(("x", "x"), ("back",)))
-    # not a valid arena play (x loops via back->s only), but projections are
-    # syntactic; the open tail after the last pivot visit belongs to side 1
-    p1 = project(play, _split(), 1)
-    assert isinstance(p1, LassoPlay)
-    p0 = project(play, _split(), 0)
-    assert isinstance(p0, FinitePlay)
-    assert p0.actions == ("a",)
-
-
-def test_projection_shuffle_reconstruction():
-    # property: a lasso with both projections infinite is the shuffle of its
-    # projections under the factor pattern, as exact token words
-    from stochgame.payoff import shuffle
-    play = LassoPlay(FinitePlay(("s", "s"), ("b",)),
-                     FinitePlay(("s", "s", "s", "s"), ("a", "b", "a")))
-    split = _split()
-    p0 = project(play, split, 0)
-    p1 = project(play, split, 1)
-    pattern = factor_pattern(play, split)
-    rebuilt = shuffle(play_tokens(p0), play_tokens(p1), pattern)
-    original = play_tokens(play)
-    for n in range(40):
-        assert rebuilt.letter(n) == original.letter(n)
-
-
-def test_projection_finite_implies_cycle_on_other_side():
-    # properties (A)/(B): a finite projection means the cycle stays on the
-    # opposite side, checked syntactically
-    split = _split()
-    play = LassoPlay(FinitePlay(("s", "s"), ("a",)),
-                     FinitePlay(("s", "s"), ("b",)))
-    assert isinstance(project(play, split, 0), FinitePlay)
-    cycle_sides = {split.side(a) for a in play.cycle.actions
-                   if True}
-    assert cycle_sides == {1}
-
-
-# -- trigger strategy ----------------------------------------------------------------
-
-def _pivot_game():
-    """Maximizer pivot feeding two minimizer-controlled gadgets."""
-    return Arena(
-        states=("s", "p", "q"),
-        owner={"s": P1, "p": P2, "q": P2},
-        available={"s": ("a", "b"), "p": ("l", "r"), "q": ("l", "r")},
-        transition={("s", "a"): {"p": F(1)}, ("s", "b"): {"q": F(1)},
-                    ("p", "l"): {"s": F(1)}, ("p", "r"): {"q": F(1)},
-                    ("q", "l"): {"s": F(1)}, ("q", "r"): {"p": F(1)}},
-        colour={k: reward(0) for k in
-                (("s", "a"), ("s", "b"), ("p", "l"), ("p", "r"),
-                 ("q", "l"), ("q", "r"))})
-
-
-def test_trigger_equal_strategies_behave_identically():
-    arena = _pivot_game()
-    split = PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
-    tau = PureStationaryStrategy(P2, {"p": "l", "q": "l"})
-    trig = trigger_strategy(tau, tau, split, arena)
-    sigma = PureStationaryStrategy(P1, {"s": "a"})
-    a = induce_chain(arena, sigma, tau, [("s", "m0", tau.initial)])
-    b = induce_chain(arena, sigma, trig, [("s", "m0", trig.initial)])
-    assert [n[0] for n in a.nodes] == [n[0] for n in b.nodes]
-    assert [[(m.action, m.weight) for m in row] for row in a.moves] == \
-        [[(m.action, m.weight) for m in row] for row in b.moves]
-
-
-def test_trigger_switches_on_last_pivot_side():
-    arena = _pivot_game()
-    split = PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
-    tau0 = PureStationaryStrategy(P2, {"p": "l", "q": "l"})
-    tau1 = PureStationaryStrategy(P2, {"p": "r", "q": "r"})
-    trig = trigger_strategy(tau0, tau1, split, arena)
-    m = trig.initial
-    # after s --a--> p the side-0 strategy answers
-    m_a = trig.next_memory(m, "s", "a", "p")
-    assert trig.action_dist(m_a, "p") == {"l": F(1)}
-    # after s --b--> q the side-1 strategy answers
-    m_b = trig.next_memory(m, "s", "b", "q")
-    assert trig.action_dist(m_b, "q") == {"r": F(1)}
-
-
-def test_trigger_strategy_round_trips_through_json():
-    # its memories are (side, m0, m1) tuples, written as JSON lists
-    arena = _pivot_game()
-    split = PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
-    tau = PureStationaryStrategy(P2, {"p": "l", "q": "l"})
-    trig = trigger_strategy(tau, tau, split, arena)
-    assert strategy_from_json(trig.to_json(), P2) == trig
-
-
-def test_trigger_rejects_strategies_outside_subarena():
-    arena = _pivot_game()
-    split = PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
-    bad = PureStationaryStrategy(P2, {"p": "l"})  # missing q
-    with pytest.raises(StrategyError):
-        trigger_strategy(bad, bad, split, arena)
-
-
-def test_trigger_action_law_matches_recomputed_projection():
-    # oracle: at every minimizer decision point of a sampled play, the
-    # trigger's action law equals the active strategy fed the projection of
-    # the history recomputed from scratch
-    arena = _pivot_game()
-    split = PartitionAtState("s", frozenset({"a"}), frozenset({"b"}))
-    tau0 = FiniteMemoryStrategy(
-        P2, ("f0", "f1"), "f0",
-        {("f0", "p", "l", "s"): "f1", ("f1", "p", "l", "s"): "f0"},
-        {("f0", "p"): {"l": F(1)}, ("f1", "p"): {"r": F(1)},
-         ("f0", "q"): {"l": F(1)}, ("f1", "q"): {"l": F(1)}})
-    tau1 = PureStationaryStrategy(P2, {"p": "r", "q": "r"})
-    trig = trigger_strategy(tau0, tau1, split, arena)
-    sigma = FiniteMemoryStrategy(
-        P1, ("x0", "x1"), "x0",
-        {("x0", "s", "a", "p"): "x1", ("x1", "s", "b", "q"): "x0"},
-        {("x0", "s"): {"a": F(1)}, ("x1", "s"): {"b": F(1)}})
-    rng = random.Random(11)
-    play = sample_play(arena, sigma, trig, "s", 40, rng)
-
-    def replay_dist(upto: int):
-        """Trigger's law after the first `upto` steps, via projections."""
-        h = FinitePlay(play.states[:upto + 1], play.actions[:upto])
-        last_side = next(split.side(play.actions[i])
-                         for i in range(upto - 1, -1, -1)
-                         if play.states[i] == "s")
-        tau = (tau0, tau1)[last_side]
-        projected = project(h, split, last_side)
-        m = tau.initial
-        for i, a in enumerate(projected.actions):
-            m = tau.next_memory(m, projected.states[i], a,
-                                projected.states[i + 1])
-        return tau.action_dist(m, h.target)
-
-    m = trig.initial
-    for i, a in enumerate(play.actions):
-        s = play.states[i]
-        if arena.owner[s] == P2:
-            assert trig.action_dist(m, s) == replay_dist(i)
-        m = trig.next_memory(m, s, a, play.states[i + 1])

@@ -77,6 +77,25 @@ def test_library_module_graph_has_no_cycle():
     assert "solve" not in graph["strategy"]
 
 
+def test_every_traced_function_resolves():
+    # `perfbench/run.py --trace 1` patches each (module, function) of the
+    # tracer's TRACED list; a name the library lost would break that run
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED"
+                          for t in node.targets))
+    unresolved = []
+    for module, func in traced:
+        holder = importlib.import_module(f"stochgame.{module}")
+        *classes, name = func.split(".")
+        for cls in classes:
+            holder = getattr(holder, cls, None)
+        if holder is None or not callable(vars(holder).get(name)):
+            unresolved.append(f"{module}.{func}")
+    assert traced and not unresolved, unresolved
+
+
 # One small valid run of every subcommand; "@stay" is a stationary sigma.
 SUBCOMMAND_RUNS = {
     "solve": ["solve", "@e2", "--payoff", "mean"],

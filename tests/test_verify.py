@@ -15,7 +15,7 @@ from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import (
     Lasso, ShufflePattern, check_submixing, parse_payoff_spec, reward,
 )
-from stochgame.strategy import PartitionAtState, PureStationaryStrategy
+from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
     FlagGateError, SearchBounds, _cycle_stats, _fast_violations,
     _random_memory_strategy, _stationary_guarantees, _value_changing_recurrent,
@@ -309,27 +309,30 @@ def test_weakened_base_generator_contract():
 
 # -- sub-arena split inequality ------------------------------------------------------
 
-def test_value_bounded_by_split_maximum():
-    # splitting a maximizer state's actions: the full value never exceeds
-    # the better of the two restricted games' values at that state
+@pytest.mark.parametrize("name, kind", [
+    ("mean", "reward"), ("limsup", "reward"), ("liminf", "reward"),
+    ("parity", "priority"), ("discounted", "discounted")],
+    ids=["mean", "limsup", "liminf", "parity", "discounted"])
+def test_value_bounded_by_split_maximum(name, kind):
+    # splitting a maximizer state's actions into two sub-games: the value is
+    # the larger of the two sub-game values at every state, and one side
+    # keeps the whole value vector (the one holding sigma*'s pivot action)
+    spec = parse_payoff_spec(name)
     checked = 0
     for seed in range(40):
-        arena = random_arena(4, 3, seed=seed)
+        arena = random_arena(4, 3, seed=seed, kind=kind)
         pivots = [s for s in arena.player_states(P1)
                   if len(arena.available[s]) >= 2]
         if not pivots:
             continue
         pivot = pivots[0]
         actions = arena.available[pivot]
-        side0 = {actions[0]}
-        side1 = set(actions[1:])
-        split = PartitionAtState(pivot, frozenset(side0), frozenset(side1))
-        val = solve.brute_force_value(arena, mean).values
-        val0 = solve.brute_force_value(split.restricted(arena, 0), mean).values
-        val1 = solve.brute_force_value(split.restricted(arena, 1), mean).values
-        assert val[pivot] <= max(val0[pivot], val1[pivot])
-        # restriction can only lower the maximizer's value
-        assert val[pivot] == max(val0[pivot], val1[pivot])
+        val = solve.brute_force_value(arena, spec).values
+        sides = [solve.brute_force_value(arena.restrict(pivot, side), spec).values
+                 for side in (actions[:1], actions[1:])]
+        for s in arena.states:
+            assert val[s] == max(side[s] for side in sides), (seed, s)
+        assert val in sides, seed
         checked += 1
     assert checked >= 10
 
