@@ -113,8 +113,7 @@ class Arena:
 
 @dataclass(frozen=True)
 class FinitePlay:
-    """Alternating sequence s0 a1 s1 ... sn.  Plays are syntactic: actions
-    must be available but steps of probability zero are representable."""
+    """Alternating sequence s0 a1 s1 ... sn."""
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
@@ -126,21 +125,8 @@ class FinitePlay:
             raise ArenaError("play needs a source state")
 
     @property
-    def source(self) -> str:
-        return self.states[0]
-
-    @property
     def target(self) -> str:
         return self.states[-1]
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def check_in(self, arena: Arena) -> None:
-        for i, a in enumerate(self.actions):
-            if a not in arena.available[self.states[i]]:
-                raise ArenaError(
-                    f"action {a} not available at {self.states[i]} (step {i})")
 
 
 # ---------------------------------------------------------------------------

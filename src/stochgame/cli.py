@@ -10,6 +10,7 @@ identical invocations produce byte-identical structured output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -196,9 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def run(argv) -> int:
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        return _dispatch(_parser().parse_args(argv))
     except SystemExit as e:  # -h printed the help
         return EXIT_USAGE if e.code else EXIT_OK
     except (ArenaError, PayoffError, StrategyError, solve.SolveError,

@@ -656,15 +656,18 @@ def stopped_value_exact(arena: Arena, values: ValueVector, sigma, tau,
 
 
 def _cumulative_tables(chain: InducedChain) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tables for drawing successors with uniforms `u` in [0, 1):
-    the next node after `i` is `cols[i, k]`, with `k` the number of entries
-    of `sums[i]` below `u`.
+    """Flat tables for drawing successors with uniforms `u` in [0, 1).
+    Each node has `width = len(sums) + 1` slots: the next node after `i` is
+    `successor[i * width + k]`, with `k` the number of sums `sums[:, i]`
+    below `u`.
 
     They pick what a dense row of running sums over all n columns, with
     column n - 1 set to 1, picks: the first column whose sum reaches `u`.
-    Row `i` lists column 0 at sum 0.0 (a draw of exactly 0.0 picks it), the
-    successors before column n - 1 at their running sums, then column n - 1
-    at infinity; padding is infinite too."""
+    Slot 0 is column 0 at sum 0.0 (a draw of exactly 0.0 picks it), then
+    come the successors before column n - 1 at their running sums, then
+    column n - 1, which no sum bounds; padding slots repeat it at infinite
+    sums.  `sums[j]` holds slot j of every node, so that a step of many
+    runs is one gather and one comparison per slot."""
     n = len(chain)
     tables = []
     for row in chain.rows():
@@ -675,14 +678,14 @@ def _cumulative_tables(chain: InducedChain) -> tuple[np.ndarray, np.ndarray]:
             acc += float(row[j])
             cols.append(j)
             sums.append(acc)
-        tables.append((cols + [n - 1], sums + [np.inf]))
-    width = max(len(cols) for cols, _ in tables)
-    col_table = np.full((n, width), n - 1, dtype=np.int64)
-    sum_table = np.full((n, width), np.inf)
+        tables.append((cols, sums))
+    width = max(len(cols) for cols, _ in tables) + 1
+    successor = np.full((n, width), n - 1, dtype=np.int64)
+    sum_table = np.full((width - 1, n), np.inf)
     for i, (cols, sums) in enumerate(tables):
-        col_table[i, :len(cols)] = cols
-        sum_table[i, :len(sums)] = sums
-    return col_table, sum_table
+        successor[i, :len(cols)] = cols
+        sum_table[:len(sums), i] = sums
+    return successor.ravel(), sum_table
 
 
 @dataclass(frozen=True)
@@ -709,6 +712,10 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     first-hit rule are followed (for at most `MC_MAX_STEPS` steps) into their
     absorbing class, whose nodes all share one value (Doob convergence), and
     contribute that value.  `stopped_value_exact` computes the exact value.
+
+    Draw order: each step draws one uniform for each run still going, in run
+    order, and picks its successor from the `_cumulative_tables` slots; a run
+    that stops or is absorbed draws no more, so a seed fixes the estimate.
     """
     if runs < 1:
         raise SolveError("runs must be >= 1")
@@ -717,45 +724,38 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     n = len(chain)
     kind, payload = stopping_rule
     horizon = payload if kind == "horizon" else MC_MAX_STEPS
-    stop_mask = np.array(stop, dtype=bool)
-    absorbing_mask = np.array(absorbing, dtype=bool)
-    col_table, sum_table = _cumulative_tables(chain)
+    terminal = np.array(stop, dtype=bool) | np.array(absorbing, dtype=bool)
+    successor, sums = _cumulative_tables(chain)
+    width = sums.shape[0] + 1
 
     rng = np.random.default_rng(seed)
+    # the node of each still-running run, in run order; stopped values come
+    # from the finite value set, so tally stopped nodes and average exactly
     current = np.zeros(runs, dtype=np.int64)
-    # stopped values come from the finite value set, so tally node indices
-    # and average exactly; the float estimate is only the summary.
-    stopped_node = np.full(runs, -1, dtype=np.int64)
-    active = np.ones(runs, dtype=bool)
-    if kind != "horizon":
-        hit0 = stop_mask[current] & active
-        stopped_node[hit0] = current[hit0]
-        active &= ~hit0
+    counts = np.zeros(n, dtype=np.int64)
+    if stop[0]:
+        # before the first step only stop nodes end a run (no horizon has any)
+        counts[0] = runs
+        current = current[:0]
     for _ in range(horizon):
-        if not active.any():
+        if not current.size:
             break
-        idx = np.nonzero(active)[0]
-        u = rng.random(idx.size)
-        rows = current[idx]
-        k = (u[:, None] > sum_table[rows]).sum(axis=1)
-        current[idx] = col_table[rows, k]
+        u = rng.random(current.size)
+        k = current * width
+        for col in sums:
+            k += u > col[current]
+        current = successor[k]
         if kind != "horizon":
-            hit = stop_mask[current] & active
-            stopped_node[hit] = current[hit]
-            active &= ~hit
-            # absorbed without hitting: the limit value is the class value
-            absorbed = absorbing_mask[current] & active
-            stopped_node[absorbed] = current[absorbed]
-            active &= ~absorbed
+            # a run absorbed without stopping ends on a node of its class,
+            # whose state value is the class value
+            done = terminal[current]
+            counts += np.bincount(current[done], minlength=n)
+            current = current[~done]
     if kind == "horizon":
-        stopped_node = current
-        active[:] = False
-    if active.any():
+        counts = np.bincount(current, minlength=n)
+    elif current.size:
         raise SolveError("trajectories neither stopped nor absorbed within "
                          f"{MC_MAX_STEPS} steps")
-    # a run absorbed without stopping ends on a node of its class, whose
-    # state value is the class value
-    counts = np.bincount(stopped_node, minlength=n)
     exact_mean = sum((int(counts[i]) * values.values[chain.state_of(i)]
                       for i in range(n)), Fraction(0)) / runs
     lo = float(min(values.values.values()))

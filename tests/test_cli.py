@@ -566,6 +566,21 @@ def test_help_exits_0(capsys, argv):
     assert code == EXIT_OK and out.startswith("usage: stochgame") and err == ""
 
 
+def test_the_reused_parser_keeps_no_state_between_runs(capsys):
+    # run parses with one parser per process: a usage error, a help text or
+    # another subcommand in between leaves a doob line's output unchanged
+    doob = ["--format", "structured", "doob", E2, "--payoff", "mean",
+            "--trials", "300", "--seed", "7"]
+    first = run_capture(capsys, doob)
+    assert first[0] == EXIT_OK and first[1]
+    assert run_capture(capsys, ["doob", E2, "--payoff", "mean",
+                                "--trials", "x"])[0] == EXIT_USAGE
+    assert run_capture(capsys, ["doob", "-h"])[0] == EXIT_OK
+    code, out, _ = run_capture(capsys, ["solve", E2, "--payoff", "mean"])
+    assert code == EXIT_OK and not out.startswith("{")
+    assert run_capture(capsys, doob) == first
+
+
 def test_check_rejects_an_unknown_payoff(capsys):
     _assert_one_error_line(*run_capture(
         capsys, ["check", "submixing", "--payoff", "meanest"]), "meanest")

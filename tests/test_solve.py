@@ -711,12 +711,65 @@ def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
         ref, covered, f"{kind}", seed)
 
 
+def test_stopped_value_mc_gives_up_after_max_steps():
+    # s leaves for the stopping state t with probability 10^-9 per step
+    arena = Arena(
+        states=("s", "t"), owner=dict.fromkeys("st", P1),
+        available={"s": ("a",), "t": ("a",)},
+        transition={("s", "a"): {"s": 1 - F(1, 10**9), "t": F(1, 10**9)},
+                    ("t", "a"): {"t": F(1)}},
+        colour=dict.fromkeys([("s", "a"), ("t", "a")], reward(0)))
+    vv = brute_force_value(arena, mean)
+    with pytest.raises(SolveError, match="neither stopped nor absorbed within "
+                                         f"{solve.MC_MAX_STEPS} steps"):
+        stopped_value_mc(arena, vv, _unique(arena, P1), _unique(arena, P2),
+                         "s", ("first_hit", frozenset({"t"})), 3, 1)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_stopped_value_mc_matches_the_dense_sampler(seed):
     arena, vv, sigma, tau, source, rules = _oracle_case(seed)
-    for k, rule in enumerate(rules):
-        args = (arena, vv, sigma, tau, source, rule, 300, 1000 * seed + k)
+    cases = [(rule, 300) for rule in rules]
+    if seed in (2, 12, 14, 40):
+        # at doob's size: 10,000 runs of its 25-step horizon and of a first-hit
+        # rule, on sources outside every bottom class with 3 or more values
+        cases += [(("horizon", 25), 10_000), (rules[1], 10_000)]
+    for k, (rule, runs) in enumerate(cases):
+        args = (arena, vv, sigma, tau, source, rule, runs, 1000 * seed + k)
         assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
+
+
+@pytest.mark.parametrize("seed, where", [
+    (7, "stop"), (20, "stop"), (4, "bottom"), (9, "bottom"), (49, "bottom"),
+])
+def test_stopped_value_mc_matches_the_dense_sampler_at_the_source(seed, where):
+    # before the first step only stop nodes end a run: a stopping source ends
+    # every run undrawn, a source in a bottom class still takes one step
+    arena, vv, sigma, tau, source, rules = _oracle_case(seed)
+    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
+    in_bottom = any(0 in cls.nodes for cls in bottom_sccs(chain))
+    rule = rules[1]
+    assert (source in rule[1], in_bottom) == (where == "stop", where == "bottom")
+    args = (arena, vv, sigma, tau, source, rule, 10_000, seed)
+    assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
+
+
+def test_stopped_value_mc_matches_the_dense_sampler_past_25_steps():
+    # s stays put with probability 9/10, so about 720 of 10,000 runs are
+    # still going after 25 steps; the weak pair at t stops, u absorbs
+    arena = Arena(
+        states=("s", "t", "u"), owner=dict.fromkeys("stu", P1),
+        available={"s": ("a",), "t": ("a",), "u": ("a",)},
+        transition={("s", "a"): {"s": F(9, 10), "t": F(1, 20), "u": F(1, 20)},
+                    ("t", "a"): {"s": F(1, 2), "u": F(1, 2)},
+                    ("u", "a"): {"u": F(1)}},
+        colour=dict.fromkeys([("s", "a"), ("t", "a"), ("u", "a")], reward(0)))
+    vv = dataclasses.replace(brute_force_value(arena, mean),
+                             values={"s": F(0), "t": F(1), "u": F(-1)})
+    weak = WeaknessSet(frozenset({("m0", "t")}), F(1, 4), {}, {})
+    args = (arena, vv, _unique(arena, P1), _unique(arena, P2), "s",
+            ("first_weakness", weak), 10_000, 25)
+    assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
 
 
 def test_stopped_value_exact_is_the_value_under_locally_optimal_play():
