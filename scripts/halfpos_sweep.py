@@ -63,7 +63,7 @@ def main() -> int:
               f"{time.perf_counter() - started:.2f}s", file=sys.stderr)
         if report.verdict != "confirmed":
             print(f"seed {seed}: {report.verdict}")
-            print(report.to_json(structured=False))
+            print(report.to_json())
     print(f"{spec.format()}: {verdicts}")
     return 0 if verdicts["refuted"] == 0 else 1
 

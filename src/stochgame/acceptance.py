@@ -139,15 +139,16 @@ def counterexample() -> CriterionResult:
     in under a second."""
     started = time.perf_counter()
     first = verify.reproduce_counterexample()
+    first_s = time.perf_counter() - started
     second = verify.reproduce_counterexample()
     expected = {"stationary_1": 0, "stationary_2": 0, "alternating": 1}
     ok = (first.verdict == "confirmed"
           and first.quantities["payoffs"] == expected
           and first.to_json() == second.to_json()
-          and first.wall_clock < 1.0)
+          and first_s < 1.0)
     return _result("counter-example", started, ok,
                    f"payoffs {first.quantities['payoffs']}, deterministic, "
-                   f"{first.wall_clock * 1000:.0f}ms")
+                   f"{first_s * 1000:.0f}ms")
 
 
 # -- criterion 5 -------------------------------------------------------------

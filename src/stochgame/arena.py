@@ -121,8 +121,6 @@ class FinitePlay:
     def __post_init__(self):
         if len(self.states) != len(self.actions) + 1:
             raise ArenaError("play needs one more state than actions")
-        if not self.states:
-            raise ArenaError("play needs a source state")
 
     @property
     def target(self) -> str:

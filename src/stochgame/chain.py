@@ -1,14 +1,17 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
 bottom SCCs with the colours they see infinitely often and, solved on first
-read, their stationary distributions; absorption probabilities; and
-discounted linear systems.  `induce_chain` builds one pair's chain; a
-`ProductSkeleton` holds every row of an enumeration's product once, and
-each pair's chain is picked from it.
+read, their stationary distributions; and first-passage quantities.
+`induce_chain` builds one pair's chain; a `ProductSkeleton` holds every row
+of an enumeration's product once, and each pair's chain is picked from it.
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
 numerators) and solved by fraction-free elimination in Python `int`s, so
-no `Fraction` arithmetic happens inside an elimination."""
+no `Fraction` arithmetic happens inside an elimination.  One solver,
+`first_passage`, assembles every system d_k x_k = base_k + sum_j n_kj x_j:
+absorption probabilities, discounted values and `solve`'s first-hit stopped
+values.  Only the stationary solve, transposed and with a normalisation
+row, assembles its own."""
 
 from __future__ import annotations
 
@@ -432,45 +435,51 @@ def _potential_exists(chain: InducedChain, cls: Sequence[int]) -> bool:
     return True
 
 
+def first_passage(rows: Sequence[tuple[int, dict[int, int]]],
+                  free: Sequence[int], outside: Sequence,
+                  base: Optional[Sequence] = None) -> list[Fraction]:
+    """Solve d_k x_k = base_k + sum_j n_kj y_j for x over the `free` nodes,
+    in `free` order, from integer rows `rows[k] = (d_k, {j: n_kj})`.  y_j is
+    x_j at a free node and `outside[j]` elsewhere; `base`, 0 when None, is
+    indexed by node like `rows`.  No free node, no solve."""
+    if not free:
+        return []
+    pos = {node: k for k, node in enumerate(free)}
+    matrix = [[0] * len(free) for _ in free]
+    rhs = []
+    for k, node in enumerate(free):
+        d, row = rows[node]
+        matrix[k][k] = d
+        b = 0 if base is None else base[node]
+        for j, num in row.items():
+            if j in pos:
+                matrix[k][pos[j]] -= num
+            else:
+                b += num * outside[j]
+        rhs.append(b)
+    return solve_linear(matrix, rhs)
+
+
 def absorption_from(chain: InducedChain,
                     classes: list[RecurrentClassSummary]
                     ) -> list[dict[int, Fraction]]:
-    """Absorption probabilities for every node at once (one linear solve per
-    class over the transient part)."""
-    in_class = {}
-    for ci, cls in enumerate(classes):
-        for node in cls.nodes:
-            in_class[node] = ci
-    transient = [i for i in range(len(chain)) if i not in in_class]
-    pos = {node: k for k, node in enumerate(transient)}
+    """Absorption probabilities for every node at once: one first-passage
+    solve per class over the transient part, with the class's indicator
+    outside it."""
+    n = len(chain)
     rows = chain.int_rows()
-    n = len(transient)
-    # d h_k - sum_{j transient} n_kj h_j = sum_{j in class} n_kj
-    base = [[0] * n for _ in range(n)]
-    for k, node in enumerate(transient):
-        d, row = rows[node]
-        base[k][k] = d
-        for succ, num in row.items():
-            if succ in pos:
-                base[k][pos[succ]] -= num
-    result = [dict() for _ in range(len(chain))]
+    absorbed = {node for cls in classes for node in cls.nodes}
+    transient = [i for i in range(n) if i not in absorbed]
+    result = [dict() for _ in range(n)]
     for ci, cls in enumerate(classes):
-        members = set(cls.nodes)
-        if n:
-            rhs = [sum(num for succ, num in rows[node][1].items()
-                       if succ in members)
-                   for node in transient]
-            hit = solve_linear(base, rhs)
-        else:
-            hit = []
-        for node in range(len(chain)):
-            if node in members:
-                result[node][ci] = Fraction(1)
-            elif node in pos:
-                p = hit[pos[node]]
-                if p != 0:
-                    result[node][ci] = p
-    for node in range(len(chain)):
+        indicator = [0] * n
+        for node in cls.nodes:
+            indicator[node] = 1
+            result[node][ci] = Fraction(1)
+        for node, p in zip(transient, first_passage(rows, transient, indicator)):
+            if p != 0:
+                result[node][ci] = p
+    for node in range(n):
         if sum(result[node].values()) != 1:
             raise ChainError(f"absorption from node {node} does not sum to 1")
     return result
@@ -480,18 +489,14 @@ def discounted_values(chain: InducedChain) -> list[Fraction]:
     """Unique solution of v = r + Lambda P v on the product chain, with
     per-(node, action) rewards and discounts from the colouring; one value
     per chain node."""
-    n = len(chain)
-    matrix = [[0] * n for _ in range(n)]
-    rhs = []
-    for i, mvs in enumerate(chain.moves):
+    rows, base = [], []
+    for mvs in chain.moves:
         if any(mv.colour.kind != "discounted" for mv in mvs):
             raise ChainError("discounted payoff needs reward-discount colours")
-        # d v_i - sum_j n_ij v_j = d sum_moves weight * reward, with n / d
+        # d v_i = d sum_moves weight * reward + sum_j n_ij v_j, with n / d
         # the discounted row sum_moves weight * lambda * P
         d, row = _integer_row((mv.weight * mv.colour.value[1], mv.successors)
                               for mv in mvs)
-        matrix[i][i] = d
-        for succ, num in row.items():
-            matrix[i][succ] -= num
-        rhs.append(d * sum(mv.weight * mv.colour.value[0] for mv in mvs))
-    return solve_linear(matrix, rhs)
+        rows.append((d, row))
+        base.append(d * sum(mv.weight * mv.colour.value[0] for mv in mvs))
+    return first_passage(rows, range(len(rows)), (), base)

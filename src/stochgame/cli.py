@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,10 +99,14 @@ def _human_lines(doc, indent: int):
         yield f"{pad}{doc}"
 
 
-def _report_exit(report: verify.VerificationReport, fmt: str) -> int:
-    doc = json.loads(report.to_json(structured=True))
+def _report_exit(fmt: str, check, *args) -> int:
+    """Run the library check `check(*args)` and print its report; human
+    output ends with the wall clock of the call."""
+    started = time.perf_counter()
+    report = check(*args)
+    doc = json.loads(report.to_json())
     if fmt == "human":
-        doc["wall_clock"] = f"{report.wall_clock:.3f}s"
+        doc["wall_clock"] = f"{time.perf_counter() - started:.3f}s"
     _emit(doc, fmt)
     return {"confirmed": EXIT_OK, "refuted": EXIT_REFUTED,
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
@@ -166,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-cycle", type=int, default=4)
     p.add_argument("--cases", type=int, default=2000)
-    p.add_argument("--format", choices=("human", "structured"),
-                   default=argparse.SUPPRESS, dest="fmt")
+    common(p, payoff=False, game=False)
 
     p = sub.add_parser("verify", help="theorem harness")
     vsub = p.add_subparsers(dest="claim", required=True)
@@ -183,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="the letter-game counter-example")
     p.add_argument("what", choices=("fig1",))
-    p.add_argument("--format", choices=("human", "structured"),
-                   default=argparse.SUPPRESS, dest="fmt")
+    common(p, payoff=False, game=False)
 
     p = sub.add_parser(
         "doob", help="optional-stopping checks decided from exact stopped "
@@ -299,33 +302,27 @@ def _dispatch(args) -> int:
     if cmd == "check":
         bounds = verify.SearchBounds(max_cycle=args.max_cycle,
                                      random_cases=args.cases)
-        if args.property == "submixing":
-            report = verify.search_submixing_violation(spec, bounds, args.seed)
-        else:
-            report = verify.search_shift_invariance_violation(
-                spec, bounds, args.seed)
-        return _report_exit(report, fmt)
+        search = (verify.search_submixing_violation
+                  if args.property == "submixing"
+                  else verify.search_shift_invariance_violation)
+        return _report_exit(fmt, search, spec, bounds, args.seed)
 
     if cmd == "verify":
         if args.claim == "halfpos":
-            report = verify.verify_halfpos(
-                arena, spec, args.budget, args.memory, args.candidates,
-                args.seed)
-        else:
-            sigma = _load_strategy(args.sigma, 1, arena)
-            report = verify.verify_subgame_perfect(
-                arena, spec, sigma, _rational(args.epsilon, "--epsilon"),
-                args.budget)
-        return _report_exit(report, fmt)
+            return _report_exit(fmt, verify.verify_halfpos, arena, spec,
+                                args.budget, args.memory, args.candidates,
+                                args.seed)
+        sigma = _load_strategy(args.sigma, 1, arena)
+        return _report_exit(fmt, verify.verify_subgame_perfect, arena, spec,
+                            sigma, _rational(args.epsilon, "--epsilon"),
+                            args.budget)
 
     if cmd == "reproduce":
-        report = verify.reproduce_counterexample()
-        return _report_exit(report, fmt)
+        return _report_exit(fmt, verify.reproduce_counterexample)
 
     if cmd == "doob":
-        report = verify.doob_suite(arena, spec, args.trials, args.seed,
-                                   args.budget)
-        return _report_exit(report, fmt)
+        return _report_exit(fmt, verify.doob_suite, arena, spec, args.trials,
+                            args.seed, args.budget)
 
     raise ValueError(f"unknown command {cmd}")
 

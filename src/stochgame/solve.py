@@ -35,8 +35,8 @@ import numpy as np
 from .arena import P1, P2, Arena
 from .chain import (
     InducedChain, RecurrentClassSummary, absorption_from,
-    bottom_classes, discounted_values, induce_chain, product_skeleton,
-    solve_linear,
+    bottom_classes, discounted_values, first_passage, induce_chain,
+    product_skeleton,
 )
 from .payoff import PayoffSpec, class_value
 from .strategy import (
@@ -605,8 +605,8 @@ def stopped_value_exact(arena: Arena, values: ValueVector, sigma, tau,
 
     ("horizon", n) takes n steps of an integer row vector over one common
     denominator.  The first-hit rules make the stop nodes and the
-    bottom-class nodes absorbing and solve one integer hitting system; a
-    trajectory absorbed without stopping gets its class value.
+    bottom-class nodes absorbing and make one `chain.first_passage` solve;
+    a trajectory absorbed without stopping gets its class value.
     """
     chain, stop, absorbing = _stopping_chain(arena, values, sigma, tau,
                                              source, stopping_rule)
@@ -636,23 +636,9 @@ def stopped_value_exact(arena: Arena, values: ValueVector, sigma, tau,
         return Fraction(sum(x * v for x, v in zip(dist, vnum)), den * vden)
     if stop[0] or absorbing[0]:
         return node_val[0]
+    # h = vden times the stopped value: vnum at a stopped or absorbed node
     free = [i for i in range(n) if not (stop[i] or absorbing[i])]
-    pos = {node: k for k, node in enumerate(free)}
-    # d h_k - sum_{j free} n_kj h_j = sum_{j stopped or absorbed} n_kj v_j,
-    # with h the stopped value times vden
-    matrix = [[0] * len(free) for _ in free]
-    rhs = []
-    for k, node in enumerate(free):
-        d, row = rows[node]
-        matrix[k][k] = d
-        b = 0
-        for j, num in row.items():
-            if j in pos:
-                matrix[k][pos[j]] -= num
-            else:
-                b += num * vnum[j]
-        rhs.append(b)
-    return solve_linear(matrix, rhs)[0] / vden
+    return first_passage(rows, free, vnum)[0] / vden
 
 
 def _cumulative_tables(chain: InducedChain) -> tuple[np.ndarray, np.ndarray]:

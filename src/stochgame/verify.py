@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -53,9 +52,8 @@ class VerificationReport:
     verdict: str                 # confirmed | refuted | inconclusive
     quantities: dict = field(default_factory=dict)
     witness: Optional[dict] = None
-    wall_clock: float = 0.0
 
-    def to_json(self, structured: bool = True) -> str:
+    def to_json(self) -> str:
         doc = {
             "claim": self.claim,
             "instance": self.instance,
@@ -63,14 +61,7 @@ class VerificationReport:
             "quantities": self.quantities,
             "witness": self.witness,
         }
-        if not structured:
-            doc["wall_clock"] = self.wall_clock
         return json.dumps(doc, indent=1, sort_keys=True, default=str)
-
-
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.wall_clock = time.perf_counter() - started
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +88,6 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     tables evaluated and the tables the full enumeration would evaluate.
     `memory_bound` and `candidates` must be at least 1 (`ValueError`).
     """
-    started = time.perf_counter()
     if memory_bound < 1:
         raise ValueError(f"memory_bound must be >= 1, not {memory_bound}")
     if candidates < 1:
@@ -112,22 +102,22 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
         try:
             values = solve.brute_force_value(arena, spec, budget)
         except solve.BudgetError as e:
-            return _finish(VerificationReport(
+            return VerificationReport(
                 "halfpos", instance, "inconclusive",
-                {"reason": str(e)}), started)
+                {"reason": str(e)})
         response = solve.best_response_min(arena, spec, values.sigma_star, budget)
         bad = {s: (response.values[s], values.values[s])
                for s in arena.states if response.values[s] != values.values[s]}
         if bad:
-            return _finish(VerificationReport(
+            return VerificationReport(
                 "halfpos", instance, "refuted",
                 witness={"states": {s: list(map(str, v)) for s, v in bad.items()},
-                         "sigma": values.sigma_star.choice}), started)
-        return _finish(VerificationReport(
+                         "sigma": values.sigma_star.choice})
+        return VerificationReport(
             "halfpos", instance, "confirmed",
             {"values": {s: str(values.values[s]) for s in arena.states},
              "sigma_star": values.sigma_star.choice,
-             "exact": True}), started)
+             "exact": True})
 
     # Bounded sweep for the half-positional-only payoffs.
     instance["memory_bound"] = memory_bound
@@ -146,23 +136,23 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
             stats["response_tables"] += check.tables
             stats["response_tables_full"] += check.total
             if check.above:
-                return _finish(VerificationReport(
+                return VerificationReport(
                     "halfpos", instance, "refuted", {"stats": stats},
                     witness={"strategy": cand.to_json(),
                              "values": {s: [str(v), str(v_plus[s])]
                                         for (_, s), v in check.above.items()}},
-                ), started)
+                )
     except solve.BudgetError as e:
-        return _finish(VerificationReport(
-            "halfpos", instance, "inconclusive", {"reason": str(e)}), started)
-    return _finish(VerificationReport(
+        return VerificationReport(
+            "halfpos", instance, "inconclusive", {"reason": str(e)})
+    return VerificationReport(
         "halfpos", instance, "confirmed",
         {"stationary_values": {s: str(v_plus[s]) for s in arena.states},
          "best_stationary": sigma_plus.choice,
          "candidates_swept": cand_count,
          "response_class": "deterministic stationary on the memory product",
          "stats": stats,
-         "exact": False}), started)
+         "exact": False})
 
 
 def _stationary_guarantees(arena: Arena, spec: PayoffSpec, budget: int):
@@ -303,11 +293,7 @@ def _fast_violations(spec: PayoffSpec, st: dict, a: int, b: int) -> np.ndarray:
         MX = st["MX"]
         fw = np.maximum(MX[:, None], MX[None, :]) % 2
         return (fw == 1) & (MX[:, None] % 2 == 0) & (MX[None, :] % 2 == 0)
-    if name == "posavg":
-        S = st["S"]
-        fw = blended(S) > 0
-        return fw & (S[:, None] <= 0) & (S[None, :] <= 0)
-    if name == "counter+inf":
+    if name in ("posavg", "counter+inf"):
         S = st["S"]
         fw = blended(S) > 0
         return fw & (S[:, None] <= 0) & (S[None, :] <= 0)
@@ -345,7 +331,6 @@ def search_submixing_violation(spec: PayoffSpec,
     """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
     whose payoff beats both components.  A found witness is re-evaluated
     through the ordinary shuffle/evaluation path before being reported."""
-    started = time.perf_counter()
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
@@ -369,9 +354,9 @@ def search_submixing_violation(spec: PayoffSpec,
                 if witness is None:
                     raise AssertionError(
                         "closed-form sweep and full evaluation disagree")
-                return _finish(VerificationReport(
+                return VerificationReport(
                     "submixing", instance, "refuted",
-                    {"cases": cases}, _submix_witness_doc(witness)), started)
+                    {"cases": cases}, _submix_witness_doc(witness))
     else:
         small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
                  for c in itertools.product(alphabet, repeat=n)]
@@ -381,9 +366,9 @@ def search_submixing_violation(spec: PayoffSpec,
                 witness = check_submixing(spec, Lasso((), cu), Lasso((), cv),
                                           ShufflePattern.alternating(a, b))
                 if witness is not None:
-                    return _finish(VerificationReport(
+                    return VerificationReport(
                         "submixing", instance, "refuted",
-                        {"cases": cases}, _submix_witness_doc(witness)), started)
+                        {"cases": cases}, _submix_witness_doc(witness))
 
     rng = random.Random(seed)
     for _ in range(bounds.random_cases):
@@ -393,11 +378,11 @@ def search_submixing_violation(spec: PayoffSpec,
         cases += 1
         witness = check_submixing(spec, u, v, pattern)
         if witness is not None:
-            return _finish(VerificationReport(
+            return VerificationReport(
                 "submixing", instance, "refuted",
-                {"cases": cases}, _submix_witness_doc(witness)), started)
-    return _finish(VerificationReport(
-        "submixing", instance, "confirmed", {"cases": cases}), started)
+                {"cases": cases}, _submix_witness_doc(witness))
+    return VerificationReport(
+        "submixing", instance, "confirmed", {"cases": cases})
 
 
 def search_shift_invariance_violation(spec: PayoffSpec,
@@ -405,7 +390,6 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                                       seed: int = 0) -> VerificationReport:
     """Exhaustive small-word sweep plus randomized words, comparing the
     payoff against its suffixes."""
-    started = time.perf_counter()
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed, "shifts": bounds.shifts,
                 "random_cases": bounds.random_cases}
@@ -418,20 +402,20 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                     word = Lasso(pre, cyc)
                     w = check_shift_invariance(spec, word, bounds.shifts)
                     if w is not None:
-                        return _finish(VerificationReport(
+                        return VerificationReport(
                             "shift-invariance", instance, "refuted",
-                            {"cases": cases}, _shift_witness_doc(w)), started)
+                            {"cases": cases}, _shift_witness_doc(w))
     rng = random.Random(seed)
     for _ in range(bounds.random_cases):
         word = _random_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
         cases += 1
         w = check_shift_invariance(spec, word, bounds.shifts)
         if w is not None:
-            return _finish(VerificationReport(
+            return VerificationReport(
                 "shift-invariance", instance, "refuted",
-                {"cases": cases}, _shift_witness_doc(w)), started)
-    return _finish(VerificationReport(
-        "shift-invariance", instance, "confirmed", {"cases": cases}), started)
+                {"cases": cases}, _shift_witness_doc(w))
+    return VerificationReport(
+        "shift-invariance", instance, "confirmed", {"cases": cases})
 
 
 def _random_lasso(rng: random.Random, alphabet, max_cycle: int,
@@ -496,7 +480,6 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
     epsilon-optimality), so a failed precondition is visible rather than
     silently blamed on the construction.  `epsilon` must be > 0
     (`ValueError`)."""
-    started = time.perf_counter()
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, not {epsilon}")
@@ -541,7 +524,7 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
         witness=None if hat_ok else {
             "failures": hat_failures,
             "strategy": FiniteMemoryStrategy.to_json(sigma)})
-    return _finish(report, started)
+    return report
 
 
 def _reachable_pairs(arena: Arena, strategy: FiniteMemoryStrategy) -> set:
@@ -630,7 +613,6 @@ def reproduce_counterexample() -> VerificationReport:
     simulation can see.  Randomizing uniformly at the branch state is the
     known stationary alternative to memory; the report records it as a note.
     """
-    started = time.perf_counter()
     arena = build_fig1()
     quantities: dict = {"target_runs": "2,4,6,..."}
 
@@ -724,7 +706,7 @@ def reproduce_counterexample() -> VerificationReport:
         "counterexample", {"arena": arena.fingerprint(),
                            "spec": "suffixtarget:"},
         "confirmed", quantities | {"payoffs": verdicts})
-    return _finish(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +734,6 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
     Monte Carlo only reports: `first_hit` (estimate, Hoeffding interval and
     exact reference) and `adversarial_estimate` are `trials` seeded runs of
     `solve.stopped_value_mc` for the first-hit and the adversarial checks."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     values = solve.brute_force_value(arena, spec, budget)
     classification = solve.classify_actions(arena, values)
@@ -785,7 +766,7 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
         "value_changes_stop": not recurrent,
     }
     ok = all(checks.values())
-    return _finish(VerificationReport(
+    return VerificationReport(
         "doob", {"arena": arena.fingerprint(), "spec": spec.format(),
                  "seed": seed, "trials": trials},
         "confirmed" if ok else "refuted",
@@ -794,7 +775,7 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
                        "ci": [first_hit.ci_low, first_hit.ci_high],
                        "reference": str(first_hit.reference)},
          "adversarial_estimate": adv.estimate,
-         "value_changing_recurrent": recurrent}), started)
+         "value_changing_recurrent": recurrent})
 
 
 def _sample_locally_optimal(arena: Arena,

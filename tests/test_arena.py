@@ -16,11 +16,14 @@ from stochgame.arena import (
     P1, P2, Arena, ArenaError, FinitePlay,
     parse_arena, print_arena, random_arena, sample_play,
 )
-from stochgame.fixtures import build_e2, build_e3, build_fig1
+from stochgame.fixtures import (
+    build_e2, build_e3, build_fig1, build_weak_memory_fixture,
+    fig1_alternating_strategy,
+)
 from stochgame.payoff import reward
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
-    reset_strategy,
+    reset_strategy, strategy_from_json,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
@@ -58,14 +61,31 @@ def test_fig1_golden_file():
     assert len(arena.states) == 4
     assert arena.owner["sq"] == P2
     assert [arena.owner[s] for s in ("c1", "c2", "c3")] == [P1, P1, P1]
-    assert arena == build_fig1()
 
 
+# Each corpus file is the one copy of its fixture's data on disk; these pin
+# it to the builder in `stochgame.fixtures`.
 @pytest.mark.parametrize("name, builder", [
     ("e2.game", build_e2), ("e3.game", build_e3),
+    pytest.param("e3_parity.game", lambda: build_e3("priority"),
+                 id="e3_parity.game-build_e3_priority"),
+    pytest.param("fig1.game", build_fig1, id="fig1.game-build_fig1"),
 ])
 def test_golden_files_match_builders(name, builder):
     assert parse_arena((CORPUS / name).read_text()) == builder()
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("e2weak.sigma", lambda: build_weak_memory_fixture()[1]),
+    ("fig1_alternating.sigma", fig1_alternating_strategy),
+], ids=["e2weak.sigma", "fig1_alternating.sigma"])
+def test_corpus_strategies_match_builders(name, builder):
+    want = builder()
+    got = strategy_from_json((CORPUS / name).read_text(), want.player)
+    assert got.memory_states == want.memory_states
+    assert got.initial == want.initial
+    assert got.update == want.update
+    assert got.choices == want.choices
 
 
 def test_round_trip_fixtures():

@@ -15,7 +15,7 @@ from stochgame.arena import P1, P2, Arena, random_arena, sample_play
 from stochgame.chain import (
     ChainError, InducedChain, Move, RecurrentClassSummary, _potential_exists,
     absorption_from, bottom_classes, bottom_sccs, discounted_values,
-    induce_chain, product_skeleton, solve_linear,
+    first_passage, induce_chain, product_skeleton, solve_linear,
 )
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
 from stochgame.payoff import (
@@ -112,6 +112,43 @@ def test_solve_linear_matches_fraction_oracle(system):
         assert got == want
         assert all(type(x) is F for x in got)
     assert (matrix, rhs) == before
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_passage_solves_its_equations(seed, monkeypatch):
+    # strictly diagonally dominant rows, so every free set is solvable; the
+    # free order is shuffled and outside values and base mix ints and
+    # Fractions
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    rows = []
+    for _ in range(n):
+        row = {j: rng.randint(1, 4)
+               for j in rng.sample(range(n), rng.randint(1, n))}
+        rows.append((sum(row.values()) + rng.randint(1, 3), row))
+    free = rng.sample(range(n), rng.randint(0, n))
+    outside = [rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), 3)))
+               for _ in range(n)]
+    base = rng.choice((None, [F(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(n)]))
+    systems = []
+
+    def recording(matrix, rhs):
+        systems.append(matrix)
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(chain_module, "solve_linear", recording)
+    x = first_passage(rows, free, outside, base)
+    assert len(systems) == (1 if free else 0) and len(x) == len(free)
+    assert all(type(v) is int
+               for matrix in systems for row in matrix for v in row)
+    y = list(outside)
+    for node, v in zip(free, x):
+        y[node] = v
+    for node in free:
+        d, row = rows[node]
+        assert d * y[node] == (base[node] if base else 0) + sum(
+            num * y[j] for j, num in row.items())
 
 
 def _mixed_two_memory(arena, rng):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,16 @@ def test_reproduce_fig1(capsys):
     code, out, _ = run_capture(capsys, ["reproduce", "fig1"])
     assert code == EXIT_OK
     assert "alternating" in out and "confirmed" in out
+
+
+def test_only_human_output_carries_the_wall_clock(capsys):
+    code, out, _ = run_capture(capsys, ["reproduce", "fig1"])
+    assert code == EXIT_OK
+    assert re.fullmatch(r"wall_clock: \d+\.\d{3}s", out.splitlines()[-1])
+    code, out, _ = run_capture(
+        capsys, ["--format", "structured", "reproduce", "fig1"])
+    assert code == EXIT_OK
+    assert "wall_clock" not in json.loads(out) and "wall_clock" not in out
 
 
 def test_check_submixing_genmean_refuted(capsys):

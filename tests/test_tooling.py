@@ -51,6 +51,24 @@ def test_library_imports_only_at_module_level():
     assert sorted(SRC.glob("*.py")) and not found, found
 
 
+def _imported_packages(path):
+    """The top-level names of the absolute imports of one module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_library_holds_no_timer():
+    # timings vary from run to run, so only the command line and the
+    # acceptance gates read the clock, and reports stay byte-identical
+    found = sorted(path.name for path in SRC.glob("*.py")
+                   if path.name not in ("cli.py", "acceptance.py")
+                   and "time" in _imported_packages(path))
+    assert sorted(SRC.glob("*.py")) and not found, found
+
+
 def test_library_module_graph_has_no_cycle():
     # module-level imports only: an `if TYPE_CHECKING:` block is not run
     graph = {}

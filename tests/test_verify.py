@@ -5,6 +5,7 @@ import collections
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -340,12 +341,13 @@ def test_value_bounded_by_split_maximum(name, kind):
 # -- counter-example -----------------------------------------------------------------
 
 def test_counterexample_triple_and_determinism():
+    started = time.perf_counter()
     report = reproduce_counterexample()
+    assert time.perf_counter() - started < 1.0
     assert report.verdict == "confirmed"
     assert report.quantities["payoffs"] == {
         "stationary_1": 0, "stationary_2": 0, "alternating": 1}
     assert report.to_json() == reproduce_counterexample().to_json()
-    assert report.wall_clock < 1.0
 
 
 def test_counterexample_run_length_tables():
@@ -404,6 +406,7 @@ def test_value_changing_recurrent_names_the_pairs_in_a_bottom_class():
 # -- report plumbing ---------------------------------------------------------------------
 
 def test_structured_report_omits_wall_clock():
-    report = reproduce_counterexample()
-    assert "wall_clock" not in report.to_json(structured=True)
-    assert "wall_clock" in report.to_json(structured=False)
+    # the library holds no timer: the command line times its calls
+    doc = json.loads(reproduce_counterexample().to_json())
+    assert sorted(doc) == ["claim", "instance", "quantities", "verdict",
+                           "witness"]
