@@ -246,6 +246,12 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
 _FAST_SPECS = ("mean", "limsup", "liminf", "parity", "posavg",
                "genmean", "optgenmean", "counter+inf", "counter-inf")
 
+# The seeded submixing cases of a _FAST_SPECS payoff are decided this many at
+# a time; the search stops at the first block holding a violation.  A block
+# keeps its drawn lassos alive, so its size bounds the memory of any
+# random_cases.
+_CASE_BLOCK = 1024
+
 
 def _cycle_stats(spec: PayoffSpec, cycles: list[tuple]) -> dict:
     """Integer summaries of pure-cycle lassos for the vectorized sweep."""
@@ -265,72 +271,96 @@ def _cycle_stats(spec: PayoffSpec, cycles: list[tuple]) -> dict:
     return stats
 
 
-def _fast_violations(spec: PayoffSpec, st: dict, a: int, b: int) -> np.ndarray:
-    """Boolean (u, v) grid: does the (a, b)-block shuffle of the two cycles
-    beat both components?  Closed forms: every letter of both cycles occurs
-    in the shuffle cycle, u's letters with total weight a/(a+b)."""
-    L = st["L"]
-    Lu, Lv = L[:, None], L[None, :]
+def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
+    """Does the shuffle of u's and v's cycles, taking a letters of u for
+    every b of v, beat both components?  Closed forms: the shuffle's cycle
+    holds whole copies of both cycles, u's letters with total weight
+    a/(a+b).  The arguments broadcast: a column of u statistics against a
+    row of v statistics gives the (u, v) grid of one pattern, aligned arrays
+    give one decision per case."""
+    Lu, Lv = su["L"], sv["L"]
 
-    def blended(S):
+    def blended(Su, Sv):
         # sign-comparable numerator of the shuffle mean over denom (a+b)LuLv
-        return a * S[:, None] * Lv + b * S[None, :] * Lu
+        return a * Su * Lv + b * Sv * Lu
 
     name = spec.name
     if name == "mean":
-        S = st["S"]
-        W = blended(S)
-        return (W > S[:, None] * (a + b) * Lv) & (W > S[None, :] * (a + b) * Lu)
+        Su, Sv = su["S"], sv["S"]
+        W = blended(Su, Sv)
+        return (W > Su * (a + b) * Lv) & (W > Sv * (a + b) * Lu)
     if name == "limsup":
-        MX = st["MX"]
-        fw = np.maximum(MX[:, None], MX[None, :])
-        return (fw > MX[:, None]) & (fw > MX[None, :])
+        MXu, MXv = su["MX"], sv["MX"]
+        fw = np.maximum(MXu, MXv)
+        return (fw > MXu) & (fw > MXv)
     if name == "liminf":
-        MN = st["MN"]
-        fw = np.minimum(MN[:, None], MN[None, :])
-        return (fw > MN[:, None]) & (fw > MN[None, :])
+        MNu, MNv = su["MN"], sv["MN"]
+        fw = np.minimum(MNu, MNv)
+        return (fw > MNu) & (fw > MNv)
     if name == "parity":
-        MX = st["MX"]
-        fw = np.maximum(MX[:, None], MX[None, :]) % 2
-        return (fw == 1) & (MX[:, None] % 2 == 0) & (MX[None, :] % 2 == 0)
+        MXu, MXv = su["MX"], sv["MX"]
+        fw = np.maximum(MXu, MXv) % 2
+        return (fw == 1) & (MXu % 2 == 0) & (MXv % 2 == 0)
     if name in ("posavg", "counter+inf"):
-        S = st["S"]
-        fw = blended(S) > 0
-        return fw & (S[:, None] <= 0) & (S[None, :] <= 0)
+        Su, Sv = su["S"], sv["S"]
+        return (blended(Su, Sv) > 0) & (Su <= 0) & (Sv <= 0)
     if name == "counter-inf":
-        S = st["S"]
-        fw = blended(S) < 0
-        return fw & (S[:, None] >= 0) & (S[None, :] >= 0)
+        Su, Sv = su["S"], sv["S"]
+        return (blended(Su, Sv) < 0) & (Su >= 0) & (Sv >= 0)
     if name in ("genmean", "optgenmean"):
-        dims = range(spec.dim)
-        if name == "genmean":
-            fu = np.ones(len(L), dtype=bool)
-            fv = np.ones(len(L), dtype=bool)
-            fw = np.ones((len(L), len(L)), dtype=bool)
-            for d in dims:
-                S = st[f"S{d}"]
-                fu &= S > 0
-                fv &= S > 0
-                fw &= blended(S) > 0
-        else:
-            fu = np.zeros(len(L), dtype=bool)
-            fv = np.zeros(len(L), dtype=bool)
-            fw = np.zeros((len(L), len(L)), dtype=bool)
-            for d in dims:
-                S = st[f"S{d}"]
-                fu |= S >= 0
-                fv |= S >= 0
-                fw |= blended(S) >= 0
-        return fw & ~fu[:, None] & ~fv[None, :]
+        # genmean wins iff every dimension's sum is positive, optgenmean iff
+        # some dimension's sum is non-negative; fw is updated in place so
+        # that one grid of sums is alive at a time
+        every = name == "genmean"
+        wins, join = ((np.greater, np.logical_and) if every
+                      else (np.greater_equal, np.logical_or))
+        fu = fv = every
+        fw = np.full(np.broadcast_shapes(Lu.shape, Lv.shape), every)
+        for d in range(spec.dim):
+            Su, Sv = su[f"S{d}"], sv[f"S{d}"]
+            fu, fv = join(fu, wins(Su, 0)), join(fv, wins(Sv, 0))
+            join(fw, wins(blended(Su, Sv), 0), out=fw)
+        return fw & ~fu & ~fv
     raise FlagGateError(f"no closed form for {spec.format()}")
+
+
+def _decided_blocks(spec: PayoffSpec, alphabet, bounds: SearchBounds,
+                    rng: random.Random):
+    """Draw the seeded cases in blocks of _CASE_BLOCK; yield each block with
+    the closed forms' verdict on each of its cases."""
+    for done in range(0, bounds.random_cases, _CASE_BLOCK):
+        block = [_random_case(rng, alphabet, bounds.max_cycle)
+                 for _ in range(min(_CASE_BLOCK, bounds.random_cases - done))]
+        yield block, _fast_violations(
+            spec, _cycle_stats(spec, [u.cycle for u, _, _ in block]),
+            _cycle_stats(spec, [v.cycle for _, v, _ in block]),
+            np.array([p.tail_u for _, _, p in block]),
+            np.array([p.tail_v for _, _, p in block]))
+
+
+def _confirmed_witness(spec: PayoffSpec, u: Lasso, v: Lasso,
+                       pattern: ShufflePattern):
+    """The witness of a case the closed forms flag, found again through the
+    ordinary shuffle/evaluation path."""
+    witness = check_submixing(spec, u, v, pattern)
+    if witness is None:
+        raise AssertionError("closed-form sweep and full evaluation disagree")
+    return witness
 
 
 def search_submixing_violation(spec: PayoffSpec,
                                bounds: SearchBounds = SearchBounds(),
                                seed: int = 0) -> VerificationReport:
     """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
-    whose payoff beats both components.  A found witness is re-evaluated
-    through the ordinary shuffle/evaluation path before being reported."""
+    whose payoff beats both components.
+
+    For a _FAST_SPECS payoff, which reads only the cycles, both phases are
+    decided by `_fast_violations`'s closed forms: the exhaustive phase as a
+    cycle-by-cycle grid per pattern, the seeded cases in blocks of
+    _CASE_BLOCK, each reduced to its two cycles' statistics and its
+    pattern's tail sums.  The first flagged case, in draw order, is
+    re-evaluated through the ordinary shuffle/evaluation path before being
+    reported.  Other payoffs evaluate every case that way."""
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
@@ -338,25 +368,31 @@ def search_submixing_violation(spec: PayoffSpec,
                 "random_cases": bounds.random_cases}
     cases = 0
 
+    def refuted(witness) -> VerificationReport:
+        return VerificationReport("submixing", instance, "refuted",
+                                  {"cases": cases}, _submix_witness_doc(witness))
+
+    rng = random.Random(seed)
     if spec.name in _FAST_SPECS:
         cycles = [c for n in range(1, bounds.max_cycle + 1)
                   for c in itertools.product(alphabet, repeat=n)]
         st = _cycle_stats(spec, cycles)
+        col = {k: x[:, None] for k, x in st.items()}
+        row = {k: x[None, :] for k, x in st.items()}
         for a, b in SEARCH_PATTERNS:
-            viol = _fast_violations(spec, st, a, b)
+            viol = _fast_violations(spec, col, row, a, b)
             cases += viol.size
             if viol.any():
                 iu, iv = map(int, np.argwhere(viol)[0])
-                u = Lasso((), cycles[iu])
-                v = Lasso((), cycles[iv])
-                witness = check_submixing(spec, u, v,
-                                          ShufflePattern.alternating(a, b))
-                if witness is None:
-                    raise AssertionError(
-                        "closed-form sweep and full evaluation disagree")
-                return VerificationReport(
-                    "submixing", instance, "refuted",
-                    {"cases": cases}, _submix_witness_doc(witness))
+                return refuted(_confirmed_witness(
+                    spec, Lasso((), cycles[iu]), Lasso((), cycles[iv]),
+                    ShufflePattern.alternating(a, b)))
+        for block, viol in _decided_blocks(spec, alphabet, bounds, rng):
+            hits = np.flatnonzero(viol)
+            if hits.size:
+                cases += int(hits[0]) + 1
+                return refuted(_confirmed_witness(spec, *block[hits[0]]))
+            cases += len(block)
     else:
         small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
                  for c in itertools.product(alphabet, repeat=n)]
@@ -366,21 +402,13 @@ def search_submixing_violation(spec: PayoffSpec,
                 witness = check_submixing(spec, Lasso((), cu), Lasso((), cv),
                                           ShufflePattern.alternating(a, b))
                 if witness is not None:
-                    return VerificationReport(
-                        "submixing", instance, "refuted",
-                        {"cases": cases}, _submix_witness_doc(witness))
-
-    rng = random.Random(seed)
-    for _ in range(bounds.random_cases):
-        u = _random_lasso(rng, alphabet, bounds.max_cycle)
-        v = _random_lasso(rng, alphabet, bounds.max_cycle)
-        pattern = _random_pattern(rng)
-        cases += 1
-        witness = check_submixing(spec, u, v, pattern)
-        if witness is not None:
-            return VerificationReport(
-                "submixing", instance, "refuted",
-                {"cases": cases}, _submix_witness_doc(witness))
+                    return refuted(witness)
+        for _ in range(bounds.random_cases):
+            cases += 1
+            witness = check_submixing(
+                spec, *_random_case(rng, alphabet, bounds.max_cycle))
+            if witness is not None:
+                return refuted(witness)
     return VerificationReport(
         "submixing", instance, "confirmed", {"cases": cases})
 
@@ -391,7 +419,8 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     """Exhaustive small-word sweep plus randomized words, comparing the
     payoff against its suffixes."""
     alphabet = default_alphabet(spec)
-    instance = {"spec": spec.format(), "seed": seed, "shifts": bounds.shifts,
+    instance = {"spec": spec.format(), "seed": seed,
+                "max_cycle": bounds.max_cycle, "shifts": bounds.shifts,
                 "random_cases": bounds.random_cases}
     cases = 0
     for plen in range(0, 3):
@@ -423,6 +452,13 @@ def _random_lasso(rng: random.Random, alphabet, max_cycle: int,
     pre = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_prefix)))
     cyc = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_cycle)))
     return Lasso(pre, cyc)
+
+
+def _random_case(rng: random.Random, alphabet,
+                 max_cycle: int) -> tuple[Lasso, Lasso, ShufflePattern]:
+    u = _random_lasso(rng, alphabet, max_cycle)
+    v = _random_lasso(rng, alphabet, max_cycle)
+    return u, v, _random_pattern(rng)
 
 
 def _random_pattern(rng: random.Random) -> ShufflePattern:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochgame import solve
+from stochgame import solve, verify
 from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import (
@@ -18,8 +18,10 @@ from stochgame.payoff import (
 )
 from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
-    FlagGateError, SearchBounds, _cycle_stats, _fast_violations,
-    _random_memory_strategy, _stationary_guarantees, _value_changing_recurrent,
+    FlagGateError, SearchBounds, _cycle_stats, _decided_blocks,
+    _fast_violations, _random_case, _random_lasso, _random_memory_strategy,
+    _random_pattern, _stationary_guarantees, _submix_witness_doc,
+    _value_changing_recurrent,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
@@ -228,9 +230,19 @@ def test_shift_search_refutes_discounted():
     assert report.verdict == "refuted"
 
 
+FAST_PAYOFFS = ("mean", "limsup", "liminf", "parity", "posavg", "genmean:2",
+                "genmean:3", "optgenmean:2", "optgenmean:3", "counter+inf",
+                "counter-inf")
+
+
+def test_fast_payoffs_cover_the_closed_forms():
+    assert {name.split(":")[0] for name in FAST_PAYOFFS} == set(verify._FAST_SPECS)
+
+
 def test_fast_sweep_agrees_with_full_evaluation():
     # the vectorized sweep's closed forms against the ordinary
-    # shuffle-then-evaluate route, on a seeded sample of cycle pairs
+    # shuffle-then-evaluate route, on a seeded sample of cycle pairs, at
+    # every tail ratio a seeded pattern can draw
     rng = random.Random(31)
     for name in ("mean", "limsup", "liminf", "parity", "posavg",
                  "genmean:2", "optgenmean:2", "counter+inf", "counter-inf"):
@@ -240,14 +252,95 @@ def test_fast_sweep_agrees_with_full_evaluation():
                         for _ in range(rng.randint(1, 4)))
                   for _ in range(12)]
         stats = _cycle_stats(spec, cycles)
-        for a, b in ((1, 1), (2, 1), (1, 2)):
-            grid = _fast_violations(spec, stats, a, b)
+        col = {k: x[:, None] for k, x in stats.items()}
+        row = {k: x[None, :] for k, x in stats.items()}
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            grid = _fast_violations(spec, col, row, a, b)
             for i, j in itertools.product(range(len(cycles)), repeat=2):
                 witness = check_submixing(
                     spec, Lasso((), cycles[i]), Lasso((), cycles[j]),
                     ShufflePattern.alternating(a, b))
                 assert bool(grid[i, j]) == (witness is not None), \
                     (name, a, b, cycles[i], cycles[j])
+
+
+@pytest.mark.parametrize("name", FAST_PAYOFFS)
+def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
+        monkeypatch, name):
+    # every drawn case, prefixes and all, not only the first violation;
+    # two whole blocks and a remainder, so block boundaries are crossed
+    monkeypatch.setattr(verify, "_CASE_BLOCK", 64)
+    spec = parse_payoff_spec(name)
+    alphabet = default_alphabet(spec)
+    flagged = 0
+    for seed in range(4):
+        bounds = SearchBounds(max_cycle=seed + 1, random_cases=2 * 64 + 23)
+        blocks = list(_decided_blocks(spec, alphabet, bounds,
+                                      random.Random(seed)))
+        assert [len(block) for block, _ in blocks] == [64, 64, 23]
+        reference = random.Random(seed)
+        for block, viol in blocks:
+            assert viol.shape == (len(block),)
+            for case, flag in zip(block, viol):
+                assert case == _random_case(reference, alphabet, seed + 1)
+                witness = check_submixing(spec, *case)
+                assert bool(flag) == (witness is not None), (name, seed, case)
+                flagged += bool(flag)
+    # of the closed forms, only genmean's has lasso witnesses
+    assert (flagged > 0) == (spec.name == "genmean")
+
+
+def _per_case_search(spec, bounds, seed):
+    """The seeded phase as one check_submixing call per case."""
+    alphabet = default_alphabet(spec)
+    rng = random.Random(seed)
+    for cases in range(1, bounds.random_cases + 1):
+        u = _random_lasso(rng, alphabet, bounds.max_cycle)
+        v = _random_lasso(rng, alphabet, bounds.max_cycle)
+        witness = check_submixing(spec, u, v, _random_pattern(rng))
+        if witness is not None:
+            return "refuted", cases, _submix_witness_doc(witness)
+    return "confirmed", bounds.random_cases, None
+
+
+@pytest.mark.parametrize("block", [4, verify._CASE_BLOCK])
+@pytest.mark.parametrize("name, verdict", [
+    ("genmean:2", "refuted"), ("genmean:3", "refuted"),
+    # a lasso's counter-inf value is the sign of its cycle sum, and a
+    # shuffle's cycle sum is a positive mix of both sums: no lasso witness
+    ("counter-inf", "confirmed"),
+])
+def test_seeded_phase_matches_the_per_case_loop(monkeypatch, block, name,
+                                                verdict):
+    # without exhaustive patterns the seeded blocks decide the search
+    monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
+    monkeypatch.setattr(verify, "_CASE_BLOCK", block)
+    spec = parse_payoff_spec(name)
+    for seed in range(4):
+        bounds = SearchBounds(max_cycle=3, random_cases=300)
+        report = search_submixing_violation(spec, bounds, seed)
+        assert report.verdict == verdict
+        assert (report.verdict, report.quantities["cases"], report.witness) \
+            == _per_case_search(spec, bounds, seed)
+        if verdict == "refuted":
+            assert replay_submixing_witness(spec, report.witness)
+
+
+@pytest.mark.parametrize("patterns", [(), verify.SEARCH_PATTERNS])
+def test_closed_form_hit_without_a_witness_is_an_error(monkeypatch, patterns):
+    # a flagged case that the full evaluation clears never reads as confirmed
+    monkeypatch.setattr(verify, "SEARCH_PATTERNS", patterns)
+    monkeypatch.setattr(verify, "check_submixing", lambda *case: None)
+    with pytest.raises(AssertionError, match="disagree"):
+        search_submixing_violation(parse_payoff_spec("genmean:2"),
+                                   SearchBounds(max_cycle=2), seed=1)
+
+
+def test_shift_search_reports_its_max_cycle():
+    reports = [search_shift_invariance_violation(
+        mean, SearchBounds(max_cycle=n, random_cases=5), seed=3)
+        for n in (1, 4)]
+    assert [r.instance["max_cycle"] for r in reports] == [1, 4]
 
 
 # -- subgame perfection ------------------------------------------------------------
