@@ -109,7 +109,12 @@ _CATALOG = {
     # of a shuffle is the sum of one prefix sum of each component word.
     "counter+inf":   (INCREMENT,    True,  True,  True,  False),
     # Flagged not submixing following the cited one-counter example; no
-    # positionality claim is made for it anywhere in the harness.
+    # positionality claim is made for it anywhere in the harness.  That
+    # example (a zero-drift oscillation) is not a lasso, and no ultimately
+    # periodic witness exists: a lasso's value is the sign of its cycle sum,
+    # and a shuffle's cycle sum is a positive mix of both components' sums.
+    # So `check submixing --payoff counter-inf` can only print `confirmed`,
+    # the result of a bounded search, not a proof.
     "counter-inf":   (INCREMENT,    True,  False, True,  False),
     "genmean":       (VECTOR,       True,  False, True,  False),
     "optgenmean":    (VECTOR,       True,  True,  True,  False),
@@ -520,13 +525,30 @@ class ShiftWitness:
 def check_shift_invariance(spec: PayoffSpec, word: Lasso,
                            shifts: int) -> Optional[ShiftWitness]:
     """Compare f on the word and on its first `shifts` suffixes; return the
-    first disagreement, if any."""
+    first disagreement, if any.
+
+    The suffixes run round an orbit: once past the prefix they rotate the
+    cycle.  The first prefix-free word on it (the word itself, or the first
+    suffix that reaches the cycle) is kept, and a later suffix equal to it
+    ends the search with None, unevaluated.  That stop is sound without
+    trusting `Lasso.suffix` or `evaluate_lasso`: both are functions of the
+    word, so from there on the suffixes and their values repeat words
+    already compared with the base, and the first disagreeing shift is the
+    same.  A word with p prefix letters and a cycle of primitive period q
+    costs min(shifts + 1, p + q) evaluations, each through `evaluate_lasso`.
+    """
     if shifts < 1:
         raise PayoffError("shifts must be >= 1")
     base = evaluate_lasso(spec, word)
     current = word
+    start = None if word.prefix else word
     for k in range(1, shifts + 1):
         current = current.suffix(1)
+        if start is None:
+            if not current.prefix:
+                start = current
+        elif current == start:
+            return None
         val = evaluate_lasso(spec, current)
         if val != base:
             return ShiftWitness(word, k, base, val)
