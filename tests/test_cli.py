@@ -363,11 +363,16 @@ SEEDED_CHECKS = [
     ("check_submixing_genmean2.json", ["submixing", "--payoff", "genmean:2"]),
     ("check_shift_discounted.json",
      ["shift-invariance", "--payoff", "discounted"]),
+    # refuted at shift 1 from a prefix-free word, where the orbit stop starts
+    ("check_shift_geomfirstone.json",
+     ["shift-invariance", "--payoff", "geomfirstone", "--cases", "300"]),
     # confirmed: every random case is evaluated on lassos and shuffles
     ("check_submixing_optgenmean2.json",
      ["submixing", "--payoff", "optgenmean:2", "--cases", "300"]),
     ("check_shift_mean.json",
      ["shift-invariance", "--payoff", "mean", "--cases", "300"]),
+    ("check_shift_genmean2.json",
+     ["shift-invariance", "--payoff", "genmean:2", "--cases", "300"]),
 ]
 
 

@@ -1,5 +1,7 @@
 """Exact payoff evaluation, shuffles, and the property refuters."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,13 @@ from hypothesis import strategies as st
 
 from stochgame import payoff
 from stochgame.payoff import (
-    VECTOR, ColourKindError, ColourToken, Lasso, PayoffError, ShuffleError,
-    ShufflePattern, check_shift_invariance, check_submixing, class_value,
+    VECTOR, ColourKindError, ColourToken, Lasso, PayoffError, ShiftWitness,
+    ShuffleError, ShufflePattern, check_shift_invariance, check_submixing, class_value,
     colour_from_json, colour_to_json, discounted, evaluate_lasso, increment,
     letter, parse_payoff_spec, priority, priority_lasso, reward,
     reward_buchi, reward_lasso, shuffle, vector, vector_lasso,
 )
+from stochgame.verify import _random_lasso, default_alphabet
 
 mean = parse_payoff_spec("mean")
 par = parse_payoff_spec("parity")
@@ -21,13 +24,17 @@ disc = parse_payoff_spec("discounted")
 geom = parse_payoff_spec("geomfirstone")
 
 
-# -- spec parsing -------------------------------------------------------------
-
-@pytest.mark.parametrize("text", [
+# one spec per catalog payoff
+CATALOG_SPECS = [
     "mean", "discounted", "parity", "limsup", "liminf", "posavg",
     "counter+inf", "counter-inf", "genmean:2", "optgenmean:3",
     "meancobuchi:100", "suffixtarget:ab", "geomfirstone",
-])
+]
+
+
+# -- spec parsing -------------------------------------------------------------
+
+@pytest.mark.parametrize("text", CATALOG_SPECS)
 def test_spec_round_trip(text):
     assert parse_payoff_spec(text).format() == text
 
@@ -208,6 +215,107 @@ def test_shift_invariance_discounted_equal_word():
     # under every shift even though the payoff is not shift-invariant
     word = Lasso((), (discounted(1, Fraction(1, 2)),))
     assert check_shift_invariance(disc, word, 4) is None
+
+
+def _reference_shift_check(spec, word, shifts):
+    # the check without its orbit stop: every one of the `shifts` suffixes
+    # is evaluated, and the first disagreement is kept
+    base = payoff.evaluate_lasso(spec, word)
+    current, found = word, None
+    for k in range(1, shifts + 1):
+        current = current.suffix(1)
+        val = payoff.evaluate_lasso(spec, current)
+        if found is None and val != base:
+            found = ShiftWitness(word, k, base, val)
+    return found
+
+
+def _shift_oracle_words(alphabet):
+    # every word of the search's exhaustive phase, then seeded random words
+    # with the search's prefix and cycle bounds
+    for plen in range(0, 3):
+        for clen in range(1, 3):
+            for pre in itertools.product(alphabet, repeat=plen):
+                for cyc in itertools.product(alphabet, repeat=clen):
+                    yield Lasso(pre, cyc)
+    rng = random.Random(5)
+    for _ in range(150):
+        yield _random_lasso(rng, alphabet, 4, max_prefix=3)
+
+
+def _rotation_sensitive(real, alphabet):
+    # not shift-invariant: reads the cycle's first letter
+    rank = {tok: i for i, tok in enumerate(alphabet)}
+    return lambda spec, word: real(spec, word) + rank[word.cycle[0]]
+
+
+def _prefix_counting(real, alphabet):
+    # not shift-invariant: adds the prefix length
+    return lambda spec, word: real(spec, word) + len(word.prefix)
+
+
+def _assert_orbit_stop_matches_reference(spec, alphabet):
+    refuted = 0
+    for word in _shift_oracle_words(alphabet):
+        # the first disagreement within 9 shifts is the first within any
+        # fewer shifts that reach it
+        first = _reference_shift_check(spec, word, 9)
+        refuted += first is not None
+        for shifts in range(1, 10):
+            want = first if first is not None and first.shift <= shifts else None
+            assert check_shift_invariance(spec, word, shifts) == want, \
+                (word, shifts)
+    return refuted
+
+
+@pytest.mark.parametrize("name", CATALOG_SPECS)
+def test_orbit_stop_agrees_with_evaluating_every_suffix(name):
+    spec = parse_payoff_spec(name)
+    _assert_orbit_stop_matches_reference(spec, default_alphabet(spec))
+
+
+# one shift-invariant payoff per colour kind, and the letter payoff
+@pytest.mark.parametrize("name", ["mean", "parity", "counter+inf", "genmean:2",
+                                  "meancobuchi:100", "suffixtarget:ab"])
+@pytest.mark.parametrize("evaluator", [_rotation_sensitive, _prefix_counting])
+def test_orbit_stop_refutes_a_shift_dependent_evaluator_at_the_same_shift(
+        monkeypatch, name, evaluator):
+    spec = parse_payoff_spec(name)
+    alphabet = default_alphabet(spec)
+    monkeypatch.setattr(payoff, "evaluate_lasso",
+                        evaluator(payoff.evaluate_lasso, alphabet))
+    assert _assert_orbit_stop_matches_reference(spec, alphabet)
+
+
+P3_Q4 = reward_lasso([0, 1, 2], [1, -1, 2, 0])
+
+
+@pytest.mark.parametrize("word, shifts, evaluations", [
+    (reward_lasso([], [1]), 6, 1),
+    # the stop compares words, not cycle lengths: (1 1) has period 1
+    (reward_lasso([], [1, 1]), 6, 1),
+    (reward_lasso([2], [1, 0, 1, 0]), 9, 3),
+    (P3_Q4, 9, 7),
+    (P3_Q4, 6, 7),
+    # fewer shifts than p + q: every suffix is evaluated
+    (P3_Q4, 5, 6),
+    (P3_Q4, 1, 2),
+])
+def test_shift_check_evaluates_each_orbit_word_once(monkeypatch, word, shifts,
+                                                    evaluations):
+    # min(shifts + 1, p + q) evaluations for p prefix letters and a cycle
+    # of primitive period q, all of distinct words
+    real = payoff.evaluate_lasso
+    seen = []
+
+    def counted(spec, w):
+        seen.append(w)
+        return real(spec, w)
+
+    monkeypatch.setattr(payoff, "evaluate_lasso", counted)
+    assert check_shift_invariance(mean, word, shifts) is None
+    assert len(seen) == evaluations
+    assert len(set(seen)) == evaluations
 
 
 # -- shuffles ------------------------------------------------------------------
