@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from stochgame import payoff
 from stochgame.payoff import (
     VECTOR, ColourKindError, ColourToken, Lasso, PayoffError, ShiftWitness,
-    ShuffleError, ShufflePattern, check_shift_invariance, check_submixing, class_value,
-    colour_from_json, colour_to_json, discounted, evaluate_lasso, increment,
-    letter, parse_payoff_spec, priority, priority_lasso, reward,
+    ShuffleError, ShufflePattern, check_shift_invariance, check_submixing,
+    class_value, colour_from_json, colour_to_json, discounted, evaluate_lasso,
+    increment, letter, parse_payoff_spec, priority, priority_lasso, reward,
     reward_buchi, reward_lasso, shuffle, vector, vector_lasso,
 )
 from stochgame.verify import _random_lasso, default_alphabet
@@ -254,7 +254,9 @@ def _prefix_counting(real, alphabet):
     return lambda spec, word: real(spec, word) + len(word.prefix)
 
 
-def _assert_orbit_stop_matches_reference(spec, alphabet):
+def _compare_with_reference(spec, alphabet):
+    # asserts that the check and the reference agree on every oracle word
+    # and shift count; returns how many words the reference refutes
     refuted = 0
     for word in _shift_oracle_words(alphabet):
         # the first disagreement within 9 shifts is the first within any
@@ -262,16 +264,16 @@ def _assert_orbit_stop_matches_reference(spec, alphabet):
         first = _reference_shift_check(spec, word, 9)
         refuted += first is not None
         for shifts in range(1, 10):
-            want = first if first is not None and first.shift <= shifts else None
-            assert check_shift_invariance(spec, word, shifts) == want, \
-                (word, shifts)
+            reached = first is not None and first.shift <= shifts
+            assert check_shift_invariance(spec, word, shifts) == (
+                first if reached else None), (word, shifts)
     return refuted
 
 
 @pytest.mark.parametrize("name", CATALOG_SPECS)
 def test_orbit_stop_agrees_with_evaluating_every_suffix(name):
     spec = parse_payoff_spec(name)
-    _assert_orbit_stop_matches_reference(spec, default_alphabet(spec))
+    _compare_with_reference(spec, default_alphabet(spec))
 
 
 # one shift-invariant payoff per colour kind, and the letter payoff
@@ -284,7 +286,7 @@ def test_orbit_stop_refutes_a_shift_dependent_evaluator_at_the_same_shift(
     alphabet = default_alphabet(spec)
     monkeypatch.setattr(payoff, "evaluate_lasso",
                         evaluator(payoff.evaluate_lasso, alphabet))
-    assert _assert_orbit_stop_matches_reference(spec, alphabet)
+    assert _compare_with_reference(spec, alphabet)
 
 
 P3_Q4 = reward_lasso([0, 1, 2], [1, -1, 2, 0])
