@@ -80,6 +80,17 @@ class InducedChain:
             object.__setattr__(self, "_int_rows", cached)
         return cached
 
+    def discounted_rows(self) -> tuple[Optional[tuple[int, dict[int, int],
+                                                       Fraction]], ...]:
+        """Each node's discounted equation `(d, {succ: n}, b)`, read
+        d v = b + sum_succ n v_succ (see `_discounted_row`), or None at a
+        node with a colour that is no reward-discount pair."""
+        cached = self.__dict__.get("_discounted_rows")
+        if cached is None:
+            cached = tuple(_discounted_row(mvs) for mvs in self.moves)
+            object.__setattr__(self, "_discounted_rows", cached)
+        return cached
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -105,7 +116,8 @@ class RecurrentClassSummary:
 
     @cached_property
     def stationary(self) -> dict[int, Fraction]:
-        return self._solved[0]
+        mass, common = self._solved[0]
+        return {node: Fraction(m, common) for node, m in zip(self.nodes, mass)}
 
     @cached_property
     def colour_weights(self) -> tuple[tuple[ColourToken, Fraction], ...]:
@@ -113,7 +125,8 @@ class RecurrentClassSummary:
 
     @cached_property
     def _solved(self):
-        """(stationary, colour_weights), from one solve."""
+        """((mass, common), colour_weights), from one solve: the stationary
+        weight of node `nodes[k]` is mass[k] / common."""
         nodes = self.nodes
         pos = {node: k for k, node in enumerate(nodes)}
         n = len(nodes)
@@ -140,25 +153,27 @@ class RecurrentClassSummary:
                 back[pos[succ]] += zk * num
         if any(b != d * zk for b, zk, (d, _) in zip(back, z, rows)):
             raise ChainError("solved class distribution is not stationary")
-        stationary = {node: d * x for node, x, (d, _) in zip(nodes, y, rows)}
-        total = sum(stationary.values())
-        if total != 1:
-            raise ChainError(f"stationary weights sum to {total}")
-        if any(w <= 0 for w in stationary.values()):
+        # pi_k = d_k y_k = mass_k / common, checked in integers
+        mass = [d * zk for zk, (d, _) in zip(z, rows)]
+        total = sum(mass)
+        if total != common:
+            raise ChainError(
+                f"stationary weights sum to {Fraction(total, common)}")
+        if any(m <= 0 for m in mass):
             raise ChainError("stationary weights must be positive")
         # Colour weights sum pi_k * weight, over the common denominator of
         # z and the move weights.
         moves = [self.chain.moves[node] for node in nodes]
         wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
         weights: dict[ColourToken, int] = {}
-        for mvs, zk, (d, _) in zip(moves, z, rows):
+        for mvs, m in zip(moves, mass):
             for mv in mvs:
                 w = mv.weight
                 if w:
                     weights[mv.colour] = weights.get(mv.colour, 0) \
-                        + d * zk * w.numerator * (wden // w.denominator)
-        return stationary, tuple((tok, Fraction(v, common * wden))
-                                 for tok, v in weights.items())
+                        + m * w.numerator * (wden // w.denominator)
+        return (mass, common), tuple((tok, Fraction(v, common * wden))
+                                     for tok, v in weights.items())
 
     @cached_property
     def has_potential(self) -> Optional[bool]:
@@ -225,17 +240,20 @@ class ProductSkeleton:
     """Every row a family of strategy pairs can induce on one product,
     built once.  Both memory coordinates of a node follow one automaton.
 
-    `moves[i]` and `int_rows[i]` list node i's options in the same order:
-    one per available action, in the arena's order, at an open node, and
-    the fixed strategy's law alone at a fixed node.  A choice vector holds
-    one option index per node (0 at a fixed node), and `pick` turns it into
-    the chain `induce_chain` builds for that pair: the same nodes in the
-    same order, the same moves and the same integer rows."""
+    `moves[i]`, `int_rows[i]` and `discounted_rows[i]` list node i's
+    options in the same order: one per available action, in the arena's
+    order, at an open node, and the fixed strategy's law alone at a fixed
+    node.  A choice vector holds one option index per node (0 at a fixed
+    node), and `pick` turns it into the chain `induce_chain` builds for
+    that pair: the same nodes in the same order, the same moves, the same
+    integer rows and the same discounted equations."""
 
     nodes: tuple[tuple, ...]          # (state, mem, mem)
     index: dict[tuple, int]
     moves: tuple[tuple[tuple[Move, ...], ...], ...]
     int_rows: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
+    discounted_rows: tuple[tuple[Optional[tuple[int, dict[int, int],
+                                                 Fraction]], ...], ...]
 
     def pick(self, choice: Sequence[int]) -> InducedChain:
         chain = InducedChain(
@@ -243,6 +261,8 @@ class ProductSkeleton:
             self.index)
         object.__setattr__(chain, "_int_rows", tuple(
             opts[k] for opts, k in zip(self.int_rows, choice)))
+        object.__setattr__(chain, "_discounted_rows", tuple(
+            opts[k] for opts, k in zip(self.discounted_rows, choice)))
         return chain
 
     def __len__(self) -> int:
@@ -261,7 +281,7 @@ def product_skeleton(arena: Arena, sigma=None) -> ProductSkeleton:
     memories = ("m0",) if sigma is None else sigma.memory_states
     nodes = tuple((s, m, m) for m in memories for s in arena.states)
     index = {node: i for i, node in enumerate(nodes)}
-    moves, int_rows = [], []
+    moves, int_rows, discounted_rows = [], [], []
     for key in nodes:
         s, m, _ = key
 
@@ -281,7 +301,9 @@ def product_skeleton(arena: Arena, sigma=None) -> ProductSkeleton:
         int_rows.append(tuple(
             _integer_row((mv.weight, mv.successors) for mv in mvs)
             for mvs in opts))
-    return ProductSkeleton(nodes, index, tuple(moves), tuple(int_rows))
+        discounted_rows.append(tuple(_discounted_row(mvs) for mvs in opts))
+    return ProductSkeleton(nodes, index, tuple(moves), tuple(int_rows),
+                           tuple(discounted_rows))
 
 
 def _integer_row(terms) -> tuple[int, dict[int, int]]:
@@ -298,6 +320,20 @@ def _integer_row(terms) -> tuple[int, dict[int, int]]:
         d //= g
         row = {succ: n // g for succ, n in row.items()}
     return d, row
+
+
+def _discounted_row(mvs: Sequence[Move]
+                    ) -> Optional[tuple[int, dict[int, int], Fraction]]:
+    """The discounted equation of a node with moves `mvs`, v = sum_moves
+    weight * (reward + lambda * sum_succ p v_succ), as `(d, {succ: n}, b)`:
+    n / d is the row sum_moves weight * lambda * P and b is d times the
+    expected reward.  None if some move's colour is no reward-discount
+    pair."""
+    if any(mv.colour.kind != "discounted" for mv in mvs):
+        return None
+    d, row = _integer_row((mv.weight * mv.colour.value[1], mv.successors)
+                          for mv in mvs)
+    return d, row, d * sum(mv.weight * mv.colour.value[0] for mv in mvs)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +524,10 @@ def absorption_from(chain: InducedChain,
 def discounted_values(chain: InducedChain) -> list[Fraction]:
     """Unique solution of v = r + Lambda P v on the product chain, with
     per-(node, action) rewards and discounts from the colouring; one value
-    per chain node."""
-    rows, base = [], []
-    for mvs in chain.moves:
-        if any(mv.colour.kind != "discounted" for mv in mvs):
-            raise ChainError("discounted payoff needs reward-discount colours")
-        # d v_i = d sum_moves weight * reward + sum_j n_ij v_j, with n / d
-        # the discounted row sum_moves weight * lambda * P
-        d, row = _integer_row((mv.weight * mv.colour.value[1], mv.successors)
-                              for mv in mvs)
-        rows.append((d, row))
-        base.append(d * sum(mv.weight * mv.colour.value[0] for mv in mvs))
-    return first_passage(rows, range(len(rows)), (), base)
+    per chain node.  The equations are the chain's `discounted_rows`,
+    which a picked chain takes from its skeleton."""
+    eqs = chain.discounted_rows()
+    if None in eqs:
+        raise ChainError("discounted payoff needs reward-discount colours")
+    return first_passage([(d, row) for d, row, _ in eqs], range(len(eqs)), (),
+                         [b for _, _, b in eqs])

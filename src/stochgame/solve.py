@@ -25,7 +25,7 @@ general builder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, log, prod, sqrt
 from typing import NamedTuple, Optional, Sequence
@@ -314,13 +314,19 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
 @dataclass(frozen=True)
 class ValueVector:
     """Game values with certificates: the optimal stationary strategy of the
-    maximizer and, per state, the minimizer's reply achieving the value."""
+    maximizer and, per state, the minimizer's reply achieving the value.
+    `arena_fingerprint` is the solved arena's `Arena.fingerprint()`, hashed
+    on first read: the grid does not need it."""
 
     values: dict[str, Fraction]
     sigma_star: PureStationaryStrategy
     best_response: dict[str, tuple[PureStationaryStrategy, Fraction]]
     spec: PayoffSpec
-    arena_fingerprint: str
+    arena: Arena = field(repr=False)
+
+    @property
+    def arena_fingerprint(self) -> str:
+        return self.arena.fingerprint()
 
     def __getitem__(self, state: str) -> Fraction:
         return self.values[state]
@@ -366,8 +372,7 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
             raise SaddlePointError(
                 f"certificate at {s} reaches {certificates[s][1]}, "
                 f"not the value {maxmin[s]}")
-    return ValueVector(maxmin, grid.sigmas[best_i], certificates, spec,
-                       arena.fingerprint())
+    return ValueVector(maxmin, grid.sigmas[best_i], certificates, spec, arena)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 discounted systems.  All assertions are exact unless marked Monte Carlo."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -220,15 +221,20 @@ def _oracle_discounted(chain):
     return _gauss_oracle(matrix, rhs)
 
 
+def _mixed_discount_arena(seed, rng):
+    """A discounted random arena with one discount factor per action, so
+    that mixed rows combine several."""
+    arena = random_arena(4, 3, seed=seed, kind="discounted")
+    return dataclasses.replace(arena, colour={
+        sa: discounted(tok.value[0], rng.choice((F(0), F(1, 3), F(1, 2), F(4, 5))))
+        for sa, tok in arena.colour.items()})
+
+
 @pytest.mark.parametrize("seed", range(0, 120, 5))
 def test_integer_chain_algebra_matches_fraction_oracles(seed):
     # seeds 85, 90 and 115 give chains with two bottom classes
     rng = random.Random(seed)
-    arena = random_arena(4, 3, seed=seed, kind="discounted")
-    # one discount factor per action, so mixed rows combine several
-    arena = dataclasses.replace(arena, colour={
-        sa: discounted(tok.value[0], rng.choice((F(0), F(1, 3), F(1, 2), F(4, 5))))
-        for sa, tok in arena.colour.items()})
+    arena = _mixed_discount_arena(seed, rng)
     tau = _first_choice(arena, P2)
     for sigma in (_random_memory_strategy(arena, rng, 2),
                   _mixed_two_memory(arena, rng)):
@@ -261,19 +267,68 @@ def test_skeleton_picks_the_chain_induce_chain_builds(seed):
                   _mixed_two_memory(arena, rng)):
         skeleton = product_skeleton(arena, sigma)
         choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
-        picked = {(m, s): {arena.available[s][k]: F(1)}
-                  for (s, m, _), k in zip(skeleton.nodes, choice)}
-        if sigma is None:
-            sigma = PureStationaryStrategy(P1, {
-                s: next(iter(picked[("m0", s)])) for s in arena.player_states(P1)})
-        tau = FiniteMemoryStrategy(
-            P2, sigma.memory_states, sigma.initial, dict(sigma.update),
-            {pair: law for pair, law in picked.items()
-             if arena.owner[pair[1]] == P2})
-        want = induce_chain(arena, sigma, tau, skeleton.nodes)
+        want = _induced_pick(arena, sigma, skeleton, choice)
         got = skeleton.pick(choice)
         assert (got.nodes, got.moves, got.int_rows()) \
             == (want.nodes, want.moves, want.int_rows())
+
+
+def _induced_pick(arena, sigma, skeleton, choice):
+    """The chain `induce_chain` builds for the pair that `choice` picks on
+    `sigma`'s skeleton (the grid's when sigma is None), seeded at the
+    skeleton's nodes."""
+    picked = {(m, s): {arena.available[s][k]: F(1)}
+              for (s, m, _), k in zip(skeleton.nodes, choice)}
+    if sigma is None:
+        sigma = PureStationaryStrategy(P1, {
+            s: next(iter(picked[("m0", s)])) for s in arena.player_states(P1)})
+    tau = FiniteMemoryStrategy(
+        P2, sigma.memory_states, sigma.initial, dict(sigma.update),
+        {pair: law for pair, law in picked.items()
+         if arena.owner[pair[1]] == P2})
+    return induce_chain(arena, sigma, tau, skeleton.nodes)
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 5))
+def test_skeleton_discounted_rows_match_the_oracles(seed):
+    # a picked chain solves the skeleton's per-option discounted rows; its
+    # values must be the Fraction oracle's and the induce_chain chain's
+    rng = random.Random(seed)
+    arena = _mixed_discount_arena(seed, rng)
+    for sigma in (None, _random_memory_strategy(arena, rng, 2),
+                  _mixed_two_memory(arena, rng)):
+        skeleton = product_skeleton(arena, sigma)
+        for _ in range(3):
+            choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
+            got = skeleton.pick(choice)
+            want = _induced_pick(arena, sigma, skeleton, choice)
+            assert discounted_values(got) == _oracle_discounted(got) \
+                == discounted_values(want)
+
+
+def test_a_reward_coloured_option_keeps_the_discount_error():
+    # (s2, a1) is a minimizer action with a reward colour: exactly the
+    # chains that pick it raise, on the grid and on a memory product
+    arena = random_arena(4, 3, seed=3, kind="discounted")
+    arena = dataclasses.replace(
+        arena, colour={**arena.colour, ("s2", "a1"): reward(1)})
+    rng = random.Random(3)
+    for sigma in (None, _random_memory_strategy(arena, rng, 2)):
+        skeleton = product_skeleton(arena, sigma)
+        s2 = [i for i, (s, _, _) in enumerate(skeleton.nodes) if s == "s2"]
+        for choice in itertools.product(*(range(len(o)) for o in skeleton.moves)):
+            chains = (skeleton.pick(choice),
+                      _induced_pick(arena, sigma, skeleton, choice))
+            if any(choice[i] == 1 for i in s2):
+                for chain in chains:
+                    with pytest.raises(ChainError) as err:
+                        discounted_values(chain)
+                    assert str(err.value) \
+                        == "discounted payoff needs reward-discount colours"
+            else:
+                assert discounted_values(chains[0]) \
+                    == _oracle_discounted(chains[0]) \
+                    == discounted_values(chains[1])
 
 
 @pytest.mark.parametrize("law, update, message", [
@@ -359,6 +414,37 @@ def test_stationary_two_node_class():
     (cls,) = bottom_sccs(chain)
     pi = {chain.nodes[n][0]: p for n, p in cls.stationary.items()}
     assert pi == {"x": F(1, 3), "y": F(2, 3)}
+
+
+def _two_node_class(transitions):
+    arena = _one_action_arena(transitions)
+    chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
+    return RecurrentClassSummary(
+        chain, [chain.index[(s, "m0", "m0")] for s in ("x", "y")])
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda y: [y[0] + F(1, 7), *y[1:]],
+     "solved class distribution is not stationary"),
+    (lambda y: [2 * x for x in y], "stationary weights sum to 2")])
+def test_stationary_solve_is_checked_exactly(monkeypatch, spoil, message):
+    # the checks read the solve's result, so a spoiled solve must be caught
+    cls = _two_node_class({"x": {"y": F(1)}, "y": {"x": F(1, 2), "y": F(1, 2)}})
+    solve = chain_module.solve_linear
+    monkeypatch.setattr(chain_module, "solve_linear",
+                        lambda matrix, rhs: spoil(solve(matrix, rhs)))
+    with pytest.raises(ChainError) as err:
+        cls.colour_weights
+    assert str(err.value) == message
+
+
+def test_stationary_weights_of_a_transient_node_are_rejected():
+    # x moves into y, which loops: {x, y} is no closed class, and its
+    # stationary weight at x is 0
+    cls = _two_node_class({"x": {"y": F(1)}, "y": {"y": F(1)}})
+    with pytest.raises(ChainError) as err:
+        cls.stationary
+    assert str(err.value) == "stationary weights must be positive"
 
 
 @given(st.integers(0, 5000))

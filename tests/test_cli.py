@@ -534,6 +534,12 @@ PINNED_OUTPUTS = [
     ("solve_priority_parity.json", EXIT_OK,
      ["solve", "random:states=4,actions=3,seed=5,kind=priority",
       "--payoff", "parity"], None),
+    ("solve_discounted.json", EXIT_OK,
+     ["solve", "random:states=5,actions=3,seed=7,kind=discounted",
+      "--payoff", "discounted"], None),
+    ("solve_reward_mean.json", EXIT_OK,
+     ["solve", "random:states=5,actions=3,seed=7,kind=reward",
+      "--payoff", "mean"], None),
 ]
 
 
@@ -548,6 +554,14 @@ def test_structured_output_is_pinned(tmp_path, capsys, golden, exit_code, argv,
     code, out, _ = run_capture(capsys, ["--format", "structured", *argv])
     assert code == exit_code
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_solve_discounted_on_a_reward_arena_is_one_error_line(capsys):
+    code, out, err = run_capture(capsys, [
+        "solve", "random:states=5,actions=3,seed=7,kind=reward",
+        "--payoff", "discounted"])
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "error: discounted payoff needs reward-discount colours\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

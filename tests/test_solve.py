@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochgame import arena as arena_module
 from stochgame import chain as chain_module
 from stochgame import solve
 from stochgame.arena import P1, P2, Arena, random_arena
@@ -250,6 +251,20 @@ def test_brute_force_value_one_state():
     (cls_value,) = vv.values.values()
     assert [cls_value] == node_values(arena, mean, _unique(arena, P1),
                                       _unique(arena, P2))
+
+
+def test_brute_force_value_hashes_the_arena_only_when_asked(monkeypatch):
+    # the fingerprint is computed on first read of `arena_fingerprint`, and
+    # equals the arena's own
+    printed = []
+    print_arena = arena_module.print_arena
+    monkeypatch.setattr(arena_module, "print_arena",
+                        lambda arena: printed.append(arena) or print_arena(arena))
+    arena = random_arena(4, 3, seed=7)
+    values = brute_force_value(arena, mean)
+    assert printed == []
+    assert values.arena_fingerprint == arena.fingerprint()
+    assert printed == [arena]
 
 
 def test_brute_force_budget_gate():
