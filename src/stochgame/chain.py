@@ -2,7 +2,8 @@
 bottom SCCs with the colours they see infinitely often and, solved on first
 read, their stationary distributions; and first-passage quantities.
 `induce_chain` builds one pair's chain; a `ProductSkeleton` holds every row
-of an enumeration's product once, and each pair's chain is picked from it.
+of an enumeration's product once, and each pair's chain is picked from it,
+with each node's integer row and discounted equation built once per option.
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
@@ -11,7 +12,8 @@ no `Fraction` arithmetic happens inside an elimination.  One solver,
 `first_passage`, assembles every system d_k x_k = base_k + sum_j n_kj x_j:
 absorption probabilities, discounted values and `solve`'s first-hit stopped
 values.  Only the stationary solve, transposed and with a normalisation
-row, assembles its own."""
+row, assembles its own; its exactness checks (stationary, positive, total 1)
+run on integer numerators over the solution's common denominator."""
 
 from __future__ import annotations
 

@@ -426,7 +426,8 @@ def _two_node_class(transitions):
 @pytest.mark.parametrize("spoil, message", [
     (lambda y: [y[0] + F(1, 7), *y[1:]],
      "solved class distribution is not stationary"),
-    (lambda y: [2 * x for x in y], "stationary weights sum to 2")])
+    (lambda y: [2 * x for x in y], "stationary weights sum to 2")],
+    ids=["perturbed", "doubled"])
 def test_stationary_solve_is_checked_exactly(monkeypatch, spoil, message):
     # the checks read the solve's result, so a spoiled solve must be caught
     cls = _two_node_class({"x": {"y": F(1)}, "y": {"x": F(1, 2), "y": F(1, 2)}})
