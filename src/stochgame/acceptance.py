@@ -1,6 +1,8 @@
 """The acceptance suite: one callable per release criterion, each returning
 a pass/fail result with its measured wall clock.  tests/test_acceptance.py
-asserts them; scripts/run_acceptance.py prints them."""
+asserts them; scripts/run_acceptance.py prints them.  A criterion takes no
+argument: its sizes are the module constants below, so no call can shrink
+it."""
 
 from __future__ import annotations
 
@@ -34,6 +36,18 @@ def _result(name: str, started: float, passed: bool, details: str
     return CriterionResult(name, passed, details, time.perf_counter() - started)
 
 
+# Criterion sizes.
+SADDLE_ARENAS = 200          # 1: seeded arenas of the positional saddle
+HALFPOS_ARENAS = 100         # 2: seeded arenas of the half-positional sweep
+HALFPOS_CANDIDATES = 12      # 2: two-memory candidates per arena and payoff
+RESET_ARENAS = 50            # 5: weakened random bases
+MARTINGALE_CORPUS = 200      # 6: seeded arenas of the martingale checks
+STOPPED_RUNS = 100           # 6: seeded stopped-value runs
+STOPPED_TRIALS = 10_000      # 6: Monte Carlo trials per stopped-value run
+ORACLE_LASSOS = 1000         # 7: random lassos
+ORACLE_UNROLL = 1000         # 7: letters of each lasso's unroll
+
+
 # -- criterion 1 -------------------------------------------------------------
 
 POSITIONAL_SPECS = (("mean", "reward"), ("limsup", "reward"),
@@ -41,13 +55,13 @@ POSITIONAL_SPECS = (("mean", "reward"), ("limsup", "reward"),
                     ("discounted", "discounted"))
 
 
-def positional_saddle(arenas: int = 200) -> CriterionResult:
+def positional_saddle() -> CriterionResult:
     """Exact grid saddle point and best-response verification of the
     certified stationary strategy, for the positional payoff catalog over
     the seeded random corpus.  Runtime target: under 60 seconds."""
     started = time.perf_counter()
     checked = 0
-    for seed in range(arenas):
+    for seed in range(SADDLE_ARENAS):
         grids = {}
         for name, kind in POSITIONAL_SPECS:
             arena = random_arena(4, 3, -2, 2, Fraction(1, 2), seed=seed,
@@ -65,7 +79,7 @@ def positional_saddle(arenas: int = 200) -> CriterionResult:
     ok = elapsed < 60
     return _result(
         "positional saddle", started, ok,
-        f"{checked} exact saddle points over {arenas} arenas x "
+        f"{checked} exact saddle points over {SADDLE_ARENAS} arenas x "
         f"{len(POSITIONAL_SPECS)} payoffs"
         + ("" if ok else f"; exceeded 60s ({elapsed:.0f}s)"))
 
@@ -76,24 +90,25 @@ HALF_POSITIONAL_SPECS = (("posavg", "reward"), ("optgenmean:2", "vector2"),
                          ("meancobuchi:100", "cobuchi"))
 
 
-def halfpos_sweep(arenas: int = 100, candidates: int = 12) -> CriterionResult:
+def halfpos_sweep() -> CriterionResult:
     """No two-memory strategy beats the best stationary one, over the seeded
     corpus of the half-positional-only payoffs.  Any refutation is
     release-blocking."""
     started = time.perf_counter()
     refuted = []
-    for seed in range(arenas):
+    for seed in range(HALFPOS_ARENAS):
         for name, kind in HALF_POSITIONAL_SPECS:
             arena = random_arena(4, 3, seed=seed, kind=kind)
             report = verify.verify_halfpos(arena, parse_payoff_spec(name),
                                            memory_bound=2,
-                                           candidates=candidates, seed=seed)
+                                           candidates=HALFPOS_CANDIDATES,
+                                           seed=seed)
             if report.verdict != "confirmed":
                 refuted.append((seed, name, report.verdict))
     return _result(
         "half-positional sweep", started, not refuted,
-        f"{arenas} arenas x {len(HALF_POSITIONAL_SPECS)} payoffs, memory "
-        f"bound 2, {candidates} candidates each"
+        f"{HALFPOS_ARENAS} arenas x {len(HALF_POSITIONAL_SPECS)} payoffs, "
+        f"memory bound 2, {HALFPOS_CANDIDATES} candidates each"
         if not refuted else f"refutations: {refuted[:3]}")
 
 
@@ -153,7 +168,7 @@ def counterexample() -> CriterionResult:
 
 # -- criterion 5 -------------------------------------------------------------
 
-def reset_strategy_checks(arenas: int = 50) -> CriterionResult:
+def reset_strategy_checks() -> CriterionResult:
     """The reset strategy meets the val - 2*epsilon threshold at every
     reachable (memory, state) pair: on the crafted weak-memory fixture
     (where the base fails the same check) and on random arenas with
@@ -169,7 +184,7 @@ def reset_strategy_checks(arenas: int = 50) -> CriterionResult:
         return _result("reset strategy", started, False,
                        "crafted base unexpectedly meets the threshold")
     failures = []
-    for i in range(arenas):
+    for i in range(RESET_ARENAS):
         seed = 1000 + i
         epsilon = Fraction(1, 8) if i % 2 == 0 else Fraction(1, 4)
         arena = random_arena(4, 3, seed=seed, kind="reward")
@@ -182,20 +197,19 @@ def reset_strategy_checks(arenas: int = 50) -> CriterionResult:
             failures.append((seed, str(epsilon)))
     return _result(
         "reset strategy", started, not failures,
-        f"crafted fixture (base fails, reset confirmed) plus {arenas} "
+        f"crafted fixture (base fails, reset confirmed) plus {RESET_ARENAS} "
         f"weakened random bases at epsilon 1/8 and 1/4"
         if not failures else f"failures: {failures[:3]}")
 
 
 # -- criterion 6 -------------------------------------------------------------
 
-def martingale_suite(corpus: int = 200, runs: int = 100,
-                     trials: int = 10_000) -> CriterionResult:
+def martingale_suite() -> CriterionResult:
     """Exact martingale equality for sampled locally-optimal pairs over the
     random corpus, and stopped-value confidence intervals covering the
     exact value in at least 99 of 100 seeded runs."""
     started = time.perf_counter()
-    for seed in range(corpus):
+    for seed in range(MARTINGALE_CORPUS):
         for name, kind in (("mean", "reward"), ("parity", "priority")):
             arena = random_arena(4, 3, seed=seed, kind=kind)
             spec = parse_payoff_spec(name)
@@ -211,7 +225,7 @@ def martingale_suite(corpus: int = 200, runs: int = 100,
                 return _result("martingale suite", started, False,
                                f"strict inequality at seed {seed} {name}")
     covered = 0
-    for seed in range(runs):
+    for seed in range(STOPPED_RUNS):
         arena = random_arena(4, 3, seed=seed, kind="reward")
         spec = parse_payoff_spec("mean")
         values = solve.brute_force_value(arena, spec)
@@ -222,20 +236,21 @@ def martingale_suite(corpus: int = 200, runs: int = 100,
         hit_states = verify._class_states(arena, sigma, tau)
         report = solve.stopped_value_mc(arena, values, sigma, tau,
                                         arena.states[0],
-                                        ("first_hit", hit_states), trials,
+                                        ("first_hit", hit_states),
+                                        STOPPED_TRIALS,
                                         seed=20_000 + seed)
         covered += report.covered
-    ok = covered >= int(runs * 0.99)
+    ok = covered >= int(STOPPED_RUNS * 0.99)
     return _result(
         "martingale suite", started, ok,
-        f"{corpus} exact martingale checks x 2 payoffs; stopped-value CI "
-        f"covered {covered}/{runs} runs at {trials} trials")
+        f"{MARTINGALE_CORPUS} exact martingale checks x 2 payoffs; "
+        f"stopped-value CI covered {covered}/{STOPPED_RUNS} runs at "
+        f"{STOPPED_TRIALS} trials")
 
 
 # -- criterion 7 -------------------------------------------------------------
 
-def oracle_equivalence(lassos: int = 1000, unroll: int = 1000
-                       ) -> CriterionResult:
+def oracle_equivalence() -> CriterionResult:
     """evaluate_lasso against a brute-force unroll of the defining
     expressions: within 1e-6 for the mean/limsup/liminf payoffs and exactly
     for parity and the positive-average indicator."""
@@ -246,14 +261,15 @@ def oracle_equivalence(lassos: int = 1000, unroll: int = 1000
     liminf = parse_payoff_spec("liminf")
     parity = parse_payoff_spec("parity")
     posavg = parse_payoff_spec("posavg")
-    for i in range(lassos):
+    for i in range(ORACLE_LASSOS):
         pre = [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]
         cyc = [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
         word = Lasso(tuple(reward(r) for r in pre),
                      tuple(reward(r) for r in cyc))
-        letters = [word.letter(n).value for n in range(unroll)]
+        letters = [word.letter(n).value for n in range(ORACLE_UNROLL)]
         skip = len(pre)
-        window = letters[skip:skip + ((unroll - skip) // len(cyc)) * len(cyc)]
+        window = letters[skip:skip + ((ORACLE_UNROLL - skip) // len(cyc))
+                         * len(cyc)]
         avg = Fraction(sum(window), len(window))
         if abs(evaluate_lasso(mean, word) - avg) > Fraction(1, 10 ** 6):
             return _result("oracle equivalence", started, False,
@@ -274,7 +290,8 @@ def oracle_equivalence(lassos: int = 1000, unroll: int = 1000
             return _result("oracle equivalence", started, False,
                            f"posavg mismatch at case {i}")
     return _result("oracle equivalence", started, True,
-                   f"{lassos} lassos against the {unroll}-letter unroll")
+                   f"{ORACLE_LASSOS} lassos against the {ORACLE_UNROLL}-letter "
+                   "unroll")
 
 
 CRITERIA: tuple[Callable[[], CriterionResult], ...] = (

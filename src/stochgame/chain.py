@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arena import P1, Arena
-from .payoff import ColourToken, INCREMENT
+from .payoff import ColourToken, INCREMENT, PayoffSpec, class_value
 
 
 class ChainError(ValueError):
@@ -108,13 +108,22 @@ class RecurrentClassSummary:
     `stationary` or `colour_weights` (the stationary colour weights), and
     checked to be positive, to sum to 1 and to be really stationary.
     `has_potential` (do the increments form a coboundary?) is found on first
-    read too, and is None unless every colour is a counter increment."""
+    read too, and is None unless every colour is a counter increment.
+    `value(spec)`, the class's `payoff.class_value`, is computed once per
+    payoff and kept on the summary too."""
 
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
         self.nodes = tuple(nodes)
         self.colours = frozenset(mv.colour for node in self.nodes
                                  for mv in chain.moves[node] if mv.weight)
+        self._values: dict[PayoffSpec, Fraction] = {}
+
+    def value(self, spec: PayoffSpec) -> Fraction:
+        found = self._values.get(spec)
+        if found is None:
+            found = self._values[spec] = Fraction(class_value(spec, self))
+        return found
 
     @cached_property
     def stationary(self) -> dict[int, Fraction]:

@@ -12,14 +12,15 @@ Each enumeration builds its product once, as a `chain.ProductSkeleton`
 holding every row any of its pairs can induce: `GridSolver` one skeleton
 per arena, `_fold_responses` one per fixed maximizer strategy.  A strategy
 pair or response table is a choice vector over it, and picking the rows
-gives the pair's chain.  The pairs of one enumeration share a `ClassMemo`,
-so a bottom class that recurs with the same rows is summarized once and
-valued once per payoff.  A summary holds the class's nodes and colours; its
-stationary distribution is solved, once, only for a payoff that weighs the
-colours (see `payoff.class_value`), never for `limsup`, `liminf` or
-`parity`.  The single-pair entry points (`node_values`, `martingale_check`,
-the stopped values) build their chain with `chain.induce_chain`, the
-general builder.
+gives the pair's chain.  The pairs of one enumeration share one dict of
+bottom-class summaries (see `PairEvaluator`), so a bottom class that recurs
+with the same rows is summarized once, and valued once per payoff by its
+summary (`RecurrentClassSummary.value`).  A summary holds the class's nodes
+and colours; its stationary distribution is solved, once, only for a payoff
+that weighs the colours (see `payoff.class_value`), never for `limsup`,
+`liminf` or `parity`.  The single-pair entry points (`node_values`,
+`martingale_check`, the stopped values) build their chain with
+`chain.induce_chain`, the general builder.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .chain import (
     bottom_classes, discounted_values, first_passage, induce_chain,
     product_skeleton,
 )
-from .payoff import PayoffSpec, class_value
+from .payoff import PayoffSpec
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
     count_pure_stationary, enumerate_pure_stationary,
@@ -76,63 +77,32 @@ def _require_evaluable(spec: PayoffSpec) -> None:
             "use the verification module's specialized routines")
 
 
-class ClassMemo:
-    """Bottom-class summaries and class values shared by the chains of one
-    enumeration, all picked from one `ProductSkeleton`.  A class is keyed
-    by its nodes and the choice at each of them, which fix its rows and
-    colours; a class value is keyed by the payoff and the class key.  A
-    summary solves its stationary distribution on first read, so the memo
-    solves it at most once per class key, and only for payoffs that read
-    it."""
-
-    def __init__(self):
-        self.summaries: dict[tuple, RecurrentClassSummary] = {}
-        self.values: dict[tuple, Fraction] = {}
-
-    def summary(self, chain: InducedChain, cls: list[int],
-                key: tuple) -> RecurrentClassSummary:
-        found = self.summaries.get(key)
-        if found is None:
-            found = self.summaries[key] = RecurrentClassSummary(chain, cls)
-        return found
-
-    def value(self, spec: PayoffSpec, key: tuple,
-              summary: RecurrentClassSummary) -> Fraction:
-        found = self.values.get((spec, key))
-        if found is None:
-            found = self.values[(spec, key)] = Fraction(
-                class_value(spec, summary))
-        return found
-
-
 class PairEvaluator:
     """One strategy pair's chain, mapping each evaluable payoff to its exact
     expected values at the seed nodes.
 
-    The chain comes from `induce_chain`, or from `ProductSkeleton.pick`
-    with its choice vector `choice`; then the classes are keyed by their
-    choices in `memo`, which the enumeration's other pairs share.  Without
-    a memo the evaluator keeps its own.  The bottom-class analysis is built
-    on first use and shared by every class-determined payoff; the discounted
-    payoff never builds it.  Absorption reads only the classes' nodes.  With
-    one bottom class, every node is absorbed there, so no absorption system
-    is solved.
+    The chain is picked from a `ProductSkeleton` with the choice vector
+    `choice`, or built by `induce_chain`, whose chains have one option, 0,
+    at every node.  `summaries` holds the bottom-class summaries that the
+    enumeration's other pairs share.  A class is keyed by its nodes and the
+    choice at each of them, which fix its rows and colours, so a summary
+    serves every pair whose chain holds the class; it solves its stationary
+    distribution on first read, and values the class once per payoff.  The
+    bottom-class analysis is built on first use and shared by every
+    class-determined payoff; the discounted payoff never builds it.
+    Absorption reads only the classes' nodes.  With one bottom class, every
+    node is absorbed there, so no absorption system is solved.
     """
 
     def __init__(self, chain: InducedChain, seed_nodes: Sequence[int],
-                 choice: Optional[tuple[int, ...]] = None,
-                 memo: Optional[ClassMemo] = None):
+                 choice: Sequence[int],
+                 summaries: dict[tuple, RecurrentClassSummary]):
         self.chain = chain
         self._seed_nodes = seed_nodes
         self._choice = choice
-        self._memo = ClassMemo() if memo is None else memo
-        self._classes: Optional[list[tuple]] = None   # (key, summary)
+        self._summaries = summaries
+        self._classes: Optional[list[RecurrentClassSummary]] = None
         self._absorb: Optional[list] = None
-
-    def _key(self, cls: list[int]) -> tuple:
-        if self._choice is None:
-            return tuple(cls), None
-        return tuple(cls), tuple(self._choice[node] for node in cls)
 
     def values(self, spec: PayoffSpec) -> list[Fraction]:
         """Exact expected payoff from each seed node, in seed order."""
@@ -143,14 +113,15 @@ class PairEvaluator:
         if self._classes is None:
             self._classes = []
             for cls in bottom_classes(self.chain):
-                key = self._key(cls)
-                self._classes.append(
-                    (key, self._memo.summary(self.chain, cls, key)))
+                key = tuple(cls), tuple(self._choice[node] for node in cls)
+                summary = self._summaries.get(key)
+                if summary is None:
+                    summary = self._summaries[key] = RecurrentClassSummary(
+                        self.chain, cls)
+                self._classes.append(summary)
             if len(self._classes) > 1:
-                self._absorb = absorption_from(
-                    self.chain, [summary for _, summary in self._classes])
-        cls_vals = [self._memo.value(spec, key, summary)
-                    for key, summary in self._classes]
+                self._absorb = absorption_from(self.chain, self._classes)
+        cls_vals = [summary.value(spec) for summary in self._classes]
         if self._absorb is None:
             return [cls_vals[0]] * len(self._seed_nodes)
         return [sum((p * cls_vals[ci] for ci, p in self._absorb[node].items()),
@@ -164,8 +135,8 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
     if seeds is None:
         seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
     chain = induce_chain(arena, sigma, tau, seeds)
-    return PairEvaluator(chain, [chain.index[seed] for seed in seeds]
-                         ).values(spec)
+    return PairEvaluator(chain, [chain.index[seed] for seed in seeds],
+                         (0,) * len(chain), {}).values(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +150,9 @@ class GridSolver:
     The one-memory product skeleton, with both players' nodes open, is
     built once per arena.  Pair (i, j) is the choice vector of sigma i's
     and tau j's actions; its chain is picked on first use and kept for the
-    other payoffs.  All pairs share one `ClassMemo`.  A budget below 1 is a
-    `ValueError`, raised before any work."""
+    other payoffs.  All pairs, for every payoff, share one dict of
+    bottom-class summaries.  A budget below 1 is a `ValueError`, raised
+    before any work."""
 
     def __init__(self, arena: Arena, budget: int = DEFAULT_BUDGET):
         _check_budget(budget)
@@ -195,7 +167,7 @@ class GridSolver:
         self._skeleton = product_skeleton(arena)
         self._seed_nodes = [self._skeleton.index[(s, "m0", "m0")]
                             for s in arena.states]
-        self._memo = ClassMemo()
+        self._summaries: dict[tuple, RecurrentClassSummary] = {}
         self._pairs: dict[tuple[int, int], PairEvaluator] = {}
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
@@ -207,7 +179,7 @@ class GridSolver:
                            for s, _, _ in self._skeleton.nodes)
             pair = self._pairs[(i, j)] = PairEvaluator(
                 self._skeleton.pick(choice), self._seed_nodes, choice,
-                self._memo)
+                self._summaries)
         return dict(zip(self.arena.states, pair.values(spec)))
 
 
@@ -250,7 +222,7 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
 
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
-    `ClassMemo`.  A budget below 1 is a `ValueError`."""
+    dict of bottom-class summaries.  A budget below 1 is a `ValueError`."""
     _check_budget(budget)
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
@@ -260,7 +232,7 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     skeleton = product_skeleton(arena, sigma)
     seed_nodes = [skeleton.index[(s, m, m)] for m, s in pairs]
     open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
-    memo = ClassMemo()
+    summaries: dict[tuple, RecurrentClassSummary] = {}
     choice = [0] * len(skeleton)
     best: dict[tuple, Fraction] = {}
     argmin: dict[tuple, dict] = {}
@@ -275,7 +247,7 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
             choice[node] = k
         picked = tuple(choice)
         vals = dict(zip(pairs, PairEvaluator(
-            skeleton.pick(picked), seed_nodes, picked, memo).values(spec)))
+            skeleton.pick(picked), seed_nodes, picked, summaries).values(spec)))
         tables += 1
         for pair, v in vals.items():
             if pair not in best or v < best[pair]:
@@ -364,14 +336,12 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
     if best_i is None:
         raise SaddlePointError(
             "no stationary strategy attains the maxmin at every state")
+    # sigma*'s row has its minimum at the value at every state; the first
+    # tau reaching it is the certificate
     certificates = {}
     for s in states:
-        j = min(range(n_tau), key=lambda j: vals[best_i][j][s])
-        certificates[s] = (grid.taus[j], vals[best_i][j][s])
-        if certificates[s][1] != maxmin[s]:
-            raise SaddlePointError(
-                f"certificate at {s} reaches {certificates[s][1]}, "
-                f"not the value {maxmin[s]}")
+        j = next(j for j in range(n_tau) if vals[best_i][j][s] == maxmin[s])
+        certificates[s] = (grid.taus[j], maxmin[s])
     return ValueVector(maxmin, grid.sigmas[best_i], certificates, spec, arena)
 
 

@@ -417,27 +417,22 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                                       bounds: SearchBounds = SearchBounds(),
                                       seed: int = 0) -> VerificationReport:
     """Exhaustive small-word sweep plus randomized words, comparing the
-    payoff against its suffixes."""
+    payoff against its suffixes.  The exhaustive words have prefixes of
+    0..2 letters and cycles of 1..min(max_cycle, 2) letters; the seeded
+    words, drawn after them, prefixes of 0..3 and cycles of 1..max_cycle."""
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": bounds.shifts,
                 "random_cases": bounds.random_cases}
-    cases = 0
-    for plen in range(0, 3):
-        for clen in range(1, 3):
-            for pre in itertools.product(alphabet, repeat=plen):
-                for cyc in itertools.product(alphabet, repeat=clen):
-                    cases += 1
-                    word = Lasso(pre, cyc)
-                    w = check_shift_invariance(spec, word, bounds.shifts)
-                    if w is not None:
-                        return VerificationReport(
-                            "shift-invariance", instance, "refuted",
-                            {"cases": cases}, _shift_witness_doc(w))
     rng = random.Random(seed)
-    for _ in range(bounds.random_cases):
-        word = _random_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
-        cases += 1
+    exhaustive = (Lasso(pre, cyc) for plen in range(3)
+                  for clen in range(1, min(bounds.max_cycle, 2) + 1)
+                  for pre in itertools.product(alphabet, repeat=plen)
+                  for cyc in itertools.product(alphabet, repeat=clen))
+    seeded = (_random_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
+              for _ in range(bounds.random_cases))
+    cases = 0
+    for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
         w = check_shift_invariance(spec, word, bounds.shifts)
         if w is not None:
             return VerificationReport(

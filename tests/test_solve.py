@@ -3,6 +3,7 @@ classification, martingale and stopped-value checks."""
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 from math import log, sqrt
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from stochgame import arena as arena_module
 from stochgame import chain as chain_module
+from stochgame import payoff as payoff_module
 from stochgame import solve
 from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.chain import (
@@ -29,7 +31,7 @@ from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, WeaknessSet,
     enumerate_pure_stationary,
 )
-from stochgame.verify import _adversarial_min
+from stochgame.verify import _adversarial_min, _random_memory_strategy
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -181,6 +183,89 @@ def test_grid_matches_a_per_pair_node_values_grid(name, kind):
     assert several  # some pairs' chains have several bottom classes
 
 
+def _recording_class_work(monkeypatch):
+    """Record the class work of chains picked from a product skeleton: the
+    class key (nodes, choices at those nodes) of each summary built, the
+    (payoff, class key) of each `class_value` call, through every module
+    that binds the function, and the number of bottom classes each picked
+    chain's evaluation looked up."""
+    picked = {}   # id(chain): (chain, kept so its id stays unique; choice)
+    built, valued, looked_up = [], [], []
+
+    def key(chain, nodes):
+        choice = picked[id(chain)][1]
+        return tuple(nodes), tuple(choice[node] for node in nodes)
+
+    pick = chain_module.ProductSkeleton.pick
+
+    def recording_pick(self, choice):
+        chain = pick(self, choice)
+        picked[id(chain)] = chain, tuple(choice)
+        return chain
+
+    init = chain_module.RecurrentClassSummary.__init__
+
+    def recording_init(self, chain, nodes):
+        init(self, chain, nodes)
+        built.append(key(chain, nodes))
+
+    def recording_value(spec, cls):
+        valued.append((spec, key(cls.chain, cls.nodes)))
+        return class_value(spec, cls)
+
+    def recording_lookup(chain):
+        classes = bottom_classes(chain)
+        looked_up.append(len(classes))
+        return classes
+
+    monkeypatch.setattr(chain_module.ProductSkeleton, "pick", recording_pick)
+    monkeypatch.setattr(chain_module.RecurrentClassSummary, "__init__",
+                        recording_init)
+    bound = [module for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "stochgame"
+             and getattr(module, "class_value", None) is class_value]
+    assert payoff_module in bound
+    for module in bound:
+        monkeypatch.setattr(module, "class_value", recording_value)
+    monkeypatch.setattr(solve, "bottom_classes", recording_lookup)
+    return built, valued, looked_up
+
+
+def _assert_each_class_summarized_and_valued_once(work, specs):
+    """One summary per class key, one class value per (payoff, class key),
+    and each payoff values every class key; returns the lookups that
+    found a summary already built.  Clears the records."""
+    built, valued, looked_up = work
+    assert len(built) == len(set(built))
+    assert len(valued) == len(set(valued))
+    assert set(valued) == {(spec, k) for spec in specs for k in built}
+    hits = sum(looked_up) - len(built)
+    for record in work:
+        record.clear()
+    return hits
+
+
+def test_each_recurring_class_is_summarized_and_valued_once(monkeypatch):
+    # the pairs of one grid, over several payoffs, and the tables of one
+    # response fold share each bottom class that recurs with the same
+    # choices: it is summarized once and valued once per payoff
+    work = _recording_class_work(monkeypatch)
+    specs = [parse_payoff_spec(name) for name in ("mean", "limsup", "liminf")]
+    grid_hits = 0
+    for seed in range(6):
+        arena = random_arena(4, 3, density=(F(0), F(1, 2))[seed % 2],
+                             seed=seed)
+        grid = solve.GridSolver(arena)
+        for spec in specs:
+            brute_force_value(arena, spec, grid=grid)
+        grid_hits += _assert_each_class_summarized_and_valued_once(work, specs)
+    arena = random_arena(4, 3, density=F(0), seed=2)
+    sigma = _random_memory_strategy(arena, random.Random(2), 2)
+    solve.product_values(arena, mean, sigma)
+    fold_hits = _assert_each_class_summarized_and_valued_once(work, [mean])
+    assert grid_hits > 0 and fold_hits > 0
+
+
 def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
     # a chain with one bottom class is absorbed there from every node: its
     # values equal the absorption path's, and no absorption system is solved
@@ -265,6 +350,39 @@ def test_brute_force_value_hashes_the_arena_only_when_asked(monkeypatch):
     assert printed == []
     assert values.arena_fingerprint == arena.fingerprint()
     assert printed == [arena]
+
+
+def _two_state_arena():
+    """One maximizer state and one minimizer state, two actions each."""
+    return Arena(
+        states=("s", "t"), owner={"s": P1, "t": P2},
+        available={"s": ("a", "b"), "t": ("a", "b")},
+        transition={(s, a): {s: F(1)} for s in "st" for a in "ab"},
+        colour={(s, a): reward(0) for s in "st" for a in "ab"})
+
+
+def test_brute_force_value_raises_on_a_grid_without_a_saddle_point(
+        monkeypatch):
+    # matching pennies: every sigma is held to 0, every tau concedes 1
+    monkeypatch.setattr(solve.GridSolver, "pair_values",
+                        lambda self, spec, i, j: {"s": F(i == j),
+                                                  "t": F(i == j)})
+    with pytest.raises(solve.SaddlePointError,
+                       match="^enumerated maxmin .* differs from minmax "):
+        brute_force_value(_two_state_arena(), mean)
+
+
+def test_brute_force_value_raises_when_no_sigma_attains_every_maxmin(
+        monkeypatch):
+    # maxmin equals minmax, but sigma 0 attains it at s only and sigma 1 at
+    # t only
+    monkeypatch.setattr(solve.GridSolver, "pair_values",
+                        lambda self, spec, i, j: {"s": F(i == 0),
+                                                  "t": F(i == 1)})
+    with pytest.raises(solve.SaddlePointError,
+                       match="^no stationary strategy attains the maxmin at "
+                             "every state$"):
+        brute_force_value(_two_state_arena(), mean)
 
 
 def test_brute_force_budget_gate():

@@ -6,6 +6,7 @@ import ast
 import contextlib
 import io
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -254,6 +255,12 @@ def test_run_acceptance_reports_progress_on_stderr(monkeypatch, capsys):
     assert len(lines) == 2
     assert re.fullmatch(r"\[1/2\] holds \.\.\. \d+\.\d\ds", lines[0]), lines
     assert re.fullmatch(r"\[2/2\] fails \.\.\. \d+\.\d\ds", lines[1]), lines
+
+
+def test_acceptance_criteria_take_no_argument():
+    # a criterion's sizes are module constants: no call can shrink it
+    for criterion in acceptance.CRITERIA:
+        assert not inspect.signature(criterion).parameters, criterion.__name__
 
 
 def test_every_bench_record_holds_its_pairs_and_both_shas():

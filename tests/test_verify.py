@@ -16,7 +16,7 @@ from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import (
     Lasso, ShufflePattern, check_submixing, parse_payoff_spec, reward,
 )
-from stochgame.strategy import PureStationaryStrategy
+from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
     FlagGateError, SearchBounds, _cycle_stats, _decided_blocks,
     _fast_violations, _random_case, _random_lasso, _random_memory_strategy,
@@ -85,14 +85,36 @@ def test_halfpos_sweep_posavg_small():
         assert "response_class" in report.quantities
 
 
+def _stationary_floor(arena, spec, budget):
+    """Each state's max over stationary maximizer strategies of the min over
+    stationary responses, with every pair valued by `solve.node_values` on
+    its own `induce_chain` chain, and the first strategy with the largest
+    total guarantee.  Raises the grid's `BudgetError` when the pairs exceed
+    the budget."""
+    sigmas = list(enumerate_pure_stationary(arena, P1))
+    taus = list(enumerate_pure_stationary(arena, P2))
+    if len(sigmas) * len(taus) > budget:
+        raise solve.BudgetError(
+            f"{len(sigmas) * len(taus)} strategy pairs exceed the budget of "
+            f"{budget}; split the arena or raise the budget")
+    worst = []
+    for sigma in sigmas:
+        rows = [solve.node_values(arena, spec, sigma, tau) for tau in taus]
+        worst.append([min(column) for column in zip(*rows)])
+    totals = [sum(w) for w in worst]
+    return ({s: max(w[k] for w in worst) for k, s in enumerate(arena.states)},
+            sigmas[totals.index(max(totals))])
+
+
 def _halfpos_sweep_oracle(arena, spec, budget, memory_bound, candidates, seed):
     """The bounded sweep with every candidate's guarantee from
-    `product_values`, which enumerates all of its responses: the verdict,
+    `product_values`, which enumerates all of its responses, against a
+    floor valued pair by pair (`_stationary_floor`): the verdict,
     quantities and witness of `verify_halfpos`'s structured report, without
     the sweep's stats."""
     rng = random.Random(seed)
     try:
-        v_plus, sigma_plus = _stationary_guarantees(arena, spec, budget)
+        v_plus, sigma_plus = _stationary_floor(arena, spec, budget)
         for _ in range(candidates):
             cand = _random_memory_strategy(arena, rng, memory_bound)
             guaranteed = solve.product_values(arena, spec, cand, budget)
@@ -334,6 +356,18 @@ def test_closed_form_hit_without_a_witness_is_an_error(monkeypatch, patterns):
     with pytest.raises(AssertionError, match="disagree"):
         search_submixing_violation(parse_payoff_spec("genmean:2"),
                                    SearchBounds(max_cycle=2), seed=1)
+
+
+@pytest.mark.parametrize("max_cycle, cases", [(1, 155), (2, 930), (4, 930)])
+def test_shift_search_bounds_its_exhaustive_cycles_by_max_cycle(max_cycle,
+                                                                cases):
+    # prefixes of 0..2 letters (1 + 5 + 25 of them) times cycles of
+    # 1..min(max_cycle, 2) letters (5, or 5 + 25) over the five-letter
+    # alphabet, then the seeded words
+    report = search_shift_invariance_violation(
+        mean, SearchBounds(max_cycle=max_cycle, random_cases=7), seed=3)
+    assert (report.verdict, report.quantities["cases"]) \
+        == ("confirmed", cases + 7)
 
 
 def test_shift_search_reports_its_max_cycle():
