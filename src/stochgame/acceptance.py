@@ -266,7 +266,10 @@ def oracle_equivalence() -> CriterionResult:
         cyc = [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
         word = Lasso(tuple(reward(r) for r in pre),
                      tuple(reward(r) for r in cyc))
-        letters = [word.letter(n).value for n in range(ORACLE_UNROLL)]
+        # The letters are integer rewards: the unroll sums and compares
+        # their numerators, exactly, in Python ints.
+        letters = [word.letter(n).value.numerator
+                   for n in range(ORACLE_UNROLL)]
         skip = len(pre)
         window = letters[skip:skip + ((ORACLE_UNROLL - skip) // len(cyc))
                          * len(cyc)]

@@ -1,9 +1,12 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
 bottom SCCs with the colours they see infinitely often and, solved on first
 read, their stationary distributions; and first-passage quantities.
-`induce_chain` builds one pair's chain; a `ProductSkeleton` holds every row
-of an enumeration's product once, and each pair's chain is picked from it,
-with each node's integer row and discounted equation built once per option.
+`product_skeleton` is the one product walk: it discovers the product's
+nodes from seed nodes, with each player fixed to a strategy or left open,
+and builds every node's options once, each with its integer row and
+discounted equation.  A chain is picked from it by one option per node;
+`induce_chain` is the walk with both players fixed, picked at its one
+option.
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
@@ -44,54 +47,28 @@ class Move:
 
 @dataclass(frozen=True)
 class InducedChain:
-    """Product of the arena with both strategies' memories.  Rows mix the
-    mover's action weights with the transition table; rows sum to 1."""
+    """Product of the arena with both strategies' memories, picked from a
+    `ProductSkeleton`.  Rows mix the mover's action weights with the
+    transition table; rows sum to 1.  `int_rows[i]` is node i's row over
+    its least common denominator d, `(d, {succ: n})` with
+    `row(i)[succ] == Fraction(n, d)`; `discounted_rows[i]` is its
+    discounted equation (see `_discounted_row`)."""
 
     nodes: tuple[tuple, ...]          # (state, mem1, mem2)
     moves: tuple[tuple[Move, ...], ...]
     index: dict[tuple, int]
+    int_rows: tuple[tuple[int, dict[int, int]], ...]
+    discounted_rows: tuple[Optional[tuple[int, dict[int, int], Fraction]], ...]
 
     def state_of(self, node: int) -> str:
         return self.nodes[node][0]
 
     def rows(self) -> tuple[dict[int, Fraction], ...]:
-        cached = self.__dict__.get("_rows")
-        if cached is None:
-            cached = []
-            for mvs in self.moves:
-                out: dict[int, Fraction] = {}
-                for mv in mvs:
-                    for succ, p in mv.successors:
-                        out[succ] = out.get(succ, Fraction(0)) + mv.weight * p
-                cached.append(out)
-            cached = tuple(cached)
-            object.__setattr__(self, "_rows", cached)
-        return cached
+        return tuple(self.row(node) for node in range(len(self)))
 
     def row(self, node: int) -> dict[int, Fraction]:
-        return self.rows()[node]
-
-    def int_rows(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """The rows over integers: `(d, {succ: n})` with
-        `row(node)[succ] == Fraction(n, d)` and `d` the least common
-        denominator of the row."""
-        cached = self.__dict__.get("_int_rows")
-        if cached is None:
-            cached = tuple(_integer_row((mv.weight, mv.successors) for mv in mvs)
-                           for mvs in self.moves)
-            object.__setattr__(self, "_int_rows", cached)
-        return cached
-
-    def discounted_rows(self) -> tuple[Optional[tuple[int, dict[int, int],
-                                                       Fraction]], ...]:
-        """Each node's discounted equation `(d, {succ: n}, b)`, read
-        d v = b + sum_succ n v_succ (see `_discounted_row`), or None at a
-        node with a colour that is no reward-discount pair."""
-        cached = self.__dict__.get("_discounted_rows")
-        if cached is None:
-            cached = tuple(_discounted_row(mvs) for mvs in self.moves)
-            object.__setattr__(self, "_discounted_rows", cached)
-        return cached
+        d, row = self.int_rows[node]
+        return {succ: Fraction(n, d) for succ, n in row.items()}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -141,8 +118,7 @@ class RecurrentClassSummary:
         nodes = self.nodes
         pos = {node: k for k, node in enumerate(nodes)}
         n = len(nodes)
-        int_rows = self.chain.int_rows()
-        rows = [int_rows[node] for node in nodes]
+        rows = [self.chain.int_rows[node] for node in nodes]
         # pi P = pi restricted to the class, with sum(pi) = 1 replacing one
         # row.  The unknowns are y = pi / d row by row, which keeps the
         # matrix integer.
@@ -195,34 +171,13 @@ class RecurrentClassSummary:
 
 def induce_chain(arena: Arena, sigma, tau,
                  seeds: Optional[Sequence[tuple]] = None) -> InducedChain:
-    """Build the reachable product chain.  `seeds` defaults to every arena
-    state paired with both initial memories."""
+    """The reachable chain of the fixed pair: `product_skeleton` with both
+    players fixed, picked at its one option per node.  `seeds` defaults to
+    every arena state paired with both initial memories."""
     if seeds is None:
         seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
-    index: dict[tuple, int] = {}
-    nodes: list[tuple] = []
-    todo: list[tuple] = []
-
-    def node_id(key: tuple) -> int:
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(key)
-            todo.append(key)
-        return index[key]
-
-    for seed in seeds:
-        node_id(seed)
-    rows: dict[int, tuple[Move, ...]] = {}
-    while todo:
-        key = todo.pop()
-        s, m1, m2 = key
-        strat, mem = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
-        rows[index[key]] = _moves(
-            arena, key, strat.action_dist(mem, s),
-            lambda a, t: node_id((t, sigma.next_memory(m1, s, a, t),
-                                  tau.next_memory(m2, s, a, t))))
-    return InducedChain(tuple(nodes), tuple(rows[i] for i in range(len(nodes))),
-                        index)
+    skeleton = product_skeleton(arena, seeds, sigma, tau)
+    return skeleton.pick((0,) * len(skeleton))
 
 
 def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
@@ -249,17 +204,12 @@ def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
 @dataclass(frozen=True)
 class ProductSkeleton:
     """Every row a family of strategy pairs can induce on one product,
-    built once.  Both memory coordinates of a node follow one automaton.
+    built once.  `moves[i]`, `int_rows[i]` and `discounted_rows[i]` list
+    node i's options in the same order (see `product_skeleton`).  A choice
+    vector holds one option index per node, 0 at a fixed player's node, and
+    `pick` turns it into that pair's chain."""
 
-    `moves[i]`, `int_rows[i]` and `discounted_rows[i]` list node i's
-    options in the same order: one per available action, in the arena's
-    order, at an open node, and the fixed strategy's law alone at a fixed
-    node.  A choice vector holds one option index per node (0 at a fixed
-    node), and `pick` turns it into the chain `induce_chain` builds for
-    that pair: the same nodes in the same order, the same moves, the same
-    integer rows and the same discounted equations."""
-
-    nodes: tuple[tuple, ...]          # (state, mem, mem)
+    nodes: tuple[tuple, ...]          # (state, mem1, mem2)
     index: dict[tuple, int]
     moves: tuple[tuple[tuple[Move, ...], ...], ...]
     int_rows: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
@@ -267,54 +217,75 @@ class ProductSkeleton:
                                                  Fraction]], ...], ...]
 
     def pick(self, choice: Sequence[int]) -> InducedChain:
-        chain = InducedChain(
+        return InducedChain(
             self.nodes, tuple(opts[k] for opts, k in zip(self.moves, choice)),
-            self.index)
-        object.__setattr__(chain, "_int_rows", tuple(
-            opts[k] for opts, k in zip(self.int_rows, choice)))
-        object.__setattr__(chain, "_discounted_rows", tuple(
-            opts[k] for opts, k in zip(self.discounted_rows, choice)))
-        return chain
+            self.index,
+            tuple(opts[k] for opts, k in zip(self.int_rows, choice)),
+            tuple(opts[k] for opts, k in zip(self.discounted_rows, choice)))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-def product_skeleton(arena: Arena, sigma=None) -> ProductSkeleton:
-    """The skeleton of the stationary grid when `sigma` is None: one memory
-    "m0", and both players' nodes open.  Otherwise the skeleton of the
-    minimizer's responses to the maximizer strategy `sigma`: the response's
-    memory shadows sigma's, so the nodes are `(s, m, m)` for each of sigma's
-    memories m and each state s, in that order; maximizer nodes play
-    sigma's law and minimizer nodes are open.  Raises `induce_chain`'s
+def product_skeleton(arena: Arena, seeds: Sequence[tuple], sigma=None,
+                     tau=None) -> ProductSkeleton:
+    """The product of the arena with the maximizer strategy `sigma` and the
+    minimizer strategy `tau`, walked from the nodes `seeds`, each (state,
+    sigma's memory, tau's memory).  Nodes are numbered as found: the seeds
+    in order, then each popped node's successors, in the order of its
+    options' moves.  A player with a strategy is fixed: its nodes have one
+    option, the strategy's law.  A player given None is open: its nodes
+    have one option per available action, in the arena's order, and its
+    memory follows the fixed player's updates, so from a seed (s, m, m) it
+    shadows that memory; with both open, no memory changes.  Raises
     `ChainError` for a law that does not sum to 1 or plays an unavailable
-    action, and for a memory update that leaves sigma's memory set."""
-    memories = ("m0",) if sigma is None else sigma.memory_states
-    nodes = tuple((s, m, m) for m in memories for s in arena.states)
-    index = {node: i for i, node in enumerate(nodes)}
-    moves, int_rows, discounted_rows = [], [], []
-    for key in nodes:
-        s, m, _ = key
+    action, and for a memory update that leaves a fixed player's memory
+    set."""
+    # The strategy whose updates each memory coordinate follows: its own
+    # player's, or the fixed player's when its player is open.
+    follows1 = sigma if sigma is not None else tau
+    follows2 = tau if tau is not None else sigma
+    index: dict[tuple, int] = {}
+    for seed in seeds:
+        index.setdefault(seed, len(index))
+    todo = list(index)
+    options: dict[int, tuple[tuple[Move, ...], ...]] = {}
+    while todo:
+        key = todo.pop()
+        s, m1, m2 = key
 
         def successor(a, t):
-            n = m if sigma is None else sigma.next_memory(m, s, a, t)
-            if (t, n, n) not in index:
-                raise ChainError(f"memory update at ({m}, {s}, {a}, {t}) "
-                                 "leaves the memory set")
-            return index[(t, n, n)]
+            if follows1 is None:
+                succ = (t, m1, m2)
+            else:
+                n1 = follows1.next_memory(m1, s, a, t)
+                n2 = n1 if follows2 is follows1 and m2 == m1 else \
+                    follows2.next_memory(m2, s, a, t)
+                succ = (t, n1, n2)
+            found = index.get(succ)
+            if found is None:
+                # a new node: its memories must lie in the memory sets
+                for follows, old, new in ((follows1, m1, succ[1]),
+                                          (follows2, m2, succ[2])):
+                    if follows is not None \
+                            and new not in follows.memory_states:
+                        raise ChainError(f"memory update at ({old}, {s}, {a},"
+                                         f" {t}) leaves the memory set")
+                found = index[succ] = len(index)
+                todo.append(succ)
+            return found
 
-        if sigma is not None and arena.owner[s] == P1:
-            laws = [sigma.action_dist(m, s)]
-        else:
-            laws = [{a: Fraction(1)} for a in arena.available[s]]
-        opts = [_moves(arena, key, law, successor) for law in laws]
-        moves.append(tuple(opts))
-        int_rows.append(tuple(
-            _integer_row((mv.weight, mv.successors) for mv in mvs)
-            for mvs in opts))
-        discounted_rows.append(tuple(_discounted_row(mvs) for mvs in opts))
-    return ProductSkeleton(nodes, index, tuple(moves), tuple(int_rows),
-                           tuple(discounted_rows))
+        strategy, m = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
+        laws = ([{a: Fraction(1)} for a in arena.available[s]]
+                if strategy is None else [strategy.action_dist(m, s)])
+        options[index[key]] = tuple(_moves(arena, key, law, successor)
+                                    for law in laws)
+    moves = tuple(options[i] for i in range(len(index)))
+    return ProductSkeleton(
+        tuple(index), index, moves,
+        tuple(tuple(_integer_row((mv.weight, mv.successors) for mv in mvs)
+                    for mvs in opts) for opts in moves),
+        tuple(tuple(_discounted_row(mvs) for mvs in opts) for opts in moves))
 
 
 def _integer_row(terms) -> tuple[int, dict[int, int]]:
@@ -442,7 +413,7 @@ def bottom_classes(chain: InducedChain) -> list[list[int]]:
     """The nodes of each closed strongly connected component, sorted, in
     the order `bottom_sccs` summarizes them.  A graph pass only: no
     stationary distribution is solved."""
-    succ = [sorted(row) for _, row in chain.int_rows()]
+    succ = [sorted(row) for _, row in chain.int_rows]
     classes = []
     for comp in _sccs(succ):
         members = set(comp)
@@ -514,7 +485,7 @@ def absorption_from(chain: InducedChain,
     solve per class over the transient part, with the class's indicator
     outside it."""
     n = len(chain)
-    rows = chain.int_rows()
+    rows = chain.int_rows
     absorbed = {node for cls in classes for node in cls.nodes}
     transient = [i for i in range(n) if i not in absorbed]
     result = [dict() for _ in range(n)]
@@ -537,7 +508,7 @@ def discounted_values(chain: InducedChain) -> list[Fraction]:
     per-(node, action) rewards and discounts from the colouring; one value
     per chain node.  The equations are the chain's `discounted_rows`,
     which a picked chain takes from its skeleton."""
-    eqs = chain.discounted_rows()
+    eqs = chain.discounted_rows
     if None in eqs:
         raise ChainError("discounted payoff needs reward-discount colours")
     return first_passage([(d, row) for d, row, _ in eqs], range(len(eqs)), (),

@@ -97,17 +97,24 @@ def reward_buchi(r, flag: bool) -> ColourToken:
 # Payoff specs
 
 #: name -> (colour kind, shift_invariant, submixing, class_determined,
-#:          both_positional)
+#:          both_positional, min_responses_exact)
+#: min_responses_exact: against a fixed finite-memory maximizer strategy,
+#: a pure stationary response on its memory product is optimal.  That holds
+#: when -f is shift-invariant and submixing (Gimbert 2007, STACS), and for
+#: the positional payoffs.
 _CATALOG = {
-    "mean":          (REWARD,       True,  True,  True,  True),
-    "discounted":    (DISCOUNTED,   False, False, False, True),
-    "parity":        (PRIORITY,     True,  True,  True,  True),
-    "limsup":        (REWARD,       True,  True,  True,  True),
-    "liminf":        (REWARD,       True,  True,  True,  True),
-    "posavg":        (REWARD,       True,  True,  True,  False),
+    "mean":          (REWARD,       True,  True,  True,  True,  True),
+    "discounted":    (DISCOUNTED,   False, False, False, True,  True),
+    "parity":        (PRIORITY,     True,  True,  True,  True,  True),
+    "limsup":        (REWARD,       True,  True,  True,  True,  True),
+    "liminf":        (REWARD,       True,  True,  True,  True,  True),
+    # Responses exact: a shuffle's mean lies between its components', so if
+    # it is <= 0, one component's is.
+    "posavg":        (REWARD,       True,  True,  True,  False, True),
     # The unbounded-above partial-sum condition is submixing: any prefix sum
     # of a shuffle is the sum of one prefix sum of each component word.
-    "counter+inf":   (INCREMENT,    True,  True,  True,  False),
+    # Responses not flagged exact: no argument for -f is known.
+    "counter+inf":   (INCREMENT,    True,  True,  True,  False, False),
     # Flagged not submixing following the cited one-counter example; no
     # positionality claim is made for it anywhere in the harness.  That
     # example (a zero-drift oscillation) is not a lasso, and no ultimately
@@ -115,12 +122,16 @@ _CATALOG = {
     # and a shuffle's cycle sum is a positive mix of both components' sums.
     # So `check submixing --payoff counter-inf` can only print `confirmed`,
     # the result of a bounded search, not a proof.
-    "counter-inf":   (INCREMENT,    True,  False, True,  False),
-    "genmean":       (VECTOR,       True,  False, True,  False),
-    "optgenmean":    (VECTOR,       True,  True,  True,  False),
-    "meancobuchi":   (REWARD_BUCHI, True,  True,  True,  False),
-    "suffixtarget":  (LETTER,       True,  False, False, False),
-    "geomfirstone":  (REWARD,       False, False, False, False),
+    "counter-inf":   (INCREMENT,    True,  False, True,  False, False),
+    "genmean":       (VECTOR,       True,  False, True,  False, False),
+    # Responses not exact: the equal-weight shuffle of words with means
+    # (-1, 1/10) and (1/10, -1) has means (-9/20, -9/20).
+    "optgenmean":    (VECTOR,       True,  True,  True,  False, False),
+    # Responses exact: a shuffle sees Buchi colours infinitely often only if
+    # a component does, and its mean is at least the smaller component's.
+    "meancobuchi":   (REWARD_BUCHI, True,  True,  True,  False, True),
+    "suffixtarget":  (LETTER,       True,  False, False, False, False),
+    "geomfirstone":  (REWARD,       False, False, False, False, False),
 }
 
 
@@ -158,6 +169,10 @@ class PayoffSpec:
     @property
     def is_both_positional(self) -> bool:
         return _CATALOG[self.name][4]
+
+    @property
+    def min_responses_exact(self) -> bool:
+        return _CATALOG[self.name][5]
 
     def format(self) -> str:
         if self.name in ("genmean", "optgenmean"):

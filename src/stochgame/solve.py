@@ -8,19 +8,20 @@ Values are computed by exhaustive enumeration of deterministic stationary
 strategies: for the positional payoff catalog the enumerated grid attains the
 game value, and the saddle-point assertion is the guard that it did.
 
-Each enumeration builds its product once, as a `chain.ProductSkeleton`
-holding every row any of its pairs can induce: `GridSolver` one skeleton
-per arena, `_fold_responses` one per fixed maximizer strategy.  A strategy
-pair or response table is a choice vector over it, and picking the rows
-gives the pair's chain.  The pairs of one enumeration share one dict of
-bottom-class summaries (see `PairEvaluator`), so a bottom class that recurs
-with the same rows is summarized once, and valued once per payoff by its
-summary (`RecurrentClassSummary.value`).  A summary holds the class's nodes
+Each enumeration walks its product once, with `chain.product_skeleton`,
+which holds every row any of its pairs can induce: `GridSolver` the grid,
+both players open, seeded at every state; `_fold_responses` the product of
+one fixed maximizer strategy, seeded at every (memory, state) pair.  A
+strategy pair or response table is a choice vector over it, and picking
+the rows gives the pair's chain.  The pairs of one enumeration share one
+dict of bottom-class summaries (see `PairEvaluator`), so a bottom class
+that recurs with the same rows is summarized once, and valued once per
+payoff by its summary (`RecurrentClassSummary.value`).  A summary holds the class's nodes
 and colours; its stationary distribution is solved, once, only for a payoff
 that weighs the colours (see `payoff.class_value`), never for `limsup`,
 `liminf` or `parity`.  The single-pair entry points (`node_values`,
 `martingale_check`, the stopped values) build their chain with
-`chain.induce_chain`, the general builder.
+`chain.induce_chain`: the same walk with both players fixed.
 """
 
 from __future__ import annotations
@@ -164,9 +165,9 @@ class GridSolver:
                 "split the arena or raise the budget")
         self.sigmas = list(enumerate_pure_stationary(arena, P1))
         self.taus = list(enumerate_pure_stationary(arena, P2))
-        self._skeleton = product_skeleton(arena)
-        self._seed_nodes = [self._skeleton.index[(s, "m0", "m0")]
-                            for s in arena.states]
+        seeds = [(s, "m0", "m0") for s in arena.states]
+        self._skeleton = product_skeleton(arena, seeds)
+        self._seed_nodes = [self._skeleton.index[seed] for seed in seeds]
         self._summaries: dict[tuple, RecurrentClassSummary] = {}
         self._pairs: dict[tuple[int, int], PairEvaluator] = {}
 
@@ -229,7 +230,7 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     total = prod(len(arena.available[s]) for _, s in p2_pairs)
     if total > budget:
         raise BudgetError(f"{total} responses exceed budget {budget}")
-    skeleton = product_skeleton(arena, sigma)
+    skeleton = product_skeleton(arena, [(s, m, m) for m, s in pairs], sigma)
     seed_nodes = [skeleton.index[(s, m, m)] for m, s in pairs]
     open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
     summaries: dict[tuple, RecurrentClassSummary] = {}
@@ -586,7 +587,7 @@ def stopped_value_exact(arena: Arena, values: ValueVector, sigma, tau,
     chain, stop, absorbing = _stopping_chain(arena, values, sigma, tau,
                                              source, stopping_rule)
     n = len(chain)
-    rows = chain.int_rows()
+    rows = chain.int_rows
     # state values as integer numerators over one denominator `vden`
     node_val = [values.values[chain.state_of(i)] for i in range(n)]
     vden = lcm(*(v.denominator for v in node_val))

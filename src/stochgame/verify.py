@@ -11,7 +11,9 @@ minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
 the best stationary guarantee: its responses are enumerated only until
 every state is held to the floor, so a candidate's guarantee is computed
-exactly only where it beats the floor.
+exactly only where it beats the floor.  A candidate that beats the floor
+refutes only where that response class is exact for the payoff
+(`PayoffSpec.min_responses_exact`); elsewhere the verdict is inconclusive.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import solve
 from .arena import P1, P2, Arena
-from .chain import bottom_classes, induce_chain
+from .chain import bottom_classes, induce_chain, product_skeleton
 from .fixtures import build_fig1, fig1_alternating_strategy
 from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
@@ -67,6 +69,9 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # Half-positionality
 
+# The minimizer responses a bounded half-positionality sweep enumerates.
+RESPONSE_CLASS = "deterministic stationary on the memory product"
+
 
 def verify_halfpos(arena: Arena, spec: PayoffSpec,
                    budget: int = solve.DEFAULT_BUDGET,
@@ -84,8 +89,11 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     responses are enumerated until every state is held to the floor, so its
     guarantee is exact only at the states where it beats the floor.  The
     first candidate that beats it somewhere is reported as the witness,
-    with those exact guarantees.  `quantities["stats"]` counts the response
-    tables evaluated and the tables the full enumeration would evaluate.
+    with those exact guarantees, where the payoff's stationary responses are
+    exact (`min_responses_exact`); elsewhere the report is inconclusive,
+    with the response class and the beaten values and no witness.
+    `quantities["stats"]` counts the response tables evaluated and the
+    tables the full enumeration would evaluate.
     `memory_bound` and `candidates` must be at least 1 (`ValueError`).
     """
     if memory_bound < 1:
@@ -136,12 +144,19 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
             stats["response_tables"] += check.tables
             stats["response_tables_full"] += check.total
             if check.above:
+                beaten = {s: [str(v), str(v_plus[s])]
+                          for (_, s), v in check.above.items()}
+                if not spec.min_responses_exact:
+                    return VerificationReport(
+                        "halfpos", instance, "inconclusive",
+                        {"reason": "a candidate beats the floor; "
+                                   f"{spec.format()} is not flagged "
+                                   "min_responses_exact",
+                         "response_class": RESPONSE_CLASS,
+                         "values": beaten, "stats": stats})
                 return VerificationReport(
                     "halfpos", instance, "refuted", {"stats": stats},
-                    witness={"strategy": cand.to_json(),
-                             "values": {s: [str(v), str(v_plus[s])]
-                                        for (_, s), v in check.above.items()}},
-                )
+                    witness={"strategy": cand.to_json(), "values": beaten})
     except solve.BudgetError as e:
         return VerificationReport(
             "halfpos", instance, "inconclusive", {"reason": str(e)})
@@ -150,7 +165,7 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
         {"stationary_values": {s: str(v_plus[s]) for s in arena.states},
          "best_stationary": sigma_plus.choice,
          "candidates_swept": cand_count,
-         "response_class": "deterministic stationary on the memory product",
+         "response_class": RESPONSE_CLASS,
          "stats": stats,
          "exact": False})
 
@@ -560,24 +575,10 @@ def verify_subgame_perfect(arena: Arena, spec: PayoffSpec, sigma,
 
 def _reachable_pairs(arena: Arena, strategy: FiniteMemoryStrategy) -> set:
     """(memory, state) pairs reachable from any state at the initial memory
-    when the owner plays the strategy and the opponent plays anything."""
-    todo = [(strategy.initial, s) for s in arena.states]
-    seen = set(todo)
-    while todo:
-        m, s = todo.pop()
-        if arena.owner[s] == strategy.player:
-            actions = [a for a, w in strategy.action_dist(m, s).items() if w > 0]
-        else:
-            actions = list(arena.available[s])
-        for a in actions:
-            for t, p in arena.transition[(s, a)].items():
-                if p == 0:
-                    continue
-                nxt = (strategy.next_memory(m, s, a, t), t)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-    return seen
+    when the maximizer plays the strategy and the minimizer plays anything:
+    the nodes of the strategy's product, seeded at the initial memory."""
+    seeds = [(s, strategy.initial, strategy.initial) for s in arena.states]
+    return {(m, s) for s, m, _ in product_skeleton(arena, seeds, strategy).nodes}
 
 
 # Candidates `weakened_base` draws before it degrades.

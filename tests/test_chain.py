@@ -5,7 +5,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -152,27 +152,123 @@ def test_first_passage_solves_its_equations(seed, monkeypatch):
             num * y[j] for j, num in row.items())
 
 
-def _mixed_two_memory(arena, rng):
-    """A 2-memory maximizer strategy mixing up to two actions per choice
-    (`_random_memory_strategy` plays pure ones)."""
+def _mixed_two_memory(arena, rng, player=P1):
+    """A 2-memory strategy of `player`, the maximizer by default, mixing up
+    to two actions per choice (`_random_memory_strategy` plays pure
+    ones)."""
     mems = ("m0", "m1")
     update = {(m, s, a, t): rng.choice(mems) for m in mems for s in arena.states
               for a in arena.available[s] for t in arena.states}
     choices = {}
     for m in mems:
-        for s in arena.player_states(P1):
+        for s in arena.player_states(player):
             acts = rng.sample(arena.available[s], min(2, len(arena.available[s])))
             w = rng.choice((F(1), F(1, 3), F(1, 2), F(3, 4)))
             dist = {acts[0]: F(1)} if len(acts) == 1 or w == 1 else \
                 {acts[0]: w, acts[1]: 1 - w}
             choices[(m, s)] = dist
-    return FiniteMemoryStrategy(P1, mems, "m0", update, choices)
+    return FiniteMemoryStrategy(player, mems, "m0", update, choices)
+
+
+def _fraction_row(mvs):
+    """The row of the moves `mvs`, summed in Fractions from their weights
+    and successors."""
+    row = {}
+    for mv in mvs:
+        for succ, p in mv.successors:
+            row[succ] = row.get(succ, 0) + mv.weight * p
+    return {succ: F(x) for succ, x in row.items() if x}
+
+
+def _fraction_rows(chain):
+    return [_fraction_row(mvs) for mvs in chain.moves]
+
+
+def _over_least_denominator(row):
+    """A Fraction row as (d, {succ: n}) over the least common denominator
+    of its entries."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return d, {succ: int(x * d) for succ, x in row.items()}
+
+
+def _oracle_int_rows(moves):
+    """Each node's integer row and discounted equation, the chain's
+    `int_rows` and `discounted_rows`, from rows summed in Fractions."""
+    int_rows, discounted_rows = [], []
+    for mvs in moves:
+        int_rows.append(_over_least_denominator(_fraction_row(mvs)))
+        if any(mv.colour.kind != "discounted" for mv in mvs):
+            discounted_rows.append(None)
+            continue
+        d, row = _over_least_denominator(_fraction_row(
+            [dataclasses.replace(mv, weight=mv.weight * mv.colour.value[1])
+             for mv in mvs]))
+        discounted_rows.append(
+            (d, row, d * sum(mv.weight * mv.colour.value[0] for mv in mvs)))
+    return tuple(int_rows), tuple(discounted_rows)
+
+
+def _oracle_induce(arena, sigma, tau, seeds):
+    """The reachable product of a fixed pair, walked as `induce_chain`
+    walked it before `product_skeleton` took the walk over: `(nodes,
+    moves)`, nodes numbered as they are found, the seeds first, then the
+    successors of each node taken last in, first out."""
+    index, nodes, todo = {}, [], []
+
+    def node_id(key):
+        if key not in index:
+            index[key] = len(nodes)
+            nodes.append(key)
+            todo.append(key)
+        return index[key]
+
+    for seed in seeds:
+        node_id(seed)
+    moves = {}
+    while todo:
+        key = todo.pop()
+        s, m1, m2 = key
+        strat, mem = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
+        moves[index[key]] = tuple(
+            Move(a, w, arena.colour[(s, a)], tuple(
+                (node_id((t, sigma.next_memory(m1, s, a, t),
+                          tau.next_memory(m2, s, a, t))), p)
+                for t, p in arena.transition[(s, a)].items() if p != 0))
+            for a, w in strat.action_dist(mem, s).items() if w != 0)
+    return tuple(nodes), tuple(moves[i] for i in range(len(nodes)))
+
+
+def _skeleton(arena, sigma=None, tau=None):
+    """The product of one fixed strategy (or of none: the grid), walked
+    from every (memory, state) pair as the enumerations seed it."""
+    fixed = sigma if sigma is not None else tau
+    memories = ("m0",) if fixed is None else fixed.memory_states
+    return product_skeleton(
+        arena, [(s, m, m) for m in memories for s in arena.states], sigma, tau)
+
+
+def _picked_pair(arena, skeleton, choice, sigma=None, tau=None):
+    """The fixed pair whose chain `choice` picks on the product of `sigma`
+    and `tau`: an open player plays its picked actions, with the fixed
+    player's memory updates (with one memory when both are open)."""
+    fixed = sigma if sigma is not None else tau
+    memory = (("m0",), "m0", {}) if fixed is None else (
+        fixed.memory_states, fixed.initial, dict(fixed.update))
+
+    def open_player(player):
+        return FiniteMemoryStrategy(player, *memory, {
+            (m, s): {arena.available[s][k]: F(1)}
+            for (s, m, _), k in zip(skeleton.nodes, choice)
+            if arena.owner[s] == player})
+
+    return (open_player(P1) if sigma is None else sigma,
+            open_player(P2) if tau is None else tau)
 
 
 def _oracle_stationary(chain, nodes):
     pos = {node: k for k, node in enumerate(nodes)}
     n = len(nodes)
-    rows = chain.rows()
+    rows = _fraction_rows(chain)
     matrix = [[F(0)] * n for _ in range(n)]
     for node in nodes:
         for succ, p in rows[node].items():
@@ -185,7 +281,7 @@ def _oracle_stationary(chain, nodes):
 
 
 def _oracle_absorption(chain, classes):
-    rows = chain.rows()
+    rows = _fraction_rows(chain)
     in_class = {node for cls in classes for node in cls.nodes}
     transient = [i for i in range(len(chain)) if i not in in_class]
     pos = {node: k for k, node in enumerate(transient)}
@@ -241,8 +337,9 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
         seeds = [(s, m, tau.initial) for s in arena.states
                  for m in sigma.memory_states]
         chain = induce_chain(arena, sigma, tau, seeds)
-        for node, (d, row) in enumerate(chain.int_rows()):
-            assert {succ: F(n, d) for succ, n in row.items()} == chain.row(node)
+        for node, (d, row) in enumerate(chain.int_rows):
+            assert {succ: F(n, d) for succ, n in row.items()} \
+                == _fraction_rows(chain)[node] == chain.row(node)
             assert gcd(d, *row.values()) == 1
         classes = bottom_sccs(chain)
         for cls in classes:
@@ -257,36 +354,52 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
         assert discounted_values(chain) == _oracle_discounted(chain)
 
 
+def _fixings(arena, rng):
+    """(sigma, tau) for each way of fixing the players, with random
+    2-memory strategies, pure and mixed: both players open, sigma fixed,
+    tau fixed, and both fixed."""
+    yield None, None
+    for sigma in (_random_memory_strategy(arena, rng, 2),
+                  _mixed_two_memory(arena, rng)):
+        yield sigma, None
+    yield None, _mixed_two_memory(arena, rng, P2)
+    yield _mixed_two_memory(arena, rng), _mixed_two_memory(arena, rng, P2)
+
+
 @pytest.mark.parametrize("seed", range(0, 60, 4))
 def test_skeleton_picks_the_chain_induce_chain_builds(seed):
-    # a picked chain has the nodes, moves and integer rows induce_chain
-    # builds for the same pair, seeded at the skeleton's nodes
+    # a picked chain is the chain the old breadth-first walk builds for the
+    # pair that its choice fixes: the same nodes in the same order, the
+    # same moves and the same integer rows and discounted equations, for
+    # every way of fixing the players; with both fixed, the walk starts
+    # from induce_chain's default seeds and from one state alone
     rng = random.Random(seed)
-    arena = random_arena(4, 3, seed=seed)
-    for sigma in (None, _random_memory_strategy(arena, rng, 2),
-                  _mixed_two_memory(arena, rng)):
-        skeleton = product_skeleton(arena, sigma)
-        choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
-        want = _induced_pick(arena, sigma, skeleton, choice)
-        got = skeleton.pick(choice)
-        assert (got.nodes, got.moves, got.int_rows()) \
-            == (want.nodes, want.moves, want.int_rows())
+    arena = _mixed_discount_arena(seed, rng)
+    for sigma, tau in _fixings(arena, rng):
+        if sigma is None or tau is None:
+            skeleton = _skeleton(arena, sigma, tau)
+            choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
+            picks = [(skeleton.pick(choice), _picked_pair(
+                arena, skeleton, choice, sigma, tau), skeleton.nodes)]
+        else:
+            picks = [(induce_chain(arena, sigma, tau, seeds), (sigma, tau),
+                      seeds)
+                     for seeds in ([(s, "m0", "m0") for s in arena.states],
+                                   [(arena.states[-1], "m1", "m0")])]
+        for got, pair, seeds in picks:
+            nodes, moves = _oracle_induce(arena, *pair, seeds)
+            assert (got.nodes, got.moves) == (nodes, moves)
+            assert got.index == {node: i for i, node in enumerate(nodes)}
+            assert (got.int_rows, got.discounted_rows) \
+                == _oracle_int_rows(moves)
 
 
 def _induced_pick(arena, sigma, skeleton, choice):
     """The chain `induce_chain` builds for the pair that `choice` picks on
     `sigma`'s skeleton (the grid's when sigma is None), seeded at the
     skeleton's nodes."""
-    picked = {(m, s): {arena.available[s][k]: F(1)}
-              for (s, m, _), k in zip(skeleton.nodes, choice)}
-    if sigma is None:
-        sigma = PureStationaryStrategy(P1, {
-            s: next(iter(picked[("m0", s)])) for s in arena.player_states(P1)})
-    tau = FiniteMemoryStrategy(
-        P2, sigma.memory_states, sigma.initial, dict(sigma.update),
-        {pair: law for pair, law in picked.items()
-         if arena.owner[pair[1]] == P2})
-    return induce_chain(arena, sigma, tau, skeleton.nodes)
+    return induce_chain(arena, *_picked_pair(arena, skeleton, choice, sigma),
+                        skeleton.nodes)
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 5))
@@ -297,7 +410,7 @@ def test_skeleton_discounted_rows_match_the_oracles(seed):
     arena = _mixed_discount_arena(seed, rng)
     for sigma in (None, _random_memory_strategy(arena, rng, 2),
                   _mixed_two_memory(arena, rng)):
-        skeleton = product_skeleton(arena, sigma)
+        skeleton = _skeleton(arena, sigma)
         for _ in range(3):
             choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
             got = skeleton.pick(choice)
@@ -314,7 +427,7 @@ def test_a_reward_coloured_option_keeps_the_discount_error():
         arena, colour={**arena.colour, ("s2", "a1"): reward(1)})
     rng = random.Random(3)
     for sigma in (None, _random_memory_strategy(arena, rng, 2)):
-        skeleton = product_skeleton(arena, sigma)
+        skeleton = _skeleton(arena, sigma)
         s2 = [i for i, (s, _, _) in enumerate(skeleton.nodes) if s == "s2"]
         for choice in itertools.product(*(range(len(o)) for o in skeleton.moves)):
             chains = (skeleton.pick(choice),
@@ -341,7 +454,31 @@ def test_skeleton_keeps_the_chain_checks(law, update, message):
         P1, ("m",), "m", update,
         {("m", "s"): law, ("m", "t"): {"loop": F(1)}, ("m", "u"): {"loop": F(1)}})
     with pytest.raises(ChainError, match=message):
-        product_skeleton(e3, sigma)
+        _skeleton(e3, sigma)
+
+
+@pytest.mark.parametrize("leaving", ["sigma", "tau"])
+@pytest.mark.parametrize("both_fixed", [False, True],
+                         ids=["other open", "both fixed"])
+def test_a_memory_update_that_leaves_the_memory_set_raises(leaving,
+                                                           both_fixed):
+    e3 = build_e3()
+
+    def strategy(player):
+        update = {("m", "s", "a", "t"): "elsewhere"} \
+            if leaving == ("sigma", "tau")[player == P2] else {}
+        return FiniteMemoryStrategy(
+            player, ("m",), "m", update,
+            {("m", s): {e3.available[s][0]: F(1)}
+             for s in e3.player_states(player)})
+
+    sigma, tau = strategy(P1), strategy(P2)
+    if not both_fixed:
+        sigma, tau = (sigma, None) if leaving == "sigma" else (None, tau)
+    with pytest.raises(ChainError) as err:
+        product_skeleton(e3, [(s, "m", "m") for s in e3.states], sigma, tau)
+    assert str(err.value) \
+        == "memory update at (m, s, a, t) leaves the memory set"
 
 
 @given(st.integers(0, 5000))
@@ -678,7 +815,7 @@ def _sample_chains(arena, rng):
               _random_memory_strategy(arena, rng, 2),
               _mixed_two_memory(arena, rng)]
     for sigma in [None] + sigmas:
-        skeleton = product_skeleton(arena, sigma)
+        skeleton = _skeleton(arena, sigma)
         for _ in range(3):
             yield skeleton.pick([rng.randrange(len(opts))
                                  for opts in skeleton.moves])
@@ -715,10 +852,9 @@ def _zero_weight_chain(top, colour):
     """One node whose move of weight 1 has colour `colour(1)` and whose move
     of weight 0 has colour `top`: the class sees only `colour(1)`."""
     stay = ((0, F(1)),)
-    return InducedChain((("s", "m0", "m0"),),
-                        ((Move("a", F(1), colour(1), stay),
-                          Move("b", F(0), top, stay)),),
-                        {("s", "m0", "m0"): 0})
+    moves = (Move("a", F(1), colour(1), stay), Move("b", F(0), top, stay))
+    return InducedChain((("s", "m0", "m0"),), (moves,),
+                        {("s", "m0", "m0"): 0}, ((1, {0: 1}),), (None,))
 
 
 @pytest.mark.parametrize("name, top, colour, want", [

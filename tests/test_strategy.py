@@ -19,7 +19,7 @@ from stochgame.solve import (
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError,
-    reset_strategy, strategy_from_json,
+    enumerate_pure_stationary, reset_strategy, strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
 
@@ -204,6 +204,62 @@ def test_response_fold_matches_the_induce_chain_enumeration(name, kind):
             assert fold.tables == fold.total == _table_count(arena, sigma)
             several += multi
     assert several  # some response chains have several bottom classes
+
+
+def _memory_successor_minimizers(arena):
+    """Every deterministic 2-memory minimizer strategy whose memory update
+    reads only the current memory and the successor state."""
+    mems = ("n0", "n1")
+    keys = [(m, s) for m in mems for s in arena.player_states(P2)]
+    for moves in itertools.product(mems, repeat=2 * len(arena.states)):
+        to = dict(zip(itertools.product(mems, arena.states), moves))
+        update = {(m, s, a, t): to[(m, t)] for m in mems
+                  for s in arena.states for a in arena.available[s]
+                  for t in arena.states}
+        for acts in itertools.product(*(arena.available[s] for _, s in keys)):
+            yield FiniteMemoryStrategy(
+                P2, mems, "n0", update,
+                {key: {a: F(1)} for key, a in zip(keys, acts)})
+
+
+def _minima_beaten(arena, spec, rng):
+    """How often a minimizer of `_memory_successor_minimizers`, valued by
+    `node_values`, goes below the response fold's minimum at some state:
+    against two stationary maximizer strategies and a 2-memory one."""
+    sigmas = list(enumerate_pure_stationary(arena, P1))[:2] \
+        + [_random_memory_strategy(arena, rng, 2)]
+    beaten = 0
+    for sigma in sigmas:
+        best = _fold_responses(arena, spec, sigma, DEFAULT_BUDGET).best
+        for tau in _memory_successor_minimizers(arena):
+            beaten += any(
+                v < best[(sigma.initial, s)] for s, v in
+                zip(arena.states, node_values(arena, spec, sigma, tau)))
+    return beaten
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("posavg", "reward"), ("meancobuchi:100", "cobuchi")])
+def test_flagged_exact_responses_are_not_beaten_by_memory(name, kind):
+    # min_responses_exact: the fold over stationary responses on the
+    # maximizer's memory product is exact, so no 2-memory minimizer goes
+    # below its minimum, on 2- and 3-state arenas dense and sparse
+    spec = parse_payoff_spec(name)
+    assert spec.min_responses_exact
+    for seed in range(6):
+        for states in (2, 3):
+            arena = random_arena(states, 2, seed=seed, kind=kind,
+                                 density=(F(0), F(1, 2))[seed % 2])
+            assert _minima_beaten(arena, spec, random.Random(seed)) == 0
+
+
+def test_a_two_memory_minimizer_beats_the_optgenmean_fold():
+    # the control for the flags: the minimizer gains by mixing under
+    # optgenmean, whose flag is false, and the same check catches it
+    spec = parse_payoff_spec("optgenmean:2")
+    assert not spec.min_responses_exact
+    arena = random_arena(2, 2, seed=11, kind="vector2")
+    assert _minima_beaten(arena, spec, random.Random(11))
 
 
 def _table_count(arena, sigma):

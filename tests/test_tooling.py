@@ -52,6 +52,28 @@ def test_library_imports_only_at_module_level():
     assert sorted(SRC.glob("*.py")) and not found, found
 
 
+def _constructions(path, names):
+    """`file:line` of each call in one module to a name in `names`, bare
+    or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in names:
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_only_the_chain_module_builds_products():
+    # `chain.product_skeleton` is the one product walk: every chain is
+    # picked from it, so no other module constructs a chain or a skeleton
+    names = ("InducedChain", "ProductSkeleton")
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   if path.name != "chain.py"
+                   for site in _constructions(path, names))
+    assert list(_constructions(SRC / "chain.py", names)) and not found, found
+
+
 def _imported_packages(path):
     """The top-level names of the absolute imports of one module."""
     for node in ast.walk(ast.parse(path.read_text())):

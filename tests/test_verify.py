@@ -111,7 +111,8 @@ def _halfpos_sweep_oracle(arena, spec, budget, memory_bound, candidates, seed):
     `product_values`, which enumerates all of its responses, against a
     floor valued pair by pair (`_stationary_floor`): the verdict,
     quantities and witness of `verify_halfpos`'s structured report, without
-    the sweep's stats."""
+    the sweep's stats.  A beaten floor refutes only for a payoff whose
+    stationary responses are exact, and is inconclusive elsewhere."""
     rng = random.Random(seed)
     try:
         v_plus, sigma_plus = _stationary_floor(arena, spec, budget)
@@ -121,9 +122,18 @@ def _halfpos_sweep_oracle(arena, spec, budget, memory_bound, candidates, seed):
             beats = {s: [str(guaranteed[(cand.initial, s)]), str(v_plus[s])]
                      for s in arena.states
                      if guaranteed[(cand.initial, s)] > v_plus[s]}
-            if beats:
+            if beats and spec.min_responses_exact:
                 return ("refuted", {},
                         {"strategy": cand.to_json(), "values": beats})
+            if beats:
+                return ("inconclusive",
+                        {"reason": "a candidate beats the floor; "
+                                   f"{spec.format()} is not flagged "
+                                   "min_responses_exact",
+                         "response_class": "deterministic stationary on "
+                                           "the memory product",
+                         "values": beats},
+                        None)
     except solve.BudgetError as e:
         return "inconclusive", {"reason": str(e)}, None
     return ("confirmed",
@@ -145,7 +155,7 @@ def _sweep_matches_oracle(arena, spec, budget, memory_bound, candidates, seed):
         arena, spec, budget, memory_bound, candidates, seed)
     assert (doc["verdict"], doc["quantities"], doc["witness"]) \
         == (verdict, json.loads(json.dumps(quantities)), witness)
-    if verdict == "inconclusive":
+    if verdict == "inconclusive" and "values" not in quantities:
         assert stats is None
     else:
         assert 1 <= stats["response_tables"] <= stats["response_tables_full"]
@@ -177,16 +187,23 @@ def test_floor_decided_sweep_reports_what_the_full_enumeration_reports(name,
     assert saved < full
 
 
-def test_floor_decided_sweep_keeps_the_optgenmean_refutation():
-    # the open optgenmean:2 refutation (see CHANGES.md): a candidate beats
-    # the stationary floor against deterministic stationary responses; the
-    # floor-decided sweep reports the same witness with the same values
+def test_floor_decided_sweep_reports_the_optgenmean_beat_inconclusive():
+    # a candidate beats the stationary floor against deterministic
+    # stationary responses, which are not exact for optgenmean:2: the sweep
+    # reports the beaten values, inconclusive and without a witness, as the
+    # oracle does
     arena = random_arena(4, 3, seed=2613501048, kind="vector2")
     spec = parse_payoff_spec("optgenmean:2")
+    assert not spec.min_responses_exact
     verdict, stats = _sweep_matches_oracle(arena, spec, solve.DEFAULT_BUDGET,
                                            2, 12, 3194134790)
-    assert verdict == "refuted"
+    assert verdict == "inconclusive"
     assert stats == {"response_tables": 12, "response_tables_full": 18}
+    report = verify_halfpos(arena, spec, solve.DEFAULT_BUDGET, 2, 12,
+                            3194134790)
+    assert report.witness is None
+    assert report.quantities["values"] == {
+        s: ["1", "0"] for s in arena.states}
 
 
 @pytest.mark.parametrize("payoff", ["posavg", "mean"])
@@ -407,6 +424,44 @@ def test_subgame_suboptimal_base_reports_honestly():
     report = verify_subgame_perfect(e2, mean, sigma, F(1, 8))
     assert report.verdict == "refuted"
     assert not report.quantities["base_epsilon_optimal"]
+
+
+def _reachable_pairs_oracle(arena, strategy):
+    """The (memory, state) pairs reachable from every state at the initial
+    memory, by the breadth-first walk `verify` ran before it read the
+    strategy's product: the strategy's owner plays its law, the opponent
+    anything."""
+    todo = [(strategy.initial, s) for s in arena.states]
+    seen = set(todo)
+    while todo:
+        m, s = todo.pop()
+        if arena.owner[s] == strategy.player:
+            actions = [a for a, w in strategy.action_dist(m, s).items() if w > 0]
+        else:
+            actions = list(arena.available[s])
+        for a in actions:
+            for t, p in arena.transition[(s, a)].items():
+                nxt = (strategy.next_memory(m, s, a, t), t)
+                if p != 0 and nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return seen
+
+
+def test_reachable_pairs_are_the_product_nodes_the_walk_finds():
+    # random 1- to 3-memory strategies; sparse arenas at density 0 leave
+    # some pairs unreached, so the walk's seeding is tested too
+    unreached = 0
+    for seed in range(0, 60, 4):
+        rng = random.Random(seed)
+        arena = random_arena(4, 3, seed=seed,
+                             density=(F(0), F(1, 2))[seed % 2])
+        for memories in (1, 2, 3):
+            sigma = _random_memory_strategy(arena, rng, memories)
+            reach = verify._reachable_pairs(arena, sigma)
+            assert reach == _reachable_pairs_oracle(arena, sigma)
+            unreached += len(arena.states) * memories - len(reach)
+    assert unreached
 
 
 @pytest.mark.parametrize("epsilon", [F(0), F(-1), F(-1, 4)])
