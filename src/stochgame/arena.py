@@ -175,7 +175,7 @@ def parse_arena(text: str) -> Arena:
         token = _field(entry, "colour", where)
         try:
             colour[(s, a)] = colour_from_json(token)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ArenaError(f"{where}: field 'colour' is not a colour: {token!r}") \
                 from None
     return Arena(tuple(states), owner,

@@ -75,19 +75,18 @@ class InducedChain:
 
 
 class RecurrentClassSummary:
-    """One bottom SCC of a chain.  The graph pass gives its `nodes` and
-    `colours`, the colours of its moves of positive weight: a play absorbed
-    in the class takes each of those moves infinitely often, almost surely,
-    and no other, so `colours` is the set of colours it sees infinitely
-    often.
-
-    The exact stationary distribution is solved on first read of
-    `stationary` or `colour_weights` (the stationary colour weights), and
-    checked to be positive, to sum to 1 and to be really stationary.
-    `has_potential` (do the increments form a coboundary?) is found on first
-    read too, and is None unless every colour is a counter increment.
-    `value(spec)`, the class's `payoff.class_value`, is computed once per
-    payoff and kept on the summary too."""
+    """One bottom SCC of a chain, as `payoff.class_value` reads it.  The
+    graph pass gives its `nodes` and `colours`, the colours of its moves of
+    positive weight: a play absorbed in the class takes each of those moves
+    infinitely often, almost surely, and no other, so `colours` is the set
+    of colours it sees infinitely often.  `int_weights` are their limit
+    weights, integers over one denominator, solved on first read from the
+    exact stationary distribution, which is checked to be positive, to sum
+    to 1 and to be really stationary; `stationary` and `colour_weights` are
+    `Fraction` views of that solve.  `has_potential` (do the increments
+    form a coboundary?) is found on first read too, and is None unless
+    every colour is a counter increment.  `value(spec)`, the class's
+    `payoff.class_value`, is computed once per payoff and kept."""
 
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
@@ -109,12 +108,18 @@ class RecurrentClassSummary:
 
     @cached_property
     def colour_weights(self) -> tuple[tuple[ColourToken, Fraction], ...]:
+        den, weights = self.int_weights
+        return tuple((tok, Fraction(w, den)) for tok, w in weights)
+
+    @cached_property
+    def int_weights(self) -> tuple[int, tuple[tuple[ColourToken, int], ...]]:
         return self._solved[1]
 
     @cached_property
     def _solved(self):
-        """((mass, common), colour_weights), from one solve: the stationary
-        weight of node `nodes[k]` is mass[k] / common."""
+        """((mass, common), (d, ((colour, n), ...))), from one solve: the
+        stationary weight of node `nodes[k]` is mass[k] / common, and a
+        colour's weight n / d."""
         nodes = self.nodes
         pos = {node: k for k, node in enumerate(nodes)}
         n = len(nodes)
@@ -159,8 +164,7 @@ class RecurrentClassSummary:
                 if w:
                     weights[mv.colour] = weights.get(mv.colour, 0) \
                         + m * w.numerator * (wden // w.denominator)
-        return (mass, common), tuple((tok, Fraction(v, common * wden))
-                                     for tok, v in weights.items())
+        return (mass, common), (common * wden, tuple(weights.items()))
 
     @cached_property
     def has_potential(self) -> Optional[bool]:

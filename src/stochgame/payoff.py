@@ -1,5 +1,11 @@
-"""Payoff catalog: colour tokens, exact evaluation on lasso words and on
-recurrent classes, shuffles, and the shift-invariance / submixing refuters.
+"""Payoff catalog: colour tokens, exact evaluation, shuffles, and the
+shift-invariance / submixing refuters.
+
+A payoff is a function of the infinite play.  Every class-determined payoff
+has one rule, `_limit_value`: the value of a play from the colours it sees
+infinitely often and, for the payoffs that weigh colours, their limit
+weights.  A lasso word's cycle (`evaluate_lasso`) and a chain's bottom class
+(`class_value`) are both valued by it.
 
 Values are exact rationals throughout.  The property checkers are refuters,
 not provers: a returned witness is a proof of violation, absence of a witness
@@ -12,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -257,20 +263,22 @@ def vector_lasso(prefix: Sequence, cycle: Sequence) -> Lasso:
     return Lasso(tuple(vector(*v) for v in prefix), tuple(vector(*v) for v in cycle))
 
 
-def _check_kind(spec: PayoffSpec, word: Lasso) -> None:
+def _check_kind(spec: PayoffSpec, tokens) -> None:
+    """Raise ColourKindError unless every token is a colour of the payoff's
+    kind and, for the vector payoffs, of its dimension."""
     want = spec.colour_kind
-    dim = spec.dim if spec.name in ("genmean", "optgenmean") else None
-    for tok in word.prefix + word.cycle:
+    dim = spec.dim if want == VECTOR else None
+    for tok in tokens:
         if not isinstance(tok, ColourToken) or tok.kind != want:
             raise ColourKindError(
-                f"payoff {spec.format()} needs {want} colours, got {tok!r}")
+                f"payoff {spec.format()} needs {want} colours")
         if dim is not None and len(tok.value) != dim:
             raise ColourKindError(
-                f"{spec.format()} needs vectors of dimension {dim}")
+                f"payoff {spec.format()} needs vectors of dimension {dim}")
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation on lasso words
+# Exact evaluation: lasso words and recurrent classes
 
 
 _ZERO = Fraction(0)
@@ -282,50 +290,13 @@ _DENOMINATOR = attrgetter("denominator")
 def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
     """Exact payoff of the ultimately periodic colour word.
 
-    Win/lose conditions return indicator values 0/1; the mean-co-Buchi
-    payoff substitutes the finite penalty -B for the unbounded penalty.
-
-    The cycle decides every prefix-independent payoff.  Its rational values
-    are read once as integer numerators over the lcm of their denominators,
-    so sums, signs and comparisons are integer operations: a returned mean
-    is the one `Fraction` built, `limsup`/`liminf` return the cycle's own
-    extreme value, and the 0/1 verdicts are the constants `_ZERO`/`_ONE`.
+    The discounted and geometric payoffs read the whole word, and the
+    suffix-target payoff is 1 on every lasso.  Every other payoff is
+    class-determined: its value is `_limit_value` of the cycle, the letters
+    the word sees infinitely often, each weighing 1 over the cycle length.
     """
-    _check_kind(spec, word)
-    cyc = word.cycle
+    _check_kind(spec, word.prefix + word.cycle)
     name = spec.name
-
-    if name == "mean":
-        nums, den = _scaled([t.value for t in cyc])
-        return Fraction(sum(nums), den * len(cyc))
-    if name in ("limsup", "liminf"):
-        values = [t.value for t in cyc]
-        nums, _ = _scaled(values)
-        return values[nums.index(max(nums) if name == "limsup" else min(nums))]
-    if name == "parity":
-        return _ONE if max(t.value for t in cyc) % 2 else _ZERO
-    if name == "posavg":
-        nums, _ = _scaled([t.value for t in cyc])
-        return _ONE if sum(nums) > 0 else _ZERO
-    if name == "counter+inf":
-        # Partial sums are unbounded above iff the cycle gains per pass.
-        return _ONE if sum(t.value for t in cyc) > 0 else _ZERO
-    if name == "counter-inf":
-        return _ONE if sum(t.value for t in cyc) < 0 else _ZERO
-    if name in ("genmean", "optgenmean"):
-        # One integer sum per dimension over one common denominator: its
-        # sign is the sign of that dimension's mean.
-        nums, _ = _scaled([x for t in cyc for x in t.value])
-        dim = spec.dim
-        sums = [sum(nums[i::dim]) for i in range(dim)]
-        if name == "genmean":
-            return _ONE if all(s > 0 for s in sums) else _ZERO
-        return _ONE if any(s >= 0 for s in sums) else _ZERO
-    if name == "meancobuchi":
-        if any(t.value[1] for t in cyc):
-            return -spec.penalty
-        nums, den = _scaled([t.value[0] for t in cyc])
-        return Fraction(sum(nums), den * len(cyc))
     if name == "discounted":
         return _discounted_value(word)
     if name == "suffixtarget":
@@ -334,7 +305,81 @@ def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
         return _ONE
     if name == "geomfirstone":
         return _geom_first_one(word)
-    raise PayoffError(name)
+    return _limit_value(spec, word.cycle, None)
+
+
+def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
+    """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`:
+    `_limit_value` of its colour set, weighed by its `int_weights`.  Only
+    class-determined payoffs are accepted; the discounted and geometric
+    payoffs depend on the transient part and the suffix-target payoff is
+    not determined by the class at all."""
+    if not spec.is_class_determined:
+        raise PayoffError(
+            f"payoff {spec.format()} is not determined by the recurrent class")
+    _check_kind(spec, cls.colours)
+    return _limit_value(spec, cls.colours, cls)
+
+
+def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
+    """The value of a play under a class-determined payoff, from the
+    colours `seen` it sees infinitely often and, read only by the payoffs
+    that weigh colours, their limit weights: integers over one denominator.
+    A lasso passes its cycle and `cls` None, each letter weighing 1 over the
+    cycle length; a bottom class passes its colours and itself, and its
+    `int_weights` must sum to their denominator.
+
+    Win/lose conditions return 0/1, and the mean-co-Buchi payoff substitutes
+    the finite penalty -B for the unbounded one.  Colour values are read as
+    integer numerators over one denominator, so sums and comparisons are
+    integer operations: a mean is the one `Fraction` built, and
+    `limsup`/`liminf` return a seen colour's own value."""
+    name = spec.name
+    if name in ("limsup", "liminf"):
+        values = [t.value for t in seen]
+        nums, _ = _scaled(values)
+        return values[nums.index(max(nums) if name == "limsup" else min(nums))]
+    if name == "parity":
+        return _ONE if max(t.value for t in seen) % 2 else _ZERO
+    if name == "meancobuchi" and any(t.value[1] for t in seen):
+        return -spec.penalty
+    if cls is None:
+        toks, weights, den = seen, None, len(seen)
+    else:
+        den, pairs = cls.int_weights
+        toks = [t for t, _ in pairs]
+        weights = [w for _, w in pairs]
+        total = sum(weights)
+        if total != den:
+            raise PayoffError(f"class colour weights sum to "
+                              f"{Fraction(total, den)}, not 1")
+    if name in ("genmean", "optgenmean"):
+        # One integer sum per dimension, over one common denominator: its
+        # sign is the sign of that dimension's mean.
+        dim = spec.dim
+        nums, _ = _scaled([x for t in toks for x in t.value])
+        if weights is None:
+            sums = [sum(nums[i::dim]) for i in range(dim)]
+        else:
+            sums = [sum(map(mul, nums[i::dim], weights)) for i in range(dim)]
+        if name == "genmean":
+            return _ONE if all(s > 0 for s in sums) else _ZERO
+        return _ONE if any(s >= 0 for s in sums) else _ZERO
+    nums, vden = _scaled([t.value[0] for t in toks] if name == "meancobuchi"
+                         else [t.value for t in toks])
+    drift = sum(nums) if weights is None else sum(map(mul, nums, weights))
+    if name in ("mean", "meancobuchi"):
+        return Fraction(drift, vden * den)
+    if name == "posavg":
+        return _ONE if drift > 0 else _ZERO
+    # counter+inf / counter-inf.  Nonzero drift sends the partial sums to
+    # its side's infinity.  With zero drift they stay bounded iff the
+    # increments are a coboundary of a potential over the class graph, as
+    # round a lasso's one cycle they always are; otherwise they oscillate to
+    # both infinities almost surely.
+    if drift == 0:
+        return _ZERO if cls is None or cls.has_potential else _ONE
+    return _ONE if (drift > 0) == (name == "counter+inf") else _ZERO
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -372,71 +417,6 @@ def _geom_first_one(word: Lasso) -> Fraction:
         if word.letter(n).value == 1:
             return 1 - Fraction(1, 2 ** n)
     return Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# Almost-sure payoff on a recurrent class
-
-
-def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
-    """Almost-sure payoff of trajectories absorbed in the given bottom SCC.
-
-    Only shift-invariant, class-determined payoffs are accepted; the
-    discounted and geometric payoffs depend on the transient part and the
-    suffix-target payoff is not determined by the class at all.
-
-    `limsup`, `liminf` and `parity` depend only on the colours seen
-    infinitely often, and so does `meancobuchi` on a class with a Buchi
-    move (value -B): these read `cls.colours` alone.  The other payoffs
-    read the stationary colour weights, whose first read solves the class's
-    stationary distribution.
-    """
-    if not spec.is_class_determined:
-        raise PayoffError(
-            f"payoff {spec.format()} is not determined by the recurrent class")
-    toks = cls.colours
-    for t in toks:
-        if t.kind != spec.colour_kind:
-            raise ColourKindError(
-                f"payoff {spec.format()} needs {spec.colour_kind} colours")
-    name = spec.name
-
-    if name == "limsup":
-        return max(t.value for t in toks)
-    if name == "liminf":
-        return min(t.value for t in toks)
-    if name == "parity":
-        return Fraction(max(t.value for t in toks) % 2)
-    if name == "meancobuchi" and any(t.value[1] for t in toks):
-        return -spec.penalty
-    weights = cls.colour_weights
-    total = sum(w for _, w in weights)
-    if total != 1:
-        raise PayoffError(f"class colour weights sum to {total}, not 1")
-    if name == "mean":
-        return sum(w * t.value for t, w in weights)
-    if name == "posavg":
-        m = sum(w * t.value for t, w in weights)
-        return Fraction(1) if m > 0 else Fraction(0)
-    if name in ("genmean", "optgenmean"):
-        means = [sum(w * t.value[i] for t, w in weights)
-                 for i in range(spec.dim)]
-        if name == "genmean":
-            return Fraction(1) if all(m > 0 for m in means) else Fraction(0)
-        return Fraction(1) if any(m >= 0 for m in means) else Fraction(0)
-    if name == "meancobuchi":
-        return sum(w * t.value[0] for t, w in weights)
-    if name in ("counter+inf", "counter-inf"):
-        drift = sum(w * t.value for t, w in weights)
-        if drift > 0:
-            return Fraction(1) if name == "counter+inf" else Fraction(0)
-        if drift < 0:
-            return Fraction(1) if name == "counter-inf" else Fraction(0)
-        # Zero drift: partial sums stay bounded iff the increments are a
-        # coboundary of a potential over the class graph; otherwise they
-        # oscillate to both infinities almost surely.
-        return Fraction(0) if cls.has_potential else Fraction(1)
-    raise PayoffError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -618,23 +598,33 @@ def colour_to_json(tok: ColourToken):
 
 
 def colour_from_json(obj) -> ColourToken:
-    if isinstance(obj, (int, str)):
-        return reward(Fraction(obj))
+    """The colour a game file's JSON value denotes, validated, not coerced:
+    a priority and an increment are integers, a Buchi flag is a boolean, a
+    letter is a string, and no number is a boolean.  Raises PayoffError for
+    anything else."""
     if isinstance(obj, dict):
         keys = set(obj)
-        if keys == {"priority"}:
+        if keys == {"priority"} and type(obj["priority"]) is int:
             return priority(obj["priority"])
         if keys == {"reward", "discount"}:
-            return discounted(Fraction(obj["reward"]), Fraction(obj["discount"]))
-        if keys == {"vector"}:
-            return vector(*[Fraction(x) for x in obj["vector"]])
-        if keys == {"letter"}:
+            return discounted(_number(obj["reward"]), _number(obj["discount"]))
+        if keys == {"vector"} and isinstance(obj["vector"], list):
+            return vector(*map(_number, obj["vector"]))
+        if keys == {"letter"} and isinstance(obj["letter"], str):
             return letter(obj["letter"])
-        if keys == {"increment"}:
+        if keys == {"increment"} and type(obj["increment"]) is int:
             return increment(obj["increment"])
-        if keys == {"reward", "buchi"}:
-            return reward_buchi(Fraction(obj["reward"]), obj["buchi"])
+        if keys == {"reward", "buchi"} and isinstance(obj["buchi"], bool):
+            return reward_buchi(_number(obj["reward"]), obj["buchi"])
+    elif isinstance(obj, str) or type(obj) is int:
+        return reward(Fraction(obj))
     raise PayoffError(f"unrecognized colour {obj!r}")
+
+
+def _number(x) -> Fraction:
+    if type(x) is bool:
+        raise PayoffError(f"{x!r} is not a number")
+    return Fraction(x)
 
 
 def _frac_to_json(x: Fraction):

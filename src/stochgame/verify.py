@@ -207,21 +207,20 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
 # The (u, v) block lengths of the alternating shuffles the submixing search
 # tries.
 SEARCH_PATTERNS = ((1, 1), (1, 2), (2, 1), (2, 2))
+# The suffixes per word the shift-invariance search compares.
+SHIFTS = 6
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     """Sizes of the refutation searches, checked when constructed: cycles of
-    1..max_cycle letters, random_cases >= 0 seeded cases and 1..shifts
-    suffixes per word."""
+    1..max_cycle letters and random_cases >= 0 seeded cases."""
 
     max_cycle: int = 4
     random_cases: int = 2000
-    shifts: int = 6
 
     def __post_init__(self):
-        for name, least in (("max_cycle", 1), ("random_cases", 0),
-                            ("shifts", 1)):
+        for name, least in (("max_cycle", 1), ("random_cases", 0)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, not {value}")
@@ -432,12 +431,13 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                                       bounds: SearchBounds = SearchBounds(),
                                       seed: int = 0) -> VerificationReport:
     """Exhaustive small-word sweep plus randomized words, comparing the
-    payoff against its suffixes.  The exhaustive words have prefixes of
-    0..2 letters and cycles of 1..min(max_cycle, 2) letters; the seeded
-    words, drawn after them, prefixes of 0..3 and cycles of 1..max_cycle."""
+    payoff against its first SHIFTS suffixes.  The exhaustive words have
+    prefixes of 0..2 letters and cycles of 1..min(max_cycle, 2) letters;
+    the seeded words, drawn after them, prefixes of 0..3 and cycles of
+    1..max_cycle."""
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
-                "max_cycle": bounds.max_cycle, "shifts": bounds.shifts,
+                "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
     rng = random.Random(seed)
     exhaustive = (Lasso(pre, cyc) for plen in range(3)
@@ -448,7 +448,7 @@ def search_shift_invariance_violation(spec: PayoffSpec,
               for _ in range(bounds.random_cases))
     cases = 0
     for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
-        w = check_shift_invariance(spec, word, bounds.shifts)
+        w = check_shift_invariance(spec, word, SHIFTS)
         if w is not None:
             return VerificationReport(
                 "shift-invariance", instance, "refuted",

@@ -56,6 +56,42 @@ def test_parse_reports_syntax_position():
         parse_arena("{not json")
 
 
+def _one_state_game(colour) -> str:
+    return json.dumps({
+        "states": [{"name": "s", "owner": "P1"}],
+        "actions": [{"state": "s", "action": "a", "colour": colour,
+                     "successors": [{"state": "s", "prob": "1"}]}]})
+
+
+# a colour's fields are validated, never coerced: no bool where a number is
+# expected, an integer priority or increment, a boolean Buchi flag, a string
+# letter and a list vector
+COERCED_COLOURS = [
+    {"priority": 1.5}, {"priority": True}, {"priority": "1"},
+    {"increment": True}, {"increment": 1.0},
+    {"reward": 1, "buchi": "no"}, {"reward": 1, "buchi": 1},
+    {"reward": True, "buchi": False},
+    {"reward": True, "discount": "1/2"}, {"reward": 1, "discount": False},
+    {"letter": 5}, {"vector": [1, True]}, {"vector": "12"},
+    True, False,
+]
+
+
+@pytest.mark.parametrize("colour", COERCED_COLOURS,
+                         ids=[json.dumps(c) for c in COERCED_COLOURS])
+def test_parse_rejects_a_colour_it_would_have_to_coerce(colour):
+    with pytest.raises(ArenaError, match="field 'colour' is not a colour"):
+        parse_arena(_one_state_game(colour))
+
+
+def test_parse_rejects_an_infinite_colour_value():
+    # json reads the bare literal Infinity as a float
+    text = _one_state_game({"reward": 0, "discount": "1/2"}).replace(
+        '"reward": 0', '"reward": Infinity')
+    with pytest.raises(ArenaError, match="field 'colour' is not a colour"):
+        parse_arena(text)
+
+
 def test_fig1_golden_file():
     arena = parse_arena((CORPUS / "fig1.game").read_text())
     assert len(arena.states) == 4

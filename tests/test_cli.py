@@ -483,6 +483,16 @@ def test_a_payoff_of_the_wrong_colour_kind_keeps_its_message(capsys):
         EXIT_USAGE, "", "error: payoff parity needs priority colours\n")
 
 
+@pytest.mark.parametrize("dim", ["3", "1"])
+def test_a_vector_payoff_of_the_wrong_dimension_is_one_error_line(capsys, dim):
+    # the class values check the dimension of the vector colours
+    assert run_capture(capsys, [
+        "verify", "halfpos", "random:states=3,actions=2,seed=5,kind=vector2",
+        "--payoff", f"optgenmean:{dim}"]) == (
+        EXIT_USAGE, "",
+        f"error: payoff optgenmean:{dim} needs vectors of dimension {dim}\n")
+
+
 def test_martingale_rejects_an_unknown_source(capsys):
     _assert_one_error_line(*run_capture(
         capsys, ["martingale", E2, "--payoff", "mean", "--sigma", WEAK,

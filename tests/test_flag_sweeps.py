@@ -2,13 +2,16 @@
 property ever produces a witness over the seeded corpora, and the class
 value agrees with lasso evaluation on stationary-aligned cycles."""
 
+import dataclasses
 import math
 
 import pytest
 
 from stochgame.arena import P1, random_arena
 from stochgame.chain import bottom_sccs, induce_chain
-from stochgame.payoff import Lasso, class_value, evaluate_lasso, parse_payoff_spec
+from stochgame.payoff import (
+    Lasso, class_value, evaluate_lasso, parse_payoff_spec, vector,
+)
 from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
     SearchBounds, search_shift_invariance_violation,
@@ -27,7 +30,7 @@ SUBMIXING = ["mean", "parity", "limsup", "liminf", "posavg", "counter+inf",
 def test_shift_invariant_flag_backed_by_corpus(name):
     spec = parse_payoff_spec(name)
     assert spec.is_shift_invariant
-    bounds = SearchBounds(random_cases=9000, shifts=5)
+    bounds = SearchBounds(random_cases=9000)
     report = search_shift_invariance_violation(spec, bounds, seed=101)
     assert report.verdict == "confirmed"
     assert report.quantities["cases"] >= 9000
@@ -42,26 +45,47 @@ def test_submixing_flag_backed_by_corpus(name):
     assert report.verdict == "confirmed"
 
 
-def test_class_value_agrees_with_aligned_lasso():
-    # a lasso whose cycle visits the class states with the stationary
-    # frequencies has the same mean as the class
-    mean = parse_payoff_spec("mean")
+# every class-determined payoff, with the random_arena colour kind it reads
+CLASS_DETERMINED = [
+    ("mean", "reward"), ("limsup", "reward"), ("liminf", "reward"),
+    ("posavg", "reward"), ("parity", "priority"),
+    ("meancobuchi:100", "cobuchi"), ("genmean:2", "vector2"),
+    ("optgenmean:2", "vector2"), ("counter+inf", "increment"),
+    ("counter-inf", "increment"),
+]
+
+
+@pytest.mark.parametrize("name, kind", CLASS_DETERMINED,
+                         ids=[name for name, _ in CLASS_DETERMINED])
+def test_class_value_agrees_with_aligned_lasso(name, kind):
+    # a lasso whose cycle sees each colour of a class as often as its
+    # stationary weight says has the class's value, which class_value reads
+    # off the class's integer weights
+    spec = parse_payoff_spec(name)
     found = 0
     for seed in range(30):
-        arena = random_arena(3, 2, seed=seed)
+        arena = random_arena(3, 2, seed=seed, kind=kind)
+        if name == "genmean:2":
+            # vector2's colours (r, -1 - r) never have two positive means;
+            # (r, 1 - r) have them when the mean of r lies in (0, 1)
+            arena = dataclasses.replace(arena, colour={
+                key: vector(tok.value[0], 1 - tok.value[0])
+                for key, tok in arena.colour.items()})
         sigma = PureStationaryStrategy(
             P1, {s: arena.available[s][0] for s in arena.player_states(P1)})
         tau = PureStationaryStrategy(
             2, {s: arena.available[s][0] for s in arena.player_states(2)})
         chain = induce_chain(arena, sigma, tau)
         for cls in bottom_sccs(chain):
-            denom = 1
-            for w in cls.stationary.values():
-                denom = denom * w.denominator // math.gcd(denom, w.denominator)
-            cycle = []
-            for tok, w in cls.colour_weights:
-                cycle.extend([tok] * int(w * denom))
-            word = Lasso((), tuple(cycle))
-            assert evaluate_lasso(mean, word) == class_value(mean, cls)
+            weights = cls.colour_weights
+            denom = math.lcm(*(w.denominator for _, w in weights))
+            cycle = tuple(tok for tok, w in weights
+                          for _ in range(int(w * denom)))
+            if name.startswith("counter") and sum(
+                    w * tok.value for tok, w in weights) == 0:
+                # zero drift: a chain can oscillate, a single cycle cannot
+                continue
+            word = Lasso((), cycle)
+            assert evaluate_lasso(spec, word) == class_value(spec, cls)
             found += 1
     assert found >= 20

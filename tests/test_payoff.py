@@ -1,6 +1,7 @@
 """Exact payoff evaluation, shuffles, and the property refuters."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -404,14 +405,14 @@ def test_submixing_parity_random_sweep(cu, cv, a, b):
 # -- class values ---------------------------------------------------------------
 
 def _summary(colour_weights, has_potential=None):
-    # a summary holding what a solved class holds, one node per colour
+    # a summary holding what a solved class holds: its colours and their
+    # integer weights over one denominator
     from stochgame.chain import RecurrentClassSummary
-    n = len(colour_weights)
+    den = math.lcm(*(w.denominator for _, w in colour_weights))
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
-    cls.nodes = tuple(range(n))
     cls.colours = frozenset(tok for tok, _ in colour_weights)
-    cls.stationary = {i: colour_weights[i][1] for i in range(n)}
-    cls.colour_weights = tuple(colour_weights)
+    cls.int_weights = den, tuple((tok, int(w * den))
+                                 for tok, w in colour_weights)
     cls.has_potential = has_potential
     return cls
 
@@ -454,10 +455,9 @@ def test_class_value_rejects_global_payoffs():
 def test_class_value_rejects_bad_weights():
     from stochgame.chain import RecurrentClassSummary
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
-    object.__setattr__(cls, "nodes", (0,))
     object.__setattr__(cls, "colours", frozenset({reward(1)}))
-    object.__setattr__(cls, "stationary", {0: Fraction(1)})
-    object.__setattr__(cls, "colour_weights", ((reward(1), Fraction(1, 2)),))
+    # one colour of weight 1/2: its integer weight 1 is not the denominator 2
+    object.__setattr__(cls, "int_weights", (2, ((reward(1), 1),)))
     object.__setattr__(cls, "has_potential", None)
     with pytest.raises(PayoffError):
         class_value(mean, cls)

@@ -250,7 +250,6 @@ def test_shift_search_refutes_geom_and_confirms_mean():
 
 @pytest.mark.parametrize("bounds, field", [
     ({"max_cycle": 0}, "max_cycle"), ({"random_cases": -1}, "random_cases"),
-    ({"shifts": 0}, "shifts"),
 ])
 def test_search_bounds_reject_bad_values(bounds, field):
     with pytest.raises(ValueError, match=field):
