@@ -14,6 +14,7 @@ from typing import Callable
 
 from . import solve, verify
 from .arena import random_arena
+from .chain import induce_chain
 from .fixtures import build_weak_memory_fixture
 from .payoff import Lasso, evaluate_lasso, parse_payoff_spec, priority, reward
 from .verify import SearchBounds, weakened_base
@@ -233,12 +234,11 @@ def martingale_suite() -> CriterionResult:
         rng = random.Random(10_000 + seed)
         sigma = verify._sample_locally_optimal(arena, classification, 1, rng)
         tau = verify._sample_locally_optimal(arena, classification, 2, rng)
-        hit_states = verify._class_states(arena, sigma, tau)
-        report = solve.stopped_value_mc(arena, values, sigma, tau,
-                                        arena.states[0],
-                                        ("first_hit", hit_states),
-                                        STOPPED_TRIALS,
-                                        seed=20_000 + seed)
+        chain = induce_chain(arena, sigma, tau,
+                             [(arena.states[0], sigma.initial, tau.initial)])
+        report = solve.stopped_value_mc(
+            chain, values, ("first_hit", verify._class_states(chain)),
+            STOPPED_TRIALS, seed=20_000 + seed)
         covered += report.covered
     ok = covered >= int(STOPPED_RUNS * 0.99)
     return _result(

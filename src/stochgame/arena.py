@@ -133,9 +133,10 @@ class FinitePlay:
 
 def parse_arena(text: str) -> Arena:
     """Parse the JSON game document; errors carry positions (syntax) or the
-    violated invariant (semantics)."""
+    violated invariant (semantics).  A number with a fraction or an exponent
+    is read exactly from its decimal text: 0.1 is 1/10."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as e:
         raise ArenaError(f"syntax error at line {e.lineno} col {e.colno}: {e.msg}")
     state_list = _field(doc, "states", "game", list)
@@ -165,8 +166,10 @@ def parse_arena(text: str) -> Arena:
             t = _field(succ, "state", at, str)
             if t in dist:
                 raise ArenaError(f"duplicate successor {t} at ({s},{a})")
-            prob = _field(succ, "prob", at, (str, int, float))
+            prob = _field(succ, "prob", at, (str, int, Fraction))
             try:
+                if isinstance(prob, bool):
+                    raise ValueError
                 dist[t] = Fraction(prob)
             except (ValueError, OverflowError, ZeroDivisionError):
                 raise ArenaError(f"{at}: field 'prob' is not a rational: {prob!r}") \
@@ -183,7 +186,7 @@ def parse_arena(text: str) -> Arena:
 
 
 _JSON_KINDS = {str: "a string", list: "a list",
-               (str, int, float): "a number or a string"}
+               (str, int, Fraction): "a number or a string"}
 
 
 def _field(entry, key: str, where: str, kind=object):

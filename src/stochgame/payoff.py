@@ -616,7 +616,7 @@ def colour_from_json(obj) -> ColourToken:
             return increment(obj["increment"])
         if keys == {"reward", "buchi"} and isinstance(obj["buchi"], bool):
             return reward_buchi(_number(obj["reward"]), obj["buchi"])
-    elif isinstance(obj, str) or type(obj) is int:
+    elif isinstance(obj, str) or type(obj) in (int, Fraction):
         return reward(Fraction(obj))
     raise PayoffError(f"unrecognized colour {obj!r}")
 

@@ -537,17 +537,12 @@ MC_CONFIDENCE = 0.99
 MC_MAX_STEPS = 10_000
 
 
-def _stopping_chain(arena: Arena, values: ValueVector, sigma, tau,
-                    source: str, stopping_rule
-                    ) -> tuple[InducedChain, list[bool], list[bool]]:
-    """The pair's chain from `source` (its node 0), whether each node stops
-    the rule, and whether it lies in a bottom class.  Every bottom class
-    must hold one state value: it is the limit of a trajectory absorbed
-    there without stopping."""
-    if source not in arena.states:
-        raise SolveError(f"source {source!r} is not a state of the arena")
-    chain = induce_chain(arena, sigma, tau,
-                         [(source, sigma.initial, tau.initial)])
+def _stop_flags(chain: InducedChain, values: ValueVector, stopping_rule
+                ) -> tuple[list[bool], list[bool]]:
+    """Whether each node of the pair's chain from the source (its node 0)
+    stops the rule, and whether it lies in a bottom class.  Every bottom
+    class must hold one state value: it is the limit of a trajectory
+    absorbed there without stopping."""
     n = len(chain)
     kind, payload = stopping_rule
     if kind == "horizon":
@@ -570,22 +565,21 @@ def _stopping_chain(arena: Arena, values: ValueVector, sigma, tau,
                 "undefined (strategies are not locally optimal)")
         for i in cls:
             absorbing[i] = True
-    return chain, stop, absorbing
+    return stop, absorbing
 
 
-def stopped_value_exact(arena: Arena, values: ValueVector, sigma, tau,
-                        source: str, stopping_rule) -> Fraction:
-    """Exact expected value of the value process stopped by the given rule:
-    the quantity `stopped_value_mc` estimates, for the same rules, with the
-    same errors.
+def stopped_value_exact(chain: InducedChain, values: ValueVector,
+                        stopping_rule) -> Fraction:
+    """Exact expected value of the value process stopped by the given rule,
+    on a pair's chain seeded at the source alone (its node 0): the quantity
+    `stopped_value_mc` estimates, for the same rules, with the same errors.
 
     ("horizon", n) takes n steps of an integer row vector over one common
     denominator.  The first-hit rules make the stop nodes and the
     bottom-class nodes absorbing and make one `chain.first_passage` solve;
     a trajectory absorbed without stopping gets its class value.
     """
-    chain, stop, absorbing = _stopping_chain(arena, values, sigma, tau,
-                                             source, stopping_rule)
+    stop, absorbing = _stop_flags(chain, values, stopping_rule)
     n = len(chain)
     rows = chain.int_rows
     # state values as integer numerators over one denominator `vden`
@@ -655,19 +649,15 @@ class StoppedValueReport:
     estimate: float
     ci_low: float
     ci_high: float
-    runs: int
-    confidence: float
     reference: Fraction
     covered: bool
-    stopping_rule: str
-    seed: int
 
 
-def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
-                     source: str, stopping_rule, runs: int, seed: int
-                     ) -> StoppedValueReport:
+def stopped_value_mc(chain: InducedChain, values: ValueVector, stopping_rule,
+                     runs: int, seed: int) -> StoppedValueReport:
     """Monte Carlo estimate of the value process stopped by the given rule,
-    with a Hoeffding interval at confidence `MC_CONFIDENCE`.
+    on a pair's chain seeded at the source alone (its node 0), with a
+    Hoeffding interval at confidence `MC_CONFIDENCE`.
 
     Rules: ("horizon", n), ("first_hit", state set), or
     ("first_weakness", WeaknessSet).  Trajectories that never trigger a
@@ -681,8 +671,7 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     """
     if runs < 1:
         raise SolveError("runs must be >= 1")
-    chain, stop, absorbing = _stopping_chain(arena, values, sigma, tau,
-                                             source, stopping_rule)
+    stop, absorbing = _stop_flags(chain, values, stopping_rule)
     n = len(chain)
     kind, payload = stopping_rule
     horizon = payload if kind == "horizon" else MC_MAX_STEPS
@@ -724,8 +713,7 @@ def stopped_value_mc(arena: Arena, values: ValueVector, sigma, tau,
     hi = float(max(values.values.values()))
     estimate = float(exact_mean)
     half = (hi - lo) * sqrt(log(2 / (1 - MC_CONFIDENCE)) / (2 * runs))
-    ref = values.values[source]
+    ref = values.values[chain.state_of(0)]
     covered = abs(float(exact_mean - ref)) <= half
-    return StoppedValueReport(
-        estimate, estimate - half, estimate + half, runs, MC_CONFIDENCE, ref,
-        covered, f"{kind}", seed)
+    return StoppedValueReport(estimate, estimate - half, estimate + half, ref,
+                              covered)

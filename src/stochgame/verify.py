@@ -29,7 +29,7 @@ import numpy as np
 
 from . import solve
 from .arena import P1, P2, Arena
-from .chain import bottom_classes, induce_chain, product_skeleton
+from .chain import InducedChain, bottom_classes, induce_chain, product_skeleton
 from .fixtures import build_fig1, fig1_alternating_strategy
 from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
@@ -774,27 +774,25 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
     tau_adv = _adversarial_min(arena, classification)
     source = arena.states[0]
     ref = values.values[source]
-    hit = ("first_hit", _class_states(arena, sigma, tau))
+    pair, adv_pair = (
+        induce_chain(arena, sigma, minimizer,
+                     [(source, sigma.initial, minimizer.initial)])
+        for minimizer in (tau, tau_adv))
+    hit = ("first_hit", _class_states(pair))
     fixed = ("horizon", 25)
-
-    def exact(minimizer, rule) -> Fraction:
-        return solve.stopped_value_exact(arena, values, sigma, minimizer,
-                                         source, rule)
 
     # Four seeds are drawn and two used, so that the reported estimates keep
     # the seeds of earlier releases (the outputs pinned in tests/golden/).
     _, hit_seed, _, adv_seed = (rng.randrange(2**32) for _ in range(4))
-    first_hit = solve.stopped_value_mc(arena, values, sigma, tau, source, hit,
-                                       trials, hit_seed)
-    adv = solve.stopped_value_mc(arena, values, sigma, tau_adv, source, fixed,
-                                 trials, adv_seed)
-    recurrent = _value_changing_recurrent(arena, classification, sigma,
-                                          tau_adv, source)
+    first_hit = solve.stopped_value_mc(pair, values, hit, trials, hit_seed)
+    adv = solve.stopped_value_mc(adv_pair, values, fixed, trials, adv_seed)
+    recurrent = _value_changing_recurrent(classification, adv_pair)
+    exact = solve.stopped_value_exact
     checks = {
-        "horizon_zero_exact": exact(tau, ("horizon", 0)) == ref,
-        "first_hit_covered": exact(tau, hit) == ref,
-        "fixed_horizon_covered": exact(tau, fixed) == ref,
-        "submartingale_direction": exact(tau_adv, fixed) >= ref,
+        "horizon_zero_exact": exact(pair, values, ("horizon", 0)) == ref,
+        "first_hit_covered": exact(pair, values, hit) == ref,
+        "fixed_horizon_covered": exact(pair, values, fixed) == ref,
+        "submartingale_direction": exact(adv_pair, values, fixed) >= ref,
         "value_changes_stop": not recurrent,
     }
     ok = all(checks.values())
@@ -835,21 +833,17 @@ def _adversarial_min(arena: Arena,
     return PureStationaryStrategy(P2, choice)
 
 
-def _class_states(arena: Arena, sigma, tau) -> frozenset:
-    """The states on the bottom-class nodes of the pair's chain from every
-    state."""
-    chain = induce_chain(arena, sigma, tau)
+def _class_states(chain: InducedChain) -> frozenset:
+    """The states on the bottom-class nodes of a pair's chain."""
     return frozenset(chain.state_of(node)
                      for cls in bottom_classes(chain) for node in cls)
 
 
-def _value_changing_recurrent(arena: Arena,
-                              classification: solve.ActionClassification,
-                              sigma, tau, source: str) -> list[tuple[str, str]]:
+def _value_changing_recurrent(classification: solve.ActionClassification,
+                              chain: InducedChain) -> list[tuple[str, str]]:
     """The value-changing (state, action) pairs played on a bottom-class
-    node of the pair's chain from `source`, sorted.  A graph fact: no
-    stationary distribution is solved."""
-    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
+    node of a pair's chain, sorted.  A graph fact: no stationary
+    distribution is solved."""
     return sorted({(chain.state_of(node), mv.action)
                    for cls in bottom_classes(chain) for node in cls
                    for mv in chain.moves[node]

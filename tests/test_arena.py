@@ -20,7 +20,7 @@ from stochgame.fixtures import (
     build_e2, build_e3, build_fig1, build_weak_memory_fixture,
     fig1_alternating_strategy,
 )
-from stochgame.payoff import reward
+from stochgame.payoff import discounted, reward, reward_buchi, vector
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
     reset_strategy, strategy_from_json,
@@ -90,6 +90,47 @@ def test_parse_rejects_an_infinite_colour_value():
         '"reward": 0', '"reward": Infinity')
     with pytest.raises(ArenaError, match="field 'colour' is not a colour"):
         parse_arena(text)
+
+
+def _split_game(p, q) -> str:
+    """s moves to s with probability `p` and to the sink t with `q`, as
+    JSON text with the two probabilities written verbatim."""
+    return ('{"states": [{"name": "s", "owner": "P1"}, '
+            '{"name": "t", "owner": "P1"}], "actions": ['
+            '{"state": "s", "action": "a", "colour": 0, "successors": ['
+            f'{{"state": "s", "prob": {p}}}, {{"state": "t", "prob": {q}}}]}}, '
+            '{"state": "t", "action": "a", "colour": 0, '
+            '"successors": [{"state": "t", "prob": "1"}]}]}')
+
+
+@pytest.mark.parametrize("p, q, want", [
+    ("0.1", "0.9", (Fraction(1, 10), Fraction(9, 10))),
+    ("0.25", "75E-2", (Fraction(1, 4), Fraction(3, 4))),
+    ("1e-1", '"9/10"', (Fraction(1, 10), Fraction(9, 10))),
+])
+def test_parse_reads_a_decimal_probability_from_its_text(p, q, want):
+    # read as a binary float, 0.1 + 0.9 sums to 36028797018963969/2^55
+    arena = parse_arena(_split_game(p, q))
+    assert tuple(arena.transition[("s", "a")].values()) == want
+
+
+@pytest.mark.parametrize("p", ["true", "false"])
+def test_parse_rejects_a_bool_probability(p):
+    with pytest.raises(ArenaError, match="field 'prob' is not a rational"):
+        parse_arena(_split_game(p, "1"))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0.1", reward(Fraction(1, 10))),
+    ("-2.5e-1", reward(Fraction(-1, 4))),
+    ('{"reward": 0.5, "discount": 0.9}',
+     discounted(Fraction(1, 2), Fraction(9, 10))),
+    ('{"vector": [0.1, 2]}', vector(Fraction(1, 10), 2)),
+    ('{"reward": 1.5, "buchi": true}', reward_buchi(Fraction(3, 2), True)),
+])
+def test_parse_reads_a_decimal_colour_from_its_text(text, want):
+    game = _one_state_game(0).replace('"colour": 0', f'"colour": {text}')
+    assert parse_arena(game).colour[("s", "a")] == want
 
 
 def test_fig1_golden_file():

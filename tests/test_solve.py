@@ -582,12 +582,18 @@ def test_martingale_rejects_non_locally_optimal_maximizer():
 
 # -- stopped values ---------------------------------------------------------------
 
+def _source_chain(arena, sigma, tau, source):
+    """The pair's chain seeded at `source` alone, its node 0."""
+    return induce_chain(arena, sigma, tau,
+                        [(source, sigma.initial, tau.initial)])
+
+
 def test_stopped_value_horizon_zero_is_exact():
     arena = random_arena(4, 3, seed=4)
     vv = brute_force_value(arena, mean)
     sigma, tau, _ = _locally_optimal_pair(arena, vv)
-    report = stopped_value_mc(arena, vv, sigma, tau, arena.states[0],
-                              ("horizon", 0), runs=50, seed=1)
+    chain = _source_chain(arena, sigma, tau, arena.states[0])
+    report = stopped_value_mc(chain, vv, ("horizon", 0), runs=50, seed=1)
     assert report.estimate == float(vv.values[arena.states[0]])
 
 
@@ -596,9 +602,9 @@ def test_stopped_value_first_hit_covers():
     vv = brute_force_value(arena, mean)
     sigma, tau, _ = _locally_optimal_pair(arena, vv)
     from stochgame.verify import _class_states
-    hit = _class_states(arena, sigma, tau)
-    report = stopped_value_mc(arena, vv, sigma, tau, arena.states[0],
-                              ("first_hit", hit), runs=10_000, seed=2)
+    chain = _source_chain(arena, sigma, tau, arena.states[0])
+    report = stopped_value_mc(chain, vv, ("first_hit", _class_states(chain)),
+                              runs=10_000, seed=2)
     assert report.covered
 
 
@@ -613,8 +619,8 @@ def test_stopped_value_submartingale_direction():
                       if not cls.table[(s, a)].value_preserving),
                      arena.available[s][0])
              for s in arena.player_states(P2)})
-    report = stopped_value_mc(arena, vv, sigma, tau, arena.states[0],
-                              ("horizon", 30), runs=10_000, seed=3)
+    report = stopped_value_mc(_source_chain(arena, sigma, tau, arena.states[0]),
+                              vv, ("horizon", 30), runs=10_000, seed=3)
     half = report.ci_high - report.estimate
     assert report.estimate >= float(vv.values[arena.states[0]]) - half
 
@@ -625,31 +631,43 @@ def test_stopped_value_first_weakness_rule():
     arena, sigma, eps = build_weak_memory_fixture()
     vv = brute_force_value(arena, mean)
     weak = weakness_set(arena, mean, sigma, eps, values=vv.values)
-    report = stopped_value_mc(arena, vv, sigma, sigma, "s",
+    report = stopped_value_mc(_source_chain(arena, sigma, sigma, "s"), vv,
                               ("first_weakness", weak), runs=2000, seed=4)
     # stopping at the trap or absorbing at value 1: mean stays at val(s)=1
     assert report.covered
 
 
-def test_stopped_values_reject_an_unknown_source():
-    e2 = build_e2()
-    vv = brute_force_value(e2, mean)
-    sigma, tau = vv.sigma_star, _unique(e2, P2)
-    message = "source 'zz' is not a state of the arena"
-    with pytest.raises(SolveError, match=message):
-        stopped_value_mc(e2, vv, sigma, tau, "zz", ("horizon", 3), 10, 1)
-    with pytest.raises(SolveError, match=message):
-        stopped_value_exact(e2, vv, sigma, tau, "zz", ("horizon", 3))
-
-
 def test_stopped_values_reject_a_negative_horizon():
     e2 = build_e2()
     vv = brute_force_value(e2, mean)
-    sigma, tau = vv.sigma_star, _unique(e2, P2)
+    chain = _source_chain(e2, vv.sigma_star, _unique(e2, P2), "s")
     with pytest.raises(SolveError, match="horizon must be >= 0, not -3"):
-        stopped_value_mc(e2, vv, sigma, tau, "s", ("horizon", -3), 10, 1)
+        stopped_value_mc(chain, vv, ("horizon", -3), 10, 1)
     with pytest.raises(SolveError, match="horizon must be >= 0, not -3"):
-        stopped_value_exact(e2, vv, sigma, tau, "s", ("horizon", -3))
+        stopped_value_exact(chain, vv, ("horizon", -3))
+
+
+def test_stopped_values_reject_an_unknown_rule_and_a_mixed_class():
+    # s (minimizer) stays at 0 or goes to t, where the maximizer loops at 5
+    # or comes back: v(s) = 0, v(t) = 5, and under go/back the bottom class
+    # {s, t} mixes the two values
+    arena = Arena(
+        states=("s", "t"), owner={"s": P2, "t": P1},
+        available={"s": ("stay", "go"), "t": ("back", "loop")},
+        transition={("s", "stay"): {"s": F(1)}, ("s", "go"): {"t": F(1)},
+                    ("t", "back"): {"s": F(1)}, ("t", "loop"): {"t": F(1)}},
+        colour={("s", "stay"): reward(0), ("s", "go"): reward(0),
+                ("t", "back"): reward(0), ("t", "loop"): reward(5)})
+    vv = brute_force_value(arena, mean)
+    assert vv.values == {"s": 0, "t": 5}
+    chain = _source_chain(arena, PureStationaryStrategy(P1, {"t": "back"}),
+                          PureStationaryStrategy(P2, {"s": "go"}), "s")
+    for stopped in (lambda rule: stopped_value_exact(chain, vv, rule),
+                    lambda rule: stopped_value_mc(chain, vv, rule, 10, 1)):
+        with pytest.raises(SolveError, match="unknown stopping rule 'never'"):
+            stopped(("never", None))
+        with pytest.raises(SolveError, match="bottom class mixes state values"):
+            stopped(("horizon", 3))
 
 
 # -- exact stopped values against Fraction oracles ----------------------------------
@@ -699,7 +717,7 @@ def _oracle_case(seed):
     class mixes values), so that every stopped node shows in the result."""
     arena, vv, sigma, tau, source, rules = _stopping_case(seed)
     rng = random.Random(-seed)
-    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
+    chain = _source_chain(arena, sigma, tau, source)
     classes = [{chain.state_of(i) for i in cls.nodes}
                for cls in bottom_sccs(chain)]
     vals = {s: F(rng.randint(-6, 6), rng.randint(1, 3)) for s in arena.states}
@@ -726,10 +744,9 @@ def _fraction_solve(a):
     return [row[n] for row in a]
 
 
-def _stopped_value_oracle(arena, values, sigma, tau, source, rule):
+def _stopped_value_oracle(chain, values, rule):
     """Fraction propagation (horizon) or a Fraction hitting solve over the
     nodes that neither stop nor lie in a bottom class."""
-    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
     rows = chain.rows()
     val = [values.values[chain.state_of(i)] for i in range(len(chain))]
     kind, payload = rule
@@ -761,18 +778,16 @@ def _stopped_value_oracle(arena, values, sigma, tau, source, rule):
 @pytest.mark.parametrize("seed", range(50))
 def test_stopped_value_exact_matches_fraction_oracle(seed):
     arena, vv, sigma, tau, source, rules = _oracle_case(seed)
+    chain = _source_chain(arena, sigma, tau, source)
     for rule in rules:
-        got = stopped_value_exact(arena, vv, sigma, tau, source, rule)
+        got = stopped_value_exact(chain, vv, rule)
         assert type(got) is F
-        assert got == _stopped_value_oracle(arena, vv, sigma, tau, source, rule)
+        assert got == _stopped_value_oracle(chain, vv, rule)
 
 
-def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
-                            runs, seed):
+def _stopped_value_mc_dense(chain, values, stopping_rule, runs, seed):
     """`stopped_value_mc` with a dense n x n float matrix of running sums and
     full class summaries: the reference for its per-row tables."""
-    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
-    start = chain.index[(source, sigma.initial, tau.initial)]
     n = len(chain)
     kind, payload = stopping_rule
     horizon = payload if kind == "horizon" else solve.MC_MAX_STEPS
@@ -801,7 +816,7 @@ def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
             cum[i, j] = acc
         cum[i, n - 1] = 1.0
     rng = np.random.default_rng(seed)
-    current = np.full(runs, start, dtype=np.int64)
+    current = np.zeros(runs, dtype=np.int64)
     stopped_node = np.full(runs, -1, dtype=np.int64)
     active = np.ones(runs, dtype=bool)
     if kind != "horizon":
@@ -837,11 +852,10 @@ def _stopped_value_mc_dense(arena, values, sigma, tau, source, stopping_rule,
     hi = float(max(values.values.values()))
     estimate = float(exact_mean)
     half = (hi - lo) * sqrt(log(2 / (1 - solve.MC_CONFIDENCE)) / (2 * runs))
-    ref = values.values[source]
+    ref = values.values[chain.state_of(0)]
     covered = abs(float(exact_mean - ref)) <= half
-    return solve.StoppedValueReport(
-        estimate, estimate - half, estimate + half, runs, solve.MC_CONFIDENCE,
-        ref, covered, f"{kind}", seed)
+    return solve.StoppedValueReport(estimate, estimate - half, estimate + half,
+                                    ref, covered)
 
 
 def test_stopped_value_mc_gives_up_after_max_steps():
@@ -855,20 +869,22 @@ def test_stopped_value_mc_gives_up_after_max_steps():
     vv = brute_force_value(arena, mean)
     with pytest.raises(SolveError, match="neither stopped nor absorbed within "
                                          f"{solve.MC_MAX_STEPS} steps"):
-        stopped_value_mc(arena, vv, _unique(arena, P1), _unique(arena, P2),
-                         "s", ("first_hit", frozenset({"t"})), 3, 1)
+        stopped_value_mc(_source_chain(arena, _unique(arena, P1),
+                                       _unique(arena, P2), "s"),
+                         vv, ("first_hit", frozenset({"t"})), 3, 1)
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_stopped_value_mc_matches_the_dense_sampler(seed):
     arena, vv, sigma, tau, source, rules = _oracle_case(seed)
+    chain = _source_chain(arena, sigma, tau, source)
     cases = [(rule, 300) for rule in rules]
     if seed in (2, 12, 14, 40):
         # at doob's size: 10,000 runs of its 25-step horizon and of a first-hit
         # rule, on sources outside every bottom class with 3 or more values
         cases += [(("horizon", 25), 10_000), (rules[1], 10_000)]
     for k, (rule, runs) in enumerate(cases):
-        args = (arena, vv, sigma, tau, source, rule, runs, 1000 * seed + k)
+        args = (chain, vv, rule, runs, 1000 * seed + k)
         assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
 
 
@@ -879,11 +895,11 @@ def test_stopped_value_mc_matches_the_dense_sampler_at_the_source(seed, where):
     # before the first step only stop nodes end a run: a stopping source ends
     # every run undrawn, a source in a bottom class still takes one step
     arena, vv, sigma, tau, source, rules = _oracle_case(seed)
-    chain = induce_chain(arena, sigma, tau, [(source, sigma.initial, tau.initial)])
+    chain = _source_chain(arena, sigma, tau, source)
     in_bottom = any(0 in cls.nodes for cls in bottom_sccs(chain))
     rule = rules[1]
     assert (source in rule[1], in_bottom) == (where == "stop", where == "bottom")
-    args = (arena, vv, sigma, tau, source, rule, 10_000, seed)
+    args = (chain, vv, rule, 10_000, seed)
     assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
 
 
@@ -900,8 +916,8 @@ def test_stopped_value_mc_matches_the_dense_sampler_past_25_steps():
     vv = dataclasses.replace(brute_force_value(arena, mean),
                              values={"s": F(0), "t": F(1), "u": F(-1)})
     weak = WeaknessSet(frozenset({("m0", "t")}), F(1, 4), {}, {})
-    args = (arena, vv, _unique(arena, P1), _unique(arena, P2), "s",
-            ("first_weakness", weak), 10_000, 25)
+    args = (_source_chain(arena, _unique(arena, P1), _unique(arena, P2), "s"),
+            vv, ("first_weakness", weak), 10_000, 25)
     assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
 
 
@@ -914,13 +930,14 @@ def test_stopped_value_exact_is_the_value_under_locally_optimal_play():
             arena, P2, random.Random(seed),
             lambda s: cls.value_preserving_actions(arena, s))
         ref = vv.values[source]
+        optimal = _source_chain(arena, sigma, tau_opt, source)
+        # a bounded submartingale: stopping never loses value on average
+        others = [_source_chain(arena, sigma, minimizer, source)
+                  for minimizer in (tau, _adversarial_min(arena, cls))]
         for rule in rules:
-            assert stopped_value_exact(arena, vv, sigma, tau_opt, source,
-                                       rule) == ref
-            # a bounded submartingale: stopping never loses value on average
-            for minimizer in (tau, _adversarial_min(arena, cls)):
-                got = stopped_value_exact(arena, vv, sigma, minimizer, source,
-                                          rule)
+            assert stopped_value_exact(optimal, vv, rule) == ref
+            for chain in others:
+                got = stopped_value_exact(chain, vv, rule)
                 assert got >= ref
                 strict += got > ref
     assert strict
@@ -940,7 +957,8 @@ def test_stopped_value_exact_sees_a_non_locally_optimal_maximizer():
                 if facts.value_preserving:
                     continue
                 bad = PureStationaryStrategy(P1, {**sigma.choice, s: a})
-                got = stopped_value_exact(arena, vv, bad, tau, s, ("horizon", 1))
+                got = stopped_value_exact(_source_chain(arena, bad, tau, s),
+                                          vv, ("horizon", 1))
                 assert got == facts.one_step_value != vv.values[s]
                 changed += 1
     assert changed

@@ -5,6 +5,7 @@ import collections
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import pytest
 
 from stochgame import solve, verify
 from stochgame.arena import P1, P2, Arena, random_arena
+from stochgame.chain import bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import (
     Lasso, ShufflePattern, check_submixing, parse_payoff_spec, reward,
@@ -20,8 +22,8 @@ from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
     FlagGateError, SearchBounds, _cycle_stats, _decided_blocks,
     _fast_violations, _random_case, _random_lasso, _random_memory_strategy,
-    _random_pattern, _stationary_guarantees, _submix_witness_doc,
-    _value_changing_recurrent,
+    _class_states, _random_pattern, _sample_locally_optimal,
+    _stationary_guarantees, _submix_witness_doc, _value_changing_recurrent,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
@@ -578,10 +580,71 @@ def test_value_changing_recurrent_names_the_pairs_in_a_bottom_class():
     cls = solve.classify_actions(arena, values)
     go = PureStationaryStrategy(P2, {"s": "go"})
     back = PureStationaryStrategy(P1, {"t": "back"})
-    assert _value_changing_recurrent(arena, cls, back, go, "s") == [
-        ("s", "go"), ("t", "back")]
     loop = PureStationaryStrategy(P1, {"t": "loop"})
-    assert _value_changing_recurrent(arena, cls, loop, go, "s") == []
+    chain_back, chain_loop = (
+        induce_chain(arena, sigma, go, [("s", sigma.initial, go.initial)])
+        for sigma in (back, loop))
+    assert _value_changing_recurrent(cls, chain_back) == [
+        ("s", "go"), ("t", "back")]
+    assert _value_changing_recurrent(cls, chain_loop) == []
+
+
+def test_doob_suite_builds_each_chain_from_the_source_once(monkeypatch):
+    # the (sigma, tau) and (sigma, tau_adv) chains, each seeded at the first
+    # state alone, are built once and read by every stopped-value check
+    induce = induce_chain
+    seeds = []
+
+    def counting(arena, sigma, tau, *rest):
+        seeds.append(rest[0] if rest else None)
+        return induce(arena, sigma, tau, *rest)
+
+    bound = [module for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "stochgame"
+             and getattr(module, "induce_chain", None) is induce]
+    assert verify in bound and solve in bound
+    for module in bound:
+        monkeypatch.setattr(module, "induce_chain", counting)
+    for seed, (kind, spec) in enumerate([("reward", mean), ("priority", parity),
+                                         ("reward", mean)]):
+        arena = random_arena(4, 3, seed=seed, kind=kind, density=F(1, 5))
+        doob_suite(arena, spec, trials=20, seed=seed)
+        assert seeds == [[(arena.states[0], "m0", "m0")]] * 2
+        seeds.clear()
+
+
+def _all_states_class_states(arena, sigma, tau) -> frozenset:
+    """The states on the bottom-class nodes of the pair's chain from every
+    state: the first-hit stop set read before the stopped-value checks took
+    the chain from the source alone."""
+    chain = induce_chain(arena, sigma, tau)
+    return frozenset(chain.state_of(node)
+                     for cls in bottom_classes(chain) for node in cls)
+
+
+@pytest.mark.parametrize("kind, spec", [("reward", mean), ("priority", parity)])
+@pytest.mark.parametrize("density", [F(1, 2), F(1, 5)])
+def test_first_hit_stop_set_agrees_with_the_all_states_chain(kind, spec,
+                                                             density):
+    # for a pure stationary pair the states reachable from the source are
+    # closed under successors, so the source chain's bottom classes are the
+    # all-states classes it reaches
+    for seed in range(50):
+        arena = random_arena(4, 3, seed=seed, kind=kind, density=density)
+        values = solve.brute_force_value(arena, spec)
+        cls = solve.classify_actions(arena, values)
+        rng = random.Random(seed)
+        sigma = _sample_locally_optimal(arena, cls, P1, rng)
+        tau = _sample_locally_optimal(arena, cls, P2, rng)
+        source = arena.states[0]
+        chain = induce_chain(arena, sigma, tau,
+                             [(source, sigma.initial, tau.initial)])
+        old = _all_states_class_states(arena, sigma, tau)
+        reachable = {chain.state_of(i) for i in range(len(chain))}
+        assert old & reachable == _class_states(chain)
+        assert solve.stopped_value_exact(chain, values, ("first_hit", old)) \
+            == solve.stopped_value_exact(
+                chain, values, ("first_hit", _class_states(chain)))
 
 
 # -- report plumbing ---------------------------------------------------------------------
