@@ -11,7 +11,8 @@ option.
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
 numerators) and solved by fraction-free elimination in Python `int`s, so
-no `Fraction` arithmetic happens inside an elimination.  One solver,
+no `Fraction` arithmetic happens inside an elimination; `solve_linear`
+builds one `Fraction` per unknown, over the last pivot.  One solver,
 `first_passage`, assembles every system d_k x_k = base_k + sum_j n_kj x_j:
 absorption probabilities, discounted values and `solve`'s first-hit stopped
 values.  Only the stationary solve, transposed and with a normalisation

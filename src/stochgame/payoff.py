@@ -337,7 +337,7 @@ def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
     name = spec.name
     if name in ("limsup", "liminf"):
         values = [t.value for t in seen]
-        nums, _ = _scaled(values)
+        nums, _ = scaled(values)
         return values[nums.index(max(nums) if name == "limsup" else min(nums))]
     if name == "parity":
         return _ONE if max(t.value for t in seen) % 2 else _ZERO
@@ -357,7 +357,7 @@ def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
         # One integer sum per dimension, over one common denominator: its
         # sign is the sign of that dimension's mean.
         dim = spec.dim
-        nums, _ = _scaled([x for t in toks for x in t.value])
+        nums, _ = scaled([x for t in toks for x in t.value])
         if weights is None:
             sums = [sum(nums[i::dim]) for i in range(dim)]
         else:
@@ -365,8 +365,8 @@ def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
         if name == "genmean":
             return _ONE if all(s > 0 for s in sums) else _ZERO
         return _ONE if any(s >= 0 for s in sums) else _ZERO
-    nums, vden = _scaled([t.value[0] for t in toks] if name == "meancobuchi"
-                         else [t.value for t in toks])
+    nums, vden = scaled([t.value[0] for t in toks] if name == "meancobuchi"
+                        else [t.value for t in toks])
     drift = sum(nums) if weights is None else sum(map(mul, nums, weights))
     if name in ("mean", "meancobuchi"):
         return Fraction(drift, vden * den)
@@ -382,7 +382,7 @@ def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
     return _ONE if (drift > 0) == (name == "counter+inf") else _ZERO
 
 
-def _scaled(values) -> tuple[list[int], int]:
+def scaled(values) -> tuple[list[int], int]:
     """Integer numerators of `values` over the lcm of their denominators,
     and that lcm: `values[i] == nums[i] / den` for every i."""
     dens = list(map(_DENOMINATOR, values))

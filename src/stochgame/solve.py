@@ -22,6 +22,13 @@ that weighs the colours (see `payoff.class_value`), never for `limsup`,
 `liminf` or `parity`.  The single-pair entry points (`node_values`,
 `martingale_check`, the stopped values) build their chain with
 `chain.induce_chain`: the same walk with both players fixed.
+
+An enumerated pair's values are integers over one denominator, read off
+the `Fraction`s of `chain.solve_linear` and the class values; the grid and
+the folds compare them by cross-multiplication (`first_least`).  A
+`Fraction` is built only for a reported value: `ValueVector`,
+`BestResponse`, `product_values` and `FloorCheck`.  `node_values` is the
+`Fraction` path, the oracle of the integer one.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ import numpy as np
 from .arena import P1, P2, Arena
 from .chain import (
     InducedChain, RecurrentClassSummary, absorption_from,
-    bottom_classes, discounted_values, first_passage, induce_chain,
-    product_skeleton,
+    bottom_classes, bottom_sccs, discounted_values, first_passage,
+    induce_chain, product_skeleton,
 )
-from .payoff import PayoffSpec
+from .payoff import PayoffSpec, scaled
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
     count_pure_stationary, enumerate_pure_stationary,
@@ -80,19 +87,19 @@ def _require_evaluable(spec: PayoffSpec) -> None:
 
 class PairEvaluator:
     """One strategy pair's chain, mapping each evaluable payoff to its exact
-    expected values at the seed nodes.
+    expected values at the seed nodes, as integers over one denominator.
 
     The chain is picked from a `ProductSkeleton` with the choice vector
-    `choice`, or built by `induce_chain`, whose chains have one option, 0,
-    at every node.  `summaries` holds the bottom-class summaries that the
+    `choice`.  `summaries` holds the bottom-class summaries that the
     enumeration's other pairs share.  A class is keyed by its nodes and the
     choice at each of them, which fix its rows and colours, so a summary
     serves every pair whose chain holds the class; it solves its stationary
     distribution on first read, and values the class once per payoff.  The
     bottom-class analysis is built on first use and shared by every
     class-determined payoff; the discounted payoff never builds it.
-    Absorption reads only the classes' nodes.  With one bottom class, every
-    node is absorbed there, so no absorption system is solved.
+    Absorption reads only the classes' nodes, and its probabilities at the
+    seeds are kept as integers over their lcm.  With one bottom class,
+    every node is absorbed there, so no absorption system is solved.
     """
 
     def __init__(self, chain: InducedChain, seed_nodes: Sequence[int],
@@ -103,14 +110,16 @@ class PairEvaluator:
         self._choice = choice
         self._summaries = summaries
         self._classes: Optional[list[RecurrentClassSummary]] = None
-        self._absorb: Optional[list] = None
+        self._absorb: Optional[tuple[int, list[dict[int, int]]]] = None
 
-    def values(self, spec: PayoffSpec) -> list[Fraction]:
-        """Exact expected payoff from each seed node, in seed order."""
+    def values(self, spec: PayoffSpec) -> list[tuple[int, int]]:
+        """Exact expected payoff from each seed node, in seed order, as
+        (numerator, denominator) over one positive denominator."""
         _require_evaluable(spec)
         if spec.name == "discounted":
             vals = discounted_values(self.chain)
-            return [vals[node] for node in self._seed_nodes]
+            nums, den = scaled([vals[node] for node in self._seed_nodes])
+            return [(n, den) for n in nums]
         if self._classes is None:
             self._classes = []
             for cls in bottom_classes(self.chain):
@@ -121,23 +130,57 @@ class PairEvaluator:
                         self.chain, cls)
                 self._classes.append(summary)
             if len(self._classes) > 1:
-                self._absorb = absorption_from(self.chain, self._classes)
-        cls_vals = [summary.value(spec) for summary in self._classes]
+                absorb = absorption_from(self.chain, self._classes)
+                rows = [absorb[node] for node in self._seed_nodes]
+                den = lcm(*(p.denominator for row in rows for p in row.values()))
+                self._absorb = den, [
+                    {ci: p.numerator * (den // p.denominator)
+                     for ci, p in row.items()} for row in rows]
+        cnums, cden = scaled([summary.value(spec) for summary in self._classes])
         if self._absorb is None:
-            return [cls_vals[0]] * len(self._seed_nodes)
-        return [sum((p * cls_vals[ci] for ci, p in self._absorb[node].items()),
-                    Fraction(0))
-                for node in self._seed_nodes]
+            return [(cnums[0], cden)] * len(self._seed_nodes)
+        den, rows = self._absorb
+        return [(sum(p * cnums[ci] for ci, p in row.items()), den * cden)
+                for row in rows]
+
+
+def first_least(rows: Sequence[Sequence[tuple[int, int]]], sign: int = 1
+                ) -> tuple[list[int], list[tuple[int, int]]]:
+    """For each column of `rows`, the index of the first row holding its
+    least value, and that value; with `sign` -1, its greatest.  A value is
+    (numerator, positive denominator), compared by integer
+    cross-multiplication, so ties are exact whatever the denominators."""
+    at = [0] * len(rows[0])
+    best = list(rows[0])
+    for i, row in enumerate(rows):
+        for k, v in enumerate(row):
+            b = best[k]
+            if sign * (v[0] * b[1] - b[0] * v[1]) < 0:
+                best[k] = v
+                at[k] = i
+    return at, best
+
+
+def _same(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] * b[1] == b[0] * a[1]
 
 
 def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
                 seeds: Optional[Sequence[tuple]] = None) -> list[Fraction]:
-    """Exact expected payoff from each seed node under the fixed pair."""
+    """Exact expected payoff from each seed node under the fixed pair, in
+    `Fraction` arithmetic on the pair's own `induce_chain` chain: the slow
+    path that `PairEvaluator`'s integer values are checked against."""
+    _require_evaluable(spec)
     if seeds is None:
         seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
     chain = induce_chain(arena, sigma, tau, seeds)
-    return PairEvaluator(chain, [chain.index[seed] for seed in seeds],
-                         (0,) * len(chain), {}).values(spec)
+    if spec.name == "discounted":
+        vals = discounted_values(chain)
+    else:
+        classes = bottom_sccs(chain)
+        vals = [sum((p * classes[ci].value(spec) for ci, p in row.items()),
+                    Fraction(0)) for row in absorption_from(chain, classes)]
+    return [vals[chain.index[seed]] for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +215,12 @@ class GridSolver:
         self._pairs: dict[tuple[int, int], PairEvaluator] = {}
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
+        return {s: Fraction(*v) for s, v in
+                zip(self.arena.states, self.int_pair_values(spec, i, j))}
+
+    def int_pair_values(self, spec: PayoffSpec, i: int, j: int
+                        ) -> list[tuple[int, int]]:
+        """Pair (i, j)'s `PairEvaluator.values`, in state order."""
         pair = self._pairs.get((i, j))
         if pair is None:
             sigma, tau = self.sigmas[i].choice, self.taus[j].choice
@@ -181,7 +230,7 @@ class GridSolver:
             pair = self._pairs[(i, j)] = PairEvaluator(
                 self._skeleton.pick(choice), self._seed_nodes, choice,
                 self._summaries)
-        return dict(zip(self.arena.states, pair.values(spec)))
+        return pair.values(spec)
 
 
 @dataclass(frozen=True)
@@ -223,7 +272,9 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
 
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
-    dict of bottom-class summaries.  A budget below 1 is a `ValueError`."""
+    dict of bottom-class summaries.  Values are compared as integers
+    (`PairEvaluator.values`); the minima become `Fraction`s at the end.  A
+    budget below 1 is a `ValueError`."""
     _check_budget(budget)
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
@@ -235,10 +286,13 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
     summaries: dict[tuple, RecurrentClassSummary] = {}
     choice = [0] * len(skeleton)
-    best: dict[tuple, Fraction] = {}
-    argmin: dict[tuple, dict] = {}
-    uniform = uniform_vals = None
-    pending = None if floor is None else set(floor)
+    best: list = [None] * len(pairs)
+    argmin: list = [None] * len(pairs)
+    uniform = None
+    # the floor's pairs not yet held to it, by position, with their floors
+    pending = None if floor is None else {
+        pairs.index(pair): (v.numerator, v.denominator)
+        for pair, v in floor.items()}
     tables = 0
     for combo in itertools.product(*(tuple(enumerate(arena.available[s]))
                                      for _, s in p2_pairs)):
@@ -247,22 +301,24 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
             table[pair] = a
             choice[node] = k
         picked = tuple(choice)
-        vals = dict(zip(pairs, PairEvaluator(
-            skeleton.pick(picked), seed_nodes, picked, summaries).values(spec)))
+        vals = PairEvaluator(skeleton.pick(picked), seed_nodes, picked,
+                             summaries).values(spec)
         tables += 1
-        for pair, v in vals.items():
-            if pair not in best or v < best[pair]:
-                best[pair] = v
-                argmin[pair] = table
-        if vals == best:
-            uniform, uniform_vals = table, vals
+        for k, v in enumerate(vals):
+            b = best[k]
+            if b is None or v[0] * b[1] < b[0] * v[1]:
+                best[k] = v
+                argmin[k] = table
+                uniform = None   # it missed this new minimum
+        if all(map(_same, vals, best)):
+            uniform = table
         if pending is not None:
-            pending = {pair for pair in pending if vals[pair] > floor[pair]}
+            pending = {k: f for k, f in pending.items()
+                       if vals[k][0] * f[1] > f[0] * vals[k][1]}
             if not pending:
                 break
-    if uniform_vals != best:
-        uniform = None
-    return _Fold(best, argmin, uniform, tables, total)
+    return _Fold({pair: Fraction(*b) for pair, b in zip(pairs, best)},
+                 dict(zip(pairs, argmin)), uniform, tables, total)
 
 
 def best_response_min(arena: Arena, spec: PayoffSpec,
@@ -316,34 +372,26 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
             f"not {spec.format()}")
     if grid is None:
         grid = GridSolver(arena, budget)
-    states = arena.states
-    n_sig, n_tau = len(grid.sigmas), len(grid.taus)
-    vals = [[grid.pair_values(spec, i, j) for j in range(n_tau)]
-            for i in range(n_sig)]
-    min_per_sigma = [
-        {s: min(vals[i][j][s] for j in range(n_tau)) for s in states}
-        for i in range(n_sig)]
-    max_per_tau = [
-        {s: max(vals[i][j][s] for i in range(n_sig)) for s in states}
-        for j in range(n_tau)]
-    maxmin = {s: max(m[s] for m in min_per_sigma) for s in states}
-    minmax = {s: min(m[s] for m in max_per_tau) for s in states}
-    if maxmin != minmax:
+    vals = [[grid.int_pair_values(spec, i, j) for j in range(len(grid.taus))]
+            for i in range(len(grid.sigmas))]
+    argmin, min_per_sigma = zip(*map(first_least, vals))
+    maxmin = first_least(min_per_sigma, -1)[1]
+    minmax = first_least([first_least(col, -1)[1] for col in zip(*vals)])[1]
+    value = dict(zip(arena.states, (Fraction(*v) for v in maxmin)))
+    if not all(map(_same, maxmin, minmax)):
         raise SaddlePointError(
-            f"enumerated maxmin {maxmin} differs from minmax {minmax}")
-    best_i = next((i for i in range(n_sig)
-                   if all(min_per_sigma[i][s] == maxmin[s] for s in states)),
-                  None)
+            f"enumerated maxmin {value} differs from minmax "
+            f"{dict(zip(arena.states, (Fraction(*v) for v in minmax)))}")
+    best_i = next((i for i, m in enumerate(min_per_sigma)
+                   if all(map(_same, m, maxmin))), None)
     if best_i is None:
         raise SaddlePointError(
             "no stationary strategy attains the maxmin at every state")
     # sigma*'s row has its minimum at the value at every state; the first
     # tau reaching it is the certificate
-    certificates = {}
-    for s in states:
-        j = next(j for j in range(n_tau) if vals[best_i][j][s] == maxmin[s])
-        certificates[s] = (grid.taus[j], maxmin[s])
-    return ValueVector(maxmin, grid.sigmas[best_i], certificates, spec, arena)
+    certificates = {s: (grid.taus[j], value[s])
+                    for s, j in zip(arena.states, argmin[best_i])}
+    return ValueVector(value, grid.sigmas[best_i], certificates, spec, arena)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +632,7 @@ def stopped_value_exact(chain: InducedChain, values: ValueVector,
     rows = chain.int_rows
     # state values as integer numerators over one denominator `vden`
     node_val = [values.values[chain.state_of(i)] for i in range(n)]
-    vden = lcm(*(v.denominator for v in node_val))
-    vnum = [v.numerator * (vden // v.denominator) for v in node_val]
+    vnum, vden = scaled(node_val)
     kind, payload = stopping_rule
     if kind == "horizon":
         common = lcm(*(d for d, _ in rows))

@@ -124,8 +124,10 @@ class PureStationaryStrategy(FiniteMemoryStrategy):
 
 def strategy_from_json(text: str, player: int) -> FiniteMemoryStrategy:
     """A stationary strategy `{state: action}` or a finite-memory one
-    `{memory_states, initial, update, choice}` as `to_json` writes it."""
-    doc = json.loads(text)
+    `{memory_states, initial, update, choice}` as `to_json` writes it.  A
+    weight is an int, a decimal read exactly from its text (0.1 is 1/10) or
+    a string such as "1/3", never a bool."""
+    doc = json.loads(text, parse_float=Fraction)
     if not isinstance(doc, dict):
         raise StrategyError("strategy document must be a JSON object")
     if "memory_states" not in doc:
@@ -140,7 +142,7 @@ def strategy_from_json(text: str, player: int) -> FiniteMemoryStrategy:
         frozenset(memory_states)  # memories key the product nodes
         update = {(_memory(m), s, a, t): _memory(m2)
                   for m, s, a, t, m2 in doc["update"]}
-        choices = {(_memory(m), s): {a: Fraction(w) for a, w in dist.items()}
+        choices = {(_memory(m), s): {a: _weight(w) for a, w in dist.items()}
                    for m, s, dist in doc["choice"]}
     except (TypeError, ValueError, AttributeError, ZeroDivisionError,
             OverflowError):
@@ -149,6 +151,13 @@ def strategy_from_json(text: str, player: int) -> FiniteMemoryStrategy:
                             "[m, s, {action: weight}] choice rows") from None
     return FiniteMemoryStrategy(player, memory_states, _memory(doc["initial"]),
                                 update, choices)
+
+
+def _weight(value) -> Fraction:
+    """A choice weight; `Fraction` alone would read a bool as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is no weight")
+    return Fraction(value)
 
 
 def _memory(value):

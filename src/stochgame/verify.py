@@ -172,17 +172,20 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
 
 def _stationary_guarantees(arena: Arena, spec: PayoffSpec, budget: int):
     """Per-state max over stationary maximizer strategies of the min over
-    stationary responses, plus the strategy with the largest total
+    stationary responses, plus the first strategy with the largest total
     guarantee (informational; per-state maxima may come from different
-    strategies)."""
+    strategies).  The grid's values are compared as integers
+    (`solve.first_least`)."""
     grid = solve.GridSolver(arena, budget)
-    worst = []
-    for i in range(len(grid.sigmas)):
-        rows = [grid.pair_values(spec, i, j) for j in range(len(grid.taus))]
-        worst.append({s: min(row[s] for row in rows) for s in arena.states})
-    best = {s: max(w[s] for w in worst) for s in arena.states}
-    totals = [sum(w.values()) for w in worst]
-    return best, grid.sigmas[totals.index(max(totals))]
+    worst = [solve.first_least([grid.int_pair_values(spec, i, j)
+                                for j in range(len(grid.taus))])[1]
+             for i in range(len(grid.sigmas))]
+    best = solve.first_least(worst, -1)[1]
+    totals = [sum(Fraction(*v) for v in row) for row in worst]
+    (top,), _ = solve.first_least([[(t.numerator, t.denominator)]
+                                   for t in totals], -1)
+    return ({s: Fraction(*v) for s, v in zip(arena.states, best)},
+            grid.sigmas[top])
 
 
 def _random_memory_strategy(arena: Arena, rng: random.Random,

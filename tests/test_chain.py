@@ -21,7 +21,7 @@ from stochgame.chain import (
 from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
 from stochgame.payoff import (
     ColourKindError, class_value, discounted, increment, parse_payoff_spec,
-    priority, reward, reward_buchi,
+    priority, reward, reward_buchi, vector,
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
@@ -826,26 +826,56 @@ def _sample_chains(arena, rng):
             for m in sigma.memory_states])
 
 
+def _class_arenas(kind, seed):
+    """The arenas the payoffs of `CLASS_PAYOFFS[kind]` are checked on, each
+    with its payoffs.  vector2's colours (r, -1 - r) never give two positive
+    means, so genmean:2 gets the arena recoloured (r, 1 - r), which gives
+    them when the mean of r lies in (0, 1)."""
+    arena = random_arena(4, 3, seed=seed, density=(F(0), F(1, 2))[seed % 2],
+                         kind=kind)
+    names = [name for name in CLASS_PAYOFFS[kind] if name != "genmean:2"]
+    out = [(arena, names)]
+    if kind == "vector2":
+        out.append((dataclasses.replace(arena, colour={
+            key: vector(tok.value[0], 1 - tok.value[0])
+            for key, tok in arena.colour.items()}), ["genmean:2"]))
+    return out
+
+
 @pytest.mark.parametrize("kind", sorted(CLASS_PAYOFFS))
 @pytest.mark.parametrize("seed", range(0, 60, 3))
 def test_class_values_match_the_eager_path(kind, seed):
     # every class-determined payoff, on the bottom classes of picked and
     # induced chains: the value is the eager path's Fraction, and only the
     # payoffs that weigh colours solve the stationary distribution
-    rng = random.Random(seed)
-    arena = random_arena(4, 3, seed=seed, density=(F(0), F(1, 2))[seed % 2],
-                         kind=kind)
-    specs = [parse_payoff_spec(name) for name in CLASS_PAYOFFS[kind]]
-    for chain in _sample_chains(arena, rng):
-        for nodes in bottom_classes(chain):
-            colours = RecurrentClassSummary(chain, nodes).colours
-            buchi = kind == "cobuchi" and any(tok.value[1] for tok in colours)
-            got = _lazy_class_values(specs, chain, nodes)
-            for spec, (value, solved) in zip(specs, got):
-                assert type(value) is F, spec
-                assert value == _eager_class_value(spec, chain, nodes), spec
-                assert solved == (spec.name not in COLOUR_SET_PAYOFFS or (
-                    spec.name == "meancobuchi" and not buchi)), spec
+    for arena, names in _class_arenas(kind, seed):
+        specs = [parse_payoff_spec(name) for name in names]
+        for chain in _sample_chains(arena, random.Random(seed)):
+            for nodes in bottom_classes(chain):
+                colours = RecurrentClassSummary(chain, nodes).colours
+                buchi = kind == "cobuchi" and any(tok.value[1]
+                                                  for tok in colours)
+                got = _lazy_class_values(specs, chain, nodes)
+                for spec, (value, solved) in zip(specs, got):
+                    assert type(value) is F, spec
+                    assert value == _eager_class_value(spec, chain, nodes), \
+                        spec
+                    assert solved == (spec.name not in COLOUR_SET_PAYOFFS or (
+                        spec.name == "meancobuchi" and not buchi)), spec
+
+
+def test_genmean_classes_of_the_eager_path_check_see_both_verdicts():
+    # over the seeds of test_class_values_match_the_eager_path, genmean:2
+    # wins on some bottom classes and loses on others
+    spec = parse_payoff_spec("genmean:2")
+    seen = set()
+    for seed in range(0, 60, 3):
+        arena, names = _class_arenas("vector2", seed)[-1]
+        assert names == ["genmean:2"]
+        for chain in _sample_chains(arena, random.Random(seed)):
+            for nodes in bottom_classes(chain):
+                seen.add(class_value(spec, RecurrentClassSummary(chain, nodes)))
+    assert seen == {0, 1}
 
 
 def _zero_weight_chain(top, colour):

@@ -257,6 +257,22 @@ def test_simulate_rejects_a_negative_horizon(tmp_path, capsys):
     assert code == EXIT_OK and "s: 1.0" in out
 
 
+@pytest.mark.parametrize("stay", ["0.9", "true"])
+def test_simulate_reads_strategy_weights_exactly(tmp_path, capsys, stay):
+    # a decimal weight is read from its text, so 0.1 and 0.9 sum to 1;
+    # a bool is no weight
+    sigma = tmp_path / "sigma.json"
+    doc = Path(WEAK).read_text()
+    sigma.write_text(doc.replace('"3/4"', "0.1").replace('"1/4"', stay))
+    argv = ["simulate", E2, "--sigma", str(sigma), "--tau", WEAK,
+            "--horizon", "3", "--trials", "3"]
+    if stay == "true":
+        _assert_one_error_line(*run_capture(capsys, argv))
+    else:
+        code, out, _ = run_capture(capsys, argv)
+        assert code == EXIT_OK and "terminal_frequencies" in out
+
+
 GOLDEN = ROOT / "tests" / "golden"
 
 

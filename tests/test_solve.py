@@ -183,6 +183,104 @@ def test_grid_matches_a_per_pair_node_values_grid(name, kind):
     assert several  # some pairs' chains have several bottom classes
 
 
+EVALUABLE_KINDS = POSITIONAL_KINDS + [
+    ("posavg", "reward"), ("meancobuchi:100", "cobuchi"),
+    ("genmean:2", "vector2"), ("optgenmean:2", "vector2"),
+    ("counter+inf", "increment"), ("counter-inf", "increment")]
+
+
+@pytest.mark.parametrize("name, kind", EVALUABLE_KINDS)
+def test_integer_pair_values_read_as_fractions_equal_node_values(name, kind):
+    # every grid pair's integer values share one positive denominator and,
+    # read as Fractions, are node_values' on the pair's own chain
+    spec = parse_payoff_spec(name)
+    seen = set()
+    for seed in range(6):
+        arena = random_arena(4, 3, density=(F(0), F(1, 4), F(1, 2))[seed % 3],
+                             seed=seed, kind=kind)
+        if name == "genmean:2":
+            # (r, -1 - r) never gives two positive means; (r, 1 - r) can
+            arena = dataclasses.replace(arena, colour={
+                key: payoff_module.vector(tok.value[0], 1 - tok.value[0])
+                for key, tok in arena.colour.items()})
+        grid = solve.GridSolver(arena)
+        for i, sigma in enumerate(grid.sigmas):
+            for j, tau in enumerate(grid.taus):
+                got = grid.int_pair_values(spec, i, j)
+                assert len({d for _, d in got}) == 1 and got[0][1] > 0
+                want = node_values(arena, spec, sigma, tau)
+                assert [F(n, d) for n, d in got] == want
+                seen.update(want)
+    assert len(seen) > 1
+
+
+def _cross_oracle(column, sign):
+    """The index of the first least (sign 1) or greatest (sign -1) value of
+    `column`, read as Fractions."""
+    values = [F(n, d) for n, d in column]
+    return values.index((min if sign > 0 else max)(values))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_first_least_cross_multiplies_exactly(seed):
+    # values of both signs from a few rationals, written over unequal and
+    # unreduced denominators, so that ties across denominators are common
+    rng = random.Random(seed)
+    pool = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        row = []
+        for _ in range(3):
+            v, scale = rng.choice(pool), rng.randint(1, 5)
+            row.append((v.numerator * scale, v.denominator * scale))
+        rows.append(row)
+    for sign in (1, -1):
+        at, best = solve.first_least(rows, sign)
+        for k, column in enumerate(zip(*rows)):
+            assert at[k] == _cross_oracle(column, sign)
+            assert best[k] == column[at[k]]
+
+
+def _three_action_arena():
+    """One maximizer state s and one minimizer state t, three actions
+    each."""
+    return Arena(
+        states=("s", "t"), owner={"s": P1, "t": P2},
+        available={"s": ("a", "b", "c"), "t": ("a", "b", "c")},
+        transition={(s, a): {s: F(1)} for s in "st" for a in "abc"},
+        colour={(s, a): reward(0) for s in "st" for a in "abc"})
+
+
+def test_brute_force_value_compares_a_hand_built_grid_exactly(monkeypatch):
+    # values of both signs, each pair over its own unreduced denominator,
+    # with ties across denominators: sigma 1 is the first to attain the
+    # maxmin at both states, and tau 1 the first to hold it there, though
+    # tau 2 ties with it at both
+    grid = {"s": [[F(3), F(-1), F(5)],
+                  [F(0), F(-1, 2), F(-1, 2)],
+                  [F(1, 3), F(-2), F(-1, 2)]],
+            "t": [[F(3, 4), F(1, 2), F(7, 5)],
+                  [F(1), F(2, 3), F(2, 3)],
+                  [F(1, 2), F(0), F(1)]]}
+
+    def pair(self, spec, i, j):
+        vs, vt = grid["s"][i][j], grid["t"][i][j]
+        den = (vs.denominator * vt.denominator) * (1 + (3 * i + j) % 4)
+        return [(int(v * den), den) for v in (vs, vt)]
+
+    monkeypatch.setattr(solve.GridSolver, "int_pair_values", pair)
+    arena = _three_action_arena()
+    vv = brute_force_value(arena, mean)
+    assert vv.values == {"s": F(-1, 2), "t": F(2, 3)}
+    assert all(type(v) is F for v in vv.values.values())
+    sigmas = list(enumerate_pure_stationary(arena, P1))
+    taus = list(enumerate_pure_stationary(arena, P2))
+    assert vv.sigma_star.choice == sigmas[1].choice
+    assert {s: (tau.choice, v) for s, (tau, v) in vv.best_response.items()} \
+        == {s: (taus[1].choice, vv.values[s]) for s in "st"}
+
+
 def _recording_class_work(monkeypatch):
     """Record the class work of chains picked from a product skeleton: the
     class key (nodes, choices at those nodes) of each summary built, the
@@ -267,8 +365,9 @@ def test_each_recurring_class_is_summarized_and_valued_once(monkeypatch):
 
 
 def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
-    # a chain with one bottom class is absorbed there from every node: its
-    # values equal the absorption path's, and no absorption system is solved
+    # a chain with one bottom class is absorbed there from every node: the
+    # pair's integer values equal the absorption path's, and no absorption
+    # system is solved
     solved = []
 
     def counting(chain, classes):
@@ -287,9 +386,12 @@ def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
                      for ci, p in absorb[node].items()), F(0))
                 for node in range(len(chain))]
         solved.clear()
-        got = node_values(arena, mean, sigma, tau)
-        assert got == want and all(type(v) is Fraction for v in got)
+        got = solve.PairEvaluator(chain, range(len(chain)), (0,) * len(chain),
+                                  {}).values(mean)
+        assert [F(n, d) for n, d in got] == want
+        assert len({d for _, d in got}) == 1 and got[0][1] > 0
         assert solved == ([] if len(classes) == 1 else [len(classes)])
+        assert node_values(arena, mean, sigma, tau) == want
         single += len(classes) == 1
     assert 0 < single < 40
 
@@ -364,11 +466,12 @@ def _two_state_arena():
 def test_brute_force_value_raises_on_a_grid_without_a_saddle_point(
         monkeypatch):
     # matching pennies: every sigma is held to 0, every tau concedes 1
-    monkeypatch.setattr(solve.GridSolver, "pair_values",
-                        lambda self, spec, i, j: {"s": F(i == j),
-                                                  "t": F(i == j)})
+    monkeypatch.setattr(solve.GridSolver, "int_pair_values",
+                        lambda self, spec, i, j: [(int(i == j), 1)] * 2)
     with pytest.raises(solve.SaddlePointError,
-                       match="^enumerated maxmin .* differs from minmax "):
+                       match=r"^enumerated maxmin \{'s': Fraction\(0, 1\), "
+                             r"'t': Fraction\(0, 1\)\} differs from minmax "
+                             r"\{'s': Fraction\(1, 1\), 't': Fraction\(1, 1\)\}$"):
         brute_force_value(_two_state_arena(), mean)
 
 
@@ -376,9 +479,9 @@ def test_brute_force_value_raises_when_no_sigma_attains_every_maxmin(
         monkeypatch):
     # maxmin equals minmax, but sigma 0 attains it at s only and sigma 1 at
     # t only
-    monkeypatch.setattr(solve.GridSolver, "pair_values",
-                        lambda self, spec, i, j: {"s": F(i == 0),
-                                                  "t": F(i == 1)})
+    monkeypatch.setattr(solve.GridSolver, "int_pair_values",
+                        lambda self, spec, i, j: [(int(i == 0), 1),
+                                                  (int(i == 1), 1)])
     with pytest.raises(solve.SaddlePointError,
                        match="^no stationary strategy attains the maxmin at "
                              "every state$"):

@@ -72,6 +72,37 @@ def test_finite_memory_round_trip():
         assert again.choices == sigma.choices
 
 
+def _weighted_document(go, stay):
+    """A one-memory strategy document on e2 whose choice at s weighs `go`
+    and `stay` with the JSON texts given."""
+    return ('{"memory_states": ["m0"], "initial": "m0", "update": [], '
+            f'"choice": [["m0", "s", {{"go": {go}, "stay": {stay}}}], '
+            '["m0", "t", {"loop": 1}]]}')
+
+
+@pytest.mark.parametrize("go, stay, want", [
+    ("0.1", "0.9", (F(1, 10), F(9, 10))),
+    ("1e-1", "9E-1", (F(1, 10), F(9, 10))),
+    ("0.75", '"1/4"', (F(3, 4), F(1, 4))),
+    ("0", "1", (F(0), F(1))),
+])
+def test_strategy_weights_are_read_from_their_text(go, stay, want):
+    # read as binary floats, 0.1 and 0.9 sum to 36028797018963969/2^55 and
+    # fail check_in
+    sigma = strategy_from_json(_weighted_document(go, stay), P1)
+    sigma.check_in(build_e2())
+    dist = sigma.choices[("m0", "s")]
+    assert dist == {"go": want[0], "stay": want[1]}
+    assert all(type(w) is F for w in dist.values())
+
+
+@pytest.mark.parametrize("weight", ["true", "false", "null", "[1]", '{"n": 1}'])
+def test_a_weight_that_is_no_number_is_rejected(weight):
+    # a bool used to load as weight 1 or 0
+    with pytest.raises(StrategyError, match="choice rows$"):
+        strategy_from_json(_weighted_document(weight, 1), P1)
+
+
 def test_check_in_catches_bad_choices():
     e2 = build_e2()
     with pytest.raises(StrategyError):
@@ -285,16 +316,17 @@ def _picks(monkeypatch):
     ("mean", "reward"), ("posavg", "reward"), ("meancobuchi:100", "cobuchi"),
     ("optgenmean:2", "vector2"), ("counter+inf", "increment")])
 def test_guarantee_exceeds_returns_the_pairs_above_their_floor(name, kind):
-    # floors below, at and above product_values at a random subset of the
-    # pairs (on odd seeds none below): exactly the pairs strictly above come
-    # back, with their values
+    # floors below, at and above the guarantees, folded from node_values,
+    # at a random subset of the pairs (on odd seeds none below): exactly the
+    # pairs strictly above come back, with their values
     spec = parse_payoff_spec(name)
     rng = random.Random(name)
     above = held = 0
     for seed in range(12):
         arena = random_arena(4, 3, seed=seed, kind=kind)
         sigma = _random_memory_strategy(arena, rng, rng.randint(1, 2))
-        guaranteed = product_values(arena, spec, sigma)
+        guaranteed = _product_values_oracle(arena, spec, sigma)[0]
+        assert product_values(arena, spec, sigma) == guaranteed
         offsets = ((F(0), F(1, 3), F(1)) if seed % 2
                    else (F(-1), F(-1, 3), F(0), F(1)))
         floor = {pair: v + rng.choice(offsets)

@@ -12,12 +12,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from stochgame import acceptance, cli
-from stochgame.payoff import _CATALOG
+from stochgame import acceptance, cli, solve, verify
+from stochgame.arena import random_arena
+from stochgame.payoff import _CATALOG, parse_payoff_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "stochgame"
@@ -116,6 +118,30 @@ def test_library_module_graph_has_no_cycle():
     for name in sorted(graph):
         visit(name)
     assert "solve" not in graph["strategy"]
+
+
+def test_grid_and_response_folds_never_order_fractions(monkeypatch):
+    # the grid's max-min, the response fold and the stationary guarantees
+    # compare values as integers: with Fraction's order comparisons
+    # raising, every call completes
+    cases = [(random_arena(4, 3, kind=kind), parse_payoff_spec(name))
+             for name, kind in (("mean", "reward"), ("limsup", "reward"),
+                                ("parity", "priority"),
+                                ("discounted", "discounted"))]
+    posavg = parse_payoff_spec("posavg")
+
+    def refuse(self, other):
+        raise AssertionError("a Fraction order comparison")
+
+    for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError, match="order comparison"):
+        Fraction(1, 2) < Fraction(1, 3)
+    for arena, spec in cases:
+        values = solve.brute_force_value(arena, spec)
+        solve.best_response_min(arena, spec, values.sigma_star)
+        verify._stationary_guarantees(arena, spec, solve.DEFAULT_BUDGET)
+    verify._stationary_guarantees(cases[0][0], posavg, solve.DEFAULT_BUDGET)
 
 
 def test_every_traced_function_resolves():
