@@ -14,12 +14,13 @@ over a corpus is only evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter, mul
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import RecurrentClassSummary
@@ -69,6 +70,20 @@ class ColourToken:
                 raise PayoffError(f"discount factor {lam} outside [0,1)")
         if self.kind == PRIORITY and self.value < 0:
             raise PayoffError(f"priority {self.value} is negative")
+
+    def __hash__(self):
+        # The dataclass hash, kept on first use: hashing a Fraction payload
+        # takes a modular inverse every time.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.kind, self.value))
+            return h
+
+    def __getstate__(self):
+        # A kept hash would be stale in another process, where strings hash
+        # differently.
+        return {"kind": self.kind, "value": self.value}
 
 
 def reward(r) -> ColourToken:
@@ -517,24 +532,29 @@ class ShiftWitness:
     shifted_value: Fraction
 
 
-def check_shift_invariance(spec: PayoffSpec, word: Lasso,
-                           shifts: int) -> Optional[ShiftWitness]:
+def check_shift_invariance(spec: PayoffSpec, word: Lasso, shifts: int,
+                           value: Optional[Callable[[Lasso], Any]] = None
+                           ) -> Optional[ShiftWitness]:
     """Compare f on the word and on its first `shifts` suffixes; return the
     first disagreement, if any.
 
-    The suffixes run round an orbit: once past the prefix they rotate the
-    cycle.  The first prefix-free word on it (the word itself, or the first
-    suffix that reaches the cycle) is kept, and a later suffix equal to it
-    ends the search with None, unevaluated.  That stop is sound without
-    trusting `Lasso.suffix` or `evaluate_lasso`: both are functions of the
-    word, so from there on the suffixes and their values repeat words
-    already compared with the base, and the first disagreeing shift is the
-    same.  A word with p prefix letters and a cycle of primitive period q
-    costs min(shifts + 1, p + q) evaluations, each through `evaluate_lasso`.
+    Each word's value is read through `value`, by default `evaluate_lasso`
+    on `spec`; a caller may pass its own, such as a memo over words spelled
+    in another alphabet.  The suffixes run round an orbit: once past the
+    prefix they rotate the cycle.  The first prefix-free word on it (the
+    word itself, or the first suffix that reaches the cycle) is kept, and a
+    later suffix equal to it ends the search with None, unevaluated.  That
+    stop is sound without trusting `Lasso.suffix` or `value`: both are
+    functions of the word, so from there on the suffixes and their values
+    repeat words already compared with the base, and the first disagreeing
+    shift is the same.  A word with p prefix letters and a cycle of
+    primitive period q costs min(shifts + 1, p + q) reads of `value`.
     """
     if shifts < 1:
         raise PayoffError("shifts must be >= 1")
-    base = evaluate_lasso(spec, word)
+    if value is None:
+        value = functools.partial(evaluate_lasso, spec)
+    base = value(word)
     current = word
     start = None if word.prefix else word
     for k in range(1, shifts + 1):
@@ -544,7 +564,7 @@ def check_shift_invariance(spec: PayoffSpec, word: Lasso,
                 start = current
         elif current == start:
             return None
-        val = evaluate_lasso(spec, current)
+        val = value(current)
         if val != base:
             return ShiftWitness(word, k, base, val)
     return None

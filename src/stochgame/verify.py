@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -35,7 +35,8 @@ from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
     ColourToken, Lasso, PayoffSpec, ShufflePattern,
     check_shift_invariance, check_submixing, colour_from_json, colour_to_json,
-    discounted, increment, letter, priority, reward, reward_buchi, vector,
+    discounted, evaluate_lasso, increment, letter, priority, reward,
+    reward_buchi, vector,
 )
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, reset_strategy,
@@ -263,9 +264,13 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
 _FAST_SPECS = ("mean", "limsup", "liminf", "parity", "posavg",
                "genmean", "optgenmean", "counter+inf", "counter-inf")
 
+# The exhaustive submixing grid of a _FAST_SPECS payoff is decided in row
+# blocks of at most this many cells (one row when a row is longer), so its
+# memory stays flat as the cycle count grows.
+_GRID_CELLS = 1 << 20
 # The seeded submixing cases of a _FAST_SPECS payoff are decided this many at
 # a time; the search stops at the first block holding a violation.  A block
-# keeps its drawn lassos alive, so its size bounds the memory of any
+# keeps its drawn cases alive, so its size bounds the memory of any
 # random_cases.
 _CASE_BLOCK = 1024
 
@@ -341,18 +346,39 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     raise FlagGateError(f"no closed form for {spec.format()}")
 
 
-def _decided_blocks(spec: PayoffSpec, alphabet, bounds: SearchBounds,
-                    rng: random.Random):
-    """Draw the seeded cases in blocks of _CASE_BLOCK; yield each block with
-    the closed forms' verdict on each of its cases."""
+def _cycle_positions(cycles, k: int) -> np.ndarray:
+    """Each index cycle's position in the exhaustive table: the cycles of
+    1, 2, ... letters over k letters, each length in `itertools.product`
+    order.  A cycle of n letters sits after the k + ... + k^(n-1) shorter
+    ones, at its base-k number among its own length; reading its letters as
+    digits 1..k (bijective base k) adds 1 + k + ... + k^(n-1), one too
+    many."""
+    out = []
+    for c in cycles:
+        pos = 0
+        for i in c:
+            pos = pos * k + i + 1
+        out.append(pos - 1)
+    return np.array(out, dtype=np.int64)
+
+
+def _decided_blocks(spec: PayoffSpec, stats: dict, k: int,
+                    bounds: SearchBounds, rng: random.Random):
+    """Draw the seeded cases, as letter indices below k, in blocks of
+    _CASE_BLOCK; yield each block with the closed forms' verdict on each of
+    its cases.  A case's cycle statistics are read off `stats`, the
+    exhaustive phase's table of every cycle of 1..max_cycle letters, and its
+    tail sums off its pattern's two-block tail."""
     for done in range(0, bounds.random_cases, _CASE_BLOCK):
-        block = [_random_case(rng, alphabet, bounds.max_cycle)
+        block = [_random_case(rng, k, bounds.max_cycle)
                  for _ in range(min(_CASE_BLOCK, bounds.random_cases - done))]
+        at_u = _cycle_positions([u[1] for u, _, _ in block], k)
+        at_v = _cycle_positions([v[1] for _, v, _ in block], k)
+        tails = np.array([tail for _, _, (_, tail) in block], dtype=np.int64)
         yield block, _fast_violations(
-            spec, _cycle_stats(spec, [u.cycle for u, _, _ in block]),
-            _cycle_stats(spec, [v.cycle for _, v, _ in block]),
-            np.array([p.tail_u for _, _, p in block]),
-            np.array([p.tail_v for _, _, p in block]))
+            spec, {key: x[at_u] for key, x in stats.items()},
+            {key: x[at_v] for key, x in stats.items()},
+            tails[:, 0], tails[:, 1])
 
 
 def _confirmed_witness(spec: PayoffSpec, u: Lasso, v: Lasso,
@@ -371,14 +397,18 @@ def search_submixing_violation(spec: PayoffSpec,
     """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
     whose payoff beats both components.
 
-    For a _FAST_SPECS payoff, which reads only the cycles, both phases are
-    decided by `_fast_violations`'s closed forms: the exhaustive phase as a
-    cycle-by-cycle grid per pattern, the seeded cases in blocks of
-    _CASE_BLOCK, each reduced to its two cycles' statistics and its
-    pattern's tail sums.  The first flagged case, in draw order, is
-    re-evaluated through the ordinary shuffle/evaluation path before being
-    reported.  Other payoffs evaluate every case that way."""
+    The seeded cases are drawn as letter indices into the default alphabet
+    (`_random_case`).  For a _FAST_SPECS payoff, which reads only the
+    cycles, both phases are decided by `_fast_violations`'s closed forms:
+    the exhaustive phase as a cycle-by-cycle grid per pattern, in row blocks
+    of at most _GRID_CELLS cells, the seeded cases in blocks of _CASE_BLOCK,
+    each reduced to its two cycles' rows of the exhaustive phase's
+    statistics and its pattern's tail sums.  The first flagged case, in
+    grid or draw order, is spelled in the alphabet and re-evaluated through
+    the ordinary shuffle/evaluation path before being reported.  Other
+    payoffs spell every case and evaluate it that way."""
     alphabet = default_alphabet(spec)
+    k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
                 "patterns": list(SEARCH_PATTERNS),
@@ -394,21 +424,25 @@ def search_submixing_violation(spec: PayoffSpec,
         cycles = [c for n in range(1, bounds.max_cycle + 1)
                   for c in itertools.product(alphabet, repeat=n)]
         st = _cycle_stats(spec, cycles)
-        col = {k: x[:, None] for k, x in st.items()}
-        row = {k: x[None, :] for k, x in st.items()}
+        row = {key: x[None, :] for key, x in st.items()}
+        height = max(1, _GRID_CELLS // len(cycles))
         for a, b in SEARCH_PATTERNS:
-            viol = _fast_violations(spec, col, row, a, b)
-            cases += viol.size
-            if viol.any():
-                iu, iv = map(int, np.argwhere(viol)[0])
-                return refuted(_confirmed_witness(
-                    spec, Lasso((), cycles[iu]), Lasso((), cycles[iv]),
-                    ShufflePattern.alternating(a, b)))
-        for block, viol in _decided_blocks(spec, alphabet, bounds, rng):
+            cases += len(cycles) ** 2
+            for top in range(0, len(cycles), height):
+                col = {key: x[top:top + height, None] for key, x in st.items()}
+                viol = _fast_violations(spec, col, row, a, b)
+                if viol.any():
+                    iu, iv = map(int, np.argwhere(viol)[0])
+                    return refuted(_confirmed_witness(
+                        spec, Lasso((), cycles[top + iu]),
+                        Lasso((), cycles[iv]),
+                        ShufflePattern.alternating(a, b)))
+        for block, viol in _decided_blocks(spec, st, k, bounds, rng):
             hits = np.flatnonzero(viol)
             if hits.size:
                 cases += int(hits[0]) + 1
-                return refuted(_confirmed_witness(spec, *block[hits[0]]))
+                return refuted(_confirmed_witness(
+                    spec, *_spelled_case(alphabet, block[hits[0]])))
             cases += len(block)
     else:
         small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
@@ -422,8 +456,8 @@ def search_submixing_violation(spec: PayoffSpec,
                     return refuted(witness)
         for _ in range(bounds.random_cases):
             cases += 1
-            witness = check_submixing(
-                spec, *_random_case(rng, alphabet, bounds.max_cycle))
+            witness = check_submixing(spec, *_spelled_case(
+                alphabet, _random_case(rng, k, bounds.max_cycle)))
             if witness is not None:
                 return refuted(witness)
     return VerificationReport(
@@ -437,22 +471,44 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     payoff against its first SHIFTS suffixes.  The exhaustive words have
     prefixes of 0..2 letters and cycles of 1..min(max_cycle, 2) letters;
     the seeded words, drawn after them, prefixes of 0..3 and cycles of
-    1..max_cycle."""
+    1..max_cycle.
+
+    The words are lassos over letter indices into the default alphabet.
+    `check_shift_invariance` reads their values through one memo per
+    search, which spells each distinct word and evaluates it through
+    `evaluate_lasso` once.  That is sound on the trust the check's orbit
+    stop already states: the value is a function of the word.  Every shift
+    is still compared with its word's value, and a witness word is spelled
+    for the report."""
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
+    letters = range(len(alphabet))
     rng = random.Random(seed)
     exhaustive = (Lasso(pre, cyc) for plen in range(3)
                   for clen in range(1, min(bounds.max_cycle, 2) + 1)
-                  for pre in itertools.product(alphabet, repeat=plen)
-                  for cyc in itertools.product(alphabet, repeat=clen))
-    seeded = (_random_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
+                  for pre in itertools.product(letters, repeat=plen)
+                  for cyc in itertools.product(letters, repeat=clen))
+    seeded = (Lasso(*_random_lasso(rng, len(alphabet), bounds.max_cycle,
+                                   max_prefix=3))
               for _ in range(bounds.random_cases))
+    memo: dict = {}
+
+    def value(word: Lasso):
+        key = (word.prefix, word.cycle)
+        try:
+            return memo[key]
+        except KeyError:
+            v = memo[key] = evaluate_lasso(
+                spec, _spelled(alphabet, word.prefix, word.cycle))
+            return v
+
     cases = 0
     for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
-        w = check_shift_invariance(spec, word, SHIFTS)
+        w = check_shift_invariance(spec, word, SHIFTS, value)
         if w is not None:
+            w = replace(w, word=_spelled(alphabet, word.prefix, word.cycle))
             return VerificationReport(
                 "shift-invariance", instance, "refuted",
                 {"cases": cases}, _shift_witness_doc(w))
@@ -460,21 +516,28 @@ def search_shift_invariance_violation(spec: PayoffSpec,
         "shift-invariance", instance, "confirmed", {"cases": cases})
 
 
-def _random_lasso(rng: random.Random, alphabet, max_cycle: int,
-                  max_prefix: int = 2) -> Lasso:
-    pre = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_prefix)))
-    cyc = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_cycle)))
-    return Lasso(pre, cyc)
+def _random_lasso(rng: random.Random, k: int, max_cycle: int,
+                  max_prefix: int = 2) -> tuple[tuple, tuple]:
+    """A seeded word's prefix and cycle, as letter indices below k.
+    `Random.choice` reads only the length of what it draws from, so the
+    stream is the one a draw from a k-letter alphabet consumes."""
+    letters = range(k)
+    pre = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_prefix)))
+    cyc = tuple(rng.choice(letters) for _ in range(rng.randint(1, max_cycle)))
+    return pre, cyc
 
 
-def _random_case(rng: random.Random, alphabet,
-                 max_cycle: int) -> tuple[Lasso, Lasso, ShufflePattern]:
-    u = _random_lasso(rng, alphabet, max_cycle)
-    v = _random_lasso(rng, alphabet, max_cycle)
+def _random_case(rng: random.Random, k: int, max_cycle: int) -> tuple:
+    """A seeded submixing case: u's and v's (prefix, cycle) over letter
+    indices below k, then the pattern's (prefix, tail) block lengths."""
+    u = _random_lasso(rng, k, max_cycle)
+    v = _random_lasso(rng, k, max_cycle)
     return u, v, _random_pattern(rng)
 
 
-def _random_pattern(rng: random.Random) -> ShufflePattern:
+def _random_pattern(rng: random.Random) -> tuple[tuple, tuple]:
+    """A shuffle pattern's (prefix, tail) block lengths; the tail is one
+    (u, v) pair of blocks, each consuming at least one letter."""
     prefix = tuple(rng.randint(0, 2)
                    for _ in range(2 * rng.randint(0, 2)))
     tail = [rng.randint(0, 3), rng.randint(0, 3)]
@@ -482,7 +545,19 @@ def _random_pattern(rng: random.Random) -> ShufflePattern:
         tail[0] = rng.randint(1, 3)
     if sum(tail[1::2]) == 0:
         tail[1] = rng.randint(1, 3)
-    return ShufflePattern(prefix, tuple(tail))
+    return prefix, tuple(tail)
+
+
+def _spelled(alphabet, prefix, cycle) -> Lasso:
+    """The lasso that an index word's prefix and cycle spell."""
+    return Lasso(tuple(alphabet[i] for i in prefix),
+                 tuple(alphabet[i] for i in cycle))
+
+
+def _spelled_case(alphabet, case) -> tuple[Lasso, Lasso, ShufflePattern]:
+    (upre, ucyc), (vpre, vcyc), (prefix, tail) = case
+    return (_spelled(alphabet, upre, ucyc), _spelled(alphabet, vpre, vcyc),
+            ShufflePattern(prefix, tail))
 
 
 def _lasso_doc(word: Lasso) -> dict:

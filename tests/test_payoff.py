@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from stochgame.payoff import (
     increment, letter, parse_payoff_spec, priority, priority_lasso, reward,
     reward_buchi, reward_lasso, shuffle, vector, vector_lasso,
 )
-from stochgame.verify import _random_lasso, default_alphabet
+from stochgame.verify import _random_lasso, _spelled, default_alphabet
 
 mean = parse_payoff_spec("mean")
 par = parse_payoff_spec("parity")
@@ -241,7 +242,8 @@ def _shift_oracle_words(alphabet):
                     yield Lasso(pre, cyc)
     rng = random.Random(5)
     for _ in range(150):
-        yield _random_lasso(rng, alphabet, 4, max_prefix=3)
+        yield _spelled(alphabet, *_random_lasso(rng, len(alphabet), 4,
+                                                max_prefix=3))
 
 
 def _rotation_sensitive(real, alphabet):
@@ -472,6 +474,33 @@ def test_class_value_rejects_bad_weights():
 ])
 def test_colour_json_round_trip(tok):
     assert colour_from_json(colour_to_json(tok)) == tok
+
+
+@pytest.mark.parametrize("tok, fractions", [
+    (reward(Fraction(-5, 6)), 1), (discounted(1, Fraction(1, 3)), 2),
+    (vector(1, Fraction(2, 3), -1), 3), (reward_buchi(2, True), 1),
+    (priority(4), 0), (letter("b"), 0),
+])
+def test_colour_hash_is_computed_once(monkeypatch, tok, fractions):
+    # the dataclass hash, kept: the payload's Fractions are hashed on the
+    # first call only, and equality, repr and JSON read the fields alone
+    expected = hash((tok.kind, tok.value))
+    fresh = ColourToken(tok.kind, tok.value)
+    real = Fraction.__hash__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert [hash(fresh) for _ in range(4)] == [expected] * 4
+    assert len(calls) == fractions
+    assert fresh == tok and len({fresh, tok}) == 1
+    assert repr(fresh) == f"ColourToken(kind={tok.kind!r}, value={tok.value!r})"
+    assert colour_to_json(fresh) == colour_to_json(tok)
+    # a copy from another process would carry a hash of other string hashes
+    assert "_hash" not in pickle.loads(pickle.dumps(fresh)).__dict__
 
 
 # -- the Fraction implementations, kept as oracles -------------------------------

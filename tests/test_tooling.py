@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -142,6 +143,22 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
         solve.best_response_min(arena, spec, values.sigma_star)
         verify._stationary_guarantees(arena, spec, solve.DEFAULT_BUDGET)
     verify._stationary_guarantees(cases[0][0], posavg, solve.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_index_draws_consume_the_stream_as_letter_draws(k):
+    # the refutation searches draw letter indices, `choice(range(k))`, and
+    # keep their seeded cases only if that reads the stream exactly as
+    # `choice(alphabet)` does on a k-letter alphabet
+    alphabet = [f"letter{i}" for i in range(k)]
+    by_index, by_letter = random.Random(k), random.Random(k)
+    for _ in range(300):
+        n = by_index.randint(1, 4)
+        assert by_letter.randint(1, 4) == n
+        indices = [by_index.choice(range(k)) for _ in range(n)]
+        assert [alphabet[i] for i in indices] \
+            == [by_letter.choice(alphabet) for _ in range(n)]
+    assert by_index.getstate() == by_letter.getstate()
 
 
 def test_every_traced_function_resolves():

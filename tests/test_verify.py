@@ -7,28 +7,33 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stochgame import solve, verify
 from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.chain import bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
+from stochgame import payoff
 from stochgame.payoff import (
-    Lasso, ShufflePattern, check_submixing, parse_payoff_spec, reward,
+    Lasso, ShufflePattern, check_shift_invariance, check_submixing,
+    parse_payoff_spec, reward,
 )
 from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
-    FlagGateError, SearchBounds, _cycle_stats, _decided_blocks,
-    _fast_violations, _random_case, _random_lasso, _random_memory_strategy,
-    _class_states, _random_pattern, _sample_locally_optimal,
-    _stationary_guarantees, _submix_witness_doc, _value_changing_recurrent,
-    default_alphabet, doob_suite, replay_submixing_witness,
-    reproduce_counterexample, search_shift_invariance_violation,
-    search_submixing_violation, verify_halfpos, verify_subgame_perfect,
-    weakened_base,
+    SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _cycle_stats,
+    _decided_blocks, _fast_violations, _random_memory_strategy,
+    _class_states, _sample_locally_optimal, _shift_witness_doc,
+    _spelled_case, _stationary_guarantees, _submix_witness_doc,
+    _value_changing_recurrent, default_alphabet, doob_suite,
+    replay_submixing_witness, reproduce_counterexample,
+    search_shift_invariance_violation, search_submixing_violation,
+    verify_halfpos, verify_subgame_perfect, weakened_base,
 )
+from test_payoff import _prefix_counting, _rotation_sensitive
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -308,21 +313,24 @@ def test_fast_sweep_agrees_with_full_evaluation():
 def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
         monkeypatch, name):
     # every drawn case, prefixes and all, not only the first violation;
-    # two whole blocks and a remainder, so block boundaries are crossed
+    # two whole blocks and a remainder, so block boundaries are crossed.
+    # Each index case, spelled, is the case the token draw gives.
     monkeypatch.setattr(verify, "_CASE_BLOCK", 64)
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     flagged = 0
     for seed in range(4):
         bounds = SearchBounds(max_cycle=seed + 1, random_cases=2 * 64 + 23)
-        blocks = list(_decided_blocks(spec, alphabet, bounds,
+        table = _cycle_stats(spec, _exhaustive_cycles(alphabet, seed + 1))
+        blocks = list(_decided_blocks(spec, table, len(alphabet), bounds,
                                       random.Random(seed)))
         assert [len(block) for block, _ in blocks] == [64, 64, 23]
         reference = random.Random(seed)
         for block, viol in blocks:
             assert viol.shape == (len(block),)
             for case, flag in zip(block, viol):
-                assert case == _random_case(reference, alphabet, seed + 1)
+                case = _spelled_case(alphabet, case)
+                assert case == _token_case(reference, alphabet, seed + 1)
                 witness = check_submixing(spec, *case)
                 assert bool(flag) == (witness is not None), (name, seed, case)
                 flagged += bool(flag)
@@ -331,13 +339,12 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
 
 
 def _per_case_search(spec, bounds, seed):
-    """The seeded phase as one check_submixing call per case."""
+    """The seeded phase as one check_submixing call per token case."""
     alphabet = default_alphabet(spec)
     rng = random.Random(seed)
     for cases in range(1, bounds.random_cases + 1):
-        u = _random_lasso(rng, alphabet, bounds.max_cycle)
-        v = _random_lasso(rng, alphabet, bounds.max_cycle)
-        witness = check_submixing(spec, u, v, _random_pattern(rng))
+        witness = check_submixing(
+            spec, *_token_case(rng, alphabet, bounds.max_cycle))
         if witness is not None:
             return "refuted", cases, _submix_witness_doc(witness)
     return "confirmed", bounds.random_cases, None
@@ -393,6 +400,245 @@ def test_shift_search_reports_its_max_cycle():
         mean, SearchBounds(max_cycle=n, random_cases=5), seed=3)
         for n in (1, 4)]
     assert [r.instance["max_cycle"] for r in reports] == [1, 4]
+
+
+@pytest.mark.parametrize("cells", [1, 37])
+@pytest.mark.parametrize("name", FAST_PAYOFFS)
+def test_grid_row_blocks_give_the_whole_grid_reports(monkeypatch, name, cells):
+    # one row, or a few, per block: the same first (u, v) hit in row-major
+    # order, and the whole grid counted per pattern
+    spec = parse_payoff_spec(name)
+    runs = [(SearchBounds(max_cycle, random_cases), seed)
+            for max_cycle in (1, 2, 3) for random_cases in (0, 300)
+            for seed in (0, 1)]
+    whole = [search_submixing_violation(spec, *run).to_json() for run in runs]
+    monkeypatch.setattr(verify, "_GRID_CELLS", cells)
+    assert [search_submixing_violation(spec, *run).to_json()
+            for run in runs] == whole
+
+
+def test_grid_memory_stays_flat_past_a_million_cells():
+    # 3,905 cycles at max_cycle 5: a whole int64 grid is 122 MB, and the
+    # search allocated about 300 MB at its peak before the row blocks
+    tracemalloc.start()
+    try:
+        report = search_submixing_violation(
+            mean, SearchBounds(max_cycle=5, random_cases=0), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "confirmed"
+    assert report.quantities["cases"] == len(SEARCH_PATTERNS) * 3905 ** 2
+    assert peak < 64 * 2 ** 20, peak
+
+
+# -- the token-word searches, kept as oracles -------------------------------------
+# The two searches as they were written over colour tokens: every word and
+# case is drawn as tokens, the seeded cases' statistics are read off their
+# own token cycles, and every shift word is evaluated through
+# `evaluate_lasso` each time the check reads it.
+
+
+def _token_lasso(rng, alphabet, max_cycle, max_prefix=2):
+    pre = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_prefix)))
+    cyc = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_cycle)))
+    return Lasso(pre, cyc)
+
+
+def _token_case(rng, alphabet, max_cycle):
+    u = _token_lasso(rng, alphabet, max_cycle)
+    v = _token_lasso(rng, alphabet, max_cycle)
+    prefix = tuple(rng.randint(0, 2) for _ in range(2 * rng.randint(0, 2)))
+    tail = [rng.randint(0, 3), rng.randint(0, 3)]
+    if tail[0] == 0:
+        tail[0] = rng.randint(1, 3)
+    if tail[1] == 0:
+        tail[1] = rng.randint(1, 3)
+    return u, v, ShufflePattern(prefix, tuple(tail))
+
+
+def _exhaustive_cycles(alphabet, max_cycle):
+    return [c for n in range(1, max_cycle + 1)
+            for c in itertools.product(alphabet, repeat=n)]
+
+
+def _token_submixing_search(spec, bounds, seed):
+    alphabet = default_alphabet(spec)
+    instance = {"spec": spec.format(), "seed": seed,
+                "max_cycle": bounds.max_cycle,
+                "patterns": list(SEARCH_PATTERNS),
+                "random_cases": bounds.random_cases}
+    cases = 0
+
+    def refuted(witness):
+        return verify.VerificationReport(
+            "submixing", instance, "refuted", {"cases": cases},
+            _submix_witness_doc(witness))
+
+    rng = random.Random(seed)
+    if spec.name in verify._FAST_SPECS:
+        cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
+        st = _cycle_stats(spec, cycles)
+        col = {k: x[:, None] for k, x in st.items()}
+        row = {k: x[None, :] for k, x in st.items()}
+        for a, b in SEARCH_PATTERNS:
+            viol = _fast_violations(spec, col, row, a, b)
+            cases += viol.size
+            if viol.any():
+                iu, iv = map(int, np.argwhere(viol)[0])
+                return refuted(check_submixing(
+                    spec, Lasso((), cycles[iu]), Lasso((), cycles[iv]),
+                    ShufflePattern.alternating(a, b)))
+        drawn = [_token_case(rng, alphabet, bounds.max_cycle)
+                 for _ in range(bounds.random_cases)]
+        viol = _fast_violations(
+            spec, _cycle_stats(spec, [u.cycle for u, _, _ in drawn]),
+            _cycle_stats(spec, [v.cycle for _, v, _ in drawn]),
+            np.array([p.tail_u for _, _, p in drawn], dtype=np.int64),
+            np.array([p.tail_v for _, _, p in drawn], dtype=np.int64))
+        hits = np.flatnonzero(viol)
+        if hits.size:
+            cases += int(hits[0]) + 1
+            return refuted(check_submixing(spec, *drawn[hits[0]]))
+        cases += len(drawn)
+    else:
+        small = _exhaustive_cycles(alphabet, min(bounds.max_cycle, 2))
+        for cu, cv in itertools.product(small, repeat=2):
+            for a, b in SEARCH_PATTERNS:
+                cases += 1
+                witness = check_submixing(spec, Lasso((), cu), Lasso((), cv),
+                                          ShufflePattern.alternating(a, b))
+                if witness is not None:
+                    return refuted(witness)
+        for _ in range(bounds.random_cases):
+            cases += 1
+            witness = check_submixing(
+                spec, *_token_case(rng, alphabet, bounds.max_cycle))
+            if witness is not None:
+                return refuted(witness)
+    return verify.VerificationReport(
+        "submixing", instance, "confirmed", {"cases": cases})
+
+
+def _token_shift_search(spec, bounds, seed):
+    alphabet = default_alphabet(spec)
+    instance = {"spec": spec.format(), "seed": seed,
+                "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
+                "random_cases": bounds.random_cases}
+    rng = random.Random(seed)
+    exhaustive = (Lasso(pre, cyc) for plen in range(3)
+                  for clen in range(1, min(bounds.max_cycle, 2) + 1)
+                  for pre in itertools.product(alphabet, repeat=plen)
+                  for cyc in itertools.product(alphabet, repeat=clen))
+    seeded = (_token_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
+              for _ in range(bounds.random_cases))
+    cases = 0
+    for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
+        w = check_shift_invariance(spec, word, SHIFTS)
+        if w is not None:
+            return verify.VerificationReport(
+                "shift-invariance", instance, "refuted", {"cases": cases},
+                _shift_witness_doc(w))
+    return verify.VerificationReport(
+        "shift-invariance", instance, "confirmed", {"cases": cases})
+
+
+SEARCHES = ((search_submixing_violation, _token_submixing_search),
+            (search_shift_invariance_violation, _token_shift_search))
+# one spec per catalog payoff, and each vector payoff in two dimensions
+ORACLE_PAYOFFS = ("mean", "discounted", "parity", "limsup", "liminf", "posavg",
+                  "counter+inf", "counter-inf", "genmean:2", "genmean:3",
+                  "optgenmean:2", "meancobuchi:100", "suffixtarget:ab",
+                  "geomfirstone")
+
+
+@pytest.mark.parametrize("name", ORACLE_PAYOFFS)
+def test_index_searches_match_the_token_searches(name):
+    # without seeded cases the seed only names the run
+    spec = parse_payoff_spec(name)
+    for max_cycle in range(1, 5):
+        for random_cases, seeds in ((0, (0,)), (300, (0, 1, 2)),
+                                    (2000, (max_cycle,))):
+            for seed in seeds:
+                bounds = SearchBounds(max_cycle, random_cases)
+                for search, oracle in SEARCHES:
+                    assert search(spec, bounds, seed).to_json() == \
+                        oracle(spec, bounds, seed).to_json(), \
+                        (search.__name__, max_cycle, random_cases, seed)
+
+
+@pytest.mark.parametrize("mutant", [_rotation_sensitive, _prefix_counting])
+@pytest.mark.parametrize("name", ["mean", "parity", "counter+inf", "genmean:2",
+                                  "meancobuchi:100", "suffixtarget:ab"])
+def test_shift_search_refutes_a_shift_dependent_evaluator_as_the_token_search(
+        monkeypatch, name, mutant):
+    # the evaluator the index search reads (through its memo) and the one
+    # the token search reads, both broken the same way
+    spec = parse_payoff_spec(name)
+    broken = mutant(payoff.evaluate_lasso, default_alphabet(spec))
+    monkeypatch.setattr(verify, "evaluate_lasso", broken)
+    monkeypatch.setattr(payoff, "evaluate_lasso", broken)
+    for seed in range(3):
+        bounds = SearchBounds(max_cycle=4, random_cases=300)
+        report = search_shift_invariance_violation(spec, bounds, seed)
+        assert report.verdict == "refuted"
+        assert report.to_json() == _token_shift_search(spec, bounds,
+                                                       seed).to_json()
+
+
+def _counting(monkeypatch, module):
+    real = module.evaluate_lasso
+    words = []
+
+    def counted(spec, word):
+        words.append(word)
+        return real(spec, word)
+
+    monkeypatch.setattr(module, "evaluate_lasso", counted)
+    return words
+
+
+@pytest.mark.parametrize("name", ["mean", "limsup", "genmean:2", "parity"])
+def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
+    spec = parse_payoff_spec(name)
+    index_words = _counting(monkeypatch, verify)
+    token_words = _counting(monkeypatch, payoff)
+    report = search_shift_invariance_violation(spec, SearchBounds(), seed=7)
+    assert len(index_words) == len(set(index_words)) == 3229
+    assert not token_words
+    assert report.to_json() == _token_shift_search(
+        spec, SearchBounds(), seed=7).to_json()
+    assert len(token_words) == 10999
+    assert set(token_words) == set(index_words)
+
+
+def test_fast_submixing_search_spells_only_its_witness(monkeypatch):
+    # a confirmed search builds no Lasso or ShufflePattern at all; a
+    # refuted one builds its flagged case's two lassos and pattern
+    def forbidden(*args):
+        raise AssertionError("a seeded case was spelled")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "Lasso", forbidden)
+        patched.setattr(verify, "ShufflePattern", forbidden)
+        report = search_submixing_violation(mean, SearchBounds(), seed=0)
+    assert (report.verdict, report.quantities["cases"]) \
+        == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
+    built = collections.Counter()
+
+    def counted(cls):
+        def build(*args):
+            built[cls.__name__] += 1
+            return cls(*args)
+        return build
+
+    monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
+    monkeypatch.setattr(verify, "Lasso", counted(Lasso))
+    monkeypatch.setattr(verify, "ShufflePattern", counted(ShufflePattern))
+    report = search_submixing_violation(parse_payoff_spec("genmean:2"),
+                                        SearchBounds(), seed=0)
+    assert report.verdict == "refuted" and report.quantities["cases"] > 1
+    assert built == {"Lasso": 2, "ShufflePattern": 1}
 
 
 # -- subgame perfection ------------------------------------------------------------
