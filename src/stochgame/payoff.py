@@ -533,7 +533,7 @@ class ShiftWitness:
 
 
 def check_shift_invariance(spec: PayoffSpec, word: Lasso, shifts: int,
-                           value: Optional[Callable[[Lasso], Any]] = None
+                           value: Optional[Callable[[Lasso], Fraction]] = None
                            ) -> Optional[ShiftWitness]:
     """Compare f on the word and on its first `shifts` suffixes; return the
     first disagreement, if any.
