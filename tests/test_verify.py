@@ -13,11 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochgame import solve, verify
+from stochgame import payoff, solve, verify
 from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.chain import bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
-from stochgame import payoff
 from stochgame.payoff import (
     Lasso, ShufflePattern, check_shift_invariance, check_submixing,
     parse_payoff_spec, reward,
@@ -402,11 +401,12 @@ def test_shift_search_reports_its_max_cycle():
     assert [r.instance["max_cycle"] for r in reports] == [1, 4]
 
 
-@pytest.mark.parametrize("cells", [1, 37])
+@pytest.mark.parametrize("cells", [1, 700])
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_grid_row_blocks_give_the_whole_grid_reports(monkeypatch, name, cells):
-    # one row, or a few, per block: the same first (u, v) hit in row-major
-    # order, and the whole grid counted per pattern
+    # one row per block, or 23 rows of 30 and 4 of 155 with a short last
+    # block: the same first (u, v) hit in row-major order, and the whole
+    # grid counted per pattern
     spec = parse_payoff_spec(name)
     runs = [(SearchBounds(max_cycle, random_cases), seed)
             for max_cycle in (1, 2, 3) for random_cases in (0, 300)
@@ -418,8 +418,8 @@ def test_grid_row_blocks_give_the_whole_grid_reports(monkeypatch, name, cells):
 
 
 def test_grid_memory_stays_flat_past_a_million_cells():
-    # 3,905 cycles at max_cycle 5: a whole int64 grid is 122 MB, and the
-    # search allocated about 300 MB at its peak before the row blocks
+    # 3,905 cycles at max_cycle 5: one int64 array over the whole grid is
+    # 122 MB, and the closed forms hold several at once
     tracemalloc.start()
     try:
         report = search_submixing_violation(
