@@ -74,6 +74,11 @@ class InducedChain:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        """`bottom_classes` of the chain, found on first read and kept."""
+        return bottom_classes(self)
+
 
 class RecurrentClassSummary:
     """One bottom SCC of a chain, as `payoff.class_value` reads it.  The

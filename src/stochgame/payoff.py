@@ -14,7 +14,6 @@ over a corpus is only evidence.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,17 +249,6 @@ class Lasso:
         if n < len(self.prefix):
             return self.prefix[n]
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
-
-    def suffix(self, k: int = 1) -> "Lasso":
-        """The word with its first k letters removed: a shorter prefix, or
-        the cycle rotated by the letters taken past the prefix."""
-        if k < 0:
-            raise PayoffError(f"cannot remove {k} letters from a word")
-        p = len(self.prefix)
-        if k <= p:
-            return Lasso(self.prefix[k:], self.cycle)
-        r = (k - p) % len(self.cycle)
-        return Lasso((), self.cycle[r:] + self.cycle[:r])
 
     def unroll(self, n: int) -> list:
         return [self.letter(i) for i in range(n)]
@@ -533,34 +521,41 @@ class ShiftWitness:
 
 
 def check_shift_invariance(spec: PayoffSpec, word: Lasso, shifts: int,
-                           value: Optional[Callable[[Lasso], Fraction]] = None
+                           value: Optional[Callable[[tuple], Fraction]] = None
                            ) -> Optional[ShiftWitness]:
     """Compare f on the word and on its first `shifts` suffixes; return the
     first disagreement, if any.
 
-    Each word's value is read through `value`, by default `evaluate_lasso`
-    on `spec`; a caller may pass its own, such as a memo over words spelled
-    in another alphabet.  The suffixes run round an orbit: once past the
-    prefix they rotate the cycle.  The first prefix-free word on it (the
-    word itself, or the first suffix that reaches the cycle) is kept, and a
-    later suffix equal to it ends the search with None, unevaluated.  That
-    stop is sound without trusting `Lasso.suffix` or `value`: both are
-    functions of the word, so from there on the suffixes and their values
-    repeat words already compared with the base, and the first disagreeing
-    shift is the same.  A word with p prefix letters and a cycle of
-    primitive period q costs min(shifts + 1, p + q) reads of `value`.
+    The suffixes run round an orbit of (prefix, cycle) pairs of tuples:
+    each drops the prefix's first letter or, past the prefix, rotates the
+    cycle.  Each pair's value is read through `value`, by default
+    `evaluate_lasso` on `spec` of the lasso it spells; a caller may pass its
+    own, such as a memo over words spelled in another alphabet.  The first
+    prefix-free pair on the orbit (the word's own, or the first suffix that
+    reaches the cycle) is kept, and a later pair equal to it ends the search
+    with None, unevaluated.  That stop is sound without trusting `value`: it
+    is a function of the word, so from there on the suffixes and their
+    values repeat words already compared with the base, and the first
+    disagreeing shift is the same.  A word with p prefix letters and a
+    cycle of primitive period q costs min(shifts + 1, p + q) reads of
+    `value`.
     """
     if shifts < 1:
         raise PayoffError("shifts must be >= 1")
     if value is None:
-        value = functools.partial(evaluate_lasso, spec)
-    base = value(word)
-    current = word
-    start = None if word.prefix else word
+        def value(pair):
+            return evaluate_lasso(spec, Lasso(*pair))
+    prefix, cycle = word.prefix, word.cycle
+    base = value((prefix, cycle))
+    start = None if prefix else (prefix, cycle)
     for k in range(1, shifts + 1):
-        current = current.suffix(1)
+        if prefix:
+            prefix = prefix[1:]
+        else:
+            cycle = cycle[1:] + cycle[:1]
+        current = (prefix, cycle)
         if start is None:
-            if not current.prefix:
+            if not prefix:
                 start = current
         elif current == start:
             return None

@@ -606,7 +606,7 @@ def _stop_flags(chain: InducedChain, values: ValueVector, stopping_rule
     else:
         raise SolveError(f"unknown stopping rule {kind!r}")
     absorbing = [False] * n
-    for cls in bottom_classes(chain):
+    for cls in chain.classes:
         if len({values.values[chain.state_of(i)] for i in cls}) != 1:
             raise SolveError(
                 "bottom class mixes state values; the stopped limit is "

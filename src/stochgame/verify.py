@@ -29,7 +29,7 @@ import numpy as np
 
 from . import solve
 from .arena import P1, P2, Arena
-from .chain import InducedChain, bottom_classes, induce_chain, product_skeleton
+from .chain import InducedChain, induce_chain, product_skeleton
 from .fixtures import build_fig1, fig1_alternating_strategy
 from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
@@ -268,10 +268,10 @@ _FAST_SPECS = ("mean", "limsup", "liminf", "parity", "posavg",
 # blocks of at most this many cells (one row when a row is longer), so its
 # memory stays flat as the cycle count grows.
 _GRID_CELLS = 1 << 20
-# The seeded submixing cases of a _FAST_SPECS payoff are decided this many at
-# a time; the search stops at the first block holding a violation.  A block
+# The seeded cases of both searches are drawn and decided this many at a
+# time; a search stops at the first block holding a violation.  A block
 # keeps its drawn cases alive, so its size bounds the memory of any
-# random_cases.
+# random_cases.  It does not change the cases (`_drawn_blocks`).
 _CASE_BLOCK = 1024
 
 
@@ -346,39 +346,31 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     raise FlagGateError(f"no closed form for {spec.format()}")
 
 
-def _cycle_positions(cycles, k: int) -> np.ndarray:
-    """Each index cycle's position in the exhaustive table: the cycles of
-    1, 2, ... letters over k letters, each length in `itertools.product`
-    order.  A cycle of n letters sits after the k + ... + k^(n-1) shorter
-    ones, at its base-k number among its own length; reading its letters as
-    digits 1..k (bijective base k) adds 1 + k + ... + k^(n-1), one too
-    many."""
-    out = []
-    for c in cycles:
-        pos = 0
-        for i in c:
-            pos = pos * k + i + 1
-        out.append(pos - 1)
-    return np.array(out, dtype=np.int64)
+def _cycle_positions(words: np.ndarray, k: int) -> np.ndarray:
+    """Each drawn word's cycle position in the exhaustive table: the cycles
+    of 1, 2, ... letters over k letters, each length in `itertools.product`
+    order.  The words have max_prefix 2 (`_word_columns`).  A cycle of n
+    letters sits after the k + ... + k^(n-1) shorter ones, at its base-k
+    number among its own length; reading its letters as digits 1..k
+    (bijective base k) adds 1 + k + ... + k^(n-1), one too many."""
+    pos = np.zeros(len(words), dtype=np.int64)
+    for i in range(words.shape[1] - 4):
+        pos = np.where(i < words[:, 3], pos * k + words[:, 4 + i] + 1, pos)
+    return pos - 1
 
 
-def _decided_blocks(spec: PayoffSpec, stats: dict, k: int,
-                    bounds: SearchBounds, rng: random.Random):
-    """Draw the seeded cases, as letter indices below k, in blocks of
-    _CASE_BLOCK; yield each block with the closed forms' verdict on each of
-    its cases.  A case's cycle statistics are read off `stats`, the
-    exhaustive phase's table of every cycle of 1..max_cycle letters, and its
-    tail sums off its pattern's two-block tail."""
-    for done in range(0, bounds.random_cases, _CASE_BLOCK):
-        block = [_random_case(rng, k, bounds.max_cycle)
-                 for _ in range(min(_CASE_BLOCK, bounds.random_cases - done))]
-        at_u = _cycle_positions([u[1] for u, _, _ in block], k)
-        at_v = _cycle_positions([v[1] for _, v, _ in block], k)
-        tails = np.array([tail for _, _, (_, tail) in block], dtype=np.int64)
+def _decided_blocks(spec: PayoffSpec, stats: dict, k: int, blocks):
+    """Yield each block of drawn submixing cases (`_drawn_blocks`) with the
+    closed forms' verdict on each of its cases, reading its cycles'
+    statistics off `stats`, the exhaustive phase's table of every cycle of
+    1..max_cycle letters, and its tail sums off its last two columns."""
+    for block in blocks:
+        w = (block.shape[1] - 7) // 2  # each word's columns (`_case_columns`)
+        at_u, at_v = (_cycle_positions(block[:, s:s + w], k) for s in (0, w))
         yield block, _fast_violations(
             spec, {key: x[at_u] for key, x in stats.items()},
             {key: x[at_v] for key, x in stats.items()},
-            tails[:, 0], tails[:, 1])
+            block[:, -2], block[:, -1])
 
 
 def _confirmed_witness(spec: PayoffSpec, u: Lasso, v: Lasso,
@@ -397,16 +389,16 @@ def search_submixing_violation(spec: PayoffSpec,
     """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
     whose payoff beats both components.
 
-    The seeded cases are drawn as letter indices into the default alphabet
-    (`_random_case`).  For a _FAST_SPECS payoff, which reads only the
-    cycles, both phases are decided by `_fast_violations`'s closed forms:
-    the exhaustive phase as a cycle-by-cycle grid per pattern, in row blocks
-    of at most _GRID_CELLS cells, the seeded cases in blocks of _CASE_BLOCK,
-    each reduced to its two cycles' rows of the exhaustive phase's
-    statistics and its pattern's tail sums.  The first flagged case, in
-    grid or draw order, is spelled in the alphabet and re-evaluated through
-    the ordinary shuffle/evaluation path before being reported.  Other
-    payoffs spell every case and evaluate it that way."""
+    The seeded cases are integer arrays of letter indices into the default
+    alphabet and block lengths (`_drawn_blocks`).  For a _FAST_SPECS payoff,
+    which reads only the cycles, both phases are decided by
+    `_fast_violations`'s closed forms: the exhaustive phase as a grid per
+    pattern, in row blocks of at most _GRID_CELLS cells, the seeded cases a
+    block at a time, each reduced to its two cycles' rows of the exhaustive
+    phase's statistics and its pattern's tail sums.  The first flagged
+    case, in grid or draw order, is spelled in the alphabet and
+    re-evaluated through the ordinary shuffle/evaluation path before being
+    reported.  Other payoffs spell every case and evaluate it that way."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
@@ -419,7 +411,8 @@ def search_submixing_violation(spec: PayoffSpec,
         return VerificationReport("submixing", instance, "refuted",
                                   {"cases": cases}, _submix_witness_doc(witness))
 
-    rng = random.Random(seed)
+    drawn = _drawn_blocks(random.Random(seed),
+                          _case_columns(k, bounds.max_cycle), bounds.random_cases)
     if spec.name in _FAST_SPECS:
         cycles = [c for n in range(1, bounds.max_cycle + 1)
                   for c in itertools.product(alphabet, repeat=n)]
@@ -437,12 +430,12 @@ def search_submixing_violation(spec: PayoffSpec,
                         spec, Lasso((), cycles[top + iu]),
                         Lasso((), cycles[iv]),
                         ShufflePattern.alternating(a, b)))
-        for block, viol in _decided_blocks(spec, st, k, bounds, rng):
+        for block, viol in _decided_blocks(spec, st, k, drawn):
             hits = np.flatnonzero(viol)
             if hits.size:
                 cases += int(hits[0]) + 1
-                return refuted(_confirmed_witness(
-                    spec, *_spelled_case(alphabet, block[hits[0]])))
+                return refuted(_confirmed_witness(spec, *_spelled_case(
+                    alphabet, block[hits[0]].tolist())))
             cases += len(block)
     else:
         small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
@@ -454,12 +447,12 @@ def search_submixing_violation(spec: PayoffSpec,
                                           ShufflePattern.alternating(a, b))
                 if witness is not None:
                     return refuted(witness)
-        for _ in range(bounds.random_cases):
-            cases += 1
-            witness = check_submixing(spec, *_spelled_case(
-                alphabet, _random_case(rng, k, bounds.max_cycle)))
-            if witness is not None:
-                return refuted(witness)
+        for block in drawn:
+            for row in block.tolist():
+                cases += 1
+                witness = check_submixing(spec, *_spelled_case(alphabet, row))
+                if witness is not None:
+                    return refuted(witness)
     return VerificationReport(
         "submixing", instance, "confirmed", {"cases": cases})
 
@@ -473,36 +466,35 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     the seeded words, drawn after them, prefixes of 0..3 and cycles of
     1..max_cycle.
 
-    The words are lassos over letter indices into the default alphabet.
-    `check_shift_invariance` reads their values through one memo per
-    search, which spells each distinct word and evaluates it through
+    The words are lassos over letter indices into the default alphabet, the
+    seeded ones read off `_drawn_blocks`.  `check_shift_invariance` reads
+    the values of their suffixes' (prefix, cycle) pairs through one memo per
+    search, which spells each distinct pair and evaluates it through
     `evaluate_lasso` once.  That is sound on the trust the check's orbit
     stop already states: the value is a function of the word.  Every shift
     is still compared with its word's value, and a witness word is spelled
     for the report."""
     alphabet = default_alphabet(spec)
+    k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
-    letters = range(len(alphabet))
-    rng = random.Random(seed)
     exhaustive = (Lasso(pre, cyc) for plen in range(3)
                   for clen in range(1, min(bounds.max_cycle, 2) + 1)
-                  for pre in itertools.product(letters, repeat=plen)
-                  for cyc in itertools.product(letters, repeat=clen))
-    seeded = (Lasso(*_random_lasso(rng, len(alphabet), bounds.max_cycle,
-                                   max_prefix=3))
-              for _ in range(bounds.random_cases))
-    memo: dict = {}
+                  for pre in itertools.product(range(k), repeat=plen)
+                  for cyc in itertools.product(range(k), repeat=clen))
+    seeded = (Lasso(*_word(row, 3))
+              for block in _drawn_blocks(
+                  random.Random(seed), _word_columns(k, bounds.max_cycle, 3),
+                  bounds.random_cases)
+              for row in block.tolist())
 
-    def value(word: Lasso):
-        key = (word.prefix, word.cycle)
-        try:
-            return memo[key]
-        except KeyError:
-            v = memo[key] = evaluate_lasso(
-                spec, _spelled(alphabet, word.prefix, word.cycle))
+    class Memo(dict):
+        def __missing__(self, pair: tuple):
+            v = self[pair] = evaluate_lasso(spec, _spelled(alphabet, *pair))
             return v
+
+    value = Memo().__getitem__
 
     cases = 0
     for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
@@ -516,36 +508,41 @@ def search_shift_invariance_violation(spec: PayoffSpec,
         "shift-invariance", instance, "confirmed", {"cases": cases})
 
 
-def _random_lasso(rng: random.Random, k: int, max_cycle: int,
-                  max_prefix: int = 2) -> tuple[tuple, tuple]:
-    """A seeded word's prefix and cycle, as letter indices below k.
-    `Random.choice` reads only the length of what it draws from, so the
-    stream is the one a draw from a k-letter alphabet consumes."""
-    letters = range(k)
-    pre = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_prefix)))
-    cyc = tuple(rng.choice(letters) for _ in range(rng.randint(1, max_cycle)))
-    return pre, cyc
+def _word_columns(k: int, max_cycle: int, max_prefix: int) -> list:
+    """The (lo, hi) range of each column of a drawn word over k letters:
+    its prefix length, max_prefix prefix letters, its cycle length and
+    max_cycle cycle letters, of which `_word` reads the first ones."""
+    return ([(0, max_prefix)] + [(0, k - 1)] * max_prefix
+            + [(1, max_cycle)] + [(0, k - 1)] * max_cycle)
 
 
-def _random_case(rng: random.Random, k: int, max_cycle: int) -> tuple:
-    """A seeded submixing case: u's and v's (prefix, cycle) over letter
-    indices below k, then the pattern's (prefix, tail) block lengths."""
-    u = _random_lasso(rng, k, max_cycle)
-    v = _random_lasso(rng, k, max_cycle)
-    return u, v, _random_pattern(rng)
+def _case_columns(k: int, max_cycle: int) -> list:
+    """The (lo, hi) range of each column of a drawn submixing case: u's and
+    v's words, max_prefix 2 each, then the pattern's number of (u, v)
+    prefix block pairs, four prefix blocks and two tail blocks."""
+    word = _word_columns(k, max_cycle, 2)
+    return word + word + [(0, 2)] * 5 + [(1, 3)] * 2
 
 
-def _random_pattern(rng: random.Random) -> tuple[tuple, tuple]:
-    """A shuffle pattern's (prefix, tail) block lengths; the tail is one
-    (u, v) pair of blocks, each consuming at least one letter."""
-    prefix = tuple(rng.randint(0, 2)
-                   for _ in range(2 * rng.randint(0, 2)))
-    tail = [rng.randint(0, 3), rng.randint(0, 3)]
-    if sum(tail[0::2]) == 0:
-        tail[0] = rng.randint(1, 3)
-    if sum(tail[1::2]) == 0:
-        tail[1] = rng.randint(1, 3)
-    return prefix, tuple(tail)
+def _drawn_blocks(rng: random.Random, columns: list, n: int):
+    """n seeded cases, in arrays of at most _CASE_BLOCK rows with column j
+    uniform over columns[j] = (lo, hi).  Each case reads one 32-bit word
+    per column, in case order, from `rng.getrandbits`, and a word w becomes
+    lo + (w * (hi - lo + 1) >> 32).  `getrandbits` lays out its words in
+    stream order, least significant first, so the blocks hold the cases of
+    one draw of all n, and the first n cases of a longer draw are these."""
+    lo, hi = np.array(columns, dtype=np.int64).T
+    for done in range(0, n, _CASE_BLOCK):
+        size = 4 * len(columns) * min(_CASE_BLOCK, n - done)
+        words = np.frombuffer(
+            rng.getrandbits(8 * size).to_bytes(size, "little"), "<u4")
+        yield lo + (words.reshape(-1, len(columns)) * (hi - lo + 1) >> 32)
+
+
+def _word(row: list, max_prefix: int) -> tuple[tuple, tuple]:
+    """A drawn word's prefix and cycle, as letter indices, from its row."""
+    c = max_prefix + 1
+    return tuple(row[1:1 + row[0]]), tuple(row[c + 1:c + 1 + row[c]])
 
 
 def _spelled(alphabet, prefix, cycle) -> Lasso:
@@ -554,10 +551,13 @@ def _spelled(alphabet, prefix, cycle) -> Lasso:
                  tuple(alphabet[i] for i in cycle))
 
 
-def _spelled_case(alphabet, case) -> tuple[Lasso, Lasso, ShufflePattern]:
-    (upre, ucyc), (vpre, vcyc), (prefix, tail) = case
-    return (_spelled(alphabet, upre, ucyc), _spelled(alphabet, vpre, vcyc),
-            ShufflePattern(prefix, tail))
+def _spelled_case(alphabet, row: list) -> tuple[Lasso, Lasso, ShufflePattern]:
+    """The lassos and pattern of a drawn submixing case's row."""
+    w = (len(row) - 7) // 2  # each word's columns (`_case_columns`)
+    pairs, blocks = row[2 * w], row[2 * w + 1:]
+    return (_spelled(alphabet, *_word(row, 2)),
+            _spelled(alphabet, *_word(row[w:], 2)),
+            ShufflePattern(tuple(blocks[:2 * pairs]), tuple(blocks[4:])))
 
 
 def _lasso_doc(word: Lasso) -> dict:
@@ -914,7 +914,7 @@ def _adversarial_min(arena: Arena,
 def _class_states(chain: InducedChain) -> frozenset:
     """The states on the bottom-class nodes of a pair's chain."""
     return frozenset(chain.state_of(node)
-                     for cls in bottom_classes(chain) for node in cls)
+                     for cls in chain.classes for node in cls)
 
 
 def _value_changing_recurrent(classification: solve.ActionClassification,
@@ -923,7 +923,7 @@ def _value_changing_recurrent(classification: solve.ActionClassification,
     node of a pair's chain, sorted.  A graph fact: no stationary
     distribution is solved."""
     return sorted({(chain.state_of(node), mv.action)
-                   for cls in bottom_classes(chain) for node in cls
+                   for cls in chain.classes for node in cls
                    for mv in chain.moves[node]
                    if not classification.table[
                        (chain.state_of(node), mv.action)].value_preserving})

@@ -18,7 +18,7 @@ from stochgame.payoff import (
     increment, letter, parse_payoff_spec, priority, priority_lasso, reward,
     reward_buchi, reward_lasso, shuffle, vector, vector_lasso,
 )
-from stochgame.verify import _random_lasso, _spelled, default_alphabet
+from stochgame.verify import _drawn_blocks, _word_columns, default_alphabet
 
 mean = parse_payoff_spec("mean")
 par = parse_payoff_spec("parity")
@@ -190,13 +190,13 @@ def test_mean_pumping_invariant(cycle):
 
 def test_suffix_of_lasso():
     word = reward_lasso([1, 2], [3, 4])
-    assert word.suffix(1).unroll(5) == word.unroll(6)[1:]
-    assert word.suffix(3).unroll(5) == word.unroll(8)[3:]
+    assert _suffix(word, 1).unroll(5) == word.unroll(6)[1:]
+    assert _suffix(word, 3).unroll(5) == word.unroll(8)[3:]
 
 
 def test_suffix_rejects_a_negative_count():
     with pytest.raises(PayoffError):
-        reward_lasso([1, 2], [3, 4]).suffix(-1)
+        _suffix(reward_lasso([1, 2], [3, 4]), -1)
 
 
 def test_shift_invariance_mean_has_no_witness():
@@ -225,11 +225,27 @@ def _reference_shift_check(spec, word, shifts):
     base = payoff.evaluate_lasso(spec, word)
     current, found = word, None
     for k in range(1, shifts + 1):
-        current = current.suffix(1)
+        current = _suffix(current, 1)
         val = payoff.evaluate_lasso(spec, current)
         if found is None and val != base:
             found = ShiftWitness(word, k, base, val)
     return found
+
+
+def _drawn_rows(seed, columns, n):
+    # the library's n seeded rows from the seed, as lists
+    return [row for block in _drawn_blocks(random.Random(seed), columns, n)
+            for row in block.tolist()]
+
+
+def _token_word(row, alphabet, max_prefix):
+    # a drawn word's row, read by its documented columns: the prefix
+    # length, max_prefix prefix letters, the cycle length, then the cycle
+    # letters
+    plen, rest = row[0], row[1:]
+    prefix, (clen, *cycle) = rest[:max_prefix], rest[max_prefix:]
+    return Lasso(tuple(alphabet[i] for i in prefix[:plen]),
+                 tuple(alphabet[i] for i in cycle[:clen]))
 
 
 def _shift_oracle_words(alphabet):
@@ -240,10 +256,8 @@ def _shift_oracle_words(alphabet):
             for pre in itertools.product(alphabet, repeat=plen):
                 for cyc in itertools.product(alphabet, repeat=clen):
                     yield Lasso(pre, cyc)
-    rng = random.Random(5)
-    for _ in range(150):
-        yield _spelled(alphabet, *_random_lasso(rng, len(alphabet), 4,
-                                                max_prefix=3))
+    for row in _drawn_rows(5, _word_columns(len(alphabet), 4, 3), 150):
+        yield _token_word(row, alphabet, 3)
 
 
 def _rotation_sensitive(real, alphabet):
@@ -566,6 +580,18 @@ def _evaluate_lasso_oracle(spec, word):
     raise PayoffError(name)
 
 
+def _suffix(word, k):
+    # the word with its first k letters removed: a shorter prefix, or the
+    # cycle rotated by the letters taken past the prefix
+    if k < 0:
+        raise PayoffError(f"cannot remove {k} letters from a word")
+    p = len(word.prefix)
+    if k <= p:
+        return Lasso(word.prefix[k:], word.cycle)
+    r = (k - p) % len(word.cycle)
+    return Lasso((), word.cycle[r:] + word.cycle[:r])
+
+
 def _suffix_oracle(word, k):
     pre, cyc = list(word.prefix), list(word.cycle)
     for _ in range(k):
@@ -689,7 +715,7 @@ lassos = st.builds(Lasso, st.lists(letters, max_size=4).map(tuple),
 @settings(max_examples=200)
 def test_suffix_matches_letter_by_letter_oracle(word):
     for k in range(len(word.prefix) + 2 * len(word.cycle) + 1):
-        assert word.suffix(k) == _suffix_oracle(word, k)
+        assert _suffix(word, k) == _suffix_oracle(word, k)
 
 
 blocks = st.integers(0, 3)

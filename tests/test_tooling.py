@@ -27,12 +27,16 @@ SRC = ROOT / "src" / "stochgame"
 CORPUS = ROOT / "corpus" / "v1"
 
 
-def _sweep(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+def _sweep(*args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "halfpos_sweep.py"), *args],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_src_env(), timeout=300)
 
 
 def test_library_raises_instead_of_asserting():
@@ -145,20 +149,37 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
     verify._stationary_guarantees(cases[0][0], posavg, solve.DEFAULT_BUDGET)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_index_draws_consume_the_stream_as_letter_draws(k):
-    # the refutation searches draw letter indices, `choice(range(k))`, and
-    # keep their seeded cases only if that reads the stream exactly as
-    # `choice(alphabet)` does on a k-letter alphabet
-    alphabet = [f"letter{i}" for i in range(k)]
-    by_index, by_letter = random.Random(k), random.Random(k)
-    for _ in range(300):
-        n = by_index.randint(1, 4)
-        assert by_letter.randint(1, 4) == n
-        indices = [by_index.choice(range(k)) for _ in range(n)]
-        assert [alphabet[i] for i in indices] \
-            == [by_letter.choice(alphabet) for _ in range(n)]
-    assert by_index.getstate() == by_letter.getstate()
+@pytest.mark.parametrize("calls", [2, 3, 5])
+def test_getrandbits_reads_the_stream_in_word_order(calls):
+    # the refutation searches draw their seeded cases a block at a time
+    # (`verify._drawn_blocks`), and the cases are the same for any block
+    # size only if successive `getrandbits(32 * m)` calls read the 32-bit
+    # words of one call over all of them, least significant first
+    sizes = [7 * i + 1 for i in range(calls)]
+    blocks, whole = random.Random(calls), random.Random(calls)
+    parts = b"".join(blocks.getrandbits(32 * m).to_bytes(4 * m, "little")
+                     for m in sizes)
+    total = sum(sizes)
+    assert parts == whole.getrandbits(32 * total).to_bytes(4 * total, "little")
+    assert blocks.getstate() == whole.getstate()
+
+
+def test_refutation_searches_leave_numpy_random_unloaded():
+    # the seeded cases come from the interpreter's generator; loading
+    # numpy.random would add its import time and memory to every search
+    code = (
+        "import sys\n"
+        "from stochgame import payoff, verify\n"
+        "for name in ('mean', 'genmean:2'):\n"
+        "    spec = payoff.parse_payoff_spec(name)\n"
+        "    for search in (verify.search_submixing_violation,\n"
+        "                   verify.search_shift_invariance_violation):\n"
+        "        search(spec, verify.SearchBounds(), 0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_every_traced_function_resolves():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stochgame import chain as chain_module
 from stochgame import payoff, solve, verify
 from stochgame.arena import P1, P2, Arena, random_arena
 from stochgame.chain import bottom_classes, induce_chain
@@ -23,16 +24,19 @@ from stochgame.payoff import (
 )
 from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
-    SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _cycle_stats,
-    _decided_blocks, _fast_violations, _random_memory_strategy,
-    _class_states, _sample_locally_optimal, _shift_witness_doc,
-    _spelled_case, _stationary_guarantees, _submix_witness_doc,
-    _value_changing_recurrent, default_alphabet, doob_suite,
-    replay_submixing_witness, reproduce_counterexample,
-    search_shift_invariance_violation, search_submixing_violation,
-    verify_halfpos, verify_subgame_perfect, weakened_base,
+    SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _case_columns,
+    _cycle_stats, _decided_blocks, _drawn_blocks, _fast_violations,
+    _random_memory_strategy, _class_states, _sample_locally_optimal,
+    _shift_witness_doc, _spelled_case, _stationary_guarantees,
+    _submix_witness_doc, _value_changing_recurrent, _word_columns,
+    default_alphabet, doob_suite, replay_submixing_witness,
+    reproduce_counterexample, search_shift_invariance_violation,
+    search_submixing_violation, verify_halfpos, verify_subgame_perfect,
+    weakened_base,
 )
-from test_payoff import _prefix_counting, _rotation_sensitive
+from test_payoff import (
+    _drawn_rows, _prefix_counting, _rotation_sensitive, _token_word,
+)
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -313,7 +317,8 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
         monkeypatch, name):
     # every drawn case, prefixes and all, not only the first violation;
     # two whole blocks and a remainder, so block boundaries are crossed.
-    # Each index case, spelled, is the case the token draw gives.
+    # The blocks are the rows of one draw, and each index case, spelled, is
+    # the token case the test reads off its row.
     monkeypatch.setattr(verify, "_CASE_BLOCK", 64)
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
@@ -321,15 +326,17 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
     for seed in range(4):
         bounds = SearchBounds(max_cycle=seed + 1, random_cases=2 * 64 + 23)
         table = _cycle_stats(spec, _exhaustive_cycles(alphabet, seed + 1))
-        blocks = list(_decided_blocks(spec, table, len(alphabet), bounds,
-                                      random.Random(seed)))
+        columns = _case_columns(len(alphabet), seed + 1)
+        blocks = list(_decided_blocks(spec, table, len(alphabet), _drawn_blocks(
+            random.Random(seed), columns, bounds.random_cases)))
         assert [len(block) for block, _ in blocks] == [64, 64, 23]
-        reference = random.Random(seed)
+        assert np.concatenate([b for b, _ in blocks]).tolist() == _one_draw(
+            seed, columns, bounds.random_cases).tolist()
         for block, viol in blocks:
             assert viol.shape == (len(block),)
-            for case, flag in zip(block, viol):
-                case = _spelled_case(alphabet, case)
-                assert case == _token_case(reference, alphabet, seed + 1)
+            for row, flag in zip(block.tolist(), viol):
+                case = _spelled_case(alphabet, row)
+                assert case == _token_case(row, alphabet, seed + 1)
                 witness = check_submixing(spec, *case)
                 assert bool(flag) == (witness is not None), (name, seed, case)
                 flagged += bool(flag)
@@ -339,11 +346,8 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
 
 def _per_case_search(spec, bounds, seed):
     """The seeded phase as one check_submixing call per token case."""
-    alphabet = default_alphabet(spec)
-    rng = random.Random(seed)
-    for cases in range(1, bounds.random_cases + 1):
-        witness = check_submixing(
-            spec, *_token_case(rng, alphabet, bounds.max_cycle))
+    for cases, case in enumerate(_token_cases(spec, bounds, seed), 1):
+        witness = check_submixing(spec, *case)
         if witness is not None:
             return "refuted", cases, _submix_witness_doc(witness)
     return "confirmed", bounds.random_cases, None
@@ -370,6 +374,122 @@ def test_seeded_phase_matches_the_per_case_loop(monkeypatch, block, name,
             == _per_case_search(spec, bounds, seed)
         if verdict == "refuted":
             assert replay_submixing_witness(spec, report.witness)
+
+
+# -- the seeded draw ---------------------------------------------------------------
+
+def _one_draw(seed, columns, n):
+    # the stream as documented: one getrandbits call for all n cases, read
+    # as 32-bit words in case order, each mapped to lo + (w * span >> 32)
+    width = len(columns)
+    bits = random.Random(seed).getrandbits(32 * width * n)
+    words = np.frombuffer(bits.to_bytes(4 * width * n, "little"), "<u4")
+    lo, hi = np.array(columns, dtype=np.int64).T
+    return lo + (words.reshape(n, width).astype(np.int64) * (hi - lo + 1) >> 32)
+
+
+def test_seed_zero_draws_the_pinned_first_case():
+    # a submixing case over five letters at max_cycle 4, and a
+    # shift-invariance word: u = 1 3 . (2 0 1 4), v = 2 . (3 4 1 4), the
+    # pattern's prefix blocks (1, 1) and its tail (1, 2); the word
+    # 1 3 4 . (0 1).  Any change to the stream or the columns moves them.
+    (case,) = _drawn_rows(0, _case_columns(5, 4), 1)
+    assert case == [2, 1, 3, 4, 2, 0, 1, 4,
+                    1, 2, 2, 4, 3, 4, 1, 4,
+                    1, 1, 1, 2, 2, 1, 2]
+    # the mean's alphabet is the rewards -2..2
+    assert _spelled_case(default_alphabet(mean), case) == (
+        payoff.reward_lasso([-1, 1], [0, -2, -1, 2]),
+        payoff.reward_lasso([0], [1, 2, -1, 2]), ShufflePattern((1, 1), (1, 2)))
+    (word,) = _drawn_rows(0, _word_columns(5, 4, 3), 1)
+    assert word == [3, 1, 3, 4, 2, 0, 1, 4, 2]
+    assert verify._word(word, 3) == ((1, 3, 4), (0, 1))
+
+
+def test_the_extreme_words_draw_the_ends_of_each_range():
+    class Constant:
+        def __init__(self, bit):
+            self.bit = bit
+
+        def getrandbits(self, n):
+            return ((1 << n) - 1) * self.bit
+
+    columns = _case_columns(5, 4)
+    for bit, end in ((0, 0), (1, 1)):
+        (rows,) = _drawn_blocks(Constant(bit), columns, 3)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[c[end] for c in columns]] * 3
+
+
+@pytest.mark.parametrize("columns", [_case_columns(5, 4),
+                                     _word_columns(2, 3, 3)])
+@pytest.mark.parametrize("block", [7, verify._CASE_BLOCK])
+def test_a_shorter_draw_is_the_start_of_a_longer_one(monkeypatch, columns,
+                                                     block):
+    # so the cases a search draws do not depend on how it blocks them: in
+    # blocks of 7 or 1,024 rows, 2,000 cases are one getrandbits draw, and
+    # their first 300 are the draw of 300
+    monkeypatch.setattr(verify, "_CASE_BLOCK", block)
+    for seed in range(3):
+        whole = _drawn_rows(seed, columns, 2000)
+        assert whole == _one_draw(seed, columns, 2000).tolist()
+        assert whole[:300] == _drawn_rows(seed, columns, 300)
+
+
+def _long_cycle_rotation(real, alphabet):
+    # not shift-invariant, on words whose cycle has three or more letters:
+    # no exhaustive word has one, so only a seeded word can refute it
+    rank = {tok: i for i, tok in enumerate(alphabet)}
+    return lambda spec, word: real(spec, word) + (
+        rank[word.cycle[0]] if len(word.cycle) > 2 else 0)
+
+
+def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
+    # without exhaustive patterns the seeded cases decide each submixing
+    # search: refuted on genmean:2 (closed form) and discounted (case by
+    # case), confirmed on counter-inf and meancobuchi:100; the shift
+    # searches confirm mean and refute a seeded word under a broken
+    # evaluator.  Blocks of 1, 7 and 1,024 rows give the reports of one
+    # block of all 2,000.
+    monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
+    bounds = SearchBounds(max_cycle=4, random_cases=2000)
+
+    def reports():
+        out = [search_submixing_violation(parse_payoff_spec(name), bounds,
+                                          seed).to_json()
+               for name in ("genmean:2", "discounted", "counter-inf",
+                            "meancobuchi:100") for seed in (0, 1)]
+        out += [search_shift_invariance_violation(mean, bounds, seed).to_json()
+                for seed in (0, 1)]
+        with monkeypatch.context() as broken:
+            broken.setattr(verify, "evaluate_lasso", _long_cycle_rotation(
+                payoff.evaluate_lasso, default_alphabet(mean)))
+            out += [search_shift_invariance_violation(mean, bounds,
+                                                      seed).to_json()
+                    for seed in (0, 1)]
+        return out
+
+    monkeypatch.setattr(verify, "_CASE_BLOCK", 2000)
+    whole = reports()
+    verdicts = [json.loads(r)["verdict"] for r in whole]
+    assert verdicts == ["refuted"] * 4 + ["confirmed"] * 6 + ["refuted"] * 2
+    for block in (1, 7, 1024):
+        monkeypatch.setattr(verify, "_CASE_BLOCK", block)
+        assert reports() == whole, block
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_every_value_of_every_column_is_drawn_near_uniformly(k):
+    # over 100,000 draws each value of each (lo, hi) column appears, its
+    # share within one percentage point of 1 / (hi - lo + 1)
+    for columns in (_case_columns(k, 4), _word_columns(k, 4, 3)):
+        rows = np.concatenate(list(_drawn_blocks(random.Random(k), columns,
+                                                 100_000)))
+        for j, (lo, hi) in enumerate(columns):
+            counts = np.bincount(rows[:, j] - lo, minlength=hi - lo + 1)
+            assert len(counts) == hi - lo + 1 and counts.all(), (j, counts)
+            share = counts / len(rows)
+            assert np.abs(share - 1 / (hi - lo + 1)).max() <= 0.01, (j, share)
 
 
 @pytest.mark.parametrize("patterns", [(), verify.SEARCH_PATTERNS])
@@ -433,28 +553,28 @@ def test_grid_memory_stays_flat_past_a_million_cells():
 
 
 # -- the token-word searches, kept as oracles -------------------------------------
-# The two searches as they were written over colour tokens: every word and
-# case is drawn as tokens, the seeded cases' statistics are read off their
-# own token cycles, and every shift word is evaluated through
-# `evaluate_lasso` each time the check reads it.
+# The two searches as they were written over colour tokens: every seeded
+# word and case is read as tokens off the library's drawn rows, by the
+# columns the rows are documented to hold, the seeded cases' statistics are
+# read off their own token cycles, and every shift word is evaluated
+# through `evaluate_lasso` each time the check reads it.
 
 
-def _token_lasso(rng, alphabet, max_cycle, max_prefix=2):
-    pre = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_prefix)))
-    cyc = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_cycle)))
-    return Lasso(pre, cyc)
+def _token_case(row, alphabet, max_cycle):
+    # u's word and v's word (max_prefix 2), then the number of prefix
+    # block pairs, four prefix blocks and the two tail blocks
+    width = max_cycle + 4
+    u = _token_word(row[:width], alphabet, 2)
+    v = _token_word(row[width:2 * width], alphabet, 2)
+    pairs, *blocks = row[2 * width:]
+    return u, v, ShufflePattern(tuple(blocks[:2 * pairs]), tuple(blocks[4:]))
 
 
-def _token_case(rng, alphabet, max_cycle):
-    u = _token_lasso(rng, alphabet, max_cycle)
-    v = _token_lasso(rng, alphabet, max_cycle)
-    prefix = tuple(rng.randint(0, 2) for _ in range(2 * rng.randint(0, 2)))
-    tail = [rng.randint(0, 3), rng.randint(0, 3)]
-    if tail[0] == 0:
-        tail[0] = rng.randint(1, 3)
-    if tail[1] == 0:
-        tail[1] = rng.randint(1, 3)
-    return u, v, ShufflePattern(prefix, tuple(tail))
+def _token_cases(spec, bounds, seed):
+    alphabet = default_alphabet(spec)
+    rows = _drawn_rows(seed, _case_columns(len(alphabet), bounds.max_cycle),
+                       bounds.random_cases)
+    return [_token_case(row, alphabet, bounds.max_cycle) for row in rows]
 
 
 def _exhaustive_cycles(alphabet, max_cycle):
@@ -475,7 +595,6 @@ def _token_submixing_search(spec, bounds, seed):
             "submixing", instance, "refuted", {"cases": cases},
             _submix_witness_doc(witness))
 
-    rng = random.Random(seed)
     if spec.name in verify._FAST_SPECS:
         cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
         st = _cycle_stats(spec, cycles)
@@ -489,8 +608,7 @@ def _token_submixing_search(spec, bounds, seed):
                 return refuted(check_submixing(
                     spec, Lasso((), cycles[iu]), Lasso((), cycles[iv]),
                     ShufflePattern.alternating(a, b)))
-        drawn = [_token_case(rng, alphabet, bounds.max_cycle)
-                 for _ in range(bounds.random_cases)]
+        drawn = _token_cases(spec, bounds, seed)
         viol = _fast_violations(
             spec, _cycle_stats(spec, [u.cycle for u, _, _ in drawn]),
             _cycle_stats(spec, [v.cycle for _, v, _ in drawn]),
@@ -510,10 +628,9 @@ def _token_submixing_search(spec, bounds, seed):
                                           ShufflePattern.alternating(a, b))
                 if witness is not None:
                     return refuted(witness)
-        for _ in range(bounds.random_cases):
+        for case in _token_cases(spec, bounds, seed):
             cases += 1
-            witness = check_submixing(
-                spec, *_token_case(rng, alphabet, bounds.max_cycle))
+            witness = check_submixing(spec, *case)
             if witness is not None:
                 return refuted(witness)
     return verify.VerificationReport(
@@ -525,13 +642,13 @@ def _token_shift_search(spec, bounds, seed):
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
-    rng = random.Random(seed)
     exhaustive = (Lasso(pre, cyc) for plen in range(3)
                   for clen in range(1, min(bounds.max_cycle, 2) + 1)
                   for pre in itertools.product(alphabet, repeat=plen)
                   for cyc in itertools.product(alphabet, repeat=clen))
-    seeded = (_token_lasso(rng, alphabet, bounds.max_cycle, max_prefix=3)
-              for _ in range(bounds.random_cases))
+    rows = _drawn_rows(seed, _word_columns(len(alphabet), bounds.max_cycle, 3),
+                       bounds.random_cases)
+    seeded = (_token_word(row, alphabet, 3) for row in rows)
     cases = 0
     for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
         w = check_shift_invariance(spec, word, SHIFTS)
@@ -604,11 +721,11 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
     index_words = _counting(monkeypatch, verify)
     token_words = _counting(monkeypatch, payoff)
     report = search_shift_invariance_violation(spec, SearchBounds(), seed=7)
-    assert len(index_words) == len(set(index_words)) == 3229
+    assert len(index_words) == len(set(index_words)) == 3279
     assert not token_words
     assert report.to_json() == _token_shift_search(
         spec, SearchBounds(), seed=7).to_json()
-    assert len(token_words) == 10999
+    assert len(token_words) == 11045
     assert set(token_words) == set(index_words)
 
 
@@ -857,6 +974,39 @@ def test_doob_suite_builds_each_chain_from_the_source_once(monkeypatch):
         doob_suite(arena, spec, trials=20, seed=seed)
         assert seeds == [[(arena.states[0], "m0", "m0")]] * 2
         seeds.clear()
+
+
+def test_doob_suite_finds_each_chains_bottom_classes_once(monkeypatch):
+    # the first-hit stop set, the stopped-value checks and the recurrent
+    # value changes all read the two chains' classes from one graph pass
+    # each; the grid's chains, which `induce_chain` does not build, are
+    # not counted
+    real_induce, real_classes = induce_chain, bottom_classes
+    built, passes = [], []
+
+    def inducing(*args):
+        built.append(real_induce(*args))
+        return built[-1]
+
+    def finding(chain):
+        passes.append(chain)
+        return real_classes(chain)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] == "stochgame":
+            if getattr(module, "induce_chain", None) is real_induce:
+                monkeypatch.setattr(module, "induce_chain", inducing)
+            if getattr(module, "bottom_classes", None) is real_classes:
+                monkeypatch.setattr(module, "bottom_classes", finding)
+    assert chain_module.bottom_classes is finding
+    for seed, (kind, spec) in enumerate([("reward", mean), ("priority", parity),
+                                         ("reward", mean)]):
+        arena = random_arena(4, 3, seed=seed, kind=kind, density=F(1, 5))
+        doob_suite(arena, spec, trials=20, seed=seed)
+        assert len(built) == 2
+        assert [sum(p is chain for p in passes) for chain in built] == [1, 1]
+        built.clear()
+        passes.clear()
 
 
 def _all_states_class_states(arena, sigma, tau) -> frozenset:
