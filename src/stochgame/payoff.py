@@ -514,39 +514,58 @@ def shuffle(u: Lasso, v: Lasso, pattern: ShufflePattern) -> Lasso:
 
 @dataclass(frozen=True)
 class ShiftWitness:
-    word: Lasso
+    """A word, the first shift whose suffix's value differs from the word's,
+    and the two values, each as `check_shift_invariance` was given or read
+    it."""
+
+    word: Lasso | tuple
     shift: int
-    value: Fraction
-    shifted_value: Fraction
+    value: Any
+    shifted_value: Any
 
 
-def check_shift_invariance(spec: PayoffSpec, word: Lasso, shifts: int,
-                           value: Optional[Callable[[tuple], Fraction]] = None
+def check_shift_invariance(spec: PayoffSpec, word: Lasso | tuple, shifts: int,
+                           value: Optional[Callable[[tuple], Any]] = None,
+                           passed: Optional[set] = None
                            ) -> Optional[ShiftWitness]:
     """Compare f on the word and on its first `shifts` suffixes; return the
     first disagreement, if any.
 
-    The suffixes run round an orbit of (prefix, cycle) pairs of tuples:
-    each drops the prefix's first letter or, past the prefix, rotates the
-    cycle.  Each pair's value is read through `value`, by default
+    `word` is a `Lasso` or its (prefix, cycle) pair of tuples, and the
+    witness carries it as given.  The suffixes run round an orbit of such
+    pairs: each drops the prefix's first letter or, past the prefix, rotates
+    the cycle.  Each pair's value is read through `value`, by default
     `evaluate_lasso` on `spec` of the lasso it spells; a caller may pass its
-    own, such as a memo over words spelled in another alphabet.  The first
-    prefix-free pair on the orbit (the word's own, or the first suffix that
-    reaches the cycle) is kept, and a later pair equal to it ends the search
-    with None, unevaluated.  That stop is sound without trusting `value`: it
-    is a function of the word, so from there on the suffixes and their
-    values repeat words already compared with the base, and the first
-    disagreeing shift is the same.  A word with p prefix letters and a
-    cycle of primitive period q costs min(shifts + 1, p + q) reads of
-    `value`.
+    own, such as a memo over words spelled in another alphabet.  Values are
+    compared with `!=` only, so any values that are equal exactly when the
+    payoffs are serve, such as (numerator, denominator) pairs in lowest
+    terms, and the witness carries them as read.
+
+    The first prefix-free pair on the orbit (the word's own, or the first
+    suffix that reaches the cycle) is kept, and a later pair equal to it
+    ends the search with None, unevaluated.  That stop is sound without
+    trusting `value`: it is a function of the word, so from there on the
+    suffixes and their values repeat words already compared with the base,
+    and the first disagreeing shift is the same.  A word with p prefix
+    letters and a cycle of primitive period q costs min(shifts + 1, p + q)
+    reads of `value`.
+
+    `passed`, if given, is a set of pairs already known to hold for
+    `shifts` shifts under this `value`: each equals its own first `shifts`
+    suffixes.  A word that holds is added to it; a refuted one never is.  A
+    suffix found in it is compared with the base and ends the walk: the
+    suffixes after it are its own first suffixes, which equal its value, so
+    the first disagreeing shift is again the same.  The set is sound only
+    for one `shifts`, one `value` and one `spec`.
     """
     if shifts < 1:
         raise PayoffError("shifts must be >= 1")
     if value is None:
         def value(pair):
             return evaluate_lasso(spec, Lasso(*pair))
-    prefix, cycle = word.prefix, word.cycle
-    base = value((prefix, cycle))
+    pair = (word.prefix, word.cycle) if isinstance(word, Lasso) else word
+    prefix, cycle = pair
+    base = value(pair)
     start = None if prefix else (prefix, cycle)
     for k in range(1, shifts + 1):
         if prefix:
@@ -558,10 +577,14 @@ def check_shift_invariance(spec: PayoffSpec, word: Lasso, shifts: int,
             if not prefix:
                 start = current
         elif current == start:
-            return None
+            break
         val = value(current)
         if val != base:
             return ShiftWitness(word, k, base, val)
+        if passed is not None and current in passed:
+            break
+    if passed is not None:
+        passed.add(pair)
     return None
 
 

@@ -263,6 +263,8 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
 
 _FAST_SPECS = ("mean", "limsup", "liminf", "parity", "posavg",
                "genmean", "optgenmean", "counter+inf", "counter-inf")
+# The _FAST_SPECS payoffs whose closed form does not read the pattern.
+_PATTERN_FREE = ("limsup", "liminf", "parity")
 
 # The exhaustive submixing grid of a _FAST_SPECS payoff is decided in row
 # blocks of at most this many cells (one row when a row is longer), so its
@@ -393,7 +395,8 @@ def search_submixing_violation(spec: PayoffSpec,
     alphabet and block lengths (`_drawn_blocks`).  For a _FAST_SPECS payoff,
     which reads only the cycles, both phases are decided by
     `_fast_violations`'s closed forms: the exhaustive phase as a grid per
-    pattern, in row blocks of at most _GRID_CELLS cells, the seeded cases a
+    pattern (one grid, counted once per pattern, for the _PATTERN_FREE
+    payoffs), in row blocks of at most _GRID_CELLS cells, the seeded cases a
     block at a time, each reduced to its two cycles' rows of the exhaustive
     phase's statistics and its pattern's tail sums.  The first flagged
     case, in grid or draw order, is spelled in the alphabet and
@@ -419,7 +422,11 @@ def search_submixing_violation(spec: PayoffSpec,
         st = _cycle_stats(spec, cycles)
         row = {key: x[None, :] for key, x in st.items()}
         height = max(1, _GRID_CELLS // len(cycles))
-        for a, b in SEARCH_PATTERNS:
+        # a flagged cell of a _PATTERN_FREE grid is reported under the first
+        # pattern, as when each pattern's grid was decided
+        patterns = (SEARCH_PATTERNS[:1] if spec.name in _PATTERN_FREE
+                    else SEARCH_PATTERNS)
+        for a, b in patterns:
             cases += len(cycles) ** 2
             for top in range(0, len(cycles), height):
                 col = {key: x[top:top + height, None] for key, x in st.items()}
@@ -430,6 +437,7 @@ def search_submixing_violation(spec: PayoffSpec,
                         spec, Lasso((), cycles[top + iu]),
                         Lasso((), cycles[iv]),
                         ShufflePattern.alternating(a, b)))
+        cases += len(cycles) ** 2 * (len(SEARCH_PATTERNS) - len(patterns))
         for block, viol in _decided_blocks(spec, st, k, drawn):
             hits = np.flatnonzero(viol)
             if hits.size:
@@ -466,41 +474,59 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     the seeded words, drawn after them, prefixes of 0..3 and cycles of
     1..max_cycle.
 
-    The words are lassos over letter indices into the default alphabet, the
-    seeded ones read off `_drawn_blocks`.  `check_shift_invariance` reads
-    the values of their suffixes' (prefix, cycle) pairs through one memo per
-    search, which spells each distinct pair and evaluates it through
-    `evaluate_lasso` once.  That is sound on the trust the check's orbit
-    stop already states: the value is a function of the word.  Every shift
-    is still compared with its word's value, and a witness word is spelled
-    for the report."""
+    The words are (prefix, cycle) pairs of letter indices into the default
+    alphabet, the seeded ones read off `_drawn_blocks`.
+    `check_shift_invariance` reads the values of their suffixes through one
+    memo per search, which spells each distinct pair (each distinct index
+    tuple once) and evaluates it through `evaluate_lasso` once, keeping the
+    value as its (numerator, denominator) pair in lowest terms so that the
+    walk compares integers.  That is sound on the trust the check's orbit
+    stop already states: the value is a function of the word.  On the same
+    trust the search keeps one set of the words that passed: a word in it
+    is not walked again, and a walk that reaches one stops there after
+    comparing its value (see `check_shift_invariance`).  Every word still
+    counts in `cases`, and a witness is spelled, with its two values as
+    `Fraction`s, for the report."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
-    exhaustive = (Lasso(pre, cyc) for plen in range(3)
+    exhaustive = ((pre, cyc) for plen in range(3)
                   for clen in range(1, min(bounds.max_cycle, 2) + 1)
                   for pre in itertools.product(range(k), repeat=plen)
                   for cyc in itertools.product(range(k), repeat=clen))
-    seeded = (Lasso(*_word(row, 3))
+    seeded = (_word(row, 3)
               for block in _drawn_blocks(
                   random.Random(seed), _word_columns(k, bounds.max_cycle, 3),
                   bounds.random_cases)
               for row in block.tolist())
 
+    class Spelled(dict):
+        def __missing__(self, indices: tuple):
+            t = self[indices] = tuple(alphabet[i] for i in indices)
+            return t
+
     class Memo(dict):
         def __missing__(self, pair: tuple):
-            v = self[pair] = evaluate_lasso(spec, _spelled(alphabet, *pair))
+            prefix, cycle = pair
+            v = evaluate_lasso(spec, Lasso(spelled[prefix], spelled[cycle]))
+            v = self[pair] = (v.numerator, v.denominator)
             return v
 
+    spelled = Spelled()
     value = Memo().__getitem__
+    passed: set = set()
 
     cases = 0
     for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
-        w = check_shift_invariance(spec, word, SHIFTS, value)
+        if word in passed:
+            continue
+        w = check_shift_invariance(spec, word, SHIFTS, value, passed)
         if w is not None:
-            w = replace(w, word=_spelled(alphabet, word.prefix, word.cycle))
+            w = replace(w, word=_spelled(alphabet, *word),
+                        value=Fraction(*w.value),
+                        shifted_value=Fraction(*w.shifted_value))
             return VerificationReport(
                 "shift-invariance", instance, "refuted",
                 {"cases": cases}, _shift_witness_doc(w))

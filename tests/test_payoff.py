@@ -1,5 +1,7 @@
 """Exact payoff evaluation, shuffles, and the property refuters."""
 
+import collections
+import dataclasses
 import itertools
 import math
 import pickle
@@ -304,6 +306,47 @@ def test_orbit_stop_refutes_a_shift_dependent_evaluator_at_the_same_shift(
     monkeypatch.setattr(payoff, "evaluate_lasso",
                         evaluator(payoff.evaluate_lasso, alphabet))
     assert _compare_with_reference(spec, alphabet)
+
+
+@pytest.mark.parametrize("name", CATALOG_SPECS)
+@pytest.mark.parametrize("evaluator",
+                         [None, _rotation_sensitive, _prefix_counting])
+def test_passed_set_changes_no_verdict(monkeypatch, name, evaluator):
+    # one set per shift count, filled by walking the oracle words in order,
+    # each as its (prefix, cycle) pair: every word gets the witness or None
+    # it gets alone, and enters the set exactly when it holds
+    spec = parse_payoff_spec(name)
+    alphabet = default_alphabet(spec)
+    if evaluator is not None:
+        monkeypatch.setattr(payoff, "evaluate_lasso",
+                            evaluator(payoff.evaluate_lasso, alphabet))
+    values = {}
+    reads = collections.Counter()
+
+    def value(pair, walk):
+        reads[walk] += 1
+        if pair not in values:
+            values[pair] = payoff.evaluate_lasso(spec, Lasso(*pair))
+        return values[pair]
+
+    words = list(_shift_oracle_words(alphabet))
+    for shifts in range(1, 10):
+        passed = set()
+        for word in words:
+            pair = (word.prefix, word.cycle)
+            alone = check_shift_invariance(
+                spec, word, shifts, lambda p: value(p, "alone"))
+            got = check_shift_invariance(
+                spec, pair, shifts, lambda p: value(p, "passed"), passed)
+            assert got == (None if alone is None
+                           else dataclasses.replace(alone, word=pair)), \
+                (word, shifts)
+            assert (pair in passed) == (alone is None), (word, shifts)
+    # the set only cuts walks short, and on the catalog's own evaluation,
+    # where most words hold, it cuts some
+    assert reads["passed"] <= reads["alone"]
+    if evaluator is None:
+        assert reads["passed"] < reads["alone"]
 
 
 P3_Q4 = reward_lasso([0, 1, 2], [1, -1, 2, 0])

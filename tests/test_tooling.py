@@ -149,6 +149,23 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
     verify._stationary_guarantees(cases[0][0], posavg, solve.DEFAULT_BUDGET)
 
 
+def test_shift_searches_never_compare_fractions(monkeypatch):
+    # the shift search's memo keeps each value as an integer pair and its
+    # walk compares those: with Fraction's equality raising, confirmed
+    # searches complete
+    def refuse(self, other):
+        raise AssertionError("a Fraction equality comparison")
+
+    for name in ("__eq__", "__ne__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError, match="equality comparison"):
+        Fraction(1, 2) != Fraction(1, 3)
+    for name in ("mean", "limsup", "parity", "genmean:2"):
+        report = verify.search_shift_invariance_violation(
+            parse_payoff_spec(name))
+        assert report.verdict == "confirmed", name
+
+
 @pytest.mark.parametrize("calls", [2, 3, 5])
 def test_getrandbits_reads_the_stream_in_word_order(calls):
     # the refutation searches draw their seeded cases a block at a time
