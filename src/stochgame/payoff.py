@@ -537,9 +537,9 @@ def check_shift_invariance(spec: PayoffSpec, word: Lasso | tuple, shifts: int,
     the cycle.  Each pair's value is read through `value`, by default
     `evaluate_lasso` on `spec` of the lasso it spells; a caller may pass its
     own, such as a memo over words spelled in another alphabet.  Values are
-    compared with `!=` only, so any values that are equal exactly when the
-    payoffs are serve, such as (numerator, denominator) pairs in lowest
-    terms, and the witness carries them as read.
+    compared with `!=` only, so any values equal exactly when the payoffs
+    are will do, such as (numerator, denominator) pairs in lowest terms;
+    the witness carries them as read.
 
     The first prefix-free pair on the orbit (the word's own, or the first
     suffix that reaches the cycle) is kept, and a later pair equal to it
