@@ -104,7 +104,7 @@ class RecurrentClassSummary:
     def value(self, spec: PayoffSpec) -> Fraction:
         found = self._values.get(spec)
         if found is None:
-            found = self._values[spec] = Fraction(class_value(spec, self))
+            found = self._values[spec] = class_value(spec, self)
         return found
 
     @cached_property

@@ -4,8 +4,12 @@ shift-invariance / submixing refuters.
 A payoff is a function of the infinite play.  Every class-determined payoff
 has one rule, `_limit_value`: the value of a play from the colours it sees
 infinitely often and, for the payoffs that weigh colours, their limit
-weights.  A lasso word's cycle (`evaluate_lasso`) and a chain's bottom class
-(`class_value`) are both valued by it.
+weights.  It reads colours as indices into a `LetterTable`, an alphabet
+whose colour kinds are checked once and whose values are scaled once to
+integer numerators over one denominator.  A word's cycle (`word_value`, on
+letter indices; `evaluate_lasso` values a lasso over the table of its own
+letters) and a chain's bottom class (`class_value`, over the table of its
+colour set) are both valued by it.
 
 Values are exact rationals throughout.  The property checkers are refuters,
 not provers: a returned witness is a proof of violation, absence of a witness
@@ -17,9 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import RecurrentClassSummary
@@ -281,76 +287,158 @@ def _check_kind(spec: PayoffSpec, tokens) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation: lasso words and recurrent classes
+# Exact evaluation: letter tables, index words and recurrent classes
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
+# Values as (numerator, denominator) pairs in lowest terms.
+_ZERO = (0, 1)
+_ONE = (1, 1)
+
+
+class LetterTable(NamedTuple):
+    """An alphabet read once for one payoff: its `letters`, each checked to
+    be a colour of the payoff's kind, and their values as integer
+    numerators `nums` over one denominator `den`, so that `letters[i]`'s
+    value is `nums[i] / den`.  A vector letter's numerators are a tuple,
+    one per dimension, and a reward-Buchi letter's are its reward's.  The
+    discounted and letter payoffs read the letters themselves, and their
+    `nums` are None."""
+
+    letters: tuple
+    nums: Optional[tuple]
+    den: int
+
+
+def letter_table(spec: PayoffSpec, letters) -> LetterTable:
+    """The table of `letters` under `spec`.  Raises ColourKindError unless
+    every letter is a colour of the payoff's kind, of its dimension for the
+    vector payoffs, and 0 or 1 for the geometric payoff."""
+    letters = tuple(letters)
+    _check_kind(spec, letters)
+    table = _table(spec, letters)
+    if spec.name == "geomfirstone" and (
+            table.den != 1 or not set(table.nums) <= {0, 1}):
+        raise ColourKindError("geomfirstone needs colours in {0, 1}")
+    return table
+
+
+def _table(spec: PayoffSpec, letters) -> LetterTable:
+    """The table of `letters`, colours of the payoff's kind already checked:
+    their values scaled to integer numerators over one denominator."""
+    letters = tuple(letters)
+    kind = spec.colour_kind
+    if kind in (DISCOUNTED, LETTER):
+        return LetterTable(letters, None, 1)
+    if kind == VECTOR:
+        dim = spec.dim
+        flat, den = scaled([x for t in letters for x in t.value])
+        nums = tuple(tuple(flat[i:i + dim]) for i in range(0, len(flat), dim))
+    else:
+        nums, den = scaled([t.value[0] for t in letters]
+                           if kind == REWARD_BUCHI else
+                           [t.value for t in letters])
+        nums = tuple(nums)
+    return LetterTable(letters, nums, den)
 
 
 def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
-    """Exact payoff of the ultimately periodic colour word.
+    """Exact payoff of the ultimately periodic colour word: `word_value`
+    over the table of the word's own letters."""
+    p = len(word.prefix)
+    letters = letter_table(spec, word.prefix + word.cycle)
+    return Fraction(*word_value(spec, letters, range(p),
+                                range(p, len(letters.letters))))
+
+
+def word_value(spec: PayoffSpec, letters: LetterTable, prefix,
+               cycle) -> tuple[int, int]:
+    """Exact payoff of the word prefix . cycle^omega, its letters given as
+    indices into `letters`, as a (numerator, denominator) pair in lowest
+    terms.  The cycle is not empty.
 
     The discounted and geometric payoffs read the whole word, and the
-    suffix-target payoff is 1 on every lasso.  Every other payoff is
-    class-determined: its value is `_limit_value` of the cycle, the letters
-    the word sees infinitely often, each weighing 1 over the cycle length.
+    suffix-target payoff is 1 on every ultimately periodic word.  Every
+    other payoff is class-determined: its value is `_limit_value` of the
+    cycle, the letters the word sees infinitely often, each weighing 1 over
+    the cycle length.
     """
-    _check_kind(spec, word.prefix + word.cycle)
     name = spec.name
     if name == "discounted":
-        return _discounted_value(word)
+        return _discounted_value(letters, prefix, cycle)
     if name == "suffixtarget":
         # The target word has strictly growing runs, so it is not ultimately
         # periodic and no ultimately periodic word shares a suffix with it.
         return _ONE
     if name == "geomfirstone":
-        return _geom_first_one(word)
-    return _limit_value(spec, word.cycle, None)
+        return _geom_first_one(letters, prefix, cycle)
+    return _limit_value(spec, letters, cycle, None)
+
+
+# The class-determined payoffs valued off the set of colours seen
+# infinitely often, whatever their weights; `meancobuchi` is too once a
+# Buchi colour is seen.
+_COLOUR_SET_RULES = ("limsup", "liminf", "parity")
 
 
 def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
     """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`:
-    `_limit_value` of its colour set, weighed by its `int_weights`.  Only
-    class-determined payoffs are accepted; the discounted and geometric
-    payoffs depend on the transient part and the suffix-target payoff is
-    not determined by the class at all."""
+    `_limit_value` of a table of its colours, weighed by its `int_weights`.
+
+    The colours' kind is checked first, before any weight is read.  A
+    payoff valued off the colour set reads the table of `colours`, and
+    never solves the stationary distribution; any other reads the table of
+    the colours of `int_weights`, built in the pass that reads the
+    weights, in their order.  Only class-determined payoffs are accepted;
+    the discounted and geometric payoffs depend on the transient part and
+    the suffix-target payoff is not determined by the class at all."""
     if not spec.is_class_determined:
         raise PayoffError(
             f"payoff {spec.format()} is not determined by the recurrent class")
-    _check_kind(spec, cls.colours)
-    return _limit_value(spec, cls.colours, cls)
+    colours = cls.colours
+    _check_kind(spec, colours)
+    name = spec.name
+    if name in _COLOUR_SET_RULES or (
+            name == "meancobuchi" and any(t.value[1] for t in colours)):
+        letters = _table(spec, colours)
+    else:
+        letters = _table(spec, [t for t, _ in cls.int_weights[1]])
+    return Fraction(*_limit_value(spec, letters, range(len(letters.letters)),
+                                  cls))
 
 
-def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
-    """The value of a play under a class-determined payoff, from the
-    colours `seen` it sees infinitely often and, read only by the payoffs
+def _limit_value(spec: PayoffSpec, letters: LetterTable, seen,
+                 cls) -> tuple[int, int]:
+    """The value of a play under a class-determined payoff, as a
+    (numerator, denominator) pair in lowest terms, from the indices `seen`
+    of the letters it sees infinitely often and, read only by the payoffs
     that weigh colours, their limit weights: integers over one denominator.
-    A lasso passes its cycle and `cls` None, each letter weighing 1 over the
-    cycle length; a bottom class passes its colours and itself, and its
-    `int_weights` must sum to their denominator.
+    A word passes its cycle and `cls` None, each letter weighing 1 over the
+    cycle length; a bottom class passes every letter of its table and
+    itself (see `class_value`), and its `int_weights`, read past the colour
+    set rules in the order of its table, must sum to their denominator.
 
     Win/lose conditions return 0/1, and the mean-co-Buchi payoff substitutes
-    the finite penalty -B for the unbounded one.  Colour values are read as
-    integer numerators over one denominator, so sums and comparisons are
-    integer operations: a mean is the one `Fraction` built, and
-    `limsup`/`liminf` return a seen colour's own value."""
+    the finite penalty -B for the unbounded one.  Values are the table's
+    integer numerators over its one denominator, so sums and comparisons
+    are integer operations."""
     name = spec.name
-    if name in ("limsup", "liminf"):
-        values = [t.value for t in seen]
-        nums, _ = scaled(values)
-        return values[nums.index(max(nums) if name == "limsup" else min(nums))]
+    nums = letters.nums
+    vals = [nums[i] for i in seen]
+    if name == "limsup":
+        return _lowest(max(vals), letters.den)
+    if name == "liminf":
+        return _lowest(min(vals), letters.den)
     if name == "parity":
-        return _ONE if max(t.value for t in seen) % 2 else _ZERO
-    if name == "meancobuchi" and any(t.value[1] for t in seen):
-        return -spec.penalty
+        return _ONE if max(vals) % 2 else _ZERO
+    if name == "meancobuchi" and any(letters.letters[i].value[1]
+                                     for i in seen):
+        return -spec.penalty.numerator, spec.penalty.denominator
     if cls is None:
-        toks, weights, den = seen, None, len(seen)
+        weights, den = None, len(vals)
     else:
         den, pairs = cls.int_weights
-        toks = [t for t, _ in pairs]
         weights = [w for _, w in pairs]
         total = sum(weights)
         if total != den:
@@ -359,20 +447,16 @@ def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
     if name in ("genmean", "optgenmean"):
         # One integer sum per dimension, over one common denominator: its
         # sign is the sign of that dimension's mean.
-        dim = spec.dim
-        nums, _ = scaled([x for t in toks for x in t.value])
         if weights is None:
-            sums = [sum(nums[i::dim]) for i in range(dim)]
+            sums = [sum(c) for c in zip(*vals)]
         else:
-            sums = [sum(map(mul, nums[i::dim], weights)) for i in range(dim)]
+            sums = [sum(map(mul, c, weights)) for c in zip(*vals)]
         if name == "genmean":
             return _ONE if all(s > 0 for s in sums) else _ZERO
         return _ONE if any(s >= 0 for s in sums) else _ZERO
-    nums, vden = scaled([t.value[0] for t in toks] if name == "meancobuchi"
-                        else [t.value for t in toks])
-    drift = sum(nums) if weights is None else sum(map(mul, nums, weights))
+    drift = sum(vals) if weights is None else sum(map(mul, vals, weights))
     if name in ("mean", "meancobuchi"):
-        return Fraction(drift, vden * den)
+        return _lowest(drift, letters.den * den)
     if name == "posavg":
         return _ONE if drift > 0 else _ZERO
     # counter+inf / counter-inf.  Nonzero drift sends the partial sums to
@@ -385,6 +469,12 @@ def _limit_value(spec: PayoffSpec, seen, cls) -> Fraction:
     return _ONE if (drift > 0) == (name == "counter+inf") else _ZERO
 
 
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, for a positive den."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def scaled(values) -> tuple[list[int], int]:
     """Integer numerators of `values` over the lcm of their denominators,
     and that lcm: `values[i] == nums[i] / den` for every i."""
@@ -395,31 +485,33 @@ def scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
-def _discounted_value(word: Lasso) -> Fraction:
+def _discounted_value(letters: LetterTable, prefix, cycle) -> tuple[int, int]:
+    toks = letters.letters
     total = Fraction(0)
     factor = Fraction(1)
-    for tok in word.prefix:
-        r, lam = tok.value
+    for i in prefix:
+        r, lam = toks[i].value
         total += factor * r
         factor *= lam
     cyc_sum = Fraction(0)
     cyc_factor = Fraction(1)
-    for tok in word.cycle:
-        r, lam = tok.value
+    for i in cycle:
+        r, lam = toks[i].value
         cyc_sum += cyc_factor * r
         cyc_factor *= lam
     # value of cycle^omega solves v = cyc_sum + cyc_factor * v
-    return total + factor * cyc_sum / (1 - cyc_factor)
+    value = total + factor * cyc_sum / (1 - cyc_factor)
+    return value.numerator, value.denominator
 
 
-def _geom_first_one(word: Lasso) -> Fraction:
-    for tok in word.prefix + word.cycle:
-        if tok.value not in (0, 1):
-            raise ColourKindError("geomfirstone needs colours in {0, 1}")
-    for n in range(len(word.prefix) + len(word.cycle)):
-        if word.letter(n).value == 1:
-            return 1 - Fraction(1, 2 ** n)
-    return Fraction(0)
+def _geom_first_one(letters: LetterTable, prefix, cycle) -> tuple[int, int]:
+    # 1 - 2^-n for the first letter 1 at position n; the table's numerators
+    # are the 0/1 values themselves
+    nums = letters.nums
+    for n, i in enumerate(itertools.chain(prefix, cycle)):
+        if nums[i]:
+            return 2 ** n - 1, 2 ** n
+    return _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +628,7 @@ def check_shift_invariance(spec: PayoffSpec, word: Lasso | tuple, shifts: int,
     pairs: each drops the prefix's first letter or, past the prefix, rotates
     the cycle.  Each pair's value is read through `value`, by default
     `evaluate_lasso` on `spec` of the lasso it spells; a caller may pass its
-    own, such as a memo over words spelled in another alphabet.  Values are
+    own, such as a memo of `word_value` over index words.  Values are
     compared with `!=` only, so any values equal exactly when the payoffs
     are will do, such as (numerator, denominator) pairs in lowest terms;
     the witness carries them as read.

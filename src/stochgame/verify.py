@@ -35,8 +35,8 @@ from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
     ColourToken, Lasso, PayoffSpec, ShufflePattern,
     check_shift_invariance, check_submixing, colour_from_json, colour_to_json,
-    discounted, evaluate_lasso, increment, letter, priority, reward,
-    reward_buchi, vector,
+    discounted, increment, letter, letter_table, priority, reward,
+    reward_buchi, vector, word_value,
 )
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, reset_strategy,
@@ -475,18 +475,19 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     1..max_cycle.
 
     The words are (prefix, cycle) pairs of letter indices into the default
-    alphabet, the seeded ones read off `_drawn_blocks`.
-    `check_shift_invariance` reads the values of their suffixes through one
-    memo per search, which spells each distinct pair (each distinct index
-    tuple once) and evaluates it through `evaluate_lasso` once, keeping the
-    value as its (numerator, denominator) pair in lowest terms so that the
-    walk compares integers.  That is sound on the trust the check's orbit
-    stop already states: the value is a function of the word.  On the same
-    trust the search keeps one set of the words that passed: a word in it
-    is not walked again, and a walk that reaches one stops there after
-    comparing its value (see `check_shift_invariance`).  Every word still
-    counts in `cases`, and a witness is spelled, with its two values as
-    `Fraction`s, for the report."""
+    alphabet, the seeded ones read off `_drawn_blocks`.  The alphabet is
+    read once into a `LetterTable`: its colour kinds are checked and its
+    values scaled once per search.  `check_shift_invariance` reads the
+    values of the words' suffixes through one memo per search, which values
+    each distinct pair once through `word_value` on that table, as its
+    (numerator, denominator) pair in lowest terms, so that no word is
+    spelled and the walk compares integers.  That is sound on the trust the
+    check's orbit stop already states: the value is a function of the
+    word.  On the same trust the search keeps one set of the words that
+    passed: a word in it is not walked again, and a walk that reaches one
+    stops there after comparing its value (see `check_shift_invariance`).
+    Every word still counts in `cases`, and a witness is spelled, with its
+    two values as `Fraction`s, for the report."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
@@ -501,20 +502,13 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                   random.Random(seed), _word_columns(k, bounds.max_cycle, 3),
                   bounds.random_cases)
               for row in block.tolist())
-
-    class Spelled(dict):
-        def __missing__(self, indices: tuple):
-            t = self[indices] = tuple(alphabet[i] for i in indices)
-            return t
+    letters = letter_table(spec, alphabet)
 
     class Memo(dict):
         def __missing__(self, pair: tuple):
-            prefix, cycle = pair
-            v = evaluate_lasso(spec, Lasso(spelled[prefix], spelled[cycle]))
-            v = self[pair] = (v.numerator, v.denominator)
+            v = self[pair] = word_value(spec, letters, *pair)
             return v
 
-    spelled = Spelled()
     value = Memo().__getitem__
     passed: set = set()
 

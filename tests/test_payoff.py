@@ -615,12 +615,37 @@ def _evaluate_lasso_oracle(spec, word):
             return -spec.penalty
         return _cycle_mean([t.value[0] for t in cyc])
     if name == "discounted":
-        return payoff._discounted_value(word)
+        return _discounted_oracle(word)
     if name == "suffixtarget":
         return Fraction(1)
     if name == "geomfirstone":
-        return payoff._geom_first_one(word)
+        return _geom_first_one_oracle(word)
     raise PayoffError(name)
+
+
+def _discounted_oracle(word):
+    # the prefix and one round of the cycle summed letter by letter; the
+    # rest of the word repeats the cycle, so the cycle's sum counts
+    # 1 / (1 - the product of its discounts) times
+    def partial(start, n):
+        total, factor = Fraction(0), Fraction(1)
+        for k in range(start, start + n):
+            r, lam = word.letter(k).value
+            total += factor * r
+            factor *= lam
+        return total, factor
+
+    head, head_factor = partial(0, len(word.prefix))
+    cycle, cycle_factor = partial(len(word.prefix), len(word.cycle))
+    return head + head_factor * cycle / (1 - cycle_factor)
+
+
+def _geom_first_one_oracle(word):
+    values = [t.value for t in word.prefix + word.cycle]
+    if any(v not in (0, 1) for v in values):
+        raise ColourKindError("geomfirstone needs colours in {0, 1}")
+    return next((1 - Fraction(1, 2 ** n) for n, v in enumerate(values)
+                 if v == 1), Fraction(0))
 
 
 def _suffix(word, k):

@@ -3,6 +3,7 @@ options, and the scripts' command lines."""
 
 import argparse
 import ast
+import collections
 import contextlib
 import io
 import importlib.util
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from stochgame import acceptance, cli, solve, verify
+from stochgame import acceptance, cli, payoff, solve, verify
 from stochgame.arena import random_arena
 from stochgame.payoff import _CATALOG, parse_payoff_spec
 
@@ -164,6 +165,30 @@ def test_shift_searches_never_compare_fractions(monkeypatch):
         report = verify.search_shift_invariance_violation(
             parse_payoff_spec(name))
         assert report.verdict == "confirmed", name
+
+
+def test_shift_searches_check_and_scale_their_alphabet_once(monkeypatch):
+    # the letters' colour kinds are checked and their values scaled per
+    # search, not per word: 2,000 more seeded words make no more calls
+    calls = collections.Counter()
+    for name in ("_check_kind", "scaled"):
+        real = getattr(payoff, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(payoff, name, counted)
+    counts = []
+    for random_cases in (0, 2000):
+        calls.clear()
+        for name in ("mean", "limsup", "parity", "genmean:2"):
+            report = verify.search_shift_invariance_violation(
+                parse_payoff_spec(name), verify.SearchBounds(
+                    random_cases=random_cases), seed=3)
+            assert report.verdict == "confirmed", name
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"_check_kind": 4, "scaled": 4}
 
 
 @pytest.mark.parametrize("calls", [2, 3, 5])

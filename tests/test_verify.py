@@ -20,7 +20,7 @@ from stochgame.chain import bottom_classes, induce_chain
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import (
     Lasso, ShufflePattern, check_shift_invariance, check_submixing,
-    parse_payoff_spec, reward,
+    evaluate_lasso, parse_payoff_spec, reward,
 )
 from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
@@ -436,12 +436,26 @@ def test_a_shorter_draw_is_the_start_of_a_longer_one(monkeypatch, columns,
         assert whole[:300] == _drawn_rows(seed, columns, 300)
 
 
-def _long_cycle_rotation(real, alphabet):
+def _plus(real, extra):
+    # the index valuer `real` broken by adding the integer extra(prefix,
+    # cycle) to each value, which stays in lowest terms
+    def broken(spec, letters, prefix, cycle):
+        num, den = real(spec, letters, prefix, cycle)
+        return num + extra(prefix, cycle) * den, den
+
+    return broken
+
+
+def _long_cycle_rotation(prefix, cycle):
     # not shift-invariant, on words whose cycle has three or more letters:
     # no exhaustive word has one, so only a seeded word can refute it
-    rank = {tok: i for i, tok in enumerate(alphabet)}
-    return lambda spec, word: real(spec, word) + (
-        rank[word.cycle[0]] if len(word.cycle) > 2 else 0)
+    return cycle[0] if len(cycle) > 2 else 0
+
+
+# The token mutants of test_payoff, written on index words: the first cycle
+# letter's index is its rank in the alphabet.
+INDEX_MUTANTS = {_rotation_sensitive: lambda prefix, cycle: cycle[0],
+                 _prefix_counting: lambda prefix, cycle: len(prefix)}
 
 
 def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
@@ -462,8 +476,8 @@ def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
         out += [search_shift_invariance_violation(mean, bounds, seed).to_json()
                 for seed in (0, 1)]
         with monkeypatch.context() as broken:
-            broken.setattr(verify, "evaluate_lasso", _long_cycle_rotation(
-                payoff.evaluate_lasso, default_alphabet(mean)))
+            broken.setattr(verify, "word_value", _plus(
+                payoff.word_value, _long_cycle_rotation))
             out += [search_shift_invariance_violation(mean, bounds,
                                                       seed).to_json()
                     for seed in (0, 1)]
@@ -689,12 +703,13 @@ def test_index_searches_match_the_token_searches(name):
                                   "meancobuchi:100", "suffixtarget:ab"])
 def test_shift_search_refutes_a_shift_dependent_evaluator_as_the_token_search(
         monkeypatch, name, mutant):
-    # the evaluator the index search reads (through its memo) and the one
-    # the token search reads, both broken the same way
+    # the index valuer the index search reads (through its memo) and the
+    # evaluator the token search reads, both broken the same way
     spec = parse_payoff_spec(name)
-    broken = mutant(payoff.evaluate_lasso, default_alphabet(spec))
-    monkeypatch.setattr(verify, "evaluate_lasso", broken)
-    monkeypatch.setattr(payoff, "evaluate_lasso", broken)
+    monkeypatch.setattr(verify, "word_value",
+                        _plus(payoff.word_value, INDEX_MUTANTS[mutant]))
+    monkeypatch.setattr(payoff, "evaluate_lasso",
+                        mutant(payoff.evaluate_lasso, default_alphabet(spec)))
     for seed in range(3):
         bounds = SearchBounds(max_cycle=4, random_cases=300)
         report = search_shift_invariance_violation(spec, bounds, seed)
@@ -703,15 +718,15 @@ def test_shift_search_refutes_a_shift_dependent_evaluator_as_the_token_search(
                                                        seed).to_json()
 
 
-def _counting(monkeypatch, module):
-    real = module.evaluate_lasso
+def _counting(monkeypatch, module, name):
+    real = getattr(module, name)
     words = []
 
-    def counted(spec, word):
+    def counted(spec, *word):
         words.append(word)
-        return real(spec, word)
+        return real(spec, *word)
 
-    monkeypatch.setattr(module, "evaluate_lasso", counted)
+    monkeypatch.setattr(module, name, counted)
     return words
 
 
@@ -720,8 +735,9 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
     # and its passed set cuts the memo's reads from the token search's
     # 11,045 evaluations to 6,329, and skips 840 of the 2,930 words
     spec = parse_payoff_spec(name)
-    index_words = _counting(monkeypatch, verify)
-    token_words = _counting(monkeypatch, payoff)
+    alphabet = default_alphabet(spec)
+    index_words = _counting(monkeypatch, verify, "word_value")
+    token_words = _counting(monkeypatch, payoff, "evaluate_lasso")
     real = verify.check_shift_invariance
     walks, reads = [], []
 
@@ -736,14 +752,39 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
 
     monkeypatch.setattr(verify, "check_shift_invariance", walked)
     report = search_shift_invariance_violation(spec, SearchBounds(), seed=7)
-    assert len(index_words) == len(set(index_words)) == 3279
+    pairs = [(prefix, cycle) for _, prefix, cycle in index_words]
+    assert len(pairs) == len(set(pairs)) == 3279
     assert (len(reads), len(walks), report.quantities["cases"]) \
         == (6329, 2090, 2930)
     assert not token_words
     assert report.to_json() == _token_shift_search(
         spec, SearchBounds(), seed=7).to_json()
     assert len(token_words) == 11045
-    assert set(token_words) == set(index_words)
+    assert {word for word, in token_words} \
+        == {verify._spelled(alphabet, *pair) for pair in pairs}
+
+
+def _default_words(k):
+    # every index word with a prefix of 0-2 letters and a cycle of 1-4
+    # letters over k letters
+    for plen in range(3):
+        for clen in range(1, 5):
+            for prefix in itertools.product(range(k), repeat=plen):
+                for cycle in itertools.product(range(k), repeat=clen):
+                    yield prefix, cycle
+
+
+@pytest.mark.parametrize("name", ORACLE_PAYOFFS)
+def test_word_values_over_the_alphabet_table_match_evaluate_lasso(name):
+    # the search's index valuer over the default alphabet's table, against
+    # `evaluate_lasso` of the spelled lasso over its own letters' table
+    spec = parse_payoff_spec(name)
+    alphabet = default_alphabet(spec)
+    letters = payoff.letter_table(spec, alphabet)
+    for prefix, cycle in _default_words(len(alphabet)):
+        value = evaluate_lasso(spec, verify._spelled(alphabet, prefix, cycle))
+        assert payoff.word_value(spec, letters, prefix, cycle) == \
+            (value.numerator, value.denominator), (prefix, cycle)
 
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
