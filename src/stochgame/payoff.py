@@ -292,9 +292,11 @@ def _check_kind(spec: PayoffSpec, tokens) -> None:
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
-# Values as (numerator, denominator) pairs in lowest terms.
+# Values as (numerator, denominator) pairs in lowest terms, and the
+# `Fraction`s of the win/lose values, built once.
 _ZERO = (0, 1)
 _ONE = (1, 1)
+_FRACTIONS = {_ZERO: Fraction(0), _ONE: Fraction(1)}
 
 
 class LetterTable(NamedTuple):
@@ -348,7 +350,7 @@ def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
     over the table of the word's own letters."""
     p = len(word.prefix)
     letters = letter_table(spec, word.prefix + word.cycle)
-    return Fraction(*word_value(spec, letters, range(p),
+    return _fraction(word_value(spec, letters, range(p),
                                 range(p, len(letters.letters))))
 
 
@@ -404,7 +406,7 @@ def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
         letters = _table(spec, colours)
     else:
         letters = _table(spec, [t for t, _ in cls.int_weights[1]])
-    return Fraction(*_limit_value(spec, letters, range(len(letters.letters)),
+    return _fraction(_limit_value(spec, letters, range(len(letters.letters)),
                                   cls))
 
 
@@ -467,6 +469,12 @@ def _limit_value(spec: PayoffSpec, letters: LetterTable, seen,
     if drift == 0:
         return _ZERO if cls is None or cls.has_potential else _ONE
     return _ONE if (drift > 0) == (name == "counter+inf") else _ZERO
+
+
+def _fraction(pair: tuple[int, int]) -> Fraction:
+    """The `Fraction` of a value pair in lowest terms."""
+    found = _FRACTIONS.get(pair)
+    return Fraction(*pair) if found is None else found
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:
