@@ -219,7 +219,12 @@ def parse_payoff_spec(text: str) -> PayoffSpec:
     if name in ("genmean", "optgenmean"):
         if not sep:
             raise PayoffError(f"{name} needs a dimension, e.g. {name}:2")
-        return PayoffSpec(name, dim=int(arg))
+        try:
+            dim = int(arg)
+        except ValueError:
+            raise PayoffError(
+                f"{name} dimension is not an integer: {arg!r}") from None
+        return PayoffSpec(name, dim=dim)
     if name == "meancobuchi":
         if not sep:
             raise PayoffError("meancobuchi needs a penalty, e.g. meancobuchi:100")

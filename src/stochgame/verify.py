@@ -4,8 +4,9 @@ stopped-value suites, and the exact reproduction of the four-state
 letter-game counter-example.
 
 Searches are refuters: a refuted report always embeds a witness that
-replays.  A submixing witness found by the closed-form sweep is re-evaluated
-through the ordinary shuffle/evaluation path before being returned.
+replays.  Both searches decide index words over one letter table; a
+submixing witness is spelled and re-evaluated through the ordinary
+shuffle/evaluation path on tokens before being returned.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
@@ -18,6 +19,7 @@ refutes only where that response class is exact for the payoff
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -33,10 +35,10 @@ from .chain import InducedChain, induce_chain, product_skeleton
 from .fixtures import build_fig1, fig1_alternating_strategy
 from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
-    ColourToken, Lasso, PayoffSpec, ShufflePattern,
+    ColourToken, Lasso, LetterTable, PayoffSpec, ShufflePattern,
     check_shift_invariance, check_submixing, colour_from_json, colour_to_json,
     discounted, increment, letter, letter_table, priority, reward,
-    reward_buchi, vector, word_value,
+    reward_buchi, shuffle, vector, word_value,
 )
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, reset_strategy,
@@ -277,22 +279,20 @@ _GRID_CELLS = 1 << 20
 _CASE_BLOCK = 1024
 
 
-def _cycle_stats(spec: PayoffSpec, cycles: list[tuple]) -> dict:
-    """Integer summaries of pure-cycle lassos for the vectorized sweep."""
-    L = np.array([len(c) for c in cycles], dtype=np.int64)
-    stats = {"L": L}
-    kind = spec.colour_kind
-    if kind in (REWARD, INCREMENT, PRIORITY):
-        vals = [[int(t.value) for t in c] for c in cycles]
-        stats["S"] = np.array([sum(v) for v in vals], dtype=np.int64)
-        stats["MX"] = np.array([max(v) for v in vals], dtype=np.int64)
-        stats["MN"] = np.array([min(v) for v in vals], dtype=np.int64)
-    elif kind == VECTOR:
-        for d in range(spec.dim):
-            stats[f"S{d}"] = np.array(
-                [sum(int(t.value[d]) for t in c) for c in cycles],
-                dtype=np.int64)
-    return stats
+def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
+    """Integer summaries of every cycle of 1..max_cycle letters over the
+    table, in `_cycle_positions` order: its length L and its letters'
+    numerators' sum S, maximum MX and minimum MN, each with a trailing
+    dimension axis for a vector table."""
+    nums = np.array(letters.nums, dtype=np.int64)
+    parts = []
+    for n in range(1, max_cycle + 1):
+        # every cycle of n letters, in `itertools.product` order
+        vals = nums[np.indices((len(nums),) * n).reshape(n, -1).T]
+        parts.append((np.full(len(vals), n), vals.sum(1), vals.max(1),
+                      vals.min(1)))
+    return {key: np.concatenate(x)
+            for key, x in zip(("L", "S", "MX", "MN"), zip(*parts))}
 
 
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
@@ -341,7 +341,7 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
         fu = fv = every
         fw = np.full(np.broadcast_shapes(Lu.shape, Lv.shape), every)
         for d in range(spec.dim):
-            Su, Sv = su[f"S{d}"], sv[f"S{d}"]
+            Su, Sv = su["S"][..., d], sv["S"][..., d]
             fu, fv = join(fu, wins(Su, 0)), join(fv, wins(Sv, 0))
             join(fw, wins(blended(Su, Sv), 0), out=fw)
         return fw & ~fu & ~fv
@@ -375,92 +375,90 @@ def _decided_blocks(spec: PayoffSpec, stats: dict, k: int, blocks):
             block[:, -2], block[:, -1])
 
 
-def _confirmed_witness(spec: PayoffSpec, u: Lasso, v: Lasso,
-                       pattern: ShufflePattern):
-    """The witness of a case the closed forms flag, found again through the
-    ordinary shuffle/evaluation path."""
-    witness = check_submixing(spec, u, v, pattern)
-    if witness is None:
-        raise AssertionError("closed-form sweep and full evaluation disagree")
-    return witness
-
-
 def search_submixing_violation(spec: PayoffSpec,
                                bounds: SearchBounds = SearchBounds(),
                                seed: int = 0) -> VerificationReport:
     """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
     whose payoff beats both components.
 
-    The seeded cases are integer arrays of letter indices into the default
-    alphabet and block lengths (`_drawn_blocks`).  For a _FAST_SPECS payoff,
-    which reads only the cycles, both phases are decided by
-    `_fast_violations`'s closed forms: the exhaustive phase as a grid per
-    pattern (one grid, counted once per pattern, for the _PATTERN_FREE
-    payoffs), in row blocks of at most _GRID_CELLS cells, the seeded cases a
-    block at a time, each reduced to its two cycles' rows of the exhaustive
-    phase's statistics and its pattern's tail sums.  The first flagged
-    case, in grid or draw order, is spelled in the alphabet and
-    re-evaluated through the ordinary shuffle/evaluation path before being
-    reported.  Other payoffs spell every case and evaluate it that way."""
+    The cases are words of letter indices into the default alphabet, read
+    once into a `LetterTable`, the seeded ones with their patterns read off
+    `_drawn_blocks`.  For a _FAST_SPECS payoff, which reads only the
+    cycles, both phases are decided by `_fast_violations`'s closed forms on
+    the table's `_cycle_stats`: the exhaustive phase as a grid per pattern
+    (one grid, counted once per pattern, for the _PATTERN_FREE payoffs), in
+    row blocks of at most _GRID_CELLS cells, the seeded cases a block at a
+    time, each reduced to its cycles' rows of the grid's statistics and its
+    pattern's tail sums.  Other payoffs, with exhaustive cycles of
+    1..min(max_cycle, 2) letters, shuffle each case's index lassos and
+    compare the `_word_values` of the three words by cross-multiplication.
+    Either way only the first flagged case is spelled, and it is checked
+    again on tokens (`check_submixing`) before it is reported: a case that
+    check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
+    letters = letter_table(spec, alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
                 "patterns": list(SEARCH_PATTERNS),
                 "random_cases": bounds.random_cases}
     cases = 0
 
-    def refuted(witness) -> VerificationReport:
+    def refuted(u, v, pattern) -> VerificationReport:
+        witness = check_submixing(spec, _spelled(alphabet, *u),
+                                  _spelled(alphabet, *v), pattern)
+        if witness is None:
+            raise AssertionError("index and token evaluations disagree")
         return VerificationReport("submixing", instance, "refuted",
                                   {"cases": cases}, _submix_witness_doc(witness))
 
     drawn = _drawn_blocks(random.Random(seed),
                           _case_columns(k, bounds.max_cycle), bounds.random_cases)
     if spec.name in _FAST_SPECS:
-        cycles = [c for n in range(1, bounds.max_cycle + 1)
-                  for c in itertools.product(alphabet, repeat=n)]
-        st = _cycle_stats(spec, cycles)
+        st = _cycle_stats(letters, bounds.max_cycle)
+        n = len(st["L"])
         row = {key: x[None, :] for key, x in st.items()}
-        height = max(1, _GRID_CELLS // len(cycles))
+        height = max(1, _GRID_CELLS // n)
         # a flagged cell of a _PATTERN_FREE grid is reported under the first
         # pattern, as when each pattern's grid was decided
         patterns = (SEARCH_PATTERNS[:1] if spec.name in _PATTERN_FREE
                     else SEARCH_PATTERNS)
         for a, b in patterns:
-            cases += len(cycles) ** 2
-            for top in range(0, len(cycles), height):
+            cases += n ** 2
+            for top in range(0, n, height):
                 col = {key: x[top:top + height, None] for key, x in st.items()}
                 viol = _fast_violations(spec, col, row, a, b)
                 if viol.any():
                     iu, iv = map(int, np.argwhere(viol)[0])
-                    return refuted(_confirmed_witness(
-                        spec, Lasso((), cycles[top + iu]),
-                        Lasso((), cycles[iv]),
-                        ShufflePattern.alternating(a, b)))
-        cases += len(cycles) ** 2 * (len(SEARCH_PATTERNS) - len(patterns))
+                    cycles = [c for m in range(1, bounds.max_cycle + 1)
+                              for c in itertools.product(range(k), repeat=m)]
+                    return refuted(((), cycles[top + iu]), ((), cycles[iv]),
+                                   ShufflePattern.alternating(a, b))
+        cases += n ** 2 * (len(SEARCH_PATTERNS) - len(patterns))
         for block, viol in _decided_blocks(spec, st, k, drawn):
             hits = np.flatnonzero(viol)
             if hits.size:
                 cases += int(hits[0]) + 1
-                return refuted(_confirmed_witness(spec, *_spelled_case(
-                    alphabet, block[hits[0]].tolist())))
+                return refuted(*_case(block[hits[0]].tolist()))
             cases += len(block)
     else:
-        small = [c for n in range(1, min(bounds.max_cycle, 2) + 1)
-                 for c in itertools.product(alphabet, repeat=n)]
-        for cu, cv in itertools.product(small, repeat=2):
-            for a, b in SEARCH_PATTERNS:
-                cases += 1
-                witness = check_submixing(spec, Lasso((), cu), Lasso((), cv),
-                                          ShufflePattern.alternating(a, b))
-                if witness is not None:
-                    return refuted(witness)
-        for block in drawn:
-            for row in block.tolist():
-                cases += 1
-                witness = check_submixing(spec, *_spelled_case(alphabet, row))
-                if witness is not None:
-                    return refuted(witness)
+        value = _word_values(spec, letters)
+        small = [((), c) for m in range(1, min(bounds.max_cycle, 2) + 1)
+                 for c in itertools.product(range(k), repeat=m)]
+        alternating = [ShufflePattern.alternating(a, b)
+                       for a, b in SEARCH_PATTERNS]
+        exhaustive = ((u, v, pattern)
+                      for u, v in itertools.product(small, repeat=2)
+                      for pattern in alternating)
+        seeded = (_case(row) for block in drawn for row in block.tolist())
+        for cases, (u, v, pattern) in enumerate(
+                itertools.chain(exhaustive, seeded), 1):
+            (nu, du), (nv, dv) = value(u), value(v)
+            w = shuffle(Lasso(*u), Lasso(*v), pattern)
+            nw, dw = value((w.prefix, w.cycle))
+            # the value pairs' denominators are positive
+            if nw * du > nu * dw and nw * dv > nv * dw:
+                return refuted(u, v, pattern)
     return VerificationReport(
         "submixing", instance, "confirmed", {"cases": cases})
 
@@ -475,15 +473,12 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     1..max_cycle.
 
     The words are (prefix, cycle) pairs of letter indices into the default
-    alphabet, the seeded ones read off `_drawn_blocks`.  The alphabet is
-    read once into a `LetterTable`: its colour kinds are checked and its
-    values scaled once per search.  `check_shift_invariance` reads the
-    values of the words' suffixes through one memo per search, which values
-    each distinct pair once through `word_value` on that table, as its
-    (numerator, denominator) pair in lowest terms, so that no word is
-    spelled and the walk compares integers.  That is sound on the trust the
-    check's orbit stop already states: the value is a function of the
-    word.  On the same trust the search keeps one set of the words that
+    alphabet, read once into a `LetterTable`, the seeded ones read off
+    `_drawn_blocks`.  `check_shift_invariance` reads their suffixes' values
+    as `_word_values` of that table, integer pairs in lowest terms, so no
+    word is spelled and the walk compares integers.  That is sound on the
+    trust the check's orbit stop already states: the value is a function of
+    the word.  On the same trust the search keeps one set of the words that
     passed: a word in it is not walked again, and a walk that reaches one
     stops there after comparing its value (see `check_shift_invariance`).
     Every word still counts in `cases`, and a witness is spelled, with its
@@ -502,14 +497,7 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                   random.Random(seed), _word_columns(k, bounds.max_cycle, 3),
                   bounds.random_cases)
               for row in block.tolist())
-    letters = letter_table(spec, alphabet)
-
-    class Memo(dict):
-        def __missing__(self, pair: tuple):
-            v = self[pair] = word_value(spec, letters, *pair)
-            return v
-
-    value = Memo().__getitem__
+    value = _word_values(spec, letter_table(spec, alphabet))
     passed: set = set()
 
     cases = 0
@@ -571,13 +559,19 @@ def _spelled(alphabet, prefix, cycle) -> Lasso:
                  tuple(alphabet[i] for i in cycle))
 
 
-def _spelled_case(alphabet, row: list) -> tuple[Lasso, Lasso, ShufflePattern]:
-    """The lassos and pattern of a drawn submixing case's row."""
+def _case(row: list) -> tuple[tuple, tuple, ShufflePattern]:
+    """A drawn submixing case's u and v, as (prefix, cycle) pairs of letter
+    indices, and its pattern, from its row."""
     w = (len(row) - 7) // 2  # each word's columns (`_case_columns`)
     pairs, blocks = row[2 * w], row[2 * w + 1:]
-    return (_spelled(alphabet, *_word(row, 2)),
-            _spelled(alphabet, *_word(row[w:], 2)),
+    return (_word(row, 2), _word(row[w:], 2),
             ShufflePattern(tuple(blocks[:2 * pairs]), tuple(blocks[4:])))
+
+
+def _word_values(spec: PayoffSpec, letters: LetterTable):
+    """`word_value` over `letters` as a function of a (prefix, cycle) pair of
+    indices, through a memo that values each distinct pair once."""
+    return functools.cache(lambda pair: word_value(spec, letters, *pair))
 
 
 def _lasso_doc(word: Lasso) -> dict:

@@ -640,3 +640,16 @@ def test_the_reused_parser_keeps_no_state_between_runs(capsys):
 def test_check_rejects_an_unknown_payoff(capsys):
     _assert_one_error_line(*run_capture(
         capsys, ["check", "submixing", "--payoff", "meanest"]), "meanest")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("genmean:1e3", "genmean dimension is not an integer: '1e3'"),
+    ("genmean:", "genmean dimension is not an integer: ''"),
+    ("optgenmean:x", "optgenmean dimension is not an integer: 'x'"),
+    ("optgenmean:1/2", "optgenmean dimension is not an integer: '1/2'"),
+    ("genmean", "genmean needs a dimension, e.g. genmean:2"),
+    ("genmean:0", "genmean needs a dimension >= 1"),
+])
+def test_a_malformed_vector_dimension_names_its_field(capsys, spec, message):
+    assert run_capture(capsys, ["check", "submixing", "--payoff", spec]) == (
+        EXIT_USAGE, "", f"error: {message}\n")

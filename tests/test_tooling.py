@@ -153,23 +153,31 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
 def test_shift_searches_never_compare_fractions(monkeypatch):
     # the shift search's memo keeps each value as an integer pair and its
     # walk compares those: with Fraction's equality raising, confirmed
-    # searches complete
+    # searches complete.  The submixing searches without a closed form
+    # compare the same pairs by cross-multiplication: with Fraction's order
+    # comparisons raising too, confirmed ones complete
     def refuse(self, other):
-        raise AssertionError("a Fraction equality comparison")
+        raise AssertionError("a Fraction comparison")
 
-    for name in ("__eq__", "__ne__"):
+    for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    with pytest.raises(AssertionError, match="equality comparison"):
-        Fraction(1, 2) != Fraction(1, 3)
+    for compare in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__",
+                    "__ge__"):
+        with pytest.raises(AssertionError, match="Fraction comparison"):
+            getattr(Fraction(1, 2), compare)(Fraction(1, 3))
     for name in ("mean", "limsup", "parity", "genmean:2"):
         report = verify.search_shift_invariance_violation(
             parse_payoff_spec(name))
+        assert report.verdict == "confirmed", name
+    for name in ("meancobuchi:100", "suffixtarget:ab"):
+        report = verify.search_submixing_violation(parse_payoff_spec(name))
         assert report.verdict == "confirmed", name
 
 
 def test_shift_searches_check_and_scale_their_alphabet_once(monkeypatch):
     # the letters' colour kinds are checked and their values scaled per
-    # search, not per word: 2,000 more seeded words make no more calls
+    # search, not per word or case: 2,000 more seeded cases make no more
+    # calls.  The letter payoff's table scales nothing.
     calls = collections.Counter()
     for name in ("_check_kind", "scaled"):
         real = getattr(payoff, name)
@@ -179,16 +187,20 @@ def test_shift_searches_check_and_scale_their_alphabet_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(payoff, name, counted)
+    searches = [(verify.search_shift_invariance_violation, name)
+                for name in ("mean", "limsup", "parity", "genmean:2")]
+    searches += [(verify.search_submixing_violation, name)
+                 for name in ("mean", "parity", "meancobuchi:100",
+                              "suffixtarget:ab")]
     counts = []
     for random_cases in (0, 2000):
         calls.clear()
-        for name in ("mean", "limsup", "parity", "genmean:2"):
-            report = verify.search_shift_invariance_violation(
-                parse_payoff_spec(name), verify.SearchBounds(
-                    random_cases=random_cases), seed=3)
-            assert report.verdict == "confirmed", name
+        for search, name in searches:
+            report = search(parse_payoff_spec(name), verify.SearchBounds(
+                random_cases=random_cases), seed=3)
+            assert report.verdict == "confirmed", (search.__name__, name)
         counts.append(dict(calls))
-    assert counts[0] == counts[1] == {"_check_kind": 4, "scaled": 4}
+    assert counts[0] == counts[1] == {"_check_kind": 8, "scaled": 7}
 
 
 @pytest.mark.parametrize("calls", [2, 3, 5])

@@ -24,10 +24,10 @@ from stochgame.payoff import (
 )
 from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
-    SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _case_columns,
+    SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _case, _case_columns,
     _cycle_stats, _decided_blocks, _drawn_blocks, _fast_violations,
     _random_memory_strategy, _class_states, _sample_locally_optimal,
-    _shift_witness_doc, _spelled_case, _stationary_guarantees,
+    _shift_witness_doc, _spelled, _stationary_guarantees,
     _submix_witness_doc, _value_changing_recurrent, _word_columns,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
@@ -290,7 +290,9 @@ def test_fast_payoffs_cover_the_closed_forms():
 def test_fast_sweep_agrees_with_full_evaluation():
     # the vectorized sweep's closed forms against the ordinary
     # shuffle-then-evaluate route, on a seeded sample of cycle pairs, at
-    # every tail ratio a seeded pattern can draw
+    # every tail ratio a seeded pattern can draw; each sampled cycle's
+    # statistics are its row of the alphabet table's, found by its place
+    # among the exhaustive token cycles
     rng = random.Random(31)
     for name in ("mean", "limsup", "liminf", "parity", "posavg",
                  "genmean:2", "optgenmean:2", "counter+inf", "counter-inf"):
@@ -299,9 +301,10 @@ def test_fast_sweep_agrees_with_full_evaluation():
         cycles = [tuple(rng.choice(alphabet)
                         for _ in range(rng.randint(1, 4)))
                   for _ in range(12)]
-        stats = _cycle_stats(spec, cycles)
-        col = {k: x[:, None] for k, x in stats.items()}
-        row = {k: x[None, :] for k, x in stats.items()}
+        at = [_exhaustive_cycles(alphabet, 4).index(c) for c in cycles]
+        stats = _cycle_stats(payoff.letter_table(spec, alphabet), 4)
+        col = {k: x[at][:, None] for k, x in stats.items()}
+        row = {k: x[at][None, :] for k, x in stats.items()}
         for a, b in itertools.product(range(1, 4), repeat=2):
             grid = _fast_violations(spec, col, row, a, b)
             for i, j in itertools.product(range(len(cycles)), repeat=2):
@@ -310,6 +313,12 @@ def test_fast_sweep_agrees_with_full_evaluation():
                     ShufflePattern.alternating(a, b))
                 assert bool(grid[i, j]) == (witness is not None), \
                     (name, a, b, cycles[i], cycles[j])
+
+
+def _spelled_case(alphabet, case):
+    # an index case's lassos spelled in the alphabet, and its pattern
+    u, v, pattern = case
+    return _spelled(alphabet, *u), _spelled(alphabet, *v), pattern
 
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
@@ -325,7 +334,7 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
     flagged = 0
     for seed in range(4):
         bounds = SearchBounds(max_cycle=seed + 1, random_cases=2 * 64 + 23)
-        table = _cycle_stats(spec, _exhaustive_cycles(alphabet, seed + 1))
+        table = _cycle_stats(payoff.letter_table(spec, alphabet), seed + 1)
         columns = _case_columns(len(alphabet), seed + 1)
         blocks = list(_decided_blocks(spec, table, len(alphabet), _drawn_blocks(
             random.Random(seed), columns, bounds.random_cases)))
@@ -335,7 +344,7 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
         for block, viol in blocks:
             assert viol.shape == (len(block),)
             for row, flag in zip(block.tolist(), viol):
-                case = _spelled_case(alphabet, row)
+                case = _spelled_case(alphabet, _case(row))
                 assert case == _token_case(row, alphabet, seed + 1)
                 witness = check_submixing(spec, *case)
                 assert bool(flag) == (witness is not None), (name, seed, case)
@@ -397,8 +406,10 @@ def test_seed_zero_draws_the_pinned_first_case():
     assert case == [2, 1, 3, 4, 2, 0, 1, 4,
                     1, 2, 2, 4, 3, 4, 1, 4,
                     1, 1, 1, 2, 2, 1, 2]
+    assert _case(case) == (((1, 3), (2, 0, 1, 4)), ((2,), (3, 4, 1, 4)),
+                           ShufflePattern((1, 1), (1, 2)))
     # the mean's alphabet is the rewards -2..2
-    assert _spelled_case(default_alphabet(mean), case) == (
+    assert _spelled_case(default_alphabet(mean), _case(case)) == (
         payoff.reward_lasso([-1, 1], [0, -2, -1, 2]),
         payoff.reward_lasso([0], [1, 2, -1, 2]), ShufflePattern((1, 1), (1, 2)))
     (word,) = _drawn_rows(0, _word_columns(5, 4, 3), 1)
@@ -516,6 +527,43 @@ def test_closed_form_hit_without_a_witness_is_an_error(monkeypatch, patterns):
                                    SearchBounds(max_cycle=2), seed=1)
 
 
+# the submixing payoffs without a closed form, decided on index values
+VALUED_PAYOFFS = ("meancobuchi:100", "discounted", "suffixtarget:ab",
+                  "geomfirstone")
+
+
+@pytest.mark.parametrize("name", VALUED_PAYOFFS)
+def test_an_index_value_hit_without_a_witness_is_an_error(monkeypatch, name):
+    # only the index valuer broken, each value raised by its cycle's length:
+    # the first exhaustive shuffle, of one letter with itself, beats both
+    # components, which the token evaluation does not confirm
+    monkeypatch.setattr(verify, "word_value", _plus(
+        payoff.word_value, lambda prefix, cycle: len(cycle)))
+    with pytest.raises(AssertionError, match="disagree"):
+        search_submixing_violation(parse_payoff_spec(name), SearchBounds(),
+                                   seed=3)
+
+
+@pytest.mark.parametrize("name, verdict, spelled", [
+    ("meancobuchi:100", "confirmed", 0), ("suffixtarget:ab", "confirmed", 0),
+    ("discounted", "refuted", 2), ("geomfirstone", "refuted", 2)])
+def test_valued_submixing_searches_spell_only_their_witness(monkeypatch, name,
+                                                            verdict, spelled):
+    # a search decided on index values spells no case it clears, and a
+    # refuted one spells its witness's u and v
+    real = verify._spelled
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_spelled", counted)
+    report = search_submixing_violation(parse_payoff_spec(name),
+                                        SearchBounds(), seed=3)
+    assert (report.verdict, len(calls)) == (verdict, spelled)
+
+
 @pytest.mark.parametrize("max_cycle, cases", [(1, 155), (2, 930), (4, 930)])
 def test_shift_search_bounds_its_exhaustive_cycles_by_max_cycle(max_cycle,
                                                                 cases):
@@ -596,6 +644,25 @@ def _exhaustive_cycles(alphabet, max_cycle):
             for c in itertools.product(alphabet, repeat=n)]
 
 
+def _token_cycle_stats(spec, cycles):
+    # the cycles' statistics read off their tokens, as the library read
+    # them before its letter table; a vector's sums are rows, one per
+    # dimension, as `_fast_violations` reads them
+    L = np.array([len(c) for c in cycles], dtype=np.int64)
+    stats = {"L": L}
+    kind = spec.colour_kind
+    if kind in (payoff.REWARD, payoff.INCREMENT, payoff.PRIORITY):
+        vals = [[int(t.value) for t in c] for c in cycles]
+        stats["S"] = np.array([sum(v) for v in vals], dtype=np.int64)
+        stats["MX"] = np.array([max(v) for v in vals], dtype=np.int64)
+        stats["MN"] = np.array([min(v) for v in vals], dtype=np.int64)
+    elif kind == payoff.VECTOR:
+        stats["S"] = np.array(
+            [[sum(int(t.value[d]) for t in c) for d in range(spec.dim)]
+             for c in cycles], dtype=np.int64).reshape(len(cycles), spec.dim)
+    return stats
+
+
 def _token_submixing_search(spec, bounds, seed):
     alphabet = default_alphabet(spec)
     instance = {"spec": spec.format(), "seed": seed,
@@ -611,7 +678,7 @@ def _token_submixing_search(spec, bounds, seed):
 
     if spec.name in verify._FAST_SPECS:
         cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
-        st = _cycle_stats(spec, cycles)
+        st = _token_cycle_stats(spec, cycles)
         col = {k: x[:, None] for k, x in st.items()}
         row = {k: x[None, :] for k, x in st.items()}
         for a, b in SEARCH_PATTERNS:
@@ -624,8 +691,8 @@ def _token_submixing_search(spec, bounds, seed):
                     ShufflePattern.alternating(a, b)))
         drawn = _token_cases(spec, bounds, seed)
         viol = _fast_violations(
-            spec, _cycle_stats(spec, [u.cycle for u, _, _ in drawn]),
-            _cycle_stats(spec, [v.cycle for _, v, _ in drawn]),
+            spec, _token_cycle_stats(spec, [u.cycle for u, _, _ in drawn]),
+            _token_cycle_stats(spec, [v.cycle for _, v, _ in drawn]),
             np.array([p.tail_u for _, _, p in drawn], dtype=np.int64),
             np.array([p.tail_v for _, _, p in drawn], dtype=np.int64))
         hits = np.flatnonzero(viol)
@@ -791,7 +858,7 @@ def test_word_values_over_the_alphabet_table_match_evaluate_lasso(name):
 def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
     # with no pattern at all, a closed form that reads one fails
     spec = parse_payoff_spec(name)
-    st = _cycle_stats(spec, _exhaustive_cycles(default_alphabet(spec), 2))
+    st = _cycle_stats(payoff.letter_table(spec, default_alphabet(spec)), 2)
     if spec.name in verify._PATTERN_FREE:
         _fast_violations(spec, st, st, None, None)
     else:
