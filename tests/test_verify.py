@@ -645,9 +645,9 @@ def _exhaustive_cycles(alphabet, max_cycle):
 
 
 def _token_cycle_stats(spec, cycles):
-    # the cycles' statistics read off their tokens, as the library read
-    # them before its letter table; a vector's sums are rows, one per
-    # dimension, as `_fast_violations` reads them
+    # the cycles' statistics read off their own tokens, sharing no code
+    # with the library's letter-table reader; a vector's sums are rows, one
+    # per dimension, as `_fast_violations` reads them
     L = np.array([len(c) for c in cycles], dtype=np.int64)
     stats = {"L": L}
     kind = spec.colour_kind
