@@ -658,39 +658,6 @@ def stopped_value_exact(chain: InducedChain, values: ValueVector,
     return first_passage(rows, free, vnum)[0] / vden
 
 
-def _cumulative_tables(chain: InducedChain) -> tuple[np.ndarray, np.ndarray]:
-    """Flat tables for drawing successors with uniforms `u` in [0, 1).
-    Each node has `width = len(sums) + 1` slots: the next node after `i` is
-    `successor[i * width + k]`, with `k` the number of sums `sums[:, i]`
-    below `u`.
-
-    They pick what a dense row of running sums over all n columns, with
-    column n - 1 set to 1, picks: the first column whose sum reaches `u`.
-    Slot 0 is column 0 at sum 0.0 (a draw of exactly 0.0 picks it), then
-    come the successors before column n - 1 at their running sums, then
-    column n - 1, which no sum bounds; padding slots repeat it at infinite
-    sums.  `sums[j]` holds slot j of every node, so that a step of many
-    runs is one gather and one comparison per slot."""
-    n = len(chain)
-    tables = []
-    for row in chain.rows():
-        cols, sums, acc = [0], [0.0], 0.0
-        for j in sorted(row):
-            if j == n - 1:
-                break
-            acc += float(row[j])
-            cols.append(j)
-            sums.append(acc)
-        tables.append((cols, sums))
-    width = max(len(cols) for cols, _ in tables) + 1
-    successor = np.full((n, width), n - 1, dtype=np.int64)
-    sum_table = np.full((width - 1, n), np.inf)
-    for i, (cols, sums) in enumerate(tables):
-        successor[i, :len(cols)] = cols
-        sum_table[:len(sums), i] = sums
-    return successor.ravel(), sum_table
-
-
 @dataclass(frozen=True)
 class StoppedValueReport:
     estimate: float
@@ -712,9 +679,13 @@ def stopped_value_mc(chain: InducedChain, values: ValueVector, stopping_rule,
     absorbing class, whose nodes all share one value (Doob convergence), and
     contribute that value.  `stopped_value_exact` computes the exact value.
 
-    Draw order: each step draws one uniform for each run still going, in run
-    order, and picks its successor from the `_cumulative_tables` slots; a run
-    that stops or is absorbed draws no more, so a seed fixes the estimate.
+    Draw order: the runs are independent copies of one chain, so only the
+    number of runs on each node matters.  Each step splits the count of
+    every node still holding runs, in node order, over its successors in
+    `int_rows` order with one multinomial draw at probabilities `num / d`
+    (the last successor takes the remainder); counts that reach a stop or
+    bottom-class node end there.  A seed fixes the estimate, and the work
+    and memory do not grow with `runs`.
     """
     if runs < 1:
         raise SolveError("runs must be >= 1")
@@ -723,38 +694,35 @@ def stopped_value_mc(chain: InducedChain, values: ValueVector, stopping_rule,
     kind, payload = stopping_rule
     horizon = payload if kind == "horizon" else MC_MAX_STEPS
     terminal = np.array(stop, dtype=bool) | np.array(absorbing, dtype=bool)
-    successor, sums = _cumulative_tables(chain)
-    width = sums.shape[0] + 1
+    successors = [np.fromiter(row, np.int64, len(row))
+                  for _, row in chain.int_rows]
+    probs = [[num / d for num in row.values()] for d, row in chain.int_rows]
 
     rng = np.random.default_rng(seed)
-    # the node of each still-running run, in run order; stopped values come
-    # from the finite value set, so tally stopped nodes and average exactly
-    current = np.zeros(runs, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    if stop[0]:
-        # before the first step only stop nodes end a run (no horizon has any)
-        counts[0] = runs
-        current = current[:0]
+    # runs still going and runs ended, per node; stopped values come from
+    # the finite value set, so the ended counts give the mean exactly
+    going = np.zeros(n, dtype=np.int64)
+    ended = np.zeros(n, dtype=np.int64)
+    # before the first step only stop nodes end a run (no horizon has any)
+    (ended if stop[0] else going)[0] = runs
     for _ in range(horizon):
-        if not current.size:
+        if not going.any():
             break
-        u = rng.random(current.size)
-        k = current * width
-        for col in sums:
-            k += u > col[current]
-        current = successor[k]
+        moved = np.zeros(n, dtype=np.int64)
+        for i in np.flatnonzero(going):
+            moved[successors[i]] += rng.multinomial(going[i], probs[i])
+        going = moved
         if kind != "horizon":
             # a run absorbed without stopping ends on a node of its class,
             # whose state value is the class value
-            done = terminal[current]
-            counts += np.bincount(current[done], minlength=n)
-            current = current[~done]
+            ended[terminal] += going[terminal]
+            going[terminal] = 0
     if kind == "horizon":
-        counts = np.bincount(current, minlength=n)
-    elif current.size:
+        ended = going
+    elif going.any():
         raise SolveError("trajectories neither stopped nor absorbed within "
                          f"{MC_MAX_STEPS} steps")
-    exact_mean = sum((int(counts[i]) * values.values[chain.state_of(i)]
+    exact_mean = sum((int(ended[i]) * values.values[chain.state_of(i)]
                       for i in range(n)), Fraction(0)) / runs
     lo = float(min(values.values.values()))
     hi = float(max(values.values.values()))

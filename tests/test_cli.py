@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -332,20 +334,42 @@ def test_doob_without_a_value_preserving_action_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("game, payoff, seed", [
-    (E3, "mean", "3654591116"),
-    (str(CORPUS / "e3_parity.game"), "parity", "131"),
+    (E3, "mean", "677"),
+    (str(CORPUS / "e3_parity.game"), "parity", "1167"),
 ])
 def test_doob_e3_is_confirmed_where_the_interval_misses(
         capsys, game, payoff, seed):
     # From the first state the stopped value is 0 or 2 (0 or 1) with even
     # odds; at these seeds the reported 99 % Hoeffding interval misses the
-    # exact value, which the exact verdict does not depend on.
+    # exact value (below it for e3, above it for e3_parity), which the exact
+    # verdict does not depend on.
     code, out, _ = run_capture(
         capsys, ["--format", "structured", "doob", game, "--payoff", payoff,
                  "--trials", "10000", "--seed", seed])
     assert code == EXIT_OK
     doc = json.loads(out)
+    first_hit = doc["quantities"]["first_hit"]
+    low, high = first_hit["ci"]
+    assert not low <= float(Fraction(first_hit["reference"])) <= high
     assert doc["verdict"] == "confirmed" and all(doc["quantities"]["checks"].values())
+
+
+def test_doob_keeps_a_billion_trials_in_bounded_memory():
+    # The sampler keeps one count of runs per chain node, so a billion
+    # trials run in seconds under a 2 GB address-space cap; one array entry
+    # per run would need several GB.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochgame", "--format", "structured", "doob",
+         E3, "--payoff", "mean", "--trials", "1000000000"],
+        capture_output=True, env=env, preexec_fn=cap_address_space,
+        timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "confirmed"
 
 
 def test_usage_errors(capsys):

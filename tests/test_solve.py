@@ -888,12 +888,11 @@ def test_stopped_value_exact_matches_fraction_oracle(seed):
         assert got == _stopped_value_oracle(chain, vv, rule)
 
 
-def _stopped_value_mc_dense(chain, values, stopping_rule, runs, seed):
-    """`stopped_value_mc` with a dense n x n float matrix of running sums and
-    full class summaries: the reference for its per-row tables."""
+def _reference_masks(chain, values, stopping_rule):
+    """Stop nodes and bottom-class nodes, from full class summaries; no
+    class may mix state values."""
     n = len(chain)
     kind, payload = stopping_rule
-    horizon = payload if kind == "horizon" else solve.MC_MAX_STEPS
     if kind == "horizon":
         stop_mask = np.zeros(n, dtype=bool)
     elif kind == "first_hit":
@@ -901,15 +900,39 @@ def _stopped_value_mc_dense(chain, values, stopping_rule, runs, seed):
     else:
         stop_mask = np.array([(chain.nodes[i][1], chain.state_of(i))
                               in payload.pairs for i in range(n)])
-    absorbing_val = {}
     absorbing_mask = np.zeros(n, dtype=bool)
     for cls in bottom_sccs(chain):
         class_vals = {values.values[chain.state_of(i)] for i in cls.nodes}
         if len(class_vals) != 1:
             raise SolveError("bottom class mixes state values")
-        for i in cls.nodes:
-            absorbing_mask[i] = True
-            absorbing_val[i] = next(iter(class_vals))
+        absorbing_mask[list(cls.nodes)] = True
+    return stop_mask, absorbing_mask
+
+
+def _reference_report(chain, values, counts, runs):
+    """The report for `counts[i]` of `runs` runs ended on node i, each
+    worth its state value."""
+    exact_mean = sum((int(c) * values.values[chain.state_of(i)]
+                      for i, c in enumerate(counts)), F(0)) / runs
+    lo = float(min(values.values.values()))
+    hi = float(max(values.values.values()))
+    estimate = float(exact_mean)
+    half = (hi - lo) * sqrt(log(2 / (1 - solve.MC_CONFIDENCE)) / (2 * runs))
+    ref = values.values[chain.state_of(0)]
+    covered = abs(float(exact_mean - ref)) <= half
+    return solve.StoppedValueReport(estimate, estimate - half, estimate + half,
+                                    ref, covered)
+
+
+def _stopped_value_mc_dense(chain, values, stopping_rule, runs, seed):
+    """The per-run sampler: one uniform per running run and step, against a
+    dense n x n float matrix of running sums.  The reference for the law of
+    `stopped_value_mc`, not for its draws."""
+    n = len(chain)
+    kind, payload = stopping_rule
+    horizon = payload if kind == "horizon" else solve.MC_MAX_STEPS
+    stop_mask, absorbing_mask = _reference_masks(chain, values,
+                                                 stopping_rule)
     cum = np.zeros((n, n))
     for i in range(n):
         row = chain.row(i)
@@ -946,19 +969,45 @@ def _stopped_value_mc_dense(chain, values, stopping_rule, runs, seed):
     if active.any():
         raise SolveError("trajectories neither stopped nor absorbed")
     counts = np.bincount(stopped_node, minlength=n)
-    exact_value = [absorbing_val[i] if absorbing_mask[i] and kind != "horizon"
-                   and not stop_mask[i] else values.values[chain.state_of(i)]
-                   for i in range(n)]
-    exact_mean = sum((int(counts[i]) * exact_value[i] for i in range(n)),
-                     F(0)) / runs
-    lo = float(min(values.values.values()))
-    hi = float(max(values.values.values()))
-    estimate = float(exact_mean)
-    half = (hi - lo) * sqrt(log(2 / (1 - solve.MC_CONFIDENCE)) / (2 * runs))
-    ref = values.values[chain.state_of(0)]
-    covered = abs(float(exact_mean - ref)) <= half
-    return solve.StoppedValueReport(estimate, estimate - half, estimate + half,
-                                    ref, covered)
+    return _reference_report(chain, values, counts, runs)
+
+
+def _stopped_value_mc_split(chain, values, stopping_rule, runs, seed):
+    """The draw order of `stopped_value_mc`, replayed on Python lists: each
+    step, one multinomial per node holding runs, in node order, over the
+    probabilities of its `chain.row`.  The reference for its draws."""
+    n = len(chain)
+    kind, payload = stopping_rule
+    steps = payload if kind == "horizon" else solve.MC_MAX_STEPS
+    stop_mask, absorbing_mask = _reference_masks(chain, values,
+                                                 stopping_rule)
+    ends = [kind != "horizon" and bool(stop_mask[i] or absorbing_mask[i])
+            for i in range(n)]
+    rng = np.random.default_rng(seed)
+    going, ended = [0] * n, [0] * n
+    if stop_mask[0]:
+        ended[0] = runs
+    else:
+        going[0] = runs
+    for _ in range(steps):
+        if not any(going):
+            break
+        moved = [0] * n
+        for i, count in enumerate(going):
+            if count:
+                row = chain.row(i)
+                draws = rng.multinomial(int(count),
+                                        [float(p) for p in row.values()])
+                for j, k in zip(row, draws):
+                    moved[j] += int(k)
+        going = [0 if ends[j] else k for j, k in enumerate(moved)]
+        ended = [e + k if ends[j] else e
+                 for j, (e, k) in enumerate(zip(ended, moved))]
+    if kind == "horizon":
+        ended = going
+    elif any(going):
+        raise SolveError("trajectories neither stopped nor absorbed")
+    return _reference_report(chain, values, ended, runs)
 
 
 def test_stopped_value_mc_gives_up_after_max_steps():
@@ -977,6 +1026,10 @@ def test_stopped_value_mc_gives_up_after_max_steps():
                          vv, ("first_hit", frozenset({"t"})), 3, 1)
 
 
+# The `..._matches_the_dense_sampler` tests pin the draws of
+# `stopped_value_mc` to `_stopped_value_mc_split`, the replay of its draw
+# order.  `test_both_samplers_draw_the_stopped_value_law` holds it and the
+# per-run `_stopped_value_mc_dense` to the exact stopped value.
 @pytest.mark.parametrize("seed", range(50))
 def test_stopped_value_mc_matches_the_dense_sampler(seed):
     arena, vv, sigma, tau, source, rules = _oracle_case(seed)
@@ -988,7 +1041,7 @@ def test_stopped_value_mc_matches_the_dense_sampler(seed):
         cases += [(("horizon", 25), 10_000), (rules[1], 10_000)]
     for k, (rule, runs) in enumerate(cases):
         args = (chain, vv, rule, runs, 1000 * seed + k)
-        assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
+        assert stopped_value_mc(*args) == _stopped_value_mc_split(*args)
 
 
 @pytest.mark.parametrize("seed, where", [
@@ -1003,7 +1056,7 @@ def test_stopped_value_mc_matches_the_dense_sampler_at_the_source(seed, where):
     rule = rules[1]
     assert (source in rule[1], in_bottom) == (where == "stop", where == "bottom")
     args = (chain, vv, rule, 10_000, seed)
-    assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
+    assert stopped_value_mc(*args) == _stopped_value_mc_split(*args)
 
 
 def test_stopped_value_mc_matches_the_dense_sampler_past_25_steps():
@@ -1021,7 +1074,36 @@ def test_stopped_value_mc_matches_the_dense_sampler_past_25_steps():
     weak = WeaknessSet(frozenset({("m0", "t")}), F(1, 4), {}, {})
     args = (_source_chain(arena, _unique(arena, P1), _unique(arena, P2), "s"),
             vv, ("first_weakness", weak), 10_000, 25)
-    assert stopped_value_mc(*args) == _stopped_value_mc_dense(*args)
+    assert stopped_value_mc(*args) == _stopped_value_mc_split(*args)
+
+
+# The (seed, rule index) pairs of `_oracle_case` whose stopped value is not
+# constant; a sampler of the wrong law can show only on these.
+NON_CONSTANT = {7: (0,), 12: (0,), 14: (0, 1, 2), 20: (0,), 27: (0, 2),
+                28: (2,), 37: (0,), 40: (0, 1, 2), 47: (0,)}
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_both_samplers_draw_the_stopped_value_law(seed):
+    # 100,000 runs at a fixed seed: the count-splitting and the per-run
+    # estimates each lie within the 99.9 % Hoeffding half-width of the exact
+    # stopped value; a zero variance E[X^2] - E[X]^2 marks a constant one
+    arena, vv, sigma, tau, source, rules = _oracle_case(seed)
+    chain = _source_chain(arena, sigma, tau, source)
+    squares = dataclasses.replace(
+        vv, values={s: v * v for s, v in vv.values.items()})
+    spread = float(max(vv.values.values()) - min(vv.values.values()))
+    half = spread * sqrt(log(2 / 0.001) / (2 * 100_000))
+    varied = []
+    for k, rule in enumerate(rules):
+        exact = stopped_value_exact(chain, vv, rule)
+        if stopped_value_exact(chain, squares, rule) == exact * exact:
+            continue
+        varied.append(k)
+        for sampler in (stopped_value_mc, _stopped_value_mc_dense):
+            report = sampler(chain, vv, rule, 100_000, 31_000 + 10 * seed + k)
+            assert abs(report.estimate - float(exact)) <= half
+    assert tuple(varied) == NON_CONSTANT.get(seed, ())
 
 
 def test_stopped_value_exact_is_the_value_under_locally_optimal_play():
