@@ -1000,9 +1000,11 @@ def _stopped_value_mc_split(chain, values, stopping_rule, runs, seed):
                                         [float(p) for p in row.values()])
                 for j, k in zip(row, draws):
                     moved[j] += int(k)
-        going = [0 if ends[j] else k for j, k in enumerate(moved)]
-        ended = [e + k if ends[j] else e
-                 for j, (e, k) in enumerate(zip(ended, moved))]
+        for j in range(n):
+            if ends[j]:
+                ended[j] += moved[j]
+                moved[j] = 0
+        going = moved
     if kind == "horizon":
         ended = going
     elif any(going):
