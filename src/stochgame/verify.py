@@ -4,9 +4,10 @@ stopped-value suites, and the exact reproduction of the four-state
 letter-game counter-example.
 
 Searches are refuters: a refuted report always embeds a witness that
-replays.  Both searches decide index words over one letter table; a
-submixing witness is spelled and re-evaluated through the ordinary
-shuffle/evaluation path on tokens before being returned.
+replays.  Both searches decide index words over one letter table.  A
+submixing closed form values a case's shuffle and words on int32 cycle
+statistics, and one comparison asks whether the shuffle beats both; a
+witness is spelled and re-evaluated on tokens before being returned.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
@@ -215,21 +216,26 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
 SEARCH_PATTERNS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # The suffixes per word the shift-invariance search compares.
 SHIFTS = 6
+# The largest max_cycle: a _FAST_SPECS grid over five letters holds 4 x
+# 19,530^2 = 1.5 * 10^9 cells at 6, and 4 x 488,280^2 at 8.
+MAX_CYCLE = 6
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     """Sizes of the refutation searches, checked when constructed: cycles of
-    1..max_cycle letters and random_cases >= 0 seeded cases."""
+    1..max_cycle letters, for max_cycle <= MAX_CYCLE, and random_cases >= 0
+    seeded cases."""
 
     max_cycle: int = 4
     random_cases: int = 2000
 
     def __post_init__(self):
-        for name, least in (("max_cycle", 1), ("random_cases", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, not {value}")
+        n, cases = self.max_cycle, self.random_cases
+        if not 1 <= n <= MAX_CYCLE:
+            raise ValueError(f"max_cycle must be in 1..{MAX_CYCLE}, not {n}")
+        if cases < 0:
+            raise ValueError(f"random_cases must be >= 0, not {cases}")
 
 
 def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
@@ -263,10 +269,57 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
     raise FlagGateError(f"no default alphabet for {spec.format()}")
 
 
-_FAST_SPECS = ("mean", "limsup", "liminf", "parity", "posavg",
-               "genmean", "optgenmean", "counter+inf", "counter-inf")
+def _mixed(su: dict, sv: dict, a, b):
+    """The shuffle's mean's numerator over (a+b)*Lu*Lv: its cycle holds
+    whole copies of both cycles, u's letters with total weight a/(a+b)."""
+    return a * su["S"] * sv["L"] + b * sv["S"] * su["L"]
+
+
+def _mean(su, sv, a, b):
+    return (_mixed(su, sv, a, b), su["S"] * (a + b) * sv["L"],
+            sv["S"] * (a + b) * su["L"])
+
+
+def _extreme(pick, key):
+    """The closed form of the top (bottom) letter seen infinitely often."""
+    return lambda su, sv, a, b: (pick(su[key], sv[key]), su[key], sv[key])
+
+
+def _wins(win, join=np.logical_and):
+    """The closed form of a payoff won, 1 against 0, iff its mean wins
+    against 0: a vector's in every dimension (or some, for logical_or)."""
+    def form(su, sv, a, b):
+        Su, Sv = su["S"], sv["S"]
+        if Su.ndim == su["L"].ndim:
+            return win(_mixed(su, sv, a, b), 0), win(Su, 0), win(Sv, 0)
+        return tuple(functools.reduce(join, x) for x in zip(*(
+            form({**su, "S": Su[..., d]}, {**sv, "S": Sv[..., d]}, a, b)
+            for d in range(Su.shape[-1]))))
+    return form
+
+
+# The payoffs that read only the cycles: whether each closed form reads the
+# pattern, and the form.  It maps u's and v's `_cycle_stats` and the tail
+# sums a and b to (fw, fu, fv), the values of the shuffle, of u and of v,
+# as integers over one positive denominator or 0/1 wins.  On a grid (a
+# column of u's statistics, a row of v's), u's and v's wins keep the shape.
+_CLOSED_FORMS = {
+    "mean": (True, _mean),
+    "limsup": (False, _extreme(np.maximum, "MX")),
+    "liminf": (False, _extreme(np.minimum, "MN")),
+    # the top priority's parity
+    "parity": (False, lambda *st: tuple(
+        x % 2 for x in _CLOSED_FORMS["limsup"][1](*st))),
+    "posavg": (True, _wins(np.greater)),
+    "counter+inf": (True, _wins(np.greater)),
+    "counter-inf": (True, _wins(np.less)),
+    "genmean": (True, _wins(np.greater)),
+    "optgenmean": (True, _wins(np.greater_equal, np.logical_or)),
+}
+_FAST_SPECS = tuple(_CLOSED_FORMS)
 # The _FAST_SPECS payoffs whose closed form does not read the pattern.
-_PATTERN_FREE = ("limsup", "liminf", "parity")
+_PATTERN_FREE = tuple(name for name, (reads, _) in _CLOSED_FORMS.items()
+                      if not reads)
 
 # The exhaustive submixing grid of a _FAST_SPECS payoff is decided in row
 # blocks of at most this many cells (one row when a row is longer), so its
@@ -283,69 +336,29 @@ def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
     """Integer summaries of every cycle of 1..max_cycle letters over the
     table, in `_cycle_positions` order: its length L and its letters'
     numerators' sum S, maximum MX and minimum MN, each with a trailing
-    dimension axis for a vector table."""
+    dimension axis for a vector table.  They are int32, and so are the
+    closed-form values of a grid, whose a and b are Python ints."""
     nums = np.array(letters.nums, dtype=np.int64)
+    # No closed-form value exceeds (a+b) * max|numerator| * max_cycle^2 in
+    # magnitude (`_mean`), a+b <= 6 (`_case_columns`): at MAX_CYCLE and
+    # numerators up to 4, as in the default alphabets, 864.
+    if 6 * int(np.abs(nums).max()) * max_cycle ** 2 >= 2 ** 31:
+        raise OverflowError("closed-form values could overflow int32")
     parts = []
     for n in range(1, max_cycle + 1):
         # every cycle of n letters, in `itertools.product` order
         vals = nums[np.indices((len(nums),) * n).reshape(n, -1).T]
         parts.append((np.full(len(vals), n), vals.sum(1), vals.max(1),
                       vals.min(1)))
-    return {key: np.concatenate(x)
+    return {key: np.concatenate(x).astype(np.int32)
             for key, x in zip(("L", "S", "MX", "MN"), zip(*parts))}
 
 
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     """Does the shuffle of u's and v's cycles, taking a letters of u for
-    every b of v, beat both components?  Closed forms: the shuffle's cycle
-    holds whole copies of both cycles, u's letters with total weight
-    a/(a+b).  The arguments broadcast: a column of u statistics against a
-    row of v statistics gives the (u, v) grid of one pattern, aligned arrays
-    give one decision per case."""
-    Lu, Lv = su["L"], sv["L"]
-
-    def blended(Su, Sv):
-        # sign-comparable numerator of the shuffle mean over denom (a+b)LuLv
-        return a * Su * Lv + b * Sv * Lu
-
-    name = spec.name
-    if name == "mean":
-        Su, Sv = su["S"], sv["S"]
-        W = blended(Su, Sv)
-        return (W > Su * (a + b) * Lv) & (W > Sv * (a + b) * Lu)
-    if name == "limsup":
-        MXu, MXv = su["MX"], sv["MX"]
-        fw = np.maximum(MXu, MXv)
-        return (fw > MXu) & (fw > MXv)
-    if name == "liminf":
-        MNu, MNv = su["MN"], sv["MN"]
-        fw = np.minimum(MNu, MNv)
-        return (fw > MNu) & (fw > MNv)
-    if name == "parity":
-        MXu, MXv = su["MX"], sv["MX"]
-        fw = np.maximum(MXu, MXv) % 2
-        return (fw == 1) & (MXu % 2 == 0) & (MXv % 2 == 0)
-    if name in ("posavg", "counter+inf"):
-        Su, Sv = su["S"], sv["S"]
-        return (blended(Su, Sv) > 0) & (Su <= 0) & (Sv <= 0)
-    if name == "counter-inf":
-        Su, Sv = su["S"], sv["S"]
-        return (blended(Su, Sv) < 0) & (Su >= 0) & (Sv >= 0)
-    if name in ("genmean", "optgenmean"):
-        # genmean wins iff every dimension's sum is positive, optgenmean iff
-        # some dimension's sum is non-negative; fw is updated in place so
-        # that one grid of sums is alive at a time
-        every = name == "genmean"
-        wins, join = ((np.greater, np.logical_and) if every
-                      else (np.greater_equal, np.logical_or))
-        fu = fv = every
-        fw = np.full(np.broadcast_shapes(Lu.shape, Lv.shape), every)
-        for d in range(spec.dim):
-            Su, Sv = su["S"][..., d], sv["S"][..., d]
-            fu, fv = join(fu, wins(Su, 0)), join(fv, wins(Sv, 0))
-            join(fw, wins(blended(Su, Sv), 0), out=fw)
-        return fw & ~fu & ~fv
-    raise FlagGateError(f"no closed form for {spec.format()}")
+    every b of v, beat both components (`_CLOSED_FORMS`)?"""
+    fw, fu, fv = _CLOSED_FORMS[spec.name][1](su, sv, a, b)
+    return (fw > fu) & (fw > fv)
 
 
 def _cycle_positions(words: np.ndarray, k: int) -> np.ndarray:
@@ -379,22 +392,20 @@ def search_submixing_violation(spec: PayoffSpec,
                                bounds: SearchBounds = SearchBounds(),
                                seed: int = 0) -> VerificationReport:
     """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
-    whose payoff beats both components.
+    whose payoff beats both components: f(w) > max(f(u), f(v)).
 
     The cases are words of letter indices into the default alphabet, read
     once into a `LetterTable`, the seeded ones with their patterns read off
-    `_drawn_blocks`.  For a _FAST_SPECS payoff, which reads only the
-    cycles, both phases are decided by `_fast_violations`'s closed forms on
-    the table's `_cycle_stats`: the exhaustive phase as a grid per pattern
-    (one grid, counted once per pattern, for the _PATTERN_FREE payoffs), in
-    row blocks of at most _GRID_CELLS cells, the seeded cases a block at a
-    time, each reduced to its cycles' rows of the grid's statistics and its
-    pattern's tail sums.  Other payoffs, with exhaustive cycles of
-    1..min(max_cycle, 2) letters, shuffle each case's index lassos and
-    compare the `_word_values` of the three words by cross-multiplication.
-    Either way only the first flagged case is spelled, and it is checked
-    again on tokens (`check_submixing`) before it is reported: a case that
-    check clears raises AssertionError."""
+    `_drawn_blocks`.  A _FAST_SPECS payoff's closed form gives each case's
+    value triple on the table's int32 `_cycle_stats`, and one comparison
+    decides it (`_fast_violations`): the exhaustive cases as a grid per
+    pattern (one, counted per pattern, if _PATTERN_FREE) in row blocks of
+    at most _GRID_CELLS cells, the seeded ones a block at a time.  Other
+    payoffs, with exhaustive cycles of 1..min(max_cycle, 2) letters,
+    compare the `_word_values` of each case's three index words by
+    cross-multiplication.  Only the first flagged case is spelled and
+    checked again on tokens (`check_submixing`) before it is reported: a
+    case that check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     letters = letter_table(spec, alphabet)

@@ -426,7 +426,8 @@ def test_check_seeded_output_is_pinned(capsys, golden, argv):
 
 @pytest.mark.parametrize("prop", ["submixing", "shift-invariance"])
 @pytest.mark.parametrize("flag, value, name", [
-    ("--max-cycle", "0", "max_cycle"), ("--cases", "-5", "random_cases")])
+    ("--max-cycle", "0", "max_cycle"), ("--max-cycle", "7", "max_cycle"),
+    ("--cases", "-5", "random_cases")])
 def test_check_rejects_a_bad_search_bound(capsys, prop, flag, value, name):
     _assert_one_error_line(*run_capture(
         capsys, ["check", prop, "--payoff", "mean", flag, value]), name, value)

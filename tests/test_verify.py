@@ -260,6 +260,7 @@ def test_shift_search_refutes_geom_and_confirms_mean():
 
 @pytest.mark.parametrize("bounds, field", [
     ({"max_cycle": 0}, "max_cycle"), ({"random_cases": -1}, "random_cases"),
+    ({"max_cycle": 7}, "max_cycle"),
 ])
 def test_search_bounds_reject_bad_values(bounds, field):
     with pytest.raises(ValueError, match=field):
@@ -287,15 +288,36 @@ def test_fast_payoffs_cover_the_closed_forms():
     assert {name.split(":")[0] for name in FAST_PAYOFFS} == set(verify._FAST_SPECS)
 
 
+def test_cycle_stats_are_int32_within_their_bound():
+    # over cycles of up to MAX_CYCLE = 6 letters with numerators up to 2,
+    # no closed-form value passes 6 * 2 * 36; a table whose bound,
+    # 6 * max|numerator| * max_cycle^2, reaches 2^31 is refused
+    stats = _cycle_stats(payoff.letter_table(mean, default_alphabet(mean)),
+                         verify.MAX_CYCLE)
+    assert {x.dtype for x in stats.values()} == {np.dtype(np.int32)}
+    assert len(stats["L"]) == sum(5 ** n for n in range(1, 7))
+    largest = 2 ** 31 // 6
+    _cycle_stats(payoff.letter_table(mean, [reward(largest)]), 1)
+    with pytest.raises(OverflowError, match="int32"):
+        _cycle_stats(payoff.letter_table(mean, [reward(largest + 1)]), 1)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
 def test_fast_sweep_agrees_with_full_evaluation():
     # the vectorized sweep's closed forms against the ordinary
     # shuffle-then-evaluate route, on a seeded sample of cycle pairs, at
     # every tail ratio a seeded pattern can draw; each sampled cycle's
     # statistics are its row of the alphabet table's, found by its place
-    # among the exhaustive token cycles
+    # among the exhaustive token cycles.  Beyond the verdict, each closed
+    # form's value triple orders the words as their exact values do:
+    # sign(fw - fu) is the sign of value(w) - value(u), and so for v
     rng = random.Random(31)
     for name in ("mean", "limsup", "liminf", "parity", "posavg",
-                 "genmean:2", "optgenmean:2", "counter+inf", "counter-inf"):
+                 "genmean:2", "optgenmean:2", "counter+inf", "counter-inf",
+                 "genmean:3", "optgenmean:3"):
         spec = parse_payoff_spec(name)
         alphabet = default_alphabet(spec)
         cycles = [tuple(rng.choice(alphabet)
@@ -305,13 +327,22 @@ def test_fast_sweep_agrees_with_full_evaluation():
         stats = _cycle_stats(payoff.letter_table(spec, alphabet), 4)
         col = {k: x[at][:, None] for k, x in stats.items()}
         row = {k: x[at][None, :] for k, x in stats.items()}
+        value = [evaluate_lasso(spec, Lasso((), c)) for c in cycles]
         for a, b in itertools.product(range(1, 4), repeat=2):
+            pattern = ShufflePattern.alternating(a, b)
             grid = _fast_violations(spec, col, row, a, b)
+            fw, fu, fv = (np.broadcast_to(x, grid.shape).astype(np.int64)
+                          for x in verify._CLOSED_FORMS[spec.name][1](
+                              col, row, a, b))
             for i, j in itertools.product(range(len(cycles)), repeat=2):
-                witness = check_submixing(
-                    spec, Lasso((), cycles[i]), Lasso((), cycles[j]),
-                    ShufflePattern.alternating(a, b))
+                u, v = Lasso((), cycles[i]), Lasso((), cycles[j])
+                witness = check_submixing(spec, u, v, pattern)
                 assert bool(grid[i, j]) == (witness is not None), \
+                    (name, a, b, cycles[i], cycles[j])
+                w = evaluate_lasso(spec, payoff.shuffle(u, v, pattern))
+                assert (_sign(int(fw[i, j] - fu[i, j])),
+                        _sign(int(fw[i, j] - fv[i, j]))) \
+                    == (_sign(w - value[i]), _sign(w - value[j])), \
                     (name, a, b, cycles[i], cycles[j])
 
 
