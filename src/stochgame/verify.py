@@ -287,14 +287,16 @@ def _extreme(pick, key):
 
 def _wins(win, join=np.logical_and):
     """The closed form of a payoff won, 1 against 0, iff its mean wins
-    against 0: a vector's in every dimension (or some, for logical_or)."""
+    against 0: a vector's in every dimension (or some, for logical_or),
+    its dimensions' wins joined in place, one dimension at a time."""
     def form(su, sv, a, b):
         Su, Sv = su["S"], sv["S"]
         if Su.ndim == su["L"].ndim:
             return win(_mixed(su, sv, a, b), 0), win(Su, 0), win(Sv, 0)
-        return tuple(functools.reduce(join, x) for x in zip(*(
-            form({**su, "S": Su[..., d]}, {**sv, "S": Sv[..., d]}, a, b)
-            for d in range(Su.shape[-1]))))
+        return functools.reduce(
+            lambda wins, more: [join(x, y, out=x) for x, y in zip(wins, more)],
+            (form({**su, "S": Su[..., d]}, {**sv, "S": Sv[..., d]}, a, b)
+             for d in range(Su.shape[-1])))
     return form
 
 
