@@ -216,8 +216,7 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
 SEARCH_PATTERNS = ((1, 1), (1, 2), (2, 1), (2, 2))
 # The suffixes per word the shift-invariance search compares.
 SHIFTS = 6
-# The largest max_cycle: a _FAST_SPECS grid over five letters holds 4 x
-# 19,530^2 = 1.5 * 10^9 cells at 6, and 4 x 488,280^2 at 8.
+# The largest max_cycle: 19,530 cycles at 6, of at most 461 distinct rows.
 MAX_CYCLE = 6
 
 
@@ -323,10 +322,6 @@ _FAST_SPECS = tuple(_CLOSED_FORMS)
 _PATTERN_FREE = tuple(name for name, (reads, _) in _CLOSED_FORMS.items()
                       if not reads)
 
-# The exhaustive submixing grid of a _FAST_SPECS payoff is decided in row
-# blocks of at most this many cells (one row when a row is longer), so its
-# memory stays flat as the cycle count grows.
-_GRID_CELLS = 1 << 20
 # The seeded cases of both searches are drawn and decided this many at a
 # time; a search stops at the first block holding a violation.  A block
 # keeps its drawn cases alive, so its size bounds the memory of any
@@ -376,6 +371,11 @@ def _cycle_positions(words: np.ndarray, k: int) -> np.ndarray:
     return pos - 1
 
 
+def _cycle_at(pos: int, k: int) -> tuple:
+    """The cycle at an exhaustive position: `_cycle_positions` inverted."""
+    return () if pos < 0 else _cycle_at(pos // k - 1, k) + (pos % k,)
+
+
 def _decided_blocks(spec: PayoffSpec, stats: dict, k: int, blocks):
     """Yield each block of drawn submixing cases (`_drawn_blocks`) with the
     closed forms' verdict on each of its cases, reading its cycles'
@@ -401,11 +401,11 @@ def search_submixing_violation(spec: PayoffSpec,
     `_drawn_blocks`.  A _FAST_SPECS payoff's closed form gives each case's
     value triple on the table's int32 `_cycle_stats`, and one comparison
     decides it (`_fast_violations`): the exhaustive cases as a grid per
-    pattern (one, counted per pattern, if _PATTERN_FREE) in row blocks of
-    at most _GRID_CELLS cells, the seeded ones a block at a time.  Other
-    payoffs, with exhaustive cycles of 1..min(max_cycle, 2) letters,
-    compare the `_word_values` of each case's three index words by
-    cross-multiplication.  Only the first flagged case is spelled and
+    pattern (one, counted per pattern, if _PATTERN_FREE) of the table's
+    distinct rows, counted as its n^2 cells, the seeded ones a block at a
+    time.  Other payoffs, with exhaustive cycles of 1..min(max_cycle, 2)
+    letters, compare the `_word_values` of each case's three index words
+    by cross-multiplication.  Only the first flagged case is spelled and
     checked again on tokens (`check_submixing`) before it is reported: a
     case that check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
@@ -430,23 +430,22 @@ def search_submixing_violation(spec: PayoffSpec,
     if spec.name in _FAST_SPECS:
         st = _cycle_stats(letters, bounds.max_cycle)
         n = len(st["L"])
-        row = {key: x[None, :] for key, x in st.items()}
-        height = max(1, _GRID_CELLS // n)
-        # a flagged cell of a _PATTERN_FREE grid is reported under the first
-        # pattern, as when each pattern's grid was decided
+        # a cell reads only its two rows: decide the distinct rows' grid, in
+        # first-appearance order, so that its first hit is the full grid's
+        rows = np.column_stack([x.reshape(n, -1) for x in st.values()])
+        first = np.sort(np.unique(rows, axis=0, return_index=True)[1]).tolist()
+        col = {key: x[first, None] for key, x in st.items()}
+        row = {key: x[None, first] for key, x in st.items()}
+        # a _PATTERN_FREE grid is decided once, its hit under the first pattern
         patterns = (SEARCH_PATTERNS[:1] if spec.name in _PATTERN_FREE
                     else SEARCH_PATTERNS)
         for a, b in patterns:
             cases += n ** 2
-            for top in range(0, n, height):
-                col = {key: x[top:top + height, None] for key, x in st.items()}
-                viol = _fast_violations(spec, col, row, a, b)
-                if viol.any():
-                    iu, iv = map(int, np.argwhere(viol)[0])
-                    cycles = [c for m in range(1, bounds.max_cycle + 1)
-                              for c in itertools.product(range(k), repeat=m)]
-                    return refuted(((), cycles[top + iu]), ((), cycles[iv]),
-                                   ShufflePattern.alternating(a, b))
+            viol = _fast_violations(spec, col, row, a, b)
+            if viol.any():
+                u, v = (((), _cycle_at(first[i], k))
+                        for i in np.argwhere(viol)[0])
+                return refuted(u, v, ShufflePattern.alternating(a, b))
         cases += n ** 2 * (len(SEARCH_PATTERNS) - len(patterns))
         for block, viol in _decided_blocks(spec, st, k, drawn):
             hits = np.flatnonzero(viol)

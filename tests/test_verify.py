@@ -25,7 +25,8 @@ from stochgame.payoff import (
 from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
 from stochgame.verify import (
     SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _case, _case_columns,
-    _cycle_stats, _decided_blocks, _drawn_blocks, _fast_violations,
+    _cycle_at, _cycle_positions, _cycle_stats, _decided_blocks, _drawn_blocks,
+    _fast_violations,
     _random_memory_strategy, _class_states, _sample_locally_optimal,
     _shift_witness_doc, _spelled, _stationary_guarantees,
     _submix_witness_doc, _value_changing_recurrent, _word_columns,
@@ -614,20 +615,113 @@ def test_shift_search_reports_its_max_cycle():
     assert [r.instance["max_cycle"] for r in reports] == [1, 4]
 
 
-@pytest.mark.parametrize("cells", [1, 700])
+def _whole_grid_search(spec, bounds, seed):
+    # the submixing search with each pattern's exhaustive phase decided on
+    # the whole n x n grid of `_cycle_stats`, the first flagged cell found
+    # by np.argwhere and its cycles read off the list of every cycle; the
+    # seeded phase is the library's
+    alphabet = default_alphabet(spec)
+    k = len(alphabet)
+    instance = {"spec": spec.format(), "seed": seed,
+                "max_cycle": bounds.max_cycle,
+                "patterns": list(SEARCH_PATTERNS),
+                "random_cases": bounds.random_cases}
+    cases = 0
+
+    def refuted(u, v, pattern):
+        return verify.VerificationReport(
+            "submixing", instance, "refuted", {"cases": cases},
+            _submix_witness_doc(check_submixing(spec, u, v, pattern)))
+
+    st = _cycle_stats(payoff.letter_table(spec, alphabet), bounds.max_cycle)
+    cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
+    col = {key: x[:, None] for key, x in st.items()}
+    row = {key: x[None, :] for key, x in st.items()}
+    for a, b in SEARCH_PATTERNS:
+        viol = _fast_violations(spec, col, row, a, b)
+        assert viol.shape == (len(cycles), len(cycles))
+        cases += viol.size
+        if viol.any():
+            iu, iv = map(int, np.argwhere(viol)[0])
+            return refuted(Lasso((), cycles[iu]), Lasso((), cycles[iv]),
+                           ShufflePattern.alternating(a, b))
+    for block, viol in _decided_blocks(spec, st, k, _drawn_blocks(
+            random.Random(seed), _case_columns(k, bounds.max_cycle),
+            bounds.random_cases)):
+        hits = np.flatnonzero(viol)
+        if hits.size:
+            cases += int(hits[0]) + 1
+            return refuted(*_spelled_case(
+                alphabet, _case(block[hits[0]].tolist())))
+        cases += len(block)
+    return verify.VerificationReport("submixing", instance, "confirmed",
+                                     {"cases": cases})
+
+
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
-def test_grid_row_blocks_give_the_whole_grid_reports(monkeypatch, name, cells):
-    # one row per block, or 23 rows of 30 and 4 of 155 with a short last
-    # block: the same first (u, v) hit in row-major order, and the whole
-    # grid counted per pattern
+def test_distinct_row_grid_gives_the_whole_grid_reports(name):
+    # the same first (u, v) hit in row-major order, and the whole grid
+    # counted per pattern
     spec = parse_payoff_spec(name)
-    runs = [(SearchBounds(max_cycle, random_cases), seed)
-            for max_cycle in (1, 2, 3) for random_cases in (0, 300)
-            for seed in (0, 1)]
-    whole = [search_submixing_violation(spec, *run).to_json() for run in runs]
-    monkeypatch.setattr(verify, "_GRID_CELLS", cells)
-    assert [search_submixing_violation(spec, *run).to_json()
-            for run in runs] == whole
+    for max_cycle, random_cases, seed in itertools.product(
+            (1, 2, 3), (0, 300), (0, 1)):
+        bounds = SearchBounds(max_cycle, random_cases)
+        assert search_submixing_violation(spec, bounds, seed).to_json() \
+            == _whole_grid_search(spec, bounds, seed).to_json(), \
+            (max_cycle, random_cases, seed)
+
+
+def test_submixing_grid_is_decided_on_its_distinct_rows(monkeypatch):
+    # at the default bounds, the 780 cycles of mean's table hold 110
+    # distinct statistics rows; each pattern's grid is decided on those,
+    # and still counted as 780^2 cells
+    real = verify._fast_violations
+    grids = []
+
+    def counted(spec, su, sv, a, b):
+        if np.ndim(a) == 0:
+            grids.append(np.broadcast_shapes(su["L"].shape, sv["L"].shape))
+        return real(spec, su, sv, a, b)
+
+    monkeypatch.setattr(verify, "_fast_violations", counted)
+    report = search_submixing_violation(mean, SearchBounds(), seed=0)
+    assert (report.verdict, report.quantities["cases"]) \
+        == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
+    assert grids == [(110, 110)] * len(SEARCH_PATTERNS)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("max_cycle", [1, 2, 3, 4])
+def test_cycle_positions_round_trip(max_cycle, k):
+    # every cycle of 1..max_cycle letters, as the cycle columns of a drawn
+    # word (max_prefix 2), sits at its place in the exhaustive table, and
+    # `_cycle_at` reads that place back as the cycle
+    cycles = [c for n in range(1, max_cycle + 1)
+              for c in itertools.product(range(k), repeat=n)]
+    words = np.array([[0, 0, 0, len(c), *c] + [0] * (max_cycle - len(c))
+                      for c in cycles])
+    assert _cycle_positions(words, k).tolist() == list(range(len(cycles)))
+    assert [_cycle_at(pos, k) for pos in range(len(cycles))] == cycles
+
+
+@pytest.mark.parametrize("name", FAST_PAYOFFS)
+def test_submixing_search_at_max_cycle(name):
+    # the exhaustive grids alone at the largest max_cycle, 4 x 19,530^2
+    # cells when confirmed, in a few MB
+    spec = parse_payoff_spec(name)
+    tracemalloc.start()
+    try:
+        report = search_submixing_violation(
+            spec, SearchBounds(verify.MAX_CYCLE, random_cases=0), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if report.verdict == "confirmed":
+        assert report.quantities["cases"] == 1_525_683_600
+    else:
+        assert report.verdict == "refuted" and not spec.is_submixing
+        assert replay_submixing_witness(spec, report.witness)
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_grid_memory_stays_flat_past_a_million_cells():
