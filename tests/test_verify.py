@@ -615,11 +615,12 @@ def test_shift_search_reports_its_max_cycle():
     assert [r.instance["max_cycle"] for r in reports] == [1, 4]
 
 
-def _whole_grid_search(spec, bounds, seed):
+def _whole_grid_search(spec, bounds, seed, cells):
     # the submixing search with each pattern's exhaustive phase decided on
-    # the whole n x n grid of `_cycle_stats`, the first flagged cell found
-    # by np.argwhere and its cycles read off the list of every cycle; the
-    # seeded phase is the library's
+    # the whole n x n grid of `_cycle_stats`, in row blocks of at most
+    # `cells` cells (one row when a row is longer), the first flagged cell
+    # found by np.argwhere and its cycles read off the list of every cycle;
+    # the seeded phase is the library's
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
@@ -635,16 +636,20 @@ def _whole_grid_search(spec, bounds, seed):
 
     st = _cycle_stats(payoff.letter_table(spec, alphabet), bounds.max_cycle)
     cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
-    col = {key: x[:, None] for key, x in st.items()}
+    n = len(cycles)
+    height = max(1, cells // n)
     row = {key: x[None, :] for key, x in st.items()}
     for a, b in SEARCH_PATTERNS:
-        viol = _fast_violations(spec, col, row, a, b)
-        assert viol.shape == (len(cycles), len(cycles))
-        cases += viol.size
-        if viol.any():
-            iu, iv = map(int, np.argwhere(viol)[0])
-            return refuted(Lasso((), cycles[iu]), Lasso((), cycles[iv]),
-                           ShufflePattern.alternating(a, b))
+        cases += n ** 2
+        for top in range(0, n, height):
+            col = {key: x[top:top + height, None] for key, x in st.items()}
+            viol = _fast_violations(spec, col, row, a, b)
+            assert viol.shape == (min(height, n - top), n)
+            if viol.any():
+                iu, iv = map(int, np.argwhere(viol)[0])
+                return refuted(Lasso((), cycles[top + iu]),
+                               Lasso((), cycles[iv]),
+                               ShufflePattern.alternating(a, b))
     for block, viol in _decided_blocks(spec, st, k, _drawn_blocks(
             random.Random(seed), _case_columns(k, bounds.max_cycle),
             bounds.random_cases)):
@@ -658,16 +663,19 @@ def _whole_grid_search(spec, bounds, seed):
                                      {"cases": cases})
 
 
+@pytest.mark.parametrize("cells", [1, 700])
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
-def test_distinct_row_grid_gives_the_whole_grid_reports(name):
-    # the same first (u, v) hit in row-major order, and the whole grid
-    # counted per pattern
+def test_grid_row_blocks_give_the_whole_grid_reports(name, cells):
+    # the distinct-row search against the whole grid decided one row per
+    # block, or 23 rows of 30 and 4 of 155 with a short last block: the
+    # same first (u, v) hit in row-major order, and the whole grid counted
+    # per pattern
     spec = parse_payoff_spec(name)
     for max_cycle, random_cases, seed in itertools.product(
             (1, 2, 3), (0, 300), (0, 1)):
         bounds = SearchBounds(max_cycle, random_cases)
         assert search_submixing_violation(spec, bounds, seed).to_json() \
-            == _whole_grid_search(spec, bounds, seed).to_json(), \
+            == _whole_grid_search(spec, bounds, seed, cells).to_json(), \
             (max_cycle, random_cases, seed)
 
 
