@@ -83,13 +83,15 @@ class InducedChain:
 class RecurrentClassSummary:
     """One bottom SCC of a chain, as `payoff.class_value` reads it.  The
     graph pass gives its `nodes` and `colours`, the colours of its moves of
-    positive weight: a play absorbed in the class takes each of those moves
-    infinitely often, almost surely, and no other, so `colours` is the set
-    of colours it sees infinitely often.  `int_weights` are their limit
-    weights, integers over one denominator, solved on first read from the
-    exact stationary distribution, which is checked to be positive, to sum
-    to 1 and to be really stationary; `stationary` and `colour_weights` are
-    `Fraction` views of that solve.  `has_potential` (do the increments
+    positive weight, each once, in the order first seen over its nodes and
+    their moves: a play absorbed in the class takes each of those moves
+    infinitely often, almost surely, and no other, so `colours` are the
+    colours it sees infinitely often.  `int_weights` is `(den, weights)`,
+    their limit weights aligned with `colours` as integers over one
+    denominator, solved on first read from the exact stationary
+    distribution, which is checked to be positive, to sum to 1 and to be
+    really stationary; `stationary` and `colour_weights` are `Fraction`
+    views of that solve.  `has_potential` (do the increments
     form a coboundary?) is found on first read too, and is None unless
     every colour is a counter increment.  `value(spec)`, the class's
     `payoff.class_value`, is computed once per payoff and kept."""
@@ -97,8 +99,9 @@ class RecurrentClassSummary:
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
         self.nodes = tuple(nodes)
-        self.colours = frozenset(mv.colour for node in self.nodes
-                                 for mv in chain.moves[node] if mv.weight)
+        self.colours = tuple(dict.fromkeys(
+            mv.colour for node in self.nodes for mv in chain.moves[node]
+            if mv.weight))
         self._values: dict[PayoffSpec, Fraction] = {}
 
     def value(self, spec: PayoffSpec) -> Fraction:
@@ -115,17 +118,18 @@ class RecurrentClassSummary:
     @cached_property
     def colour_weights(self) -> tuple[tuple[ColourToken, Fraction], ...]:
         den, weights = self.int_weights
-        return tuple((tok, Fraction(w, den)) for tok, w in weights)
+        return tuple((tok, Fraction(w, den))
+                     for tok, w in zip(self.colours, weights))
 
     @cached_property
-    def int_weights(self) -> tuple[int, tuple[tuple[ColourToken, int], ...]]:
+    def int_weights(self) -> tuple[int, tuple[int, ...]]:
         return self._solved[1]
 
     @cached_property
     def _solved(self):
-        """((mass, common), (d, ((colour, n), ...))), from one solve: the
-        stationary weight of node `nodes[k]` is mass[k] / common, and a
-        colour's weight n / d."""
+        """((mass, common), (d, (n, ...))), from one solve: the stationary
+        weight of node `nodes[k]` is mass[k] / common, and the weight of
+        `colours[i]` is the i-th n over d."""
         nodes = self.nodes
         pos = {node: k for k, node in enumerate(nodes)}
         n = len(nodes)
@@ -160,17 +164,17 @@ class RecurrentClassSummary:
         if any(m <= 0 for m in mass):
             raise ChainError("stationary weights must be positive")
         # Colour weights sum pi_k * weight, over the common denominator of
-        # z and the move weights.
+        # z and the move weights, in the order of `colours`.
         moves = [self.chain.moves[node] for node in nodes]
         wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
-        weights: dict[ColourToken, int] = {}
+        weights = dict.fromkeys(self.colours, 0)
         for mvs, m in zip(moves, mass):
             for mv in mvs:
                 w = mv.weight
                 if w:
-                    weights[mv.colour] = weights.get(mv.colour, 0) \
-                        + m * w.numerator * (wden // w.denominator)
-        return (mass, common), (common * wden, tuple(weights.items()))
+                    weights[mv.colour] += \
+                        m * w.numerator * (wden // w.denominator)
+        return (mass, common), (common * wden, tuple(weights.values()))
 
     @cached_property
     def has_potential(self) -> Optional[bool]:

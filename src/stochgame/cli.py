@@ -63,11 +63,20 @@ def _load_arena(spec: str) -> Arena:
             seed=int(params.get("seed", DEFAULT_SEED)),
             kind=params.get("kind", "reward"),
         )
-    return parse_arena(Path(spec).read_text())
+    return parse_arena(_read(spec))
+
+
+def _read(path: str) -> str:
+    """The text of the file at `path`; a path that cannot be read (missing,
+    a directory, not permitted) is a usage error."""
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _load_strategy(path: str, player: int, arena: Arena):
-    strategy = strategy_from_json(Path(path).read_text(), player)
+    strategy = strategy_from_json(_read(path), player)
     strategy.check_in(arena)
     return strategy
 
@@ -212,7 +221,7 @@ def run(argv) -> int:
     except SystemExit as e:  # -h printed the help
         return EXIT_USAGE if e.code else EXIT_OK
     except (ArenaError, PayoffError, StrategyError, solve.SolveError,
-            verify.FlagGateError, FileNotFoundError, ValueError) as e:
+            verify.FlagGateError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -319,22 +319,12 @@ class LetterTable(NamedTuple):
 
 
 def letter_table(spec: PayoffSpec, letters) -> LetterTable:
-    """The table of `letters` under `spec`.  Raises ColourKindError unless
-    every letter is a colour of the payoff's kind, of its dimension for the
+    """The table of `letters` under `spec`: their values scaled to integer
+    numerators over one denominator.  Raises ColourKindError unless every
+    letter is a colour of the payoff's kind, of its dimension for the
     vector payoffs, and 0 or 1 for the geometric payoff."""
     letters = tuple(letters)
     _check_kind(spec, letters)
-    table = _table(spec, letters)
-    if spec.name == "geomfirstone" and (
-            table.den != 1 or not set(table.nums) <= {0, 1}):
-        raise ColourKindError("geomfirstone needs colours in {0, 1}")
-    return table
-
-
-def _table(spec: PayoffSpec, letters) -> LetterTable:
-    """The table of `letters`, colours of the payoff's kind already checked:
-    their values scaled to integer numerators over one denominator."""
-    letters = tuple(letters)
     kind = spec.colour_kind
     if kind in (DISCOUNTED, LETTER):
         return LetterTable(letters, None, 1)
@@ -347,6 +337,9 @@ def _table(spec: PayoffSpec, letters) -> LetterTable:
                            if kind == REWARD_BUCHI else
                            [t.value for t in letters])
         nums = tuple(nums)
+    if spec.name == "geomfirstone" and (
+            den != 1 or not set(nums) <= {0, 1}):
+        raise ColourKindError("geomfirstone needs colours in {0, 1}")
     return LetterTable(letters, nums, den)
 
 
@@ -383,34 +376,21 @@ def word_value(spec: PayoffSpec, letters: LetterTable, prefix,
     return _limit_value(spec, letters, cycle, None)
 
 
-# The class-determined payoffs valued off the set of colours seen
-# infinitely often, whatever their weights; `meancobuchi` is too once a
-# Buchi colour is seen.
-_COLOUR_SET_RULES = ("limsup", "liminf", "parity")
-
-
 def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
     """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`:
-    `_limit_value` of a table of its colours, weighed by its `int_weights`.
+    `_limit_value` of the one table of its `colours`, weighed by its
+    `int_weights`, which are aligned with them.
 
-    The colours' kind is checked first, before any weight is read.  A
-    payoff valued off the colour set reads the table of `colours`, and
-    never solves the stationary distribution; any other reads the table of
-    the colours of `int_weights`, built in the pass that reads the
-    weights, in their order.  Only class-determined payoffs are accepted;
-    the discounted and geometric payoffs depend on the transient part and
-    the suffix-target payoff is not determined by the class at all."""
+    The colours' kind is checked first, before any weight is read, and a
+    payoff valued off the colour set never reads the weights, so never
+    solves the stationary distribution.  Only class-determined payoffs are
+    accepted; the discounted and geometric payoffs depend on the transient
+    part and the suffix-target payoff is not determined by the class at
+    all."""
     if not spec.is_class_determined:
         raise PayoffError(
             f"payoff {spec.format()} is not determined by the recurrent class")
-    colours = cls.colours
-    _check_kind(spec, colours)
-    name = spec.name
-    if name in _COLOUR_SET_RULES or (
-            name == "meancobuchi" and any(t.value[1] for t in colours)):
-        letters = _table(spec, colours)
-    else:
-        letters = _table(spec, [t for t, _ in cls.int_weights[1]])
+    letters = letter_table(spec, cls.colours)
     return _fraction(_limit_value(spec, letters, range(len(letters.letters)),
                                   cls))
 
@@ -422,9 +402,11 @@ def _limit_value(spec: PayoffSpec, letters: LetterTable, seen,
     of the letters it sees infinitely often and, read only by the payoffs
     that weigh colours, their limit weights: integers over one denominator.
     A word passes its cycle and `cls` None, each letter weighing 1 over the
-    cycle length; a bottom class passes every letter of its table and
-    itself (see `class_value`), and its `int_weights`, read past the colour
-    set rules in the order of its table, must sum to their denominator.
+    cycle length; a bottom class passes every letter of the table of its
+    `colours` and itself (see `class_value`).  Its `int_weights`, aligned
+    with that table, are read only past the colour-set rules (`limsup`,
+    `liminf`, `parity`, and `meancobuchi` once a Buchi colour is seen), and
+    must sum to their denominator.
 
     Win/lose conditions return 0/1, and the mean-co-Buchi payoff substitutes
     the finite penalty -B for the unbounded one.  Values are the table's
@@ -445,8 +427,7 @@ def _limit_value(spec: PayoffSpec, letters: LetterTable, seen,
     if cls is None:
         weights, den = None, len(vals)
     else:
-        den, pairs = cls.int_weights
-        weights = [w for _, w in pairs]
+        den, weights = cls.int_weights
         total = sum(weights)
         if total != den:
             raise PayoffError(f"class colour weights sum to "

@@ -10,10 +10,12 @@ is what makes the weakness set and the reset construction exactly checkable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .arena import Arena
 
@@ -81,42 +83,29 @@ class FiniteMemoryStrategy:
         return json.dumps(doc, indent=1)
 
 
+@functools.lru_cache(maxsize=4096)
+def _sure(state: str, action: str) -> tuple[tuple, MappingProxyType]:
+    """The `choices` entry of a stationary strategy playing `action` at
+    `state`: the key ("m0", state) and the read-only law {action: 1}.
+    Stationary strategies share their entries, since the certificates and
+    responses of one solve hold many strategies over the same arena."""
+    return ("m0", state), MappingProxyType({action: Fraction(1)})
+
+
 class PureStationaryStrategy(FiniteMemoryStrategy):
     """Deterministic action choice depending only on the current state: the
-    finite-memory strategy with the one memory "m0" and no updates.
-
-    Only the state -> action map is stored; the (memory, state) law table
-    `choices` is derived from it on access.  `to_json` writes the bare map.
-    """
-
-    memory_states = ("m0",)
-    initial = "m0"
-    update: dict = {}   # shared by all instances; no update table is mutated
+    finite-memory strategy with the one memory "m0", no updates and the law
+    {a: 1} at each ("m0", s).  It fills those fields and inherits all its
+    behaviour; it also keeps its state -> action map as `choice`, which
+    `to_json` writes bare."""
 
     def __init__(self, player: int, choice: dict[str, str]):
-        object.__setattr__(self, "player", player)
+        super().__init__(player, ("m0",), "m0", {},
+                         dict(itertools.starmap(_sure, choice.items())))
         object.__setattr__(self, "choice", choice)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
-    def choices(self) -> dict[tuple, dict[str, Fraction]]:
-        return {("m0", s): {a: Fraction(1)} for s, a in self.choice.items()}
-
-    def next_memory(self, m, s, a, t):
-        return "m0"
-
-    def action_dist(self, m, s: str) -> dict[str, Fraction]:
-        return {self.choice[s]: Fraction(1)}
-
-    def check_in(self, arena: Arena) -> None:
-        for s in arena.player_states(self.player):
-            a = self.choice.get(s)
-            if a is None:
-                raise StrategyError(f"no choice at state {s}")
-            if a not in arena.available[s]:
-                raise StrategyError(f"choice {a} not available at {s}")
 
     def to_json(self) -> str:
         return json.dumps(dict(sorted(self.choice.items())), indent=1)

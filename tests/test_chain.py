@@ -898,10 +898,29 @@ def _zero_weight_chain(top, colour):
 def test_a_move_of_weight_zero_adds_no_colour(name, top, colour, want):
     chain = _zero_weight_chain(top, colour)
     (cls,) = bottom_sccs(chain)
-    assert cls.colours == {colour(1)}
+    assert cls.colours == (colour(1),)
     spec = parse_payoff_spec(name)
     assert class_value(spec, cls) == want
     assert _eager_class_value(spec, chain, [0]) == want
+
+
+def test_class_colours_follow_first_seen_order_with_aligned_weights():
+    # node 0 plays reward 3 (to node 1) or reward 1 (staying), each with
+    # weight 1/2; node 1 returns with reward 3.  Stationary (2/3, 1/3), so
+    # reward 3 weighs 2/3 and reward 1 weighs 1/3, in the order first seen,
+    # which is not the sorted order
+    moves = ((Move("a", F(1, 2), reward(3), ((1, F(1)),)),
+              Move("b", F(1, 2), reward(1), ((0, F(1)),))),
+             (Move("c", F(1), reward(3), ((0, F(1)),)),))
+    nodes = (("s", "m0", "m0"), ("t", "m0", "m0"))
+    chain = InducedChain(nodes, moves, {node: i for i, node in enumerate(nodes)},
+                         ((2, {1: 1, 0: 1}), (1, {0: 1})), (None, None))
+    (cls,) = bottom_sccs(chain)
+    assert cls.colours == (reward(3), reward(1))
+    den, weights = cls.int_weights
+    assert [F(w, den) for w in weights] == [F(2, 3), F(1, 3)]
+    assert cls.colour_weights == ((reward(3), F(2, 3)), (reward(1), F(1, 3)))
+    assert class_value(parse_payoff_spec("mean"), cls) == F(7, 3)
 
 
 def test_a_colour_set_payoff_checks_the_kind_before_any_solve(monkeypatch):

@@ -218,6 +218,19 @@ def test_out_of_range_random_parameter_is_a_usage_error(capsys, spec, word):
         capsys, ["solve", spec, "--payoff", "mean"]), word)
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{dir}", "--payoff", "mean"],
+    ["best-response", E2, "--payoff", "mean", "--sigma", "{dir}"],
+    ["martingale", E2, "--payoff", "mean", "--sigma", WEAK, "--tau", "{dir}"],
+])
+def test_an_unreadable_path_is_one_error_line(tmp_path, capsys, argv):
+    # a directory cannot be read as a file.  A file without read permission
+    # is left untested: the superuser reads it anyway
+    argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
+    _assert_one_error_line(*run_capture(capsys, argv),
+                           f"cannot read {tmp_path}")
+
+
 def test_closed_stdout_exits_quietly():
     # The read end is closed before the command starts, so its first write
     # to stdout fails with a broken pipe.

@@ -465,13 +465,12 @@ def test_submixing_parity_random_sweep(cu, cv, a, b):
 
 def _summary(colour_weights, has_potential=None):
     # a summary holding what a solved class holds: its colours and their
-    # integer weights over one denominator
+    # integer weights over one denominator, aligned with them
     from stochgame.chain import RecurrentClassSummary
     den = math.lcm(*(w.denominator for _, w in colour_weights))
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
-    cls.colours = frozenset(tok for tok, _ in colour_weights)
-    cls.int_weights = den, tuple((tok, int(w * den))
-                                 for tok, w in colour_weights)
+    cls.colours = tuple(tok for tok, _ in colour_weights)
+    cls.int_weights = den, tuple(int(w * den) for _, w in colour_weights)
     cls.has_potential = has_potential
     return cls
 
@@ -514,9 +513,9 @@ def test_class_value_rejects_global_payoffs():
 def test_class_value_rejects_bad_weights():
     from stochgame.chain import RecurrentClassSummary
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
-    object.__setattr__(cls, "colours", frozenset({reward(1)}))
+    object.__setattr__(cls, "colours", (reward(1),))
     # one colour of weight 1/2: its integer weight 1 is not the denominator 2
-    object.__setattr__(cls, "int_weights", (2, ((reward(1), 1),)))
+    object.__setattr__(cls, "int_weights", (2, (1,)))
     object.__setattr__(cls, "has_potential", None)
     with pytest.raises(PayoffError):
         class_value(mean, cls)

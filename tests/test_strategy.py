@@ -3,6 +3,7 @@ construction."""
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -10,7 +11,9 @@ from math import prod
 import pytest
 
 from stochgame.arena import P1, P2, random_arena
-from stochgame.chain import ProductSkeleton, bottom_classes, induce_chain
+from stochgame.chain import (
+    ProductSkeleton, bottom_classes, induce_chain, product_skeleton,
+)
 from stochgame.fixtures import build_e2, build_weak_memory_fixture
 from stochgame.payoff import parse_payoff_spec
 from stochgame.solve import (
@@ -48,6 +51,47 @@ def test_pure_strategy_is_the_one_memory_finite_memory_strategy():
     assert as_table.choices == sigma.choices
     with pytest.raises(dataclasses.FrozenInstanceError):
         sigma.choice = {}
+
+
+def _spelled_out(sigma):
+    """The finite-memory strategy a stationary one stands for, spelled out
+    from its state -> action map."""
+    return FiniteMemoryStrategy(
+        sigma.player, ("m0",), "m0", {},
+        {("m0", s): {a: F(1)} for s, a in sigma.choice.items()})
+
+
+@pytest.mark.parametrize("player", [P1, P2])
+def test_a_stationary_strategy_acts_as_its_spelled_out_form(player):
+    rng = random.Random(player)
+    for seed in range(12):
+        arena = random_arena(4, 3, seed=seed)
+        pure = PureStationaryStrategy(player, {
+            s: rng.choice(arena.available[s])
+            for s in arena.player_states(player)})
+        spelled = _spelled_out(pure)
+        assert [getattr(pure, f.name) for f in dataclasses.fields(pure)] \
+            == [getattr(spelled, f.name) for f in dataclasses.fields(spelled)]
+        # the same product: nodes, moves, integer rows and discounted rows
+        seeds = [(s, "m0", "m0") for s in arena.states]
+        fixed = "sigma" if player == P1 else "tau"
+        assert product_skeleton(arena, seeds, **{fixed: pure}) \
+            == product_skeleton(arena, seeds, **{fixed: spelled})
+        if player == P1:
+            assert product_values(arena, mean, pure) \
+                == product_values(arena, mean, spelled)
+        # written and read back as the bare map
+        assert json.loads(pure.to_json()) == pure.choice
+        again = strategy_from_json(pure.to_json(), player)
+        assert type(again) is PureStationaryStrategy
+        assert again.choice == pure.choice and again.choices == pure.choices
+        # stationary strategies share their laws, which are read-only
+        for key, law in pure.choices.items():
+            assert again.choices[key] is law
+            with pytest.raises(TypeError):
+                law["x"] = F(0)
+        with pytest.raises(StrategyError, match="no choice"):
+            pure.action_dist("m0", "nowhere")
 
 
 def _tuple_memory_strategy():

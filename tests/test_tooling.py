@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from stochgame import acceptance, cli, payoff, solve, verify
+from stochgame import acceptance, cli, payoff, solve, strategy, verify
 from stochgame.arena import random_arena
 from stochgame.payoff import _CATALOG, parse_payoff_spec
 
@@ -253,6 +253,25 @@ def test_every_traced_function_resolves():
         if holder is None or not callable(vars(holder).get(name)):
             unresolved.append(f"{module}.{func}")
     assert traced and not unresolved, unresolved
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_library_strategy_overrides_the_strategy_interface():
+    # a stationary strategy is the one-memory finite-memory strategy: a
+    # subclass fills the fields, and the interface keeps one implementation
+    for path in sorted(SRC.glob("*.py")):
+        importlib.import_module(f"stochgame.{path.stem}")
+    interface = ("action_dist", "next_memory", "choices", "check_in")
+    library = [cls for cls in _subclasses(strategy.FiniteMemoryStrategy)
+               if cls.__module__.startswith("stochgame.")]
+    found = [f"{cls.__name__}.{name}" for cls in library
+             for name in interface if name in vars(cls)]
+    assert library and not found, found
 
 
 # One small valid run of every subcommand; "@stay" is a stationary sigma.
