@@ -15,7 +15,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .payoff import (
     ColourToken, colour_from_json, colour_to_json,
@@ -76,19 +75,6 @@ class Arena:
 
     def player_states(self, player: int) -> tuple[str, ...]:
         return tuple(s for s in self.states if self.owner[s] == player)
-
-    def restrict(self, state: str, actions: Iterable[str]) -> "Arena":
-        """Sub-arena with the given state's actions cut down to `actions`."""
-        keep = tuple(a for a in self.available[state] if a in set(actions))
-        if not keep:
-            raise ArenaError(f"restriction leaves {state} without actions")
-        avail = dict(self.available)
-        avail[state] = keep
-        trans = {(s, a): d for (s, a), d in self.transition.items()
-                 if s != state or a in keep}
-        col = {(s, a): c for (s, a), c in self.colour.items()
-               if s != state or a in keep}
-        return Arena(self.states, dict(self.owner), avail, trans, col)
 
     def step_laws(self) -> dict[tuple[str, str], tuple[tuple, tuple[float, ...]]]:
         """The transition table as the sampler reads it: `(s, a) ->

@@ -90,11 +90,11 @@ class RecurrentClassSummary:
     their limit weights aligned with `colours` as integers over one
     denominator, solved on first read from the exact stationary
     distribution, which is checked to be positive, to sum to 1 and to be
-    really stationary; `stationary` and `colour_weights` are `Fraction`
-    views of that solve.  `has_potential` (do the increments
-    form a coboundary?) is found on first read too, and is None unless
-    every colour is a counter increment.  `value(spec)`, the class's
-    `payoff.class_value`, is computed once per payoff and kept."""
+    really stationary; `stationary` is a `Fraction` view of that solve.
+    `has_potential` (do the increments form a coboundary?) is found on
+    first read too, and is None unless every colour is a counter increment.
+    `value(spec)`, the class's `payoff.class_value`, is computed once per
+    payoff and kept."""
 
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
@@ -114,12 +114,6 @@ class RecurrentClassSummary:
     def stationary(self) -> dict[int, Fraction]:
         mass, common = self._solved[0]
         return {node: Fraction(m, common) for node, m in zip(self.nodes, mass)}
-
-    @cached_property
-    def colour_weights(self) -> tuple[tuple[ColourToken, Fraction], ...]:
-        den, weights = self.int_weights
-        return tuple((tok, Fraction(w, den))
-                     for tok, w in zip(self.colours, weights))
 
     @cached_property
     def int_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -198,13 +192,16 @@ def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
            successor) -> tuple[Move, ...]:
     """The moves of the action law `law` at node `key`, whose state comes
     first; `successor(a, t)` is the node reached by action `a` and arena
-    successor `t`.  Actions and successors of weight 0 are left out."""
+    successor `t`.  Actions and successors of weight 0 are left out.  The
+    weights must be non-negative and sum to 1, so each is at most 1."""
     s = key[0]
     total = sum(law.values())
     if total != 1:
         raise ChainError(f"choice at {key} sums to {total}")
     mvs = []
     for a, w in law.items():
+        if w.numerator < 0:
+            raise ChainError(f"choice at {key} gives {a} the negative weight {w}")
         if w == 0:
             continue
         if a not in arena.available[s]:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import solve, verify
 from .arena import Arena, ArenaError, parse_arena, random_arena, sample_play
-from .payoff import PayoffError, parse_payoff_spec
+from .payoff import parse_payoff_spec
 from .strategy import (
     PureStationaryStrategy, StrategyError, strategy_from_json,
 )
@@ -44,6 +44,13 @@ def _rational(text: str, what: str) -> Fraction:
         raise ValueError(f"{what} is not a rational: {text!r}") from None
 
 
+def _integer(text: str | int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {text!r}") from None
+
+
 def _load_arena(spec: str) -> Arena:
     if spec.startswith("random:"):
         params = {}
@@ -55,12 +62,12 @@ def _load_arena(spec: str) -> Arena:
                                      + ", ".join(RANDOM_KEYS))
                 params[k] = v
         return random_arena(
-            num_states=int(params.get("states", 4)),
-            max_actions=int(params.get("actions", 3)),
-            colour_lo=int(params.get("lo", -2)),
-            colour_hi=int(params.get("hi", 2)),
+            num_states=_integer(params.get("states", 4), "random: states"),
+            max_actions=_integer(params.get("actions", 3), "random: actions"),
+            colour_lo=_integer(params.get("lo", -2), "random: lo"),
+            colour_hi=_integer(params.get("hi", 2), "random: hi"),
             density=_rational(params.get("density", "1/2"), "random: density"),
-            seed=int(params.get("seed", DEFAULT_SEED)),
+            seed=_integer(params.get("seed", DEFAULT_SEED), "random: seed"),
             kind=params.get("kind", "reward"),
         )
     return parse_arena(_read(spec))
@@ -220,8 +227,7 @@ def run(argv) -> int:
         return _dispatch(_parser().parse_args(argv))
     except SystemExit as e:  # -h printed the help
         return EXIT_USAGE if e.code else EXIT_OK
-    except (ArenaError, PayoffError, StrategyError, solve.SolveError,
-            verify.FlagGateError, ValueError) as e:
+    except ValueError as e:  # every library error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,7 +5,7 @@ letter-game counter-example.
 
 Searches are refuters: a refuted report always embeds a witness that
 replays.  Both searches decide index words over one letter table.  A
-submixing closed form values a case's shuffle and words on int32 cycle
+submixing closed form values a case's shuffle and words on integer cycle
 statistics, and one comparison asks whether the shuffle beats both; a
 witness is spelled and re-evaluated on tokens before being returned.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
@@ -287,40 +287,36 @@ def _extreme(pick, key):
 def _wins(win, join=np.logical_and):
     """The closed form of a payoff won, 1 against 0, iff its mean wins
     against 0: a vector's in every dimension (or some, for logical_or),
-    its dimensions' wins joined in place, one dimension at a time."""
+    its dimensions' wins joined one dimension at a time."""
     def form(su, sv, a, b):
         Su, Sv = su["S"], sv["S"]
         if Su.ndim == su["L"].ndim:
             return win(_mixed(su, sv, a, b), 0), win(Su, 0), win(Sv, 0)
         return functools.reduce(
-            lambda wins, more: [join(x, y, out=x) for x, y in zip(wins, more)],
+            lambda wins, more: [join(x, y) for x, y in zip(wins, more)],
             (form({**su, "S": Su[..., d]}, {**sv, "S": Sv[..., d]}, a, b)
              for d in range(Su.shape[-1])))
     return form
 
 
-# The payoffs that read only the cycles: whether each closed form reads the
-# pattern, and the form.  It maps u's and v's `_cycle_stats` and the tail
-# sums a and b to (fw, fu, fv), the values of the shuffle, of u and of v,
-# as integers over one positive denominator or 0/1 wins.  On a grid (a
-# column of u's statistics, a row of v's), u's and v's wins keep the shape.
+# The payoffs that read only the cycles, each with its closed form.  A form
+# maps u's and v's `_cycle_stats` and the tail sums a and b to (fw, fu, fv),
+# the values of the shuffle, of u and of v, as integers over one positive
+# denominator or 0/1 wins.  On a grid (a column of u's statistics, a row of
+# v's), u's and v's wins keep the shape.
 _CLOSED_FORMS = {
-    "mean": (True, _mean),
-    "limsup": (False, _extreme(np.maximum, "MX")),
-    "liminf": (False, _extreme(np.minimum, "MN")),
+    "mean": _mean,
+    "limsup": _extreme(np.maximum, "MX"),
+    "liminf": _extreme(np.minimum, "MN"),
     # the top priority's parity
-    "parity": (False, lambda *st: tuple(
-        x % 2 for x in _CLOSED_FORMS["limsup"][1](*st))),
-    "posavg": (True, _wins(np.greater)),
-    "counter+inf": (True, _wins(np.greater)),
-    "counter-inf": (True, _wins(np.less)),
-    "genmean": (True, _wins(np.greater)),
-    "optgenmean": (True, _wins(np.greater_equal, np.logical_or)),
+    "parity": lambda *st: tuple(x % 2 for x in _CLOSED_FORMS["limsup"](*st)),
+    "posavg": _wins(np.greater),
+    "counter+inf": _wins(np.greater),
+    "counter-inf": _wins(np.less),
+    "genmean": _wins(np.greater),
+    "optgenmean": _wins(np.greater_equal, np.logical_or),
 }
 _FAST_SPECS = tuple(_CLOSED_FORMS)
-# The _FAST_SPECS payoffs whose closed form does not read the pattern.
-_PATTERN_FREE = tuple(name for name, (reads, _) in _CLOSED_FORMS.items()
-                      if not reads)
 
 # The seeded cases of both searches are drawn and decided this many at a
 # time; a search stops at the first block holding a violation.  A block
@@ -333,28 +329,22 @@ def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
     """Integer summaries of every cycle of 1..max_cycle letters over the
     table, in `_cycle_positions` order: its length L and its letters'
     numerators' sum S, maximum MX and minimum MN, each with a trailing
-    dimension axis for a vector table.  They are int32, and so are the
-    closed-form values of a grid, whose a and b are Python ints."""
+    dimension axis for a vector table, as int64 arrays."""
     nums = np.array(letters.nums, dtype=np.int64)
-    # No closed-form value exceeds (a+b) * max|numerator| * max_cycle^2 in
-    # magnitude (`_mean`), a+b <= 6 (`_case_columns`): at MAX_CYCLE and
-    # numerators up to 4, as in the default alphabets, 864.
-    if 6 * int(np.abs(nums).max()) * max_cycle ** 2 >= 2 ** 31:
-        raise OverflowError("closed-form values could overflow int32")
     parts = []
     for n in range(1, max_cycle + 1):
         # every cycle of n letters, in `itertools.product` order
         vals = nums[np.indices((len(nums),) * n).reshape(n, -1).T]
         parts.append((np.full(len(vals), n), vals.sum(1), vals.max(1),
                       vals.min(1)))
-    return {key: np.concatenate(x).astype(np.int32)
+    return {key: np.concatenate(x)
             for key, x in zip(("L", "S", "MX", "MN"), zip(*parts))}
 
 
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     """Does the shuffle of u's and v's cycles, taking a letters of u for
     every b of v, beat both components (`_CLOSED_FORMS`)?"""
-    fw, fu, fv = _CLOSED_FORMS[spec.name][1](su, sv, a, b)
+    fw, fu, fv = _CLOSED_FORMS[spec.name](su, sv, a, b)
     return (fw > fu) & (fw > fv)
 
 
@@ -399,15 +389,14 @@ def search_submixing_violation(spec: PayoffSpec,
     The cases are words of letter indices into the default alphabet, read
     once into a `LetterTable`, the seeded ones with their patterns read off
     `_drawn_blocks`.  A _FAST_SPECS payoff's closed form gives each case's
-    value triple on the table's int32 `_cycle_stats`, and one comparison
-    decides it (`_fast_violations`): the exhaustive cases as a grid per
-    pattern (one, counted per pattern, if _PATTERN_FREE) of the table's
-    distinct rows, counted as its n^2 cells, the seeded ones a block at a
-    time.  Other payoffs, with exhaustive cycles of 1..min(max_cycle, 2)
-    letters, compare the `_word_values` of each case's three index words
-    by cross-multiplication.  Only the first flagged case is spelled and
-    checked again on tokens (`check_submixing`) before it is reported: a
-    case that check clears raises AssertionError."""
+    value triple on the table's `_cycle_stats`, and one comparison decides
+    it (`_fast_violations`): the exhaustive cases as a grid per pattern of
+    the table's distinct rows, counted as its n^2 cells, the seeded ones a
+    block at a time.  Other payoffs, with exhaustive cycles of
+    1..min(max_cycle, 2) letters, compare the `_word_values` of each case's
+    three index words by cross-multiplication.  Only the first flagged case
+    is spelled and checked again on tokens (`check_submixing`) before it is
+    reported: a case that check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     letters = letter_table(spec, alphabet)
@@ -436,17 +425,13 @@ def search_submixing_violation(spec: PayoffSpec,
         first = np.sort(np.unique(rows, axis=0, return_index=True)[1]).tolist()
         col = {key: x[first, None] for key, x in st.items()}
         row = {key: x[None, first] for key, x in st.items()}
-        # a _PATTERN_FREE grid is decided once, its hit under the first pattern
-        patterns = (SEARCH_PATTERNS[:1] if spec.name in _PATTERN_FREE
-                    else SEARCH_PATTERNS)
-        for a, b in patterns:
+        for a, b in SEARCH_PATTERNS:
             cases += n ** 2
             viol = _fast_violations(spec, col, row, a, b)
             if viol.any():
                 u, v = (((), _cycle_at(first[i], k))
                         for i in np.argwhere(viol)[0])
                 return refuted(u, v, ShufflePattern.alternating(a, b))
-        cases += n ** 2 * (len(SEARCH_PATTERNS) - len(patterns))
         for block, viol in _decided_blocks(spec, st, k, drawn):
             hits = np.flatnonzero(viol)
             if hits.size:

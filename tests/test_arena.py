@@ -25,6 +25,7 @@ from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
     reset_strategy, strategy_from_json,
 )
+from helpers import restrict
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "v1"
 
@@ -439,8 +440,8 @@ def test_sample_play_contract_errors():
 
 def test_restrict_drops_actions():
     e2 = build_e2()
-    only_stay = e2.restrict("s", ["stay"])
+    only_stay = restrict(e2, "s", ["stay"])
     assert only_stay.available["s"] == ("stay",)
     assert ("s", "go") not in only_stay.transition
     with pytest.raises(ArenaError):
-        e2.restrict("s", [])
+        restrict(e2, "s", [])

@@ -18,16 +18,20 @@ from stochgame.chain import (
     absorption_from, bottom_classes, bottom_sccs, discounted_values,
     first_passage, induce_chain, product_skeleton, solve_linear,
 )
-from stochgame.fixtures import build_e3, build_fig1, fig1_alternating_strategy
+from stochgame.fixtures import (
+    build_e2, build_e3, build_fig1, fig1_alternating_strategy,
+)
 from stochgame.payoff import (
     ColourKindError, class_value, discounted, increment, parse_payoff_spec,
     priority, reward, reward_buchi, vector,
 )
+from stochgame.solve import brute_force_value, martingale_check, node_values
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
     strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
+from helpers import colour_weights
 
 F = Fraction
 
@@ -349,7 +353,7 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
                 for mv in chain.moves[node]:
                     weights[mv.colour] = weights.get(mv.colour, 0) \
                         + cls.stationary[node] * mv.weight
-            assert cls.colour_weights == tuple(weights.items())
+            assert colour_weights(cls) == tuple(weights.items())
         assert absorption_from(chain, classes) == _oracle_absorption(chain, classes)
         assert discounted_values(chain) == _oracle_discounted(chain)
 
@@ -455,6 +459,26 @@ def test_skeleton_keeps_the_chain_checks(law, update, message):
         {("m", "s"): law, ("m", "t"): {"loop": F(1)}, ("m", "u"): {"loop": F(1)}})
     with pytest.raises(ChainError, match=message):
         _skeleton(e3, sigma)
+
+
+def test_a_negative_weight_is_refused_by_every_chain_entry():
+    # {stay: 3/2, go: -1/2} sums to 1, so only the sign check refuses it;
+    # unchecked, the chain reads a row (2, {0: 3, 1: -1}) and values it
+    e2 = build_e2()
+    sigma = FiniteMemoryStrategy(
+        P1, ("m0",), "m0", {},
+        {("m0", "s"): {"stay": F(3, 2), "go": F(-1, 2)},
+         ("m0", "t"): {"loop": F(1)}})
+    tau = PureStationaryStrategy(P2, {})
+    mean = parse_payoff_spec("mean")
+    values = brute_force_value(e2, mean)
+    for entry in (lambda: induce_chain(e2, sigma, tau),
+                  lambda: node_values(e2, mean, sigma, tau),
+                  lambda: martingale_check(e2, values, sigma, tau, "s")):
+        with pytest.raises(ChainError) as err:
+            entry()
+        assert str(err.value) \
+            == "choice at ('s', 'm0', 'm0') gives go the negative weight -1/2"
 
 
 @pytest.mark.parametrize("leaving", ["sigma", "tau"])
@@ -572,7 +596,7 @@ def test_stationary_solve_is_checked_exactly(monkeypatch, spoil, message):
     monkeypatch.setattr(chain_module, "solve_linear",
                         lambda matrix, rhs: spoil(solve(matrix, rhs)))
     with pytest.raises(ChainError) as err:
-        cls.colour_weights
+        colour_weights(cls)
     assert str(err.value) == message
 
 
@@ -738,7 +762,7 @@ def test_potential_function_flags():
     }, colours={"x": increment(2), "y": increment(-1)})
     chain = induce_chain(osc, _first_choice(osc, P1), _first_choice(osc, P2))
     (cls,) = bottom_sccs(chain)
-    drift = sum(w * t.value for t, w in cls.colour_weights)
+    drift = sum(w * t.value for t, w in colour_weights(cls))
     assert drift == 0
     assert cls.has_potential is False
 
@@ -919,7 +943,7 @@ def test_class_colours_follow_first_seen_order_with_aligned_weights():
     assert cls.colours == (reward(3), reward(1))
     den, weights = cls.int_weights
     assert [F(w, den) for w in weights] == [F(2, 3), F(1, 3)]
-    assert cls.colour_weights == ((reward(3), F(2, 3)), (reward(1), F(1, 3)))
+    assert colour_weights(cls) == ((reward(3), F(2, 3)), (reward(1), F(1, 3)))
     assert class_value(parse_payoff_spec("mean"), cls) == F(7, 3)
 
 

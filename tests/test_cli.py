@@ -209,6 +209,13 @@ def test_unknown_random_key_is_a_usage_error(capsys):
         "'state'", "states, actions, lo, hi, density, seed, kind")
 
 
+@pytest.mark.parametrize("key", ["states", "actions", "lo", "hi", "seed"])
+def test_a_random_key_that_is_not_an_integer_is_named(capsys, key):
+    _assert_one_error_line(*run_capture(
+        capsys, ["solve", f"random:{key}=x", "--payoff", "mean"]),
+        f"random: {key} is not an integer: 'x'")
+
+
 @pytest.mark.parametrize("spec, word", [
     ("random:states=0", "num_states"), ("random:actions=0", "max_actions"),
     ("random:lo=2,hi=1", "colour_hi"), ("random:states=3,density=1e309", "density"),

@@ -17,6 +17,7 @@ from stochgame.verify import (
     SearchBounds, search_shift_invariance_violation,
     search_submixing_violation,
 )
+from helpers import colour_weights
 
 SHIFT_INVARIANT = ["mean", "parity", "limsup", "liminf", "posavg",
                    "counter+inf", "counter-inf", "genmean:2", "optgenmean:2",
@@ -77,7 +78,7 @@ def test_class_value_agrees_with_aligned_lasso(name, kind):
             2, {s: arena.available[s][0] for s in arena.player_states(2)})
         chain = induce_chain(arena, sigma, tau)
         for cls in bottom_sccs(chain):
-            weights = cls.colour_weights
+            weights = colour_weights(cls)
             denom = math.lcm(*(w.denominator for _, w in weights))
             cycle = tuple(tok for tok, w in weights
                           for _ in range(int(w * denom)))

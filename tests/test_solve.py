@@ -32,6 +32,7 @@ from stochgame.strategy import (
     enumerate_pure_stationary,
 )
 from stochgame.verify import _adversarial_min, _random_memory_strategy
+from helpers import restrict
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -571,7 +572,7 @@ def test_value_monotone_under_action_removal(seed):
         return
     s = rng.choice(candidates)
     keep = list(arena.available[s][:-1])
-    restricted = arena.restrict(s, keep)
+    restricted = restrict(arena, s, keep)
     vv2 = brute_force_value(restricted, mean)
     for t in arena.states:
         if arena.owner[s] == P1:

@@ -274,6 +274,17 @@ def test_no_library_strategy_overrides_the_strategy_interface():
     assert library and not found, found
 
 
+def test_every_library_exception_is_a_value_error():
+    # `cli.run` turns a ValueError into one `error:` line and exit 1, so an
+    # error class outside ValueError would escape it as a traceback
+    for path in sorted(SRC.glob("*.py")):
+        importlib.import_module(f"stochgame.{path.stem}")
+    library = [cls for cls in _subclasses(BaseException)
+               if cls.__module__.startswith("stochgame.")]
+    found = [cls.__name__ for cls in library if not issubclass(cls, ValueError)]
+    assert library and not found, found
+
+
 # One small valid run of every subcommand; "@stay" is a stationary sigma.
 SUBCOMMAND_RUNS = {
     "solve": ["solve", "@e2", "--payoff", "mean"],

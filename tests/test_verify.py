@@ -35,6 +35,7 @@ from stochgame.verify import (
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
     weakened_base,
 )
+from helpers import restrict
 from test_payoff import (
     _drawn_rows, _prefix_counting, _rotation_sensitive, _token_word,
 )
@@ -289,18 +290,10 @@ def test_fast_payoffs_cover_the_closed_forms():
     assert {name.split(":")[0] for name in FAST_PAYOFFS} == set(verify._FAST_SPECS)
 
 
-def test_cycle_stats_are_int32_within_their_bound():
-    # over cycles of up to MAX_CYCLE = 6 letters with numerators up to 2,
-    # no closed-form value passes 6 * 2 * 36; a table whose bound,
-    # 6 * max|numerator| * max_cycle^2, reaches 2^31 is refused
+def test_cycle_stats_hold_every_cycle_up_to_max_cycle():
     stats = _cycle_stats(payoff.letter_table(mean, default_alphabet(mean)),
                          verify.MAX_CYCLE)
-    assert {x.dtype for x in stats.values()} == {np.dtype(np.int32)}
     assert len(stats["L"]) == sum(5 ** n for n in range(1, 7))
-    largest = 2 ** 31 // 6
-    _cycle_stats(payoff.letter_table(mean, [reward(largest)]), 1)
-    with pytest.raises(OverflowError, match="int32"):
-        _cycle_stats(payoff.letter_table(mean, [reward(largest + 1)]), 1)
 
 
 def _sign(x):
@@ -333,7 +326,7 @@ def test_fast_sweep_agrees_with_full_evaluation():
             pattern = ShufflePattern.alternating(a, b)
             grid = _fast_violations(spec, col, row, a, b)
             fw, fu, fv = (np.broadcast_to(x, grid.shape).astype(np.int64)
-                          for x in verify._CLOSED_FORMS[spec.name][1](
+                          for x in verify._CLOSED_FORMS[spec.name](
                               col, row, a, b))
             for i, j in itertools.product(range(len(cycles)), repeat=2):
                 u, v = Lasso((), cycles[i]), Lasso((), cycles[j])
@@ -989,22 +982,28 @@ def test_word_values_over_the_alphabet_table_match_evaluate_lasso(name):
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
-    # with no pattern at all, a closed form that reads one fails
+    # limsup, liminf and parity read no pattern: every pattern gives them the
+    # same grid, so a search's first hit is under the first pattern; a closed
+    # form that reads the pattern fails with no pattern at all
     spec = parse_payoff_spec(name)
     st = _cycle_stats(payoff.letter_table(spec, default_alphabet(spec)), 2)
-    if spec.name in verify._PATTERN_FREE:
+    if spec.name in ("limsup", "liminf", "parity"):
+        col = {key: x[:, None] for key, x in st.items()}
+        row = {key: x[None, :] for key, x in st.items()}
+        grids = [_fast_violations(spec, col, row, *p) for p in SEARCH_PATTERNS]
+        assert all((grid == grids[0]).all() for grid in grids)
         _fast_violations(spec, st, st, None, None)
     else:
         with pytest.raises(TypeError):
             _fast_violations(spec, st, st, None, None)
 
 
-@pytest.mark.parametrize("name, grids", [
-    ("limsup", 1), ("liminf", 1), ("parity", 1), ("mean", 4), ("posavg", 4)])
-def test_pattern_free_submixing_grids_are_decided_once(monkeypatch, name,
-                                                       grids):
-    # one grid pass for a closed form that ignores the pattern, still
-    # counted once per pattern; each seeded block is decided once
+@pytest.mark.parametrize("name", ["limsup", "liminf", "parity", "mean",
+                                  "posavg"])
+def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
+                                                               name):
+    # one grid pass per pattern, whether or not the closed form reads it,
+    # and one pass per seeded block
     spec = parse_payoff_spec(name)
     real = verify._fast_violations
     passes = collections.Counter()
@@ -1017,7 +1016,7 @@ def test_pattern_free_submixing_grids_are_decided_once(monkeypatch, name,
     report = search_submixing_violation(spec, SearchBounds(), seed=0)
     assert (report.verdict, report.quantities["cases"]) \
         == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
-    assert passes == {"grid": grids, "block": 2}
+    assert passes == {"grid": len(SEARCH_PATTERNS), "block": 2}
 
 
 def test_each_shift_search_keeps_its_own_passed_set():
@@ -1177,7 +1176,7 @@ def test_value_bounded_by_split_maximum(name, kind):
         pivot = pivots[0]
         actions = arena.available[pivot]
         val = solve.brute_force_value(arena, spec).values
-        sides = [solve.brute_force_value(arena.restrict(pivot, side), spec).values
+        sides = [solve.brute_force_value(restrict(arena, pivot, side), spec).values
                  for side in (actions[:1], actions[1:])]
         for s in arena.states:
             assert val[s] == max(side[s] for side in sides), (seed, s)
