@@ -6,8 +6,10 @@ letter-game counter-example.
 Searches are refuters: a refuted report always embeds a witness that
 replays.  Both searches decide index words over one letter table.  A
 submixing closed form values a case's shuffle and words on integer cycle
-statistics, and one comparison asks whether the shuffle beats both; a
-witness is spelled and re-evaluated on tokens before being returned.
+statistics, and one comparison asks whether the shuffle beats both; the
+shift-invariance search values a block of words and their suffixes at a
+time on the same statistics.  A witness is spelled and re-evaluated on
+tokens before being returned.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
@@ -318,6 +320,47 @@ _CLOSED_FORMS = {
 }
 _FAST_SPECS = tuple(_CLOSED_FORMS)
 
+
+def _word_wins(win, join=np.logical_and):
+    """The word form of a payoff won, 1 against 0, iff its cycle's sum wins
+    against 0: a vector's in every dimension (or some, for logical_or)."""
+    def form(st, den):
+        won = win(st["S"], 0)
+        if won.ndim > st["L"].ndim:
+            won = join.reduce(won, axis=-1)
+        return won.astype(np.int64), 1
+    return form
+
+
+# The _CLOSED_FORMS payoffs valued a word at a time: a form maps the
+# `_cycle_stats` of words' cycles and the letter table's denominator to
+# their values' numerators and denominators, as `word_value` has them
+# before they are put in lowest terms (`_batch_word_values`).
+_WORD_FORMS = {
+    "mean": lambda st, den: (st["S"], st["L"] * den),
+    "limsup": lambda st, den: (st["MX"], den),
+    "liminf": lambda st, den: (st["MN"], den),
+    "parity": lambda st, den: (st["MX"] % 2, 1),
+    "posavg": _word_wins(np.greater),
+    "counter+inf": _word_wins(np.greater),
+    "counter-inf": _word_wins(np.less),
+    "genmean": _word_wins(np.greater),
+    "optgenmean": _word_wins(np.greater_equal, np.logical_or),
+}
+
+
+def _batch_word_values(spec: PayoffSpec, letters: LetterTable, stats: dict,
+                       plen: np.ndarray, pos: np.ndarray):
+    """`word_value` of a _FAST_SPECS payoff on every word with plen[i]
+    prefix letters and the cycle at pos[i] of `stats`, the `_cycle_stats`
+    of `letters`: (numerator, denominator) int64 arrays of pos's shape, in
+    lowest terms.  The payoffs are class-determined, so the forms read the
+    cycles' statistics only (`_WORD_FORMS`), valuing each row of the table
+    once, and the prefixes are unread."""
+    num, den = _WORD_FORMS[spec.name](stats, letters.den)
+    g = np.gcd(num, den)
+    return (num // g)[pos], (den // g)[pos]
+
 # The seeded cases of both searches are drawn and decided this many at a
 # time; a search stops at the first block holding a violation.  A block
 # keeps its drawn cases alive, so its size bounds the memory of any
@@ -348,22 +391,36 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     return (fw > fu) & (fw > fv)
 
 
-def _cycle_positions(words: np.ndarray, k: int) -> np.ndarray:
+def _cycle_positions(words: np.ndarray, k: int,
+                     max_prefix: int = 2) -> np.ndarray:
     """Each drawn word's cycle position in the exhaustive table: the cycles
     of 1, 2, ... letters over k letters, each length in `itertools.product`
-    order.  The words have max_prefix 2 (`_word_columns`).  A cycle of n
-    letters sits after the k + ... + k^(n-1) shorter ones, at its base-k
-    number among its own length; reading its letters as digits 1..k
+    order.  The words have max_prefix prefix letters (`_word_columns`).  A
+    cycle of n letters sits after the k + ... + k^(n-1) shorter ones, at its
+    base-k number among its own length; reading its letters as digits 1..k
     (bijective base k) adds 1 + k + ... + k^(n-1), one too many."""
+    c = max_prefix + 1  # the cycle length's column
     pos = np.zeros(len(words), dtype=np.int64)
-    for i in range(words.shape[1] - 4):
-        pos = np.where(i < words[:, 3], pos * k + words[:, 4 + i] + 1, pos)
+    for i in range(words.shape[1] - c - 1):
+        pos = np.where(i < words[:, c], pos * k + words[:, c + 1 + i] + 1, pos)
     return pos - 1
 
 
 def _cycle_at(pos: int, k: int) -> tuple:
     """The cycle at an exhaustive position: `_cycle_positions` inverted."""
     return () if pos < 0 else _cycle_at(pos // k - 1, k) + (pos % k,)
+
+
+def _rotations(k: int, max_cycle: int) -> np.ndarray:
+    """The position of each exhaustive cycle of 1..max_cycle letters over k
+    letters rotated by one, its first letter moved to its end.  Among its
+    own length, the cycle's base-k number's top digit is its first letter."""
+    parts, start = [], 0
+    for n in range(1, max_cycle + 1):
+        num, top = np.arange(k ** n), k ** (n - 1)
+        parts.append(start + num % top * k + num // top)
+        start += k ** n
+    return np.concatenate(parts)
 
 
 def _decided_blocks(spec: PayoffSpec, stats: dict, k: int, blocks):
@@ -469,48 +526,126 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     the seeded words, drawn after them, prefixes of 0..3 and cycles of
     1..max_cycle.
 
-    The words are (prefix, cycle) pairs of letter indices into the default
-    alphabet, read once into a `LetterTable`, the seeded ones read off
-    `_drawn_blocks`.  `check_shift_invariance` reads their suffixes' values
-    as `_word_values` of that table, integer pairs in lowest terms, so no
-    word is spelled and the walk compares integers.  That is sound on the
-    trust the check's orbit stop already states: the value is a function of
-    the word.  On the same trust the search keeps one set of the words that
-    passed: a word in it is not walked again, and a walk that reaches one
-    stops there after comparing its value (see `check_shift_invariance`).
-    Every word still counts in `cases`, and a witness is spelled, with its
-    two values as `Fraction`s, for the report."""
+    The words are letter indices into the default alphabet, read once into
+    a `LetterTable`, the seeded ones read off `_drawn_blocks`.  A
+    _FAST_SPECS payoff decides them a block at a time, the exhaustive words
+    one block (`_decided_words`): each word and suffix is its prefix length
+    and its cycle's position in the table's `_cycle_stats`, valued in one
+    `_batch_word_values` call, and a word and a suffix disagree when their
+    integer pairs differ.  That batch is `word_value` in array form, which
+    a tier-1 test checks word by word.  Only the first flagged word is
+    spelled and checked again on tokens (`check_shift_invariance`), and the
+    report is built from that check's witness: a word it clears, or refutes
+    at another shift or with other values, raises AssertionError.
+
+    Other payoffs walk each word as a (prefix, cycle) pair of indices:
+    `check_shift_invariance` reads their suffixes' values as `_word_values`
+    of the table, integer pairs in lowest terms, so no word is spelled and
+    the walk compares integers.  That is sound on the trust the check's
+    orbit stop already states: the value is a function of the word.  On the
+    same trust the search keeps one set of the words that passed: a word in
+    it is not walked again, and a walk that reaches one stops there after
+    comparing its value (see `check_shift_invariance`).  A witness is
+    spelled, with its two values as `Fraction`s, for the report.  Either
+    way, every word counts in `cases`."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
+    letters = letter_table(spec, alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
-    exhaustive = ((pre, cyc) for plen in range(3)
-                  for clen in range(1, min(bounds.max_cycle, 2) + 1)
-                  for pre in itertools.product(range(k), repeat=plen)
-                  for cyc in itertools.product(range(k), repeat=clen))
-    seeded = (_word(row, 3)
-              for block in _drawn_blocks(
-                  random.Random(seed), _word_columns(k, bounds.max_cycle, 3),
-                  bounds.random_cases)
-              for row in block.tolist())
-    value = _word_values(spec, letter_table(spec, alphabet))
-    passed: set = set()
-
+    drawn = _drawn_blocks(random.Random(seed),
+                          _word_columns(k, bounds.max_cycle, 3),
+                          bounds.random_cases)
     cases = 0
-    for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
-        if word in passed:
-            continue
-        w = check_shift_invariance(spec, word, SHIFTS, value, passed)
-        if w is not None:
-            w = replace(w, word=_spelled(alphabet, *word),
-                        value=Fraction(*w.value),
-                        shifted_value=Fraction(*w.shifted_value))
-            return VerificationReport(
-                "shift-invariance", instance, "refuted",
-                {"cases": cases}, _shift_witness_doc(w))
+
+    def refuted(row, shift: int, values: list) -> VerificationReport:
+        witness = check_shift_invariance(
+            spec, _spelled(alphabet, *_word(row.tolist(), 3)), SHIFTS)
+        if witness is None or (witness.shift, values) != (shift, [
+                v.as_integer_ratio()
+                for v in (witness.value, witness.shifted_value)]):
+            raise AssertionError("index and token evaluations disagree")
+        return VerificationReport(
+            "shift-invariance", instance, "refuted", {"cases": cases},
+            _shift_witness_doc(witness))
+
+    if spec.name in _FAST_SPECS:
+        blocks = itertools.chain([_exhaustive_words(k, bounds.max_cycle)],
+                                 drawn)
+        for block, (num, den) in _decided_words(spec, letters,
+                                                bounds.max_cycle, blocks):
+            differ = (num[1:] != num[0]) | (den[1:] != den[0])
+            hits = np.flatnonzero(differ.any(0))
+            if hits.size:
+                i = int(hits[0])
+                cases += i + 1
+                shift = int(differ[:, i].argmax()) + 1
+                return refuted(block[i], shift, [
+                    (int(num[j, i]), int(den[j, i])) for j in (0, shift)])
+            cases += len(block)
+    else:
+        exhaustive = ((pre, cyc) for plen in range(3)
+                      for clen in range(1, min(bounds.max_cycle, 2) + 1)
+                      for pre in itertools.product(range(k), repeat=plen)
+                      for cyc in itertools.product(range(k), repeat=clen))
+        seeded = (_word(row, 3) for block in drawn for row in block.tolist())
+        value = _word_values(spec, letters)
+        passed: set = set()
+        for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
+            if word in passed:
+                continue
+            w = check_shift_invariance(spec, word, SHIFTS, value, passed)
+            if w is not None:
+                w = replace(w, word=_spelled(alphabet, *word),
+                            value=Fraction(*w.value),
+                            shifted_value=Fraction(*w.shifted_value))
+                return VerificationReport(
+                    "shift-invariance", instance, "refuted",
+                    {"cases": cases}, _shift_witness_doc(w))
     return VerificationReport(
         "shift-invariance", instance, "confirmed", {"cases": cases})
+
+
+def _exhaustive_words(k: int, max_cycle: int) -> np.ndarray:
+    """The shift search's exhaustive words over k letters as one block of
+    drawn-word rows (`_word_columns(k, max_cycle, 3)`), in search order: by
+    prefix length 0..2, then cycle length 1..min(max_cycle, 2), then the
+    prefix's and the cycle's letters in `itertools.product` order."""
+    parts = []
+    for plen in range(3):
+        for clen in range(1, min(max_cycle, 2) + 1):
+            n = plen + clen
+            letters = np.indices((k,) * n).reshape(n, -1).T
+            rows = np.zeros((len(letters), 5 + max_cycle), dtype=np.int64)
+            rows[:, 0], rows[:, 4] = plen, clen
+            rows[:, 1:1 + plen] = letters[:, :plen]
+            rows[:, 5:5 + clen] = letters[:, plen:]
+            parts.append(rows)
+    return np.concatenate(parts)
+
+
+def _decided_words(spec: PayoffSpec, letters: LetterTable, max_cycle: int,
+                   blocks):
+    """Yield each block of shift-search words, drawn-word rows with
+    max_prefix 3 and cycles of at most max_cycle letters, with the
+    `_batch_word_values` of its words and their suffixes as (SHIFTS + 1) x n
+    arrays: row j holds suffix j of every word, row 0 the words.  Suffix j
+    drops j prefix letters, and past the prefix it rotates the cycle, one
+    `_rotations` step of its position in the table's `_cycle_stats`."""
+    k = len(letters.letters)
+    stats = _cycle_stats(letters, max_cycle)
+    rotated = _rotations(k, max_cycle)
+    for block in blocks:
+        plen, pos = block[:, 0], _cycle_positions(block, k, 3)
+        plens, poss = [plen], [pos]
+        for _ in range(SHIFTS):
+            pos = np.where(plen > 0, pos, rotated[pos])
+            plen = np.maximum(plen - 1, 0)
+            plens.append(plen)
+            poss.append(pos)
+        yield block, _batch_word_values(spec, letters, stats,
+                                        np.stack(plens), np.stack(poss))
 
 
 def _word_columns(k: int, max_cycle: int, max_prefix: int) -> list:

@@ -2,6 +2,8 @@
 threshold checks, the letter-game counter-example, stopped-value suites."""
 
 import collections
+import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -288,6 +290,7 @@ FAST_PAYOFFS = ("mean", "limsup", "liminf", "parity", "posavg", "genmean:2",
 
 def test_fast_payoffs_cover_the_closed_forms():
     assert {name.split(":")[0] for name in FAST_PAYOFFS} == set(verify._FAST_SPECS)
+    assert set(verify._WORD_FORMS) == set(verify._FAST_SPECS)
 
 
 def test_cycle_stats_hold_every_cycle_up_to_max_cycle():
@@ -482,25 +485,63 @@ def _plus(real, extra):
     return broken
 
 
+def _plus_batch(real, extra):
+    # the batch valuer `real` broken as `_plus` breaks the index valuer, by
+    # extra(k, plen, pos) on the words' prefix lengths and their cycles'
+    # positions among the exhaustive cycles over k letters
+    def broken(spec, letters, stats, plen, pos):
+        num, den = real(spec, letters, stats, plen, pos)
+        return num + extra(len(letters.letters), plen, pos) * den, den
+
+    return broken
+
+
+@functools.cache
+def _cycle_heads(k):
+    # the first letter and the length of each exhaustive cycle of
+    # 1..MAX_CYCLE letters over k letters, by position: the cycles of each
+    # length in `itertools.product` order, shortest first
+    sizes = range(1, verify.MAX_CYCLE + 1)
+    return (np.concatenate([np.indices((k,) * n)[0].ravel() for n in sizes]),
+            np.concatenate([np.full(k ** n, n) for n in sizes]))
+
+
 def _long_cycle_rotation(prefix, cycle):
     # not shift-invariant, on words whose cycle has three or more letters:
     # no exhaustive word has one, so only a seeded word can refute it
     return cycle[0] if len(cycle) > 2 else 0
 
 
-# The token mutants of test_payoff, written on index words: the first cycle
+def _long_cycle_rotation_batch(k, plen, pos):
+    first, length = _cycle_heads(k)
+    return np.where(length[pos] > 2, first[pos], 0)
+
+
+def _long_cycle_rotating(real, alphabet):
+    # `_long_cycle_rotation` on tokens, as test_payoff writes its mutants
+    rank = {tok: i for i, tok in enumerate(alphabet)}
+    return lambda spec, word: real(spec, word) + (
+        rank[word.cycle[0]] if len(word.cycle) > 2 else 0)
+
+
+# The token mutants of test_payoff, written on index words and, for the
+# batch valuer, on prefix lengths and cycle positions: the first cycle
 # letter's index is its rank in the alphabet.
 INDEX_MUTANTS = {_rotation_sensitive: lambda prefix, cycle: cycle[0],
                  _prefix_counting: lambda prefix, cycle: len(prefix)}
+BATCH_MUTANTS = {
+    _rotation_sensitive: lambda k, plen, pos: _cycle_heads(k)[0][pos],
+    _prefix_counting: lambda k, plen, pos: plen}
 
 
 def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
     # without exhaustive patterns the seeded cases decide each submixing
     # search: refuted on genmean:2 (closed form) and discounted (case by
     # case), confirmed on counter-inf and meancobuchi:100; the shift
-    # searches confirm mean and refute a seeded word under a broken
-    # evaluator.  Blocks of 1, 7 and 1,024 rows give the reports of one
-    # block of all 2,000.
+    # searches confirm mean and, with the token search's reports, refute a
+    # seeded word under a broken evaluator, the batch valuer and the
+    # token one broken alike.  Blocks of 1, 7 and 1,024 rows give the
+    # reports of one block of all 2,000.
     monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
     bounds = SearchBounds(max_cycle=4, random_cases=2000)
 
@@ -514,9 +555,15 @@ def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
         with monkeypatch.context() as broken:
             broken.setattr(verify, "word_value", _plus(
                 payoff.word_value, _long_cycle_rotation))
-            out += [search_shift_invariance_violation(mean, bounds,
+            broken.setattr(verify, "_batch_word_values", _plus_batch(
+                verify._batch_word_values, _long_cycle_rotation_batch))
+            broken.setattr(payoff, "evaluate_lasso", _long_cycle_rotating(
+                payoff.evaluate_lasso, default_alphabet(mean)))
+            for seed in (0, 1):
+                out.append(search_shift_invariance_violation(
+                    mean, bounds, seed).to_json())
+                assert out[-1] == _token_shift_search(mean, bounds,
                                                       seed).to_json()
-                    for seed in (0, 1)]
         return out
 
     monkeypatch.setattr(verify, "_CASE_BLOCK", 2000)
@@ -703,6 +750,27 @@ def test_cycle_positions_round_trip(max_cycle, k):
                       for c in cycles])
     assert _cycle_positions(words, k).tolist() == list(range(len(cycles)))
     assert [_cycle_at(pos, k) for pos in range(len(cycles))] == cycles
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_rotations_move_each_cycles_first_letter_to_its_end(k):
+    rotated = verify._rotations(k, 4)
+    for pos, target in enumerate(rotated.tolist()):
+        cycle = _cycle_at(pos, k)
+        assert _cycle_at(target, k) == cycle[1:] + cycle[:1], pos
+
+
+@pytest.mark.parametrize("max_cycle", [1, 2, 4])
+def test_exhaustive_words_are_the_shift_search_words_in_order(max_cycle):
+    # prefixes of 0..2 letters, then cycles of 1..min(max_cycle, 2)
+    # letters, each in `itertools.product` order, as drawn-word rows
+    rows = verify._exhaustive_words(5, max_cycle)
+    assert rows.shape[1] == len(_word_columns(5, max_cycle, 3))
+    assert [verify._word(row, 3) for row in rows.tolist()] == [
+        (prefix, cycle) for plen in range(3)
+        for clen in range(1, min(max_cycle, 2) + 1)
+        for prefix in itertools.product(range(5), repeat=plen)
+        for cycle in itertools.product(range(5), repeat=clen)]
 
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
@@ -896,11 +964,14 @@ def test_index_searches_match_the_token_searches(name):
                                   "meancobuchi:100", "suffixtarget:ab"])
 def test_shift_search_refutes_a_shift_dependent_evaluator_as_the_token_search(
         monkeypatch, name, mutant):
-    # the index valuer the index search reads (through its memo) and the
-    # evaluator the token search reads, both broken the same way
+    # the index valuer the index search reads (through its memo), the batch
+    # valuer the block search reads and the evaluator the token search
+    # reads, all broken the same way
     spec = parse_payoff_spec(name)
     monkeypatch.setattr(verify, "word_value",
                         _plus(payoff.word_value, INDEX_MUTANTS[mutant]))
+    monkeypatch.setattr(verify, "_batch_word_values", _plus_batch(
+        verify._batch_word_values, BATCH_MUTANTS[mutant]))
     monkeypatch.setattr(payoff, "evaluate_lasso",
                         mutant(payoff.evaluate_lasso, default_alphabet(spec)))
     for seed in range(3):
@@ -923,10 +994,13 @@ def _counting(monkeypatch, module, name):
     return words
 
 
-@pytest.mark.parametrize("name", ["mean", "limsup", "genmean:2", "parity"])
+@pytest.mark.parametrize("name", ["mean", "limsup", "genmean:2", "parity",
+                                  "meancobuchi:100"])
 def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
-    # and its passed set cuts the memo's reads from the token search's
-    # 11,045 evaluations to 6,329, and skips 840 of the 2,930 words
+    # a confirmed block search values its words in arrays: it reads no
+    # word's value and walks no word one at a time.  The walk's passed set
+    # cuts meancobuchi's memo reads from the token search's 11,045
+    # evaluations to 6,329, and skips 840 of the 2,930 words
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     index_words = _counting(monkeypatch, verify, "word_value")
@@ -945,16 +1019,70 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
 
     monkeypatch.setattr(verify, "check_shift_invariance", walked)
     report = search_shift_invariance_violation(spec, SearchBounds(), seed=7)
-    pairs = [(prefix, cycle) for _, prefix, cycle in index_words]
-    assert len(pairs) == len(set(pairs)) == 3279
-    assert (len(reads), len(walks), report.quantities["cases"]) \
-        == (6329, 2090, 2930)
+    assert (report.verdict, report.quantities["cases"]) == ("confirmed", 2930)
     assert not token_words
+    pairs = [(prefix, cycle) for _, prefix, cycle in index_words]
+    if spec.name in verify._FAST_SPECS:
+        assert (len(pairs), len(walks)) == (0, 0)
+    else:
+        assert len(pairs) == len(set(pairs)) == 3279
+        assert (len(reads), len(walks)) == (6329, 2090)
     assert report.to_json() == _token_shift_search(
         spec, SearchBounds(), seed=7).to_json()
     assert len(token_words) == 11045
-    assert {word for word, in token_words} \
-        == {verify._spelled(alphabet, *pair) for pair in pairs}
+    if pairs:
+        assert {word for word, in token_words} \
+            == {verify._spelled(alphabet, *pair) for pair in pairs}
+
+
+@pytest.mark.parametrize("name", FAST_PAYOFFS)
+def test_batch_word_values_match_word_value(name):
+    # `word_value` stays the reference: the batch valuer gives its pair on
+    # every cycle of 1..MAX_CYCLE letters over the default alphabet, and
+    # on the 2,000 seeded words of seeds 0-2 at MAX_CYCLE, prefixes and all
+    spec = parse_payoff_spec(name)
+    alphabet = default_alphabet(spec)
+    k = len(alphabet)
+    letters = payoff.letter_table(spec, alphabet)
+    cycles = [c for n in range(1, verify.MAX_CYCLE + 1)
+              for c in itertools.product(range(k), repeat=n)]
+    words = [((), c) for c in cycles]
+    for seed in range(3):
+        # a drawn row: the prefix length, three prefix letters, the cycle
+        # length and MAX_CYCLE cycle letters
+        for row in _drawn_rows(seed, _word_columns(k, verify.MAX_CYCLE, 3),
+                               2000):
+            words.append((tuple(row[1:1 + row[0]]),
+                          tuple(row[5:5 + row[4]])))
+    at = {c: pos for pos, c in enumerate(cycles)}
+    num, den = verify._batch_word_values(
+        spec, letters, _cycle_stats(letters, verify.MAX_CYCLE),
+        np.array([len(p) for p, _ in words]),
+        np.array([at[c] for _, c in words]))
+    assert num.dtype == den.dtype == np.int64
+    assert len(words) == len(cycles) + 6000
+    assert list(zip(num.tolist(), den.tolist())) == \
+        [payoff.word_value(spec, letters, p, c) for p, c in words]
+
+
+@pytest.mark.parametrize("check", ["cleared", "tokens", "another shift"])
+def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
+    # under a shift-dependent batch valuer, a flagged word that the token
+    # check clears (patched to, or on unbroken tokens) or refutes at
+    # another shift never reads as a report
+    monkeypatch.setattr(verify, "_batch_word_values", _plus_batch(
+        verify._batch_word_values, BATCH_MUTANTS[_prefix_counting]))
+    real = verify.check_shift_invariance
+    if check == "cleared":
+        monkeypatch.setattr(verify, "check_shift_invariance",
+                            lambda *args: None)
+    elif check == "another shift":
+        monkeypatch.setattr(payoff, "evaluate_lasso", _prefix_counting(
+            payoff.evaluate_lasso, default_alphabet(mean)))
+        monkeypatch.setattr(verify, "check_shift_invariance", lambda *args: (
+            dataclasses.replace(real(*args), shift=real(*args).shift + 1)))
+    with pytest.raises(AssertionError, match="disagree"):
+        search_shift_invariance_violation(mean, SearchBounds(), seed=1)
 
 
 def _default_words(k):
