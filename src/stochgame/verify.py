@@ -532,11 +532,12 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     one block (`_decided_words`): each word and suffix is its prefix length
     and its cycle's position in the table's `_cycle_stats`, valued in one
     `_batch_word_values` call, and a word and a suffix disagree when their
-    integer pairs differ.  That batch is `word_value` in array form, which
-    a tier-1 test checks word by word.  Only the first flagged word is
-    spelled and checked again on tokens (`check_shift_invariance`), and the
-    report is built from that check's witness: a word it clears, or refutes
-    at another shift or with other values, raises AssertionError.
+    integer pairs differ.  That batch is `word_value` in array form, and
+    the tests check it against `word_value` word by word.  Only the first
+    flagged word is spelled and checked again on tokens
+    (`check_shift_invariance`), and the report is built from that check's
+    witness: a word it clears, or refutes at another shift or with other
+    values, raises AssertionError.
 
     Other payoffs walk each word as a (prefix, cycle) pair of indices:
     `check_shift_invariance` reads their suffixes' values as `_word_values`
