@@ -4,12 +4,12 @@ stopped-value suites, and the exact reproduction of the four-state
 letter-game counter-example.
 
 Searches are refuters: a refuted report always embeds a witness that
-replays.  Both searches decide index words over one letter table.  A
-submixing closed form values a case's shuffle and words on integer cycle
-statistics, and one comparison asks whether the shuffle beats both; the
-shift-invariance search values a block of words and their suffixes at a
-time on the same statistics.  A witness is spelled and re-evaluated on
-tokens before being returned.
+replays.  Both searches decide index words over one letter table.  A payoff
+that reads only the cycles has one value form on integer cycle statistics
+(`_WORD_FORMS`): the submixing search values a case's words and shuffle
+with it and asks whether the shuffle beats both, and the shift-invariance
+search values a block of words and their suffixes at a time.  A witness
+is spelled and re-evaluated on tokens before being returned.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
@@ -270,83 +270,39 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
     raise FlagGateError(f"no default alphabet for {spec.format()}")
 
 
-def _mixed(su: dict, sv: dict, a, b):
-    """The shuffle's mean's numerator over (a+b)*Lu*Lv: its cycle holds
-    whole copies of both cycles, u's letters with total weight a/(a+b)."""
-    return a * su["S"] * sv["L"] + b * sv["S"] * su["L"]
-
-
-def _mean(su, sv, a, b):
-    return (_mixed(su, sv, a, b), su["S"] * (a + b) * sv["L"],
-            sv["S"] * (a + b) * su["L"])
-
-
-def _extreme(pick, key):
-    """The closed form of the top (bottom) letter seen infinitely often."""
-    return lambda su, sv, a, b: (pick(su[key], sv[key]), su[key], sv[key])
-
-
-def _wins(win, join=np.logical_and):
-    """The closed form of a payoff won, 1 against 0, iff its mean wins
-    against 0: a vector's in every dimension (or some, for logical_or),
-    its dimensions' wins joined one dimension at a time."""
-    def form(su, sv, a, b):
-        Su, Sv = su["S"], sv["S"]
-        if Su.ndim == su["L"].ndim:
-            return win(_mixed(su, sv, a, b), 0), win(Su, 0), win(Sv, 0)
-        return functools.reduce(
-            lambda wins, more: [join(x, y) for x, y in zip(wins, more)],
-            (form({**su, "S": Su[..., d]}, {**sv, "S": Sv[..., d]}, a, b)
-             for d in range(Su.shape[-1])))
-    return form
-
-
-# The payoffs that read only the cycles, each with its closed form.  A form
-# maps u's and v's `_cycle_stats` and the tail sums a and b to (fw, fu, fv),
-# the values of the shuffle, of u and of v, as integers over one positive
-# denominator or 0/1 wins.  On a grid (a column of u's statistics, a row of
-# v's), u's and v's wins keep the shape.
-_CLOSED_FORMS = {
-    "mean": _mean,
-    "limsup": _extreme(np.maximum, "MX"),
-    "liminf": _extreme(np.minimum, "MN"),
-    # the top priority's parity
-    "parity": lambda *st: tuple(x % 2 for x in _CLOSED_FORMS["limsup"](*st)),
-    "posavg": _wins(np.greater),
-    "counter+inf": _wins(np.greater),
-    "counter-inf": _wins(np.less),
-    "genmean": _wins(np.greater),
-    "optgenmean": _wins(np.greater_equal, np.logical_or),
-}
-_FAST_SPECS = tuple(_CLOSED_FORMS)
-
-
-def _word_wins(win, join=np.logical_and):
-    """The word form of a payoff won, 1 against 0, iff its cycle's sum wins
-    against 0: a vector's in every dimension (or some, for logical_or)."""
+def _word_wins(win, join=None):
+    """The form of a payoff won, 1 against 0 as bools, iff its cycle's sum
+    wins against 0: a vector's, given a join, in every dimension
+    (logical_and) or some (logical_or), joined one dimension at a time."""
     def form(st, den):
         won = win(st["S"], 0)
-        if won.ndim > st["L"].ndim:
-            won = join.reduce(won, axis=-1)
-        return won.astype(np.int64), 1
+        if join is not None:
+            won = functools.reduce(
+                join, (won[..., d] for d in range(won.shape[-1])))
+        return won, 1
     return form
 
 
-# The _CLOSED_FORMS payoffs valued a word at a time: a form maps the
-# `_cycle_stats` of words' cycles and the letter table's denominator to
-# their values' numerators and denominators, as `word_value` has them
-# before they are put in lowest terms (`_batch_word_values`).
+# The payoffs that read only the cycles, each with its value form: it maps
+# the `_cycle_stats` of cycles and the letter table's denominator to their
+# values' numerators and positive denominators, as `word_value` has them
+# before they are put in lowest terms.  The shift search values words with
+# it (`_batch_word_values`), and the submixing search its cases' words and
+# shuffles (`_fast_violations`); a form reads only the statistics it needs,
+# as a shuffle's are built when read.
 _WORD_FORMS = {
     "mean": lambda st, den: (st["S"], st["L"] * den),
     "limsup": lambda st, den: (st["MX"], den),
     "liminf": lambda st, den: (st["MN"], den),
+    # the top priority's parity
     "parity": lambda st, den: (st["MX"] % 2, 1),
     "posavg": _word_wins(np.greater),
     "counter+inf": _word_wins(np.greater),
     "counter-inf": _word_wins(np.less),
-    "genmean": _word_wins(np.greater),
+    "genmean": _word_wins(np.greater, np.logical_and),
     "optgenmean": _word_wins(np.greater_equal, np.logical_or),
 }
+_FAST_SPECS = tuple(_WORD_FORMS)
 
 
 def _batch_word_values(spec: PayoffSpec, letters: LetterTable, stats: dict,
@@ -384,11 +340,50 @@ def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
             for key, x in zip(("L", "S", "MX", "MN"), zip(*parts))}
 
 
+class _Shuffled:
+    """The `_cycle_stats` of a cycle with the value of the shuffles of u's
+    and v's cycles taking a letters of u for every b of v: a·Lv copies of
+    u's cycle and b·Lu of v's, so L = (a+b)·Lu·Lv, S = a·Su·Lv + b·Sv·Lu,
+    MX = max(MXu, MXv) and MN = min(MNu, MNv), each built when it is read."""
+
+    def __init__(self, su: dict, sv: dict, a, b):
+        self.su, self.sv, self.a, self.b = su, sv, a, b
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        su, sv, a, b = self.su, self.sv, self.a, self.b
+        if key in ("MX", "MN"):
+            pick = np.maximum if key == "MX" else np.minimum
+            return pick(su[key], sv[key])
+        Lu, Lv = su["L"], sv["L"]
+        if key == "L":
+            return (a + b) * Lu * Lv
+        Su, Sv = su["S"], sv["S"]
+        if Su.ndim == Lu.ndim:
+            return a * Su * Lv + b * Sv * Lu
+        # a vector's one dimension at a time, in a dimension-first array
+        S = np.empty(Su.shape[-1:] + np.broadcast_shapes(Lu.shape, Lv.shape),
+                     np.int64)
+        for d, out in enumerate(S):
+            np.add(a * Su[..., d] * Lv, b * Sv[..., d] * Lu, out=out)
+        return np.moveaxis(S, 0, -1)
+
+
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     """Does the shuffle of u's and v's cycles, taking a letters of u for
-    every b of v, beat both components (`_CLOSED_FORMS`)?"""
-    fw, fu, fv = _CLOSED_FORMS[spec.name](su, sv, a, b)
-    return (fw > fu) & (fw > fv)
+    every b of v, beat both components?  The payoff's `_WORD_FORMS` entry
+    values all three, the shuffle on its `_Shuffled` statistics."""
+    form = _WORD_FORMS[spec.name]
+    w = form(_Shuffled(su, sv, a, b), 1)
+    return _above(w, form(su, 1)) & _above(w, form(sv, 1))
+
+
+def _above(x: tuple, y: tuple) -> np.ndarray:
+    """Is x above y, two (numerator, positive denominator) pairs?  Over one
+    int denominator the numerators are compared, else cross-multiplied."""
+    (nx, dx), (ny, dy) = x, y
+    if isinstance(dx, int) and dx == dy:
+        return nx > ny
+    return nx * dy > ny * dx
 
 
 def _cycle_positions(words: np.ndarray, k: int,
@@ -425,7 +420,7 @@ def _rotations(k: int, max_cycle: int) -> np.ndarray:
 
 def _decided_blocks(spec: PayoffSpec, stats: dict, k: int, blocks):
     """Yield each block of drawn submixing cases (`_drawn_blocks`) with the
-    closed forms' verdict on each of its cases, reading its cycles'
+    `_fast_violations` verdict on each of its cases, reading its cycles'
     statistics off `stats`, the exhaustive phase's table of every cycle of
     1..max_cycle letters, and its tail sums off its last two columns."""
     for block in blocks:
@@ -445,12 +440,13 @@ def search_submixing_violation(spec: PayoffSpec,
 
     The cases are words of letter indices into the default alphabet, read
     once into a `LetterTable`, the seeded ones with their patterns read off
-    `_drawn_blocks`.  A _FAST_SPECS payoff's closed form gives each case's
-    value triple on the table's `_cycle_stats`, and one comparison decides
-    it (`_fast_violations`): the exhaustive cases as a grid per pattern of
-    the table's distinct rows, counted as its n^2 cells, the seeded ones a
-    block at a time.  Other payoffs, with exhaustive cycles of
-    1..min(max_cycle, 2) letters, compare the `_word_values` of each case's
+    `_drawn_blocks`.  A _FAST_SPECS payoff's `_WORD_FORMS` entry values
+    each case's words on the table's `_cycle_stats` and its shuffle on
+    their `_Shuffled` statistics, and the case is flagged when the shuffle
+    beats both (`_fast_violations`): the exhaustive cases as a grid per
+    pattern of the table's distinct rows, counted as its n^2 cells, the
+    seeded ones a block at a time.  Other payoffs, with exhaustive cycles
+    of 1..min(max_cycle, 2) letters, compare the `_word_values` of each case's
     three index words by cross-multiplication.  Only the first flagged case
     is spelled and checked again on tokens (`check_submixing`) before it is
     reported: a case that check clears raises AssertionError."""
@@ -531,8 +527,9 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     _FAST_SPECS payoff decides them a block at a time, the exhaustive words
     one block (`_decided_words`): each word and suffix is its prefix length
     and its cycle's position in the table's `_cycle_stats`, valued in one
-    `_batch_word_values` call, and a word and a suffix disagree when their
-    integer pairs differ.  That batch is `word_value` in array form, and
+    `_batch_word_values` call by the `_WORD_FORMS` entry the submixing
+    search values its cases with, and a word and a suffix disagree when
+    their integer pairs differ.  That batch is `word_value` in array form, and
     the tests check it against `word_value` word by word.  Only the first
     flagged word is spelled and checked again on tokens
     (`check_shift_invariance`), and the report is built from that check's

@@ -4,6 +4,7 @@ threshold checks, the letter-game counter-example, stopped-value suites."""
 import collections
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import random
@@ -288,7 +289,7 @@ FAST_PAYOFFS = ("mean", "limsup", "liminf", "parity", "posavg", "genmean:2",
                 "counter-inf")
 
 
-def test_fast_payoffs_cover_the_closed_forms():
+def test_fast_payoffs_cover_the_word_forms():
     assert {name.split(":")[0] for name in FAST_PAYOFFS} == set(verify._FAST_SPECS)
     assert set(verify._WORD_FORMS) == set(verify._FAST_SPECS)
 
@@ -304,43 +305,107 @@ def _sign(x):
 
 
 def test_fast_sweep_agrees_with_full_evaluation():
-    # the vectorized sweep's closed forms against the ordinary
+    # the vectorized sweep's word forms against the ordinary
     # shuffle-then-evaluate route, on a seeded sample of cycle pairs, at
     # every tail ratio a seeded pattern can draw; each sampled cycle's
     # statistics are its row of the alphabet table's, found by its place
-    # among the exhaustive token cycles.  Beyond the verdict, each closed
-    # form's value triple orders the words as their exact values do:
-    # sign(fw - fu) is the sign of value(w) - value(u), and so for v
+    # among the exhaustive token cycles.  Beyond the verdict, the form's
+    # (numerator, denominator) pairs over the table's denominator are the
+    # exact values of the shuffle and its two words, and so, compared by
+    # cross-multiplication, they order the words as those values do
     rng = random.Random(31)
     for name in ("mean", "limsup", "liminf", "parity", "posavg",
                  "genmean:2", "optgenmean:2", "counter+inf", "counter-inf",
                  "genmean:3", "optgenmean:3"):
         spec = parse_payoff_spec(name)
         alphabet = default_alphabet(spec)
+        letters = payoff.letter_table(spec, alphabet)
+        form = verify._WORD_FORMS[spec.name]
         cycles = [tuple(rng.choice(alphabet)
                         for _ in range(rng.randint(1, 4)))
                   for _ in range(12)]
         at = [_exhaustive_cycles(alphabet, 4).index(c) for c in cycles]
-        stats = _cycle_stats(payoff.letter_table(spec, alphabet), 4)
+        stats = _cycle_stats(letters, 4)
         col = {k: x[at][:, None] for k, x in stats.items()}
         row = {k: x[at][None, :] for k, x in stats.items()}
         value = [evaluate_lasso(spec, Lasso((), c)) for c in cycles]
         for a, b in itertools.product(range(1, 4), repeat=2):
             pattern = ShufflePattern.alternating(a, b)
             grid = _fast_violations(spec, col, row, a, b)
-            fw, fu, fv = (np.broadcast_to(x, grid.shape).astype(np.int64)
-                          for x in verify._CLOSED_FORMS[spec.name](
-                              col, row, a, b))
+            (nw, dw), (nu, du), (nv, dv) = (
+                [np.broadcast_to(x, grid.shape).astype(np.int64)
+                 for x in form(st, letters.den)]
+                for st in (verify._Shuffled(col, row, a, b), col, row))
             for i, j in itertools.product(range(len(cycles)), repeat=2):
                 u, v = Lasso((), cycles[i]), Lasso((), cycles[j])
                 witness = check_submixing(spec, u, v, pattern)
                 assert bool(grid[i, j]) == (witness is not None), \
                     (name, a, b, cycles[i], cycles[j])
                 w = evaluate_lasso(spec, payoff.shuffle(u, v, pattern))
-                assert (_sign(int(fw[i, j] - fu[i, j])),
-                        _sign(int(fw[i, j] - fv[i, j]))) \
+                pw, pu, pv = ((int(n[i, j]), int(d[i, j])) for n, d in (
+                    (nw, dw), (nu, du), (nv, dv)))
+                assert [F(*p) for p in (pw, pu, pv)] \
+                    == [w, value[i], value[j]]
+                assert (_sign(pw[0] * pu[1] - pu[0] * pw[1]),
+                        _sign(pw[0] * pv[1] - pv[0] * pw[1])) \
                     == (_sign(w - value[i]), _sign(w - value[j])), \
                     (name, a, b, cycles[i], cycles[j])
+
+
+@pytest.mark.parametrize("name", ["mean", "parity", "counter+inf",
+                                  "meancobuchi:100", "genmean:3"])
+def test_shuffled_stats_are_the_literal_shuffles_cycle_stats(name):
+    # on a grid of seeded cycles of 1-4 letters, at every tail (a, b) in
+    # 1..3, the shuffle's statistics are read off the cycle of
+    # `payoff.shuffle` itself: S / L is its mean, per dimension for a
+    # vector, and MX and MN are its extreme numerators
+    spec = parse_payoff_spec(name)
+    letters = payoff.letter_table(spec, default_alphabet(spec))
+    k = len(letters.nums)
+    nums = np.array(letters.nums, dtype=np.int64).reshape(k, -1)
+    stats = _cycle_stats(letters, 4)
+    cycles = [c for n in range(1, 5)
+              for c in itertools.product(range(k), repeat=n)]
+    rng = random.Random(37)
+    drawn = [tuple(rng.randrange(k) for _ in range(rng.randint(1, 4)))
+             for _ in range(10)]
+    at = [cycles.index(c) for c in drawn]
+    col = {key: x[at][:, None] for key, x in stats.items()}
+    row = {key: x[at][None, :] for key, x in stats.items()}
+    for a, b in itertools.product(range(1, 4), repeat=2):
+        shuffled = verify._Shuffled(col, row, a, b)
+        L, S, MX, MN = (np.broadcast_to(
+            shuffled[key].reshape(len(at), len(at), -1),
+            (len(at), len(at), nums.shape[1])).tolist()
+            for key in ("L", "S", "MX", "MN"))
+        for i, j in itertools.product(range(len(at)), repeat=2):
+            w = payoff.shuffle(Lasso((), drawn[i]), Lasso((), drawn[j]),
+                               ShufflePattern.alternating(a, b))
+            cycle = nums[list(w.cycle)]
+            assert [F(s, n) for s, n in zip(S[i][j], L[i][j])] \
+                == [F(int(s), len(cycle)) for s in cycle.sum(0)], \
+                (a, b, drawn[i], drawn[j])
+            assert (MX[i][j], MN[i][j]) \
+                == (cycle.max(0).tolist(), cycle.min(0).tolist())
+
+
+def test_refutation_searches_leave_no_cyclic_garbage():
+    # reference counting alone frees what a search builds: with the cycle
+    # collector off, nothing is left for it after either search on any
+    # payoff, so a search's memory does not wait for a collection
+    names = FAST_PAYOFFS + ("discounted", "geomfirstone", "meancobuchi:100",
+                            "suffixtarget:ab")
+    gc.collect()
+    gc.disable()
+    try:
+        for name in names:
+            spec = parse_payoff_spec(name)
+            for search in (search_submixing_violation,
+                           search_shift_invariance_violation):
+                search(spec, SearchBounds(max_cycle=3), seed=0)
+                assert gc.collect() == 0, (name, search.__name__)
+    finally:
+        gc.enable()
 
 
 def _spelled_case(alphabet, case):
@@ -377,7 +442,7 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
                 witness = check_submixing(spec, *case)
                 assert bool(flag) == (witness is not None), (name, seed, case)
                 flagged += bool(flag)
-    # of the closed forms, only genmean's has lasso witnesses
+    # of the word-form payoffs, only genmean has lasso witnesses
     assert (flagged > 0) == (spec.name == "genmean")
 
 
@@ -795,7 +860,7 @@ def test_submixing_search_at_max_cycle(name):
 
 def test_grid_memory_stays_flat_past_a_million_cells():
     # 3,905 cycles at max_cycle 5: one int64 array over the whole grid is
-    # 122 MB, and the closed forms hold several at once
+    # 122 MB, and the word forms hold several at once
     tracemalloc.start()
     try:
         report = search_submixing_violation(
@@ -1111,8 +1176,8 @@ def test_word_values_over_the_alphabet_table_match_evaluate_lasso(name):
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
     # limsup, liminf and parity read no pattern: every pattern gives them the
-    # same grid, so a search's first hit is under the first pattern; a closed
-    # form that reads the pattern fails with no pattern at all
+    # same grid, so a search's first hit is under the first pattern; a word
+    # form that reads the shuffle's L or S fails with no pattern at all
     spec = parse_payoff_spec(name)
     st = _cycle_stats(payoff.letter_table(spec, default_alphabet(spec)), 2)
     if spec.name in ("limsup", "liminf", "parity"):
@@ -1130,7 +1195,7 @@ def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
                                   "posavg"])
 def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
                                                                name):
-    # one grid pass per pattern, whether or not the closed form reads it,
+    # one grid pass per pattern, whether or not the word form reads it,
     # and one pass per seeded block
     spec = parse_payoff_spec(name)
     real = verify._fast_violations
