@@ -87,6 +87,17 @@ class Arena:
             object.__setattr__(self, "_step_laws", cached)
         return cached
 
+    def int_transition(self) -> dict[tuple[str, str], tuple[int, dict[str, int]]]:
+        """The transition table over integers: `(s, a) -> (d, {t: n})`, the
+        successors of positive probability in the table's order, each with
+        its probability's numerator over d, their lowest common
+        denominator.  Built once and cached like `step_laws`."""
+        cached = self.__dict__.get("_int_transition")
+        if cached is None:
+            cached = {sa: _over_lcd(dist) for sa, dist in self.transition.items()}
+            object.__setattr__(self, "_int_transition", cached)
+        return cached
+
     def fingerprint(self) -> str:
         """A short hash of the arena's printed form, computed once and
         cached like `step_laws`."""
@@ -340,3 +351,12 @@ def _cumulative(dist: dict) -> tuple[tuple, tuple[float, ...]]:
     if cum:
         cum[-1] = math.inf
     return tuple(dist), tuple(cum)
+
+
+def _over_lcd(dist: dict) -> tuple[int, dict]:
+    """`(d, {key: n})`: the positive weights of `dist`, in its order, as
+    numerators over d, the lowest common denominator of its weights.  The
+    weights are in lowest terms, so gcd(d, *numerators) is 1."""
+    d = math.lcm(*(p.denominator for p in dist.values()))
+    return d, {t: p.numerator * (d // p.denominator)
+               for t, p in dist.items() if p}

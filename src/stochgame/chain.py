@@ -4,20 +4,26 @@ read, their stationary distributions; and first-passage quantities.
 `product_skeleton` is the one product walk: it discovers the product's
 nodes from seed nodes, with each player fixed to a strategy or left open,
 and builds every node's options once, each with its integer row and
-discounted equation.  A chain is picked from it by one option per node;
-`induce_chain` is the walk with both players fixed, picked at its one
-option.
+discounted equation.  A one-action option's row is the arena's integer row
+(`Arena.int_transition`) with its successors renamed to product nodes;
+only a mixed law's row is summed from its moves.  A chain is picked from
+the skeleton by one option per node; `induce_chain` is the walk with both
+players fixed, picked at its one option.
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
-numerators) and solved by fraction-free elimination in Python `int`s, so
-no `Fraction` arithmetic happens inside an elimination; `solve_linear`
-builds one `Fraction` per unknown, over the last pivot.  One solver,
-`first_passage`, assembles every system d_k x_k = base_k + sum_j n_kj x_j:
-absorption probabilities, discounted values and `solve`'s first-hit stopped
-values.  Only the stationary solve, transposed and with a normalisation
-row, assembles its own; its exactness checks (stationary, positive, total 1)
-run on integer numerators over the solution's common denominator."""
+numerators) and solved by one solver, `solve_integer`: fraction-free
+forward elimination and back substitution in Python `int`s, whose answer
+is integer numerators over one positive denominator, so no `Fraction`
+arithmetic happens inside a solve.  `solve_linear` is its `Fraction`
+view.  One assembler, `first_passage`, builds every system d_k x_k =
+base_k + sum_j n_kj x_j: absorption probabilities, discounted values and
+`solve`'s first-hit stopped values; it and `discounted_values` return the
+solver's `(nums, den)`, and `absorption_from` its rows over one
+denominator.  Only the stationary solve, transposed and with a
+normalisation row, assembles its own; its exactness checks (stationary,
+positive, total 1) run on the solve's integer numerators over its
+denominator."""
 
 from __future__ import annotations
 
@@ -25,10 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .arena import P1, Arena
-from .payoff import ColourToken, INCREMENT, PayoffSpec, class_value
+from .payoff import ColourToken, INCREMENT, PayoffSpec, class_value, scaled
 
 
 class ChainError(ValueError):
@@ -130,19 +137,16 @@ class RecurrentClassSummary:
         rows = [self.chain.int_rows[node] for node in nodes]
         # pi P = pi restricted to the class, with sum(pi) = 1 replacing one
         # row.  The unknowns are y = pi / d row by row, which keeps the
-        # matrix integer.
+        # matrix integer; the solve gives y = z / common.
         matrix = [[0] * n for _ in range(n)]
         for k, (d, row) in enumerate(rows):
             for succ, num in row.items():
                 matrix[pos[succ]][k] += num
             matrix[k][k] -= d
         matrix[n - 1] = [d for d, _ in rows]
-        y = solve_linear(matrix, [0] * (n - 1) + [1])
-        # Exactness check: the solved distribution really is stationary.
-        # With z = y over its common denominator,
+        z, common = solve_integer(matrix, [0] * (n - 1) + [1])
+        # Exactness check: the solved distribution really is stationary,
         # sum_src z_src n[src][k] == d_k z_k.
-        common = lcm(*(x.denominator for x in y))
-        z = [x.numerator * (common // x.denominator) for x in y]
         back = [0] * n
         for zk, (_, row) in zip(z, rows):
             for succ, num in row.items():
@@ -192,23 +196,28 @@ def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
            successor) -> tuple[Move, ...]:
     """The moves of the action law `law` at node `key`, whose state comes
     first; `successor(a, t)` is the node reached by action `a` and arena
-    successor `t`.  Actions and successors of weight 0 are left out.  The
-    weights must be non-negative and sum to 1, so each is at most 1."""
+    successor `t`.  Actions of weight 0 are left out, and so are successors
+    of probability 0: a move's successors are those of the arena's
+    `int_transition` row, in its order.  The weights must be non-negative
+    and sum to 1, so each is at most 1."""
     s = key[0]
-    total = sum(law.values())
+    # a pure law's total is its one weight
+    total = sum(law.values()) if len(law) != 1 else next(iter(law.values()))
     if total != 1:
         raise ChainError(f"choice at {key} sums to {total}")
+    table = arena.int_transition()
     mvs = []
     for a, w in law.items():
-        if w.numerator < 0:
+        num = w.numerator
+        if num < 0:
             raise ChainError(f"choice at {key} gives {a} the negative weight {w}")
-        if w == 0:
+        if not num:
             continue
         if a not in arena.available[s]:
             raise ChainError(f"strategy plays unavailable action {a} at {s}")
-        succs = tuple((successor(a, t), p)
-                      for t, p in arena.transition[(s, a)].items() if p != 0)
-        mvs.append(Move(a, w, arena.colour[(s, a)], succs))
+        dist = arena.transition[(s, a)]
+        mvs.append(Move(a, w, arena.colour[(s, a)], tuple(
+            (successor(a, t), dist[t]) for t in table[(s, a)][1])))
     return tuple(mvs)
 
 
@@ -287,16 +296,34 @@ def product_skeleton(arena: Arena, seeds: Sequence[tuple], sigma=None,
             return found
 
         strategy, m = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
-        laws = ([{a: Fraction(1)} for a in arena.available[s]]
+        laws = ([{a: _ONE} for a in arena.available[s]]
                 if strategy is None else [strategy.action_dist(m, s)])
         options[index[key]] = tuple(_moves(arena, key, law, successor)
                                     for law in laws)
+    nodes = tuple(index)
     moves = tuple(options[i] for i in range(len(index)))
+    table = arena.int_transition()
     return ProductSkeleton(
-        tuple(index), index, moves,
-        tuple(tuple(_integer_row((mv.weight, mv.successors) for mv in mvs)
-                    for mvs in opts) for opts in moves),
+        nodes, index, moves,
+        tuple(tuple(_option_row(table, s, mvs) for mvs in opts)
+              for (s, _, _), opts in zip(nodes, moves)),
         tuple(tuple(_discounted_row(mvs) for mvs in opts) for opts in moves))
+
+
+_ONE = Fraction(1)
+
+
+def _option_row(table, s: str, mvs: Sequence[Move]
+                ) -> tuple[int, dict[int, int]]:
+    """The integer row of an option with moves `mvs` at state `s`, in
+    lowest terms.  One move has weight 1, and its row is its arena row in
+    `table` (`Arena.int_transition`) with the successors renamed to its
+    product nodes; a mixed law's row is summed by `_integer_row`."""
+    if len(mvs) == 1:
+        (mv,) = mvs
+        d, nums = table[(s, mv.action)]
+        return d, dict(zip([succ for succ, _ in mv.successors], nums.values()))
+    return _integer_row((mv.weight, mv.successors) for mv in mvs)
 
 
 def _integer_row(terms) -> tuple[int, dict[int, int]]:
@@ -333,21 +360,20 @@ def _discounted_row(mvs: Sequence[Move]
 # Exact linear algebra
 
 
-def solve_linear(matrix: list[list[Fraction]],
-                 rhs: list[Fraction]) -> list[Fraction]:
-    """Solve `matrix x = rhs` exactly; entries are `int`s or `Fraction`s.
+def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+                  ) -> tuple[list[int], int]:
+    """Solve `matrix x = rhs` exactly over `int` entries, as `(nums, den)`
+    with x[i] == nums[i] / den, den > 0 and gcd(den, *nums) == 1.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): each row is cleared
-    to integers with the lcm of its denominators, and each step divides
-    exactly by the previous pivot, so every entry stays an integer minor of
-    the system.  The last pivot is the common denominator of the solution.
-    The arguments are not modified."""
+    Fraction-free forward elimination (Bareiss): each step divides exactly
+    by the previous pivot, so every entry stays an integer minor of the
+    system, and the last pivot D is its determinant up to sign.  The pivot
+    of a column is its entry of fewest bits.  Back substitution then finds
+    the integers D x[i] (Cramer's numerators), each by one exact division.
+    Raises `ChainError("singular system")`.  The arguments are not
+    modified."""
     n = len(matrix)
-    a = []
-    for row, b in zip(matrix, rhs):
-        row = [*row, b]
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
+    a = [[*row, b] for row, b in zip(matrix, rhs)]
     prev = 1
     for col in range(n):
         pivot, best = -1, 0
@@ -358,19 +384,41 @@ def solve_linear(matrix: list[list[Fraction]],
         if pivot < 0:
             raise ChainError("singular system")
         a[col], a[pivot] = a[pivot], a[col]
-        # Entries left of `col` are never read again: other rows' are zero
-        # and every diagonal ends equal to the last pivot.
+        # Entries left of `col` are never read again.
         tail = a[col][col + 1:]
         p = a[col][col]
-        for r in range(n):
+        for r in range(col + 1, n):
             row = a[r]
             f = row[col]
-            if r == col or (not f and p == prev):
-                continue
-            row[col + 1:] = [(p * x - f * y) // prev
-                             for x, y in zip(row[col + 1:], tail)]
+            if f or p != prev:
+                row[col + 1:] = [(p * x - f * y) // prev
+                                 for x, y in zip(row[col + 1:], tail)]
         prev = p
-    return [Fraction(row[n], prev) for row in a]
+    # Row k reads a[k][k] x[k] + sum_{j>k} a[k][j] x[j] = a[k][n]; times D.
+    nums = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        nums[k] = (prev * row[n] - sum(map(mul, row[k + 1:n], nums[k + 1:]))
+                   ) // row[k]
+    den = prev
+    if den < 0:
+        den, nums = -den, [-x for x in nums]
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = [x // g for x in nums]
+    return nums, den
+
+
+def solve_linear(matrix: list[list[Fraction]],
+                 rhs: list[Fraction]) -> list[Fraction]:
+    """Solve `matrix x = rhs` exactly; entries are `int`s or `Fraction`s.
+    A `Fraction` view of `solve_integer`, on each row cleared of its
+    denominators."""
+    rows = [scaled([*row, b])[0] for row, b in zip(matrix, rhs)]
+    nums, den = solve_integer([row[:-1] for row in rows],
+                              [row[-1] for row in rows])
+    return [Fraction(x, den) for x in nums]
 
 
 def _sccs(succ: list[list[int]]) -> list[list[int]]:
@@ -466,13 +514,15 @@ def _potential_exists(chain: InducedChain, cls: Sequence[int]) -> bool:
 
 def first_passage(rows: Sequence[tuple[int, dict[int, int]]],
                   free: Sequence[int], outside: Sequence,
-                  base: Optional[Sequence] = None) -> list[Fraction]:
+                  base: Optional[Sequence] = None) -> tuple[list[int], int]:
     """Solve d_k x_k = base_k + sum_j n_kj y_j for x over the `free` nodes,
-    in `free` order, from integer rows `rows[k] = (d_k, {j: n_kj})`.  y_j is
-    x_j at a free node and `outside[j]` elsewhere; `base`, 0 when None, is
-    indexed by node like `rows`.  No free node, no solve."""
+    in `free` order, from integer rows `rows[k] = (d_k, {j: n_kj})`, as
+    `solve_integer`'s `(nums, den)`.  y_j is x_j at a free node and
+    `outside[j]` elsewhere; `base`, 0 when None, is indexed by node like
+    `rows`.  Rational outside and base values are cleared to one
+    denominator, which joins den.  No free node, no solve."""
     if not free:
-        return []
+        return [], 1
     pos = {node: k for k, node in enumerate(free)}
     matrix = [[0] * len(free) for _ in free]
     rhs = []
@@ -486,39 +536,50 @@ def first_passage(rows: Sequence[tuple[int, dict[int, int]]],
             else:
                 b += num * outside[j]
         rhs.append(b)
-    return solve_linear(matrix, rhs)
+    rhs, scale = scaled(rhs)
+    nums, den = solve_integer(matrix, rhs)
+    return nums, den * scale
 
 
 def absorption_from(chain: InducedChain,
                     classes: list[RecurrentClassSummary]
-                    ) -> list[dict[int, Fraction]]:
-    """Absorption probabilities for every node at once: one first-passage
-    solve per class over the transient part, with the class's indicator
-    outside it."""
+                    ) -> tuple[list[dict[int, int]], int]:
+    """Absorption probabilities for every node at once, as `(rows, den)`
+    over one positive denominator: node i is absorbed in class ci with
+    probability rows[i][ci] / den, and ci is absent where that is 0.  One
+    first-passage solve per class over the transient part, with the
+    class's indicator outside it; each node's probabilities must sum to
+    1."""
     n = len(chain)
     rows = chain.int_rows
     absorbed = {node for cls in classes for node in cls.nodes}
     transient = [i for i in range(n) if i not in absorbed]
-    result = [dict() for _ in range(n)]
-    for ci, cls in enumerate(classes):
+    solved = []
+    for cls in classes:
         indicator = [0] * n
         for node in cls.nodes:
             indicator[node] = 1
-            result[node][ci] = Fraction(1)
-        for node, p in zip(transient, first_passage(rows, transient, indicator)):
-            if p != 0:
-                result[node][ci] = p
+        solved.append(first_passage(rows, transient, indicator))
+    den = lcm(*(d for _, d in solved))
+    result = [dict() for _ in range(n)]
+    for ci, (cls, (nums, d)) in enumerate(zip(classes, solved)):
+        for node in cls.nodes:
+            result[node][ci] = den
+        for node, p in zip(transient, nums):
+            if p:
+                result[node][ci] = p * (den // d)
     for node in range(n):
-        if sum(result[node].values()) != 1:
+        if sum(result[node].values()) != den:
             raise ChainError(f"absorption from node {node} does not sum to 1")
-    return result
+    return result, den
 
 
-def discounted_values(chain: InducedChain) -> list[Fraction]:
+def discounted_values(chain: InducedChain) -> tuple[list[int], int]:
     """Unique solution of v = r + Lambda P v on the product chain, with
     per-(node, action) rewards and discounts from the colouring; one value
-    per chain node.  The equations are the chain's `discounted_rows`,
-    which a picked chain takes from its skeleton."""
+    per chain node, as integers over one denominator: v[i] == nums[i] / den.
+    The equations are the chain's `discounted_rows`, which a picked chain
+    takes from its skeleton."""
     eqs = chain.discounted_rows
     if None in eqs:
         raise ChainError("discounted payoff needs reward-discount colours")

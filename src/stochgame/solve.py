@@ -24,11 +24,11 @@ that weighs the colours (see `payoff.class_value`), never for `limsup`,
 `chain.induce_chain`: the same walk with both players fixed.
 
 An enumerated pair's values are integers over one denominator, read off
-the `Fraction`s of `chain.solve_linear` and the class values; the grid and
-the folds compare them by cross-multiplication (`first_least`).  A
-`Fraction` is built only for a reported value: `ValueVector`,
-`BestResponse`, `product_values` and `FloorCheck`.  `node_values` is the
-`Fraction` path, the oracle of the integer one.
+the integer `(nums, den)` outputs of the chain's solves and the class
+values; the grid and the folds compare them by cross-multiplication
+(`first_least`).  A `Fraction` is built only for a reported value:
+`ValueVector`, `BestResponse`, `product_values` and `FloorCheck`.
+`node_values` is the `Fraction` path, the oracle of the integer one.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class PairEvaluator:
     bottom-class analysis is built on first use and shared by every
     class-determined payoff; the discounted payoff never builds it.
     Absorption reads only the classes' nodes, and its probabilities at the
-    seeds are kept as integers over their lcm.  With one bottom class,
+    seeds are kept, as integers over one denominator.  With one bottom class,
     every node is absorbed there, so no absorption system is solved.
     """
 
@@ -117,9 +117,8 @@ class PairEvaluator:
         (numerator, denominator) over one positive denominator."""
         _require_evaluable(spec)
         if spec.name == "discounted":
-            vals = discounted_values(self.chain)
-            nums, den = scaled([vals[node] for node in self._seed_nodes])
-            return [(n, den) for n in nums]
+            nums, den = discounted_values(self.chain)
+            return [(nums[node], den) for node in self._seed_nodes]
         if self._classes is None:
             self._classes = []
             for cls in bottom_classes(self.chain):
@@ -130,12 +129,8 @@ class PairEvaluator:
                         self.chain, cls)
                 self._classes.append(summary)
             if len(self._classes) > 1:
-                absorb = absorption_from(self.chain, self._classes)
-                rows = [absorb[node] for node in self._seed_nodes]
-                den = lcm(*(p.denominator for row in rows for p in row.values()))
-                self._absorb = den, [
-                    {ci: p.numerator * (den // p.denominator)
-                     for ci, p in row.items()} for row in rows]
+                absorb, den = absorption_from(self.chain, self._classes)
+                self._absorb = den, [absorb[node] for node in self._seed_nodes]
         cnums, cden = scaled([summary.value(spec) for summary in self._classes])
         if self._absorb is None:
             return [(cnums[0], cden)] * len(self._seed_nodes)
@@ -175,11 +170,13 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
         seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
     chain = induce_chain(arena, sigma, tau, seeds)
     if spec.name == "discounted":
-        vals = discounted_values(chain)
+        nums, den = discounted_values(chain)
+        vals = [Fraction(n, den) for n in nums]
     else:
         classes = bottom_sccs(chain)
-        vals = [sum((p * classes[ci].value(spec) for ci, p in row.items()),
-                    Fraction(0)) for row in absorption_from(chain, classes)]
+        absorb, den = absorption_from(chain, classes)
+        vals = [sum((Fraction(p, den) * classes[ci].value(spec)
+                     for ci, p in row.items()), Fraction(0)) for row in absorb]
     return [vals[chain.index[seed]] for seed in seeds]
 
 
@@ -330,9 +327,16 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
             f"best responses are only enumerated for the positional catalog, "
             f"not {spec.format()}")
     fold = _fold_responses(arena, spec, sigma, budget)
+    # The fold's argmin values share one dict per table, so one strategy
+    # per table serves every state it attains.
+    strategies: dict[int, PureStationaryStrategy] = {}
 
     def stationary(table):
-        return PureStationaryStrategy(P2, {s: a for (_, s), a in table.items()})
+        found = strategies.get(id(table))
+        if found is None:
+            found = strategies[id(table)] = PureStationaryStrategy(
+                P2, {s: a for (_, s), a in table.items()})
+        return found
 
     return BestResponse(
         {s: v for (_, s), v in fold.best.items()},
@@ -655,7 +659,8 @@ def stopped_value_exact(chain: InducedChain, values: ValueVector,
         return node_val[0]
     # h = vden times the stopped value: vnum at a stopped or absorbed node
     free = [i for i in range(n) if not (stop[i] or absorbing[i])]
-    return first_passage(rows, free, vnum)[0] / vden
+    nums, den = first_passage(rows, free, vnum)
+    return Fraction(nums[0], den * vden)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -224,6 +225,32 @@ def test_fingerprint_is_cached_and_equals_a_fresh_hash():
     assert arena.fingerprint() is arena.fingerprint()
     # equal arenas keep equal fingerprints
     assert random_arena(4, 3, seed=3).fingerprint() == fresh
+
+
+def test_int_transition_is_the_table_over_lowest_denominators():
+    # every (s, a) row, in the table's order and without its zero entries,
+    # as numerators over the least common denominator; built once
+    arenas = [random_arena(5, 3, seed=seed) for seed in range(10)]
+    arenas.append(Arena(
+        states=("s", "t", "u"), owner={"s": P1, "t": P2, "u": P1},
+        available={"s": ("a",), "t": ("b",), "u": ("c",)},
+        transition={("s", "a"): {"u": Fraction(1, 6), "t": Fraction(0),
+                                 "s": Fraction(5, 6)},
+                    ("t", "b"): {"t": Fraction(1)},
+                    ("u", "c"): {"s": Fraction(1, 2), "u": Fraction(1, 2)}},
+        colour={("s", "a"): reward(0), ("t", "b"): reward(1),
+                ("u", "c"): reward(2)}))
+    for arena in arenas:
+        table = arena.int_transition()
+        assert table is arena.int_transition()
+        assert list(table) == list(arena.transition)
+        for sa, (d, row) in table.items():
+            dist = arena.transition[sa]
+            assert list(row) == [t for t, p in dist.items() if p]
+            assert {t: Fraction(n, d) for t, n in row.items()} \
+                == {t: p for t, p in dist.items() if p}
+            assert math.gcd(d, *row.values()) == 1
+    assert arenas[-1].int_transition()[("s", "a")] == (6, {"u": 1, "s": 5})
 
 
 # -- plays ------------------------------------------------------------------------

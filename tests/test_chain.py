@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochgame import chain as chain_module
@@ -16,7 +16,8 @@ from stochgame.arena import P1, P2, Arena, random_arena, sample_play
 from stochgame.chain import (
     ChainError, InducedChain, Move, RecurrentClassSummary, _potential_exists,
     absorption_from, bottom_classes, bottom_sccs, discounted_values,
-    first_passage, induce_chain, product_skeleton, solve_linear,
+    first_passage, induce_chain, product_skeleton, solve_integer,
+    solve_linear,
 )
 from stochgame.fixtures import (
     build_e2, build_e3, build_fig1, fig1_alternating_strategy,
@@ -89,7 +90,9 @@ def test_solve_linear_small():
 @st.composite
 def _systems(draw):
     """Square systems of size 1-9 with small-denominator entries, about 40 %
-    zeros, `int`s mixed in, and a dependent last row half the time."""
+    zeros, `int`s mixed in, a dependent last row half the time, and the
+    rows in a drawn order, so that pivots are often found below the
+    diagonal."""
     n = draw(st.integers(1, 9))
     entry = st.tuples(st.integers(0, 9), st.integers(-5, 5),
                       st.integers(1, 6)).map(
@@ -99,24 +102,51 @@ def _systems(draw):
     if n > 1 and draw(st.booleans()):
         k = draw(entry)
         matrix[-1] = [k * x for x in matrix[0]]
-    return matrix, rhs
+    order = draw(st.permutations(range(n)))
+    return [matrix[i] for i in order], [rhs[i] for i in order]
+
+
+# A row swap and a negative determinant (-30), then singular systems: a
+# zero column, and dependent rows after a swap.
+_SWAPPED = ([[0, 0, 2], [0, 3, 1], [5, 1, 1]], [4, F(1, 2), -3])
+_ZERO_COLUMN = ([[0, 1], [0, F(2, 3)]], [1, 1])
+_DEPENDENT = ([[0, 1, 1], [2, 4, 6], [1, 2, 3]], [1, 2, 3])
 
 
 @given(_systems())
+@example(_SWAPPED)
+@example(_ZERO_COLUMN)
+@example(_DEPENDENT)
 @settings(max_examples=300, deadline=None)
 def test_solve_linear_matches_fraction_oracle(system):
+    # solve_linear is the Fraction view of solve_integer, which is also
+    # called on the system cleared to integers row by row
     matrix, rhs = system
     before = ([row[:] for row in matrix], rhs[:])
+    cleared = []
+    for row in ([*r, b] for r, b in zip(matrix, rhs)):
+        scale = lcm(*(F(x).denominator for x in row))
+        cleared.append([int(x * scale) for x in row])
+    int_matrix = [row[:-1] for row in cleared]
+    int_rhs = [row[-1] for row in cleared]
     try:
         want = _gauss_oracle(matrix, rhs)
     except ChainError:
         with pytest.raises(ChainError, match="singular system"):
             solve_linear(matrix, rhs)
+        with pytest.raises(ChainError, match="singular system"):
+            solve_integer(int_matrix, int_rhs)
     else:
         got = solve_linear(matrix, rhs)
         assert got == want
         assert all(type(x) is F for x in got)
+        nums, den = solve_integer(int_matrix, int_rhs)
+        assert den > 0 and gcd(den, *nums) == 1
+        assert all(type(x) is int for x in nums)
+        assert [F(x, den) for x in nums] == want
     assert (matrix, rhs) == before
+    if system == _SWAPPED:
+        assert want == [F(-9, 10), F(-1, 2), F(2)]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -139,17 +169,18 @@ def test_first_passage_solves_its_equations(seed, monkeypatch):
     systems = []
 
     def recording(matrix, rhs):
-        systems.append(matrix)
-        return solve_linear(matrix, rhs)
+        systems.append([*matrix, rhs])
+        return solve_integer(matrix, rhs)
 
-    monkeypatch.setattr(chain_module, "solve_linear", recording)
-    x = first_passage(rows, free, outside, base)
-    assert len(systems) == (1 if free else 0) and len(x) == len(free)
+    monkeypatch.setattr(chain_module, "solve_integer", recording)
+    nums, den = first_passage(rows, free, outside, base)
+    assert len(systems) == (1 if free else 0) and len(nums) == len(free)
     assert all(type(v) is int
-               for matrix in systems for row in matrix for v in row)
+               for system in systems for row in system for v in row)
+    assert den > 0
     y = list(outside)
-    for node, v in zip(free, x):
-        y[node] = v
+    for node, n in zip(free, nums):
+        y[node] = F(n, den)
     for node in free:
         d, row = rows[node]
         assert d * y[node] == (base[node] if base else 0) + sum(
@@ -308,6 +339,22 @@ def _oracle_absorption(chain, classes):
     return out
 
 
+def _absorption(chain, classes):
+    """`absorption_from` read as Fractions: each node's nonzero absorption
+    probabilities, by class, over one positive denominator."""
+    rows, den = absorption_from(chain, classes)
+    assert den > 0 and len(rows) == len(chain)
+    return [{ci: F(p, den) for ci, p in row.items()} for row in rows]
+
+
+def _discounted(chain):
+    """`discounted_values` read as Fractions: one value per chain node,
+    over one positive denominator."""
+    nums, den = discounted_values(chain)
+    assert den > 0 and len(nums) == len(chain)
+    return [F(n, den) for n in nums]
+
+
 def _oracle_discounted(chain):
     n = len(chain)
     matrix = [[F(int(i == j)) for j in range(n)] for i in range(n)]
@@ -354,8 +401,8 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
                     weights[mv.colour] = weights.get(mv.colour, 0) \
                         + cls.stationary[node] * mv.weight
             assert colour_weights(cls) == tuple(weights.items())
-        assert absorption_from(chain, classes) == _oracle_absorption(chain, classes)
-        assert discounted_values(chain) == _oracle_discounted(chain)
+        assert _absorption(chain, classes) == _oracle_absorption(chain, classes)
+        assert _discounted(chain) == _oracle_discounted(chain)
 
 
 def _fixings(arena, rng):
@@ -398,6 +445,31 @@ def test_skeleton_picks_the_chain_induce_chain_builds(seed):
                 == _oracle_int_rows(moves)
 
 
+@pytest.mark.parametrize("seed", range(0, 60, 3))
+def test_skeleton_rows_equal_the_summed_fraction_rows(seed):
+    # a one-move option's row is the arena's integer row renamed to product
+    # nodes; it must equal _integer_row summed from the option's Fraction
+    # moves, for stationary, 2-memory and mixed-weight strategies, with
+    # each player fixed or open
+    rng = random.Random(seed)
+    arena = random_arena(4, 3, seed=seed, density=(F(1, 4), F(1, 2))[seed % 2])
+    fixings = [*_fixings(arena, rng), (_first_choice(arena, P1), None),
+               (None, _first_choice(arena, P2))]
+    kinds = set()
+    for sigma, tau in fixings:
+        if sigma is None or tau is None:
+            skeleton = _skeleton(arena, sigma, tau)
+        else:
+            skeleton = product_skeleton(
+                arena, [(s, "m0", "m0") for s in arena.states], sigma, tau)
+        for opts, rows in zip(skeleton.moves, skeleton.int_rows):
+            for mvs, row in zip(opts, rows):
+                assert row == chain_module._integer_row(
+                    (mv.weight, mv.successors) for mv in mvs)
+                kinds.add(len(mvs))
+    assert kinds == {1, 2}
+
+
 def _induced_pick(arena, sigma, skeleton, choice):
     """The chain `induce_chain` builds for the pair that `choice` picks on
     `sigma`'s skeleton (the grid's when sigma is None), seeded at the
@@ -419,8 +491,8 @@ def test_skeleton_discounted_rows_match_the_oracles(seed):
             choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
             got = skeleton.pick(choice)
             want = _induced_pick(arena, sigma, skeleton, choice)
-            assert discounted_values(got) == _oracle_discounted(got) \
-                == discounted_values(want)
+            assert _discounted(got) == _oracle_discounted(got) \
+                == _discounted(want)
 
 
 def test_a_reward_coloured_option_keeps_the_discount_error():
@@ -443,9 +515,9 @@ def test_a_reward_coloured_option_keeps_the_discount_error():
                     assert str(err.value) \
                         == "discounted payoff needs reward-discount colours"
             else:
-                assert discounted_values(chains[0]) \
+                assert _discounted(chains[0]) \
                     == _oracle_discounted(chains[0]) \
-                    == discounted_values(chains[1])
+                    == _discounted(chains[1])
 
 
 @pytest.mark.parametrize("law, update, message", [
@@ -585,16 +657,17 @@ def _two_node_class(transitions):
 
 
 @pytest.mark.parametrize("spoil, message", [
-    (lambda y: [y[0] + F(1, 7), *y[1:]],
+    (lambda nums, den: ([nums[0] + 1, *nums[1:]], den),
      "solved class distribution is not stationary"),
-    (lambda y: [2 * x for x in y], "stationary weights sum to 2")],
+    (lambda nums, den: ([2 * x for x in nums], den),
+     "stationary weights sum to 2")],
     ids=["perturbed", "doubled"])
 def test_stationary_solve_is_checked_exactly(monkeypatch, spoil, message):
     # the checks read the solve's result, so a spoiled solve must be caught
     cls = _two_node_class({"x": {"y": F(1)}, "y": {"x": F(1, 2), "y": F(1, 2)}})
-    solve = chain_module.solve_linear
-    monkeypatch.setattr(chain_module, "solve_linear",
-                        lambda matrix, rhs: spoil(solve(matrix, rhs)))
+    solve = chain_module.solve_integer
+    monkeypatch.setattr(chain_module, "solve_integer",
+                        lambda matrix, rhs: spoil(*solve(matrix, rhs)))
     with pytest.raises(ChainError) as err:
         colour_weights(cls)
     assert str(err.value) == message
@@ -628,7 +701,7 @@ def test_absorption_inside_class_is_one():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
     t = chain.index[("t", "m0", "m0")]
-    dist = absorption_from(chain, bottom_sccs(chain))[t]
+    dist = _absorption(chain, bottom_sccs(chain))[t]
     assert list(dist.values()) == [F(1)]
 
 
@@ -636,7 +709,7 @@ def test_absorption_e3_half_half():
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
     s = chain.index[("s", "m0", "m0")]
-    assert sorted(absorption_from(chain, bottom_sccs(chain))[s].values()) == [F(1, 2), F(1, 2)]
+    assert sorted(_absorption(chain, bottom_sccs(chain))[s].values()) == [F(1, 2), F(1, 2)]
 
 
 def test_absorption_geometric_gadget():
@@ -648,7 +721,21 @@ def test_absorption_geometric_gadget():
     })
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
     s = chain.index[("s", "m0", "m0")]
-    assert sorted(absorption_from(chain, bottom_sccs(chain))[s].values()) == [F(1, 2), F(1, 2)]
+    assert sorted(_absorption(chain, bottom_sccs(chain))[s].values()) == [F(1, 2), F(1, 2)]
+
+
+def test_absorption_solve_is_checked_to_sum_to_one(monkeypatch):
+    # the check reads the solves' integer results, so a spoiled solve must
+    # be caught: on e3, s reaches each of two sinks with probability 1/2
+    solve = chain_module.solve_integer
+    monkeypatch.setattr(chain_module, "solve_integer", lambda matrix, rhs: (
+        lambda nums, den: ([x + 1 for x in nums], den))(*solve(matrix, rhs)))
+    e3 = build_e3()
+    chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))
+    with pytest.raises(ChainError) as err:
+        absorption_from(chain, bottom_sccs(chain))
+    s = chain.index[("s", "m0", "m0")]
+    assert str(err.value) == f"absorption from node {s} does not sum to 1"
 
 
 @given(st.integers(0, 5000))
@@ -657,7 +744,7 @@ def test_absorption_sums_to_one(seed):
     arena = random_arena(4, 3, seed=seed)
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
     classes = bottom_sccs(chain)
-    for dist in absorption_from(chain, classes):
+    for dist in _absorption(chain, classes):
         assert sum(dist.values()) == 1
 
 
@@ -669,7 +756,7 @@ def test_absorption_monte_carlo_cross_check():
     chain = induce_chain(arena, sigma, tau)
     classes = bottom_sccs(chain)
     source = arena.states[0]
-    exact = absorption_from(chain, classes)[chain.index[(source, "m0", "m0")]]
+    exact = _absorption(chain, classes)[chain.index[(source, "m0", "m0")]]
     state_to_class = {}
     for ci, cls in enumerate(classes):
         for n in cls.nodes:
@@ -691,7 +778,7 @@ def test_discounted_self_loop():
                               colours={"s": discounted(1, F(1, 2))})
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
-    vals = discounted_values(chain)
+    vals = _discounted(chain)
     assert vals[chain.index[("s", "m0", "m0")]] == 2
 
 
@@ -701,7 +788,7 @@ def test_discounted_zero_factor_truncates():
     }, colours={"s": discounted(5, F(0)), "t": discounted(-3, F(0))})
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
-    vals = discounted_values(chain)
+    vals = _discounted(chain)
     assert vals[chain.index[("s", "m0", "m0")]] == 5
     assert vals[chain.index[("t", "m0", "m0")]] == -3
 
@@ -712,7 +799,7 @@ def test_discounted_two_node_cycle():
     }, colours={"s": discounted(1, F(1, 2)), "t": discounted(0, F(1, 2))})
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
-    vals = discounted_values(chain)
+    vals = _discounted(chain)
     assert vals[chain.index[("s", "m0", "m0")]] == F(4, 3)
     assert vals[chain.index[("t", "m0", "m0")]] == F(2, 3)
 
@@ -721,7 +808,7 @@ def test_discounted_matches_truncated_series():
     arena = random_arena(4, 3, seed=21, kind="discounted")
     sigma, tau = _first_choice(arena, P1), _first_choice(arena, P2)
     chain = induce_chain(arena, sigma, tau)
-    vals = discounted_values(chain)
+    vals = _discounted(chain)
     source = chain.index[(arena.states[0], "m0", "m0")]
     # unroll the series by dynamic programming over N steps
     n_steps = 60
@@ -951,7 +1038,7 @@ def test_a_colour_set_payoff_checks_the_kind_before_any_solve(monkeypatch):
     # the wrong colour kind is the same error, now raised from the colour
     # set alone, before any stationary solve
     solves = []
-    monkeypatch.setattr(chain_module, "solve_linear",
+    monkeypatch.setattr(chain_module, "solve_integer",
                         lambda *args: solves.append(args))
     e3 = build_e3()
     chain = induce_chain(e3, _first_choice(e3, P1), _first_choice(e3, P2))

@@ -150,6 +150,28 @@ def test_best_response_matches_the_stationary_enumeration(name, kind):
     assert ties  # several responses reach some state's minimum
 
 
+def test_best_response_builds_one_strategy_per_response_table():
+    # two states whose minimum the same response table attains first share
+    # one strategy object, and so does the uniform minimizer when it is one
+    # of those tables; states with different tables get different objects
+    shared = 0
+    for seed in range(20):
+        arena = random_arena(4, 3, seed=seed)
+        sigma = _unique(arena, P1) if seed % 2 else PureStationaryStrategy(
+            P1, {s: arena.available[s][-1] for s in arena.player_states(P1)})
+        fold = solve._fold_responses(arena, mean, sigma, solve.DEFAULT_BUDGET)
+        response = best_response_min(arena, mean, sigma)
+        tables = {s: fold.argmin[("m0", s)] for s in arena.states}
+        for s in arena.states:
+            for t in arena.states:
+                assert (response.minimizers[s] is response.minimizers[t]) \
+                    == (tables[s] is tables[t])
+            if fold.uniform is tables[s]:
+                assert response.uniform is response.minimizers[s]
+        shared += len({id(t) for t in tables.values()}) < len(tables)
+    assert shared
+
+
 @pytest.mark.parametrize("name, kind", POSITIONAL_KINDS)
 def test_grid_matches_a_per_pair_node_values_grid(name, kind):
     # the grid picks every pair's chain from one skeleton and shares class
@@ -382,8 +404,8 @@ def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
         sigma, tau = _unique(arena, P1), _unique(arena, P2)
         chain = induce_chain(arena, sigma, tau)
         classes = bottom_sccs(chain)
-        absorb = absorption_from(chain, classes)
-        want = [sum((p * class_value(mean, classes[ci])
+        absorb, den = absorption_from(chain, classes)
+        want = [sum((F(p, den) * class_value(mean, classes[ci])
                      for ci, p in absorb[node].items()), F(0))
                 for node in range(len(chain))]
         solved.clear()
@@ -520,13 +542,13 @@ def test_parity_grid_on_one_class_arena_solves_no_linear_system(monkeypatch):
     # system is solved, and parity reads only the class's colours; the mean
     # grid on the same arena does solve the classes' distributions
     solved = []
-    solve_linear = chain_module.solve_linear
+    solve_integer = chain_module.solve_integer
 
     def counting(matrix, rhs):
         solved.append(len(matrix))
-        return solve_linear(matrix, rhs)
+        return solve_integer(matrix, rhs)
 
-    monkeypatch.setattr(chain_module, "solve_linear", counting)
+    monkeypatch.setattr(chain_module, "solve_integer", counting)
     arena = random_arena(4, 3, density=F(1), seed=3, kind="priority")
     grid = solve.GridSolver(arena)
     assert len(grid.sigmas) * len(grid.taus) > 1
