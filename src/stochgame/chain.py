@@ -1,6 +1,7 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
-bottom SCCs with the colours they see infinitely often and, solved on first
-read, their stationary distributions; and first-passage quantities.
+bottom SCCs with the colours of their moves, which they see infinitely
+often, and, solved on first read, those moves' limit weights; and
+first-passage quantities.
 `product_skeleton` is the one product walk: it discovers the product's
 nodes from seed nodes, with each player fixed to a strategy or left open,
 and builds every node's options once, each with its integer row and
@@ -89,26 +90,26 @@ class InducedChain:
 
 class RecurrentClassSummary:
     """One bottom SCC of a chain, as `payoff.class_value` reads it.  The
-    graph pass gives its `nodes` and `colours`, the colours of its moves of
-    positive weight, each once, in the order first seen over its nodes and
-    their moves: a play absorbed in the class takes each of those moves
+    graph pass gives its `nodes` and `colours`, the colour of each of its
+    moves of positive weight, in node-then-move order, with equal colours
+    kept apart: a play absorbed in the class takes each of those moves
     infinitely often, almost surely, and no other, so `colours` are the
     colours it sees infinitely often.  `int_weights` is `(den, weights)`,
-    their limit weights aligned with `colours` as integers over one
+    the moves' limit weights aligned with `colours` as integers over one
     denominator, solved on first read from the exact stationary
     distribution, which is checked to be positive, to sum to 1 and to be
-    really stationary; `stationary` is a `Fraction` view of that solve.
-    `has_potential` (do the increments form a coboundary?) is found on
-    first read too, and is None unless every colour is a counter increment.
-    `value(spec)`, the class's `payoff.class_value`, is computed once per
-    payoff and kept."""
+    really stationary.  Every payoff rule reads a max, a min, an any or a
+    weighted sum of the colours, so a colour's moves count as one colour of
+    their summed weight.  `has_potential` (do the increments form a
+    coboundary?) is found on first read too, and is None unless every
+    colour is a counter increment.  `value(spec)`, the class's
+    `payoff.class_value`, is computed once per payoff and kept."""
 
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
         self.nodes = tuple(nodes)
-        self.colours = tuple(dict.fromkeys(
-            mv.colour for node in self.nodes for mv in chain.moves[node]
-            if mv.weight))
+        self.colours = tuple(mv.colour for node in self.nodes
+                             for mv in chain.moves[node] if mv.weight)
         self._values: dict[PayoffSpec, Fraction] = {}
 
     def value(self, spec: PayoffSpec) -> Fraction:
@@ -118,18 +119,8 @@ class RecurrentClassSummary:
         return found
 
     @cached_property
-    def stationary(self) -> dict[int, Fraction]:
-        mass, common = self._solved[0]
-        return {node: Fraction(m, common) for node, m in zip(self.nodes, mass)}
-
-    @cached_property
     def int_weights(self) -> tuple[int, tuple[int, ...]]:
-        return self._solved[1]
-
-    @cached_property
-    def _solved(self):
-        """((mass, common), (d, (n, ...))), from one solve: the stationary
-        weight of node `nodes[k]` is mass[k] / common, and the weight of
+        """(d, (n, ...)), from one solve: the limit weight of the move of
         `colours[i]` is the i-th n over d."""
         nodes = self.nodes
         pos = {node: k for k, node in enumerate(nodes)}
@@ -161,18 +152,17 @@ class RecurrentClassSummary:
                 f"stationary weights sum to {Fraction(total, common)}")
         if any(m <= 0 for m in mass):
             raise ChainError("stationary weights must be positive")
-        # Colour weights sum pi_k * weight, over the common denominator of
-        # z and the move weights, in the order of `colours`.
+        # A move's weight is pi_k * its strategy weight, over the common
+        # denominator of z and the move weights, in the order of `colours`.
         moves = [self.chain.moves[node] for node in nodes]
         wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
-        weights = dict.fromkeys(self.colours, 0)
+        weights = []
         for mvs, m in zip(moves, mass):
             for mv in mvs:
                 w = mv.weight
                 if w:
-                    weights[mv.colour] += \
-                        m * w.numerator * (wden // w.denominator)
-        return (mass, common), (common * wden, tuple(weights.values()))
+                    weights.append(m * w.numerator * (wden // w.denominator))
+        return common * wden, tuple(weights)
 
     @cached_property
     def has_potential(self) -> Optional[bool]:

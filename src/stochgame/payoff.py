@@ -9,7 +9,7 @@ whose colour kinds are checked once and whose values are scaled once to
 integer numerators over one denominator.  A word's cycle (`word_value`, on
 letter indices; `evaluate_lasso` values a lasso over the table of its own
 letters) and a chain's bottom class (`class_value`, over the table of its
-colour set) are both valued by it.
+moves' colours) are both valued by it.
 
 Values are exact rationals throughout.  The property checkers are refuters,
 not provers: a returned witness is a proof of violation, absence of a witness
@@ -75,20 +75,6 @@ class ColourToken:
                 raise PayoffError(f"discount factor {lam} outside [0,1)")
         if self.kind == PRIORITY and self.value < 0:
             raise PayoffError(f"priority {self.value} is negative")
-
-    def __hash__(self):
-        # The dataclass hash, kept on first use: hashing a Fraction payload
-        # takes a modular inverse every time.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.kind, self.value))
-            return h
-
-    def __getstate__(self):
-        # A kept hash would be stale in another process, where strings hash
-        # differently.
-        return {"kind": self.kind, "value": self.value}
 
 
 def reward(r) -> ColourToken:
@@ -378,8 +364,10 @@ def word_value(spec: PayoffSpec, letters: LetterTable, prefix,
 
 def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
     """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`:
-    `_limit_value` of the one table of its `colours`, weighed by its
-    `int_weights`, which are aligned with them.
+    `_limit_value` of the one table of its `colours`, one per move of
+    positive weight, so a colour may repeat, weighed by its `int_weights`,
+    which are aligned with them.  A repeated colour weighs the sum of its
+    moves' weights, as it would once in a table of distinct colours.
 
     The colours' kind is checked first, before any weight is read, and a
     payoff valued off the colour set never reads the weights, so never

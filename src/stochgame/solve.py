@@ -16,18 +16,20 @@ strategy pair or response table is a choice vector over it, and picking
 the rows gives the pair's chain.  The pairs of one enumeration share one
 dict of bottom-class summaries (see `PairEvaluator`), so a bottom class
 that recurs with the same rows is summarized once, and valued once per
-payoff by its summary (`RecurrentClassSummary.value`).  A summary holds the class's nodes
-and colours; its stationary distribution is solved, once, only for a payoff
-that weighs the colours (see `payoff.class_value`), never for `limsup`,
-`liminf` or `parity`.  The single-pair entry points (`node_values`,
-`martingale_check`, the stopped values) build their chain with
-`chain.induce_chain`: the same walk with both players fixed.
+payoff by its summary (`RecurrentClassSummary.value`).  A summary holds
+the class's nodes and its moves' colours; its stationary distribution is
+solved, once, only for a payoff that weighs the colours (see
+`payoff.class_value`), never for `limsup`, `liminf` or `parity`.  The
+single-pair entry points (`node_values`, `martingale_check`, the stopped
+values) build their chain with `chain.induce_chain`: the same walk with
+both players fixed.
 
 An enumerated pair's values are integers over one denominator, read off
 the integer `(nums, den)` outputs of the chain's solves and the class
-values; the grid and the folds compare them by cross-multiplication
-(`first_least`).  A `Fraction` is built only for a reported value:
-`ValueVector`, `BestResponse`, `product_values` and `FloorCheck`.
+values; the grid, the folds and the floor checks compare them by
+cross-multiplication (`first_least`), and the grid's strategies are tuples
+of action indices.  A `Fraction` or a strategy is built only for what is
+reported: `ValueVector`, `BestResponse`, `product_values` and `FloorCheck`.
 `node_values` is the `Fraction` path, the oracle of the integer one.
 """
 
@@ -50,7 +52,7 @@ from .chain import (
 from .payoff import PayoffSpec, scaled
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
-    count_pure_stationary, enumerate_pure_stationary,
+    count_pure_stationary,
 )
 
 
@@ -188,12 +190,16 @@ class GridSolver:
     """Evaluates every deterministic stationary strategy pair once and
     answers value queries for several payoffs over the shared chains.
 
-    The one-memory product skeleton, with both players' nodes open, is
-    built once per arena.  Pair (i, j) is the choice vector of sigma i's
-    and tau j's actions; its chain is picked on first use and kept for the
-    other payoffs.  All pairs, for every payoff, share one dict of
+    `rows[i]` is the maximizer's i-th stationary strategy, in
+    `itertools.product` order, as its action indices at its states, and
+    `columns[j]` the minimizer's j-th; `strategy` builds one when it is
+    reported.  The one-memory product skeleton, with both players' nodes
+    open, is built once per arena.  Its nodes are its seeds, one per state
+    in state order, so pair (i, j)'s choice vector is row i and column j
+    placed at their states; its chain is picked on first use and kept for
+    the other payoffs.  All pairs, for every payoff, share one dict of
     bottom-class summaries.  A budget below 1 is a `ValueError`, raised
-    before any work."""
+    before any work, and so is the `BudgetError` of too many pairs."""
 
     def __init__(self, arena: Arena, budget: int = DEFAULT_BUDGET):
         _check_budget(budget)
@@ -203,13 +209,25 @@ class GridSolver:
             raise BudgetError(
                 f"{n_pairs} strategy pairs exceed the budget of {budget}; "
                 "split the arena or raise the budget")
-        self.sigmas = list(enumerate_pure_stationary(arena, P1))
-        self.taus = list(enumerate_pure_stationary(arena, P2))
-        seeds = [(s, "m0", "m0") for s in arena.states]
-        self._skeleton = product_skeleton(arena, seeds)
-        self._seed_nodes = [self._skeleton.index[seed] for seed in seeds]
+        self.rows, self.columns = (
+            list(itertools.product(*(range(len(arena.available[s]))
+                                     for s in arena.player_states(player))))
+            for player in (P1, P2))
+        self._maximizer = [arena.owner[s] == P1 for s in arena.states]
+        self._skeleton = product_skeleton(
+            arena, [(s, "m0", "m0") for s in arena.states])
+        self._seed_nodes = range(len(arena.states))
         self._summaries: dict[tuple, RecurrentClassSummary] = {}
         self._pairs: dict[tuple[int, int], PairEvaluator] = {}
+
+    def strategy(self, player: int, k: int) -> PureStationaryStrategy:
+        """Row k as the maximizer's strategy, or column k as the
+        minimizer's."""
+        avail = self.arena.available
+        picks = (self.rows if player == P1 else self.columns)[k]
+        return PureStationaryStrategy(player, {
+            s: avail[s][a]
+            for s, a in zip(self.arena.player_states(player), picks)})
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
         return {s: Fraction(*v) for s, v in
@@ -220,10 +238,9 @@ class GridSolver:
         """Pair (i, j)'s `PairEvaluator.values`, in state order."""
         pair = self._pairs.get((i, j))
         if pair is None:
-            sigma, tau = self.sigmas[i].choice, self.taus[j].choice
-            avail = self.arena.available
-            choice = tuple(avail[s].index(sigma[s] if s in sigma else tau[s])
-                           for s, _, _ in self._skeleton.nodes)
+            row, column = iter(self.rows[i]), iter(self.columns[j])
+            choice = tuple(next(row) if mine else next(column)
+                           for mine in self._maximizer)
             pair = self._pairs[(i, j)] = PairEvaluator(
                 self._skeleton.pick(choice), self._seed_nodes, choice,
                 self._summaries)
@@ -246,7 +263,7 @@ class BestResponse:
 
 
 class _Fold(NamedTuple):
-    best: dict[tuple, Fraction]      # minimum at each (memory, state)
+    best: dict[tuple, tuple[int, int]]  # minimum at each (memory, state)
     argmin: dict[tuple, dict]        # the first table attaining it
     uniform: Optional[dict]          # a table attaining every minimum
     tables: int                      # response tables evaluated
@@ -270,7 +287,8 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
     dict of bottom-class summaries.  Values are compared as integers
-    (`PairEvaluator.values`); the minima become `Fraction`s at the end.  A
+    (`PairEvaluator.values`), and the minima stay (numerator, denominator)
+    pairs; the callers build `Fraction`s for the values they report.  A
     budget below 1 is a `ValueError`."""
     _check_budget(budget)
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
@@ -314,8 +332,8 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
                        if vals[k][0] * f[1] > f[0] * vals[k][1]}
             if not pending:
                 break
-    return _Fold({pair: Fraction(*b) for pair, b in zip(pairs, best)},
-                 dict(zip(pairs, argmin)), uniform, tables, total)
+    return _Fold(dict(zip(pairs, best)), dict(zip(pairs, argmin)), uniform,
+                 tables, total)
 
 
 def best_response_min(arena: Arena, spec: PayoffSpec,
@@ -339,7 +357,7 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
         return found
 
     return BestResponse(
-        {s: v for (_, s), v in fold.best.items()},
+        {s: Fraction(*v) for (_, s), v in fold.best.items()},
         {s: stationary(table) for (_, s), table in fold.argmin.items()},
         None if fold.uniform is None else stationary(fold.uniform))
 
@@ -376,8 +394,8 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
             f"not {spec.format()}")
     if grid is None:
         grid = GridSolver(arena, budget)
-    vals = [[grid.int_pair_values(spec, i, j) for j in range(len(grid.taus))]
-            for i in range(len(grid.sigmas))]
+    vals = [[grid.int_pair_values(spec, i, j) for j in range(len(grid.columns))]
+            for i in range(len(grid.rows))]
     argmin, min_per_sigma = zip(*map(first_least, vals))
     maxmin = first_least(min_per_sigma, -1)[1]
     minmax = first_least([first_least(col, -1)[1] for col in zip(*vals)])[1]
@@ -392,10 +410,12 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
         raise SaddlePointError(
             "no stationary strategy attains the maxmin at every state")
     # sigma*'s row has its minimum at the value at every state; the first
-    # tau reaching it is the certificate
-    certificates = {s: (grid.taus[j], value[s])
+    # tau reaching it is the certificate, built once per column
+    taus = {j: grid.strategy(P2, j) for j in argmin[best_i]}
+    certificates = {s: (taus[j], value[s])
                     for s, j in zip(arena.states, argmin[best_i])}
-    return ValueVector(value, grid.sigmas[best_i], certificates, spec, arena)
+    return ValueVector(value, grid.strategy(P1, best_i), certificates, spec,
+                       arena)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +439,8 @@ def product_values(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,
     upper bound on the true guarantee.
     """
     sigma.check_in(arena)
-    return _fold_responses(arena, spec, sigma, budget).best
+    return {pair: Fraction(*v) for pair, v in
+            _fold_responses(arena, spec, sigma, budget).best.items()}
 
 
 class FloorCheck(NamedTuple):
@@ -442,12 +463,15 @@ def guarantee_exceeds(arena: Arena, spec: PayoffSpec,
     listed pair has met a response at or below its floor, so it usually
     evaluates a few tables, not all of them.  A pair above its floor was
     never held there, so the fold ran to the end and its guarantee is
-    exact.  The budget applies to the full fold, before any table is
-    evaluated."""
+    exact.  The guarantees are compared with the floor by
+    cross-multiplication, and only those above it become `Fraction`s.  The
+    budget applies to the full fold, before any table is evaluated."""
     sigma.check_in(arena)
     fold = _fold_responses(arena, spec, sigma, budget, floor)
-    return FloorCheck({pair: fold.best[pair] for pair, v in floor.items()
-                       if fold.best[pair] > v}, fold.tables, fold.total)
+    best = fold.best
+    return FloorCheck({pair: Fraction(*best[pair]) for pair, v in floor.items()
+                       if best[pair][0] * v.denominator
+                       > v.numerator * best[pair][1]}, fold.tables, fold.total)
 
 
 def weakness_set(arena: Arena, spec: PayoffSpec, sigma: FiniteMemoryStrategy,

@@ -57,7 +57,9 @@ class FiniteMemoryStrategy:
                 if not dist:
                     raise StrategyError(f"no choice at ({m}, {s})")
                 for a, w in dist.items():
-                    if not (0 <= w <= 1):
+                    # in integers, so that the half-positionality sweep
+                    # orders no Fraction
+                    if not (0 <= w.numerator <= w.denominator):
                         raise StrategyError(
                             f"weight {w} of {a} at ({m}, {s}) outside [0,1]")
                 if sum(dist.values()) != 1:
@@ -154,14 +156,6 @@ def _memory(value):
     tuples they were written from (a memory may be a tuple, such as the
     state of a product of two memory automata)."""
     return tuple(map(_memory, value)) if isinstance(value, list) else value
-
-
-def enumerate_pure_stationary(arena: Arena, player: int):
-    """All deterministic stationary strategies of the given player, in a
-    fixed order."""
-    states = arena.player_states(player)
-    for combo in itertools.product(*(arena.available[s] for s in states)):
-        yield PureStationaryStrategy(player, dict(zip(states, combo)))
 
 
 def count_pure_stationary(arena: Arena, player: int) -> int:

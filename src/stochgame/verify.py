@@ -180,18 +180,18 @@ def _stationary_guarantees(arena: Arena, spec: PayoffSpec, budget: int):
     """Per-state max over stationary maximizer strategies of the min over
     stationary responses, plus the first strategy with the largest total
     guarantee (informational; per-state maxima may come from different
-    strategies).  The grid's values are compared as integers
-    (`solve.first_least`)."""
+    strategies), the one strategy the grid builds.  The grid's values are
+    compared as integers (`solve.first_least`)."""
     grid = solve.GridSolver(arena, budget)
     worst = [solve.first_least([grid.int_pair_values(spec, i, j)
-                                for j in range(len(grid.taus))])[1]
-             for i in range(len(grid.sigmas))]
+                                for j in range(len(grid.columns))])[1]
+             for i in range(len(grid.rows))]
     best = solve.first_least(worst, -1)[1]
     totals = [sum(Fraction(*v) for v in row) for row in worst]
     (top,), _ = solve.first_least([[(t.numerator, t.denominator)]
                                    for t in totals], -1)
     return ({s: Fraction(*v) for s, v in zip(arena.states, best)},
-            grid.sigmas[top])
+            grid.strategy(P1, top))
 
 
 def _random_memory_strategy(arena: Arena, rng: random.Random,

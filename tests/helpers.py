@@ -1,12 +1,14 @@
 """Views of library objects that only the tests read: a sub-arena with one
-state's actions cut down, and a bottom class's colours with their limit
-weights as `Fraction`s."""
+state's actions cut down, a player's stationary strategies one by one, and
+a bottom class's colours and stationary distribution as `Fraction`s."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 from stochgame.arena import Arena
 from stochgame.chain import RecurrentClassSummary
+from stochgame.strategy import PureStationaryStrategy
 
 
 def restrict(arena: Arena, state: str, actions) -> Arena:
@@ -23,8 +25,27 @@ def restrict(arena: Arena, state: str, actions) -> Arena:
         transition=kept(arena.transition), colour=kept(arena.colour))
 
 
+def enumerate_pure_stationary(arena: Arena, player: int):
+    """All deterministic stationary strategies of the given player, in the
+    order of `solve.GridSolver`'s rows (maximizer) or columns (minimizer)."""
+    states = arena.player_states(player)
+    for combo in itertools.product(*(arena.available[s] for s in states)):
+        yield PureStationaryStrategy(player, dict(zip(states, combo)))
+
+
 def colour_weights(cls: RecurrentClassSummary) -> tuple:
-    """The class's (colour, limit weight) pairs, in `cls.colours` order, read
-    off its `int_weights` (solved on first read)."""
+    """The class's (colour, limit weight) pairs, one per move of positive
+    weight, in `cls.colours` order, read off its `int_weights` (solved on
+    first read)."""
     den, weights = cls.int_weights
     return tuple((tok, Fraction(w, den)) for tok, w in zip(cls.colours, weights))
+
+
+def stationary(cls: RecurrentClassSummary) -> dict[int, Fraction]:
+    """The class's stationary distribution, node by node: the sum of each
+    node's moves' `int_weights`, whose strategy weights sum to 1."""
+    den, weights = cls.int_weights
+    moves = iter(weights)
+    return {node: Fraction(sum(next(moves) for mv in cls.chain.moves[node]
+                               if mv.weight), den)
+            for node in cls.nodes}

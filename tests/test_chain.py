@@ -28,11 +28,10 @@ from stochgame.payoff import (
 )
 from stochgame.solve import brute_force_value, martingale_check, node_values
 from stochgame.strategy import (
-    FiniteMemoryStrategy, PureStationaryStrategy, enumerate_pure_stationary,
-    strategy_from_json,
+    FiniteMemoryStrategy, PureStationaryStrategy, strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
-from helpers import colour_weights
+from helpers import colour_weights, enumerate_pure_stationary, stationary
 
 F = Fraction
 
@@ -315,6 +314,14 @@ def _oracle_stationary(chain, nodes):
     return dict(zip(nodes, pi))
 
 
+def _per_colour(colour_weights):
+    """(colour, weight) pairs summed per colour, in the order first seen."""
+    out = {}
+    for tok, w in colour_weights:
+        out[tok] = out.get(tok, 0) + w
+    return out
+
+
 def _oracle_absorption(chain, classes):
     rows = _fraction_rows(chain)
     in_class = {node for cls in classes for node in cls.nodes}
@@ -394,13 +401,20 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
             assert gcd(d, *row.values()) == 1
         classes = bottom_sccs(chain)
         for cls in classes:
-            assert cls.stationary == _oracle_stationary(chain, cls.nodes)
+            pi = _oracle_stationary(chain, cls.nodes)
+            assert stationary(cls) == pi
+            # one (colour, weight) per move of positive weight, and summed
+            # per colour, the oracle's colour weights
+            moves = tuple((mv.colour, pi[node] * mv.weight)
+                          for node in cls.nodes for mv in chain.moves[node]
+                          if mv.weight)
+            assert colour_weights(cls) == moves
             weights = {}
             for node in cls.nodes:
                 for mv in chain.moves[node]:
                     weights[mv.colour] = weights.get(mv.colour, 0) \
-                        + cls.stationary[node] * mv.weight
-            assert colour_weights(cls) == tuple(weights.items())
+                        + pi[node] * mv.weight
+            assert _per_colour(colour_weights(cls)) == weights
         assert _absorption(chain, classes) == _oracle_absorption(chain, classes)
         assert _discounted(chain) == _oracle_discounted(chain)
 
@@ -600,7 +614,7 @@ def test_one_state_chain():
     assert chain.row(0) == {0: F(1)}
     classes = bottom_sccs(chain)
     assert len(classes) == 1
-    assert classes[0].stationary == {0: F(1)}
+    assert stationary(classes[0]) == {0: F(1)}
 
 
 def test_e3_chain_copies_transition_table():
@@ -634,7 +648,7 @@ def test_two_absorbing_classes():
     classes = bottom_sccs(chain)
     assert len(classes) == 2
     for cls in classes:
-        assert cls.stationary[cls.nodes[0]] == 1
+        assert stationary(cls)[cls.nodes[0]] == 1
 
 
 def test_stationary_two_node_class():
@@ -645,7 +659,7 @@ def test_stationary_two_node_class():
     })
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
     (cls,) = bottom_sccs(chain)
-    pi = {chain.nodes[n][0]: p for n, p in cls.stationary.items()}
+    pi = {chain.nodes[n][0]: p for n, p in stationary(cls).items()}
     assert pi == {"x": F(1, 3), "y": F(2, 3)}
 
 
@@ -678,7 +692,7 @@ def test_stationary_weights_of_a_transient_node_are_rejected():
     # stationary weight at x is 0
     cls = _two_node_class({"x": {"y": F(1)}, "y": {"y": F(1)}})
     with pytest.raises(ChainError) as err:
-        cls.stationary
+        stationary(cls)
     assert str(err.value) == "stationary weights must be positive"
 
 
@@ -689,12 +703,13 @@ def test_stationary_is_exactly_stationary(seed):
     chain = induce_chain(arena, _first_choice(arena, P1), _first_choice(arena, P2))
     rows = chain.rows()
     for cls in bottom_sccs(chain):
+        pi = stationary(cls)
         back = {n: F(0) for n in cls.nodes}
         for src in cls.nodes:
             for succ, p in rows[src].items():
-                back[succ] += cls.stationary[src] * p
-        assert back == cls.stationary
-        assert sum(cls.stationary.values()) == 1
+                back[succ] += pi[src] * p
+        assert back == pi
+        assert sum(pi.values()) == 1
 
 
 def test_absorption_inside_class_is_one():
@@ -914,7 +929,7 @@ def _lazy_class_values(specs, chain, nodes):
     out = []
     for spec in specs:
         summary = RecurrentClassSummary(chain, nodes)
-        out.append((class_value(spec, summary), "_solved" in vars(summary)))
+        out.append((class_value(spec, summary), "int_weights" in vars(summary)))
     return out
 
 
@@ -1018,8 +1033,10 @@ def test_a_move_of_weight_zero_adds_no_colour(name, top, colour, want):
 def test_class_colours_follow_first_seen_order_with_aligned_weights():
     # node 0 plays reward 3 (to node 1) or reward 1 (staying), each with
     # weight 1/2; node 1 returns with reward 3.  Stationary (2/3, 1/3), so
-    # reward 3 weighs 2/3 and reward 1 weighs 1/3, in the order first seen,
-    # which is not the sorted order
+    # each of the three moves weighs 1/3: one colour per move, in node then
+    # move order, with reward 3 kept twice.  Summed per colour, reward 3
+    # weighs 2/3 and reward 1 weighs 1/3, in the order first seen, which is
+    # not the sorted order
     moves = ((Move("a", F(1, 2), reward(3), ((1, F(1)),)),
               Move("b", F(1, 2), reward(1), ((0, F(1)),))),
              (Move("c", F(1), reward(3), ((0, F(1)),)),))
@@ -1027,11 +1044,53 @@ def test_class_colours_follow_first_seen_order_with_aligned_weights():
     chain = InducedChain(nodes, moves, {node: i for i, node in enumerate(nodes)},
                          ((2, {1: 1, 0: 1}), (1, {0: 1})), (None, None))
     (cls,) = bottom_sccs(chain)
-    assert cls.colours == (reward(3), reward(1))
+    assert cls.colours == (reward(3), reward(1), reward(3))
     den, weights = cls.int_weights
-    assert [F(w, den) for w in weights] == [F(2, 3), F(1, 3)]
-    assert colour_weights(cls) == ((reward(3), F(2, 3)), (reward(1), F(1, 3)))
+    assert [F(w, den) for w in weights] == [F(1, 3)] * 3
+    assert colour_weights(cls) == ((reward(3), F(1, 3)), (reward(1), F(1, 3)),
+                                   (reward(3), F(1, 3)))
+    assert _per_colour(colour_weights(cls)) == {reward(3): F(2, 3),
+                                                reward(1): F(1, 3)}
     assert class_value(parse_payoff_spec("mean"), cls) == F(7, 3)
+
+
+# per colour kind of CLASS_PAYOFFS: the colour of node 0's two moves and the
+# colour of node 1's one move in `_equal_colour_chain`
+EQUAL_COLOURS = {
+    "reward": (reward(-1), reward(2)),
+    "priority": (priority(3), priority(2)),
+    "cobuchi": (reward_buchi(-1, False), reward_buchi(2, False)),
+    "vector2": (vector(1, -1), vector(-2, 2)),
+    "increment": (increment(1), increment(-3)),
+}
+
+
+def _equal_colour_chain(twice, once):
+    """Node 0 mixes a move to node 1 (weight 1/3) with a move staying
+    (weight 2/3), both coloured `twice`; node 1 returns with `once`."""
+    moves = ((Move("a", F(1, 3), twice, ((1, F(1)),)),
+              Move("b", F(2, 3), twice, ((0, F(1)),))),
+             (Move("c", F(1), once, ((0, F(1)),)),))
+    nodes = (("s", "m0", "m0"), ("t", "m0", "m0"))
+    return InducedChain(nodes, moves, {node: i for i, node in enumerate(nodes)},
+                        ((3, {1: 1, 0: 2}), (1, {0: 1})), (None, None))
+
+
+@pytest.mark.parametrize("kind", sorted(CLASS_PAYOFFS))
+def test_equal_colours_of_a_mixed_law_weigh_as_one_colour(kind):
+    # a colour on two moves of one mixed law stays two colours of the class,
+    # and every class-determined payoff values it as the merged oracle does,
+    # which sums the two moves' weights into one colour
+    twice, once = EQUAL_COLOURS[kind]
+    chain = _equal_colour_chain(twice, once)
+    (cls,) = bottom_sccs(chain)
+    assert cls.colours == (twice, twice, once)
+    assert stationary(cls) == {0: F(3, 4), 1: F(1, 4)}
+    assert _per_colour(colour_weights(cls)) == {twice: F(3, 4), once: F(1, 4)}
+    for name in CLASS_PAYOFFS[kind]:
+        spec = parse_payoff_spec(name)
+        assert class_value(spec, cls) == _eager_class_value(spec, chain, [0, 1]), \
+            name
 
 
 def test_a_colour_set_payoff_checks_the_kind_before_any_solve(monkeypatch):

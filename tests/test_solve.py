@@ -29,10 +29,9 @@ from stochgame.solve import (
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, WeaknessSet,
-    enumerate_pure_stationary,
 )
 from stochgame.verify import _adversarial_min, _random_memory_strategy
-from helpers import restrict
+from helpers import enumerate_pure_stationary, restrict
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -172,6 +171,21 @@ def test_best_response_builds_one_strategy_per_response_table():
     assert shared
 
 
+def _grid_strategies(grid):
+    """The grid's rows and columns as strategies, one by one: the
+    stationary strategies of each player, in enumeration order, which
+    `sigma(i)` and `tau(j)` build."""
+    arena = grid.arena
+    sigmas = list(enumerate_pure_stationary(arena, P1))
+    taus = list(enumerate_pure_stationary(arena, P2))
+    assert (len(grid.rows), len(grid.columns)) == (len(sigmas), len(taus))
+    assert [grid.strategy(P1, i).choice for i in range(len(sigmas))] \
+        == [sigma.choice for sigma in sigmas]
+    assert [grid.strategy(P2, j).choice for j in range(len(taus))] \
+        == [tau.choice for tau in taus]
+    return sigmas, taus
+
+
 @pytest.mark.parametrize("name, kind", POSITIONAL_KINDS)
 def test_grid_matches_a_per_pair_node_values_grid(name, kind):
     # the grid picks every pair's chain from one skeleton and shares class
@@ -185,24 +199,25 @@ def test_grid_matches_a_per_pair_node_values_grid(name, kind):
         density = (F(0), F(1, 4), F(1, 2))[seed % 3]
         arena = random_arena(4, 3, density=density, seed=seed, kind=kind)
         grid = solve.GridSolver(arena)
+        sigmas, taus = _grid_strategies(grid)
         vals = [[dict(zip(arena.states, node_values(arena, spec, sigma, tau)))
-                 for tau in grid.taus] for sigma in grid.sigmas]
+                 for tau in taus] for sigma in sigmas]
         assert vals == [[grid.pair_values(spec, i, j)
-                         for j in range(len(grid.taus))]
-                        for i in range(len(grid.sigmas))]
+                         for j in range(len(taus))]
+                        for i in range(len(sigmas))]
         several += sum(len(bottom_classes(induce_chain(arena, sigma, tau))) > 1
-                       for sigma in grid.sigmas for tau in grid.taus)
+                       for sigma in sigmas for tau in taus)
         worst = [{s: min(row[s] for row in rows) for s in arena.states}
                  for rows in vals]
         value = {s: max(w[s] for w in worst) for s in arena.states}
         best_i = next(i for i, w in enumerate(worst) if w == value)
         vv = brute_force_value(arena, spec)
         assert vv.values == value
-        assert vv.sigma_star.choice == grid.sigmas[best_i].choice
+        assert vv.sigma_star.choice == sigmas[best_i].choice
         for s in arena.states:
-            j = min(range(len(grid.taus)), key=lambda j: vals[best_i][j][s])
+            j = min(range(len(taus)), key=lambda j: vals[best_i][j][s])
             tau, achieved = vv.best_response[s]
-            assert (tau.choice, achieved) == (grid.taus[j].choice, value[s])
+            assert (tau.choice, achieved) == (taus[j].choice, value[s])
     assert several  # some pairs' chains have several bottom classes
 
 
@@ -227,8 +242,9 @@ def test_integer_pair_values_read_as_fractions_equal_node_values(name, kind):
                 key: payoff_module.vector(tok.value[0], 1 - tok.value[0])
                 for key, tok in arena.colour.items()})
         grid = solve.GridSolver(arena)
-        for i, sigma in enumerate(grid.sigmas):
-            for j, tau in enumerate(grid.taus):
+        sigmas, taus = _grid_strategies(grid)
+        for i, sigma in enumerate(sigmas):
+            for j, tau in enumerate(taus):
                 got = grid.int_pair_values(spec, i, j)
                 assert len({d for _, d in got}) == 1 and got[0][1] > 0
                 want = node_values(arena, spec, sigma, tau)
@@ -551,9 +567,10 @@ def test_parity_grid_on_one_class_arena_solves_no_linear_system(monkeypatch):
     monkeypatch.setattr(chain_module, "solve_integer", counting)
     arena = random_arena(4, 3, density=F(1), seed=3, kind="priority")
     grid = solve.GridSolver(arena)
-    assert len(grid.sigmas) * len(grid.taus) > 1
+    sigmas, taus = _grid_strategies(grid)
+    assert len(sigmas) * len(taus) > 1
     assert all(len(bottom_classes(induce_chain(arena, sigma, tau))) == 1
-               for sigma in grid.sigmas for tau in grid.taus)
+               for sigma in sigmas for tau in taus)
     vv = brute_force_value(arena, par, grid=grid)
     assert best_response_min(arena, par, vv.sigma_star).values == vv.values
     assert solved == []

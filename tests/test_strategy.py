@@ -22,9 +22,10 @@ from stochgame.solve import (
 )
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError,
-    enumerate_pure_stationary, reset_strategy, strategy_from_json,
+    reset_strategy, strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
+from helpers import enumerate_pure_stationary
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -274,8 +275,10 @@ def test_response_fold_matches_the_induce_chain_enumeration(name, kind):
             best, argmin, uniform, multi = _product_values_oracle(arena, spec,
                                                                   sigma)
             fold = _fold_responses(arena, spec, sigma, DEFAULT_BUDGET)
-            assert (fold.best, fold.argmin, fold.uniform) \
-                == (best, argmin, uniform)
+            assert ({pair: Fraction(*v) for pair, v in fold.best.items()},
+                    fold.argmin, fold.uniform) == (best, argmin, uniform)
+            assert all(type(n) is int and type(d) is int and d > 0
+                       for n, d in fold.best.values())
             assert fold.tables == fold.total == _table_count(arena, sigma)
             several += multi
     assert several  # some response chains have several bottom classes
@@ -305,7 +308,8 @@ def _minima_beaten(arena, spec, rng):
         + [_random_memory_strategy(arena, rng, 2)]
     beaten = 0
     for sigma in sigmas:
-        best = _fold_responses(arena, spec, sigma, DEFAULT_BUDGET).best
+        best = {pair: Fraction(*v) for pair, v in _fold_responses(
+            arena, spec, sigma, DEFAULT_BUDGET).best.items()}
         for tau in _memory_successor_minimizers(arena):
             beaten += any(
                 v < best[(sigma.initial, s)] for s, v in

@@ -127,9 +127,10 @@ def test_library_module_graph_has_no_cycle():
 
 
 def test_grid_and_response_folds_never_order_fractions(monkeypatch):
-    # the grid's max-min, the response fold and the stationary guarantees
-    # compare values as integers: with Fraction's order comparisons
-    # raising, every call completes
+    # the grid's max-min, the response fold, the floor check and the
+    # stationary guarantees compare values as integers, and bottom classes
+    # keep their colours in a tuple: with Fraction's order comparisons and
+    # the colour hash raising, every call completes
     cases = [(random_arena(4, 3, kind=kind), parse_payoff_spec(name))
              for name, kind in (("mean", "reward"), ("limsup", "reward"),
                                 ("parity", "priority"),
@@ -139,15 +140,29 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
     def refuse(self, other):
         raise AssertionError("a Fraction order comparison")
 
+    def refuse_hash(self):
+        raise AssertionError("a colour hash")
+
     for name in ("__lt__", "__gt__", "__le__", "__ge__"):
         monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setattr(payoff.ColourToken, "__hash__", refuse_hash)
     with pytest.raises(AssertionError, match="order comparison"):
         Fraction(1, 2) < Fraction(1, 3)
+    with pytest.raises(AssertionError, match="colour hash"):
+        hash(payoff.reward(1))
     for arena, spec in cases:
         values = solve.brute_force_value(arena, spec)
         solve.best_response_min(arena, spec, values.sigma_star)
         verify._stationary_guarantees(arena, spec, solve.DEFAULT_BUDGET)
-    verify._stationary_guarantees(cases[0][0], posavg, solve.DEFAULT_BUDGET)
+    arena = cases[0][0]
+    floor, _ = verify._stationary_guarantees(arena, posavg,
+                                             solve.DEFAULT_BUDGET)
+    sigma = verify._random_memory_strategy(arena, random.Random(1), 2)
+    check = solve.guarantee_exceeds(
+        arena, posavg, sigma, {(sigma.initial, s): v for s, v in floor.items()})
+    assert check.tables >= 1
+    report = verify.verify_halfpos(arena, posavg)
+    assert report.verdict == "confirmed"
 
 
 def test_shift_searches_never_compare_fractions(monkeypatch):

@@ -25,7 +25,7 @@ from stochgame.payoff import (
     Lasso, ShufflePattern, check_shift_invariance, check_submixing,
     evaluate_lasso, parse_payoff_spec, reward,
 )
-from stochgame.strategy import PureStationaryStrategy, enumerate_pure_stationary
+from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
     SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _case, _case_columns,
     _cycle_at, _cycle_positions, _cycle_stats, _decided_blocks, _drawn_blocks,
@@ -38,7 +38,7 @@ from stochgame.verify import (
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
     weakened_base,
 )
-from helpers import restrict
+from helpers import enumerate_pure_stationary, restrict
 from test_payoff import (
     _drawn_rows, _prefix_counting, _rotation_sensitive, _token_word,
 )
