@@ -476,7 +476,7 @@ def bottom_classes(chain: InducedChain) -> list[list[int]]:
 def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
     """Closed strongly connected components, each summarized by its nodes
     and colours; stationary distributions are solved on first read."""
-    return [RecurrentClassSummary(chain, cls) for cls in bottom_classes(chain)]
+    return [RecurrentClassSummary(chain, cls) for cls in chain.classes]
 
 
 def _potential_exists(chain: InducedChain, cls: Sequence[int]) -> bool:

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import (
-    TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence,
-)
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import RecurrentClassSummary
@@ -249,18 +247,6 @@ class Lasso:
 
     def unroll(self, n: int) -> list:
         return [self.letter(i) for i in range(n)]
-
-
-def reward_lasso(prefix: Sequence, cycle: Sequence) -> Lasso:
-    return Lasso(tuple(reward(r) for r in prefix), tuple(reward(r) for r in cycle))
-
-
-def priority_lasso(prefix: Sequence[int], cycle: Sequence[int]) -> Lasso:
-    return Lasso(tuple(priority(p) for p in prefix), tuple(priority(p) for p in cycle))
-
-
-def vector_lasso(prefix: Sequence, cycle: Sequence) -> Lasso:
-    return Lasso(tuple(vector(*v) for v in prefix), tuple(vector(*v) for v in cycle))
 
 
 def _check_kind(spec: PayoffSpec, tokens) -> None:
@@ -589,76 +575,32 @@ def shuffle(u: Lasso, v: Lasso, pattern: ShufflePattern) -> Lasso:
 @dataclass(frozen=True)
 class ShiftWitness:
     """A word, the first shift whose suffix's value differs from the word's,
-    and the two values, each as `check_shift_invariance` was given or read
-    it."""
+    and the two values."""
 
-    word: Lasso | tuple
+    word: Lasso
     shift: int
-    value: Any
-    shifted_value: Any
+    value: Fraction
+    shifted_value: Fraction
 
 
-def check_shift_invariance(spec: PayoffSpec, word: Lasso | tuple, shifts: int,
-                           value: Optional[Callable[[tuple], Any]] = None,
-                           passed: Optional[set] = None
-                           ) -> Optional[ShiftWitness]:
-    """Compare f on the word and on its first `shifts` suffixes; return the
-    first disagreement, if any.
-
-    `word` is a `Lasso` or its (prefix, cycle) pair of tuples, and the
-    witness carries it as given.  The suffixes run round an orbit of such
-    pairs: each drops the prefix's first letter or, past the prefix, rotates
-    the cycle.  Each pair's value is read through `value`, by default
-    `evaluate_lasso` on `spec` of the lasso it spells; a caller may pass its
-    own, such as a memo of `word_value` over index words.  Values are
-    compared with `!=` only, so any values equal exactly when the payoffs
-    are will do, such as (numerator, denominator) pairs in lowest terms;
-    the witness carries them as read.
-
-    The first prefix-free pair on the orbit (the word's own, or the first
-    suffix that reaches the cycle) is kept, and a later pair equal to it
-    ends the search with None, unevaluated.  That stop is sound without
-    trusting `value`: it is a function of the word, so from there on the
-    suffixes and their values repeat words already compared with the base,
-    and the first disagreeing shift is the same.  A word with p prefix
-    letters and a cycle of primitive period q costs min(shifts + 1, p + q)
-    reads of `value`.
-
-    `passed`, if given, is a set of pairs already known to hold for
-    `shifts` shifts under this `value`: each equals its own first `shifts`
-    suffixes.  A word that holds is added to it; a refuted one never is.  A
-    suffix found in it is compared with the base and ends the walk: the
-    suffixes after it are its own first suffixes, which equal its value, so
-    the first disagreeing shift is again the same.  The set is sound only
-    for one `shifts`, one `value` and one `spec`.
-    """
+def check_shift_invariance(spec: PayoffSpec, word: Lasso,
+                           shifts: int) -> Optional[ShiftWitness]:
+    """Compare f on the word and on each of its first `shifts` suffixes, by
+    `evaluate_lasso`; return the first disagreement, if any.  Each suffix
+    drops the prefix's first letter or, past the prefix, rotates the
+    cycle."""
     if shifts < 1:
         raise PayoffError("shifts must be >= 1")
-    if value is None:
-        def value(pair):
-            return evaluate_lasso(spec, Lasso(*pair))
-    pair = (word.prefix, word.cycle) if isinstance(word, Lasso) else word
-    prefix, cycle = pair
-    base = value(pair)
-    start = None if prefix else (prefix, cycle)
+    prefix, cycle = word.prefix, word.cycle
+    base = evaluate_lasso(spec, word)
     for k in range(1, shifts + 1):
         if prefix:
             prefix = prefix[1:]
         else:
             cycle = cycle[1:] + cycle[:1]
-        current = (prefix, cycle)
-        if start is None:
-            if not prefix:
-                start = current
-        elif current == start:
-            break
-        val = value(current)
+        val = evaluate_lasso(spec, Lasso(prefix, cycle))
         if val != base:
             return ShiftWitness(word, k, base, val)
-        if passed is not None and current in passed:
-            break
-    if passed is not None:
-        passed.add(pair)
     return None
 
 

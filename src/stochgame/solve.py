@@ -45,9 +45,8 @@ import numpy as np
 
 from .arena import P1, P2, Arena
 from .chain import (
-    InducedChain, RecurrentClassSummary, absorption_from,
-    bottom_classes, bottom_sccs, discounted_values, first_passage,
-    induce_chain, product_skeleton,
+    InducedChain, RecurrentClassSummary, absorption_from, bottom_sccs,
+    discounted_values, first_passage, induce_chain, product_skeleton,
 )
 from .payoff import PayoffSpec, scaled
 from .strategy import (
@@ -123,7 +122,7 @@ class PairEvaluator:
             return [(nums[node], den) for node in self._seed_nodes]
         if self._classes is None:
             self._classes = []
-            for cls in bottom_classes(self.chain):
+            for cls in self.chain.classes:
                 key = tuple(cls), tuple(self._choice[node] for node in cls)
                 summary = self._summaries.get(key)
                 if summary is None:

@@ -8,8 +8,11 @@ replays.  Both searches decide index words over one letter table.  A payoff
 that reads only the cycles has one value form on integer cycle statistics
 (`_WORD_FORMS`): the submixing search values a case's words and shuffle
 with it and asks whether the shuffle beats both, and the shift-invariance
-search values a block of words and their suffixes at a time.  A witness
-is spelled and re-evaluated on tokens before being returned.
+search values a block of words and their suffixes at a time.  Other
+payoffs value index words one at a time, through a memo of `word_value`.
+Each search spells only its first flagged case, and its witness comes from
+the token check (`check_submixing`, `check_shift_invariance`), which must
+agree with the index verdict.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
@@ -26,7 +29,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -518,43 +521,37 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                                       seed: int = 0) -> VerificationReport:
     """Exhaustive small-word sweep plus randomized words, comparing the
     payoff against its first SHIFTS suffixes.  The exhaustive words have
-    prefixes of 0..2 letters and cycles of 1..min(max_cycle, 2) letters;
-    the seeded words, drawn after them, prefixes of 0..3 and cycles of
-    1..max_cycle.
+    prefixes of 0..2 letters and cycles of 1..min(max_cycle, 2) letters
+    (`_exhaustive_words`); the seeded words, drawn after them, prefixes of
+    0..3 and cycles of 1..max_cycle.
 
     The words are letter indices into the default alphabet, read once into
-    a `LetterTable`, the seeded ones read off `_drawn_blocks`.  A
-    _FAST_SPECS payoff decides them a block at a time, the exhaustive words
-    one block (`_decided_words`): each word and suffix is its prefix length
-    and its cycle's position in the table's `_cycle_stats`, valued in one
-    `_batch_word_values` call by the `_WORD_FORMS` entry the submixing
-    search values its cases with, and a word and a suffix disagree when
-    their integer pairs differ.  That batch is `word_value` in array form, and
-    the tests check it against `word_value` word by word.  Only the first
-    flagged word is spelled and checked again on tokens
-    (`check_shift_invariance`), and the report is built from that check's
-    witness: a word it clears, or refutes at another shift or with other
-    values, raises AssertionError.
-
-    Other payoffs walk each word as a (prefix, cycle) pair of indices:
-    `check_shift_invariance` reads their suffixes' values as `_word_values`
-    of the table, integer pairs in lowest terms, so no word is spelled and
-    the walk compares integers.  That is sound on the trust the check's
-    orbit stop already states: the value is a function of the word.  On the
-    same trust the search keeps one set of the words that passed: a word in
-    it is not walked again, and a walk that reaches one stops there after
-    comparing its value (see `check_shift_invariance`).  A witness is
-    spelled, with its two values as `Fraction`s, for the report.  Either
-    way, every word counts in `cases`."""
+    a `LetterTable`, in blocks of rows: the exhaustive words one block, the
+    seeded ones read off `_drawn_blocks`.  A _FAST_SPECS payoff decides a
+    block at a time (`_decided_words`): each word and suffix is its prefix
+    length and its cycle's position in the table's `_cycle_stats`, valued
+    in one `_batch_word_values` call by the `_WORD_FORMS` entry the
+    submixing search values its cases with, and a word and a suffix
+    disagree when their integer pairs differ.  That batch is `word_value`
+    in array form, and the tests check it against `word_value` word by
+    word.  Other payoffs walk each word's (prefix, cycle) pair of indices
+    through its suffixes, valued by `_word_values`, integer pairs in lowest
+    terms.  Either way, only the first flagged word is spelled and checked
+    again on tokens (`check_shift_invariance`), and the report is built
+    from that check's witness: a word it clears, or refutes at another
+    shift or with other values, raises AssertionError.  Every word counts
+    in `cases`."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     letters = letter_table(spec, alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
-    drawn = _drawn_blocks(random.Random(seed),
-                          _word_columns(k, bounds.max_cycle, 3),
-                          bounds.random_cases)
+    blocks = itertools.chain(
+        [_exhaustive_words(k, bounds.max_cycle)],
+        _drawn_blocks(random.Random(seed),
+                      _word_columns(k, bounds.max_cycle, 3),
+                      bounds.random_cases))
     cases = 0
 
     def refuted(row, shift: int, values: list) -> VerificationReport:
@@ -569,8 +566,6 @@ def search_shift_invariance_violation(spec: PayoffSpec,
             _shift_witness_doc(witness))
 
     if spec.name in _FAST_SPECS:
-        blocks = itertools.chain([_exhaustive_words(k, bounds.max_cycle)],
-                                 drawn)
         for block, (num, den) in _decided_words(spec, letters,
                                                 bounds.max_cycle, blocks):
             differ = (num[1:] != num[0]) | (den[1:] != den[0])
@@ -583,24 +578,21 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                     (int(num[j, i]), int(den[j, i])) for j in (0, shift)])
             cases += len(block)
     else:
-        exhaustive = ((pre, cyc) for plen in range(3)
-                      for clen in range(1, min(bounds.max_cycle, 2) + 1)
-                      for pre in itertools.product(range(k), repeat=plen)
-                      for cyc in itertools.product(range(k), repeat=clen))
-        seeded = (_word(row, 3) for block in drawn for row in block.tolist())
         value = _word_values(spec, letters)
-        passed: set = set()
-        for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
-            if word in passed:
-                continue
-            w = check_shift_invariance(spec, word, SHIFTS, value, passed)
-            if w is not None:
-                w = replace(w, word=_spelled(alphabet, *word),
-                            value=Fraction(*w.value),
-                            shifted_value=Fraction(*w.shifted_value))
-                return VerificationReport(
-                    "shift-invariance", instance, "refuted",
-                    {"cases": cases}, _shift_witness_doc(w))
+        for block in blocks:
+            for i, row in enumerate(block):
+                prefix, cycle = _word(row.tolist(), 3)
+                base = value((prefix, cycle))
+                for shift in range(1, SHIFTS + 1):
+                    if prefix:
+                        prefix = prefix[1:]
+                    else:
+                        cycle = cycle[1:] + cycle[:1]
+                    val = value((prefix, cycle))
+                    if val != base:
+                        cases += i + 1
+                        return refuted(row, shift, [base, val])
+            cases += len(block)
     return VerificationReport(
         "shift-invariance", instance, "confirmed", {"cases": cases})
 

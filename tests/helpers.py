@@ -1,6 +1,7 @@
 """Views of library objects that only the tests read: a sub-arena with one
-state's actions cut down, a player's stationary strategies one by one, and
-a bottom class's colours and stationary distribution as `Fraction`s."""
+state's actions cut down, a player's stationary strategies one by one, a
+bottom class's colours and stationary distribution as `Fraction`s, and
+lassos of rewards, priorities or vectors spelled from plain values."""
 
 import dataclasses
 import itertools
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 from stochgame.arena import Arena
 from stochgame.chain import RecurrentClassSummary
+from stochgame.payoff import Lasso, priority, reward, vector
 from stochgame.strategy import PureStationaryStrategy
 
 
@@ -49,3 +51,16 @@ def stationary(cls: RecurrentClassSummary) -> dict[int, Fraction]:
     return {node: Fraction(sum(next(moves) for mv in cls.chain.moves[node]
                                if mv.weight), den)
             for node in cls.nodes}
+
+
+def reward_lasso(prefix, cycle) -> Lasso:
+    return Lasso(tuple(map(reward, prefix)), tuple(map(reward, cycle)))
+
+
+def priority_lasso(prefix, cycle) -> Lasso:
+    return Lasso(tuple(map(priority, prefix)), tuple(map(priority, cycle)))
+
+
+def vector_lasso(prefix, cycle) -> Lasso:
+    return Lasso(tuple(vector(*v) for v in prefix),
+                 tuple(vector(*v) for v in cycle))

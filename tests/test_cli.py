@@ -423,7 +423,7 @@ SEEDED_CHECKS = [
     ("check_submixing_genmean2.json", ["submixing", "--payoff", "genmean:2"]),
     ("check_shift_discounted.json",
      ["shift-invariance", "--payoff", "discounted"]),
-    # refuted at shift 1 from a prefix-free word, where the orbit stop starts
+    # refuted at shift 1 from a prefix-free word, a rotation of its cycle
     ("check_shift_geomfirstone.json",
      ["shift-invariance", "--payoff", "geomfirstone", "--cases", "300"]),
     # confirmed: every random case is evaluated on lassos and shuffles

@@ -1,7 +1,5 @@
 """Exact payoff evaluation, shuffles, and the property refuters."""
 
-import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -16,10 +14,11 @@ from stochgame.payoff import (
     VECTOR, ColourKindError, ColourToken, Lasso, PayoffError, ShiftWitness,
     ShuffleError, ShufflePattern, check_shift_invariance, check_submixing,
     class_value, colour_from_json, colour_to_json, discounted, evaluate_lasso,
-    increment, letter, parse_payoff_spec, priority, priority_lasso, reward,
-    reward_buchi, reward_lasso, shuffle, vector, vector_lasso,
+    increment, letter, parse_payoff_spec, priority, reward, reward_buchi,
+    shuffle, vector,
 )
 from stochgame.verify import _drawn_blocks, _word_columns, default_alphabet
+from helpers import priority_lasso, reward_lasso, vector_lasso
 
 mean = parse_payoff_spec("mean")
 par = parse_payoff_spec("parity")
@@ -221,8 +220,8 @@ def test_shift_invariance_discounted_equal_word():
 
 
 def _reference_shift_check(spec, word, shifts):
-    # the check without its orbit stop: every one of the `shifts` suffixes
-    # is evaluated, and the first disagreement is kept
+    # the check written apart, on the test's own suffixes: every one of the
+    # `shifts` suffixes is evaluated, and the first disagreement is kept
     base = payoff.evaluate_lasso(spec, word)
     current, found = word, None
     for k in range(1, shifts + 1):
@@ -289,7 +288,7 @@ def _compare_with_reference(spec, alphabet):
 
 
 @pytest.mark.parametrize("name", CATALOG_SPECS)
-def test_orbit_stop_agrees_with_evaluating_every_suffix(name):
+def test_shift_check_agrees_with_evaluating_every_suffix(name):
     spec = parse_payoff_spec(name)
     _compare_with_reference(spec, default_alphabet(spec))
 
@@ -298,85 +297,13 @@ def test_orbit_stop_agrees_with_evaluating_every_suffix(name):
 @pytest.mark.parametrize("name", ["mean", "parity", "counter+inf", "genmean:2",
                                   "meancobuchi:100", "suffixtarget:ab"])
 @pytest.mark.parametrize("evaluator", [_rotation_sensitive, _prefix_counting])
-def test_orbit_stop_refutes_a_shift_dependent_evaluator_at_the_same_shift(
+def test_shift_check_refutes_a_shift_dependent_evaluator_at_the_same_shift(
         monkeypatch, name, evaluator):
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     monkeypatch.setattr(payoff, "evaluate_lasso",
                         evaluator(payoff.evaluate_lasso, alphabet))
     assert _compare_with_reference(spec, alphabet)
-
-
-@pytest.mark.parametrize("name", CATALOG_SPECS)
-@pytest.mark.parametrize("evaluator",
-                         [None, _rotation_sensitive, _prefix_counting])
-def test_passed_set_changes_no_verdict(monkeypatch, name, evaluator):
-    # one set per shift count, filled by walking the oracle words in order,
-    # each as its (prefix, cycle) pair: every word gets the witness or None
-    # it gets alone, and enters the set exactly when it holds
-    spec = parse_payoff_spec(name)
-    alphabet = default_alphabet(spec)
-    if evaluator is not None:
-        monkeypatch.setattr(payoff, "evaluate_lasso",
-                            evaluator(payoff.evaluate_lasso, alphabet))
-    values = {}
-    reads = collections.Counter()
-
-    def value(pair, walk):
-        reads[walk] += 1
-        if pair not in values:
-            values[pair] = payoff.evaluate_lasso(spec, Lasso(*pair))
-        return values[pair]
-
-    words = list(_shift_oracle_words(alphabet))
-    for shifts in range(1, 10):
-        passed = set()
-        for word in words:
-            pair = (word.prefix, word.cycle)
-            alone = check_shift_invariance(
-                spec, word, shifts, lambda p: value(p, "alone"))
-            got = check_shift_invariance(
-                spec, pair, shifts, lambda p: value(p, "passed"), passed)
-            assert got == (None if alone is None
-                           else dataclasses.replace(alone, word=pair)), \
-                (word, shifts)
-            assert (pair in passed) == (alone is None), (word, shifts)
-    # the set only cuts walks short, and on the catalog's own evaluation,
-    # where most words hold, it cuts some
-    assert reads["passed"] <= reads["alone"]
-    if evaluator is None:
-        assert reads["passed"] < reads["alone"]
-
-
-P3_Q4 = reward_lasso([0, 1, 2], [1, -1, 2, 0])
-
-
-@pytest.mark.parametrize("word, shifts, evaluations", [
-    (reward_lasso([], [1]), 6, 1),
-    # the stop compares words, not cycle lengths: (1 1) has period 1
-    (reward_lasso([], [1, 1]), 6, 1),
-    (reward_lasso([2], [1, 0, 1, 0]), 9, 3),
-    (P3_Q4, 9, 7),
-    (P3_Q4, 6, 7),
-    # fewer shifts than p + q: every suffix is evaluated
-    (P3_Q4, 5, 6),
-    (P3_Q4, 1, 2),
-])
-def test_shift_check_evaluates_each_orbit_word_once(monkeypatch, word, shifts,
-                                                    evaluations):
-    # min(shifts + 1, p + q) evaluations for p prefix letters and a cycle
-    # of primitive period q, all of distinct words
-    real = payoff.evaluate_lasso
-    seen = []
-
-    def counted(spec, w):
-        seen.append(w)
-        return real(spec, w)
-
-    monkeypatch.setattr(payoff, "evaluate_lasso", counted)
-    assert check_shift_invariance(mean, word, shifts) is None
-    assert len(seen) == evaluations
-    assert len(set(seen)) == evaluations
 
 
 # -- shuffles ------------------------------------------------------------------

@@ -364,7 +364,7 @@ def _recording_class_work(monkeypatch):
     assert payoff_module in bound
     for module in bound:
         monkeypatch.setattr(module, "class_value", recording_value)
-    monkeypatch.setattr(solve, "bottom_classes", recording_lookup)
+    monkeypatch.setattr(chain_module, "bottom_classes", recording_lookup)
     return built, valued, looked_up
 
 
@@ -585,7 +585,7 @@ def test_discounted_grid_never_builds_class_analysis(monkeypatch):
         calls.append(len(chain))
         return bottom_classes(chain)
 
-    monkeypatch.setattr(solve, "bottom_classes", counting)
+    monkeypatch.setattr(chain_module, "bottom_classes", counting)
     arena = random_arena(4, 3, seed=0, kind="discounted")
     brute_force_value(arena, parse_payoff_spec("discounted"))
     assert calls == []

@@ -38,7 +38,7 @@ from stochgame.verify import (
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
     weakened_base,
 )
-from helpers import enumerate_pure_stationary, restrict
+from helpers import enumerate_pure_stationary, restrict, reward_lasso
 from test_payoff import (
     _drawn_rows, _prefix_counting, _rotation_sensitive, _token_word,
 )
@@ -503,8 +503,8 @@ def test_seed_zero_draws_the_pinned_first_case():
                            ShufflePattern((1, 1), (1, 2)))
     # the mean's alphabet is the rewards -2..2
     assert _spelled_case(default_alphabet(mean), _case(case)) == (
-        payoff.reward_lasso([-1, 1], [0, -2, -1, 2]),
-        payoff.reward_lasso([0], [1, 2, -1, 2]), ShufflePattern((1, 1), (1, 2)))
+        reward_lasso([-1, 1], [0, -2, -1, 2]),
+        reward_lasso([0], [1, 2, -1, 2]), ShufflePattern((1, 1), (1, 2)))
     (word,) = _drawn_rows(0, _word_columns(5, 4, 3), 1)
     assert word == [3, 1, 3, 4, 2, 0, 1, 4, 2]
     assert verify._word(word, 3) == ((1, 3, 4), (0, 1))
@@ -1062,39 +1062,24 @@ def _counting(monkeypatch, module, name):
 @pytest.mark.parametrize("name", ["mean", "limsup", "genmean:2", "parity",
                                   "meancobuchi:100"])
 def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
-    # a confirmed block search values its words in arrays: it reads no
-    # word's value and walks no word one at a time.  The walk's passed set
-    # cuts meancobuchi's memo reads from the token search's 11,045
-    # evaluations to 6,329, and skips 840 of the 2,930 words
+    # a confirmed block search values its words in arrays and reads no
+    # word's value; the per-word walk values each distinct index word once.
+    # The token search values every word and each of its suffixes
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     index_words = _counting(monkeypatch, verify, "word_value")
     token_words = _counting(monkeypatch, payoff, "evaluate_lasso")
-    real = verify.check_shift_invariance
-    walks, reads = [], []
-
-    def walked(spec, word, shifts, value, passed):
-        walks.append(word)
-
-        def read(pair):
-            reads.append(pair)
-            return value(pair)
-
-        return real(spec, word, shifts, read, passed)
-
-    monkeypatch.setattr(verify, "check_shift_invariance", walked)
     report = search_shift_invariance_violation(spec, SearchBounds(), seed=7)
     assert (report.verdict, report.quantities["cases"]) == ("confirmed", 2930)
     assert not token_words
     pairs = [(prefix, cycle) for _, prefix, cycle in index_words]
     if spec.name in verify._FAST_SPECS:
-        assert (len(pairs), len(walks)) == (0, 0)
+        assert not pairs
     else:
         assert len(pairs) == len(set(pairs)) == 3279
-        assert (len(reads), len(walks)) == (6329, 2090)
     assert report.to_json() == _token_shift_search(
         spec, SearchBounds(), seed=7).to_json()
-    assert len(token_words) == 11045
+    assert len(token_words) == 2930 * (SHIFTS + 1)
     if pairs:
         assert {word for word, in token_words} \
             == {verify._spelled(alphabet, *pair) for pair in pairs}
@@ -1132,11 +1117,15 @@ def test_batch_word_values_match_word_value(name):
 
 @pytest.mark.parametrize("check", ["cleared", "tokens", "another shift"])
 def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
-    # under a shift-dependent batch valuer, a flagged word that the token
-    # check clears (patched to, or on unbroken tokens) or refutes at
-    # another shift never reads as a report
+    # under a shift-dependent valuer, a flagged word that the token check
+    # clears (patched to, or on unbroken tokens) or refutes at another
+    # shift never reads as a report: on the block path (mean, its batch
+    # valuer broken) and on the per-word path (discounted and geomfirstone,
+    # their index valuer broken), whose witness also comes from the check
     monkeypatch.setattr(verify, "_batch_word_values", _plus_batch(
         verify._batch_word_values, BATCH_MUTANTS[_prefix_counting]))
+    monkeypatch.setattr(verify, "word_value", _plus(
+        payoff.word_value, INDEX_MUTANTS[_rotation_sensitive]))
     real = verify.check_shift_invariance
     if check == "cleared":
         monkeypatch.setattr(verify, "check_shift_invariance",
@@ -1145,9 +1134,11 @@ def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
         monkeypatch.setattr(payoff, "evaluate_lasso", _prefix_counting(
             payoff.evaluate_lasso, default_alphabet(mean)))
         monkeypatch.setattr(verify, "check_shift_invariance", lambda *args: (
-            dataclasses.replace(real(*args), shift=real(*args).shift + 1)))
-    with pytest.raises(AssertionError, match="disagree"):
-        search_shift_invariance_violation(mean, SearchBounds(), seed=1)
+            (w := real(*args)) and dataclasses.replace(w, shift=w.shift + 1)))
+    for name in ("mean", "discounted", "geomfirstone"):
+        with pytest.raises(AssertionError, match="disagree"):
+            search_shift_invariance_violation(parse_payoff_spec(name),
+                                              SearchBounds(), seed=1)
 
 
 def _default_words(k):
@@ -1210,17 +1201,6 @@ def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
     assert (report.verdict, report.quantities["cases"]) \
         == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
     assert passes == {"grid": len(SEARCH_PATTERNS), "block": 2}
-
-
-def test_each_shift_search_keeps_its_own_passed_set():
-    # the words are index pairs over each payoff's own alphabet: a set kept
-    # across searches would skip, in a later search, the words an earlier
-    # payoff passed
-    bounds = SearchBounds(random_cases=300)
-    for name in ("mean", "geomfirstone", "mean", "discounted"):
-        spec = parse_payoff_spec(name)
-        assert search_shift_invariance_violation(spec, bounds, 1).to_json() \
-            == _token_shift_search(spec, bounds, 1).to_json(), name
 
 
 def test_fast_submixing_search_spells_only_its_witness(monkeypatch):
