@@ -597,11 +597,14 @@ def search_shift_invariance_violation(spec: PayoffSpec,
         "shift-invariance", instance, "confirmed", {"cases": cases})
 
 
+@functools.cache
 def _exhaustive_words(k: int, max_cycle: int) -> np.ndarray:
     """The shift search's exhaustive words over k letters as one block of
     drawn-word rows (`_word_columns(k, max_cycle, 3)`), in search order: by
     prefix length 0..2, then cycle length 1..min(max_cycle, 2), then the
-    prefix's and the cycle's letters in `itertools.product` order."""
+    prefix's and the cycle's letters in `itertools.product` order.  Built
+    once per (k, max_cycle) and shared by every search, so it is
+    read-only."""
     parts = []
     for plen in range(3):
         for clen in range(1, min(max_cycle, 2) + 1):
@@ -612,7 +615,9 @@ def _exhaustive_words(k: int, max_cycle: int) -> np.ndarray:
             rows[:, 1:1 + plen] = letters[:, :plen]
             rows[:, 5:5 + clen] = letters[:, plen:]
             parts.append(rows)
-    return np.concatenate(parts)
+    block = np.concatenate(parts)
+    block.setflags(write=False)
+    return block
 
 
 def _decided_words(spec: PayoffSpec, letters: LetterTable, max_cycle: int,

@@ -836,6 +836,9 @@ def test_exhaustive_words_are_the_shift_search_words_in_order(max_cycle):
         for clen in range(1, min(max_cycle, 2) + 1)
         for prefix in itertools.product(range(5), repeat=plen)
         for cycle in itertools.product(range(5), repeat=clen)]
+    # built once and shared by every search, so no search may write to it
+    assert verify._exhaustive_words(5, max_cycle) is rows
+    assert not rows.flags.writeable
 
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
