@@ -2,14 +2,15 @@
 shift-invariance / submixing refuters.
 
 A payoff is a function of the infinite play.  Every class-determined payoff
-has one rule, `_limit_value`: the value of a play from the colours it sees
-infinitely often and, for the payoffs that weigh colours, their limit
-weights.  It reads colours as indices into a `LetterTable`, an alphabet
-whose colour kinds are checked once and whose values are scaled once to
-integer numerators over one denominator.  A word's cycle (`word_value`, on
-letter indices; `evaluate_lasso` values a lasso over the table of its own
-letters) and a chain's bottom class (`class_value`, over the table of its
-moves' colours) are both valued by it.
+has one rule, its value form (`_VALUE_FORMS`, read by `limit_value`): the
+value of a play from the statistics of the colours it sees infinitely
+often, weighed by their limit weights.  It reads colours as indices into a
+`LetterTable`, an alphabet whose colour kinds are checked once and whose
+values are scaled once to integer numerators over one denominator.  A
+chain's bottom class (`class_value`, over the table of its moves' colours),
+a word's cycle (`word_value`, on letter indices; `evaluate_lasso` values a
+lasso over the table of its own letters) and the refutation searches'
+arrays of cycles and shuffles are all valued by it.
 
 Values are exact rationals throughout.  The property checkers are refuters,
 not provers: a returned witness is a proof of violation, absence of a witness
@@ -18,12 +19,15 @@ over a corpus is only evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import and_, attrgetter, ge, gt, lt, mul, or_
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import RecurrentClassSummary
@@ -332,9 +336,8 @@ def word_value(spec: PayoffSpec, letters: LetterTable, prefix,
 
     The discounted and geometric payoffs read the whole word, and the
     suffix-target payoff is 1 on every ultimately periodic word.  Every
-    other payoff is class-determined: its value is `_limit_value` of the
-    cycle, the letters the word sees infinitely often, each weighing 1 over
-    the cycle length.
+    other payoff is class-determined: its value is its `limit_value` on the
+    cycle, the letters the word sees infinitely often, each weighing 1.
     """
     name = spec.name
     if name == "discounted":
@@ -345,90 +348,141 @@ def word_value(spec: PayoffSpec, letters: LetterTable, prefix,
         return _ONE
     if name == "geomfirstone":
         return _geom_first_one(letters, prefix, cycle)
-    return _limit_value(spec, letters, cycle, None)
+    return _lowest(*limit_value(spec, _Seen(letters, cycle), letters.den))
 
 
 def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
     """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`:
-    `_limit_value` of the one table of its `colours`, one per move of
-    positive weight, so a colour may repeat, weighed by its `int_weights`,
-    which are aligned with them.  A repeated colour weighs the sum of its
-    moves' weights, as it would once in a table of distinct colours.
+    the payoff's `limit_value` on the statistics of the one table of its
+    `colours`, one per move of positive weight, so a colour may repeat,
+    weighed by its `int_weights`, which are aligned with them.
 
     The colours' kind is checked first, before any weight is read, and a
-    payoff valued off the colour set never reads the weights, so never
-    solves the stationary distribution.  Only class-determined payoffs are
-    accepted; the discounted and geometric payoffs depend on the transient
-    part and the suffix-target payoff is not determined by the class at
-    all."""
+    payoff whose form reads neither L nor S never reads the weights, so
+    never solves the stationary distribution.  Only class-determined
+    payoffs are accepted; the discounted and geometric payoffs depend on
+    the transient part and the suffix-target payoff is not determined by
+    the class at all."""
     if not spec.is_class_determined:
         raise PayoffError(
             f"payoff {spec.format()} is not determined by the recurrent class")
     letters = letter_table(spec, cls.colours)
-    return _fraction(_limit_value(spec, letters, range(len(letters.letters)),
-                                  cls))
+    seen = _Seen(letters, range(len(letters.letters)), cls)
+    return _fraction(_lowest(*limit_value(spec, seen, letters.den)))
 
 
-def _limit_value(spec: PayoffSpec, letters: LetterTable, seen,
-                 cls) -> tuple[int, int]:
-    """The value of a play under a class-determined payoff, as a
-    (numerator, denominator) pair in lowest terms, from the indices `seen`
-    of the letters it sees infinitely often and, read only by the payoffs
-    that weigh colours, their limit weights: integers over one denominator.
-    A word passes its cycle and `cls` None, each letter weighing 1 over the
-    cycle length; a bottom class passes every letter of the table of its
-    `colours` and itself (see `class_value`).  Its `int_weights`, aligned
-    with that table, are read only past the colour-set rules (`limsup`,
-    `liminf`, `parity`, and `meancobuchi` once a Buchi colour is seen), and
-    must sum to their denominator.
+# ---------------------------------------------------------------------------
+# Value forms: one rule per class-determined payoff
 
-    Win/lose conditions return 0/1, and the mean-co-Buchi payoff substitutes
-    the finite penalty -B for the unbounded one.  Values are the table's
-    integer numerators over its one denominator, so sums and comparisons
-    are integer operations."""
-    name = spec.name
-    nums = letters.nums
-    vals = [nums[i] for i in seen]
-    if name == "limsup":
-        return _lowest(max(vals), letters.den)
-    if name == "liminf":
-        return _lowest(min(vals), letters.den)
-    if name == "parity":
-        return _ONE if max(vals) % 2 else _ZERO
-    if name == "meancobuchi" and any(letters.letters[i].value[1]
-                                     for i in seen):
-        return -spec.penalty.numerator, spec.penalty.denominator
-    if cls is None:
-        weights, den = None, len(vals)
-    else:
-        den, weights = cls.int_weights
-        total = sum(weights)
-        if total != den:
+
+def _where(cond, yes, no):
+    """yes() where `cond` holds, else no(): on a bool only the branch taken
+    is read, and on arrays a Python int past int64 stays exact."""
+    if isinstance(cond, bool):
+        return yes() if cond else no()
+    return np.where(cond, np.asarray(yes()), np.asarray(no()))
+
+
+def _wins(win, join=None):
+    """The form of a payoff won, 1 against 0, iff the sum S wins against 0
+    under the comparison `win`: a vector's in every dimension (`join` is
+    `and_`) or in some (`or_`)."""
+    def form(spec, st, den):
+        S = st["S"]
+        if join is None:
+            return win(S, 0), 1
+        dims = S if isinstance(S, tuple) else np.moveaxis(S, -1, 0)
+        return functools.reduce(join, (win(s, 0) for s in dims)), 1
+    return form
+
+
+def _counter(win):
+    """counter+inf's form (`win` is `gt`) or counter-inf's (`lt`): a nonzero
+    drift sends the partial sums to its side's infinity; a zero drift keeps
+    them bounded iff the increments have a potential, and otherwise they
+    oscillate to both infinities almost surely."""
+    def form(spec, st, den):
+        S = st["S"]
+        return _where(S == 0, lambda: st["P"] == 0, lambda: win(S, 0)), 1
+    return form
+
+
+def _mean_unless_buchi(spec, st, den):
+    """meancobuchi's form: the finite penalty -B, which stands for the
+    unbounded one, once a Buchi colour is seen, else the mean."""
+    buchi, penalty = st["B"], spec.penalty
+    return (_where(buchi, lambda: -penalty.numerator, lambda: st["S"]),
+            _where(buchi, lambda: penalty.denominator, lambda: st["L"] * den))
+
+
+_VALUE_FORMS = {
+    "mean": lambda spec, st, den: (st["S"], st["L"] * den),
+    "limsup": lambda spec, st, den: (st["MX"], den),
+    "liminf": lambda spec, st, den: (st["MN"], den),
+    # the top priority's parity
+    "parity": lambda spec, st, den: (st["MX"] % 2, 1),
+    "posavg": _wins(gt),
+    "counter+inf": _counter(gt),
+    "counter-inf": _counter(lt),
+    "genmean": _wins(gt, and_),
+    "optgenmean": _wins(ge, or_),
+    "meancobuchi": _mean_unless_buchi,
+}
+
+
+def limit_value(spec: PayoffSpec, stats, den: int):
+    """The payoff's value form on `stats`, the statistics of the letters a
+    play sees infinitely often, over a letter table of denominator `den`:
+    the play's value as a (numerator, positive denominator) pair, not in
+    lowest terms.
+
+    Each letter weighs its limit weight.  The statistics are L, the
+    weights' denominator (a cycle's length); S, the weighted sum of the
+    numerators, a vector's per dimension (a tuple, or an array's last
+    axis); MX and MN, the largest and the least numerator; B, is a Buchi
+    colour seen; and P, do the increments have a potential, as round a
+    cycle they always do.  A form reads only the statistics it needs, with
+    plain operators, so it gives the same pair on Python ints, which a
+    class's weights can take past int64, as on the searches' int64 arrays
+    (`verify`), and its 0/1 verdicts on ints are bools."""
+    return _VALUE_FORMS[spec.name](spec, stats, den)
+
+
+class _Seen:
+    """The statistics of the letters at the indices `seen` of a table, each
+    computed when a form reads it: a word's cycle (`cls` None), its letters
+    weighing 1 each, or the bottom class `cls`, which sees every letter of
+    the table of its colours, weighed by its `int_weights`.  Those are
+    solved only when L or S is read, and must sum to their denominator."""
+
+    def __init__(self, letters: LetterTable, seen, cls=None):
+        self.letters, self.seen, self.cls = letters, seen, cls
+
+    def __getitem__(self, key: str):
+        nums, seen, cls = self.letters.nums, self.seen, self.cls
+        if key == "L":
+            return len(seen) if cls is None else self._weights()[0]
+        if key == "S":
+            weights = itertools.repeat(1) if cls is None else self._weights()[1]
+            vals = [nums[i] for i in seen]
+            if isinstance(vals[0], tuple):
+                return tuple(sum(map(mul, c, weights)) for c in zip(*vals))
+            return sum(map(mul, vals, weights))
+        if key in ("MX", "MN"):
+            return (max if key == "MX" else min)(nums[i] for i in seen)
+        if key == "B":
+            return any(self.letters.letters[i].value[1] for i in seen)
+        if key == "P":
+            return cls is None or cls.has_potential
+        raise KeyError(key)
+
+    def _weights(self) -> tuple[int, tuple[int, ...]]:
+        """The class's `int_weights`, checked to sum to their denominator."""
+        den, weights = self.cls.int_weights
+        if sum(weights) != den:
             raise PayoffError(f"class colour weights sum to "
-                              f"{Fraction(total, den)}, not 1")
-    if name in ("genmean", "optgenmean"):
-        # One integer sum per dimension, over one common denominator: its
-        # sign is the sign of that dimension's mean.
-        if weights is None:
-            sums = [sum(c) for c in zip(*vals)]
-        else:
-            sums = [sum(map(mul, c, weights)) for c in zip(*vals)]
-        if name == "genmean":
-            return _ONE if all(s > 0 for s in sums) else _ZERO
-        return _ONE if any(s >= 0 for s in sums) else _ZERO
-    drift = sum(vals) if weights is None else sum(map(mul, vals, weights))
-    if name in ("mean", "meancobuchi"):
-        return _lowest(drift, letters.den * den)
-    if name == "posavg":
-        return _ONE if drift > 0 else _ZERO
-    # counter+inf / counter-inf.  Nonzero drift sends the partial sums to
-    # its side's infinity.  With zero drift they stay bounded iff the
-    # increments are a coboundary of a potential over the class graph, as
-    # round a lasso's one cycle they always are; otherwise they oscillate to
-    # both infinities almost surely.
-    if drift == 0:
-        return _ZERO if cls is None or cls.has_potential else _ONE
-    return _ONE if (drift > 0) == (name == "counter+inf") else _ZERO
+                              f"{Fraction(sum(weights), den)}, not 1")
+        return den, weights
 
 
 def _fraction(pair: tuple[int, int]) -> Fraction:

@@ -18,11 +18,11 @@ dict of bottom-class summaries (see `PairEvaluator`), so a bottom class
 that recurs with the same rows is summarized once, and valued once per
 payoff by its summary (`RecurrentClassSummary.value`).  A summary holds
 the class's nodes and its moves' colours; its stationary distribution is
-solved, once, only for a payoff that weighs the colours (see
-`payoff.class_value`), never for `limsup`, `liminf` or `parity`.  The
-single-pair entry points (`node_values`, `martingale_check`, the stopped
-values) build their chain with `chain.induce_chain`: the same walk with
-both players fixed.
+solved, once, only for a payoff whose value form weighs the colours (see
+`payoff.class_value`), never for `limsup`, `liminf`, `parity` or a Buchi
+class's `meancobuchi`.  The single-pair entry points (`node_values`,
+`martingale_check`, the stopped values) build their chain with
+`chain.induce_chain`: the same walk with both players fixed.
 
 An enumerated pair's values are integers over one denominator, read off
 the integer `(nums, den)` outputs of the chain's solves and the class

@@ -4,11 +4,12 @@ stopped-value suites, and the exact reproduction of the four-state
 letter-game counter-example.
 
 Searches are refuters: a refuted report always embeds a witness that
-replays.  Both searches decide index words over one letter table.  A payoff
-that reads only the cycles has one value form on integer cycle statistics
-(`_WORD_FORMS`): the submixing search values a case's words and shuffle
-with it and asks whether the shuffle beats both, and the shift-invariance
-search values a block of words and their suffixes at a time.  Other
+replays.  Both searches decide index words over one letter table.  A
+class-determined payoff is valued by its value form (`payoff.limit_value`)
+on integer cycle statistics: the shift-invariance search values a block of
+words and their suffixes at a time, and the submixing search values a
+case's words and shuffle with it and asks whether the shuffle beats both
+(but for `meancobuchi`, whose cases it decides one at a time).  Other
 payoffs value index words one at a time, through a memo of `word_value`.
 Each search spells only its first flagged case, and its witness comes from
 the token check (`check_submixing`, `check_shift_invariance`), which must
@@ -43,8 +44,8 @@ from .payoff import (
     INCREMENT, PRIORITY, REWARD, REWARD_BUCHI, VECTOR,
     ColourToken, Lasso, LetterTable, PayoffSpec, ShufflePattern,
     check_shift_invariance, check_submixing, colour_from_json, colour_to_json,
-    discounted, increment, letter, letter_table, priority, reward,
-    reward_buchi, shuffle, vector, word_value,
+    discounted, increment, letter, letter_table, limit_value, priority,
+    reward, reward_buchi, shuffle, vector, word_value,
 )
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, reset_strategy,
@@ -273,50 +274,14 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
     raise FlagGateError(f"no default alphabet for {spec.format()}")
 
 
-def _word_wins(win, join=None):
-    """The form of a payoff won, 1 against 0 as bools, iff its cycle's sum
-    wins against 0: a vector's, given a join, in every dimension
-    (logical_and) or some (logical_or), joined one dimension at a time."""
-    def form(st, den):
-        won = win(st["S"], 0)
-        if join is not None:
-            won = functools.reduce(
-                join, (won[..., d] for d in range(won.shape[-1])))
-        return won, 1
-    return form
-
-
-# The payoffs that read only the cycles, each with its value form: it maps
-# the `_cycle_stats` of cycles and the letter table's denominator to their
-# values' numerators and positive denominators, as `word_value` has them
-# before they are put in lowest terms.  The shift search values words with
-# it (`_batch_word_values`), and the submixing search its cases' words and
-# shuffles (`_fast_violations`); a form reads only the statistics it needs,
-# as a shuffle's are built when read.
-_WORD_FORMS = {
-    "mean": lambda st, den: (st["S"], st["L"] * den),
-    "limsup": lambda st, den: (st["MX"], den),
-    "liminf": lambda st, den: (st["MN"], den),
-    # the top priority's parity
-    "parity": lambda st, den: (st["MX"] % 2, 1),
-    "posavg": _word_wins(np.greater),
-    "counter+inf": _word_wins(np.greater),
-    "counter-inf": _word_wins(np.less),
-    "genmean": _word_wins(np.greater, np.logical_and),
-    "optgenmean": _word_wins(np.greater_equal, np.logical_or),
-}
-_FAST_SPECS = tuple(_WORD_FORMS)
-
-
 def _batch_word_values(spec: PayoffSpec, letters: LetterTable, stats: dict,
                        plen: np.ndarray, pos: np.ndarray):
-    """`word_value` of a _FAST_SPECS payoff on every word with plen[i]
+    """`word_value` of a class-determined payoff on every word with plen[i]
     prefix letters and the cycle at pos[i] of `stats`, the `_cycle_stats`
-    of `letters`: (numerator, denominator) int64 arrays of pos's shape, in
-    lowest terms.  The payoffs are class-determined, so the forms read the
-    cycles' statistics only (`_WORD_FORMS`), valuing each row of the table
-    once, and the prefixes are unread."""
-    num, den = _WORD_FORMS[spec.name](stats, letters.den)
+    of `letters`: (numerator, denominator) arrays of pos's shape, in lowest
+    terms, int64 unless a value passes it.  The value form reads only the
+    cycles' statistics, so each row of the table is valued once."""
+    num, den = limit_value(spec, stats, letters.den)
     g = np.gcd(num, den)
     return (num // g)[pos], (den // g)[pos]
 
@@ -328,35 +293,48 @@ _CASE_BLOCK = 1024
 
 
 def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
-    """Integer summaries of every cycle of 1..max_cycle letters over the
-    table, in `_cycle_positions` order: its length L and its letters'
-    numerators' sum S, maximum MX and minimum MN, each with a trailing
-    dimension axis for a vector table, as int64 arrays."""
+    """The `payoff.limit_value` statistics of every cycle of 1..max_cycle
+    letters over the table, in `_cycle_positions` order: L, S, MX and MN as
+    int64 arrays, with a trailing dimension axis for a vector table, and B
+    over a reward-Buchi table or P, always true, over an increment table,
+    as bool arrays."""
     nums = np.array(letters.nums, dtype=np.int64)
+    kind = letters.letters[0].kind
     parts = []
     for n in range(1, max_cycle + 1):
         # every cycle of n letters, in `itertools.product` order
-        vals = nums[np.indices((len(nums),) * n).reshape(n, -1).T]
-        parts.append((np.full(len(vals), n), vals.sum(1), vals.max(1),
-                      vals.min(1)))
-    return {key: np.concatenate(x)
-            for key, x in zip(("L", "S", "MX", "MN"), zip(*parts))}
+        at = np.indices((len(nums),) * n).reshape(n, -1).T
+        vals = nums[at]
+        parts.append({"L": np.full(len(vals), n), "S": vals.sum(1),
+                      "MX": vals.max(1), "MN": vals.min(1)})
+        if kind == REWARD_BUCHI:
+            flags = np.array([tok.value[1] for tok in letters.letters])
+            parts[-1]["B"] = flags[at].any(1)
+        elif kind == INCREMENT:
+            parts[-1]["P"] = np.ones(len(vals), dtype=bool)
+    return {key: np.concatenate([part[key] for part in parts])
+            for key in parts[0]}
+
+
+# How a shuffle's extreme, Buchi and potential statistics join its words'.
+_JOINS = {"MX": np.maximum, "MN": np.minimum, "B": np.logical_or,
+          "P": np.logical_and}
 
 
 class _Shuffled:
     """The `_cycle_stats` of a cycle with the value of the shuffles of u's
     and v's cycles taking a letters of u for every b of v: a·Lv copies of
     u's cycle and b·Lu of v's, so L = (a+b)·Lu·Lv, S = a·Su·Lv + b·Sv·Lu,
-    MX = max(MXu, MXv) and MN = min(MNu, MNv), each built when it is read."""
+    MX = max(MXu, MXv), MN = min(MNu, MNv), B = Bu or Bv and P = Pu and Pv,
+    each built when it is read."""
 
     def __init__(self, su: dict, sv: dict, a, b):
         self.su, self.sv, self.a, self.b = su, sv, a, b
 
     def __getitem__(self, key: str) -> np.ndarray:
         su, sv, a, b = self.su, self.sv, self.a, self.b
-        if key in ("MX", "MN"):
-            pick = np.maximum if key == "MX" else np.minimum
-            return pick(su[key], sv[key])
+        if key in _JOINS:
+            return _JOINS[key](su[key], sv[key])
         Lu, Lv = su["L"], sv["L"]
         if key == "L":
             return (a + b) * Lu * Lv
@@ -373,11 +351,12 @@ class _Shuffled:
 
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     """Does the shuffle of u's and v's cycles, taking a letters of u for
-    every b of v, beat both components?  The payoff's `_WORD_FORMS` entry
-    values all three, the shuffle on its `_Shuffled` statistics."""
-    form = _WORD_FORMS[spec.name]
-    w = form(_Shuffled(su, sv, a, b), 1)
-    return _above(w, form(su, 1)) & _above(w, form(sv, 1))
+    every b of v, beat both components?  The payoff's value form
+    (`payoff.limit_value`) values all three, the shuffle on its `_Shuffled`
+    statistics."""
+    w = limit_value(spec, _Shuffled(su, sv, a, b), 1)
+    return _above(w, limit_value(spec, su, 1)) \
+        & _above(w, limit_value(spec, sv, 1))
 
 
 def _above(x: tuple, y: tuple) -> np.ndarray:
@@ -443,14 +422,16 @@ def search_submixing_violation(spec: PayoffSpec,
 
     The cases are words of letter indices into the default alphabet, read
     once into a `LetterTable`, the seeded ones with their patterns read off
-    `_drawn_blocks`.  A _FAST_SPECS payoff's `_WORD_FORMS` entry values
-    each case's words on the table's `_cycle_stats` and its shuffle on
-    their `_Shuffled` statistics, and the case is flagged when the shuffle
-    beats both (`_fast_violations`): the exhaustive cases as a grid per
-    pattern of the table's distinct rows, counted as its n^2 cells, the
-    seeded ones a block at a time.  Other payoffs, with exhaustive cycles
-    of 1..min(max_cycle, 2) letters, compare the `_word_values` of each case's
-    three index words by cross-multiplication.  Only the first flagged case
+    `_drawn_blocks`.  A class-determined payoff's value form
+    (`payoff.limit_value`) values each case's words on the table's
+    `_cycle_stats` and its shuffle on their `_Shuffled` statistics, and the
+    case is flagged when the shuffle beats both (`_fast_violations`): the
+    exhaustive cases as a grid per pattern of the table's distinct rows,
+    counted as its n^2 cells, the seeded ones a block at a time.
+    `meancobuchi` and the payoffs that are not class-determined, with
+    exhaustive cycles of 1..min(max_cycle, 2) letters, compare the
+    `_word_values` of each case's three index words by
+    cross-multiplication.  Only the first flagged case
     is spelled and checked again on tokens (`check_submixing`) before it is
     reported: a case that check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
@@ -472,7 +453,10 @@ def search_submixing_violation(spec: PayoffSpec,
 
     drawn = _drawn_blocks(random.Random(seed),
                           _case_columns(k, bounds.max_cycle), bounds.random_cases)
-    if spec.name in _FAST_SPECS:
+    # meancobuchi has a value form, but its cases are decided one at a time:
+    # the grid would widen its exhaustive cycles from 1..min(max_cycle, 2)
+    # letters to 1..max_cycle, and so change its reports
+    if spec.is_class_determined and spec.name != "meancobuchi":
         st = _cycle_stats(letters, bounds.max_cycle)
         n = len(st["L"])
         # a cell reads only its two rows: decide the distinct rows' grid, in
@@ -527,14 +511,14 @@ def search_shift_invariance_violation(spec: PayoffSpec,
 
     The words are letter indices into the default alphabet, read once into
     a `LetterTable`, in blocks of rows: the exhaustive words one block, the
-    seeded ones read off `_drawn_blocks`.  A _FAST_SPECS payoff decides a
-    block at a time (`_decided_words`): each word and suffix is its prefix
-    length and its cycle's position in the table's `_cycle_stats`, valued
-    in one `_batch_word_values` call by the `_WORD_FORMS` entry the
-    submixing search values its cases with, and a word and a suffix
-    disagree when their integer pairs differ.  That batch is `word_value`
-    in array form, and the tests check it against `word_value` word by
-    word.  Other payoffs walk each word's (prefix, cycle) pair of indices
+    seeded ones read off `_drawn_blocks`.  A class-determined payoff
+    decides a block at a time (`_decided_words`): each word and suffix is
+    its prefix length and its cycle's position in the table's
+    `_cycle_stats`, valued in one `_batch_word_values` call by the value
+    form (`payoff.limit_value`) that `word_value` and the submixing search
+    read, and a word and a suffix disagree when their integer pairs differ.
+    The other three payoffs, `discounted`, `geomfirstone` and
+    `suffixtarget`, walk each word's (prefix, cycle) pair of indices
     through its suffixes, valued by `_word_values`, integer pairs in lowest
     terms.  Either way, only the first flagged word is spelled and checked
     again on tokens (`check_shift_invariance`), and the report is built
@@ -565,7 +549,7 @@ def search_shift_invariance_violation(spec: PayoffSpec,
             "shift-invariance", instance, "refuted", {"cases": cases},
             _shift_witness_doc(witness))
 
-    if spec.name in _FAST_SPECS:
+    if spec.is_class_determined:
         for block, (num, den) in _decided_words(spec, letters,
                                                 bounds.max_cycle, blocks):
             differ = (num[1:] != num[0]) | (den[1:] != den[0])

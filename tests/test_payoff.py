@@ -18,7 +18,9 @@ from stochgame.payoff import (
     shuffle, vector,
 )
 from stochgame.verify import _drawn_blocks, _word_columns, default_alphabet
-from helpers import priority_lasso, reward_lasso, vector_lasso
+from helpers import (
+    evaluate_lasso_oracle, priority_lasso, reward_lasso, vector_lasso,
+)
 
 mean = parse_payoff_spec("mean")
 par = parse_payoff_spec("parity")
@@ -447,6 +449,80 @@ def test_class_value_rejects_bad_weights():
         class_value(mean, cls)
 
 
+def test_value_forms_are_the_class_determined_payoffs():
+    # one value form per payoff the catalog flags class-determined, and
+    # none for the payoffs that read the whole word
+    assert set(payoff._VALUE_FORMS) == {
+        name for name, flags in payoff._CATALOG.items() if flags[3]}
+
+
+# weights over a denominator of 2**75, for e = 2**-75: 1/2 - e, 1/2 - e
+# and 2e; with a drift of e, 1/2 - e, 1/2 - 2e and 3e; and, with a drift of
+# 1/2 and so a weighted sum past int64, 3/4 - e, 1/4 - e and 2e
+E = Fraction(1, 2 ** 75)
+BALANCED = (Fraction(1, 2) - E, Fraction(1, 2) - E, 2 * E)
+DRIFTING = (Fraction(1, 2) - E, Fraction(1, 2) - 2 * E, 3 * E)
+LEANING = (Fraction(3, 4) - E, Fraction(1, 4) - E, 2 * E)
+
+
+def _exact_class_value(spec, colour_weights, has_potential):
+    # the payoff of the class in direct rational arithmetic
+    values = [(tok.value, w) for tok, w in colour_weights]
+    name = spec.name
+    if name == "meancobuchi":
+        if any(v[1] for v, _ in values):
+            return -spec.penalty
+        values = [(v[0], w) for v, w in values]
+    if name in ("genmean", "optgenmean"):
+        means = [sum(v[d] * w for v, w in values) for d in range(spec.dim)]
+        if name == "genmean":
+            return Fraction(all(m > 0 for m in means))
+        return Fraction(any(m >= 0 for m in means))
+    drift = sum(v * w for v, w in values)
+    if name in ("mean", "meancobuchi"):
+        return drift
+    if name == "posavg":
+        return Fraction(drift > 0)
+    if drift == 0:
+        return Fraction(not has_potential)
+    return Fraction((drift > 0) == (name == "counter+inf"))
+
+
+@pytest.mark.parametrize("name, colours", [
+    ("mean", [reward(1), reward(-1), reward(0)]),
+    ("posavg", [reward(1), reward(-1), reward(0)]),
+    ("genmean:2", [vector(1, -1), vector(-1, 1), vector(0, 1)]),
+    ("optgenmean:2", [vector(-1, 1), vector(1, -1), vector(0, -1)]),
+    ("meancobuchi:1", [reward_buchi(1, False), reward_buchi(-1, False),
+                       reward_buchi(0, False)]),
+    ("meancobuchi:1", [reward_buchi(1, False), reward_buchi(-1, False),
+                       reward_buchi(0, True)]),
+    ("counter+inf", [increment(1), increment(-1), increment(0)]),
+    ("counter-inf", [increment(-1), increment(1), increment(0)]),
+])
+@pytest.mark.parametrize("weights", [BALANCED, DRIFTING, LEANING])
+@pytest.mark.parametrize("has_potential", [True, False])
+def test_class_values_stay_exact_past_int64(name, colours, weights,
+                                            has_potential):
+    # a class whose weights' denominator is 2**75: its value is the exact
+    # Fraction of direct rational arithmetic, and a 0/1 verdict is a Python
+    # bool or int, never a numpy scalar.  The balanced weights give a zero
+    # drift, or mean, the drifting ones a drift of +-e (genmean:2 and
+    # optgenmean:2 win on one and lose on the other), and the leaning ones
+    # a weighted sum S past int64 as well as its denominator
+    spec = parse_payoff_spec(name)
+    colour_weights = list(zip(colours, weights))
+    cls = _summary(colour_weights, has_potential)
+    assert cls.int_weights[0] >= 2 ** 70
+    want = _exact_class_value(spec, colour_weights, has_potential)
+    assert class_value(spec, cls) == want
+    letters = payoff.letter_table(spec, cls.colours)
+    num, den = payoff.limit_value(
+        spec, payoff._Seen(letters, range(len(colours)), cls), letters.den)
+    assert type(num) in (bool, int) and type(den) is int
+    assert Fraction(num, den) == want
+
+
 # -- colour serialization --------------------------------------------------------
 
 @pytest.mark.parametrize("tok", [
@@ -466,89 +542,9 @@ def test_colour_json_round_trip(tok):
 # -- the Fraction implementations, kept as oracles -------------------------------
 #
 # The library evaluates lassos over integer numerators, slices suffixes and
-# streams shuffles; these are the letter-by-letter `Fraction` versions it
-# replaced, and the properties below require both to agree exactly.
-
-
-def _check_kind_oracle(spec, word):
-    want = spec.colour_kind
-    for tok in word.prefix + word.cycle:
-        if not isinstance(tok, ColourToken) or tok.kind != want:
-            raise ColourKindError(
-                f"payoff {spec.format()} needs {want} colours, got {tok!r}")
-        if spec.name in ("genmean", "optgenmean") and len(tok.value) != spec.dim:
-            raise ColourKindError(
-                f"{spec.format()} needs vectors of dimension {spec.dim}")
-
-
-def _cycle_mean(values):
-    return Fraction(sum(values), len(values))
-
-
-def _vector_cycle_means(cyc, dim):
-    return [Fraction(sum(t.value[i] for t in cyc), len(cyc)) for i in range(dim)]
-
-
-def _evaluate_lasso_oracle(spec, word):
-    _check_kind_oracle(spec, word)
-    cyc = word.cycle
-    name = spec.name
-    if name == "mean":
-        return _cycle_mean([t.value for t in cyc])
-    if name == "limsup":
-        return max(t.value for t in cyc)
-    if name == "liminf":
-        return min(t.value for t in cyc)
-    if name == "parity":
-        return Fraction(max(t.value for t in cyc) % 2)
-    if name == "posavg":
-        return Fraction(1) if _cycle_mean([t.value for t in cyc]) > 0 else Fraction(0)
-    if name == "counter+inf":
-        return Fraction(1) if sum(t.value for t in cyc) > 0 else Fraction(0)
-    if name == "counter-inf":
-        return Fraction(1) if sum(t.value for t in cyc) < 0 else Fraction(0)
-    if name == "genmean":
-        means = _vector_cycle_means(cyc, spec.dim)
-        return Fraction(1) if all(m > 0 for m in means) else Fraction(0)
-    if name == "optgenmean":
-        means = _vector_cycle_means(cyc, spec.dim)
-        return Fraction(1) if any(m >= 0 for m in means) else Fraction(0)
-    if name == "meancobuchi":
-        if any(t.value[1] for t in cyc):
-            return -spec.penalty
-        return _cycle_mean([t.value[0] for t in cyc])
-    if name == "discounted":
-        return _discounted_oracle(word)
-    if name == "suffixtarget":
-        return Fraction(1)
-    if name == "geomfirstone":
-        return _geom_first_one_oracle(word)
-    raise PayoffError(name)
-
-
-def _discounted_oracle(word):
-    # the prefix and one round of the cycle summed letter by letter; the
-    # rest of the word repeats the cycle, so the cycle's sum counts
-    # 1 / (1 - the product of its discounts) times
-    def partial(start, n):
-        total, factor = Fraction(0), Fraction(1)
-        for k in range(start, start + n):
-            r, lam = word.letter(k).value
-            total += factor * r
-            factor *= lam
-        return total, factor
-
-    head, head_factor = partial(0, len(word.prefix))
-    cycle, cycle_factor = partial(len(word.prefix), len(word.cycle))
-    return head + head_factor * cycle / (1 - cycle_factor)
-
-
-def _geom_first_one_oracle(word):
-    values = [t.value for t in word.prefix + word.cycle]
-    if any(v not in (0, 1) for v in values):
-        raise ColourKindError("geomfirstone needs colours in {0, 1}")
-    return next((1 - Fraction(1, 2 ** n) for n, v in enumerate(values)
-                 if v == 1), Fraction(0))
+# streams shuffles; these, and `helpers.evaluate_lasso_oracle`, are the
+# letter-by-letter `Fraction` versions it replaced, and the properties below
+# require both to agree exactly.
 
 
 def _suffix(word, k):
@@ -674,7 +670,7 @@ def spec_and_word(draw):
 def test_evaluate_lasso_matches_fraction_oracle(case):
     spec, word = case
     assert _outcome(evaluate_lasso, spec, word) == \
-        _outcome(_evaluate_lasso_oracle, spec, word)
+        _outcome(evaluate_lasso_oracle, spec, word)
 
 
 letters = st.integers(0, 9)

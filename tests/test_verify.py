@@ -38,7 +38,9 @@ from stochgame.verify import (
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
     weakened_base,
 )
-from helpers import enumerate_pure_stationary, restrict, reward_lasso
+from helpers import (
+    enumerate_pure_stationary, evaluate_lasso_oracle, restrict, reward_lasso,
+)
 from test_payoff import (
     _drawn_rows, _prefix_counting, _rotation_sensitive, _token_word,
 )
@@ -284,14 +286,12 @@ def test_shift_search_refutes_discounted():
     assert report.verdict == "refuted"
 
 
+# the payoffs the submixing search decides on cycle statistics: every
+# class-determined payoff but meancobuchi, each vector payoff in two and
+# three dimensions
 FAST_PAYOFFS = ("mean", "limsup", "liminf", "parity", "posavg", "genmean:2",
                 "genmean:3", "optgenmean:2", "optgenmean:3", "counter+inf",
                 "counter-inf")
-
-
-def test_fast_payoffs_cover_the_word_forms():
-    assert {name.split(":")[0] for name in FAST_PAYOFFS} == set(verify._FAST_SPECS)
-    assert set(verify._WORD_FORMS) == set(verify._FAST_SPECS)
 
 
 def test_cycle_stats_hold_every_cycle_up_to_max_cycle():
@@ -312,7 +312,9 @@ def test_fast_sweep_agrees_with_full_evaluation():
     # among the exhaustive token cycles.  Beyond the verdict, the form's
     # (numerator, denominator) pairs over the table's denominator are the
     # exact values of the shuffle and its two words, and so, compared by
-    # cross-multiplication, they order the words as those values do
+    # cross-multiplication, they order the words as those values do.  Each
+    # value is also the letter-by-letter Fraction oracle's, which shares no
+    # code with the forms
     rng = random.Random(31)
     for name in ("mean", "limsup", "liminf", "parity", "posavg",
                  "genmean:2", "optgenmean:2", "counter+inf", "counter-inf",
@@ -320,7 +322,7 @@ def test_fast_sweep_agrees_with_full_evaluation():
         spec = parse_payoff_spec(name)
         alphabet = default_alphabet(spec)
         letters = payoff.letter_table(spec, alphabet)
-        form = verify._WORD_FORMS[spec.name]
+        form = functools.partial(payoff.limit_value, spec)
         cycles = [tuple(rng.choice(alphabet)
                         for _ in range(rng.randint(1, 4)))
                   for _ in range(12)]
@@ -329,6 +331,8 @@ def test_fast_sweep_agrees_with_full_evaluation():
         col = {k: x[at][:, None] for k, x in stats.items()}
         row = {k: x[at][None, :] for k, x in stats.items()}
         value = [evaluate_lasso(spec, Lasso((), c)) for c in cycles]
+        assert value == [evaluate_lasso_oracle(spec, Lasso((), c))
+                         for c in cycles]
         for a, b in itertools.product(range(1, 4), repeat=2):
             pattern = ShufflePattern.alternating(a, b)
             grid = _fast_violations(spec, col, row, a, b)
@@ -341,7 +345,9 @@ def test_fast_sweep_agrees_with_full_evaluation():
                 witness = check_submixing(spec, u, v, pattern)
                 assert bool(grid[i, j]) == (witness is not None), \
                     (name, a, b, cycles[i], cycles[j])
-                w = evaluate_lasso(spec, payoff.shuffle(u, v, pattern))
+                shuffled = payoff.shuffle(u, v, pattern)
+                w = evaluate_lasso(spec, shuffled)
+                assert w == evaluate_lasso_oracle(spec, shuffled)
                 pw, pu, pv = ((int(n[i, j]), int(d[i, j])) for n, d in (
                     (nw, dw), (nu, du), (nv, dv)))
                 assert [F(*p) for p in (pw, pu, pv)] \
@@ -918,6 +924,9 @@ def _token_cycle_stats(spec, cycles):
         stats["S"] = np.array([sum(v) for v in vals], dtype=np.int64)
         stats["MX"] = np.array([max(v) for v in vals], dtype=np.int64)
         stats["MN"] = np.array([min(v) for v in vals], dtype=np.int64)
+        if kind == payoff.INCREMENT:
+            # round a cycle, the increments have a potential
+            stats["P"] = np.ones(len(cycles), dtype=bool)
     elif kind == payoff.VECTOR:
         stats["S"] = np.array(
             [[sum(int(t.value[d]) for t in c) for d in range(spec.dim)]
@@ -938,7 +947,7 @@ def _token_submixing_search(spec, bounds, seed):
             "submixing", instance, "refuted", {"cases": cases},
             _submix_witness_doc(witness))
 
-    if spec.name in verify._FAST_SPECS:
+    if spec.is_class_determined and spec.name != "meancobuchi":
         cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
         st = _token_cycle_stats(spec, cycles)
         col = {k: x[:, None] for k, x in st.items()}
@@ -1062,37 +1071,46 @@ def _counting(monkeypatch, module, name):
     return words
 
 
-@pytest.mark.parametrize("name", ["mean", "limsup", "genmean:2", "parity",
-                                  "meancobuchi:100"])
+@pytest.mark.parametrize("name", ORACLE_PAYOFFS)
 def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
-    # a confirmed block search values its words in arrays and reads no
-    # word's value; the per-word walk values each distinct index word once.
-    # The token search values every word and each of its suffixes
+    # a block search values its words in arrays and reads no word's value:
+    # every class-determined payoff takes it.  The per-word walk, which
+    # only discounted, geomfirstone and suffixtarget take, values each
+    # distinct index word once.  Only a refuted search spells a word, its
+    # witness, on tokens.  The token search values every word and each of
+    # its suffixes up to the first difference: the index words, spelled
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     index_words = _counting(monkeypatch, verify, "word_value")
     token_words = _counting(monkeypatch, payoff, "evaluate_lasso")
     report = search_shift_invariance_violation(spec, SearchBounds(), seed=7)
-    assert (report.verdict, report.quantities["cases"]) == ("confirmed", 2930)
-    assert not token_words
     pairs = [(prefix, cycle) for _, prefix, cycle in index_words]
-    if spec.name in verify._FAST_SPECS:
-        assert not pairs
-    else:
-        assert len(pairs) == len(set(pairs)) == 3279
+    assert bool(pairs) == (not spec.is_class_determined)
+    assert len(pairs) == len(set(pairs))
+    assert report.verdict == ("refuted" if spec.name in (
+        "discounted", "geomfirstone") else "confirmed")
+    assert bool(token_words) == (report.verdict == "refuted")
+    token_words.clear()
     assert report.to_json() == _token_shift_search(
         spec, SearchBounds(), seed=7).to_json()
-    assert len(token_words) == 2930 * (SHIFTS + 1)
+    if report.verdict == "confirmed":
+        # prefixes of 0-2 letters times cycles of 1-2 letters over the k
+        # letters, then the 2,000 seeded words
+        k = len(alphabet)
+        words = (1 + k + k * k) * (k + k * k) + 2000
+        assert report.quantities["cases"] == words
+        assert len(token_words) == words * (SHIFTS + 1)
     if pairs:
         assert {word for word, in token_words} \
             == {verify._spelled(alphabet, *pair) for pair in pairs}
 
 
-@pytest.mark.parametrize("name", FAST_PAYOFFS)
+@pytest.mark.parametrize("name", FAST_PAYOFFS + ("meancobuchi:100",))
 def test_batch_word_values_match_word_value(name):
-    # `word_value` stays the reference: the batch valuer gives its pair on
-    # every cycle of 1..MAX_CYCLE letters over the default alphabet, and
-    # on the 2,000 seeded words of seeds 0-2 at MAX_CYCLE, prefixes and all
+    # `word_value` and the letter-by-letter Fraction oracle stay the
+    # references: the batch valuer gives their values on every cycle of
+    # 1..MAX_CYCLE letters over the default alphabet, and on the 2,000
+    # seeded words of seeds 0-2 at MAX_CYCLE, prefixes and all
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     k = len(alphabet)
@@ -1114,8 +1132,27 @@ def test_batch_word_values_match_word_value(name):
         np.array([at[c] for _, c in words]))
     assert num.dtype == den.dtype == np.int64
     assert len(words) == len(cycles) + 6000
-    assert list(zip(num.tolist(), den.tolist())) == \
-        [payoff.word_value(spec, letters, p, c) for p, c in words]
+    pairs = list(zip(num.tolist(), den.tolist()))
+    assert pairs == [payoff.word_value(spec, letters, p, c) for p, c in words]
+    oracle = {word: evaluate_lasso_oracle(spec, verify._spelled(alphabet, *word))
+              for word in set(words)}
+    assert [F(*pair) for pair in pairs] == [oracle[word] for word in words]
+
+
+@pytest.mark.parametrize("penalty", [F(10 ** 30), F(1, 10 ** 30)])
+def test_block_shift_search_keeps_a_penalty_past_int64_exact(penalty):
+    # a meancobuchi penalty past int64 leaves its values exact, as Python
+    # ints in object arrays, and the search gives the token search's report
+    spec = payoff.PayoffSpec("meancobuchi", penalty=penalty)
+    letters = payoff.letter_table(spec, default_alphabet(spec))
+    num, den = verify._batch_word_values(
+        spec, letters, _cycle_stats(letters, 2), np.zeros(30, dtype=np.int64),
+        np.arange(30))
+    # cycle 2 of the default alphabet is its one Buchi letter
+    assert (num[2], den[2]) == (-penalty.numerator, penalty.denominator)
+    bounds = SearchBounds(max_cycle=3, random_cases=300)
+    assert search_shift_invariance_violation(spec, bounds, 0).to_json() \
+        == _token_shift_search(spec, bounds, 0).to_json()
 
 
 @pytest.mark.parametrize("check", ["cleared", "tokens", "another shift"])
