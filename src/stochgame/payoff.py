@@ -453,7 +453,10 @@ class _Seen:
     computed when a form reads it: a word's cycle (`cls` None), its letters
     weighing 1 each, or the bottom class `cls`, which sees every letter of
     the table of its colours, weighed by its `int_weights`.  Those are
-    solved only when L or S is read, and must sum to their denominator."""
+    solved only when L or S is read, and S checks that they sum to their
+    denominator."""
+
+    __slots__ = ("letters", "seen", "cls")
 
     def __init__(self, letters: LetterTable, seen, cls=None):
         self.letters, self.seen, self.cls = letters, seen, cls
@@ -461,9 +464,15 @@ class _Seen:
     def __getitem__(self, key: str):
         nums, seen, cls = self.letters.nums, self.seen, self.cls
         if key == "L":
-            return len(seen) if cls is None else self._weights()[0]
+            return len(seen) if cls is None else cls.int_weights[0]
         if key == "S":
-            weights = itertools.repeat(1) if cls is None else self._weights()[1]
+            if cls is None:
+                weights = itertools.repeat(1)
+            else:
+                den, weights = cls.int_weights
+                if sum(weights) != den:
+                    raise PayoffError(f"class colour weights sum to "
+                                      f"{Fraction(sum(weights), den)}, not 1")
             vals = [nums[i] for i in seen]
             if isinstance(vals[0], tuple):
                 return tuple(sum(map(mul, c, weights)) for c in zip(*vals))
@@ -475,14 +484,6 @@ class _Seen:
         if key == "P":
             return cls is None or cls.has_potential
         raise KeyError(key)
-
-    def _weights(self) -> tuple[int, tuple[int, ...]]:
-        """The class's `int_weights`, checked to sum to their denominator."""
-        den, weights = self.cls.int_weights
-        if sum(weights) != den:
-            raise PayoffError(f"class colour weights sum to "
-                              f"{Fraction(sum(weights), den)}, not 1")
-        return den, weights
 
 
 def _fraction(pair: tuple[int, int]) -> Fraction:
