@@ -300,6 +300,8 @@ def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
     as bool arrays."""
     nums = np.array(letters.nums, dtype=np.int64)
     kind = letters.letters[0].kind
+    flags = np.array([tok.value[1] for tok in letters.letters]) \
+        if kind == REWARD_BUCHI else None
     parts = []
     for n in range(1, max_cycle + 1):
         # every cycle of n letters, in `itertools.product` order
@@ -307,8 +309,7 @@ def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
         vals = nums[at]
         parts.append({"L": np.full(len(vals), n), "S": vals.sum(1),
                       "MX": vals.max(1), "MN": vals.min(1)})
-        if kind == REWARD_BUCHI:
-            flags = np.array([tok.value[1] for tok in letters.letters])
+        if flags is not None:
             parts[-1]["B"] = flags[at].any(1)
         elif kind == INCREMENT:
             parts[-1]["P"] = np.ones(len(vals), dtype=bool)
