@@ -305,7 +305,7 @@ def _sign(x):
 
 
 def test_fast_sweep_agrees_with_full_evaluation():
-    # the vectorized sweep's word forms against the ordinary
+    # the vectorized sweep's value forms against the ordinary
     # shuffle-then-evaluate route, on a seeded sample of cycle pairs, at
     # every tail ratio a seeded pattern can draw; each sampled cycle's
     # statistics are its row of the alphabet table's, found by its place
@@ -869,7 +869,7 @@ def test_submixing_search_at_max_cycle(name):
 
 def test_grid_memory_stays_flat_past_a_million_cells():
     # 3,905 cycles at max_cycle 5: one int64 array over the whole grid is
-    # 122 MB, and the word forms hold several at once
+    # 122 MB, and the value forms hold several at once
     tracemalloc.start()
     try:
         report = search_submixing_violation(
@@ -1226,7 +1226,7 @@ def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
                                   "posavg"])
 def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
                                                                name):
-    # one grid pass per pattern, whether or not the word form reads it,
+    # one grid pass per pattern, whether or not the value form reads it,
     # and one pass per seeded block
     spec = parse_payoff_spec(name)
     real = verify._fast_violations
