@@ -5,7 +5,9 @@ newline after the last:
 - `brute_force_value` and `best_response_min` (against the value's
   sigma*) for mean, limsup, liminf, parity and discounted on
   `random_arena(n, 3, seed=s)`, n 3-5 and s 0-19, each payoff on the
-  colour kind it reads: 300 reports;
+  colour kind it reads: 300 reports.  Each arena's `GridSolver` is kept
+  live through both calls, so the best response reads sigma*'s row of
+  the grid that certified it;
 - `verify_halfpos(...).to_json()` for posavg, meancobuchi:100 and
   optgenmean:2 on `random_arena(4, 3, seed=s)`, s 0-19: 60 reports;
 - `product_values` for mean and discounted of a stationary maximizer
@@ -27,7 +29,9 @@ from fractions import Fraction
 
 from stochgame.arena import P1, random_arena
 from stochgame.payoff import parse_payoff_spec
-from stochgame.solve import best_response_min, brute_force_value, product_values
+from stochgame.solve import (
+    GridSolver, best_response_min, brute_force_value, product_values,
+)
 from stochgame.strategy import FiniteMemoryStrategy
 from stochgame.verify import verify_halfpos
 
@@ -49,7 +53,8 @@ def _value_reports():
         for n in (3, 4, 5):
             for seed in SEEDS:
                 arena = random_arena(n, 3, seed=seed, kind=kind)
-                value = brute_force_value(arena, spec)
+                grid = GridSolver(arena)
+                value = brute_force_value(arena, spec, grid=grid)
                 response = best_response_min(arena, spec, value.sigma_star)
                 yield json.dumps({
                     "payoff": name, "states": n, "seed": seed,

@@ -6,12 +6,18 @@ stopped-value suites.
 
 Values are computed by exhaustive enumeration of deterministic stationary
 strategies: for the positional payoff catalog the enumerated grid attains the
-game value, and the saddle-point assertion is the guard that it did.
+game value, and the saddle-point assertion is the guard that it did.  For
+that catalog a pure stationary sigma's best response is also stationary,
+so `best_response_min` reads sigma's row of the grid: from the arena's live
+`GridSolver` (`_LIVE_GRIDS`, weak references by `id(arena)`), whose pairs a
+`brute_force_value` on it has evaluated, or else from a fresh grid.
 
 Each enumeration walks its product once, with `chain.product_skeleton`,
 which holds every row any of its pairs can induce: `GridSolver` the grid,
-both players open, seeded at every state; `_fold_responses` the product of
-one fixed maximizer strategy, seeded at every (memory, state) pair.  A
+both players open, seeded at every state; `_fold_responses`, the
+enumerator for finite-memory strategies (`product_values`,
+`guarantee_exceeds`), the product of one fixed maximizer strategy, seeded
+at every (memory, state) pair.  A
 strategy pair or response table is a choice vector over it, and picking
 the rows gives the pair's chain.  The pairs of one enumeration share one
 dict of bottom-class summaries (see `PairEvaluator`), so a bottom class
@@ -36,6 +42,7 @@ reported: `ValueVector`, `BestResponse`, `product_values` and `FloorCheck`.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, log, prod, sqrt
@@ -185,48 +192,89 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
 # Grid enumeration
 
 
+class _Picks(Sequence):
+    """One player's deterministic stationary strategies, as tuples of
+    action indices at its states in `itertools.product` order, decoded from
+    their position when read: a grid holds no tuple it does not read, so
+    reading one row costs no more than its columns.  `index` encodes."""
+
+    def __init__(self, sizes: Sequence[int]):
+        self._sizes = tuple(sizes)
+        self._len = prod(self._sizes)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple[int, ...]:
+        if not 0 <= k < self._len:
+            raise IndexError(k)
+        picks = []
+        for n in reversed(self._sizes):
+            k, a = divmod(k, n)
+            picks.append(a)
+        return tuple(reversed(picks))
+
+    def index(self, picks: Sequence[int]) -> int:
+        k = 0
+        for n, a in zip(self._sizes, picks):
+            k = k * n + a
+        return k
+
+
+# The live grid of each arena, by `id(arena)`: a `GridSolver` records
+# itself here, and `best_response_min` reads a strategy's row from it.  The
+# values are weak, so no grid outlives its owner's reference to it.
+_LIVE_GRIDS: weakref.WeakValueDictionary[int, GridSolver] = \
+    weakref.WeakValueDictionary()
+
+
 class GridSolver:
     """Evaluates every deterministic stationary strategy pair once and
     answers value queries for several payoffs over the shared chains.
 
     `rows[i]` is the maximizer's i-th stationary strategy, in
     `itertools.product` order, as its action indices at its states, and
-    `columns[j]` the minimizer's j-th; `strategy` builds one when it is
-    reported.  The one-memory product skeleton, with both players' nodes
-    open, is built once per arena.  Its nodes are its seeds, one per state
-    in state order, so pair (i, j)'s choice vector is row i and column j
-    placed at their states; its chain is picked on first use and kept for
-    the other payoffs.  All pairs, for every payoff, share one dict of
-    bottom-class summaries.  A budget below 1 is a `ValueError`, raised
+    `columns[j]` the minimizer's j-th (`_Picks`); `strategy` builds one,
+    once, when it is reported.  The one-memory product skeleton, with both
+    players' nodes open, is built once per arena.  Its nodes are its seeds,
+    one per state in state order, so pair (i, j)'s choice vector is row i
+    and column j placed at their states; its chain is picked on first use
+    and kept for the other payoffs.  All pairs, for every payoff, share one
+    dict of bottom-class summaries.  A grid records itself as its arena's
+    live grid (`_LIVE_GRIDS`).  A budget below 1 is a `ValueError`, raised
     before any work, and so is the `BudgetError` of too many pairs."""
 
     def __init__(self, arena: Arena, budget: int = DEFAULT_BUDGET):
         _check_budget(budget)
         self.arena = arena
-        n_pairs = count_pure_stationary(arena, P1) * count_pure_stationary(arena, P2)
+        self.rows, self.columns = (
+            _Picks([len(arena.available[s]) for s in arena.player_states(player)])
+            for player in (P1, P2))
+        n_pairs = len(self.rows) * len(self.columns)
         if n_pairs > budget:
             raise BudgetError(
                 f"{n_pairs} strategy pairs exceed the budget of {budget}; "
                 "split the arena or raise the budget")
-        self.rows, self.columns = (
-            list(itertools.product(*(range(len(arena.available[s]))
-                                     for s in arena.player_states(player))))
-            for player in (P1, P2))
         self._maximizer = [arena.owner[s] == P1 for s in arena.states]
         self._skeleton = product_skeleton(
             arena, [(s, "m0", "m0") for s in arena.states])
         self._seed_nodes = range(len(arena.states))
         self._summaries: dict[tuple, RecurrentClassSummary] = {}
         self._pairs: dict[tuple[int, int], PairEvaluator] = {}
+        self._strategies: dict[tuple[int, int], PureStationaryStrategy] = {}
+        _LIVE_GRIDS[id(arena)] = self
 
     def strategy(self, player: int, k: int) -> PureStationaryStrategy:
         """Row k as the maximizer's strategy, or column k as the
-        minimizer's."""
-        avail = self.arena.available
-        picks = (self.rows if player == P1 else self.columns)[k]
-        return PureStationaryStrategy(player, {
-            s: avail[s][a]
-            for s, a in zip(self.arena.player_states(player), picks)})
+        minimizer's, built on first request and then shared."""
+        found = self._strategies.get((player, k))
+        if found is None:
+            avail = self.arena.available
+            picks = (self.rows if player == P1 else self.columns)[k]
+            found = self._strategies[(player, k)] = PureStationaryStrategy(
+                player, {s: avail[s][a] for s, a in
+                         zip(self.arena.player_states(player), picks)})
+        return found
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
         return {s: Fraction(*v) for s, v in
@@ -338,27 +386,42 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
 def best_response_min(arena: Arena, spec: PayoffSpec,
                       sigma: PureStationaryStrategy,
                       budget: int = DEFAULT_BUDGET) -> BestResponse:
-    """Exhaustive minimization over the opponent's stationary strategies."""
+    """The minimizer's best reply to sigma over its stationary strategies:
+    sigma's row of the stationary grid.  For the positional catalog a
+    stationary reply is optimal in the decision process sigma leaves the
+    minimizer, so the row's minima are the exact best-response values.
+
+    The row is read from the arena's live grid (`_LIVE_GRIDS`), whose pairs
+    a `brute_force_value` on it has already evaluated; without one, from a
+    fresh grid, built without the pairs' gate since only the row is
+    evaluated.  The budget bounds the row's columns.  Per state the
+    minimizer is the first column attaining the minimum, and the uniform
+    minimizer the last column attaining every minimum at once; one
+    strategy per column serves every state it attains."""
     if not spec.is_both_positional:
         raise UnsupportedPayoffError(
             f"best responses are only enumerated for the positional catalog, "
             f"not {spec.format()}")
-    fold = _fold_responses(arena, spec, sigma, budget)
-    # The fold's argmin values share one dict per table, so one strategy
-    # per table serves every state it attains.
-    strategies: dict[int, PureStationaryStrategy] = {}
-
-    def stationary(table):
-        found = strategies.get(id(table))
-        if found is None:
-            found = strategies[id(table)] = PureStationaryStrategy(
-                P2, {s: a for (_, s), a in table.items()})
-        return found
-
+    _check_budget(budget)
+    total = count_pure_stationary(arena, P2)
+    if total > budget:
+        raise BudgetError(f"{total} responses exceed budget {budget}")
+    sigma.check_in(arena)
+    grid = _LIVE_GRIDS.get(id(arena))
+    if grid is None or grid.arena is not arena:
+        grid = GridSolver(arena, count_pure_stationary(arena, P1) * total)
+    i = grid.rows.index([arena.available[s].index(sigma.choice[s])
+                         for s in arena.player_states(P1)])
+    row = [grid.int_pair_values(spec, i, j) for j in range(total)]
+    argmin, best = first_least(row)
+    uniform = None
+    for j, vals in enumerate(row):
+        if all(map(_same, vals, best)):
+            uniform = j
     return BestResponse(
-        {s: Fraction(*v) for (_, s), v in fold.best.items()},
-        {s: stationary(table) for (_, s), table in fold.argmin.items()},
-        None if fold.uniform is None else stationary(fold.uniform))
+        {s: Fraction(*v) for s, v in zip(arena.states, best)},
+        {s: grid.strategy(P2, j) for s, j in zip(arena.states, argmin)},
+        None if uniform is None else grid.strategy(P2, uniform))
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,10 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     """Check that a deterministic stationary strategy of the maximizer is
     unbeatable on this arena.
 
-    Positional payoffs get the exact grid saddle point plus a best-response
-    re-verification of the certified strategy.  Half-positional-only payoffs
+    Positional payoffs get the exact grid saddle point plus a
+    re-verification of the certified strategy by the response fold on its
+    own product (`solve.product_values`), not by the grid that certified
+    it.  Half-positional-only payoffs
     get a bounded refutation sweep: seeded finite-memory candidates (up to
     `memory_bound` memories) try to beat the best stationary guarantee, the
     floor, against stationary responses on their memory products.  Each
@@ -123,9 +125,12 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
             return VerificationReport(
                 "halfpos", instance, "inconclusive",
                 {"reason": str(e)})
-        response = solve.best_response_min(arena, spec, values.sigma_star, budget)
-        bad = {s: (response.values[s], values.values[s])
-               for s in arena.states if response.values[s] != values.values[s]}
+        # sigma*'s guarantee by the fold on its own product, a path
+        # independent of the grid that certified it
+        guaranteed = {s: v for (_, s), v in solve.product_values(
+            arena, spec, values.sigma_star, budget).items()}
+        bad = {s: (guaranteed[s], values.values[s])
+               for s in arena.states if guaranteed[s] != values.values[s]}
         if bad:
             return VerificationReport(
                 "halfpos", instance, "refuted",

@@ -2,8 +2,10 @@
 classification, martingale and stopped-value checks."""
 
 import dataclasses
+import itertools
 import random
 import sys
+import weakref
 from fractions import Fraction
 from math import log, sqrt
 
@@ -124,10 +126,27 @@ POSITIONAL_KINDS = [("mean", "reward"), ("limsup", "reward"),
                     ("discounted", "discounted")]
 
 
+def _fold_response(arena, spec, sigma):
+    """The response fold on sigma's own product, as a `best_response_min`
+    answer's choices: the per-state values (`product_values`), the first
+    table attaining each state's minimum, and the uniform table or None."""
+    values = {s: v for (_, s), v in
+              solve.product_values(arena, spec, sigma).items()}
+    fold = solve._fold_responses(arena, spec, sigma, solve.DEFAULT_BUDGET)
+
+    def choice(table):
+        return {s: a for (_, s), a in table.items()}
+
+    return (values, {s: choice(t) for (_, s), t in fold.argmin.items()},
+            fold.uniform and choice(fold.uniform))
+
+
 @pytest.mark.parametrize("name, kind", POSITIONAL_KINDS)
 def test_best_response_matches_the_stationary_enumeration(name, kind):
     # values, per-state minimizers (first in enumeration order) and the
-    # uniform minimizer all agree with the one-strategy-at-a-time loop
+    # uniform minimizer all agree with the one-strategy-at-a-time loop and
+    # with the response fold on sigma's own product, whether sigma's row is
+    # read from a fresh grid or from the arena's live grid
     spec = parse_payoff_spec(name)
     rng = random.Random(name)
     ties = 0
@@ -139,14 +158,167 @@ def test_best_response_matches_the_stationary_enumeration(name, kind):
                      for s in arena.player_states(P1)})
             best, argmin, uniform, tied = _best_response_oracle(arena, spec,
                                                                 sigma)
-            response = best_response_min(arena, spec, sigma)
-            assert response.values == best
-            assert {s: t.choice for s, t in response.minimizers.items()} \
-                == {s: t.choice for s, t in argmin.items()}
-            assert (response.uniform and response.uniform.choice) \
-                == (uniform and uniform.choice)
+            want = (best, {s: t.choice for s, t in argmin.items()},
+                    uniform and uniform.choice)
+            assert _fold_response(arena, spec, sigma) == want
+            fresh = best_response_min(arena, spec, sigma)
+            grid = solve.GridSolver(arena)
+            live = best_response_min(arena, spec, sigma)
+            assert solve._LIVE_GRIDS.get(id(arena)) is grid
+            del grid
+            for response in (fresh, live):
+                assert (response.values,
+                        {s: t.choice for s, t in response.minimizers.items()},
+                        response.uniform and response.uniform.choice) == want
             ties += tied
     assert ties  # several responses reach some state's minimum
+
+
+def _counting_new_work(monkeypatch):
+    """Record every product skeleton and every pair evaluator the solver
+    builds from now on."""
+    built = []
+    product_skeleton, pair_evaluator = solve.product_skeleton, solve.PairEvaluator
+    monkeypatch.setattr(solve, "product_skeleton", lambda *args, **kwargs: (
+        built.append("skeleton") or product_skeleton(*args, **kwargs)))
+    monkeypatch.setattr(solve, "PairEvaluator", lambda *args: (
+        built.append("pair") or pair_evaluator(*args)))
+    return built
+
+
+def test_best_response_reads_the_live_grid_without_new_work(monkeypatch):
+    # brute_force_value has evaluated every pair of the live grid, so the
+    # best response to sigma* builds no product and evaluates no pair; its
+    # minimizers are the grid's own column strategies, the certificates'
+    built = _counting_new_work(monkeypatch)
+    for name, kind in POSITIONAL_KINDS:
+        spec = parse_payoff_spec(name)
+        for seed in range(8):
+            arena = random_arena(4 + seed % 2, 3, seed=seed, kind=kind)
+            grid = solve.GridSolver(arena)
+            vv = brute_force_value(arena, spec, grid=grid)
+            built.clear()
+            response = best_response_min(arena, spec, vv.sigma_star)
+            assert built == []
+            assert response.values == vv.values
+            for s in arena.states:
+                assert response.minimizers[s] is vv.best_response[s][0]
+
+
+def test_a_live_grid_dies_with_its_owner_and_serves_only_its_arena(
+        monkeypatch):
+    # the registry holds its grids weakly; a grid recorded under an arena's
+    # id but built for another arena is never read, and the fresh grid a
+    # best response builds is gone once the answer is returned
+    arena = random_arena(4, 3, seed=1)
+    sigma = _unique(arena, P1)
+    grid = solve.GridSolver(arena)
+    ref = weakref.ref(grid)
+    assert solve._LIVE_GRIDS.get(id(arena)) is grid
+    del grid
+    assert ref() is None and solve._LIVE_GRIDS.get(id(arena)) is None
+    want = best_response_min(arena, mean, sigma)
+
+    twin = random_arena(4, 3, seed=1)   # equal, but another object
+    other = solve.GridSolver(twin)
+    monkeypatch.setitem(solve._LIVE_GRIDS, id(arena), other)
+    read = []
+    int_pair_values = solve.GridSolver.int_pair_values
+
+    def recording(self, spec, i, j):
+        read.append(weakref.ref(self))
+        return int_pair_values(self, spec, i, j)
+
+    monkeypatch.setattr(solve.GridSolver, "int_pair_values", recording)
+    response = best_response_min(arena, mean, sigma)
+    assert read and all(r() is None for r in read)
+    assert (response.values, response.minimizers.keys()) \
+        == (want.values, want.minimizers.keys())
+    best_response_min(twin, mean, sigma)
+    assert read[-1]() is other
+
+
+def test_best_response_budget_bounds_the_columns_alone():
+    # the budget counts the minimizer's columns, so a budget below the
+    # grid's pair count still admits sigma's row, from a fresh grid or a
+    # live one; one below the columns is the response BudgetError
+    checked = 0
+    for seed in range(12):
+        arena = random_arena(4, 3, seed=seed)
+        rows = len(list(enumerate_pure_stationary(arena, P1)))
+        columns = len(list(enumerate_pure_stationary(arena, P2)))
+        if rows < 2 or columns < 2:
+            continue
+        sigma = _unique(arena, P1)
+        want = best_response_min(arena, mean, sigma).values
+        with pytest.raises(BudgetError):
+            solve.GridSolver(arena, rows * columns - 1)
+        for budget in (columns, rows * columns - 1):
+            assert best_response_min(arena, mean, sigma, budget).values == want
+        with pytest.raises(BudgetError,
+                           match=f"^{columns} responses exceed budget "
+                                 f"{columns - 1}$"):
+            best_response_min(arena, mean, sigma, columns - 1)
+        grid = solve.GridSolver(arena)
+        assert best_response_min(arena, mean, sigma, columns).values == want
+        with pytest.raises(BudgetError):
+            best_response_min(arena, mean, sigma, columns - 1)
+        del grid
+        checked += 1
+    assert checked
+
+
+def test_a_fresh_grid_never_holds_the_maximizers_rows():
+    # 3**13 stationary strategies of the maximizer against 2 of the
+    # minimizer: past the default budget for the grid's pairs, yet sigma's
+    # row is read, and the rows are decoded one at a time, never held
+    p1 = [f"p{k}" for k in range(13)]
+    states = (*p1, "q")
+    arena = Arena(
+        states=states, owner={**{s: P1 for s in p1}, "q": P2},
+        available={**{s: ("a", "b", "c") for s in p1}, "q": ("a", "b")},
+        transition={(s, a): {t: F(1)} for s, t in zip(states, states[1:] + states[:1])
+                    for a in "abc" if a in ("a", "b") or s != "q"},
+        colour={(s, a): reward(k % 3 + (a == "b")) for k, s in enumerate(states)
+                for a in "abc" if a in ("a", "b") or s != "q"})
+    with pytest.raises(BudgetError):
+        solve.GridSolver(arena)
+    sigma = PureStationaryStrategy(P1, {s: "abc"[k % 3] for k, s in enumerate(p1)})
+    response = best_response_min(arena, mean, sigma)
+    assert response.values == {s: v for (_, s), v in
+                               solve.product_values(arena, mean, sigma).items()}
+    assert response.uniform.choice == {"q": "a"}
+
+
+def test_grid_rows_and_columns_decode_the_product_order():
+    for seed in range(10):
+        arena = random_arena(5, 3, seed=seed)
+        grid = solve.GridSolver(arena)
+        for picks, player in ((grid.rows, P1), (grid.columns, P2)):
+            want = list(itertools.product(
+                *(range(len(arena.available[s]))
+                  for s in arena.player_states(player))))
+            assert list(picks) == want and len(picks) == len(want)
+            assert [picks.index(t) for t in want] == list(range(len(want)))
+            with pytest.raises(IndexError):
+                picks[len(want)]
+
+
+def test_a_grid_builds_each_strategy_once():
+    # three payoffs on one grid report each row and column as one shared
+    # strategy object
+    specs = [parse_payoff_spec(name) for name in ("mean", "limsup", "liminf")]
+    for seed in range(6):
+        arena = random_arena(4, 3, seed=seed)
+        grid = solve.GridSolver(arena)
+        built = {}
+        for spec in specs:
+            vv = brute_force_value(arena, spec, grid=grid)
+            for strategy in (vv.sigma_star,
+                             *(tau for tau, _ in vv.best_response.values())):
+                key = strategy.player, tuple(sorted(strategy.choice.items()))
+                assert built.setdefault(key, strategy) is strategy
+        assert grid.strategy(P2, 0) is grid.strategy(P2, 0)
 
 
 def test_best_response_builds_one_strategy_per_response_table():

@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -989,11 +990,10 @@ def _token_submixing_search(spec, bounds, seed):
         "submixing", instance, "confirmed", {"cases": cases})
 
 
-def _token_shift_search(spec, bounds, seed):
+def _token_shift_words(spec, bounds, seed):
+    """The token search's words, in its order: prefixes of 0-2 letters
+    times cycles of 1-2 letters, then the seeded words."""
     alphabet = default_alphabet(spec)
-    instance = {"spec": spec.format(), "seed": seed,
-                "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
-                "random_cases": bounds.random_cases}
     exhaustive = (Lasso(pre, cyc) for plen in range(3)
                   for clen in range(1, min(bounds.max_cycle, 2) + 1)
                   for pre in itertools.product(alphabet, repeat=plen)
@@ -1001,15 +1001,40 @@ def _token_shift_search(spec, bounds, seed):
     rows = _drawn_rows(seed, _word_columns(len(alphabet), bounds.max_cycle, 3),
                        bounds.random_cases)
     seeded = (_token_word(row, alphabet, 3) for row in rows)
+    return itertools.chain(exhaustive, seeded)
+
+
+def _token_shift_search(spec, bounds, seed):
+    # a word is often a suffix of an earlier word, so `evaluate_lasso` is
+    # memoized for the search: each distinct word is valued on its tokens
+    # once, by the evaluator in force when the search starts
+    instance = {"spec": spec.format(), "seed": seed,
+                "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
+                "random_cases": bounds.random_cases}
     cases = 0
-    for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
-        w = check_shift_invariance(spec, word, SHIFTS)
-        if w is not None:
-            return verify.VerificationReport(
-                "shift-invariance", instance, "refuted", {"cases": cases},
-                _shift_witness_doc(w))
+    with mock.patch.object(payoff, "evaluate_lasso",
+                           functools.cache(payoff.evaluate_lasso)):
+        for cases, word in enumerate(_token_shift_words(spec, bounds, seed), 1):
+            w = check_shift_invariance(spec, word, SHIFTS)
+            if w is not None:
+                return verify.VerificationReport(
+                    "shift-invariance", instance, "refuted", {"cases": cases},
+                    _shift_witness_doc(w))
     return verify.VerificationReport(
         "shift-invariance", instance, "confirmed", {"cases": cases})
+
+
+def _suffixes(word, shifts):
+    """The word and its first `shifts` suffixes: each drops the prefix's
+    first letter or, past the prefix, rotates the cycle by one letter."""
+    prefix, cycle = word.prefix, word.cycle
+    yield word
+    for _ in range(shifts):
+        if prefix:
+            prefix = prefix[1:]
+        else:
+            cycle = cycle[1:] + cycle[:1]
+        yield Lasso(prefix, cycle)
 
 
 SEARCHES = ((search_submixing_violation, _token_submixing_search),
@@ -1077,8 +1102,9 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
     # every class-determined payoff takes it.  The per-word walk, which
     # only discounted, geomfirstone and suffixtarget take, values each
     # distinct index word once.  Only a refuted search spells a word, its
-    # witness, on tokens.  The token search values every word and each of
-    # its suffixes up to the first difference: the index words, spelled
+    # witness, on tokens.  The token search values every distinct word
+    # among its words and their suffixes up to the first difference, once
+    # each (its memo): the index words, spelled
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     index_words = _counting(monkeypatch, verify, "word_value")
@@ -1099,7 +1125,11 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
         k = len(alphabet)
         words = (1 + k + k * k) * (k + k * k) + 2000
         assert report.quantities["cases"] == words
-        assert len(token_words) == words * (SHIFTS + 1)
+        valued = [word for word, in token_words]
+        assert len(valued) == len(set(valued))
+        assert set(valued) == {
+            suffix for word in _token_shift_words(spec, SearchBounds(), 7)
+            for suffix in _suffixes(word, SHIFTS)}
     if pairs:
         assert {word for word, in token_words} \
             == {verify._spelled(alphabet, *pair) for pair in pairs}
