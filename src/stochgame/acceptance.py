@@ -58,9 +58,10 @@ POSITIONAL_SPECS = (("mean", "reward"), ("limsup", "reward"),
 
 def positional_saddle() -> CriterionResult:
     """Exact grid saddle point and best-response verification of the
-    certified stationary strategy, by the response fold on its own product,
-    for the positional payoff catalog over the seeded random corpus.
-    Runtime target: under 60 seconds."""
+    certified stationary strategy, by the response fold on its own product
+    rather than the grid that certified it, for the positional payoff
+    catalog over the seeded random corpus.  Runtime target: under 60
+    seconds."""
     started = time.perf_counter()
     checked = 0
     for seed in range(SADDLE_ARENAS):
@@ -72,8 +73,6 @@ def positional_saddle() -> CriterionResult:
                 grids[kind] = solve.GridSolver(arena)
             spec = parse_payoff_spec(name)
             values = solve.brute_force_value(arena, spec, grid=grids[kind])
-            # re-checked by the fold on sigma*'s own product, not by the
-            # grid row that certified it
             guaranteed = solve.product_values(arena, spec, values.sigma_star)
             if {s: v for (_, s), v in guaranteed.items()} != values.values:
                 return _result("positional saddle", started, False,

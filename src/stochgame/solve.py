@@ -248,7 +248,8 @@ class GridSolver:
         _check_budget(budget)
         self.arena = arena
         self.rows, self.columns = (
-            _Picks([len(arena.available[s]) for s in arena.player_states(player)])
+            _Picks([len(arena.available[s])
+                    for s in arena.player_states(player)])
             for player in (P1, P2))
         n_pairs = len(self.rows) * len(self.columns)
         if n_pairs > budget:
@@ -397,11 +398,16 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
     evaluated.  The budget bounds the row's columns.  Per state the
     minimizer is the first column attaining the minimum, and the uniform
     minimizer the last column attaining every minimum at once; one
-    strategy per column serves every state it attains."""
+    strategy per column serves every state it attains.  A sigma that is
+    not pure stationary has no row: `product_values` takes it."""
     if not spec.is_both_positional:
         raise UnsupportedPayoffError(
             f"best responses are only enumerated for the positional catalog, "
             f"not {spec.format()}")
+    if not isinstance(sigma, PureStationaryStrategy):
+        raise StrategyError(
+            "best_response_min reads a pure stationary sigma's grid row; "
+            "use product_values for a finite-memory sigma")
     _check_budget(budget)
     total = count_pure_stationary(arena, P2)
     if total > budget:
@@ -409,6 +415,7 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
     sigma.check_in(arena)
     grid = _LIVE_GRIDS.get(id(arena))
     if grid is None or grid.arena is not arena:
+        # a budget of the grid's own pair count: only sigma's row is read
         grid = GridSolver(arena, count_pure_stationary(arena, P1) * total)
     i = grid.rows.index([arena.available[s].index(sigma.choice[s])
                          for s in arena.player_states(P1)])

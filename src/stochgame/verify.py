@@ -125,8 +125,6 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
             return VerificationReport(
                 "halfpos", instance, "inconclusive",
                 {"reason": str(e)})
-        # sigma*'s guarantee by the fold on its own product, a path
-        # independent of the grid that certified it
         guaranteed = {s: v for (_, s), v in solve.product_values(
             arena, spec, values.sigma_star, budget).items()}
         bad = {s: (guaranteed[s], values.values[s])

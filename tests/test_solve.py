@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import log, sqrt
@@ -30,7 +31,7 @@ from stochgame.solve import (
     martingale_check, node_values, stopped_value_exact, stopped_value_mc,
 )
 from stochgame.strategy import (
-    FiniteMemoryStrategy, PureStationaryStrategy, WeaknessSet,
+    FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
 )
 from stochgame.verify import _adversarial_min, _random_memory_strategy
 from helpers import enumerate_pure_stationary, restrict
@@ -97,6 +98,14 @@ def test_best_response_rejects_unsupported_spec():
     with pytest.raises(UnsupportedPayoffError):
         best_response_min(build_e3(), parse_payoff_spec("posavg"),
                           _unique(build_e3(), P1))
+
+
+def test_best_response_needs_a_pure_stationary_sigma():
+    # a mixed or finite-memory sigma has no grid row; product_values takes it
+    arena = random_arena(4, 3, seed=1)
+    sigma = _random_memory_strategy(arena, random.Random(1), 2)
+    with pytest.raises(StrategyError, match="product_values"):
+        best_response_min(arena, mean, sigma)
 
 
 def _best_response_oracle(arena, spec, sigma):
@@ -271,20 +280,31 @@ def test_best_response_budget_bounds_the_columns_alone():
 def test_a_fresh_grid_never_holds_the_maximizers_rows():
     # 3**13 stationary strategies of the maximizer against 2 of the
     # minimizer: past the default budget for the grid's pairs, yet sigma's
-    # row is read, and the rows are decoded one at a time, never held
+    # row is read, and the rows are decoded when read, never all held (as
+    # tuples they would take over 200 MB)
     p1 = [f"p{k}" for k in range(13)]
     states = (*p1, "q")
+    # a ring p0 -> ... -> p12 -> q -> p0, every action to the next state
+    ring = zip(states, (*states[1:], states[0]))
+    moves = [(k, s, t, a) for k, (s, t) in enumerate(ring)
+             for a in ("ab" if s == "q" else "abc")]
     arena = Arena(
         states=states, owner={**{s: P1 for s in p1}, "q": P2},
-        available={**{s: ("a", "b", "c") for s in p1}, "q": ("a", "b")},
-        transition={(s, a): {t: F(1)} for s, t in zip(states, states[1:] + states[:1])
-                    for a in "abc" if a in ("a", "b") or s != "q"},
-        colour={(s, a): reward(k % 3 + (a == "b")) for k, s in enumerate(states)
-                for a in "abc" if a in ("a", "b") or s != "q"})
+        available={s: ("a", "b") if s == "q" else ("a", "b", "c")
+                   for s in states},
+        transition={(s, a): {t: F(1)} for _, s, t, a in moves},
+        colour={(s, a): reward(k % 3 + (a == "b")) for k, s, _, a in moves})
     with pytest.raises(BudgetError):
         solve.GridSolver(arena)
-    sigma = PureStationaryStrategy(P1, {s: "abc"[k % 3] for k, s in enumerate(p1)})
-    response = best_response_min(arena, mean, sigma)
+    sigma = PureStationaryStrategy(P1, {s: "abc"[k % 3]
+                                        for k, s in enumerate(p1)})
+    tracemalloc.start()
+    try:
+        response = best_response_min(arena, mean, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
     assert response.values == {s: v for (_, s), v in
                                solve.product_values(arena, mean, sigma).items()}
     assert response.uniform.choice == {"q": "a"}
