@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .payoff import (
-    ColourToken, colour_from_json, colour_to_json,
-    discounted, increment, letter, priority, reward, reward_buchi, vector,
+    ColourToken, LetterTable, PayoffSpec, colour_from_json, colour_to_json,
+    discounted, increment, letter, letter_table, priority, reward,
+    reward_buchi, vector,
 )
 
 P1 = 1
@@ -55,15 +56,24 @@ class Arena:
                 dist = self.transition.get((s, a))
                 if dist is None:
                     raise ArenaError(f"no distribution at ({s},{a})")
-                total = Fraction(0)
                 for t, p in dist.items():
                     if t not in self.owner:
                         raise ArenaError(f"({s},{a}) targets unknown state {t}")
-                    if not (0 <= p <= 1):
+                    if type(p) is bool or not isinstance(p, (int, Fraction)):
+                        raise ArenaError(f"probability {p!r} at ({s},{a}) is "
+                                         "not an int or a Fraction")
+                # the law in integers: numerators over the lcm, as
+                # `_over_lcd` reads them
+                d = math.lcm(*(p.denominator for p in dist.values()))
+                total = 0
+                for p in dist.values():
+                    n = p.numerator * (d // p.denominator)
+                    if not 0 <= n <= d:
                         raise ArenaError(f"probability {p} at ({s},{a}) outside [0,1]")
-                    total += p
-                if total != 1:
-                    raise ArenaError(f"distribution at ({s},{a}) sums to {total}")
+                    total += n
+                if total != d:
+                    raise ArenaError(f"distribution at ({s},{a}) sums to "
+                                     f"{Fraction(total, d)}")
                 if (s, a) not in self.colour:
                     raise ArenaError(f"no colour at ({s},{a})")
         for (s, a) in self.transition:
@@ -96,6 +106,51 @@ class Arena:
         if cached is None:
             cached = {sa: _over_lcd(dist) for sa, dist in self.transition.items()}
             object.__setattr__(self, "_int_transition", cached)
+        return cached
+
+    def letters(self) -> dict[tuple[str, str], int]:
+        """Each (state, action) pair's index in the arena's letter order:
+        the states in order, each with its available actions in order.  A
+        `chain.Move`'s letter is its pair's index, and so is a bottom
+        class's, which every payoff reads through `letter_table`.  Built
+        once and cached like `step_laws`."""
+        cached = self.__dict__.get("_letters")
+        if cached is None:
+            cached = {(s, a): k for k, (s, a) in enumerate(
+                (s, a) for s in self.states for a in self.available[s])}
+            object.__setattr__(self, "_letters", cached)
+        return cached
+
+    def letter_table(self, spec: PayoffSpec) -> LetterTable:
+        """The arena's colours in letter order, read once for `spec`
+        (`payoff.letter_table`, which checks their kind): one table per
+        (arena, payoff), cached like `step_laws`."""
+        tables = self.__dict__.get("_letter_tables")
+        if tables is None:
+            tables = {}
+            object.__setattr__(self, "_letter_tables", tables)
+        found = tables.get(spec)
+        if found is None:
+            colour = self.colour
+            found = tables[spec] = letter_table(
+                spec, [colour[sa] for sa in self.letters()])
+        return found
+
+    def dynamics(self) -> tuple:
+        """A key that two arenas share exactly when they have the same
+        states, owners, available actions and `int_transition`, whatever
+        their colours: every colouring of one dynamics has the same
+        strategy pairs, chains and bottom classes.  Built from strings and
+        integers, never from the `Fraction` table, once, and cached like
+        `step_laws`."""
+        cached = self.__dict__.get("_dynamics")
+        if cached is None:
+            table = self.int_transition()
+            cached = (self.states, tuple(self.owner[s] for s in self.states),
+                      tuple(self.available[s] for s in self.states),
+                      tuple((table[sa][0], tuple(table[sa][1].items()))
+                            for sa in self.letters()))
+            object.__setattr__(self, "_dynamics", cached)
         return cached
 
     def fingerprint(self) -> str:

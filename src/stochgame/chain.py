@@ -1,15 +1,23 @@
 """Exact analysis of the Markov chain induced by fixing both strategies:
-bottom SCCs with the colours of their moves, which they see infinitely
+bottom SCCs with the letters of their moves, which they see infinitely
 often, and, solved on first read, those moves' limit weights; and
 first-passage quantities.
 `product_skeleton` is the one product walk: it discovers the product's
 nodes from seed nodes, with each player fixed to a strategy or left open,
-and builds every node's options once, each with its integer row and
-discounted equation.  A one-action option's row is the arena's integer row
+and builds every node's options once, each with its integer row.  A
+one-action option's row is the arena's integer row
 (`Arena.int_transition`) with its successors renamed to product nodes;
 only a mixed law's row is summed from its moves.  A chain is picked from
 the skeleton by one option per node; `induce_chain` is the walk with both
 players fixed, picked at its one option.
+
+Nothing here reads a colour but the discounted equations: a move carries
+its letter, the index of its (state, action) pair in `Arena.letters`, so
+a skeleton, its chains and their bottom classes serve every colouring of
+the arena's dynamics (`Arena.dynamics`), and a payoff reads the colours
+through the arena's letter table.  The discounted equations are built
+from the arena's colours on request (`ProductSkeleton.discounted_rows`,
+`InducedChain.discounted_rows`).
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
@@ -36,7 +44,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .arena import P1, Arena
-from .payoff import ColourToken, INCREMENT, PayoffSpec, class_value, scaled
+from .payoff import scaled
 
 
 class ChainError(ValueError):
@@ -45,12 +53,13 @@ class ChainError(ValueError):
 
 @dataclass(frozen=True)
 class Move:
-    """One action taken at a node: its strategy weight, colour, and the
+    """One action taken at a node: its strategy weight, its letter (the
+    index of its (state, action) pair in `Arena.letters`), and the
     successor nodes with transition probabilities."""
 
     action: str
     weight: Fraction
-    colour: ColourToken
+    letter: int
     successors: tuple[tuple[int, Fraction], ...]
 
 
@@ -60,14 +69,12 @@ class InducedChain:
     `ProductSkeleton`.  Rows mix the mover's action weights with the
     transition table; rows sum to 1.  `int_rows[i]` is node i's row over
     its least common denominator d, `(d, {succ: n})` with
-    `row(i)[succ] == Fraction(n, d)`; `discounted_rows[i]` is its
-    discounted equation (see `_discounted_row`)."""
+    `row(i)[succ] == Fraction(n, d)`."""
 
     nodes: tuple[tuple, ...]          # (state, mem1, mem2)
     moves: tuple[tuple[Move, ...], ...]
     index: dict[tuple, int]
     int_rows: tuple[tuple[int, dict[int, int]], ...]
-    discounted_rows: tuple[Optional[tuple[int, dict[int, int], Fraction]], ...]
 
     def state_of(self, node: int) -> str:
         return self.nodes[node][0]
@@ -82,6 +89,12 @@ class InducedChain:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def discounted_rows(self, arena: Arena) -> tuple[Optional[Equation], ...]:
+        """Each node's discounted equation under the arena's colours (see
+        `_discounted_row`), for `discounted_values`."""
+        return tuple(_discounted_row(arena.colour, s, mvs)
+                     for (s, _, _), mvs in zip(self.nodes, self.moves))
+
     @cached_property
     def classes(self) -> list[list[int]]:
         """`bottom_classes` of the chain, found on first read and kept."""
@@ -89,39 +102,32 @@ class InducedChain:
 
 
 class RecurrentClassSummary:
-    """One bottom SCC of a chain, as `payoff.class_value` reads it.  The
-    graph pass gives its `nodes` and `colours`, the colour of each of its
-    moves of positive weight, in node-then-move order, with equal colours
-    kept apart: a play absorbed in the class takes each of those moves
-    infinitely often, almost surely, and no other, so `colours` are the
-    colours it sees infinitely often.  `int_weights` is `(den, weights)`,
-    the moves' limit weights aligned with `colours` as integers over one
-    denominator, solved on first read from the exact stationary
-    distribution, which is checked to be positive, to sum to 1 and to be
-    really stationary.  Every payoff rule reads a max, a min, an any or a
-    weighted sum of the colours, so a colour's moves count as one colour of
-    their summed weight.  `has_potential` (do the increments form a
-    coboundary?) is found on first read too, and is None unless every
-    colour is a counter increment.  `value(spec)`, the class's
-    `payoff.class_value`, is computed once per payoff and kept."""
+    """One bottom SCC of a chain, as `payoff.class_value` reads it, with no
+    colour in it.  The graph pass gives its `nodes` and `letters`, the
+    letter of each of its moves of positive weight, in node-then-move
+    order, with equal letters kept apart: a play absorbed in the class
+    takes each of those moves infinitely often, almost surely, and no
+    other, so its colours are those of `letters` in the arena's letter
+    table.  `int_weights` is `(den, weights)`, the moves' limit weights
+    aligned with `letters` as integers over one denominator, solved on
+    first read from the exact stationary distribution, which is checked to
+    be positive, to sum to 1 and to be really stationary.  Every payoff
+    rule reads a max, a min, an any or a weighted sum of the colours, so a
+    colour's moves count as one colour of their summed weight.
+    `has_potential(incs)` tells whether the increments `incs[letter]`
+    form a coboundary.  A class is valued once per colouring and payoff
+    by its reader (`solve.Colouring`), never here."""
 
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
         self.nodes = tuple(nodes)
-        self.colours = tuple(mv.colour for node in self.nodes
+        self.letters = tuple(mv.letter for node in self.nodes
                              for mv in chain.moves[node] if mv.weight)
-        self._values: dict[PayoffSpec, Fraction] = {}
-
-    def value(self, spec: PayoffSpec) -> Fraction:
-        found = self._values.get(spec)
-        if found is None:
-            found = self._values[spec] = class_value(spec, self)
-        return found
 
     @cached_property
     def int_weights(self) -> tuple[int, tuple[int, ...]]:
         """(d, (n, ...)), from one solve: the limit weight of the move of
-        `colours[i]` is the i-th n over d."""
+        `letters[i]` is the i-th n over d."""
         nodes = self.nodes
         pos = {node: k for k, node in enumerate(nodes)}
         n = len(nodes)
@@ -153,7 +159,7 @@ class RecurrentClassSummary:
         if any(m <= 0 for m in mass):
             raise ChainError("stationary weights must be positive")
         # A move's weight is pi_k * its strategy weight, over the common
-        # denominator of z and the move weights, in the order of `colours`.
+        # denominator of z and the move weights, in the order of `letters`.
         moves = [self.chain.moves[node] for node in nodes]
         wden = lcm(*(mv.weight.denominator for mvs in moves for mv in mvs))
         weights = []
@@ -164,11 +170,10 @@ class RecurrentClassSummary:
                     weights.append(m * w.numerator * (wden // w.denominator))
         return common * wden, tuple(weights)
 
-    @cached_property
-    def has_potential(self) -> Optional[bool]:
-        if all(tok.kind == INCREMENT for tok in self.colours):
-            return _potential_exists(self.chain, self.nodes)
-        return None
+    def has_potential(self, incs: Sequence[int]) -> bool:
+        """Do the increments `incs`, indexed by letter, form a coboundary
+        on the class (`_potential_exists`)?"""
+        return _potential_exists(self.chain, self.nodes, incs)
 
 
 def induce_chain(arena: Arena, sigma, tau,
@@ -191,6 +196,7 @@ def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
     `int_transition` row, in its order.  The weights must be non-negative
     and sum to 1, so each is at most 1."""
     s = key[0]
+    letters = arena.letters()
     # a pure law's total is its one weight
     total = sum(law.values()) if len(law) != 1 else next(iter(law.values()))
     if total != 1:
@@ -206,7 +212,7 @@ def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
         if a not in arena.available[s]:
             raise ChainError(f"strategy plays unavailable action {a} at {s}")
         dist = arena.transition[(s, a)]
-        mvs.append(Move(a, w, arena.colour[(s, a)], tuple(
+        mvs.append(Move(a, w, letters[(s, a)], tuple(
             (successor(a, t), dist[t]) for t in table[(s, a)][1])))
     return tuple(mvs)
 
@@ -214,24 +220,31 @@ def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
 @dataclass(frozen=True)
 class ProductSkeleton:
     """Every row a family of strategy pairs can induce on one product,
-    built once.  `moves[i]`, `int_rows[i]` and `discounted_rows[i]` list
-    node i's options in the same order (see `product_skeleton`).  A choice
-    vector holds one option index per node, 0 at a fixed player's node, and
-    `pick` turns it into that pair's chain."""
+    built once.  `moves[i]` and `int_rows[i]` list node i's options in the
+    same order (see `product_skeleton`).  A choice vector holds one option
+    index per node, 0 at a fixed player's node, and `pick` turns it into
+    that pair's chain."""
 
     nodes: tuple[tuple, ...]          # (state, mem1, mem2)
     index: dict[tuple, int]
     moves: tuple[tuple[tuple[Move, ...], ...], ...]
     int_rows: tuple[tuple[tuple[int, dict[int, int]], ...], ...]
-    discounted_rows: tuple[tuple[Optional[tuple[int, dict[int, int],
-                                                 Fraction]], ...], ...]
 
     def pick(self, choice: Sequence[int]) -> InducedChain:
         return InducedChain(
             self.nodes, tuple(opts[k] for opts, k in zip(self.moves, choice)),
             self.index,
-            tuple(opts[k] for opts, k in zip(self.int_rows, choice)),
-            tuple(opts[k] for opts, k in zip(self.discounted_rows, choice)))
+            tuple(opts[k] for opts, k in zip(self.int_rows, choice)))
+
+    def discounted_rows(self, arena: Arena
+                        ) -> tuple[tuple[Optional[Equation], ...], ...]:
+        """Each node's options' discounted equations under the arena's
+        colours, in the order of `moves` (see `_discounted_row`): built
+        once per (node, option), then picked by a choice vector like the
+        rows."""
+        colour = arena.colour
+        return tuple(tuple(_discounted_row(colour, s, mvs) for mvs in opts)
+                     for (s, _, _), opts in zip(self.nodes, self.moves))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -296,8 +309,7 @@ def product_skeleton(arena: Arena, seeds: Sequence[tuple], sigma=None,
     return ProductSkeleton(
         nodes, index, moves,
         tuple(tuple(_option_row(table, s, mvs) for mvs in opts)
-              for (s, _, _), opts in zip(nodes, moves)),
-        tuple(tuple(_discounted_row(mvs) for mvs in opts) for opts in moves))
+              for (s, _, _), opts in zip(nodes, moves)))
 
 
 _ONE = Fraction(1)
@@ -332,18 +344,24 @@ def _integer_row(terms) -> tuple[int, dict[int, int]]:
     return d, row
 
 
-def _discounted_row(mvs: Sequence[Move]
-                    ) -> Optional[tuple[int, dict[int, int], Fraction]]:
-    """The discounted equation of a node with moves `mvs`, v = sum_moves
-    weight * (reward + lambda * sum_succ p v_succ), as `(d, {succ: n}, b)`:
-    n / d is the row sum_moves weight * lambda * P and b is d times the
-    expected reward.  None if some move's colour is no reward-discount
-    pair."""
-    if any(mv.colour.kind != "discounted" for mv in mvs):
+# A discounted equation (d, {succ: n}, b), see `_discounted_row`.
+Equation = tuple[int, dict[int, int], Fraction]
+
+
+def _discounted_row(colour: dict, s: str, mvs: Sequence[Move]
+                    ) -> Optional[Equation]:
+    """The discounted equation of a node at state `s` with moves `mvs`,
+    under the colours `colour` (an arena's), v = sum_moves weight *
+    (reward + lambda * sum_succ p v_succ), as `(d, {succ: n}, b)`: n / d
+    is the row sum_moves weight * lambda * P and b is d times the expected
+    reward.  None if some move's colour is no reward-discount pair."""
+    toks = [colour[(s, mv.action)] for mv in mvs]
+    if any(tok.kind != "discounted" for tok in toks):
         return None
-    d, row = _integer_row((mv.weight * mv.colour.value[1], mv.successors)
-                          for mv in mvs)
-    return d, row, d * sum(mv.weight * mv.colour.value[0] for mv in mvs)
+    d, row = _integer_row((mv.weight * tok.value[1], mv.successors)
+                          for mv, tok in zip(mvs, toks))
+    return d, row, d * sum(mv.weight * tok.value[0]
+                           for mv, tok in zip(mvs, toks))
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +493,23 @@ def bottom_classes(chain: InducedChain) -> list[list[int]]:
 
 def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
     """Closed strongly connected components, each summarized by its nodes
-    and colours; stationary distributions are solved on first read."""
+    and letters; stationary distributions are solved on first read."""
     return [RecurrentClassSummary(chain, cls) for cls in chain.classes]
 
 
-def _potential_exists(chain: InducedChain, cls: Sequence[int]) -> bool:
+def _potential_exists(chain: InducedChain, cls: Sequence[int],
+                      incs: Sequence[int]) -> bool:
     """True iff a function phi on the class satisfies
-    phi(succ) - phi(node) = increment(node, action) along every edge,
-    i.e. every cycle of the class has increment sum zero."""
-    phi: dict[int, Fraction] = {cls[0]: Fraction(0)}
+    phi(succ) - phi(node) = incs[letter] along every edge of a move of that
+    letter, i.e. every cycle of the class has increment sum zero."""
+    phi: dict[int, int] = {cls[0]: 0}
     stack = [cls[0]]
     while stack:
         node = stack.pop()
         for mv in chain.moves[node]:
             if mv.weight == 0:
                 continue
-            inc = Fraction(mv.colour.value)
+            inc = incs[mv.letter]
             for succ, p in mv.successors:
                 want = phi[node] + inc
                 if succ in phi:
@@ -564,13 +583,13 @@ def absorption_from(chain: InducedChain,
     return result, den
 
 
-def discounted_values(chain: InducedChain) -> tuple[list[int], int]:
-    """Unique solution of v = r + Lambda P v on the product chain, with
-    per-(node, action) rewards and discounts from the colouring; one value
-    per chain node, as integers over one denominator: v[i] == nums[i] / den.
-    The equations are the chain's `discounted_rows`, which a picked chain
-    takes from its skeleton."""
-    eqs = chain.discounted_rows
+def discounted_values(eqs: Sequence[Optional[Equation]]
+                      ) -> tuple[list[int], int]:
+    """Unique solution of v = r + Lambda P v on a product chain, from one
+    discounted equation per chain node, with per-(node, action) rewards
+    and discounts from a colouring: a chain's `discounted_rows`, or a
+    skeleton's picked by a choice vector.  One value per chain node, as
+    integers over one denominator: v[i] == nums[i] / den."""
     if None in eqs:
         raise ChainError("discounted payoff needs reward-discount colours")
     return first_passage([(d, row) for d, row, _ in eqs], range(len(eqs)), (),

@@ -7,8 +7,8 @@ value of a play from the statistics of the colours it sees infinitely
 often, weighed by their limit weights.  It reads colours as indices into a
 `LetterTable`, an alphabet whose colour kinds are checked once and whose
 values are scaled once to integer numerators over one denominator.  A
-chain's bottom class (`class_value`, over the table of its moves' colours),
-a word's cycle (`word_value`, on letter indices; `evaluate_lasso` values a
+chain's bottom class (`class_value`, over its arena's table, built once per
+payoff by `Arena.letter_table`, at its moves' letters), a word's cycle (`word_value`, on letter indices; `evaluate_lasso` values a
 lasso over the table of its own letters) and the refutation searches'
 arrays of cycles and shuffles are all valued by it.
 
@@ -351,14 +351,18 @@ def word_value(spec: PayoffSpec, letters: LetterTable, prefix,
     return _lowest(*limit_value(spec, _Seen(letters, cycle), letters.den))
 
 
-def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
-    """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`:
-    the payoff's `limit_value` on the statistics of the one table of its
-    `colours`, one per move of positive weight, so a colour may repeat,
-    weighed by its `int_weights`, which are aligned with them.
+def class_value(spec: PayoffSpec, letters: LetterTable,
+                cls: "RecurrentClassSummary") -> tuple[int, int]:
+    """Almost-sure payoff of trajectories absorbed in the bottom SCC `cls`,
+    as a (numerator, denominator) pair in lowest terms: the payoff's
+    `limit_value` on the statistics of the entries `cls.letters` of the
+    table `letters`, one per move of positive weight, so a letter may
+    repeat, weighed by its `int_weights`, which are aligned with them.
+    The table is the class's arena's for the payoff
+    (`Arena.letter_table`), whose colours' kind was checked when it was
+    built.
 
-    The colours' kind is checked first, before any weight is read, and a
-    payoff whose form reads neither L nor S never reads the weights, so
+    A payoff whose form reads neither L nor S never reads the weights, so
     never solves the stationary distribution.  Only class-determined
     payoffs are accepted; the discounted and geometric payoffs depend on
     the transient part and the suffix-target payoff is not determined by
@@ -366,9 +370,8 @@ def class_value(spec: PayoffSpec, cls: "RecurrentClassSummary") -> Fraction:
     if not spec.is_class_determined:
         raise PayoffError(
             f"payoff {spec.format()} is not determined by the recurrent class")
-    letters = letter_table(spec, cls.colours)
-    seen = _Seen(letters, range(len(letters.letters)), cls)
-    return _fraction(_lowest(*limit_value(spec, seen, letters.den)))
+    return _lowest(*limit_value(spec, _Seen(letters, cls.letters, cls),
+                                letters.den))
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +454,10 @@ def limit_value(spec: PayoffSpec, stats, den: int):
 class _Seen:
     """The statistics of the letters at the indices `seen` of a table, each
     computed when a form reads it: a word's cycle (`cls` None), its letters
-    weighing 1 each, or the bottom class `cls`, which sees every letter of
-    the table of its colours, weighed by its `int_weights`.  Those are
-    solved only when L or S is read, and S checks that they sum to their
-    denominator."""
+    weighing 1 each, or the bottom class `cls`, whose letters they are,
+    weighed by its `int_weights`.  Those are solved only when L or S is
+    read, and S checks that they sum to their denominator; P asks the
+    class about the table's increments."""
 
     __slots__ = ("letters", "seen", "cls")
 
@@ -482,7 +485,7 @@ class _Seen:
         if key == "B":
             return any(self.letters.letters[i].value[1] for i in seen)
         if key == "P":
-            return cls is None or cls.has_potential
+            return cls is None or cls.has_potential(nums)
         raise KeyError(key)
 
 

@@ -17,18 +17,31 @@ which holds every row any of its pairs can induce: `GridSolver` the grid,
 both players open, seeded at every state; `_fold_responses`, the
 enumerator for finite-memory strategies (`product_values`,
 `guarantee_exceeds`), the product of one fixed maximizer strategy, seeded
-at every (memory, state) pair.  A
-strategy pair or response table is a choice vector over it, and picking
-the rows gives the pair's chain.  The pairs of one enumeration share one
-dict of bottom-class summaries (see `PairEvaluator`), so a bottom class
-that recurs with the same rows is summarized once, and valued once per
-payoff by its summary (`RecurrentClassSummary.value`).  A summary holds
-the class's nodes and its moves' colours; its stationary distribution is
-solved, once, only for a payoff whose value form weighs the colours (see
-`payoff.class_value`), never for `limsup`, `liminf`, `parity` or a Buchi
-class's `meancobuchi`.  The single-pair entry points (`node_values`,
-`martingale_check`, the stopped values) build their chain with
-`chain.induce_chain`: the same walk with both players fixed.
+at every (memory, state) pair.  A strategy pair or response table is a
+choice vector over it, and picking the rows gives the pair's chain.
+
+What a pair's chain is does not depend on the colours: a skeleton's moves
+carry letters (`Arena.letters`), not colours.  So an enumeration splits in
+two.  A `PairEvaluator` holds the colour-free part of one pair: its chain,
+its bottom classes and their absorption.  The pairs of one enumeration
+share one dict of bottom-class summaries, so a bottom class that recurs
+with the same rows is summarized, and its limit weights solved, once.  A
+`Colouring` reads one arena's colours over those pairs: a class is valued
+once per payoff from the arena's letter table (`Arena.letter_table`,
+`payoff.class_value`), as an integer pair, and the discounted equations
+are built once per (node, option).  A summary's stationary distribution is
+solved only for a payoff whose value form weighs the colours, never for
+`limsup`, `liminf`, `parity` or a Buchi class's `meancobuchi`.
+
+A grid's colour-free part, `_GridCore`, is shared by every colouring of
+one arena dynamics (`Arena.dynamics`), through the weak registry
+`_CORES`: the `random_arena` kinds of one seed, which the saddle checks
+solve side by side, build one skeleton, pick each pair's chain once and
+find and weigh its classes once.  A `GridSolver` is one arena's colouring
+of its core, and keeps each pair's discounted solve.  The single-pair
+entry points (`node_values`, `martingale_check`, the stopped values)
+build their chain with `chain.induce_chain`: the same walk with both
+players fixed.
 
 An enumerated pair's values are integers over one denominator, read off
 the integer `(nums, den)` outputs of the chain's solves and the class
@@ -52,10 +65,11 @@ import numpy as np
 
 from .arena import P1, P2, Arena
 from .chain import (
-    InducedChain, RecurrentClassSummary, absorption_from, bottom_sccs,
-    discounted_values, first_passage, induce_chain, product_skeleton,
+    InducedChain, ProductSkeleton, RecurrentClassSummary, absorption_from,
+    bottom_sccs, discounted_values, first_passage, induce_chain,
+    product_skeleton,
 )
-from .payoff import PayoffSpec, scaled
+from .payoff import PayoffSpec, class_value, scaled
 from .strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
     count_pure_stationary,
@@ -94,55 +108,97 @@ def _require_evaluable(spec: PayoffSpec) -> None:
 
 
 class PairEvaluator:
-    """One strategy pair's chain, mapping each evaluable payoff to its exact
-    expected values at the seed nodes, as integers over one denominator.
+    """One strategy pair's chain, with what no colour changes: its bottom
+    classes and their absorption from the seed nodes.  A `Colouring` reads
+    its values.
 
     The chain is picked from a `ProductSkeleton` with the choice vector
     `choice`.  `summaries` holds the bottom-class summaries that the
     enumeration's other pairs share.  A class is keyed by its nodes and the
-    choice at each of them, which fix its rows and colours, so a summary
-    serves every pair whose chain holds the class; it solves its stationary
-    distribution on first read, and values the class once per payoff.  The
-    bottom-class analysis is built on first use and shared by every
-    class-determined payoff; the discounted payoff never builds it.
-    Absorption reads only the classes' nodes, and its probabilities at the
-    seeds are kept, as integers over one denominator.  With one bottom class,
-    every node is absorbed there, so no absorption system is solved.
+    choice at each of them, which fix its rows and letters, so a summary
+    serves every pair whose chain holds the class.  The classes are found,
+    and their absorption solved, on first read of `classes`, which the
+    discounted payoff never makes.  Absorption reads only the classes'
+    nodes, and its probabilities at the seeds are kept in `absorb`, as
+    integers over one denominator.  With one bottom class, every node is
+    absorbed there, so no absorption system is solved and `absorb` stays
+    None.
     """
 
     def __init__(self, chain: InducedChain, seed_nodes: Sequence[int],
                  choice: Sequence[int],
                  summaries: dict[tuple, RecurrentClassSummary]):
         self.chain = chain
-        self._seed_nodes = seed_nodes
-        self._choice = choice
+        self.seed_nodes = seed_nodes
+        self.choice = choice
         self._summaries = summaries
         self._classes: Optional[list[RecurrentClassSummary]] = None
-        self._absorb: Optional[tuple[int, list[dict[int, int]]]] = None
+        self.absorb: Optional[tuple[int, list[dict[int, int]]]] = None
 
-    def values(self, spec: PayoffSpec) -> list[tuple[int, int]]:
-        """Exact expected payoff from each seed node, in seed order, as
-        (numerator, denominator) over one positive denominator."""
-        _require_evaluable(spec)
-        if spec.name == "discounted":
-            nums, den = discounted_values(self.chain)
-            return [(nums[node], den) for node in self._seed_nodes]
+    @property
+    def classes(self) -> list[RecurrentClassSummary]:
         if self._classes is None:
-            self._classes = []
+            classes = []
             for cls in self.chain.classes:
-                key = tuple(cls), tuple(self._choice[node] for node in cls)
+                key = tuple(cls), tuple(self.choice[node] for node in cls)
                 summary = self._summaries.get(key)
                 if summary is None:
                     summary = self._summaries[key] = RecurrentClassSummary(
                         self.chain, cls)
-                self._classes.append(summary)
-            if len(self._classes) > 1:
-                absorb, den = absorption_from(self.chain, self._classes)
-                self._absorb = den, [absorb[node] for node in self._seed_nodes]
-        cnums, cden = scaled([summary.value(spec) for summary in self._classes])
-        if self._absorb is None:
-            return [(cnums[0], cden)] * len(self._seed_nodes)
-        den, rows = self._absorb
+                classes.append(summary)
+            if len(classes) > 1:
+                absorb, den = absorption_from(self.chain, classes)
+                self.absorb = den, [absorb[node] for node in self.seed_nodes]
+            self._classes = classes
+        return self._classes
+
+
+class Colouring:
+    """One arena's colours, read over the pairs of one product skeleton,
+    which may be shared by every colouring of the arena's dynamics: a
+    skeleton and its chains carry letters, not colours.
+
+    A class-determined payoff reads the arena's letter table
+    (`Arena.letter_table`) and values each class once per payoff, as an
+    integer pair; the values are kept here, never on the shared summary.
+    The discounted payoff reads the skeleton's discounted equations under
+    this arena's colours, built once per (node, option) on first use."""
+
+    def __init__(self, arena: Arena, skeleton: ProductSkeleton):
+        self.arena = arena
+        self._skeleton = skeleton
+        # payoff -> (the arena's table, {class summary: value})
+        self._class_values: dict[PayoffSpec, tuple] = {}
+        self._equations: Optional[tuple] = None
+
+    def values(self, pair: PairEvaluator, spec: PayoffSpec
+               ) -> list[tuple[int, int]]:
+        """Exact expected payoff from each of the pair's seed nodes, in
+        seed order, as (numerator, denominator) over one positive
+        denominator."""
+        _require_evaluable(spec)
+        if spec.name == "discounted":
+            if self._equations is None:
+                self._equations = self._skeleton.discounted_rows(self.arena)
+            nums, den = discounted_values(
+                [opts[k] for opts, k in zip(self._equations, pair.choice)])
+            return [(nums[node], den) for node in pair.seed_nodes]
+        found = self._class_values.get(spec)
+        if found is None:
+            found = self._class_values[spec] = (
+                self.arena.letter_table(spec), {})
+        table, known = found
+        vals = []
+        for summary in pair.classes:
+            v = known.get(summary)
+            if v is None:
+                v = known[summary] = class_value(spec, table, summary)
+            vals.append(v)
+        if pair.absorb is None:
+            return [vals[0]] * len(pair.seed_nodes)
+        cden = lcm(*(d for _, d in vals))
+        cnums = [n * (cden // d) for n, d in vals]
+        den, rows = pair.absorb
         return [(sum(p * cnums[ci] for ci, p in row.items()), den * cden)
                 for row in rows]
 
@@ -178,13 +234,15 @@ def node_values(arena: Arena, spec: PayoffSpec, sigma, tau,
         seeds = [(s, sigma.initial, tau.initial) for s in arena.states]
     chain = induce_chain(arena, sigma, tau, seeds)
     if spec.name == "discounted":
-        nums, den = discounted_values(chain)
+        nums, den = discounted_values(chain.discounted_rows(arena))
         vals = [Fraction(n, den) for n in nums]
     else:
         classes = bottom_sccs(chain)
         absorb, den = absorption_from(chain, classes)
-        vals = [sum((Fraction(p, den) * classes[ci].value(spec)
-                     for ci, p in row.items()), Fraction(0)) for row in absorb]
+        table = arena.letter_table(spec)
+        cvals = [Fraction(*class_value(spec, table, cls)) for cls in classes]
+        vals = [sum((Fraction(p, den) * cvals[ci] for ci, p in row.items()),
+                    Fraction(0)) for row in absorb]
     return [vals[chain.index[seed]] for seed in seeds]
 
 
@@ -228,6 +286,64 @@ _LIVE_GRIDS: weakref.WeakValueDictionary[int, GridSolver] = \
     weakref.WeakValueDictionary()
 
 
+class _GridCore:
+    """The colour-free part of a stationary grid, which every colouring of
+    one arena dynamics (`Arena.dynamics`) shares: the rows and columns
+    (`_Picks`), the one-memory product skeleton with both players' nodes
+    open, each pair's picked chain with its bottom classes and absorption
+    (`PairEvaluator`), the class summaries with their limit weights, and
+    the row and column strategies.  It holds no arena and reads no colour.
+
+    The skeleton's nodes are its seeds, one per state in state order, so
+    pair (i, j)'s choice vector is row i and column j placed at their
+    states; its chain is picked on first use and kept.  All pairs share one
+    dict of bottom-class summaries."""
+
+    def __init__(self, arena: Arena):
+        self.rows, self.columns = (
+            _Picks([len(arena.available[s])
+                    for s in arena.player_states(player)])
+            for player in (P1, P2))
+        self._player_states = {player: arena.player_states(player)
+                               for player in (P1, P2)}
+        self._available = arena.available
+        self._maximizer = [arena.owner[s] == P1 for s in arena.states]
+        self.skeleton = product_skeleton(
+            arena, [(s, "m0", "m0") for s in arena.states])
+        self._seed_nodes = range(len(arena.states))
+        self._summaries: dict[tuple, RecurrentClassSummary] = {}
+        self._pairs: dict[tuple[int, int], PairEvaluator] = {}
+        self._strategies: dict[tuple[int, int], PureStationaryStrategy] = {}
+
+    def pair(self, i: int, j: int) -> PairEvaluator:
+        found = self._pairs.get((i, j))
+        if found is None:
+            row, column = iter(self.rows[i]), iter(self.columns[j])
+            choice = tuple(next(row) if mine else next(column)
+                           for mine in self._maximizer)
+            found = self._pairs[(i, j)] = PairEvaluator(
+                self.skeleton.pick(choice), self._seed_nodes, choice,
+                self._summaries)
+        return found
+
+    def strategy(self, player: int, k: int) -> PureStationaryStrategy:
+        found = self._strategies.get((player, k))
+        if found is None:
+            avail = self._available
+            picks = (self.rows if player == P1 else self.columns)[k]
+            found = self._strategies[(player, k)] = PureStationaryStrategy(
+                player, {s: avail[s][a] for s, a in
+                         zip(self._player_states[player], picks)})
+        return found
+
+
+# The grid core of each arena dynamics, by `Arena.dynamics`: a `GridSolver`
+# takes its core from here, or builds and records it.  The values are weak,
+# so a core dies with the last grid that holds it.
+_CORES: weakref.WeakValueDictionary[tuple, _GridCore] = \
+    weakref.WeakValueDictionary()
+
+
 class GridSolver:
     """Evaluates every deterministic stationary strategy pair once and
     answers value queries for several payoffs over the shared chains.
@@ -235,47 +351,39 @@ class GridSolver:
     `rows[i]` is the maximizer's i-th stationary strategy, in
     `itertools.product` order, as its action indices at its states, and
     `columns[j]` the minimizer's j-th (`_Picks`); `strategy` builds one,
-    once, when it is reported.  The one-memory product skeleton, with both
-    players' nodes open, is built once per arena.  Its nodes are its seeds,
-    one per state in state order, so pair (i, j)'s choice vector is row i
-    and column j placed at their states; its chain is picked on first use
-    and kept for the other payoffs.  All pairs, for every payoff, share one
-    dict of bottom-class summaries.  A grid records itself as its arena's
-    live grid (`_LIVE_GRIDS`).  A budget below 1 is a `ValueError`, raised
-    before any work, and so is the `BudgetError` of too many pairs."""
+    once, when it is reported.  A grid is one arena's colouring
+    (`Colouring`) of the core of its dynamics (`_GridCore`, shared through
+    `_CORES`), so two colourings of one dynamics, such as `random_arena`'s
+    kinds for one seed, build the skeleton, pick the pairs' chains and find
+    and weigh their bottom classes once; each reads its own colours, keeps
+    its own class values, and keeps each pair's discounted solve.  A grid
+    records itself as its arena's live grid (`_LIVE_GRIDS`).  A budget
+    below 1 is a `ValueError`, raised before any work, and so is the
+    `BudgetError` of too many pairs."""
 
     def __init__(self, arena: Arena, budget: int = DEFAULT_BUDGET):
         _check_budget(budget)
-        self.arena = arena
-        self.rows, self.columns = (
-            _Picks([len(arena.available[s])
-                    for s in arena.player_states(player)])
-            for player in (P1, P2))
-        n_pairs = len(self.rows) * len(self.columns)
+        n_pairs = count_pure_stationary(arena, P1) \
+            * count_pure_stationary(arena, P2)
         if n_pairs > budget:
             raise BudgetError(
                 f"{n_pairs} strategy pairs exceed the budget of {budget}; "
                 "split the arena or raise the budget")
-        self._maximizer = [arena.owner[s] == P1 for s in arena.states]
-        self._skeleton = product_skeleton(
-            arena, [(s, "m0", "m0") for s in arena.states])
-        self._seed_nodes = range(len(arena.states))
-        self._summaries: dict[tuple, RecurrentClassSummary] = {}
-        self._pairs: dict[tuple[int, int], PairEvaluator] = {}
-        self._strategies: dict[tuple[int, int], PureStationaryStrategy] = {}
+        self.arena = arena
+        key = arena.dynamics()
+        core = _CORES.get(key)
+        if core is None:
+            core = _CORES[key] = _GridCore(arena)
+        self._core = core
+        self.rows, self.columns = core.rows, core.columns
+        self._colouring = Colouring(arena, core.skeleton)
+        self._discounted: dict[tuple[int, int], list[tuple[int, int]]] = {}
         _LIVE_GRIDS[id(arena)] = self
 
     def strategy(self, player: int, k: int) -> PureStationaryStrategy:
         """Row k as the maximizer's strategy, or column k as the
         minimizer's, built on first request and then shared."""
-        found = self._strategies.get((player, k))
-        if found is None:
-            avail = self.arena.available
-            picks = (self.rows if player == P1 else self.columns)[k]
-            found = self._strategies[(player, k)] = PureStationaryStrategy(
-                player, {s: avail[s][a] for s, a in
-                         zip(self.arena.player_states(player), picks)})
-        return found
+        return self._core.strategy(player, k)
 
     def pair_values(self, spec: PayoffSpec, i: int, j: int) -> dict[str, Fraction]:
         return {s: Fraction(*v) for s, v in
@@ -283,16 +391,17 @@ class GridSolver:
 
     def int_pair_values(self, spec: PayoffSpec, i: int, j: int
                         ) -> list[tuple[int, int]]:
-        """Pair (i, j)'s `PairEvaluator.values`, in state order."""
-        pair = self._pairs.get((i, j))
-        if pair is None:
-            row, column = iter(self.rows[i]), iter(self.columns[j])
-            choice = tuple(next(row) if mine else next(column)
-                           for mine in self._maximizer)
-            pair = self._pairs[(i, j)] = PairEvaluator(
-                self._skeleton.pick(choice), self._seed_nodes, choice,
-                self._summaries)
-        return pair.values(spec)
+        """Pair (i, j)'s values under this arena's colours
+        (`Colouring.values`), in state order; a discounted solve is made
+        once per pair and kept."""
+        pair = self._core.pair(i, j)
+        if spec.name != "discounted":
+            return self._colouring.values(pair, spec)
+        found = self._discounted.get((i, j))
+        if found is None:
+            found = self._discounted[(i, j)] = self._colouring.values(pair,
+                                                                      spec)
+        return found
 
 
 @dataclass(frozen=True)
@@ -312,8 +421,6 @@ class BestResponse:
 
 class _Fold(NamedTuple):
     best: dict[tuple, tuple[int, int]]  # minimum at each (memory, state)
-    argmin: dict[tuple, dict]        # the first table attaining it
-    uniform: Optional[dict]          # a table attaining every minimum
     tables: int                      # response tables evaluated
     total: int                       # response tables in the full fold
 
@@ -322,10 +429,9 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
                     sigma: FiniteMemoryStrategy, budget: int,
                     floor: Optional[dict[tuple, Fraction]] = None) -> _Fold:
     """Fold the minimizer's response tables on sigma's memory product, in
-    `itertools.product` order, into: the minimum at each (memory, state),
-    the first table attaining it, and a table attaining every minimum at
-    once (or None).  A table maps each (memory, minimizer state) pair to an
-    action, played by a strategy whose memory shadows sigma's automaton.
+    `itertools.product` order, into the minimum at each (memory, state).
+    A table maps each (memory, minimizer state) pair to an action, played
+    by a strategy whose memory shadows sigma's automaton.
 
     With a `floor`, a map from (memory, state) pairs to values, the fold
     stops as soon as each listed pair has met a table valued at or below
@@ -334,8 +440,9 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
 
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
-    dict of bottom-class summaries.  Values are compared as integers
-    (`PairEvaluator.values`), and the minima stay (numerator, denominator)
+    dict of bottom-class summaries and one `Colouring`.  Values are
+    compared as integers (`Colouring.values`), and the minima stay
+    (numerator, denominator)
     pairs; the callers build `Fraction`s for the values they report.  A
     budget below 1 is a `ValueError`."""
     _check_budget(budget)
@@ -348,40 +455,32 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     seed_nodes = [skeleton.index[(s, m, m)] for m, s in pairs]
     open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
     summaries: dict[tuple, RecurrentClassSummary] = {}
+    colouring = Colouring(arena, skeleton)
     choice = [0] * len(skeleton)
     best: list = [None] * len(pairs)
-    argmin: list = [None] * len(pairs)
-    uniform = None
     # the floor's pairs not yet held to it, by position, with their floors
     pending = None if floor is None else {
         pairs.index(pair): (v.numerator, v.denominator)
         for pair, v in floor.items()}
     tables = 0
-    for combo in itertools.product(*(tuple(enumerate(arena.available[s]))
+    for combo in itertools.product(*(range(len(arena.available[s]))
                                      for _, s in p2_pairs)):
-        table = {}
-        for pair, node, (k, a) in zip(p2_pairs, open_nodes, combo):
-            table[pair] = a
+        for node, k in zip(open_nodes, combo):
             choice[node] = k
         picked = tuple(choice)
-        vals = PairEvaluator(skeleton.pick(picked), seed_nodes, picked,
-                             summaries).values(spec)
+        vals = colouring.values(PairEvaluator(
+            skeleton.pick(picked), seed_nodes, picked, summaries), spec)
         tables += 1
         for k, v in enumerate(vals):
             b = best[k]
             if b is None or v[0] * b[1] < b[0] * v[1]:
                 best[k] = v
-                argmin[k] = table
-                uniform = None   # it missed this new minimum
-        if all(map(_same, vals, best)):
-            uniform = table
         if pending is not None:
             pending = {k: f for k, f in pending.items()
                        if vals[k][0] * f[1] > f[0] * vals[k][1]}
             if not pending:
                 break
-    return _Fold(dict(zip(pairs, best)), dict(zip(pairs, argmin)), uniform,
-                 tables, total)
+    return _Fold(dict(zip(pairs, best)), tables, total)
 
 
 def best_response_min(arena: Arena, spec: PayoffSpec,

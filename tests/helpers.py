@@ -1,12 +1,15 @@
 """Views of library objects that only the tests read: a sub-arena with one
-state's actions cut down, a player's stationary strategies one by one, a
-bottom class's colours and stationary distribution as `Fraction`s,
+state's actions cut down, a player's stationary strategies one by one, an
+arena's colours in letter order, a bottom class's colours and stationary
+distribution as `Fraction`s, a response fold's first and uniform
+minimizing tables,
 lassos of rewards, priorities or vectors spelled from plain values, and a
 lasso's payoff evaluated letter by letter in `Fraction`s."""
 
 import dataclasses
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from stochgame.arena import Arena
 from stochgame.chain import RecurrentClassSummary
@@ -38,12 +41,62 @@ def enumerate_pure_stationary(arena: Arena, player: int):
         yield PureStationaryStrategy(player, dict(zip(states, combo)))
 
 
-def colour_weights(cls: RecurrentClassSummary) -> tuple:
+def letter_colours(arena: Arena) -> tuple:
+    """The arena's colours in its letter order, spelled out: the states in
+    order, each with its available actions in order.  A move's letter and
+    a class's letters index it."""
+    return tuple(arena.colour[(s, a)] for s in arena.states
+                 for a in arena.available[s])
+
+
+def colour_weights(cls: RecurrentClassSummary, colours) -> tuple:
     """The class's (colour, limit weight) pairs, one per move of positive
-    weight, in `cls.colours` order, read off its `int_weights` (solved on
-    first read)."""
+    weight, in `cls.letters` order, each letter read in `colours`, read off
+    its `int_weights` (solved on first read)."""
     den, weights = cls.int_weights
-    return tuple((tok, Fraction(w, den)) for tok, w in zip(cls.colours, weights))
+    return tuple((colours[k], Fraction(w, den))
+                 for k, w in zip(cls.letters, weights))
+
+
+def fold_tables(arena: Arena, spec, sigma) -> tuple[dict, dict, Optional[dict]]:
+    """sigma's response fold as `solve._fold_responses` runs it (one
+    product skeleton, one `solve.Colouring`, shared class summaries, the
+    tables in `itertools.product` order), keeping what the library fold
+    does not: per (memory, state) the minimum, as a `Fraction`, and the
+    first table attaining it, and the last table attaining every minimum
+    at once, or None.  A table maps each (memory, minimizer state) pair to
+    an action."""
+    from stochgame import solve
+    from stochgame.arena import P2
+    from stochgame.chain import product_skeleton
+    pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
+    p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
+    skeleton = product_skeleton(arena, [(s, m, m) for m, s in pairs], sigma)
+    seed_nodes = [skeleton.index[(s, m, m)] for m, s in pairs]
+    open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
+    colouring = solve.Colouring(arena, skeleton)
+    summaries: dict = {}
+    choice = [0] * len(skeleton)
+    best: dict = {}
+    argmin: dict = {}
+    uniform = None
+    for combo in itertools.product(*(tuple(enumerate(arena.available[s]))
+                                     for _, s in p2_pairs)):
+        table = {}
+        for pair, node, (k, a) in zip(p2_pairs, open_nodes, combo):
+            table[pair] = a
+            choice[node] = k
+        picked = tuple(choice)
+        vals = colouring.values(solve.PairEvaluator(
+            skeleton.pick(picked), seed_nodes, picked, summaries), spec)
+        vals = dict(zip(pairs, (Fraction(*v) for v in vals)))
+        for pair, v in vals.items():
+            if pair not in best or v < best[pair]:
+                best[pair], argmin[pair] = v, table
+                uniform = None   # it missed this new minimum
+        if vals == best:
+            uniform = table
+    return best, argmin, uniform
 
 
 def stationary(cls: RecurrentClassSummary) -> dict[int, Fraction]:

@@ -21,7 +21,9 @@ from stochgame.fixtures import (
     build_e2, build_e3, build_fig1, build_weak_memory_fixture,
     fig1_alternating_strategy,
 )
-from stochgame.payoff import discounted, reward, reward_buchi, vector
+from stochgame.payoff import (
+    PayoffSpec, discounted, reward, reward_buchi, vector,
+)
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
     reset_strategy, strategy_from_json,
@@ -251,6 +253,90 @@ def test_int_transition_is_the_table_over_lowest_denominators():
                 == {t: p for t, p in dist.items() if p}
             assert math.gcd(d, *row.values()) == 1
     assert arenas[-1].int_transition()[("s", "a")] == (6, {"u": 1, "s": 5})
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, True, False, "1"],
+                         ids=["float-one", "float-half", "true", "false",
+                              "string"])
+def test_validate_rejects_a_probability_that_is_not_an_int_or_a_fraction(p):
+    # a float, a bool or a string is refused with one error naming the
+    # (state, action), before any table is read from the law
+    with pytest.raises(ArenaError) as err:
+        Arena(("s",), {"s": P1}, {"s": ("a",)}, {("s", "a"): {"s": p}},
+              {("s", "a"): reward(1)})
+    assert str(err.value) == \
+        f"probability {p!r} at (s,a) is not an int or a Fraction"
+
+
+def test_validate_checks_each_law_in_integers():
+    # ints and Fractions mix; the sum and the range are read as numerators
+    # over the lcm of the denominators, with the messages parse_arena keeps
+    def arena(law):
+        return Arena(("s", "t"), {"s": P1, "t": P2}, {"s": ("a",), "t": ("b",)},
+                     {("s", "a"): law, ("t", "b"): {"t": 1}},
+                     {("s", "a"): reward(0), ("t", "b"): reward(0)})
+
+    assert arena({"s": Fraction(1, 3), "t": Fraction(2, 3)}).int_transition()[
+        ("s", "a")] == (3, {"s": 1, "t": 2})
+    assert arena({"s": 0, "t": 1}).int_transition()[("s", "a")] == (1, {"t": 1})
+    for law, message in (
+            ({"s": Fraction(1, 2), "t": Fraction(1, 3)},
+             "distribution at (s,a) sums to 5/6"),
+            ({"s": Fraction(3, 2), "t": Fraction(-1, 2)},
+             "probability 3/2 at (s,a) outside [0,1]"),
+            ({"s": Fraction(-1, 2), "t": Fraction(3, 2)},
+             "probability -1/2 at (s,a) outside [0,1]"),
+            ({"s": 1, "t": 1}, "distribution at (s,a) sums to 2"),
+            ({}, "distribution at (s,a) sums to 0")):
+        with pytest.raises(ArenaError) as err:
+            arena(law)
+        assert str(err.value) == message
+
+
+RANDOM_KINDS = ("reward", "priority", "discounted", "vector2", "cobuchi",
+                "increment", "letter")
+
+
+def test_a_seeds_colourings_share_their_dynamics():
+    # random_arena draws the same structure for every colour kind of one
+    # seed, so its colourings have one dynamics key: the grid cores of the
+    # solver are shared on this
+    for seed in range(200):
+        n = 2 + seed % 4
+        first, *others = (random_arena(n, 3, seed=seed, kind=kind)
+                          for kind in RANDOM_KINDS)
+        for arena in others:
+            assert arena.dynamics() == first.dynamics()
+            assert (arena.states, arena.owner, arena.available,
+                    arena.transition) == (first.states, first.owner,
+                                          first.available, first.transition)
+            assert arena.colour != first.colour
+
+
+def test_the_dynamics_key_is_cached_and_built_from_integers():
+    arena = random_arena(4, 3, seed=5)
+    key = arena.dynamics()
+    assert key is arena.dynamics() and key == random_arena(4, 3, seed=5).dynamics()
+
+    def leaves(x):
+        if isinstance(x, tuple):
+            for y in x:
+                yield from leaves(y)
+        else:
+            yield x
+
+    assert {type(x) for x in leaves(key)} == {str, int}
+
+
+def test_letters_and_letter_tables_follow_the_state_and_action_order():
+    arena = random_arena(4, 3, seed=5, kind="priority")
+    pairs = [(s, a) for s in arena.states for a in arena.available[s]]
+    assert list(arena.letters()) == pairs
+    assert list(arena.letters().values()) == list(range(len(pairs)))
+    parity = PayoffSpec("parity")
+    table = arena.letter_table(parity)
+    assert table is arena.letter_table(parity)
+    assert table.letters == tuple(arena.colour[sa] for sa in pairs)
 
 
 # -- plays ------------------------------------------------------------------------

@@ -23,15 +23,17 @@ from stochgame.fixtures import (
     build_e2, build_e3, build_fig1, fig1_alternating_strategy,
 )
 from stochgame.payoff import (
-    ColourKindError, class_value, discounted, increment, parse_payoff_spec,
-    priority, reward, reward_buchi, vector,
+    ColourKindError, class_value, discounted, increment, letter_table,
+    parse_payoff_spec, priority, reward, reward_buchi, vector,
 )
 from stochgame.solve import brute_force_value, martingale_check, node_values
 from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
-from helpers import colour_weights, enumerate_pure_stationary, stationary
+from helpers import (
+    colour_weights, enumerate_pure_stationary, letter_colours, stationary,
+)
 
 F = Fraction
 
@@ -225,20 +227,23 @@ def _over_least_denominator(row):
     return d, {succ: int(x * d) for succ, x in row.items()}
 
 
-def _oracle_int_rows(moves):
-    """Each node's integer row and discounted equation, the chain's
-    `int_rows` and `discounted_rows`, from rows summed in Fractions."""
+def _oracle_int_rows(arena, nodes, moves):
+    """Each node's integer row and discounted equation under the arena's
+    colours, the chain's `int_rows` and `discounted_rows(arena)`, from
+    rows summed in Fractions."""
     int_rows, discounted_rows = [], []
-    for mvs in moves:
+    for (s, _, _), mvs in zip(nodes, moves):
         int_rows.append(_over_least_denominator(_fraction_row(mvs)))
-        if any(mv.colour.kind != "discounted" for mv in mvs):
+        toks = [arena.colour[(s, mv.action)] for mv in mvs]
+        if any(tok.kind != "discounted" for tok in toks):
             discounted_rows.append(None)
             continue
         d, row = _over_least_denominator(_fraction_row(
-            [dataclasses.replace(mv, weight=mv.weight * mv.colour.value[1])
-             for mv in mvs]))
+            [dataclasses.replace(mv, weight=mv.weight * tok.value[1])
+             for mv, tok in zip(mvs, toks)]))
         discounted_rows.append(
-            (d, row, d * sum(mv.weight * mv.colour.value[0] for mv in mvs)))
+            (d, row, d * sum(mv.weight * tok.value[0]
+                             for mv, tok in zip(mvs, toks))))
     return tuple(int_rows), tuple(discounted_rows)
 
 
@@ -259,12 +264,13 @@ def _oracle_induce(arena, sigma, tau, seeds):
     for seed in seeds:
         node_id(seed)
     moves = {}
+    letters = [(s, a) for s in arena.states for a in arena.available[s]]
     while todo:
         key = todo.pop()
         s, m1, m2 = key
         strat, mem = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
         moves[index[key]] = tuple(
-            Move(a, w, arena.colour[(s, a)], tuple(
+            Move(a, w, letters.index((s, a)), tuple(
                 (node_id((t, sigma.next_memory(m1, s, a, t),
                           tau.next_memory(m2, s, a, t))), p)
                 for t, p in arena.transition[(s, a)].items() if p != 0))
@@ -354,21 +360,30 @@ def _absorption(chain, classes):
     return [{ci: F(p, den) for ci, p in row.items()} for row in rows]
 
 
-def _discounted(chain):
+def _discounted(chain, arena, eqs=None):
     """`discounted_values` read as Fractions: one value per chain node,
-    over one positive denominator."""
-    nums, den = discounted_values(chain)
+    over one positive denominator, from the chain's equations under the
+    arena's colours, or from `eqs`."""
+    nums, den = discounted_values(
+        chain.discounted_rows(arena) if eqs is None else eqs)
     assert den > 0 and len(nums) == len(chain)
     return [F(n, den) for n in nums]
 
 
-def _oracle_discounted(chain):
+def _skeleton_equations(skeleton, arena, choice):
+    """The skeleton's per-option discounted equations under the arena's
+    colours, picked by `choice` as the chain's rows are."""
+    return [opts[k] for opts, k in zip(skeleton.discounted_rows(arena),
+                                       choice)]
+
+
+def _oracle_discounted(chain, arena):
     n = len(chain)
     matrix = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     rhs = [F(0)] * n
     for i in range(n):
         for mv in chain.moves[i]:
-            r, lam = mv.colour.value
+            r, lam = arena.colour[(chain.state_of(i), mv.action)].value
             rhs[i] += mv.weight * r
             for succ, p in mv.successors:
                 matrix[i][succ] -= mv.weight * lam * p
@@ -405,18 +420,23 @@ def test_integer_chain_algebra_matches_fraction_oracles(seed):
             assert stationary(cls) == pi
             # one (colour, weight) per move of positive weight, and summed
             # per colour, the oracle's colour weights
-            moves = tuple((mv.colour, pi[node] * mv.weight)
+            colour = {node: {mv: arena.colour[(chain.state_of(node),
+                                               mv.action)]
+                             for mv in chain.moves[node]}
+                      for node in cls.nodes}
+            moves = tuple((colour[node][mv], pi[node] * mv.weight)
                           for node in cls.nodes for mv in chain.moves[node]
                           if mv.weight)
-            assert colour_weights(cls) == moves
+            assert colour_weights(cls, letter_colours(arena)) == moves
             weights = {}
             for node in cls.nodes:
                 for mv in chain.moves[node]:
-                    weights[mv.colour] = weights.get(mv.colour, 0) \
-                        + pi[node] * mv.weight
-            assert _per_colour(colour_weights(cls)) == weights
+                    tok = colour[node][mv]
+                    weights[tok] = weights.get(tok, 0) + pi[node] * mv.weight
+            assert _per_colour(colour_weights(cls, letter_colours(arena))) \
+                == weights
         assert _absorption(chain, classes) == _oracle_absorption(chain, classes)
-        assert _discounted(chain) == _oracle_discounted(chain)
+        assert _discounted(chain, arena) == _oracle_discounted(chain, arena)
 
 
 def _fixings(arena, rng):
@@ -455,8 +475,8 @@ def test_skeleton_picks_the_chain_induce_chain_builds(seed):
             nodes, moves = _oracle_induce(arena, *pair, seeds)
             assert (got.nodes, got.moves) == (nodes, moves)
             assert got.index == {node: i for i, node in enumerate(nodes)}
-            assert (got.int_rows, got.discounted_rows) \
-                == _oracle_int_rows(moves)
+            assert (got.int_rows, got.discounted_rows(arena)) \
+                == _oracle_int_rows(arena, nodes, moves)
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
@@ -494,8 +514,9 @@ def _induced_pick(arena, sigma, skeleton, choice):
 
 @pytest.mark.parametrize("seed", range(0, 60, 5))
 def test_skeleton_discounted_rows_match_the_oracles(seed):
-    # a picked chain solves the skeleton's per-option discounted rows; its
-    # values must be the Fraction oracle's and the induce_chain chain's
+    # the skeleton's per-option discounted rows, picked like its rows,
+    # solve a picked chain; its values must be the Fraction oracle's and
+    # the induce_chain chain's
     rng = random.Random(seed)
     arena = _mixed_discount_arena(seed, rng)
     for sigma in (None, _random_memory_strategy(arena, rng, 2),
@@ -505,8 +526,9 @@ def test_skeleton_discounted_rows_match_the_oracles(seed):
             choice = [rng.randrange(len(opts)) for opts in skeleton.moves]
             got = skeleton.pick(choice)
             want = _induced_pick(arena, sigma, skeleton, choice)
-            assert _discounted(got) == _oracle_discounted(got) \
-                == _discounted(want)
+            assert _discounted(got, arena, _skeleton_equations(
+                skeleton, arena, choice)) == _discounted(got, arena) \
+                == _oracle_discounted(got, arena) == _discounted(want, arena)
 
 
 def test_a_reward_coloured_option_keeps_the_discount_error():
@@ -522,16 +544,19 @@ def test_a_reward_coloured_option_keeps_the_discount_error():
         for choice in itertools.product(*(range(len(o)) for o in skeleton.moves)):
             chains = (skeleton.pick(choice),
                       _induced_pick(arena, sigma, skeleton, choice))
+            eqs = [chain.discounted_rows(arena) for chain in chains]
+            eqs.append(_skeleton_equations(skeleton, arena, choice))
             if any(choice[i] == 1 for i in s2):
-                for chain in chains:
+                for rows in eqs:
                     with pytest.raises(ChainError) as err:
-                        discounted_values(chain)
+                        discounted_values(rows)
                     assert str(err.value) \
                         == "discounted payoff needs reward-discount colours"
             else:
-                assert _discounted(chains[0]) \
-                    == _oracle_discounted(chains[0]) \
-                    == _discounted(chains[1])
+                assert _discounted(chains[0], arena) \
+                    == _discounted(chains[0], arena, eqs[2]) \
+                    == _oracle_discounted(chains[0], arena) \
+                    == _discounted(chains[1], arena)
 
 
 @pytest.mark.parametrize("law, update, message", [
@@ -683,7 +708,7 @@ def test_stationary_solve_is_checked_exactly(monkeypatch, spoil, message):
     monkeypatch.setattr(chain_module, "solve_integer",
                         lambda matrix, rhs: spoil(*solve(matrix, rhs)))
     with pytest.raises(ChainError) as err:
-        colour_weights(cls)
+        cls.int_weights
     assert str(err.value) == message
 
 
@@ -793,7 +818,7 @@ def test_discounted_self_loop():
                               colours={"s": discounted(1, F(1, 2))})
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
-    vals = _discounted(chain)
+    vals = _discounted(chain, arena)
     assert vals[chain.index[("s", "m0", "m0")]] == 2
 
 
@@ -803,7 +828,7 @@ def test_discounted_zero_factor_truncates():
     }, colours={"s": discounted(5, F(0)), "t": discounted(-3, F(0))})
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
-    vals = _discounted(chain)
+    vals = _discounted(chain, arena)
     assert vals[chain.index[("s", "m0", "m0")]] == 5
     assert vals[chain.index[("t", "m0", "m0")]] == -3
 
@@ -814,7 +839,7 @@ def test_discounted_two_node_cycle():
     }, colours={"s": discounted(1, F(1, 2)), "t": discounted(0, F(1, 2))})
     chain = induce_chain(arena, _first_choice(arena, P1),
                          _first_choice(arena, P2))
-    vals = _discounted(chain)
+    vals = _discounted(chain, arena)
     assert vals[chain.index[("s", "m0", "m0")]] == F(4, 3)
     assert vals[chain.index[("t", "m0", "m0")]] == F(2, 3)
 
@@ -823,7 +848,7 @@ def test_discounted_matches_truncated_series():
     arena = random_arena(4, 3, seed=21, kind="discounted")
     sigma, tau = _first_choice(arena, P1), _first_choice(arena, P2)
     chain = induce_chain(arena, sigma, tau)
-    vals = _discounted(chain)
+    vals = _discounted(chain, arena)
     source = chain.index[(arena.states[0], "m0", "m0")]
     # unroll the series by dynamic programming over N steps
     n_steps = 60
@@ -835,7 +860,7 @@ def test_discounted_matches_truncated_series():
         for i in range(len(chain)):
             acc = F(0)
             for mv in chain.moves[i]:
-                r, lam = mv.colour.value
+                r, lam = arena.colour[(chain.state_of(i), mv.action)].value
                 acc += mv.weight * (r + lam * sum(p * v[j]
                                                   for j, p in mv.successors))
             nxt.append(acc)
@@ -851,7 +876,7 @@ def test_potential_function_flags():
     }, colours={"x": increment(1), "y": increment(-1)})
     chain = induce_chain(flat, _first_choice(flat, P1), _first_choice(flat, P2))
     (cls,) = bottom_sccs(chain)
-    assert cls.has_potential is True
+    assert cls.has_potential(_increments(flat)) is True
     # phi exhibiting the coboundary: phi(x)=0, phi(y)=1
     phi = {"x": F(0), "y": F(1)}
     inc = {"x": 1, "y": -1}
@@ -864,9 +889,15 @@ def test_potential_function_flags():
     }, colours={"x": increment(2), "y": increment(-1)})
     chain = induce_chain(osc, _first_choice(osc, P1), _first_choice(osc, P2))
     (cls,) = bottom_sccs(chain)
-    drift = sum(w * t.value for t, w in colour_weights(cls))
+    drift = sum(w * t.value
+                for t, w in colour_weights(cls, letter_colours(osc)))
     assert drift == 0
-    assert cls.has_potential is False
+    assert cls.has_potential(_increments(osc)) is False
+
+
+def _increments(arena):
+    """The arena's counter increments, indexed by letter."""
+    return [tok.value for tok in letter_colours(arena)]
 
 
 # -- class values from the colour set, against the eager path ----------------
@@ -884,17 +915,18 @@ CLASS_PAYOFFS = {
 COLOUR_SET_PAYOFFS = ("limsup", "liminf", "parity", "meancobuchi")
 
 
-def _eager_class_value(spec, chain, nodes):
+def _eager_class_value(spec, chain, nodes, colours):
     """The eager path: solve the class's stationary distribution (the
-    Fraction oracle), sum its colour weights, and read every payoff off the
-    weighted colours."""
+    Fraction oracle), sum its colour weights, each move's colour read in
+    `colours` at its letter, and read every payoff off the weighted
+    colours."""
     pi = _oracle_stationary(chain, nodes)
     weights = {}
     for node in nodes:
         for mv in chain.moves[node]:
             if mv.weight:
-                weights[mv.colour] = \
-                    weights.get(mv.colour, 0) + pi[node] * mv.weight
+                tok = colours[mv.letter]
+                weights[tok] = weights.get(tok, 0) + pi[node] * mv.weight
     assert sum(weights.values()) == 1 and all(w > 0 for w in weights.values())
     items = [(tok.value, w) for tok, w in weights.items()]
     name = spec.name
@@ -919,17 +951,26 @@ def _eager_class_value(spec, chain, nodes):
         return sum(w * v[0] for v, w in items)
     drift = sum(w * v for v, w in items)
     if drift == 0:
-        return F(int(not _potential_exists(chain, nodes)))
+        return F(int(not _potential_exists(
+            chain, nodes, [tok.value for tok in colours])))
     return F(int((drift > 0) == (name == "counter+inf")))
 
 
-def _lazy_class_values(specs, chain, nodes):
-    """class_value on one fresh summary per payoff, and whether each read
-    solved the stationary distribution."""
+def _class_fraction(spec, cls, colours):
+    """`class_value` over the table of `colours`, which the class's letters
+    index, as a `Fraction`."""
+    return F(*class_value(spec, letter_table(spec, colours), cls))
+
+
+def _lazy_class_values(specs, chain, nodes, arena):
+    """class_value over the arena's table on one fresh summary per payoff,
+    and whether each read solved the stationary distribution."""
     out = []
     for spec in specs:
         summary = RecurrentClassSummary(chain, nodes)
-        out.append((class_value(spec, summary), "int_weights" in vars(summary)))
+        num, den = class_value(spec, arena.letter_table(spec), summary)
+        assert type(num) is int and type(den) is int, spec
+        out.append((F(num, den), "int_weights" in vars(summary)))
     return out
 
 
@@ -977,15 +1018,15 @@ def test_class_values_match_the_eager_path(kind, seed):
     for arena, names in _class_arenas(kind, seed):
         specs = [parse_payoff_spec(name) for name in names]
         for chain in _sample_chains(arena, random.Random(seed)):
+            colours = letter_colours(arena)
             for nodes in bottom_classes(chain):
-                colours = RecurrentClassSummary(chain, nodes).colours
-                buchi = kind == "cobuchi" and any(tok.value[1]
-                                                  for tok in colours)
-                got = _lazy_class_values(specs, chain, nodes)
+                buchi = kind == "cobuchi" and any(
+                    colours[k].value[1]
+                    for k in RecurrentClassSummary(chain, nodes).letters)
+                got = _lazy_class_values(specs, chain, nodes, arena)
                 for spec, (value, solved) in zip(specs, got):
-                    assert type(value) is F, spec
-                    assert value == _eager_class_value(spec, chain, nodes), \
-                        spec
+                    assert value == _eager_class_value(spec, chain, nodes,
+                                                       colours), spec
                     assert solved == (spec.name not in COLOUR_SET_PAYOFFS or (
                         spec.name == "meancobuchi" and not buchi)), spec
 
@@ -1000,17 +1041,18 @@ def test_genmean_classes_of_the_eager_path_check_see_both_verdicts():
         assert names == ["genmean:2"]
         for chain in _sample_chains(arena, random.Random(seed)):
             for nodes in bottom_classes(chain):
-                seen.add(class_value(spec, RecurrentClassSummary(chain, nodes)))
+                seen.add(_class_fraction(spec, RecurrentClassSummary(
+                    chain, nodes), letter_colours(arena)))
     assert seen == {0, 1}
 
 
-def _zero_weight_chain(top, colour):
-    """One node whose move of weight 1 has colour `colour(1)` and whose move
-    of weight 0 has colour `top`: the class sees only `colour(1)`."""
+def _zero_weight_chain():
+    """One node whose move of weight 1 has letter 0 and whose move of
+    weight 0 has letter 1: the class sees only letter 0."""
     stay = ((0, F(1)),)
-    moves = (Move("a", F(1), colour(1), stay), Move("b", F(0), top, stay))
+    moves = (Move("a", F(1), 0, stay), Move("b", F(0), 1, stay))
     return InducedChain((("s", "m0", "m0"),), (moves,),
-                        {("s", "m0", "m0"): 0}, ((1, {0: 1}),), (None,))
+                        {("s", "m0", "m0"): 0}, ((1, {0: 1}),))
 
 
 @pytest.mark.parametrize("name, top, colour, want", [
@@ -1022,12 +1064,13 @@ def _zero_weight_chain(top, colour):
     ("mean", reward(5), reward, F(1)),
 ])
 def test_a_move_of_weight_zero_adds_no_colour(name, top, colour, want):
-    chain = _zero_weight_chain(top, colour)
+    chain = _zero_weight_chain()
+    colours = (colour(1), top)
     (cls,) = bottom_sccs(chain)
-    assert cls.colours == (colour(1),)
+    assert cls.letters == (0,)
     spec = parse_payoff_spec(name)
-    assert class_value(spec, cls) == want
-    assert _eager_class_value(spec, chain, [0]) == want
+    assert _class_fraction(spec, cls, colours) == want
+    assert _eager_class_value(spec, chain, [0], colours) == want
 
 
 def test_class_colours_follow_first_seen_order_with_aligned_weights():
@@ -1037,21 +1080,22 @@ def test_class_colours_follow_first_seen_order_with_aligned_weights():
     # move order, with reward 3 kept twice.  Summed per colour, reward 3
     # weighs 2/3 and reward 1 weighs 1/3, in the order first seen, which is
     # not the sorted order
-    moves = ((Move("a", F(1, 2), reward(3), ((1, F(1)),)),
-              Move("b", F(1, 2), reward(1), ((0, F(1)),))),
-             (Move("c", F(1), reward(3), ((0, F(1)),)),))
+    colours = (reward(3), reward(1), reward(3))
+    moves = ((Move("a", F(1, 2), 0, ((1, F(1)),)),
+              Move("b", F(1, 2), 1, ((0, F(1)),))),
+             (Move("c", F(1), 2, ((0, F(1)),)),))
     nodes = (("s", "m0", "m0"), ("t", "m0", "m0"))
     chain = InducedChain(nodes, moves, {node: i for i, node in enumerate(nodes)},
-                         ((2, {1: 1, 0: 1}), (1, {0: 1})), (None, None))
+                         ((2, {1: 1, 0: 1}), (1, {0: 1})))
     (cls,) = bottom_sccs(chain)
-    assert cls.colours == (reward(3), reward(1), reward(3))
+    assert cls.letters == (0, 1, 2)
     den, weights = cls.int_weights
     assert [F(w, den) for w in weights] == [F(1, 3)] * 3
-    assert colour_weights(cls) == ((reward(3), F(1, 3)), (reward(1), F(1, 3)),
-                                   (reward(3), F(1, 3)))
-    assert _per_colour(colour_weights(cls)) == {reward(3): F(2, 3),
-                                                reward(1): F(1, 3)}
-    assert class_value(parse_payoff_spec("mean"), cls) == F(7, 3)
+    assert colour_weights(cls, colours) == (
+        (reward(3), F(1, 3)), (reward(1), F(1, 3)), (reward(3), F(1, 3)))
+    assert _per_colour(colour_weights(cls, colours)) == {reward(3): F(2, 3),
+                                                        reward(1): F(1, 3)}
+    assert _class_fraction(parse_payoff_spec("mean"), cls, colours) == F(7, 3)
 
 
 # per colour kind of CLASS_PAYOFFS: the colour of node 0's two moves and the
@@ -1065,15 +1109,15 @@ EQUAL_COLOURS = {
 }
 
 
-def _equal_colour_chain(twice, once):
+def _equal_colour_chain():
     """Node 0 mixes a move to node 1 (weight 1/3) with a move staying
-    (weight 2/3), both coloured `twice`; node 1 returns with `once`."""
-    moves = ((Move("a", F(1, 3), twice, ((1, F(1)),)),
-              Move("b", F(2, 3), twice, ((0, F(1)),))),
-             (Move("c", F(1), once, ((0, F(1)),)),))
+    (weight 2/3), both of letter 0; node 1 returns with letter 1."""
+    moves = ((Move("a", F(1, 3), 0, ((1, F(1)),)),
+              Move("b", F(2, 3), 0, ((0, F(1)),))),
+             (Move("c", F(1), 1, ((0, F(1)),)),))
     nodes = (("s", "m0", "m0"), ("t", "m0", "m0"))
     return InducedChain(nodes, moves, {node: i for i, node in enumerate(nodes)},
-                        ((3, {1: 1, 0: 2}), (1, {0: 1})), (None, None))
+                        ((3, {1: 1, 0: 2}), (1, {0: 1})))
 
 
 @pytest.mark.parametrize("kind", sorted(CLASS_PAYOFFS))
@@ -1081,21 +1125,23 @@ def test_equal_colours_of_a_mixed_law_weigh_as_one_colour(kind):
     # a colour on two moves of one mixed law stays two colours of the class,
     # and every class-determined payoff values it as the merged oracle does,
     # which sums the two moves' weights into one colour
-    twice, once = EQUAL_COLOURS[kind]
-    chain = _equal_colour_chain(twice, once)
+    colours = EQUAL_COLOURS[kind]
+    twice, once = colours
+    chain = _equal_colour_chain()
     (cls,) = bottom_sccs(chain)
-    assert cls.colours == (twice, twice, once)
+    assert cls.letters == (0, 0, 1)
     assert stationary(cls) == {0: F(3, 4), 1: F(1, 4)}
-    assert _per_colour(colour_weights(cls)) == {twice: F(3, 4), once: F(1, 4)}
+    assert _per_colour(colour_weights(cls, colours)) == {twice: F(3, 4),
+                                                        once: F(1, 4)}
     for name in CLASS_PAYOFFS[kind]:
         spec = parse_payoff_spec(name)
-        assert class_value(spec, cls) == _eager_class_value(spec, chain, [0, 1]), \
-            name
+        assert _class_fraction(spec, cls, colours) \
+            == _eager_class_value(spec, chain, [0, 1], colours), name
 
 
 def test_a_colour_set_payoff_checks_the_kind_before_any_solve(monkeypatch):
-    # the wrong colour kind is the same error, now raised from the colour
-    # set alone, before any stationary solve
+    # the wrong colour kind is the same error, raised when the arena's
+    # letter table is built for the payoff, before any stationary solve
     solves = []
     monkeypatch.setattr(chain_module, "solve_integer",
                         lambda *args: solves.append(args))
@@ -1105,7 +1151,7 @@ def test_a_colour_set_payoff_checks_the_kind_before_any_solve(monkeypatch):
         spec = parse_payoff_spec(name)
         for cls in bottom_sccs(chain):
             with pytest.raises(ColourKindError) as raised:
-                class_value(spec, cls)
+                class_value(spec, e3.letter_table(spec), cls)
             assert str(raised.value) == \
                 f"payoff {name} needs {spec.colour_kind} colours"
     assert solves == []

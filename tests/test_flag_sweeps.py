@@ -4,6 +4,7 @@ value agrees with lasso evaluation on stationary-aligned cycles."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from stochgame.verify import (
     SearchBounds, search_shift_invariance_violation,
     search_submixing_violation,
 )
-from helpers import colour_weights
+from helpers import colour_weights, letter_colours
 
 SHIFT_INVARIANT = ["mean", "parity", "limsup", "liminf", "posavg",
                    "counter+inf", "counter-inf", "genmean:2", "optgenmean:2",
@@ -78,7 +79,7 @@ def test_class_value_agrees_with_aligned_lasso(name, kind):
             2, {s: arena.available[s][0] for s in arena.player_states(2)})
         chain = induce_chain(arena, sigma, tau)
         for cls in bottom_sccs(chain):
-            weights = colour_weights(cls)
+            weights = colour_weights(cls, letter_colours(arena))
             denom = math.lcm(*(w.denominator for _, w in weights))
             cycle = tuple(tok for tok, w in weights
                           for _ in range(int(w * denom)))
@@ -87,6 +88,7 @@ def test_class_value_agrees_with_aligned_lasso(name, kind):
                 # zero drift: a chain can oscillate, a single cycle cannot
                 continue
             word = Lasso((), cycle)
-            assert evaluate_lasso(spec, word) == class_value(spec, cls)
+            assert evaluate_lasso(spec, word) == Fraction(
+                *class_value(spec, arena.letter_table(spec), cls))
             found += 1
     assert found >= 20

@@ -392,33 +392,46 @@ def test_submixing_parity_random_sweep(cu, cv, a, b):
 # -- class values ---------------------------------------------------------------
 
 def _summary(colour_weights, has_potential=None):
-    # a summary holding what a solved class holds: its colours and their
-    # integer weights over one denominator, aligned with them
+    # a summary holding what a solved class holds: its letters, here the
+    # indices of its colours in the table the test builds from `colours`,
+    # their integer weights over one denominator, aligned with them, and
+    # its answer to whether the increments have a potential
     from stochgame.chain import RecurrentClassSummary
     den = math.lcm(*(w.denominator for _, w in colour_weights))
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
     cls.colours = tuple(tok for tok, _ in colour_weights)
+    cls.letters = tuple(range(len(colour_weights)))
     cls.int_weights = den, tuple(int(w * den) for _, w in colour_weights)
-    cls.has_potential = has_potential
+    cls.has_potential = lambda incs: has_potential
     return cls
+
+
+def _class_value(spec, cls):
+    """`class_value` over the table of the summary's colours, whose entries
+    its letters index, as a `Fraction`: the value pair is in lowest terms
+    and of Python ints."""
+    num, den = class_value(spec, payoff.letter_table(spec, cls.colours), cls)
+    assert type(num) is int and type(den) is int and den > 0
+    assert math.gcd(num, den) == 1
+    return Fraction(num, den)
 
 
 def test_class_value_single_state():
     cls = _summary([(reward(3), Fraction(1))])
-    assert class_value(mean, cls) == 3
+    assert _class_value(mean, cls) == 3
 
 
 def test_class_value_two_state_mean():
     # stationary (2/3, 1/3) with rewards (0, 3): the ergodic average is 1
     cls = _summary([(reward(0), Fraction(2, 3)), (reward(3), Fraction(1, 3))])
-    assert class_value(mean, cls) == 1
+    assert _class_value(mean, cls) == 1
 
 
 def test_class_value_counter_zero_drift_with_potential():
     plus = parse_payoff_spec("counter+inf")
     cls = _summary([(increment(1), Fraction(1, 2)),
                     (increment(-1), Fraction(1, 2))], has_potential=True)
-    assert class_value(plus, cls) == 0
+    assert _class_value(plus, cls) == 0
 
 
 def test_class_value_counter_zero_drift_without_potential():
@@ -426,27 +439,28 @@ def test_class_value_counter_zero_drift_without_potential():
     minus = parse_payoff_spec("counter-inf")
     cls = _summary([(increment(2), Fraction(1, 3)),
                     (increment(-1), Fraction(2, 3))], has_potential=False)
-    assert class_value(plus, cls) == 1
-    assert class_value(minus, cls) == 1
+    assert _class_value(plus, cls) == 1
+    assert _class_value(minus, cls) == 1
 
 
 def test_class_value_rejects_global_payoffs():
+    # refused for the payoff, before the table is read
     cls = _summary([(reward(0), Fraction(1))])
+    table = payoff.letter_table(mean, cls.colours)
     with pytest.raises(PayoffError):
-        class_value(disc, cls)
+        class_value(disc, table, cls)
     with pytest.raises(PayoffError):
-        class_value(parse_payoff_spec("suffixtarget:a"), cls)
+        class_value(parse_payoff_spec("suffixtarget:a"), table, cls)
 
 
 def test_class_value_rejects_bad_weights():
     from stochgame.chain import RecurrentClassSummary
     cls = RecurrentClassSummary.__new__(RecurrentClassSummary)
-    object.__setattr__(cls, "colours", (reward(1),))
+    object.__setattr__(cls, "letters", (0,))
     # one colour of weight 1/2: its integer weight 1 is not the denominator 2
     object.__setattr__(cls, "int_weights", (2, (1,)))
-    object.__setattr__(cls, "has_potential", None)
     with pytest.raises(PayoffError):
-        class_value(mean, cls)
+        class_value(mean, payoff.letter_table(mean, (reward(1),)), cls)
 
 
 def test_value_forms_are_the_class_determined_payoffs():
@@ -515,7 +529,7 @@ def test_class_values_stay_exact_past_int64(name, colours, weights,
     cls = _summary(colour_weights, has_potential)
     assert cls.int_weights[0] >= 2 ** 70
     want = _exact_class_value(spec, colour_weights, has_potential)
-    assert class_value(spec, cls) == want
+    assert _class_value(spec, cls) == want
     letters = payoff.letter_table(spec, cls.colours)
     num, den = payoff.limit_value(
         spec, payoff._Seen(letters, range(len(colours)), cls), letters.den)

@@ -34,7 +34,7 @@ from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError, WeaknessSet,
 )
 from stochgame.verify import _adversarial_min, _random_memory_strategy
-from helpers import enumerate_pure_stationary, restrict
+from helpers import enumerate_pure_stationary, fold_tables, restrict
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -137,17 +137,18 @@ POSITIONAL_KINDS = [("mean", "reward"), ("limsup", "reward"),
 
 def _fold_response(arena, spec, sigma):
     """The response fold on sigma's own product, as a `best_response_min`
-    answer's choices: the per-state values (`product_values`), the first
-    table attaining each state's minimum, and the uniform table or None."""
+    answer's choices: the per-state values (`product_values`), and, from
+    the test-side fold (`fold_tables`), the first table attaining each
+    state's minimum and the uniform table or None."""
     values = {s: v for (_, s), v in
               solve.product_values(arena, spec, sigma).items()}
-    fold = solve._fold_responses(arena, spec, sigma, solve.DEFAULT_BUDGET)
+    _, argmin, uniform = fold_tables(arena, spec, sigma)
 
     def choice(table):
         return {s: a for (_, s), a in table.items()}
 
-    return (values, {s: choice(t) for (_, s), t in fold.argmin.items()},
-            fold.uniform and choice(fold.uniform))
+    return (values, {s: choice(t) for (_, s), t in argmin.items()},
+            uniform and choice(uniform))
 
 
 @pytest.mark.parametrize("name, kind", POSITIONAL_KINDS)
@@ -245,6 +246,223 @@ def test_a_live_grid_dies_with_its_owner_and_serves_only_its_arena(
         == (want.values, want.minimizers.keys())
     best_response_min(twin, mean, sigma)
     assert read[-1]() is other
+
+
+# -- one grid core per arena dynamics ----------------------------------------
+
+
+def _grid_answers(arena, spec, grid):
+    """What a grid answers for one payoff, as plain values: the values,
+    sigma*, the certificates, and the best response to sigma* read from
+    the grid, with its minimizers and uniform minimizer."""
+    vv = brute_force_value(arena, spec, grid=grid)
+    response = best_response_min(arena, spec, vv.sigma_star)
+    return (vv.values, vv.sigma_star.choice,
+            {s: (tau.choice, v) for s, (tau, v) in vv.best_response.items()},
+            response.values,
+            {s: tau.choice for s, tau in response.minimizers.items()},
+            response.uniform and response.uniform.choice)
+
+
+def _unshared_answers(monkeypatch, arena, specs):
+    """`_grid_answers` for each payoff from one grid built with a core
+    registry of its own, so that it shares no core."""
+    monkeypatch.setattr(solve, "_CORES", weakref.WeakValueDictionary())
+    grid = solve.GridSolver(arena)
+    return [_grid_answers(arena, spec, grid) for spec in specs]
+
+
+def _counting_core_work(monkeypatch):
+    """Record each product skeleton, chain pick, bottom-class search and
+    absorption solve the solver makes from now on."""
+    made = []
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: made.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "product_skeleton",
+                        counting("skeleton", solve.product_skeleton))
+    monkeypatch.setattr(chain_module.ProductSkeleton, "pick",
+                        counting("pick", chain_module.ProductSkeleton.pick))
+    monkeypatch.setattr(chain_module, "bottom_classes",
+                        counting("classes", chain_module.bottom_classes))
+    monkeypatch.setattr(solve, "absorption_from",
+                        counting("absorption", solve.absorption_from))
+    return made
+
+
+COLOURINGS = {"reward": ("mean", "limsup", "liminf"), "priority": ("parity",),
+              "discounted": ("discounted",)}
+
+
+@pytest.mark.parametrize("first", ["reward", "priority"])
+def test_a_second_colouring_reuses_the_core_and_answers_as_alone(
+        monkeypatch, first):
+    # the colourings of one random_arena seed share one core: once the
+    # first has valued every pair, the others build no skeleton, pick no
+    # chain, find no bottom class and solve no absorption, and every
+    # value, certificate and best response equals that of a grid alone
+    order = [first] + [kind for kind in COLOURINGS if kind != first]
+    for seed in range(10):
+        arenas = {kind: random_arena(4 + seed % 3, 3, seed=seed, kind=kind)
+                  for kind in COLOURINGS}
+        specs = {kind: [parse_payoff_spec(name) for name in names]
+                 for kind, names in COLOURINGS.items()}
+        want = {kind: _unshared_answers(monkeypatch, arenas[kind], specs[kind])
+                for kind in order}
+        monkeypatch.setattr(solve, "_CORES", weakref.WeakValueDictionary())
+        made = _counting_core_work(monkeypatch)
+        grids = []
+        for kind in order:
+            made.clear()
+            grids.append(solve.GridSolver(arenas[kind]))
+            assert [_grid_answers(arenas[kind], spec, grids[-1])
+                    for spec in specs[kind]] == want[kind], (seed, kind)
+            if kind != first:
+                assert made == [], (seed, kind)
+            else:
+                assert made.count("skeleton") == 1
+        assert len({id(grid._core) for grid in grids}) == 1
+        monkeypatch.undo()
+
+
+def _recoloured(arena, colour):
+    """The arena with each (state, action)'s colour replaced by
+    `colour(token, k)`, k its position in the colour table."""
+    return dataclasses.replace(arena, colour={
+        sa: colour(tok, k) for k, (sa, tok) in enumerate(arena.colour.items())})
+
+
+def test_reward_colourings_of_one_dynamics_keep_their_own_class_values(
+        monkeypatch):
+    # two reward colourings sharing a core, valued in turn, each get the
+    # values of a grid alone, which differ: class values are kept per
+    # colouring, not per payoff on the shared summaries
+    specs = [parse_payoff_spec(name) for name in COLOURINGS["reward"]]
+    differ = 0
+    for seed in range(10):
+        first = random_arena(4 + seed % 2, 3, seed=seed)
+        second = _recoloured(first, lambda tok, k: reward(
+            3 * tok.value + (k % 3) - 1))
+        want = [_unshared_answers(monkeypatch, arena, specs)
+                for arena in (first, second)]
+        monkeypatch.setattr(solve, "_CORES", weakref.WeakValueDictionary())
+        grids = [solve.GridSolver(first), solve.GridSolver(second)]
+        assert grids[0]._core is grids[1]._core
+        got = [[], []]
+        for spec in specs:
+            for k, arena in enumerate((first, second)):
+                got[k].append(_grid_answers(arena, spec, grids[k]))
+        assert got == want, seed
+        differ += want[0] != want[1]
+    assert differ >= 8
+
+
+def test_a_discounted_colouring_reads_only_its_own_rewards_and_discounts(
+        monkeypatch):
+    # a second discounted colouring of the core, with other rewards and
+    # other discounts per action, values every pair as a grid alone, and
+    # builds its discounted equations once, from its own colours
+    disc = parse_payoff_spec("discounted")
+    built = []
+    equations = chain_module.ProductSkeleton.discounted_rows
+    monkeypatch.setattr(chain_module.ProductSkeleton, "discounted_rows",
+                        lambda self, arena: built.append(arena)
+                        or equations(self, arena))
+    for seed in range(10):
+        first = random_arena(4 + seed % 2, 3, seed=seed, kind="discounted")
+        second = _recoloured(first, lambda tok, k: payoff_module.discounted(
+            tok.value[0] - (k % 2), (F(1, 3), F(4, 5), F(0))[k % 3]))
+        want = [_unshared_answers(monkeypatch, arena, [disc])[0]
+                for arena in (first, second)]
+        assert want[0] != want[1]
+        monkeypatch.setattr(solve, "_CORES", weakref.WeakValueDictionary())
+        grids = [solve.GridSolver(first), solve.GridSolver(second)]
+        assert grids[0]._core is grids[1]._core
+        built.clear()
+        got = [_grid_answers(arena, disc, grid)
+               for arena, grid in zip((first, second), grids)]
+        assert got == want, seed
+        assert built == [first, second]
+
+
+def test_the_core_dies_with_its_last_grid():
+    # the core registry holds its cores weakly: a core outlives a grid
+    # while another colouring's grid holds it, and no longer
+    arena = random_arena(5, 3, seed=4)
+    other = random_arena(5, 3, seed=4, kind="priority")
+    key = arena.dynamics()
+    grid = solve.GridSolver(arena)
+    brute_force_value(arena, mean, grid=grid)
+    second = solve.GridSolver(other)
+    core = weakref.ref(grid._core)
+    assert second._core is core() and solve._CORES.get(key) is core()
+    del grid
+    assert core() is not None and solve._CORES.get(key) is core()
+    del second
+    assert core() is None and solve._CORES.get(key) is None
+
+
+def test_arenas_of_other_dynamics_never_share_a_core():
+    # moving probability between two successors, dropping or renaming an
+    # action, or handing a state to the other player gives another
+    # dynamics and so another core; an equal twin or a recolouring shares
+    checked = 0
+    for seed in range(30):
+        arena = random_arena(4, 3, seed=seed)
+        variants = []
+        for (s, a), dist in arena.transition.items():
+            if len(dist) > 1:
+                t, u = list(dist)[:2]
+                shift = min(dist[t], 1 - dist[u]) / 2
+                variants.append(dataclasses.replace(arena, transition={
+                    **arena.transition,
+                    (s, a): {**dist, t: dist[t] - shift, u: dist[u] + shift}}))
+                break
+        for s in arena.states:
+            acts = arena.available[s]
+            if len(acts) > 1:
+                variants.append(restrict(arena, s, acts[:-1]))
+                renamed = {(s, acts[-1]): (s, "z")}
+                variants.append(dataclasses.replace(
+                    arena,
+                    available={**arena.available, s: (*acts[:-1], "z")},
+                    transition={renamed.get(sa, sa): d
+                                for sa, d in arena.transition.items()},
+                    colour={renamed.get(sa, sa): c
+                            for sa, c in arena.colour.items()}))
+                break
+        s = arena.states[0]
+        variants.append(dataclasses.replace(arena, owner={
+            **arena.owner, s: P1 if arena.owner[s] == P2 else P2}))
+        grid = solve.GridSolver(arena)
+        for variant in variants:
+            assert variant.dynamics() != arena.dynamics()
+            assert solve.GridSolver(variant)._core is not grid._core
+            checked += 1
+        for same in (random_arena(4, 3, seed=seed),
+                     random_arena(4, 3, seed=seed, kind="increment")):
+            assert solve.GridSolver(same)._core is grid._core
+    assert checked >= 60
+
+
+def test_best_response_on_a_live_discounted_grid_solves_nothing(monkeypatch):
+    # brute_force_value has solved every pair's discounted system, and the
+    # grid keeps each solve, so sigma*'s row is read without a new one
+    disc = parse_payoff_spec("discounted")
+    solves = []
+    discounted_values = solve.discounted_values
+    monkeypatch.setattr(solve, "discounted_values", lambda eqs: (
+        solves.append(len(eqs)) or discounted_values(eqs)))
+    for seed in range(8):
+        arena = random_arena(4 + seed % 2, 3, seed=seed, kind="discounted")
+        grid = solve.GridSolver(arena)
+        vv = brute_force_value(arena, disc, grid=grid)
+        assert len(solves) == len(grid.rows) * len(grid.columns)
+        solves.clear()
+        response = best_response_min(arena, disc, vv.sigma_star)
+        assert solves == []
+        assert response.values == vv.values
 
 
 def test_best_response_budget_bounds_the_columns_alone():
@@ -350,14 +568,14 @@ def test_best_response_builds_one_strategy_per_response_table():
         arena = random_arena(4, 3, seed=seed)
         sigma = _unique(arena, P1) if seed % 2 else PureStationaryStrategy(
             P1, {s: arena.available[s][-1] for s in arena.player_states(P1)})
-        fold = solve._fold_responses(arena, mean, sigma, solve.DEFAULT_BUDGET)
+        _, argmin, uniform = fold_tables(arena, mean, sigma)
         response = best_response_min(arena, mean, sigma)
-        tables = {s: fold.argmin[("m0", s)] for s in arena.states}
+        tables = {s: argmin[("m0", s)] for s in arena.states}
         for s in arena.states:
             for t in arena.states:
                 assert (response.minimizers[s] is response.minimizers[t]) \
                     == (tables[s] is tables[t])
-            if fold.uniform is tables[s]:
+            if uniform is tables[s]:
                 assert response.uniform is response.minimizers[s]
         shared += len({id(t) for t in tables.values()}) < len(tables)
     assert shared
@@ -538,9 +756,9 @@ def _recording_class_work(monkeypatch):
         init(self, chain, nodes)
         built.append(key(chain, nodes))
 
-    def recording_value(spec, cls):
+    def recording_value(spec, letters, cls):
         valued.append((spec, key(cls.chain, cls.nodes)))
-        return class_value(spec, cls)
+        return class_value(spec, letters, cls)
 
     def recording_lookup(chain):
         classes = bottom_classes(chain)
@@ -610,15 +828,18 @@ def test_one_bottom_class_takes_the_class_value_without_absorption(monkeypatch):
     for seed in range(40):
         arena = random_arena(5, 3, density=(F(0), F(1, 2))[seed % 2], seed=seed)
         sigma, tau = _unique(arena, P1), _unique(arena, P2)
-        chain = induce_chain(arena, sigma, tau)
+        skeleton = chain_module.product_skeleton(
+            arena, [(s, "m0", "m0") for s in arena.states], sigma, tau)
+        chain = skeleton.pick((0,) * len(skeleton))
         classes = bottom_sccs(chain)
         absorb, den = absorption_from(chain, classes)
-        want = [sum((F(p, den) * class_value(mean, classes[ci])
+        table = arena.letter_table(mean)
+        want = [sum((F(p, den) * F(*class_value(mean, table, classes[ci]))
                      for ci, p in absorb[node].items()), F(0))
                 for node in range(len(chain))]
         solved.clear()
-        got = solve.PairEvaluator(chain, range(len(chain)), (0,) * len(chain),
-                                  {}).values(mean)
+        got = solve.Colouring(arena, skeleton).values(solve.PairEvaluator(
+            chain, range(len(chain)), (0,) * len(chain), {}), mean)
         assert [F(n, d) for n, d in got] == want
         assert len({d for _, d in got}) == 1 and got[0][1] > 0
         assert solved == ([] if len(classes) == 1 else [len(classes)])

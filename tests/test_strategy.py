@@ -25,7 +25,7 @@ from stochgame.strategy import (
     reset_strategy, strategy_from_json,
 )
 from stochgame.verify import _random_memory_strategy
-from helpers import enumerate_pure_stationary
+from helpers import enumerate_pure_stationary, fold_tables
 
 F = Fraction
 mean = parse_payoff_spec("mean")
@@ -275,8 +275,10 @@ def test_response_fold_matches_the_induce_chain_enumeration(name, kind):
             best, argmin, uniform, multi = _product_values_oracle(arena, spec,
                                                                   sigma)
             fold = _fold_responses(arena, spec, sigma, DEFAULT_BUDGET)
+            folded = fold_tables(arena, spec, sigma)
             assert ({pair: Fraction(*v) for pair, v in fold.best.items()},
-                    fold.argmin, fold.uniform) == (best, argmin, uniform)
+                    *folded[1:]) == (best, argmin, uniform)
+            assert folded[0] == best
             assert all(type(n) is int and type(d) is int and d > 0
                        for n, d in fold.best.values())
             assert fold.tables == fold.total == _table_count(arena, sigma)

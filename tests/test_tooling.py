@@ -14,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,6 +164,39 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
     assert check.tables >= 1
     report = verify.verify_halfpos(arena, posavg)
     assert report.verdict == "confirmed"
+
+
+def _registries_holding(kinds):
+    """(module, name, type) of each module-level container of the library
+    that holds an instance of `kinds` among its values."""
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] != "stochgame":
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, type) or not hasattr(value, "values") \
+                    and not isinstance(value, (list, tuple, set, frozenset)):
+                continue
+            held = value.values() if hasattr(value, "values") else value
+            if any(isinstance(x, kinds) for x in list(held)):
+                yield name, attr, type(value)
+
+
+def test_grid_and_core_registries_hold_weak_references():
+    # a cache of grids or grid cores must never keep one alive: every
+    # module-level registry that holds one is a WeakValueDictionary, so a
+    # core dies with the last grid that holds it and a grid with its owner
+    arena = random_arena(4, 3, seed=2)
+    grids = [solve.GridSolver(arena),
+             solve.GridSolver(random_arena(4, 3, seed=2, kind="priority"))]
+    solve.best_response_min(arena, parse_payoff_spec("mean"),
+                            solve.brute_force_value(
+                                arena, parse_payoff_spec("mean"),
+                                grid=grids[0]).sigma_star)
+    found = list(_registries_holding((solve.GridSolver, solve._GridCore)))
+    assert {(module, attr) for module, attr, _ in found} >= {
+        ("stochgame.solve", "_LIVE_GRIDS"), ("stochgame.solve", "_CORES")}
+    assert all(kind is weakref.WeakValueDictionary
+               for _, _, kind in found), found
 
 
 def test_shift_searches_never_compare_fractions(monkeypatch):
