@@ -109,22 +109,15 @@ class Arena:
         return cached
 
     def letters(self) -> dict[tuple[str, str], int]:
-        """Each (state, action) pair's index in the arena's letter order:
-        the states in order, each with its available actions in order.  A
-        `chain.Move`'s letter is its pair's index, and so is a bottom
-        class's, which every payoff reads through `letter_table`.  Built
-        once and cached like `step_laws`."""
-        cached = self.__dict__.get("_letters")
-        if cached is None:
-            cached = {(s, a): k for k, (s, a) in enumerate(
-                (s, a) for s in self.states for a in self.available[s])}
-            object.__setattr__(self, "_letters", cached)
-        return cached
+        """Each (state, action) pair's index in the letter order: the
+        states in order, each with its actions in order.  A move's letter
+        is its pair's index, and a payoff reads it in `letter_table`."""
+        return {(s, a): k for k, (s, a) in enumerate(
+            (s, a) for s in self.states for a in self.available[s])}
 
     def letter_table(self, spec: PayoffSpec) -> LetterTable:
-        """The arena's colours in letter order, read once for `spec`
-        (`payoff.letter_table`, which checks their kind): one table per
-        (arena, payoff), cached like `step_laws`."""
+        """The arena's colours in letter order, read for `spec` by
+        `payoff.letter_table` once per payoff and cached."""
         tables = self.__dict__.get("_letter_tables")
         if tables is None:
             tables = {}
@@ -133,23 +126,31 @@ class Arena:
         if found is None:
             colour = self.colour
             found = tables[spec] = letter_table(
-                spec, [colour[sa] for sa in self.letters()])
+                spec, [colour[(s, a)] for s in self.states
+                       for a in self.available[s]])
         return found
 
     def dynamics(self) -> tuple:
-        """A key that two arenas share exactly when they have the same
+        """A key equal for two arenas exactly when they have the same
         states, owners, available actions and `int_transition`, whatever
-        their colours: every colouring of one dynamics has the same
-        strategy pairs, chains and bottom classes.  Built from strings and
-        integers, never from the `Fraction` table, once, and cached like
-        `step_laws`."""
+        their colours.  Built once, from strings and integers, never from
+        the `Fraction` table: for each letter, its number of successors,
+        then each one's state index and numerator, whose sum is the
+        row's denominator."""
         cached = self.__dict__.get("_dynamics")
         if cached is None:
             table = self.int_transition()
+            index = {s: i for i, s in enumerate(self.states)}
+            flat = []
+            for s in self.states:
+                for a in self.available[s]:
+                    row = table[(s, a)][1]
+                    flat.append(len(row))
+                    for t, n in row.items():
+                        flat += (index[t], n)
             cached = (self.states, tuple(self.owner[s] for s in self.states),
                       tuple(self.available[s] for s in self.states),
-                      tuple((table[sa][0], tuple(table[sa][1].items()))
-                            for sa in self.letters()))
+                      tuple(flat))
             object.__setattr__(self, "_dynamics", cached)
         return cached
 

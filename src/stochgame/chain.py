@@ -9,15 +9,10 @@ one-action option's row is the arena's integer row
 (`Arena.int_transition`) with its successors renamed to product nodes;
 only a mixed law's row is summed from its moves.  A chain is picked from
 the skeleton by one option per node; `induce_chain` is the walk with both
-players fixed, picked at its one option.
-
-Nothing here reads a colour but the discounted equations: a move carries
-its letter, the index of its (state, action) pair in `Arena.letters`, so
-a skeleton, its chains and their bottom classes serve every colouring of
-the arena's dynamics (`Arena.dynamics`), and a payoff reads the colours
-through the arena's letter table.  The discounted equations are built
-from the arena's colours on request (`ProductSkeleton.discounted_rows`,
-`InducedChain.discounted_rows`).
+players fixed, picked at its one option.  A move carries its letter
+(`Arena.letters`), not its colour, so a skeleton and its chains serve
+every colouring of the arena's dynamics; only the discounted equations
+read colours, an arena's, on request (`discounted_rows`).
 
 Every result is an exact rational.  The linear systems behind them are
 assembled from integer rows (each chain row as a denominator plus integer
@@ -53,9 +48,9 @@ class ChainError(ValueError):
 
 @dataclass(frozen=True)
 class Move:
-    """One action taken at a node: its strategy weight, its letter (the
-    index of its (state, action) pair in `Arena.letters`), and the
-    successor nodes with transition probabilities."""
+    """One action taken at a node: its strategy weight, its letter (its
+    (state, action) pair's index in `Arena.letters`), and the successor
+    nodes with transition probabilities."""
 
     action: str
     weight: Fraction
@@ -90,8 +85,7 @@ class InducedChain:
         return len(self.nodes)
 
     def discounted_rows(self, arena: Arena) -> tuple[Optional[Equation], ...]:
-        """Each node's discounted equation under the arena's colours (see
-        `_discounted_row`), for `discounted_values`."""
+        """Each node's discounted equation under the arena's colours."""
         return tuple(_discounted_row(arena.colour, s, mvs)
                      for (s, _, _), mvs in zip(self.nodes, self.moves))
 
@@ -102,21 +96,18 @@ class InducedChain:
 
 
 class RecurrentClassSummary:
-    """One bottom SCC of a chain, as `payoff.class_value` reads it, with no
-    colour in it.  The graph pass gives its `nodes` and `letters`, the
-    letter of each of its moves of positive weight, in node-then-move
-    order, with equal letters kept apart: a play absorbed in the class
-    takes each of those moves infinitely often, almost surely, and no
-    other, so its colours are those of `letters` in the arena's letter
-    table.  `int_weights` is `(den, weights)`, the moves' limit weights
-    aligned with `letters` as integers over one denominator, solved on
-    first read from the exact stationary distribution, which is checked to
-    be positive, to sum to 1 and to be really stationary.  Every payoff
-    rule reads a max, a min, an any or a weighted sum of the colours, so a
-    colour's moves count as one colour of their summed weight.
-    `has_potential(incs)` tells whether the increments `incs[letter]`
-    form a coboundary.  A class is valued once per colouring and payoff
-    by its reader (`solve.Colouring`), never here."""
+    """One bottom SCC of a chain, as `payoff.class_value` reads it.  The
+    graph pass gives its `nodes` and `letters`, the letter of each of its
+    moves of positive weight, in node-then-move order, with equal letters
+    kept apart: a play absorbed in the class takes each of those moves
+    infinitely often, almost surely, and no other.  `int_weights` is
+    `(den, weights)`, the moves' limit weights aligned with `letters` as
+    integers over one denominator, solved on first read from the exact
+    stationary distribution, which is checked to be positive, to sum to 1
+    and to be really stationary.  Every payoff rule reads a max, a min, an
+    any or a weighted sum of the colours, so a colour's moves count as one
+    colour of their summed weight.  A summary holds no colour, so it
+    serves every colouring of its chain."""
 
     def __init__(self, chain: InducedChain, nodes: Sequence[int]):
         self.chain = chain
@@ -171,8 +162,7 @@ class RecurrentClassSummary:
         return common * wden, tuple(weights)
 
     def has_potential(self, incs: Sequence[int]) -> bool:
-        """Do the increments `incs`, indexed by letter, form a coboundary
-        on the class (`_potential_exists`)?"""
+        """Do the increments `incs[letter]` form a coboundary here?"""
         return _potential_exists(self.chain, self.nodes, incs)
 
 
@@ -187,16 +177,15 @@ def induce_chain(arena: Arena, sigma, tau,
     return skeleton.pick((0,) * len(skeleton))
 
 
-def _moves(arena: Arena, key: tuple, law: dict[str, Fraction],
+def _moves(arena: Arena, letters: dict, key: tuple, law: dict[str, Fraction],
            successor) -> tuple[Move, ...]:
     """The moves of the action law `law` at node `key`, whose state comes
     first; `successor(a, t)` is the node reached by action `a` and arena
     successor `t`.  Actions of weight 0 are left out, and so are successors
     of probability 0: a move's successors are those of the arena's
     `int_transition` row, in its order.  The weights must be non-negative
-    and sum to 1, so each is at most 1."""
+    and sum to 1, so each is at most 1.  `letters` is `arena.letters()`."""
     s = key[0]
-    letters = arena.letters()
     # a pure law's total is its one weight
     total = sum(law.values()) if len(law) != 1 else next(iter(law.values()))
     if total != 1:
@@ -239,9 +228,7 @@ class ProductSkeleton:
     def discounted_rows(self, arena: Arena
                         ) -> tuple[tuple[Optional[Equation], ...], ...]:
         """Each node's options' discounted equations under the arena's
-        colours, in the order of `moves` (see `_discounted_row`): built
-        once per (node, option), then picked by a choice vector like the
-        rows."""
+        colours, in the order of `moves`, to be picked like the rows."""
         colour = arena.colour
         return tuple(tuple(_discounted_row(colour, s, mvs) for mvs in opts)
                      for (s, _, _), opts in zip(self.nodes, self.moves))
@@ -272,6 +259,7 @@ def product_skeleton(arena: Arena, seeds: Sequence[tuple], sigma=None,
     for seed in seeds:
         index.setdefault(seed, len(index))
     todo = list(index)
+    letters = arena.letters()
     options: dict[int, tuple[tuple[Move, ...], ...]] = {}
     while todo:
         key = todo.pop()
@@ -301,8 +289,8 @@ def product_skeleton(arena: Arena, seeds: Sequence[tuple], sigma=None,
         strategy, m = (sigma, m1) if arena.owner[s] == P1 else (tau, m2)
         laws = ([{a: _ONE} for a in arena.available[s]]
                 if strategy is None else [strategy.action_dist(m, s)])
-        options[index[key]] = tuple(_moves(arena, key, law, successor)
-                                    for law in laws)
+        options[index[key]] = tuple(_moves(arena, letters, key, law,
+                                           successor) for law in laws)
     nodes = tuple(index)
     moves = tuple(options[i] for i in range(len(index)))
     table = arena.int_transition()
@@ -350,11 +338,11 @@ Equation = tuple[int, dict[int, int], Fraction]
 
 def _discounted_row(colour: dict, s: str, mvs: Sequence[Move]
                     ) -> Optional[Equation]:
-    """The discounted equation of a node at state `s` with moves `mvs`,
-    under the colours `colour` (an arena's), v = sum_moves weight *
-    (reward + lambda * sum_succ p v_succ), as `(d, {succ: n}, b)`: n / d
-    is the row sum_moves weight * lambda * P and b is d times the expected
-    reward.  None if some move's colour is no reward-discount pair."""
+    """The discounted equation of a node at state `s` with moves `mvs`
+    under an arena's `colour`, v = sum_moves weight * (reward + lambda *
+    sum_succ p v_succ), as `(d, {succ: n}, b)`: n / d is the row sum_moves
+    weight * lambda * P and b is d times the expected reward.  None if
+    some move's colour is no reward-discount pair."""
     toks = [colour[(s, mv.action)] for mv in mvs]
     if any(tok.kind != "discounted" for tok in toks):
         return None
@@ -500,8 +488,8 @@ def bottom_sccs(chain: InducedChain) -> list[RecurrentClassSummary]:
 def _potential_exists(chain: InducedChain, cls: Sequence[int],
                       incs: Sequence[int]) -> bool:
     """True iff a function phi on the class satisfies
-    phi(succ) - phi(node) = incs[letter] along every edge of a move of that
-    letter, i.e. every cycle of the class has increment sum zero."""
+    phi(succ) - phi(node) = incs[letter] along every edge of a move of
+    that letter, i.e. every cycle of the class has increment sum zero."""
     phi: dict[int, int] = {cls[0]: 0}
     stack = [cls[0]]
     while stack:
@@ -585,11 +573,10 @@ def absorption_from(chain: InducedChain,
 
 def discounted_values(eqs: Sequence[Optional[Equation]]
                       ) -> tuple[list[int], int]:
-    """Unique solution of v = r + Lambda P v on a product chain, from one
-    discounted equation per chain node, with per-(node, action) rewards
-    and discounts from a colouring: a chain's `discounted_rows`, or a
-    skeleton's picked by a choice vector.  One value per chain node, as
-    integers over one denominator: v[i] == nums[i] / den."""
+    """Unique solution of v = r + Lambda P v on a product chain, from its
+    `discounted_rows` under a colouring (one equation per node); one
+    value per chain node, as integers over one denominator:
+    v[i] == nums[i] / den."""
     if None in eqs:
         raise ChainError("discounted payoff needs reward-discount colours")
     return first_passage([(d, row) for d, row, _ in eqs], range(len(eqs)), (),

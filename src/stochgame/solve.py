@@ -20,25 +20,14 @@ enumerator for finite-memory strategies (`product_values`,
 at every (memory, state) pair.  A strategy pair or response table is a
 choice vector over it, and picking the rows gives the pair's chain.
 
-What a pair's chain is does not depend on the colours: a skeleton's moves
-carry letters (`Arena.letters`), not colours.  So an enumeration splits in
-two.  A `PairEvaluator` holds the colour-free part of one pair: its chain,
-its bottom classes and their absorption.  The pairs of one enumeration
-share one dict of bottom-class summaries, so a bottom class that recurs
-with the same rows is summarized, and its limit weights solved, once.  A
-`Colouring` reads one arena's colours over those pairs: a class is valued
-once per payoff from the arena's letter table (`Arena.letter_table`,
-`payoff.class_value`), as an integer pair, and the discounted equations
-are built once per (node, option).  A summary's stationary distribution is
-solved only for a payoff whose value form weighs the colours, never for
-`limsup`, `liminf`, `parity` or a Buchi class's `meancobuchi`.
-
-A grid's colour-free part, `_GridCore`, is shared by every colouring of
-one arena dynamics (`Arena.dynamics`), through the weak registry
-`_CORES`: the `random_arena` kinds of one seed, which the saddle checks
-solve side by side, build one skeleton, pick each pair's chain once and
-find and weigh its classes once.  A `GridSolver` is one arena's colouring
-of its core, and keeps each pair's discounted solve.  The single-pair
+A skeleton's moves carry letters, not colours, so a pair's chain, bottom
+classes and absorption (`PairEvaluator`) serve every colouring; the pairs
+of one enumeration share their class summaries in a dict.  A `Colouring`
+reads one arena's colours over them: each class once per payoff, from the
+arena's letter table, and the discounted equations once per (node,
+option).  A grid's colour-free part, `_GridCore`, is shared by every
+colouring of one dynamics (`Arena.dynamics`) through the weak registry
+`_CORES`; a `GridSolver` is one arena's colouring of it.  The single-pair
 entry points (`node_values`, `martingale_check`, the stopped values)
 build their chain with `chain.induce_chain`: the same walk with both
 players fixed.
@@ -108,22 +97,14 @@ def _require_evaluable(spec: PayoffSpec) -> None:
 
 
 class PairEvaluator:
-    """One strategy pair's chain, with what no colour changes: its bottom
-    classes and their absorption from the seed nodes.  A `Colouring` reads
-    its values.
-
-    The chain is picked from a `ProductSkeleton` with the choice vector
-    `choice`.  `summaries` holds the bottom-class summaries that the
-    enumeration's other pairs share.  A class is keyed by its nodes and the
-    choice at each of them, which fix its rows and letters, so a summary
-    serves every pair whose chain holds the class.  The classes are found,
-    and their absorption solved, on first read of `classes`, which the
-    discounted payoff never makes.  Absorption reads only the classes'
-    nodes, and its probabilities at the seeds are kept in `absorb`, as
-    integers over one denominator.  With one bottom class, every node is
-    absorbed there, so no absorption system is solved and `absorb` stays
-    None.
-    """
+    """One strategy pair's chain, picked from a `ProductSkeleton` with the
+    choice vector `choice`, and what no colour changes: its bottom classes
+    and their absorption from the seed nodes, found on first read of
+    `classes` (the discounted payoff never reads them).  `summaries` holds
+    the summaries the enumeration's pairs share, keyed by a class's nodes
+    and the choice at each, which fix its rows and letters.  `absorb` keeps
+    the seeds' absorption probabilities as integers over one denominator;
+    with one bottom class no system is solved and it stays None."""
 
     def __init__(self, chain: InducedChain, seed_nodes: Sequence[int],
                  choice: Sequence[int],
@@ -154,15 +135,11 @@ class PairEvaluator:
 
 
 class Colouring:
-    """One arena's colours, read over the pairs of one product skeleton,
-    which may be shared by every colouring of the arena's dynamics: a
-    skeleton and its chains carry letters, not colours.
-
-    A class-determined payoff reads the arena's letter table
-    (`Arena.letter_table`) and values each class once per payoff, as an
-    integer pair; the values are kept here, never on the shared summary.
-    The discounted payoff reads the skeleton's discounted equations under
-    this arena's colours, built once per (node, option) on first use."""
+    """One arena's colours read over the pairs of a product skeleton that
+    other colourings may share.  A class is valued once per payoff, from
+    the arena's letter table, and the value is kept here, not on the
+    shared summary; the discounted equations are built from the arena's
+    colours once per (node, option), on first use."""
 
     def __init__(self, arena: Arena, skeleton: ProductSkeleton):
         self.arena = arena
@@ -287,17 +264,12 @@ _LIVE_GRIDS: weakref.WeakValueDictionary[int, GridSolver] = \
 
 
 class _GridCore:
-    """The colour-free part of a stationary grid, which every colouring of
-    one arena dynamics (`Arena.dynamics`) shares: the rows and columns
-    (`_Picks`), the one-memory product skeleton with both players' nodes
-    open, each pair's picked chain with its bottom classes and absorption
-    (`PairEvaluator`), the class summaries with their limit weights, and
-    the row and column strategies.  It holds no arena and reads no colour.
-
-    The skeleton's nodes are its seeds, one per state in state order, so
-    pair (i, j)'s choice vector is row i and column j placed at their
-    states; its chain is picked on first use and kept.  All pairs share one
-    dict of bottom-class summaries."""
+    """The colour-free part of a grid, shared by every colouring of one
+    dynamics: the rows and columns, the one-memory skeleton with both
+    players open, each pair's `PairEvaluator`, their class summaries and
+    the row and column strategies; it holds no arena.  The skeleton's
+    nodes are its seeds, one per state in state order, so pair (i, j)'s
+    choice vector is row i and column j placed at their states."""
 
     def __init__(self, arena: Arena):
         self.rows, self.columns = (
@@ -337,9 +309,8 @@ class _GridCore:
         return found
 
 
-# The grid core of each arena dynamics, by `Arena.dynamics`: a `GridSolver`
-# takes its core from here, or builds and records it.  The values are weak,
-# so a core dies with the last grid that holds it.
+# The grid core of each arena dynamics, by `Arena.dynamics`; the values
+# are weak, so a core dies with the last grid that holds it.
 _CORES: weakref.WeakValueDictionary[tuple, _GridCore] = \
     weakref.WeakValueDictionary()
 
@@ -351,13 +322,11 @@ class GridSolver:
     `rows[i]` is the maximizer's i-th stationary strategy, in
     `itertools.product` order, as its action indices at its states, and
     `columns[j]` the minimizer's j-th (`_Picks`); `strategy` builds one,
-    once, when it is reported.  A grid is one arena's colouring
-    (`Colouring`) of the core of its dynamics (`_GridCore`, shared through
-    `_CORES`), so two colourings of one dynamics, such as `random_arena`'s
-    kinds for one seed, build the skeleton, pick the pairs' chains and find
-    and weigh their bottom classes once; each reads its own colours, keeps
-    its own class values, and keeps each pair's discounted solve.  A grid
-    records itself as its arena's live grid (`_LIVE_GRIDS`).  A budget
+    once, when it is reported.  A grid is its arena's `Colouring` of the
+    `_GridCore` of its dynamics, so the colourings of one dynamics, such as
+    `random_arena`'s kinds for one seed, share the chains and classes; it
+    keeps each pair's discounted solve.  A grid records itself as its
+    arena's live grid (`_LIVE_GRIDS`).  A budget
     below 1 is a `ValueError`, raised before any work, and so is the
     `BudgetError` of too many pairs."""
 
@@ -391,9 +360,7 @@ class GridSolver:
 
     def int_pair_values(self, spec: PayoffSpec, i: int, j: int
                         ) -> list[tuple[int, int]]:
-        """Pair (i, j)'s values under this arena's colours
-        (`Colouring.values`), in state order; a discounted solve is made
-        once per pair and kept."""
+        """Pair (i, j)'s `Colouring.values`, in state order."""
         pair = self._core.pair(i, j)
         if spec.name != "discounted":
             return self._colouring.values(pair, spec)
@@ -441,8 +408,7 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     sigma's product skeleton is built once; a table is the choice vector
     of its actions at the open minimizer nodes, and all tables share one
     dict of bottom-class summaries and one `Colouring`.  Values are
-    compared as integers (`Colouring.values`), and the minima stay
-    (numerator, denominator)
+    compared as integers, and the minima stay (numerator, denominator)
     pairs; the callers build `Fraction`s for the values they report.  A
     budget below 1 is a `ValueError`."""
     _check_budget(budget)
