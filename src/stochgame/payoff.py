@@ -7,10 +7,11 @@ value of a play from the statistics of the colours it sees infinitely
 often, weighed by their limit weights.  It reads colours as indices into a
 `LetterTable`, an alphabet whose colour kinds are checked once and whose
 values are scaled once to integer numerators over one denominator.  A
-chain's bottom class (`class_value`, over its arena's table, built once per
-payoff by `Arena.letter_table`, at its moves' letters), a word's cycle (`word_value`, on letter indices; `evaluate_lasso` values a
-lasso over the table of its own letters) and the refutation searches'
-arrays of cycles and shuffles are all valued by it.
+chain's bottom class (`class_value`, at its moves' letters in its arena's
+table, `Arena.letter_table`), a word's cycle (`word_value`, on letter
+indices; `evaluate_lasso` values a lasso over the table of its own
+letters) and the refutation searches' arrays of cycles and shuffles are
+all valued by it.
 
 Values are exact rationals throughout.  The property checkers are refuters,
 not provers: a returned witness is a proof of violation, absence of a witness

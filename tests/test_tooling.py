@@ -130,8 +130,8 @@ def test_library_module_graph_has_no_cycle():
 def test_grid_and_response_folds_never_order_fractions(monkeypatch):
     # the grid's max-min, the response fold, the floor check and the
     # stationary guarantees compare values as integers, and bottom classes
-    # keep their colours in a tuple: with Fraction's order comparisons and
-    # the colour hash raising, every call completes
+    # keep letters, read in tuples of colours: with Fraction's order
+    # comparisons and the colour hash raising, every call completes
     cases = [(random_arena(4, 3, kind=kind), parse_payoff_spec(name))
              for name, kind in (("mean", "reward"), ("limsup", "reward"),
                                 ("parity", "priority"),
