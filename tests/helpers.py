@@ -2,17 +2,18 @@
 state's actions cut down, a player's stationary strategies one by one, an
 arena's colours in letter order, a bottom class's colours and stationary
 distribution as `Fraction`s, a response fold's first and uniform
-minimizing tables,
-lassos of rewards, priorities or vectors spelled from plain values, and a
-lasso's payoff evaluated letter by letter in `Fraction`s."""
+minimizing tables, lassos of rewards, priorities or vectors spelled from
+plain values, and a lasso's payoff evaluated letter by letter in
+`Fraction`s."""
 
 import dataclasses
 import itertools
 from fractions import Fraction
 from typing import Optional
 
-from stochgame.arena import Arena
-from stochgame.chain import RecurrentClassSummary
+from stochgame import solve
+from stochgame.arena import P2, Arena
+from stochgame.chain import RecurrentClassSummary, product_skeleton
 from stochgame.payoff import (
     ColourKindError, ColourToken, Lasso, PayoffError, priority, reward, vector,
 )
@@ -66,9 +67,6 @@ def fold_tables(arena: Arena, spec, sigma) -> tuple[dict, dict, Optional[dict]]:
     first table attaining it, and the last table attaining every minimum
     at once, or None.  A table maps each (memory, minimizer state) pair to
     an action."""
-    from stochgame import solve
-    from stochgame.arena import P2
-    from stochgame.chain import product_skeleton
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
     skeleton = product_skeleton(arena, [(s, m, m) for m, s in pairs], sigma)
