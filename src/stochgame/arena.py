@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,22 +85,12 @@ class Arena:
     def player_states(self, player: int) -> tuple[str, ...]:
         return tuple(s for s in self.states if self.owner[s] == player)
 
-    def step_laws(self) -> dict[tuple[str, str], tuple[tuple, tuple[float, ...]]]:
-        """The transition table as the sampler reads it: `(s, a) ->
-        (successors, cumulative float weights)` in the table's order, as
-        `_cumulative` builds them (the last weight is infinite).  Built once
-        and cached; the exact table stays the `Fraction` one."""
-        cached = self.__dict__.get("_step_laws")
-        if cached is None:
-            cached = {sa: _cumulative(dist) for sa, dist in self.transition.items()}
-            object.__setattr__(self, "_step_laws", cached)
-        return cached
-
     def int_transition(self) -> dict[tuple[str, str], tuple[int, dict[str, int]]]:
         """The transition table over integers: `(s, a) -> (d, {t: n})`, the
         successors of positive probability in the table's order, each with
         its probability's numerator over d, their lowest common
-        denominator.  Built once and cached like `step_laws`."""
+        denominator.  Built once and cached: the skeleton walks read it
+        many times per arena."""
         cached = self.__dict__.get("_int_transition")
         if cached is None:
             cached = {sa: _over_lcd(dist) for sa, dist in self.transition.items()}
@@ -133,35 +122,26 @@ class Arena:
     def dynamics(self) -> tuple:
         """A key equal for two arenas exactly when they have the same
         states, owners, available actions and `int_transition`, whatever
-        their colours.  Built once, from strings and integers, never from
-        the `Fraction` table: for each letter, its number of successors,
-        then each one's state index and numerator, whose sum is the
-        row's denominator."""
-        cached = self.__dict__.get("_dynamics")
-        if cached is None:
-            table = self.int_transition()
-            index = {s: i for i, s in enumerate(self.states)}
-            flat = []
-            for s in self.states:
-                for a in self.available[s]:
-                    row = table[(s, a)][1]
-                    flat.append(len(row))
-                    for t, n in row.items():
-                        flat += (index[t], n)
-            cached = (self.states, tuple(self.owner[s] for s in self.states),
-                      tuple(self.available[s] for s in self.states),
-                      tuple(flat))
-            object.__setattr__(self, "_dynamics", cached)
-        return cached
+        their colours.  Built from strings and integers, never from the
+        `Fraction` table: for each letter, its number of successors, then
+        each one's state index and numerator, whose sum is the row's
+        denominator.  Not cached: each workload reads it once per arena."""
+        table = self.int_transition()
+        index = {s: i for i, s in enumerate(self.states)}
+        flat = []
+        for s in self.states:
+            for a in self.available[s]:
+                row = table[(s, a)][1]
+                flat.append(len(row))
+                for t, n in row.items():
+                    flat += (index[t], n)
+        return (self.states, tuple(self.owner[s] for s in self.states),
+                tuple(self.available[s] for s in self.states), tuple(flat))
 
     def fingerprint(self) -> str:
-        """A short hash of the arena's printed form, computed once and
-        cached like `step_laws`."""
-        cached = self.__dict__.get("_fingerprint")
-        if cached is None:
-            cached = hashlib.sha256(print_arena(self).encode()).hexdigest()[:16]
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
+        """A short hash of the arena's printed form, computed on each read:
+        each workload reads it once per arena."""
+        return hashlib.sha256(print_arena(self).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -348,65 +328,39 @@ def sample_play(arena: Arena, sigma, tau, source: str, horizon: int,
     """Sample `horizon` steps: the mover's strategy draws the action, the
     transition table draws the successor.  Deterministic given the stream.
 
-    Each step takes exactly two `rng.random()` draws, action first, and
-    picks the first entry whose cumulative float weight (summed in the
-    law's own order) exceeds the draw, or the last entry if none does.
-    The successor laws come from `arena.step_laws()`, built once per arena.
-    Within one call, the mover's action law and both next memories are
-    memoized per product node (state, sigma's memory, tau's memory): every
-    strategy's `action_dist` and `next_memory` are functions of their
-    arguments, as `chain.induce_chain` also assumes.
-    """
+    Each step takes exactly two `rng.random()` draws, action first, each
+    read by `_draw` from the exact law.  `stochgame simulate` is the one
+    reader, so nothing is precomputed or memoized."""
     if horizon < 0:
         raise ArenaError("horizon must be >= 0")
     if source not in arena.owner:
         raise ArenaError(f"unknown source state {source}")
-    owner = arena.owner
-    step_laws = arena.step_laws()
-    draw = rng.random
-    # (s, mem1, mem2) -> (actions, cumulative weights, {(a, t): memories})
-    nodes: dict[tuple, tuple] = {}
     mem1 = sigma.initial
     mem2 = tau.initial
     states = [source]
     actions: list[str] = []
     s = source
     for _ in range(horizon):
-        node = nodes.get((s, mem1, mem2))
-        if node is None:
-            strat, mem = (sigma, mem1) if owner[s] == P1 else (tau, mem2)
-            node = nodes[(s, mem1, mem2)] = (
-                *_cumulative(strat.action_dist(mem, s)), {})
-        keys, cum, moves = node
-        a = keys[bisect_right(cum, draw())]
-        keys, cum = step_laws[(s, a)]
-        t = keys[bisect_right(cum, draw())]
-        nxt = moves.get((a, t))
-        if nxt is None:
-            nxt = moves[(a, t)] = (sigma.next_memory(mem1, s, a, t),
-                                   tau.next_memory(mem2, s, a, t))
-        mem1, mem2 = nxt
+        strat, mem = (sigma, mem1) if arena.owner[s] == P1 else (tau, mem2)
+        a = _draw(strat.action_dist(mem, s), rng.random())
+        t = _draw(arena.transition[(s, a)], rng.random())
+        mem1 = sigma.next_memory(mem1, s, a, t)
+        mem2 = tau.next_memory(mem2, s, a, t)
         actions.append(a)
         states.append(t)
         s = t
     return FinitePlay(tuple(states), tuple(actions))
 
 
-def _cumulative(dist: dict) -> tuple[tuple, tuple[float, ...]]:
-    """`(keys, cumulative float weights)` in the law's order, for
-    `bisect_right`: the first key whose running sum exceeds a draw `u` in
-    [0, 1).  The running maximum keeps the sums sorted even past a negative
-    weight, and the last entry is infinite, so a draw at or above the float
-    sum picks the last key."""
-    acc = top = 0.0
-    cum = []
-    for w in dist.values():
+def _draw(dist: dict, u: float):
+    """The first key of `dist` whose float running sum, in the law's own
+    order, exceeds the draw `u`, or the last key if none does."""
+    acc = 0.0
+    for key, w in dist.items():
         acc += float(w)
-        top = max(top, acc)
-        cum.append(top)
-    if cum:
-        cum[-1] = math.inf
-    return tuple(dist), tuple(cum)
+        if u < acc:
+            return key
+    return key
 
 
 def _over_lcd(dist: dict) -> tuple[int, dict]:

@@ -501,7 +501,7 @@ class ValueVector:
     """Game values with certificates: the optimal stationary strategy of the
     maximizer and, per state, the minimizer's reply achieving the value.
     `arena_fingerprint` is the solved arena's `Arena.fingerprint()`, hashed
-    on first read: the grid does not need it."""
+    on each read: the grid does not need it."""
 
     values: dict[str, Fraction]
     sigma_star: PureStationaryStrategy

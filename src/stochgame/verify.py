@@ -972,7 +972,10 @@ def doob_suite(arena: Arena, spec: PayoffSpec, trials: int,
 
     Monte Carlo only reports: `first_hit` (estimate, Hoeffding interval and
     exact reference) and `adversarial_estimate` are `trials` seeded runs of
-    `solve.stopped_value_mc` for the first-hit and the adversarial checks."""
+    `solve.stopped_value_mc` for the first-hit and the adversarial checks.
+    `trials` must be at least 1 (`ValueError`, raised before any work)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, not {trials}")
     rng = random.Random(seed)
     values = solve.brute_force_value(arena, spec, budget)
     classification = solve.classify_actions(arena, values)

@@ -338,6 +338,13 @@ def test_simulate_without_trials_is_a_usage_error(capsys):
                  "--trials", "0"]), "--trials")
 
 
+def test_doob_without_trials_is_a_usage_error(capsys):
+    _assert_one_error_line(*run_capture(
+        capsys, ["doob", "random:states=3,actions=2,seed=4",
+                 "--payoff", "mean", "--trials", "0"]),
+        "trials must be >= 1, not 0")
+
+
 def test_doob_cli(capsys):
     code, out, _ = run_capture(
         capsys, ["doob", "random:states=3,actions=2,seed=4",

@@ -893,7 +893,7 @@ def test_brute_force_value_one_state():
 
 
 def test_brute_force_value_hashes_the_arena_only_when_asked(monkeypatch):
-    # the fingerprint is computed on first read of `arena_fingerprint`, and
+    # the fingerprint is computed on each read of `arena_fingerprint`, and
     # equals the arena's own
     printed = []
     print_arena = arena_module.print_arena
@@ -903,7 +903,7 @@ def test_brute_force_value_hashes_the_arena_only_when_asked(monkeypatch):
     values = brute_force_value(arena, mean)
     assert printed == []
     assert values.arena_fingerprint == arena.fingerprint()
-    assert printed == [arena]
+    assert printed == [arena, arena]
 
 
 def _two_state_arena():

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from stochgame import acceptance, cli, payoff, solve, strategy, verify
-from stochgame.arena import random_arena
+from stochgame.arena import P1, P2, random_arena, sample_play
 from stochgame.payoff import _CATALOG, parse_payoff_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -197,6 +197,33 @@ def test_grid_and_core_registries_hold_weak_references():
         ("stochgame.solve", "_LIVE_GRIDS"), ("stochgame.solve", "_CORES")}
     assert all(kind is weakref.WeakValueDictionary
                for _, _, kind in found), found
+
+
+def test_an_arena_caches_only_what_its_walks_reread():
+    # a benchmark keeps every input arena alive, so each per-arena cache is
+    # retained memory: only the integer transition table and the letter
+    # tables, which skeleton walks and colourings read many times, are kept
+    fields = {"states", "owner", "available", "transition", "colour"}
+    kept = fields | {"_int_transition", "_letter_tables"}
+    mean = parse_payoff_spec("mean")
+    arenas = []
+    for seed in range(3):
+        solved, swept, stopped, played = (
+            random_arena(4, 3, seed=seed + k) for k in (0, 10, 20, 30))
+        grid = solve.GridSolver(solved)
+        solve.best_response_min(solved, mean, solve.brute_force_value(
+            solved, mean, grid=grid).sigma_star)
+        verify.verify_halfpos(swept, mean, candidates=2, seed=seed)
+        verify.doob_suite(stopped, mean, trials=5, seed=seed)
+        sigma, tau = (
+            strategy.PureStationaryStrategy(player, {
+                s: played.available[s][0] for s in played.player_states(player)})
+            for player in (P1, P2))
+        sample_play(played, sigma, tau, played.states[0], 20,
+                    random.Random(seed))
+        arenas += [solved, swept, stopped, played]
+    for arena in arenas:
+        assert fields <= set(vars(arena)) <= kept, set(vars(arena)) - kept
 
 
 def test_shift_searches_never_compare_fractions(monkeypatch):
@@ -416,7 +443,7 @@ def test_halfpos_sweep_rejects_a_payoff_without_arena_kind():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["--memory", "--candidates"])
+@pytest.mark.parametrize("flag", ["--arenas", "--memory", "--candidates"])
 def test_halfpos_sweep_rejects_a_bound_below_one(flag):
     proc = _sweep("--payoff", "posavg", "--arenas", "1", flag, "0")
     assert proc.returncode == 1 and proc.stdout == ""

@@ -1472,6 +1472,16 @@ def test_doob_suite_confirms_at_few_trials():
         assert report.quantities["value_changing_recurrent"] == []
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_doob_suite_rejects_trials_below_one(monkeypatch, trials):
+    def no_work(*args, **kwargs):
+        raise AssertionError("doob_suite started work on a bad trial count")
+    monkeypatch.setattr(solve, "GridSolver", no_work)
+    monkeypatch.setattr(solve, "brute_force_value", no_work)
+    with pytest.raises(ValueError, match=f"trials must be >= 1, not {trials}$"):
+        doob_suite(random_arena(3, 2, seed=4), mean, trials=trials, seed=0)
+
+
 def test_value_changing_recurrent_names_the_pairs_in_a_bottom_class():
     # s (minimizer) may stay at 0 or go to t, where the maximizer may loop
     # at 5 or come back: v(s) = 0, v(t) = 5.  Under go/back both actions are
