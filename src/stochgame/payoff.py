@@ -274,11 +274,9 @@ def _check_kind(spec: PayoffSpec, tokens) -> None:
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
-# Values as (numerator, denominator) pairs in lowest terms, and the
-# `Fraction`s of the win/lose values, built once.
+# The lose and win values as (numerator, denominator) pairs in lowest terms.
 _ZERO = (0, 1)
 _ONE = (1, 1)
-_FRACTIONS = {_ZERO: Fraction(0), _ONE: Fraction(1)}
 
 
 class LetterTable(NamedTuple):
@@ -325,7 +323,7 @@ def evaluate_lasso(spec: PayoffSpec, word: Lasso) -> Fraction:
     over the table of the word's own letters."""
     p = len(word.prefix)
     letters = letter_table(spec, word.prefix + word.cycle)
-    return _fraction(word_value(spec, letters, range(p),
+    return Fraction(*word_value(spec, letters, range(p),
                                 range(p, len(letters.letters))))
 
 
@@ -488,12 +486,6 @@ class _Seen:
         if key == "P":
             return cls is None or cls.has_potential(nums)
         raise KeyError(key)
-
-
-def _fraction(pair: tuple[int, int]) -> Fraction:
-    """The `Fraction` of a value pair in lowest terms."""
-    found = _FRACTIONS.get(pair)
-    return Fraction(*pair) if found is None else found
 
 
 def _lowest(num: int, den: int) -> tuple[int, int]:

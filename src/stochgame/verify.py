@@ -8,9 +8,9 @@ replays.  Both searches decide index words over one letter table.  A
 class-determined payoff is valued by its value form (`payoff.limit_value`)
 on integer cycle statistics: the shift-invariance search values a block of
 words and their suffixes at a time, and the submixing search values a
-case's words and shuffle with it and asks whether the shuffle beats both
-(but for `meancobuchi`, whose cases it decides one at a time).  Other
-payoffs value index words one at a time, through a memo of `word_value`.
+case's words and shuffle with it and asks whether the shuffle beats both.
+Other payoffs value index words one at a time, through a memo of
+`word_value`.
 Each search spells only its first flagged case, and its witness comes from
 the token check (`check_submixing`, `check_shift_invariance`), which must
 agree with the index verdict.
@@ -357,7 +357,8 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     """Does the shuffle of u's and v's cycles, taking a letters of u for
     every b of v, beat both components?  The payoff's value form
     (`payoff.limit_value`) values all three, the shuffle on its `_Shuffled`
-    statistics."""
+    statistics, over denominator 1: the default alphabets' tables have
+    that denominator, so meancobuchi's penalty meets the true means."""
     w = limit_value(spec, _Shuffled(su, sv, a, b), 1)
     return _above(w, limit_value(spec, su, 1)) \
         & _above(w, limit_value(spec, sv, 1))
@@ -431,11 +432,10 @@ def search_submixing_violation(spec: PayoffSpec,
     `_cycle_stats` and its shuffle on their `_Shuffled` statistics, and the
     case is flagged when the shuffle beats both (`_fast_violations`): the
     exhaustive cases as a grid per pattern of the table's distinct rows,
-    counted as its n^2 cells, the seeded ones a block at a time.
-    `meancobuchi` and the payoffs that are not class-determined, with
-    exhaustive cycles of 1..min(max_cycle, 2) letters, compare the
-    `_word_values` of each case's three index words by
-    cross-multiplication.  Only the first flagged case
+    counted as its n^2 cells, the seeded ones a block at a time.  The
+    payoffs that are not class-determined, with exhaustive cycles of
+    1..min(max_cycle, 2) letters, compare the `_word_values` of each case's
+    three index words by cross-multiplication.  Only the first flagged case
     is spelled and checked again on tokens (`check_submixing`) before it is
     reported: a case that check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
@@ -457,10 +457,7 @@ def search_submixing_violation(spec: PayoffSpec,
 
     drawn = _drawn_blocks(random.Random(seed),
                           _case_columns(k, bounds.max_cycle), bounds.random_cases)
-    # meancobuchi has a value form, but its cases are decided one at a time:
-    # the grid would widen its exhaustive cycles from 1..min(max_cycle, 2)
-    # letters to 1..max_cycle, and so change its reports
-    if spec.is_class_determined and spec.name != "meancobuchi":
+    if spec.is_class_determined:
         st = _cycle_stats(letters, bounds.max_cycle)
         n = len(st["L"])
         # a cell reads only its two rows: decide the distinct rows' grid, in
