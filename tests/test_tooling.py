@@ -229,9 +229,9 @@ def test_an_arena_caches_only_what_its_walks_reread():
 def test_shift_searches_never_compare_fractions(monkeypatch):
     # the shift search's memo keeps each value as an integer pair and its
     # walk compares those: with Fraction's equality raising, confirmed
-    # searches complete.  The submixing searches without a closed form
-    # compare the same pairs by cross-multiplication: with Fraction's order
-    # comparisons raising too, confirmed ones complete
+    # searches complete.  The submixing searches compare the same pairs by
+    # cross-multiplication, or integer arrays on the grid (meancobuchi):
+    # with Fraction's order comparisons raising too, confirmed ones complete
     def refuse(self, other):
         raise AssertionError("a Fraction comparison")
 
