@@ -379,10 +379,14 @@ def class_value(spec: PayoffSpec, letters: LetterTable,
 
 def _where(cond, yes, no):
     """yes() where `cond` holds, else no(): on a bool only the branch taken
-    is read, and on arrays a Python int past int64 stays exact."""
+    is read, and on arrays a Python int past int64 stays exact, which numpy
+    would make uint64 below 2^64."""
     if isinstance(cond, bool):
         return yes() if cond else no()
-    return np.where(cond, np.asarray(yes()), np.asarray(no()))
+    yes, no = yes(), no()
+    return np.where(cond, *(np.asarray(x, dtype=object) if isinstance(x, int)
+                            and not -2 ** 63 <= x < 2 ** 63 else x
+                            for x in (yes, no)))
 
 
 def _wins(win, join=None):

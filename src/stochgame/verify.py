@@ -6,11 +6,11 @@ letter-game counter-example.
 Searches are refuters: a refuted report always embeds a witness that
 replays.  Both searches decide index words over one letter table.  A
 class-determined payoff is valued by its value form (`payoff.limit_value`)
-on integer cycle statistics: the shift-invariance search values a block of
-words and their suffixes at a time, and the submixing search values a
-case's words and shuffle with it and asks whether the shuffle beats both.
-Other payoffs value index words one at a time, through a memo of
-`word_value`.
+on integer cycle statistics: the shift-invariance search values every
+cycle once and compares it with its rotation, and the submixing search
+values a case's words and shuffle with it and asks whether the shuffle
+beats both.  Other payoffs value index words one at a time, through a memo
+of `word_value`.
 Each search spells only its first flagged case, and its witness comes from
 the token check (`check_submixing`, `check_shift_invariance`), which must
 agree with the index verdict.
@@ -277,17 +277,6 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
     raise FlagGateError(f"no default alphabet for {spec.format()}")
 
 
-def _batch_word_values(spec: PayoffSpec, letters: LetterTable, stats: dict,
-                       plen: np.ndarray, pos: np.ndarray):
-    """`word_value` of a class-determined payoff on every word with plen[i]
-    prefix letters and the cycle at pos[i] of `stats`, the `_cycle_stats`
-    of `letters`: (numerator, denominator) arrays of pos's shape, in lowest
-    terms, int64 unless a value passes it.  The value form reads only the
-    cycles' statistics, so each row of the table is valued once."""
-    num, den = limit_value(spec, stats, letters.den)
-    g = np.gcd(num, den)
-    return (num // g)[pos], (den // g)[pos]
-
 # The seeded cases of both searches are drawn and decided this many at a
 # time; a search stops at the first block holding a violation.  A block
 # keeps its drawn cases alive, so its size bounds the memory of any
@@ -330,27 +319,52 @@ class _Shuffled:
     and v's cycles taking a letters of u for every b of v: a·Lv copies of
     u's cycle and b·Lu of v's, so L = (a+b)·Lu·Lv, S = a·Su·Lv + b·Sv·Lu,
     MX = max(MXu, MXv), MN = min(MNu, MNv), B = Bu or Bv and P = Pu and Pv,
-    each built when it is read."""
+    each built when it is read, L and S on Python ints where they could
+    reach 2^63 (`_exact`)."""
 
     def __init__(self, su: dict, sv: dict, a, b):
         self.su, self.sv, self.a, self.b = su, sv, a, b
 
+    @functools.cached_property
+    def extent(self) -> int:
+        """2·e^3, for e the largest of a, b and u's and v's statistics in
+        magnitude (`_extent`): a bound on each of the shuffle's."""
+        return 2 * _extent(self.a, self.b, *(
+            x for st in (self.su, self.sv) for x in st.values()
+            if x.dtype != bool)) ** 3
+
     def __getitem__(self, key: str) -> np.ndarray:
-        su, sv, a, b = self.su, self.sv, self.a, self.b
+        su, sv = self.su, self.sv
         if key in _JOINS:
             return _JOINS[key](su[key], sv[key])
-        Lu, Lv = su["L"], sv["L"]
+        a, b, Lu, Lv, Su, Sv = _exact(self.extent, self.a, self.b, su["L"],
+                                      sv["L"], su["S"], sv["S"])
         if key == "L":
             return (a + b) * Lu * Lv
-        Su, Sv = su["S"], sv["S"]
         if Su.ndim == Lu.ndim:
             return a * Su * Lv + b * Sv * Lu
         # a vector's one dimension at a time, in a dimension-first array
         S = np.empty(Su.shape[-1:] + np.broadcast_shapes(Lu.shape, Lv.shape),
-                     np.int64)
+                     Su.dtype)
         for d, out in enumerate(S):
             np.add(a * Su[..., d] * Lv, b * Sv[..., d] * Lu, out=out)
         return np.moveaxis(S, 0, -1)
+
+
+def _extent(*xs) -> int:
+    """The largest magnitude in the ints and arrays xs, as a Python int."""
+    flat = np.concatenate([np.ravel(x) for x in xs])
+    return max(int(flat.max(initial=0)), -int(flat.min(initial=0)))
+
+
+def _exact(bound: int, *xs) -> tuple:
+    """xs, ints or arrays, as they are while `bound`, a bound on the
+    numbers computed from them, stays below 2^63, else with each array
+    read as Python ints, in an object array, on which nothing wraps."""
+    if bound < 2 ** 63:
+        return xs
+    return tuple(x.astype(object) if isinstance(x, np.ndarray) else x
+                 for x in xs)
 
 
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
@@ -358,33 +372,44 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     every b of v, beat both components?  The payoff's value form
     (`payoff.limit_value`) values all three, the shuffle on its `_Shuffled`
     statistics, over denominator 1: the default alphabets' tables have
-    that denominator, so meancobuchi's penalty meets the true means."""
-    w = limit_value(spec, _Shuffled(su, sv, a, b), 1)
-    return _above(w, limit_value(spec, su, 1)) \
-        & _above(w, limit_value(spec, sv, 1))
+    that denominator, so meancobuchi's penalty meets the true means.  Over
+    it, a form gives statistics, 0 or 1, or numbers it also gives a
+    component (meancobuchi's penalty, which a shuffle sees only where a
+    component does), so `_above`'s products are bounded off the vectors of
+    statistics and values, never off the grid."""
+    shuffle = _Shuffled(su, sv, a, b)
+    w = limit_value(spec, shuffle, 1)
+    u, v = limit_value(spec, su, 1), limit_value(spec, sv, 1)
+
+    @functools.cache
+    def bound() -> int:
+        pair = _extent(*u, *v)
+        return max(shuffle.extent, pair) * pair
+
+    return _above(w, u, bound) & _above(w, v, bound)
 
 
-def _above(x: tuple, y: tuple) -> np.ndarray:
+def _above(x: tuple, y: tuple, bound) -> np.ndarray:
     """Is x above y, two (numerator, positive denominator) pairs?  Over one
-    int denominator the numerators are compared, else cross-multiplied."""
+    int denominator the numerators are compared, else cross-multiplied, on
+    Python ints where bound(), a bound on the products, reaches 2^63."""
     (nx, dx), (ny, dy) = x, y
     if isinstance(dx, int) and dx == dy:
         return nx > ny
+    nx, dx, ny, dy = _exact(bound(), nx, dx, ny, dy)
     return nx * dy > ny * dx
 
 
-def _cycle_positions(words: np.ndarray, k: int,
-                     max_prefix: int = 2) -> np.ndarray:
+def _cycle_positions(words: np.ndarray, k: int) -> np.ndarray:
     """Each drawn word's cycle position in the exhaustive table: the cycles
     of 1, 2, ... letters over k letters, each length in `itertools.product`
-    order.  The words have max_prefix prefix letters (`_word_columns`).  A
-    cycle of n letters sits after the k + ... + k^(n-1) shorter ones, at its
+    order.  The words have two prefix letters (`_word_columns`).  A cycle
+    of n letters sits after the k + ... + k^(n-1) shorter ones, at its
     base-k number among its own length; reading its letters as digits 1..k
     (bijective base k) adds 1 + k + ... + k^(n-1), one too many."""
-    c = max_prefix + 1  # the cycle length's column
     pos = np.zeros(len(words), dtype=np.int64)
-    for i in range(words.shape[1] - c - 1):
-        pos = np.where(i < words[:, c], pos * k + words[:, c + 1 + i] + 1, pos)
+    for i in range(words.shape[1] - 4):
+        pos = np.where(i < words[:, 3], pos * k + words[:, 4 + i] + 1, pos)
     return pos - 1
 
 
@@ -504,44 +529,36 @@ def search_submixing_violation(spec: PayoffSpec,
 def search_shift_invariance_violation(spec: PayoffSpec,
                                       bounds: SearchBounds = SearchBounds(),
                                       seed: int = 0) -> VerificationReport:
-    """Exhaustive small-word sweep plus randomized words, comparing the
-    payoff against its first SHIFTS suffixes.  The exhaustive words have
-    prefixes of 0..2 letters and cycles of 1..min(max_cycle, 2) letters
-    (`_exhaustive_words`); the seeded words, drawn after them, prefixes of
-    0..3 and cycles of 1..max_cycle.
-
+    """Look for a word valued unlike one of its first SHIFTS suffixes, each
+    of which drops a prefix letter or, past the prefix, rotates the cycle.
     The words are letter indices into the default alphabet, read once into
-    a `LetterTable`, in blocks of rows: the exhaustive words one block, the
-    seeded ones read off `_drawn_blocks`.  A class-determined payoff
-    decides a block at a time (`_decided_words`): each word and suffix is
-    its prefix length and its cycle's position in the table's
-    `_cycle_stats`, valued in one `_batch_word_values` call by the value
-    form (`payoff.limit_value`) that `word_value` and the submixing search
-    read, and a word and a suffix disagree when their integer pairs differ.
-    The other three payoffs, `discounted`, `geomfirstone` and
-    `suffixtarget`, walk each word's (prefix, cycle) pair of indices
-    through its suffixes, valued by `_word_values`, integer pairs in lowest
-    terms.  Either way, only the first flagged word is spelled and checked
-    again on tokens (`check_shift_invariance`), and the report is built
-    from that check's witness: a word it clears, or refutes at another
-    shift or with other values, raises AssertionError.  Every word counts
-    in `cases`."""
+    a `LetterTable`.
+
+    A class-determined payoff's value form (`payoff.limit_value`) reads no
+    prefix, so every cycle of 1..max_cycle letters is valued once, on the
+    table's `_cycle_stats`, and compared with its rotation by one letter
+    (`_rotations`), as integer pairs in lowest terms.  That decides every
+    shift of every word with such a cycle, and `cases` counts the cycles,
+    whatever the seed.  `discounted`, `geomfirstone` and `suffixtarget`
+    walk each word's (prefix, cycle) pair through its suffixes, valued by
+    `_word_values`: the words with prefixes of 0..2 letters and cycles of
+    1..min(max_cycle, 2) (`_exhaustive_words`), then the seeded words, with
+    prefixes of 0..3 and cycles of 1..max_cycle, each counted in `cases`.
+    Only the first flagged word is spelled and checked again on tokens
+    (`check_shift_invariance`), and the report carries that check's
+    witness: a word it clears, or refutes at another shift or with other
+    values, raises AssertionError."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     letters = letter_table(spec, alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
-    blocks = itertools.chain(
-        [_exhaustive_words(k, bounds.max_cycle)],
-        _drawn_blocks(random.Random(seed),
-                      _word_columns(k, bounds.max_cycle, 3),
-                      bounds.random_cases))
     cases = 0
 
-    def refuted(row, shift: int, values: list) -> VerificationReport:
-        witness = check_shift_invariance(
-            spec, _spelled(alphabet, *_word(row.tolist(), 3)), SHIFTS)
+    def refuted(word, shift: int, values: list) -> VerificationReport:
+        witness = check_shift_invariance(spec, _spelled(alphabet, *word),
+                                         SHIFTS)
         if witness is None or (witness.shift, values) != (shift, [
                 v.as_integer_ratio()
                 for v in (witness.value, witness.shifted_value)]):
@@ -551,23 +568,29 @@ def search_shift_invariance_violation(spec: PayoffSpec,
             _shift_witness_doc(witness))
 
     if spec.is_class_determined:
-        for block, (num, den) in _decided_words(spec, letters,
-                                                bounds.max_cycle, blocks):
-            differ = (num[1:] != num[0]) | (den[1:] != den[0])
-            hits = np.flatnonzero(differ.any(0))
-            if hits.size:
-                i = int(hits[0])
-                cases += i + 1
-                shift = int(differ[:, i].argmax()) + 1
-                return refuted(block[i], shift, [
-                    (int(num[j, i]), int(den[j, i])) for j in (0, shift)])
-            cases += len(block)
+        num, den = limit_value(spec, _cycle_stats(letters, bounds.max_cycle),
+                               letters.den)
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+        rotated = _rotations(k, bounds.max_cycle)
+        hits = np.flatnonzero((num != num[rotated]) | (den != den[rotated]))
+        if hits.size:
+            i = int(hits[0])
+            cases = i + 1
+            return refuted(((), _cycle_at(i, k)), 1, [
+                (int(num[j]), int(den[j])) for j in (i, rotated[i])])
+        cases = len(num)
     else:
         value = _word_values(spec, letters)
+        blocks = itertools.chain(
+            [_exhaustive_words(k, bounds.max_cycle)],
+            _drawn_blocks(random.Random(seed),
+                          _word_columns(k, bounds.max_cycle, 3),
+                          bounds.random_cases))
         for block in blocks:
             for i, row in enumerate(block):
-                prefix, cycle = _word(row.tolist(), 3)
-                base = value((prefix, cycle))
+                prefix, cycle = word = _word(row.tolist(), 3)
+                base = value(word)
                 for shift in range(1, SHIFTS + 1):
                     if prefix:
                         prefix = prefix[1:]
@@ -576,7 +599,7 @@ def search_shift_invariance_violation(spec: PayoffSpec,
                     val = value((prefix, cycle))
                     if val != base:
                         cases += i + 1
-                        return refuted(row, shift, [base, val])
+                        return refuted(word, shift, [base, val])
             cases += len(block)
     return VerificationReport(
         "shift-invariance", instance, "confirmed", {"cases": cases})
@@ -603,29 +626,6 @@ def _exhaustive_words(k: int, max_cycle: int) -> np.ndarray:
     block = np.concatenate(parts)
     block.setflags(write=False)
     return block
-
-
-def _decided_words(spec: PayoffSpec, letters: LetterTable, max_cycle: int,
-                   blocks):
-    """Yield each block of shift-search words, drawn-word rows with
-    max_prefix 3 and cycles of at most max_cycle letters, with the
-    `_batch_word_values` of its words and their suffixes as (SHIFTS + 1) x n
-    arrays: row j holds suffix j of every word, row 0 the words.  Suffix j
-    drops j prefix letters, and past the prefix it rotates the cycle, one
-    `_rotations` step of its position in the table's `_cycle_stats`."""
-    k = len(letters.letters)
-    stats = _cycle_stats(letters, max_cycle)
-    rotated = _rotations(k, max_cycle)
-    for block in blocks:
-        plen, pos = block[:, 0], _cycle_positions(block, k, 3)
-        plens, poss = [plen], [pos]
-        for _ in range(SHIFTS):
-            pos = np.where(plen > 0, pos, rotated[pos])
-            plen = np.maximum(plen - 1, 0)
-            plens.append(plen)
-            poss.append(pos)
-        yield block, _batch_word_values(spec, letters, stats,
-                                        np.stack(plens), np.stack(poss))
 
 
 def _word_columns(k: int, max_cycle: int, max_prefix: int) -> list:

@@ -15,7 +15,7 @@ from stochgame.payoff import (
 )
 from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
-    SearchBounds, search_shift_invariance_violation,
+    SearchBounds, default_alphabet, search_shift_invariance_violation,
     search_submixing_violation,
 )
 from helpers import colour_weights, letter_colours
@@ -30,12 +30,19 @@ SUBMIXING = ["mean", "parity", "limsup", "liminf", "posavg", "counter+inf",
 
 @pytest.mark.parametrize("name", SHIFT_INVARIANT)
 def test_shift_invariant_flag_backed_by_corpus(name):
+    # a class-determined payoff's search decides every cycle of 1-4 letters
+    # against its rotation, which decides every shift of every word with
+    # such a cycle; the per-word walk reads the 9,000 seeded words too
     spec = parse_payoff_spec(name)
     assert spec.is_shift_invariant
     bounds = SearchBounds(random_cases=9000)
     report = search_shift_invariance_violation(spec, bounds, seed=101)
     assert report.verdict == "confirmed"
-    assert report.quantities["cases"] >= 9000
+    if spec.is_class_determined:
+        k = len(default_alphabet(spec))
+        assert report.quantities["cases"] == sum(k ** n for n in range(1, 5))
+    else:
+        assert report.quantities["cases"] >= 9000
 
 
 @pytest.mark.parametrize("name", SUBMIXING)

@@ -308,6 +308,27 @@ def test_shift_check_refutes_a_shift_dependent_evaluator_at_the_same_shift(
     assert _compare_with_reference(spec, alphabet)
 
 
+@pytest.mark.parametrize("name", [
+    name for name in CATALOG_SPECS
+    if parse_payoff_spec(name).is_class_determined])
+def test_class_determined_values_ignore_the_prefix(name):
+    # a value form reads only the cycle, so a class-determined payoff is
+    # flagged shift-invariant and no prefix moves its value: every prefix
+    # of 0-3 letters over its default alphabet, before every cycle of 1-2
+    # letters.  This is why its shift search compares cycles alone.
+    spec = parse_payoff_spec(name)
+    assert spec.is_shift_invariant
+    letters = payoff.letter_table(spec, default_alphabet(spec))
+    k = len(letters.letters)
+    for cycle in itertools.chain(*(itertools.product(range(k), repeat=n)
+                                   for n in (1, 2))):
+        value = payoff.word_value(spec, letters, (), cycle)
+        for n in range(1, 4):
+            for prefix in itertools.product(range(k), repeat=n):
+                assert payoff.word_value(spec, letters, prefix, cycle) \
+                    == value, (prefix, cycle)
+
+
 # -- shuffles ------------------------------------------------------------------
 
 def test_shuffle_alternating():

@@ -568,36 +568,41 @@ def _plus(real, extra):
     return broken
 
 
-def _plus_batch(real, extra):
-    # the batch valuer `real` broken as `_plus` breaks the index valuer, by
-    # extra(k, plen, pos) on the words' prefix lengths and their cycles'
-    # positions among the exhaustive cycles over k letters
-    def broken(spec, letters, stats, plen, pos):
-        num, den = real(spec, letters, stats, plen, pos)
-        return num + extra(len(letters.letters), plen, pos) * den, den
+@functools.cache
+def _cycle_heads(k):
+    # the first letter of each exhaustive cycle of 1..MAX_CYCLE letters over
+    # k letters, by position: the cycles of each length in
+    # `itertools.product` order, shortest first
+    return np.concatenate([np.indices((k,) * n)[0].ravel()
+                           for n in range(1, verify.MAX_CYCLE + 1)])
+
+
+def _first_letter_valued(real, k):
+    # the value form `real` broken as `_rotation_sensitive` breaks the token
+    # evaluator: each cycle of the exhaustive table over k letters gains
+    # the rank of its first letter
+    def broken(spec, stats, den):
+        num, den = real(spec, stats, den)
+        return num + _cycle_heads(k)[:len(stats["L"])] * den, den
 
     return broken
 
 
-@functools.cache
-def _cycle_heads(k):
-    # the first letter and the length of each exhaustive cycle of
-    # 1..MAX_CYCLE letters over k letters, by position: the cycles of each
-    # length in `itertools.product` order, shortest first
-    sizes = range(1, verify.MAX_CYCLE + 1)
-    return (np.concatenate([np.indices((k,) * n)[0].ravel() for n in sizes]),
-            np.concatenate([np.full(k ** n, n) for n in sizes]))
+def _first_letter_summed(real):
+    # `_cycle_stats` broken: each cycle's sum S gains its length times the
+    # rank of its first letter, so that its mean gains the rank
+    def broken(letters, max_cycle):
+        st = real(letters, max_cycle)
+        first = _cycle_heads(len(letters.letters))[:len(st["L"])]
+        return {**st, "S": st["S"] + first * st["L"]}
+
+    return broken
 
 
 def _long_cycle_rotation(prefix, cycle):
     # not shift-invariant, on words whose cycle has three or more letters:
     # no exhaustive word has one, so only a seeded word can refute it
     return cycle[0] if len(cycle) > 2 else 0
-
-
-def _long_cycle_rotation_batch(k, plen, pos):
-    first, length = _cycle_heads(k)
-    return np.where(length[pos] > 2, first[pos], 0)
 
 
 def _long_cycle_rotating(real, alphabet):
@@ -607,24 +612,20 @@ def _long_cycle_rotating(real, alphabet):
         rank[word.cycle[0]] if len(word.cycle) > 2 else 0)
 
 
-# The token mutants of test_payoff, written on index words and, for the
-# batch valuer, on prefix lengths and cycle positions: the first cycle
+# The token mutants of test_payoff, written on index words: the first cycle
 # letter's index is its rank in the alphabet.
 INDEX_MUTANTS = {_rotation_sensitive: lambda prefix, cycle: cycle[0],
                  _prefix_counting: lambda prefix, cycle: len(prefix)}
-BATCH_MUTANTS = {
-    _rotation_sensitive: lambda k, plen, pos: _cycle_heads(k)[0][pos],
-    _prefix_counting: lambda k, plen, pos: plen}
 
 
 def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
     # without exhaustive patterns the seeded cases decide each submixing
     # search: refuted on genmean:2 (closed form) and discounted (case by
     # case), confirmed on counter-inf and meancobuchi:100; the shift
-    # searches confirm mean and, with the token search's reports, refute a
-    # seeded word under a broken evaluator, the batch valuer and the
-    # token one broken alike.  Blocks of 1, 7 and 1,024 rows give the
-    # reports of one block of all 2,000.
+    # searches' per-word walk confirms suffixtarget:ab and, with the token
+    # search's reports, refutes a seeded word under a broken evaluator, the
+    # index valuer and the token one broken alike.  Blocks of 1, 7 and 1,024
+    # rows give the reports of one block of all 2,000.
     monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
     bounds = SearchBounds(max_cycle=4, random_cases=2000)
 
@@ -633,19 +634,19 @@ def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
                                           seed).to_json()
                for name in ("genmean:2", "discounted", "counter-inf",
                             "meancobuchi:100") for seed in (0, 1)]
-        out += [search_shift_invariance_violation(mean, bounds, seed).to_json()
+        target = parse_payoff_spec("suffixtarget:ab")
+        out += [search_shift_invariance_violation(target, bounds,
+                                                  seed).to_json()
                 for seed in (0, 1)]
         with monkeypatch.context() as broken:
             broken.setattr(verify, "word_value", _plus(
                 payoff.word_value, _long_cycle_rotation))
-            broken.setattr(verify, "_batch_word_values", _plus_batch(
-                verify._batch_word_values, _long_cycle_rotation_batch))
             broken.setattr(payoff, "evaluate_lasso", _long_cycle_rotating(
-                payoff.evaluate_lasso, default_alphabet(mean)))
+                payoff.evaluate_lasso, default_alphabet(target)))
             for seed in (0, 1):
                 out.append(search_shift_invariance_violation(
-                    mean, bounds, seed).to_json())
-                assert out[-1] == _token_shift_search(mean, bounds,
+                    target, bounds, seed).to_json())
+                assert out[-1] == _token_shift_search(target, bounds,
                                                       seed).to_json()
         return out
 
@@ -719,13 +720,22 @@ def test_valued_submixing_searches_spell_only_their_witness(monkeypatch, name,
 
 
 @pytest.mark.parametrize("max_cycle, cases", [(1, 155), (2, 930), (4, 930)])
-def test_shift_search_bounds_its_exhaustive_cycles_by_max_cycle(max_cycle,
-                                                                cases):
-    # prefixes of 0..2 letters (1 + 5 + 25 of them) times cycles of
-    # 1..min(max_cycle, 2) letters (5, or 5 + 25) over the five-letter
-    # alphabet, then the seeded words
+def test_shift_search_bounds_its_exhaustive_cycles_by_max_cycle(
+        monkeypatch, max_cycle, cases):
+    # the per-word walk reads prefixes of 0..2 letters (1 + 5 + 25 of them)
+    # times cycles of 1..min(max_cycle, 2) letters (5, or 5 + 25) over a
+    # five-letter alphabet, then the seeded words: here discounted over
+    # five zero rewards, which is 0 on every word.  A class-determined
+    # payoff decides each cycle of 1..max_cycle letters once, and reads no
+    # seeded word.
+    bounds = SearchBounds(max_cycle=max_cycle, random_cases=7)
+    report = search_shift_invariance_violation(mean, bounds, seed=3)
+    assert (report.verdict, report.quantities["cases"]) \
+        == ("confirmed", sum(5 ** n for n in range(1, max_cycle + 1)))
+    monkeypatch.setattr(verify, "default_alphabet", lambda spec: [
+        payoff.discounted(0, F(1, n)) for n in range(2, 7)])
     report = search_shift_invariance_violation(
-        mean, SearchBounds(max_cycle=max_cycle, random_cases=7), seed=3)
+        parse_payoff_spec("discounted"), bounds, seed=3)
     assert (report.verdict, report.quantities["cases"]) \
         == ("confirmed", cases + 7)
 
@@ -1022,17 +1032,26 @@ def _token_shift_words(spec, bounds, seed):
 
 
 def _token_shift_search(spec, bounds, seed):
-    # a word is often a suffix of an earlier word, so `evaluate_lasso` is
-    # memoized for the search: each distinct word is valued on its tokens
-    # once, by the evaluator in force when the search starts
+    # a class-determined payoff's every cycle of 1..max_cycle letters, in
+    # `_cycle_stats` order, against its rotation by one letter; any other
+    # payoff's words against their first SHIFTS suffixes.  A word is often
+    # a suffix of an earlier word, so `evaluate_lasso` is memoized for the
+    # search: each distinct word is valued on its tokens once, by the
+    # evaluator in force when the search starts
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle, "shifts": SHIFTS,
                 "random_cases": bounds.random_cases}
+    if spec.is_class_determined:
+        words = [Lasso((), c) for c in _exhaustive_cycles(
+            default_alphabet(spec), bounds.max_cycle)]
+        shifts = 1
+    else:
+        words, shifts = _token_shift_words(spec, bounds, seed), SHIFTS
     cases = 0
     with mock.patch.object(payoff, "evaluate_lasso",
                            functools.cache(payoff.evaluate_lasso)):
-        for cases, word in enumerate(_token_shift_words(spec, bounds, seed), 1):
-            w = check_shift_invariance(spec, word, SHIFTS)
+        for cases, word in enumerate(words, 1):
+            w = check_shift_invariance(spec, word, shifts)
             if w is not None:
                 return verify.VerificationReport(
                     "shift-invariance", instance, "refuted", {"cases": cases},
@@ -1078,19 +1097,27 @@ def test_index_searches_match_the_token_searches(name):
                         (search.__name__, max_cycle, random_cases, seed)
 
 
-@pytest.mark.parametrize("mutant", [_rotation_sensitive, _prefix_counting])
-@pytest.mark.parametrize("name", ["mean", "parity", "counter+inf", "genmean:2",
-                                  "meancobuchi:100", "suffixtarget:ab"])
+# one shift-invariant payoff per colour kind, and the letter payoff, under
+# a mutant that reads the cycle's first letter; a value form reads no
+# prefix, so only the per-word walk meets `_prefix_counting`, whose
+# class-determined cases `test_payoff`'s prefix test replaces
+SHIFT_MUTANT_CASES = [
+    (name, _rotation_sensitive) for name in (
+        "mean", "parity", "counter+inf", "genmean:2", "meancobuchi:100",
+        "suffixtarget:ab")] + [("suffixtarget:ab", _prefix_counting)]
+
+
+@pytest.mark.parametrize("name, mutant", SHIFT_MUTANT_CASES)
 def test_shift_search_refutes_a_shift_dependent_evaluator_as_the_token_search(
         monkeypatch, name, mutant):
-    # the index valuer the index search reads (through its memo), the batch
-    # valuer the block search reads and the evaluator the token search
-    # reads, all broken the same way
+    # the index valuer the per-word walk reads (through its memo), the value
+    # form the cycle search reads and the evaluator the token search reads,
+    # all broken the same way
     spec = parse_payoff_spec(name)
     monkeypatch.setattr(verify, "word_value",
                         _plus(payoff.word_value, INDEX_MUTANTS[mutant]))
-    monkeypatch.setattr(verify, "_batch_word_values", _plus_batch(
-        verify._batch_word_values, BATCH_MUTANTS[mutant]))
+    monkeypatch.setattr(verify, "limit_value", _first_letter_valued(
+        payoff.limit_value, len(default_alphabet(spec))))
     monkeypatch.setattr(payoff, "evaluate_lasso",
                         mutant(payoff.evaluate_lasso, default_alphabet(spec)))
     for seed in range(3):
@@ -1115,13 +1142,13 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("name", ORACLE_PAYOFFS)
 def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
-    # a block search values its words in arrays and reads no word's value:
-    # every class-determined payoff takes it.  The per-word walk, which
-    # only discounted, geomfirstone and suffixtarget take, values each
-    # distinct index word once.  Only a refuted search spells a word, its
-    # witness, on tokens.  The token search values every distinct word
-    # among its words and their suffixes up to the first difference, once
-    # each (its memo): the index words, spelled
+    # a class-determined payoff's search values its cycles in arrays and
+    # reads no word's value.  The per-word walk, which only discounted,
+    # geomfirstone and suffixtarget take, values each distinct index word
+    # once.  Only a refuted search spells a word, its witness, on tokens.
+    # The token search values every distinct word it reads once each (its
+    # memo): every cycle, or every word and suffix up to the first
+    # difference, which are the index words, spelled
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     index_words = _counting(monkeypatch, verify, "word_value")
@@ -1137,16 +1164,21 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
     assert report.to_json() == _token_shift_search(
         spec, SearchBounds(), seed=7).to_json()
     if report.verdict == "confirmed":
-        # prefixes of 0-2 letters times cycles of 1-2 letters over the k
-        # letters, then the 2,000 seeded words
         k = len(alphabet)
-        words = (1 + k + k * k) * (k + k * k) + 2000
-        assert report.quantities["cases"] == words
+        if spec.is_class_determined:
+            # every cycle of 1-4 letters, whose rotations are among them
+            words = {Lasso((), c) for c in _exhaustive_cycles(alphabet, 4)}
+            cases = k + k ** 2 + k ** 3 + k ** 4
+        else:
+            # prefixes of 0-2 letters times cycles of 1-2 letters over the
+            # k letters, then the 2,000 seeded words, and their suffixes
+            words = {suffix for word in _token_shift_words(
+                spec, SearchBounds(), 7) for suffix in _suffixes(word, SHIFTS)}
+            cases = (1 + k + k * k) * (k + k * k) + 2000
+        assert report.quantities["cases"] == cases
         valued = [word for word, in token_words]
         assert len(valued) == len(set(valued))
-        assert set(valued) == {
-            suffix for word in _token_shift_words(spec, SearchBounds(), 7)
-            for suffix in _suffixes(word, SHIFTS)}
+        assert set(valued) == words
     if pairs:
         assert {word for word, in token_words} \
             == {verify._spelled(alphabet, *pair) for pair in pairs}
@@ -1155,50 +1187,42 @@ def test_shift_search_evaluates_each_distinct_word_once(monkeypatch, name):
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_batch_word_values_match_word_value(name):
     # `word_value` and the letter-by-letter Fraction oracle stay the
-    # references: the batch valuer gives their values on every cycle of
-    # 1..MAX_CYCLE letters over the default alphabet, and on the 2,000
-    # seeded words of seeds 0-2 at MAX_CYCLE, prefixes and all
+    # references for the values the shift search reads off a batch of
+    # cycles: the value form on the table's `_cycle_stats`, in lowest
+    # terms, on every cycle of 1..MAX_CYCLE letters over the default
+    # alphabet
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     letters = payoff.letter_table(spec, alphabet)
     cycles = [c for n in range(1, verify.MAX_CYCLE + 1)
               for c in itertools.product(range(k), repeat=n)]
-    words = [((), c) for c in cycles]
-    for seed in range(3):
-        # a drawn row: the prefix length, three prefix letters, the cycle
-        # length and MAX_CYCLE cycle letters
-        for row in _drawn_rows(seed, _word_columns(k, verify.MAX_CYCLE, 3),
-                               2000):
-            words.append((tuple(row[1:1 + row[0]]),
-                          tuple(row[5:5 + row[4]])))
-    at = {c: pos for pos, c in enumerate(cycles)}
-    num, den = verify._batch_word_values(
-        spec, letters, _cycle_stats(letters, verify.MAX_CYCLE),
-        np.array([len(p) for p, _ in words]),
-        np.array([at[c] for _, c in words]))
+    num, den = payoff.limit_value(
+        spec, _cycle_stats(letters, verify.MAX_CYCLE), letters.den)
+    g = np.gcd(num, den)
+    num, den = num // g, np.broadcast_to(den // g, num.shape)
     assert num.dtype == den.dtype == np.int64
-    assert len(words) == len(cycles) + 6000
+    assert len(num) == len(cycles)
     pairs = list(zip(num.tolist(), den.tolist()))
-    assert pairs == [payoff.word_value(spec, letters, p, c) for p, c in words]
-    oracle = {word: evaluate_lasso_oracle(spec, verify._spelled(alphabet, *word))
-              for word in set(words)}
-    assert [F(*pair) for pair in pairs] == [oracle[word] for word in words]
+    assert pairs == [payoff.word_value(spec, letters, (), c) for c in cycles]
+    assert [F(*pair) for pair in pairs] == [
+        evaluate_lasso_oracle(spec, verify._spelled(alphabet, (), c))
+        for c in cycles]
 
 
-@pytest.mark.parametrize("penalty", [F(2 ** 62), F(10 ** 30), F(1, 10 ** 30)])
+@pytest.mark.parametrize("penalty", [F(2 ** 62), F(10 ** 30), F(1, 10 ** 30),
+                                     F(1, 2 ** 63)])
 def test_block_shift_search_keeps_a_penalty_past_int64_exact(penalty):
-    # a meancobuchi penalty past int64 leaves its values exact, as Python
-    # ints in object arrays, and both searches give the token searches'
-    # reports.  2**62 stays in int64, where the submixing grid's
-    # cross-multiplication of the penalty by a cycle length wraps; the
-    # verdict still holds, as a shuffle that sees a Buchi letter never
-    # beats its component with the same penalty
+    # a meancobuchi penalty past int64 leaves its cycles' values exact, as
+    # Python ints in object arrays, and both searches give the token
+    # searches' reports.  2**62 stays in int64, where the submixing search
+    # reads its statistics as Python ints rather than let a product by a
+    # cycle length wrap; 2**63, below 2**64, is one that numpy would
+    # otherwise hold as uint64
     spec = payoff.PayoffSpec("meancobuchi", penalty=penalty)
     letters = payoff.letter_table(spec, default_alphabet(spec))
-    num, den = verify._batch_word_values(
-        spec, letters, _cycle_stats(letters, 2), np.zeros(30, dtype=np.int64),
-        np.arange(30))
+    num, den = payoff.limit_value(spec, _cycle_stats(letters, 2),
+                                  letters.den)
     # cycle 2 of the default alphabet is its one Buchi letter
     assert (num[2], den[2]) == (-penalty.numerator, penalty.denominator)
     bounds = SearchBounds(max_cycle=3, random_cases=300)
@@ -1211,11 +1235,12 @@ def test_block_shift_search_keeps_a_penalty_past_int64_exact(penalty):
 def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
     # under a shift-dependent valuer, a flagged word that the token check
     # clears (patched to, or on unbroken tokens) or refutes at another
-    # shift never reads as a report: on the block path (mean, its batch
-    # valuer broken) and on the per-word path (discounted and geomfirstone,
-    # their index valuer broken), whose witness also comes from the check
-    monkeypatch.setattr(verify, "_batch_word_values", _plus_batch(
-        verify._batch_word_values, BATCH_MUTANTS[_prefix_counting]))
+    # shift never reads as a report: on the cycle path (mean, its cycle
+    # statistics broken) and on the per-word path (discounted and
+    # geomfirstone, their index valuer broken), whose witness also comes
+    # from the check
+    monkeypatch.setattr(verify, "_cycle_stats",
+                        _first_letter_summed(verify._cycle_stats))
     monkeypatch.setattr(verify, "word_value", _plus(
         payoff.word_value, INDEX_MUTANTS[_rotation_sensitive]))
     real = verify.check_shift_invariance
@@ -1223,14 +1248,51 @@ def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
         monkeypatch.setattr(verify, "check_shift_invariance",
                             lambda *args: None)
     elif check == "another shift":
-        monkeypatch.setattr(payoff, "evaluate_lasso", _prefix_counting(
-            payoff.evaluate_lasso, default_alphabet(mean)))
         monkeypatch.setattr(verify, "check_shift_invariance", lambda *args: (
             (w := real(*args)) and dataclasses.replace(w, shift=w.shift + 1)))
     for name in ("mean", "discounted", "geomfirstone"):
-        with pytest.raises(AssertionError, match="disagree"):
-            search_shift_invariance_violation(parse_payoff_spec(name),
-                                              SearchBounds(), seed=1)
+        spec = parse_payoff_spec(name)
+        with monkeypatch.context() as tokens:
+            if check == "another shift":
+                # the token check refutes where the index search does
+                tokens.setattr(payoff, "evaluate_lasso", _rotation_sensitive(
+                    payoff.evaluate_lasso, default_alphabet(spec)))
+            with pytest.raises(AssertionError, match="disagree"):
+                search_shift_invariance_violation(spec, SearchBounds(),
+                                                  seed=1)
+
+
+@pytest.mark.parametrize("penalty", [2 ** 31, 2 ** 62 // 6, 2 ** 62,
+                                     2 ** 63 - 1])
+def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
+                                                              penalty):
+    # each comparison `_fast_violations` makes, the shuffle above u and
+    # above v, is decided on every cell of the search's grid of distinct
+    # rows, under every pattern at max_cycle 1-4, on the int64 statistics
+    # as on the same statistics read as Python ints, though a meancobuchi
+    # penalty times a cycle length passes int64
+    real = verify._above
+    halves = []
+    monkeypatch.setattr(verify, "_above", lambda *args: halves.append(
+        real(*args)) or halves[-1])
+    spec = payoff.PayoffSpec("meancobuchi", penalty=F(penalty))
+    letters = payoff.letter_table(spec, default_alphabet(spec))
+    for max_cycle in range(1, 5):
+        st = _cycle_stats(letters, max_cycle)
+        rows = np.column_stack(list(st.values()))
+        first = np.unique(rows, axis=0, return_index=True)[1]
+        narrow = {key: x[first] for key, x in st.items()}
+        wide = {key: x if x.dtype == bool else x.astype(object)
+                for key, x in narrow.items()}
+        for a, b in SEARCH_PATTERNS:
+            for stats in (narrow, wide):
+                _fast_violations(spec, {key: x[:, None]
+                                        for key, x in stats.items()},
+                                 {key: x[None, :] for key, x in stats.items()},
+                                 a, b)
+            int64, python = halves[-4:-2], halves[-2:]
+            wrong = [int((x != y).sum()) for x, y in zip(int64, python)]
+            assert wrong == [0, 0], (max_cycle, a, b, wrong)
 
 
 def _default_words(k):
