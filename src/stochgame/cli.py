@@ -184,9 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="submixing / shift-invariance refuters")
     p.add_argument("property", choices=("submixing", "shift-invariance"))
     p.add_argument("--payoff", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seeded = ("discounted, geomfirstone and suffixtarget only: a "
+              "class-determined payoff's search draws nothing")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the seeded cases; " + seeded)
     p.add_argument("--max-cycle", type=int, default=4)
-    p.add_argument("--cases", type=int, default=2000)
+    p.add_argument("--cases", type=int, default=2000,
+                   help="seeded cases per search; " + seeded)
     common(p, payoff=False, game=False)
 
     p = sub.add_parser("verify", help="theorem harness")

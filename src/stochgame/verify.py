@@ -8,7 +8,7 @@ replays.  Both searches decide index words over one letter table.  A
 class-determined payoff is valued by its value form (`payoff.limit_value`)
 on integer cycle statistics: the shift-invariance search values every
 cycle once and compares it with its rotation, and the submixing search
-values a case's words and shuffle with it and asks whether the shuffle
+asks of every pair of cycles, under every tail, whether their shuffle
 beats both.  Other payoffs value index words one at a time, through a memo
 of `word_value`.
 Each search spells only its first flagged case, and its witness comes from
@@ -221,8 +221,14 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
 
 
 # The (u, v) block lengths of the alternating shuffles the submixing search
-# tries.
+# tries on the exhaustive cases of a payoff that is not class-determined.
 SEARCH_PATTERNS = ((1, 1), (1, 2), (2, 1), (2, 2))
+# Every tail (a, b) of 1..TAIL_MAX letters each, which a seeded submixing
+# case draws (`_case_columns`), SEARCH_PATTERNS first.
+TAIL_MAX = 3
+TAILS = SEARCH_PATTERNS + tuple(
+    tail for tail in itertools.product(range(1, TAIL_MAX + 1), repeat=2)
+    if tail not in SEARCH_PATTERNS)
 # The suffixes per word the shift-invariance search compares.
 SHIFTS = 6
 # The largest max_cycle: 19,530 cycles at 6, of at most 461 distinct rows.
@@ -233,7 +239,7 @@ MAX_CYCLE = 6
 class SearchBounds:
     """Sizes of the refutation searches, checked when constructed: cycles of
     1..max_cycle letters, for max_cycle <= MAX_CYCLE, and random_cases >= 0
-    seeded cases."""
+    seeded cases, which only the per-word searches draw."""
 
     max_cycle: int = 4
     random_cases: int = 2000
@@ -277,16 +283,16 @@ def default_alphabet(spec: PayoffSpec) -> list[ColourToken]:
     raise FlagGateError(f"no default alphabet for {spec.format()}")
 
 
-# The seeded cases of both searches are drawn and decided this many at a
-# time; a search stops at the first block holding a violation.  A block
-# keeps its drawn cases alive, so its size bounds the memory of any
-# random_cases.  It does not change the cases (`_drawn_blocks`).
+# The seeded words and cases of the per-word searches are drawn and
+# decided this many at a time; a search stops at the first block holding a
+# violation.  A block keeps its drawn rows alive, so its size bounds the
+# memory of any random_cases.  It does not change the rows (`_drawn_blocks`).
 _CASE_BLOCK = 1024
 
 
 def _cycle_stats(letters: LetterTable, max_cycle: int) -> dict:
     """The `payoff.limit_value` statistics of every cycle of 1..max_cycle
-    letters over the table, in `_cycle_positions` order: L, S, MX and MN as
+    letters over the table, in `_cycle_at` order: L, S, MX and MN as
     int64 arrays, with a trailing dimension axis for a vector table, and B
     over a reward-Buchi table or P, always true, over an increment table,
     as bool arrays."""
@@ -316,13 +322,13 @@ _JOINS = {"MX": np.maximum, "MN": np.minimum, "B": np.logical_or,
 
 class _Shuffled:
     """The `_cycle_stats` of a cycle with the value of the shuffles of u's
-    and v's cycles taking a letters of u for every b of v: a·Lv copies of
-    u's cycle and b·Lu of v's, so L = (a+b)·Lu·Lv, S = a·Su·Lv + b·Sv·Lu,
-    MX = max(MXu, MXv), MN = min(MNu, MNv), B = Bu or Bv and P = Pu and Pv,
-    each built when it is read, L and S on Python ints where they could
-    reach 2^63 (`_exact`)."""
+    and v's cycles under one tail, a letters of u for every b of v: a·Lv
+    copies of u's cycle and b·Lu of v's, so L = (a+b)·Lu·Lv, S = a·Su·Lv
+    + b·Sv·Lu, MX = max(MXu, MXv), MN = min(MNu, MNv), B = Bu or Bv and
+    P = Pu and Pv, each built when it is read, L and S on Python ints where
+    they could reach 2^63 (`_exact`)."""
 
-    def __init__(self, su: dict, sv: dict, a, b):
+    def __init__(self, su: dict, sv: dict, a: int, b: int):
         self.su, self.sv, self.a, self.b = su, sv, a, b
 
     @functools.cached_property
@@ -400,21 +406,30 @@ def _above(x: tuple, y: tuple, bound) -> np.ndarray:
     return nx * dy > ny * dx
 
 
-def _cycle_positions(words: np.ndarray, k: int) -> np.ndarray:
-    """Each drawn word's cycle position in the exhaustive table: the cycles
-    of 1, 2, ... letters over k letters, each length in `itertools.product`
-    order.  The words have two prefix letters (`_word_columns`).  A cycle
-    of n letters sits after the k + ... + k^(n-1) shorter ones, at its
-    base-k number among its own length; reading its letters as digits 1..k
-    (bijective base k) adds 1 + k + ... + k^(n-1), one too many."""
-    pos = np.zeros(len(words), dtype=np.int64)
-    for i in range(words.shape[1] - 4):
-        pos = np.where(i < words[:, 3], pos * k + words[:, 4 + i] + 1, pos)
-    return pos - 1
+class _Reads(dict):
+    """Statistics that record in `read` the keys read from them."""
+
+    read = frozenset()
+
+    def __getitem__(self, key: str):
+        self.read |= {key}
+        return super().__getitem__(key)
+
+
+def _form_reads(spec: PayoffSpec, st: dict) -> list:
+    """The keys of `st` that the payoff's value form reads, run on them as
+    a word's statistics and through `_Shuffled` as a shuffle's: all that a
+    submixing cell reads of its two cycles.  On arrays a form reads both
+    sides of each branch (`payoff._where`)."""
+    st = _Reads(st)
+    limit_value(spec, st, 1)
+    limit_value(spec, _Shuffled(st, st, 1, 1), 1)
+    return [key for key in st if key in st.read]
 
 
 def _cycle_at(pos: int, k: int) -> tuple:
-    """The cycle at an exhaustive position: `_cycle_positions` inverted."""
+    """The cycle at `pos` in `_cycle_stats` order, as letter indices: pos + 1
+    in bijective base k, its digits 1..k read as letters 0..k-1."""
     return () if pos < 0 else _cycle_at(pos // k - 1, k) + (pos % k,)
 
 
@@ -430,45 +445,32 @@ def _rotations(k: int, max_cycle: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _decided_blocks(spec: PayoffSpec, stats: dict, k: int, blocks):
-    """Yield each block of drawn submixing cases (`_drawn_blocks`) with the
-    `_fast_violations` verdict on each of its cases, reading its cycles'
-    statistics off `stats`, the exhaustive phase's table of every cycle of
-    1..max_cycle letters, and its tail sums off its last two columns."""
-    for block in blocks:
-        w = (block.shape[1] - 7) // 2  # each word's columns (`_case_columns`)
-        at_u, at_v = (_cycle_positions(block[:, s:s + w], k) for s in (0, w))
-        yield block, _fast_violations(
-            spec, {key: x[at_u] for key, x in stats.items()},
-            {key: x[at_v] for key, x in stats.items()},
-            block[:, -2], block[:, -1])
-
-
 def search_submixing_violation(spec: PayoffSpec,
                                bounds: SearchBounds = SearchBounds(),
                                seed: int = 0) -> VerificationReport:
-    """Exhaustive small-cycle sweep plus a randomized sweep for a shuffle
-    whose payoff beats both components: f(w) > max(f(u), f(v)).
+    """Look for a shuffle whose payoff beats both components:
+    f(w) > max(f(u), f(v)), on words of letter indices into the default
+    alphabet, read once into a `LetterTable`.
 
-    The cases are words of letter indices into the default alphabet, read
-    once into a `LetterTable`, the seeded ones with their patterns read off
-    `_drawn_blocks`.  A class-determined payoff's value form
-    (`payoff.limit_value`) values each case's words on the table's
-    `_cycle_stats` and its shuffle on their `_Shuffled` statistics, and the
-    case is flagged when the shuffle beats both (`_fast_violations`): the
-    exhaustive cases as a grid per pattern of the table's distinct rows,
-    counted as its n^2 cells, the seeded ones a block at a time.  The
-    payoffs that are not class-determined, with exhaustive cycles of
-    1..min(max_cycle, 2) letters, compare the `_word_values` of each case's
-    three index words by cross-multiplication.  Only the first flagged case
-    is spelled and checked again on tokens (`check_submixing`) before it is
-    reported: a case that check clears raises AssertionError."""
+    A class-determined payoff's value form (`payoff.limit_value`) reads no
+    prefix, and a shuffle's statistics read only its words' cycles and its
+    tail (a, b).  So for each tail in `TAILS` the search decides the grid of
+    every pair of cycles of 1..max_cycle letters, flagging a cell whose
+    shuffle the form values above both words (`_fast_violations`), on the
+    cycles that differ in a statistic the form reads (`_form_reads`);
+    `cases` counts each grid's n^2 cells, whatever the seed.  Other payoffs
+    compare the `_word_values` of each case's three index words: the cycles
+    of 1..min(max_cycle, 2) letters under SEARCH_PATTERNS, then the seeded
+    cases (`_drawn_blocks`).  Only the first flagged case is spelled and
+    checked again on tokens (`check_submixing`) before it is reported: a
+    case that check clears raises AssertionError."""
     alphabet = default_alphabet(spec)
     k = len(alphabet)
     letters = letter_table(spec, alphabet)
+    tails = TAILS if spec.is_class_determined else SEARCH_PATTERNS
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
-                "patterns": list(SEARCH_PATTERNS),
+                "patterns": list(tails),
                 "random_cases": bounds.random_cases}
     cases = 0
 
@@ -480,39 +482,32 @@ def search_submixing_violation(spec: PayoffSpec,
         return VerificationReport("submixing", instance, "refuted",
                                   {"cases": cases}, _submix_witness_doc(witness))
 
-    drawn = _drawn_blocks(random.Random(seed),
-                          _case_columns(k, bounds.max_cycle), bounds.random_cases)
     if spec.is_class_determined:
         st = _cycle_stats(letters, bounds.max_cycle)
         n = len(st["L"])
-        # a cell reads only its two rows: decide the distinct rows' grid, in
+        st = {key: st[key] for key in _form_reads(spec, st)}
+        # a cell reads only these: decide the grid of their distinct rows, in
         # first-appearance order, so that its first hit is the full grid's
         rows = np.column_stack([x.reshape(n, -1) for x in st.values()])
         first = np.sort(np.unique(rows, axis=0, return_index=True)[1]).tolist()
         col = {key: x[first, None] for key, x in st.items()}
         row = {key: x[None, first] for key, x in st.items()}
-        for a, b in SEARCH_PATTERNS:
+        for a, b in tails:
             cases += n ** 2
             viol = _fast_violations(spec, col, row, a, b)
             if viol.any():
                 u, v = (((), _cycle_at(first[i], k))
                         for i in np.argwhere(viol)[0])
                 return refuted(u, v, ShufflePattern.alternating(a, b))
-        for block, viol in _decided_blocks(spec, st, k, drawn):
-            hits = np.flatnonzero(viol)
-            if hits.size:
-                cases += int(hits[0]) + 1
-                return refuted(*_case(block[hits[0]].tolist()))
-            cases += len(block)
     else:
         value = _word_values(spec, letters)
         small = [((), c) for m in range(1, min(bounds.max_cycle, 2) + 1)
                  for c in itertools.product(range(k), repeat=m)]
-        alternating = [ShufflePattern.alternating(a, b)
-                       for a, b in SEARCH_PATTERNS]
-        exhaustive = ((u, v, pattern)
-                      for u, v in itertools.product(small, repeat=2)
-                      for pattern in alternating)
+        exhaustive = itertools.product(small, small, [
+            ShufflePattern.alternating(a, b) for a, b in tails])
+        drawn = _drawn_blocks(random.Random(seed),
+                              _case_columns(k, bounds.max_cycle),
+                              bounds.random_cases)
         seeded = (_case(row) for block in drawn for row in block.tolist())
         for cases, (u, v, pattern) in enumerate(
                 itertools.chain(exhaustive, seeded), 1):
@@ -639,9 +634,9 @@ def _word_columns(k: int, max_cycle: int, max_prefix: int) -> list:
 def _case_columns(k: int, max_cycle: int) -> list:
     """The (lo, hi) range of each column of a drawn submixing case: u's and
     v's words, max_prefix 2 each, then the pattern's number of (u, v)
-    prefix block pairs, four prefix blocks and two tail blocks."""
+    prefix block pairs, four prefix blocks and two tail blocks (`TAILS`)."""
     word = _word_columns(k, max_cycle, 2)
-    return word + word + [(0, 2)] * 5 + [(1, 3)] * 2
+    return word + word + [(0, 2)] * 5 + [(1, TAIL_MAX)] * 2
 
 
 def _drawn_blocks(rng: random.Random, columns: list, n: int):

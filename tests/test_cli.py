@@ -426,14 +426,16 @@ def test_inconclusive_exit_code(capsys):
 
 
 SEEDED_CHECKS = [
-    # refuted by the closed-form sweep, witness replayed through shuffle
+    # refuted on the grid of the tail 1:1, witness replayed through shuffle
     ("check_submixing_genmean2.json", ["submixing", "--payoff", "genmean:2"]),
     ("check_shift_discounted.json",
      ["shift-invariance", "--payoff", "discounted"]),
     # refuted at shift 1 from a prefix-free word, a rotation of its cycle
     ("check_shift_geomfirstone.json",
      ["shift-invariance", "--payoff", "geomfirstone", "--cases", "300"]),
-    # confirmed: every random case is evaluated on lassos and shuffles
+    # confirmed: the grids of every tail decide each case --cases could
+    # draw, so none is drawn, and each search of a class-determined payoff
+    # decides every cycle of 1-4 letters
     ("check_submixing_optgenmean2.json",
      ["submixing", "--payoff", "optgenmean:2", "--cases", "300"]),
     ("check_shift_mean.json",

@@ -15,7 +15,7 @@ from stochgame.payoff import (
 )
 from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
-    SearchBounds, default_alphabet, search_shift_invariance_violation,
+    TAILS, SearchBounds, default_alphabet, search_shift_invariance_violation,
     search_submixing_violation,
 )
 from helpers import colour_weights, letter_colours
@@ -47,11 +47,17 @@ def test_shift_invariant_flag_backed_by_corpus(name):
 
 @pytest.mark.parametrize("name", SUBMIXING)
 def test_submixing_flag_backed_by_corpus(name):
+    # each class-determined payoff's search decides every pair of cycles of
+    # 1-3 letters under every tail, which decides each of the 3,000 cases
+    # the seed could draw
     spec = parse_payoff_spec(name)
-    assert spec.is_submixing
+    assert spec.is_submixing and spec.is_class_determined
     bounds = SearchBounds(max_cycle=3, random_cases=3000)
     report = search_submixing_violation(spec, bounds, seed=101)
     assert report.verdict == "confirmed"
+    k = len(default_alphabet(spec))
+    assert report.quantities["cases"] \
+        == len(TAILS) * sum(k ** n for n in range(1, 4)) ** 2
 
 
 # every class-determined payoff, with the random_arena colour kind it reads

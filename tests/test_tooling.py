@@ -226,6 +226,58 @@ def test_an_arena_caches_only_what_its_walks_reread():
         assert fields <= set(vars(arena)) <= kept, set(vars(arena)) - kept
 
 
+# The products in verify.py's search code, counted by function.  Those of
+# arrays are each reviewed against the int64 bound: `_Shuffled.__getitem__`
+# and `_above` take theirs on Python ints where a bound on them reaches
+# 2^63 (`verify._exact`), `_rotations` multiplies cycle positions below
+# k^max_cycle, and `_drawn_blocks` 32-bit words by column spans of a few
+# values.  The others multiply Python ints.
+ARRAY_PRODUCTS = {"_Shuffled.__getitem__": 10, "_above": 2, "_rotations": 1,
+                  "_drawn_blocks": 1}
+INT_PRODUCTS = {"_Shuffled.extent": 2, "_fast_violations.bound": 1,
+                "_exact": 1, "_rotations": 3, "search_submixing_violation": 5,
+                "_drawn_blocks": 3, "_case": 3}
+NUMPY_PRODUCTS = {"multiply", "prod", "cumprod", "dot", "matmul", "outer",
+                  "einsum", "kron"}
+
+
+def _is_product(node) -> bool:
+    """A *, @ or ** operator, in place or not, that does not repeat a list
+    or tuple display, or a call of a numpy product."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) in NUMPY_PRODUCTS
+    if isinstance(node, ast.BinOp):
+        operands = node.left, node.right
+    elif isinstance(node, ast.AugAssign):
+        operands = node.target, node.value
+    else:
+        return False
+    return isinstance(node.op, (ast.Mult, ast.MatMult, ast.Pow)) and not any(
+        isinstance(x, (ast.List, ast.Tuple)) for x in operands)
+
+
+def _products(node, scope=()):
+    """The qualified name of the function around each product under
+    `node` (`_is_product`)."""
+    for child in ast.iter_child_nodes(node):
+        if _is_product(child):
+            yield ".".join(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from _products(child, scope + (child.name,) if named else scope)
+
+
+def test_every_array_product_in_the_search_code_is_listed():
+    # a new product in the refutation searches fails here until it is
+    # reviewed against the int64 bound and counted as one of arrays or one
+    # of Python ints
+    source = (SRC / "verify.py").read_text()
+    section = source[source.index("# Submixing / shift-invariance searches"):
+                     source.index("# Reset strategy / subgame perfection")]
+    assert collections.Counter(_products(ast.parse(section))) \
+        == collections.Counter(ARRAY_PRODUCTS) \
+        + collections.Counter(INT_PRODUCTS)
+
+
 def test_shift_searches_never_compare_fractions(monkeypatch):
     # the shift search's memo keeps each value as an integer pair and its
     # walk compares those: with Fraction's equality raising, confirmed

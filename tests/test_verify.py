@@ -11,6 +11,7 @@ import random
 import sys
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -28,9 +29,8 @@ from stochgame.payoff import (
 )
 from stochgame.strategy import PureStationaryStrategy
 from stochgame.verify import (
-    SEARCH_PATTERNS, SHIFTS, FlagGateError, SearchBounds, _case, _case_columns,
-    _cycle_at, _cycle_positions, _cycle_stats, _decided_blocks, _drawn_blocks,
-    _fast_violations,
+    SEARCH_PATTERNS, SHIFTS, TAILS, FlagGateError, SearchBounds, _case,
+    _case_columns, _cycle_at, _cycle_stats, _drawn_blocks, _fast_violations,
     _random_memory_strategy, _class_states, _sample_locally_optimal,
     _shift_witness_doc, _spelled, _stationary_guarantees,
     _submix_witness_doc, _value_changing_recurrent, _word_columns,
@@ -432,34 +432,46 @@ def _spelled_case(alphabet, case):
     return _spelled(alphabet, *u), _spelled(alphabet, *v), pattern
 
 
+def _whole_grid(st):
+    # the statistics of every cycle as a grid's column and row
+    return ({key: x[:, None] for key, x in st.items()},
+            {key: x[None, :] for key, x in st.items()})
+
+
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
         monkeypatch, name):
-    # every drawn case, prefixes and all, not only the first violation;
-    # two whole blocks and a remainder, so block boundaries are crossed.
-    # The blocks are the rows of one draw, and each index case, spelled, is
-    # the token case the test reads off its row.
+    # every drawn case, prefixes and all, not only the first violation, is
+    # decided by the cell of its two cycles in the whole grid of its tail,
+    # which the search decides: the cell is flagged iff the token check of
+    # the spelled case finds a witness.  Two whole blocks and a remainder,
+    # so block boundaries are crossed; the blocks are the rows of one draw,
+    # and each index case, spelled, is the token case the test reads off
+    # its row.
     monkeypatch.setattr(verify, "_CASE_BLOCK", 64)
     spec = parse_payoff_spec(name)
     alphabet = default_alphabet(spec)
+    k = len(alphabet)
     flagged = 0
     for seed in range(4):
-        bounds = SearchBounds(max_cycle=seed + 1, random_cases=2 * 64 + 23)
-        table = _cycle_stats(payoff.letter_table(spec, alphabet), seed + 1)
-        columns = _case_columns(len(alphabet), seed + 1)
-        blocks = list(_decided_blocks(spec, table, len(alphabet), _drawn_blocks(
-            random.Random(seed), columns, bounds.random_cases)))
-        assert [len(block) for block, _ in blocks] == [64, 64, 23]
-        assert np.concatenate([b for b, _ in blocks]).tolist() == _one_draw(
-            seed, columns, bounds.random_cases).tolist()
-        for block, viol in blocks:
-            assert viol.shape == (len(block),)
-            for row, flag in zip(block.tolist(), viol):
-                case = _spelled_case(alphabet, _case(row))
-                assert case == _token_case(row, alphabet, seed + 1)
-                witness = check_submixing(spec, *case)
-                assert bool(flag) == (witness is not None), (name, seed, case)
-                flagged += bool(flag)
+        max_cycle = seed + 1
+        st = _cycle_stats(payoff.letter_table(spec, alphabet), max_cycle)
+        at = {_cycle_at(i, k): i for i in range(len(st["L"]))}
+        grids = {tail: _fast_violations(spec, *_whole_grid(st), *tail)
+                 for tail in TAILS}
+        columns = _case_columns(k, max_cycle)
+        blocks = list(_drawn_blocks(random.Random(seed), columns, 2 * 64 + 23))
+        assert [len(block) for block in blocks] == [64, 64, 23]
+        rows = np.concatenate(blocks).tolist()
+        assert rows == _one_draw(seed, columns, len(rows)).tolist()
+        for row in rows:
+            (_, cu), (_, cv), pattern = case = _case(row)
+            spelled = _spelled_case(alphabet, case)
+            assert spelled == _token_case(row, alphabet, max_cycle)
+            flag = bool(grids[pattern.tail][at[cu], at[cv]])
+            witness = check_submixing(spec, *spelled)
+            assert flag == (witness is not None), (name, seed, spelled)
+            flagged += flag
     # of the word-form payoffs, only genmean has lasso witnesses
     assert (flagged > 0) == (spec.name == "genmean")
 
@@ -479,19 +491,30 @@ def _per_case_search(spec, bounds, seed):
     # a lasso's counter-inf value is the sign of its cycle sum, and a
     # shuffle's cycle sum is a positive mix of both sums: no lasso witness
     ("counter-inf", "confirmed"),
+    ("discounted", "refuted"), ("geomfirstone", "refuted"),
+    ("suffixtarget:ab", "confirmed"),
 ])
 def test_seeded_phase_matches_the_per_case_loop(monkeypatch, block, name,
                                                 verdict):
-    # without exhaustive patterns the seeded blocks decide the search
+    # without exhaustive patterns the seeded blocks decide the search of a
+    # payoff that is not class-determined.  A class-determined payoff
+    # draws no case: whatever the blocks, its report is the token
+    # search's, decided on the grid of every tail, and it refutes iff the
+    # per-case loop does
     monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
     monkeypatch.setattr(verify, "_CASE_BLOCK", block)
     spec = parse_payoff_spec(name)
     for seed in range(4):
         bounds = SearchBounds(max_cycle=3, random_cases=300)
         report = search_submixing_violation(spec, bounds, seed)
-        assert report.verdict == verdict
-        assert (report.verdict, report.quantities["cases"], report.witness) \
-            == _per_case_search(spec, bounds, seed)
+        loop = _per_case_search(spec, bounds, seed)
+        assert report.verdict == loop[0] == verdict
+        if spec.is_class_determined:
+            assert report.to_json() == _token_submixing_search(
+                spec, bounds, seed).to_json()
+        else:
+            assert (report.verdict, report.quantities["cases"],
+                    report.witness) == loop
         if verdict == "refuted":
             assert replay_submixing_witness(spec, report.witness)
 
@@ -619,9 +642,9 @@ INDEX_MUTANTS = {_rotation_sensitive: lambda prefix, cycle: cycle[0],
 
 
 def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
-    # without exhaustive patterns the seeded cases decide each submixing
-    # search: refuted on genmean:2 (closed form) and discounted (case by
-    # case), confirmed on counter-inf and meancobuchi:100; the shift
+    # without exhaustive patterns the seeded cases decide the submixing
+    # search of each payoff that is not class-determined: refuted on
+    # discounted and geomfirstone, confirmed on suffixtarget:ab; the shift
     # searches' per-word walk confirms suffixtarget:ab and, with the token
     # search's reports, refutes a seeded word under a broken evaluator, the
     # index valuer and the token one broken alike.  Blocks of 1, 7 and 1,024
@@ -632,8 +655,8 @@ def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
     def reports():
         out = [search_submixing_violation(parse_payoff_spec(name), bounds,
                                           seed).to_json()
-               for name in ("genmean:2", "discounted", "counter-inf",
-                            "meancobuchi:100") for seed in (0, 1)]
+               for name in ("discounted", "geomfirstone", "suffixtarget:ab")
+               for seed in (0, 1)]
         target = parse_payoff_spec("suffixtarget:ab")
         out += [search_shift_invariance_violation(target, bounds,
                                                   seed).to_json()
@@ -653,7 +676,7 @@ def test_seeded_reports_do_not_depend_on_the_case_block(monkeypatch):
     monkeypatch.setattr(verify, "_CASE_BLOCK", 2000)
     whole = reports()
     verdicts = [json.loads(r)["verdict"] for r in whole]
-    assert verdicts == ["refuted"] * 4 + ["confirmed"] * 6 + ["refuted"] * 2
+    assert verdicts == ["refuted"] * 4 + ["confirmed"] * 4 + ["refuted"] * 2
     for block in (1, 7, 1024):
         monkeypatch.setattr(verify, "_CASE_BLOCK", block)
         assert reports() == whole, block
@@ -675,7 +698,9 @@ def test_every_value_of_every_column_is_drawn_near_uniformly(k):
 
 @pytest.mark.parametrize("patterns", [(), verify.SEARCH_PATTERNS])
 def test_closed_form_hit_without_a_witness_is_an_error(monkeypatch, patterns):
-    # a flagged case that the full evaluation clears never reads as confirmed
+    # a flagged case that the full evaluation clears never reads as
+    # confirmed; a class-determined search decides its grid of every tail
+    # whatever SEARCH_PATTERNS holds
     monkeypatch.setattr(verify, "SEARCH_PATTERNS", patterns)
     monkeypatch.setattr(verify, "check_submixing", lambda *case: None)
     with pytest.raises(AssertionError, match="disagree"):
@@ -748,16 +773,15 @@ def test_shift_search_reports_its_max_cycle():
 
 
 def _whole_grid_search(spec, bounds, seed, cells):
-    # the submixing search with each pattern's exhaustive phase decided on
-    # the whole n x n grid of `_cycle_stats`, in row blocks of at most
-    # `cells` cells (one row when a row is longer), the first flagged cell
-    # found by np.argwhere and its cycles read off the list of every cycle;
-    # the seeded phase is the library's
+    # the submixing search with each tail's grid decided on the whole n x n
+    # grid of `_cycle_stats`, keyed on no statistic, in row blocks of at
+    # most `cells` cells (one row when a row is longer), the first flagged
+    # cell found by np.argwhere and its cycles read off the list of every
+    # cycle; no seeded case is drawn
     alphabet = default_alphabet(spec)
-    k = len(alphabet)
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
-                "patterns": list(SEARCH_PATTERNS),
+                "patterns": list(TAILS),
                 "random_cases": bounds.random_cases}
     cases = 0
 
@@ -771,7 +795,7 @@ def _whole_grid_search(spec, bounds, seed, cells):
     n = len(cycles)
     height = max(1, cells // n)
     row = {key: x[None, :] for key, x in st.items()}
-    for a, b in SEARCH_PATTERNS:
+    for a, b in TAILS:
         cases += n ** 2
         for top in range(0, n, height):
             col = {key: x[top:top + height, None] for key, x in st.items()}
@@ -782,15 +806,6 @@ def _whole_grid_search(spec, bounds, seed, cells):
                 return refuted(Lasso((), cycles[top + iu]),
                                Lasso((), cycles[iv]),
                                ShufflePattern.alternating(a, b))
-    for block, viol in _decided_blocks(spec, st, k, _drawn_blocks(
-            random.Random(seed), _case_columns(k, bounds.max_cycle),
-            bounds.random_cases)):
-        hits = np.flatnonzero(viol)
-        if hits.size:
-            cases += int(hits[0]) + 1
-            return refuted(*_spelled_case(
-                alphabet, _case(block[hits[0]].tolist())))
-        cases += len(block)
     return verify.VerificationReport("submixing", instance, "confirmed",
                                      {"cases": cases})
 
@@ -801,7 +816,7 @@ def test_grid_row_blocks_give_the_whole_grid_reports(name, cells):
     # the distinct-row search against the whole grid decided one row per
     # block, or 23 rows of 30 and 4 of 155 with a short last block: the
     # same first (u, v) hit in row-major order, and the whole grid counted
-    # per pattern
+    # per tail
     spec = parse_payoff_spec(name)
     for max_cycle, random_cases, seed in itertools.product(
             (1, 2, 3), (0, 300), (0, 1)):
@@ -812,36 +827,133 @@ def test_grid_row_blocks_give_the_whole_grid_reports(name, cells):
 
 
 def test_submixing_grid_is_decided_on_its_distinct_rows(monkeypatch):
-    # at the default bounds, the 780 cycles of mean's table hold 110
-    # distinct statistics rows; each pattern's grid is decided on those,
-    # and still counted as 780^2 cells
+    # at the default bounds, the 780 cycles of mean's table hold 44
+    # distinct (L, S) rows, the statistics its form reads; each tail's grid
+    # is decided on those, and still counted as 780^2 cells
     real = verify._fast_violations
     grids = []
 
     def counted(spec, su, sv, a, b):
-        if np.ndim(a) == 0:
-            grids.append(np.broadcast_shapes(su["L"].shape, sv["L"].shape))
+        grids.append((sorted(su), np.broadcast_shapes(su["L"].shape,
+                                                      sv["L"].shape)))
         return real(spec, su, sv, a, b)
 
     monkeypatch.setattr(verify, "_fast_violations", counted)
     report = search_submixing_violation(mean, SearchBounds(), seed=0)
     assert (report.verdict, report.quantities["cases"]) \
-        == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
-    assert grids == [(110, 110)] * len(SEARCH_PATTERNS)
+        == ("confirmed", 9 * 780 ** 2)
+    assert grids == [(["L", "S"], (44, 44))] * 9
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("max_cycle", [1, 2, 4])
+def test_case_columns_draw_exactly_the_decided_tails_and_cycles(max_cycle, k):
+    # a drawn case's verdict reads only its two cycles and its tail, so the
+    # tails' grids decide every case that `_case_columns` can draw: its tail
+    # columns range over exactly TAILS, SEARCH_PATTERNS first, and each
+    # word's cycle columns over exactly the grid's cycles, those of
+    # `_cycle_stats` in `_cycle_at` order
+    columns = _case_columns(k, max_cycle)
+    width = max_cycle + 4  # each word's columns, as `_token_case` reads them
+    spans = [range(lo, hi + 1) for lo, hi in columns]
+    assert TAILS[:len(SEARCH_PATTERNS)] == SEARCH_PATTERNS
+    assert len(set(TAILS)) == len(TAILS)
+    assert set(itertools.product(*spans[-2:])) == set(TAILS)
+    n = sum(k ** m for m in range(1, max_cycle + 1))
+    grid = [_cycle_at(i, k) for i in range(n)]
+    assert len(set(grid)) == n
+    for word in (0, width):
+        lengths, *letters = spans[word + 3:word + width]
+        drawn = {c for m in lengths for c in itertools.product(*letters[:m])}
+        assert drawn == set(grid)
+    report = search_submixing_violation(mean, SearchBounds(max_cycle), 0)
+    assert report.instance["patterns"] == list(TAILS)
+    assert report.quantities["cases"] \
+        == len(TAILS) * sum(5 ** m for m in range(1, max_cycle + 1)) ** 2
+
+
+# the distinct rows of each class-determined payoff's grid at max_cycle 4,
+# keyed on the statistics its form reads
+KEYED_ROWS = {"mean": 44, "posavg": 44, "counter+inf": 44, "counter-inf": 44,
+              "limsup": 5, "liminf": 5, "parity": 5, "genmean:2": 84,
+              "optgenmean:2": 84, "genmean:3": 104, "optgenmean:3": 104,
+              "meancobuchi:100": 71}
+
+
+@pytest.mark.parametrize("name", FAST_PAYOFFS)
+def test_keyed_rows_give_the_whole_grids_values(name):
+    # the search keys its grid's rows on the statistics the value form
+    # reads (`_form_reads`).  Expanded back to all n x n cells, the value
+    # pairs of the shuffle on the grid of the keyed rows are the whole
+    # grid's under every tail, and so are the words'.  A key short of what
+    # `_Shuffled` reads fails: S alone for posavg, whose shuffle's S reads
+    # its words' L too
+    spec = parse_payoff_spec(name)
+    st = _cycle_stats(payoff.letter_table(spec, default_alphabet(spec)), 4)
+    n = len(st["L"])
+    keys = verify._form_reads(spec, st)
+    _, first, at = np.unique(
+        np.column_stack([st[key].reshape(n, -1) for key in keys]), axis=0,
+        return_index=True, return_inverse=True)
+    at, m = at.reshape(n), len(first)
+    assert m == KEYED_ROWS[name]
+    keyed = {key: x[first] for key, x in st.items()}
+    for rows, whole in zip(payoff.limit_value(spec, keyed, 1),
+                           payoff.limit_value(spec, st, 1)):
+        assert (np.broadcast_to(rows, m)[at] == whole).all(), name
+    for a, b in TAILS:
+        for rows, whole in zip(
+                payoff.limit_value(spec, verify._Shuffled(
+                    *_whole_grid(keyed), a, b), 1),
+                payoff.limit_value(spec, verify._Shuffled(
+                    *_whole_grid(st), a, b), 1)):
+            assert (np.broadcast_to(rows, (m, m))[np.ix_(at, at)]
+                    == whole).all(), (name, a, b)
+
+
+def _length_divides_by_five(spec, st, den):
+    # 1 iff the cycle's length is a multiple of 5: no cycle of 1-4 letters,
+    # but the shuffle of any two under a tail of 2:3 or 3:2, whose cycle is
+    # a whole number of tail periods of 5 letters; every other tail's cycle
+    # has only the prime factors 2 and 3
+    return st["L"] % 5 == 0, 1
+
+
+def test_a_mutant_only_a_two_three_tail_exposes_is_refuted_from_the_grid(
+        monkeypatch):
+    # mean's value form broken for the index search and the token search
+    # alike: no SEARCH_PATTERNS grid holds a witness, and the grid of the
+    # tail 2:3, decided before 3:2, refutes on every seed and bound with
+    # the token search's report, its first two cycles and no prefix
+    monkeypatch.setitem(payoff._VALUE_FORMS, "mean", _length_divides_by_five)
+    for max_cycle in range(1, 5):
+        n = sum(5 ** m for m in range(1, max_cycle + 1))
+        for random_cases, seed in itertools.product((0, 300, 2000), range(3)):
+            bounds = SearchBounds(max_cycle, random_cases)
+            report = search_submixing_violation(mean, bounds, seed)
+            assert report.verdict == "refuted"
+            assert report.witness["pattern"] == {"prefix": [], "tail": [2, 3]}
+            assert report.quantities["cases"] \
+                == (TAILS.index((2, 3)) + 1) * n ** 2
+            assert report.to_json() == _token_submixing_search(
+                mean, bounds, seed).to_json()
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("max_cycle", [1, 2, 3, 4])
 def test_cycle_positions_round_trip(max_cycle, k):
-    # every cycle of 1..max_cycle letters, as the cycle columns of a drawn
-    # word (max_prefix 2), sits at its place in the exhaustive table, and
+    # every cycle of 1..max_cycle letters sits at its place in the
+    # exhaustive table, whose statistics row there is the cycle's, and
     # `_cycle_at` reads that place back as the cycle
     cycles = [c for n in range(1, max_cycle + 1)
               for c in itertools.product(range(k), repeat=n)]
-    words = np.array([[0, 0, 0, len(c), *c] + [0] * (max_cycle - len(c))
-                      for c in cycles])
-    assert _cycle_positions(words, k).tolist() == list(range(len(cycles)))
     assert [_cycle_at(pos, k) for pos in range(len(cycles))] == cycles
+    letters = payoff.letter_table(parity, [payoff.priority(p)
+                                           for p in range(k)])
+    st = _cycle_stats(letters, max_cycle)
+    assert [(n, s, mx, mn) for n, s, mx, mn in zip(
+        *(st[key].tolist() for key in ("L", "S", "MX", "MN")))] \
+        == [(len(c), sum(c), max(c), min(c)) for c in cycles]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -870,7 +982,7 @@ def test_exhaustive_words_are_the_shift_search_words_in_order(max_cycle):
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_submixing_search_at_max_cycle(name):
-    # the exhaustive grids alone at the largest max_cycle, 4 x 19,530^2
+    # the exhaustive grids alone at the largest max_cycle, 9 x 19,530^2
     # cells when confirmed, in a few MB
     spec = parse_payoff_spec(name)
     tracemalloc.start()
@@ -881,7 +993,7 @@ def test_submixing_search_at_max_cycle(name):
     finally:
         tracemalloc.stop()
     if report.verdict == "confirmed":
-        assert report.quantities["cases"] == 1_525_683_600
+        assert report.quantities["cases"] == 3_432_788_100
     else:
         assert report.verdict == "refuted" and not spec.is_submixing
         assert replay_submixing_witness(spec, report.witness)
@@ -899,7 +1011,7 @@ def test_grid_memory_stays_flat_past_a_million_cells():
     finally:
         tracemalloc.stop()
     assert report.verdict == "confirmed"
-    assert report.quantities["cases"] == len(SEARCH_PATTERNS) * 3905 ** 2
+    assert report.quantities["cases"] == len(TAILS) * 3905 ** 2
     assert peak < 64 * 2 ** 20, peak
 
 
@@ -963,10 +1075,14 @@ def _token_cycle_stats(spec, cycles):
 
 
 def _token_submixing_search(spec, bounds, seed):
+    # a class-determined payoff's whole grid of token cycles under every
+    # tail, and no seeded case; any other payoff's cycles of 1-2 letters
+    # under SEARCH_PATTERNS, then its seeded cases, one token check each
     alphabet = default_alphabet(spec)
+    tails = TAILS if spec.is_class_determined else SEARCH_PATTERNS
     instance = {"spec": spec.format(), "seed": seed,
                 "max_cycle": bounds.max_cycle,
-                "patterns": list(SEARCH_PATTERNS),
+                "patterns": list(tails),
                 "random_cases": bounds.random_cases}
     cases = 0
 
@@ -978,31 +1094,18 @@ def _token_submixing_search(spec, bounds, seed):
     if spec.is_class_determined:
         cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
         st = _token_cycle_stats(spec, cycles)
-        col = {k: x[:, None] for k, x in st.items()}
-        row = {k: x[None, :] for k, x in st.items()}
-        for a, b in SEARCH_PATTERNS:
-            viol = _fast_violations(spec, col, row, a, b)
+        for a, b in tails:
+            viol = _fast_violations(spec, *_whole_grid(st), a, b)
             cases += viol.size
             if viol.any():
                 iu, iv = map(int, np.argwhere(viol)[0])
                 return refuted(check_submixing(
                     spec, Lasso((), cycles[iu]), Lasso((), cycles[iv]),
                     ShufflePattern.alternating(a, b)))
-        drawn = _token_cases(spec, bounds, seed)
-        viol = _fast_violations(
-            spec, _token_cycle_stats(spec, [u.cycle for u, _, _ in drawn]),
-            _token_cycle_stats(spec, [v.cycle for _, v, _ in drawn]),
-            np.array([p.tail_u for _, _, p in drawn], dtype=np.int64),
-            np.array([p.tail_v for _, _, p in drawn], dtype=np.int64))
-        hits = np.flatnonzero(viol)
-        if hits.size:
-            cases += int(hits[0]) + 1
-            return refuted(check_submixing(spec, *drawn[hits[0]]))
-        cases += len(drawn)
     else:
         small = _exhaustive_cycles(alphabet, min(bounds.max_cycle, 2))
         for cu, cv in itertools.product(small, repeat=2):
-            for a, b in SEARCH_PATTERNS:
+            for a, b in tails:
                 cases += 1
                 witness = check_submixing(spec, Lasso((), cu), Lasso((), cv),
                                           ShufflePattern.alternating(a, b))
@@ -1267,8 +1370,8 @@ def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
 def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
                                                               penalty):
     # each comparison `_fast_violations` makes, the shuffle above u and
-    # above v, is decided on every cell of the search's grid of distinct
-    # rows, under every pattern at max_cycle 1-4, on the int64 statistics
+    # above v, is decided on every cell of a grid of the rows distinct in
+    # any statistic, under every tail at max_cycle 1-4, on the int64 statistics
     # as on the same statistics read as Python ints, though a meancobuchi
     # penalty times a cycle length passes int64
     real = verify._above
@@ -1284,7 +1387,7 @@ def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
         narrow = {key: x[first] for key, x in st.items()}
         wide = {key: x if x.dtype == bool else x.astype(object)
                 for key, x in narrow.items()}
-        for a, b in SEARCH_PATTERNS:
+        for a, b in TAILS:
             for stats in (narrow, wide):
                 _fast_violations(spec, {key: x[:, None]
                                         for key, x in stats.items()},
@@ -1320,15 +1423,15 @@ def test_word_values_over_the_alphabet_table_match_evaluate_lasso(name):
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
-    # limsup, liminf and parity read no pattern: every pattern gives them the
-    # same grid, so a search's first hit is under the first pattern; a word
+    # limsup, liminf and parity read no pattern: every tail gives them the
+    # same grid, so a search's first hit is under the first tail; a word
     # form that reads the shuffle's L or S fails with no pattern at all
     spec = parse_payoff_spec(name)
     st = _cycle_stats(payoff.letter_table(spec, default_alphabet(spec)), 2)
     if spec.name in ("limsup", "liminf", "parity"):
         col = {key: x[:, None] for key, x in st.items()}
         row = {key: x[None, :] for key, x in st.items()}
-        grids = [_fast_violations(spec, col, row, *p) for p in SEARCH_PATTERNS]
+        grids = [_fast_violations(spec, col, row, *p) for p in TAILS]
         assert all((grid == grids[0]).all() for grid in grids)
         _fast_violations(spec, st, st, None, None)
     else:
@@ -1340,21 +1443,22 @@ def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
                                   "posavg"])
 def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
                                                                name):
-    # one grid pass per pattern, whether or not the value form reads it,
-    # and one pass per seeded block
+    # one grid pass per tail, in order, whether or not the value form reads
+    # the tail, and no seeded case drawn
     spec = parse_payoff_spec(name)
     real = verify._fast_violations
-    passes = collections.Counter()
+    tails = []
 
     def counted(spec, su, sv, a, b):
-        passes["grid" if np.ndim(a) == 0 else "block"] += 1
+        tails.append((a, b))
         return real(spec, su, sv, a, b)
 
     monkeypatch.setattr(verify, "_fast_violations", counted)
+    monkeypatch.setattr(verify, "_drawn_blocks", None)
     report = search_submixing_violation(spec, SearchBounds(), seed=0)
     assert (report.verdict, report.quantities["cases"]) \
-        == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
-    assert passes == {"grid": len(SEARCH_PATTERNS), "block": 2}
+        == ("confirmed", len(TAILS) * 780 ** 2)
+    assert tails == list(TAILS)
 
 
 def test_fast_submixing_search_spells_only_its_witness(monkeypatch):
@@ -1368,22 +1472,22 @@ def test_fast_submixing_search_spells_only_its_witness(monkeypatch):
         patched.setattr(verify, "ShufflePattern", forbidden)
         report = search_submixing_violation(mean, SearchBounds(), seed=0)
     assert (report.verdict, report.quantities["cases"]) \
-        == ("confirmed", len(SEARCH_PATTERNS) * 780 ** 2 + 2000)
+        == ("confirmed", len(TAILS) * 780 ** 2)
     built = collections.Counter()
 
-    def counted(cls):
+    def counted(make):
         def build(*args):
-            built[cls.__name__] += 1
-            return cls(*args)
+            built[make.__name__] += 1
+            return make(*args)
         return build
 
-    monkeypatch.setattr(verify, "SEARCH_PATTERNS", ())
     monkeypatch.setattr(verify, "Lasso", counted(Lasso))
-    monkeypatch.setattr(verify, "ShufflePattern", counted(ShufflePattern))
+    monkeypatch.setattr(verify, "ShufflePattern", types.SimpleNamespace(
+        alternating=counted(ShufflePattern.alternating)))
     report = search_submixing_violation(parse_payoff_spec("genmean:2"),
                                         SearchBounds(), seed=0)
     assert report.verdict == "refuted" and report.quantities["cases"] > 1
-    assert built == {"Lasso": 2, "ShufflePattern": 1}
+    assert built == {"Lasso": 2, "alternating": 1}
 
 
 # -- subgame perfection ------------------------------------------------------------
