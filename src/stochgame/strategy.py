@@ -62,7 +62,10 @@ class FiniteMemoryStrategy:
                     if not (0 <= w.numerator <= w.denominator):
                         raise StrategyError(
                             f"weight {w} of {a} at ({m}, {s}) outside [0,1]")
-                if sum(dist.values()) != 1:
+                # a pure law's total is its one weight
+                total = sum(dist.values()) if len(dist) != 1 \
+                    else next(iter(dist.values()))
+                if total != 1:
                     raise StrategyError(f"choice at ({m}, {s}) does not sum to 1")
                 for a in dist:
                     if a not in arena.available[s]:

@@ -201,6 +201,10 @@ def _stationary_guarantees(arena: Arena, spec: PayoffSpec, budget: int):
             grid.strategy(P1, top))
 
 
+# The weight of a pure law's one action, shared by every law the sweep draws.
+_SURE = Fraction(1)
+
+
 def _random_memory_strategy(arena: Arena, rng: random.Random,
                             memories: int) -> FiniteMemoryStrategy:
     mems = tuple(f"m{i}" for i in range(memories))
@@ -212,7 +216,7 @@ def _random_memory_strategy(arena: Arena, rng: random.Random,
                 for t in arena.states:
                     update[(m, s, a, t)] = rng.choice(mems)
         for s in arena.player_states(P1):
-            choices[(m, s)] = {rng.choice(arena.available[s]): Fraction(1)}
+            choices[(m, s)] = {rng.choice(arena.available[s]): _SURE}
     return FiniteMemoryStrategy(P1, mems, mems[0], update, choices)
 
 
@@ -325,28 +329,20 @@ class _Shuffled:
     and v's cycles under one tail, a letters of u for every b of v: a·Lv
     copies of u's cycle and b·Lu of v's, so L = (a+b)·Lu·Lv, S = a·Su·Lv
     + b·Sv·Lu, MX = max(MXu, MXv), MN = min(MNu, MNv), B = Bu or Bv and
-    P = Pu and Pv, each built when it is read, L and S on Python ints where
-    they could reach 2^63 (`_exact`)."""
+    P = Pu and Pv, each built when it is read.  Its products are taken as
+    they are: on tables that `_widened` let through, none wraps."""
 
     def __init__(self, su: dict, sv: dict, a: int, b: int):
         self.su, self.sv, self.a, self.b = su, sv, a, b
 
-    @functools.cached_property
-    def extent(self) -> int:
-        """2·e^3, for e the largest of a, b and u's and v's statistics in
-        magnitude (`_extent`): a bound on each of the shuffle's."""
-        return 2 * _extent(self.a, self.b, *(
-            x for st in (self.su, self.sv) for x in st.values()
-            if x.dtype != bool)) ** 3
-
     def __getitem__(self, key: str) -> np.ndarray:
-        su, sv = self.su, self.sv
+        su, sv, a, b = self.su, self.sv, self.a, self.b
         if key in _JOINS:
             return _JOINS[key](su[key], sv[key])
-        a, b, Lu, Lv, Su, Sv = _exact(self.extent, self.a, self.b, su["L"],
-                                      sv["L"], su["S"], sv["S"])
+        Lu, Lv = su["L"], sv["L"]
         if key == "L":
             return (a + b) * Lu * Lv
+        Su, Sv = su["S"], sv["S"]
         if Su.ndim == Lu.ndim:
             return a * Su * Lv + b * Sv * Lu
         # a vector's one dimension at a time, in a dimension-first array
@@ -363,14 +359,22 @@ def _extent(*xs) -> int:
     return max(int(flat.max(initial=0)), -int(flat.min(initial=0)))
 
 
-def _exact(bound: int, *xs) -> tuple:
-    """xs, ints or arrays, as they are while `bound`, a bound on the
-    numbers computed from them, stays below 2^63, else with each array
-    read as Python ints, in an object array, on which nothing wraps."""
-    if bound < 2 ** 63:
-        return xs
-    return tuple(x.astype(object) if isinstance(x, np.ndarray) else x
-                 for x in xs)
+def _widened(spec: PayoffSpec, st: dict) -> dict:
+    """The statistics `st` of a submixing grid's rows as they are, if no
+    product the grid takes under any tail can reach 2^63, else with every
+    non-bool column read as Python ints, in object arrays, on which nothing
+    wraps.  For e the largest of TAIL_MAX and the statistics in magnitude,
+    a shuffle's statistics are at most 2·e^3.  Over denominator 1 each
+    number of a form's pair is a statistic, 0 or 1, or a number it also
+    gives a word (meancobuchi's penalty), so for p the largest number of
+    the words' value pairs, `_above`'s cross-products are at most
+    max(2·e^3, p)·p."""
+    e = _extent(TAIL_MAX, *(x for x in st.values() if x.dtype != bool))
+    p = _extent(*limit_value(spec, st, 1))
+    if max(2 * e ** 3, p) * p < 2 ** 63:
+        return st
+    return {key: x if x.dtype == bool else x.astype(object)
+            for key, x in st.items()}
 
 
 def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
@@ -378,31 +382,19 @@ def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
     every b of v, beat both components?  The payoff's value form
     (`payoff.limit_value`) values all three, the shuffle on its `_Shuffled`
     statistics, over denominator 1: the default alphabets' tables have
-    that denominator, so meancobuchi's penalty meets the true means.  Over
-    it, a form gives statistics, 0 or 1, or numbers it also gives a
-    component (meancobuchi's penalty, which a shuffle sees only where a
-    component does), so `_above`'s products are bounded off the vectors of
-    statistics and values, never off the grid."""
-    shuffle = _Shuffled(su, sv, a, b)
-    w = limit_value(spec, shuffle, 1)
-    u, v = limit_value(spec, su, 1), limit_value(spec, sv, 1)
-
-    @functools.cache
-    def bound() -> int:
-        pair = _extent(*u, *v)
-        return max(shuffle.extent, pair) * pair
-
-    return _above(w, u, bound) & _above(w, v, bound)
+    that denominator, so meancobuchi's penalty meets the true means.  It
+    multiplies unchecked, on statistics a search passed through `_widened`."""
+    w = limit_value(spec, _Shuffled(su, sv, a, b), 1)
+    return _above(w, limit_value(spec, su, 1)) \
+        & _above(w, limit_value(spec, sv, 1))
 
 
-def _above(x: tuple, y: tuple, bound) -> np.ndarray:
+def _above(x: tuple, y: tuple) -> np.ndarray:
     """Is x above y, two (numerator, positive denominator) pairs?  Over one
-    int denominator the numerators are compared, else cross-multiplied, on
-    Python ints where bound(), a bound on the products, reaches 2^63."""
+    int denominator the numerators are compared, else cross-multiplied."""
     (nx, dx), (ny, dy) = x, y
     if isinstance(dx, int) and dx == dy:
         return nx > ny
-    nx, dx, ny, dy = _exact(bound(), nx, dx, ny, dy)
     return nx * dy > ny * dx
 
 
@@ -457,10 +449,11 @@ def search_submixing_violation(spec: PayoffSpec,
     tail (a, b).  So for each tail in `TAILS` the search decides the grid of
     every pair of cycles of 1..max_cycle letters, flagging a cell whose
     shuffle the form values above both words (`_fast_violations`), on the
-    cycles that differ in a statistic the form reads (`_form_reads`);
-    `cases` counts each grid's n^2 cells, whatever the seed.  Other payoffs
-    compare the `_word_values` of each case's three index words: the cycles
-    of 1..min(max_cycle, 2) letters under SEARCH_PATTERNS, then the seeded
+    cycles that differ in a statistic the form reads (`_form_reads`), read
+    as Python ints where a product could wrap (`_widened`); `cases` counts
+    each grid's n^2 cells, whatever the seed.  Other payoffs compare the
+    `_word_values` of each case's three index words: the cycles of
+    1..min(max_cycle, 2) letters under SEARCH_PATTERNS, then the seeded
     cases (`_drawn_blocks`).  Only the first flagged case is spelled and
     checked again on tokens (`check_submixing`) before it is reported: a
     case that check clears raises AssertionError."""
@@ -490,8 +483,9 @@ def search_submixing_violation(spec: PayoffSpec,
         # first-appearance order, so that its first hit is the full grid's
         rows = np.column_stack([x.reshape(n, -1) for x in st.values()])
         first = np.sort(np.unique(rows, axis=0, return_index=True)[1]).tolist()
-        col = {key: x[first, None] for key, x in st.items()}
-        row = {key: x[None, first] for key, x in st.items()}
+        st = _widened(spec, {key: x[first] for key, x in st.items()})
+        col = {key: x[:, None] for key, x in st.items()}
+        row = {key: x[None, :] for key, x in st.items()}
         for a, b in tails:
             cases += n ** 2
             viol = _fast_violations(spec, col, row, a, b)
@@ -536,9 +530,9 @@ def search_shift_invariance_violation(spec: PayoffSpec,
     shift of every word with such a cycle, and `cases` counts the cycles,
     whatever the seed.  `discounted`, `geomfirstone` and `suffixtarget`
     walk each word's (prefix, cycle) pair through its suffixes, valued by
-    `_word_values`: the words with prefixes of 0..2 letters and cycles of
-    1..min(max_cycle, 2) (`_exhaustive_words`), then the seeded words, with
-    prefixes of 0..3 and cycles of 1..max_cycle, each counted in `cases`.
+    `_word_values`, and counted in `cases`: the words with prefixes of 0..2
+    letters and cycles of 1..min(max_cycle, 2), in `itertools.product`
+    order, then the seeded words, prefixes of 0..3, cycles of 1..max_cycle.
     Only the first flagged word is spelled and checked again on tokens
     (`check_shift_invariance`), and the report carries that check's
     witness: a word it clears, or refutes at another shift or with other
@@ -577,50 +571,28 @@ def search_shift_invariance_violation(spec: PayoffSpec,
         cases = len(num)
     else:
         value = _word_values(spec, letters)
-        blocks = itertools.chain(
-            [_exhaustive_words(k, bounds.max_cycle)],
-            _drawn_blocks(random.Random(seed),
-                          _word_columns(k, bounds.max_cycle, 3),
-                          bounds.random_cases))
-        for block in blocks:
-            for i, row in enumerate(block):
-                prefix, cycle = word = _word(row.tolist(), 3)
-                base = value(word)
-                for shift in range(1, SHIFTS + 1):
-                    if prefix:
-                        prefix = prefix[1:]
-                    else:
-                        cycle = cycle[1:] + cycle[:1]
-                    val = value((prefix, cycle))
-                    if val != base:
-                        cases += i + 1
-                        return refuted(word, shift, [base, val])
-            cases += len(block)
+        exhaustive = (
+            (prefix, cycle) for plen in range(3)
+            for clen in range(1, min(bounds.max_cycle, 2) + 1)
+            for prefix in itertools.product(range(k), repeat=plen)
+            for cycle in itertools.product(range(k), repeat=clen))
+        drawn = _drawn_blocks(random.Random(seed),
+                              _word_columns(k, bounds.max_cycle, 3),
+                              bounds.random_cases)
+        seeded = (_word(row, 3) for block in drawn for row in block.tolist())
+        for cases, word in enumerate(itertools.chain(exhaustive, seeded), 1):
+            prefix, cycle = word
+            base = value(word)
+            for shift in range(1, SHIFTS + 1):
+                if prefix:
+                    prefix = prefix[1:]
+                else:
+                    cycle = cycle[1:] + cycle[:1]
+                val = value((prefix, cycle))
+                if val != base:
+                    return refuted(word, shift, [base, val])
     return VerificationReport(
         "shift-invariance", instance, "confirmed", {"cases": cases})
-
-
-@functools.cache
-def _exhaustive_words(k: int, max_cycle: int) -> np.ndarray:
-    """The shift search's exhaustive words over k letters as one block of
-    drawn-word rows (`_word_columns(k, max_cycle, 3)`), in search order: by
-    prefix length 0..2, then cycle length 1..min(max_cycle, 2), then the
-    prefix's and the cycle's letters in `itertools.product` order.  Built
-    once per (k, max_cycle) and shared by every search, so it is
-    read-only."""
-    parts = []
-    for plen in range(3):
-        for clen in range(1, min(max_cycle, 2) + 1):
-            n = plen + clen
-            letters = np.indices((k,) * n).reshape(n, -1).T
-            rows = np.zeros((len(letters), 5 + max_cycle), dtype=np.int64)
-            rows[:, 0], rows[:, 4] = plen, clen
-            rows[:, 1:1 + plen] = letters[:, :plen]
-            rows[:, 5:5 + clen] = letters[:, plen:]
-            parts.append(rows)
-    block = np.concatenate(parts)
-    block.setflags(write=False)
-    return block
 
 
 def _word_columns(k: int, max_cycle: int, max_prefix: int) -> list:

@@ -428,11 +428,12 @@ def test_sample_play_randomized_action_law():
     assert abs(stays / 20_000 - 0.75) < 0.01
 
 
-# -- the sampler against the per-step Fraction draw it replaced ----------------------
+# -- the sampler against an exact per-step Fraction draw ----------------------------
 
 def _sample_play_oracle(arena, sigma, tau, source, horizon, rng):
-    """The sampler as first written: every step rebuilds the float running
-    sums of the mover's and the transition's `Fraction` laws."""
+    """The sampler, step by step, with each draw made on the exact running
+    sums of the mover's and the transition's `Fraction` laws
+    (`_draw_oracle`), not on the float sums `arena._draw` reads."""
     if source not in arena.owner:
         raise ArenaError(f"unknown source state {source}")
     mem1 = sigma.initial
@@ -453,14 +454,15 @@ def _sample_play_oracle(arena, sigma, tau, source, horizon, rng):
 
 
 def _draw_oracle(dist, rng):
-    u = rng.random()
-    acc = 0.0
-    items = list(dist.items())
-    for key, w in items:
-        acc += float(w)
-        if u < acc:
+    """The first key whose exact running sum exceeds the draw, read as the
+    exact rational it is, or the last key if none does."""
+    u = Fraction(rng.random())
+    acc = Fraction(0)
+    for key, w in dist.items():
+        acc += w
+        if acc > u:
             return key
-    return items[-1][0]
+    return key
 
 
 def _mixed_memory_strategy(arena, player, rng, mems=("m0", "m1")):

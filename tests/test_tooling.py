@@ -228,15 +228,16 @@ def test_an_arena_caches_only_what_its_walks_reread():
 
 # The products in verify.py's search code, counted by function.  Those of
 # arrays are each reviewed against the int64 bound: `_Shuffled.__getitem__`
-# and `_above` take theirs on Python ints where a bound on them reaches
-# 2^63 (`verify._exact`), `_rotations` multiplies cycle positions below
+# and `_above` take theirs on the tables a search passes through
+# `verify._widened`, which reads them as Python ints where a bound on every
+# product reaches 2^63, `_rotations` multiplies cycle positions below
 # k^max_cycle, and `_drawn_blocks` 32-bit words by column spans of a few
-# values.  The others multiply Python ints.
+# values.  The others, `_widened`'s bound among them, multiply Python ints.
 ARRAY_PRODUCTS = {"_Shuffled.__getitem__": 10, "_above": 2, "_rotations": 1,
                   "_drawn_blocks": 1}
-INT_PRODUCTS = {"_Shuffled.extent": 2, "_fast_violations.bound": 1,
-                "_exact": 1, "_rotations": 3, "search_submixing_violation": 5,
-                "_drawn_blocks": 3, "_case": 3}
+INT_PRODUCTS = {"_widened": 4, "_rotations": 3,
+                "search_submixing_violation": 5, "_drawn_blocks": 3,
+                "_case": 3}
 NUMPY_PRODUCTS = {"multiply", "prod", "cumprod", "dot", "matmul", "outer",
                   "einsum", "kron"}
 

@@ -919,6 +919,14 @@ def _length_divides_by_five(spec, st, den):
     return st["L"] % 5 == 0, 1
 
 
+def test_an_l_only_form_is_keyed_on_l_alone(monkeypatch):
+    # a shuffle's L reads only its words' L, so a form that reads L alone
+    # keys the grid on L, not on (L, S)
+    monkeypatch.setitem(payoff._VALUE_FORMS, "mean", _length_divides_by_five)
+    st = _cycle_stats(payoff.letter_table(mean, default_alphabet(mean)), 2)
+    assert verify._form_reads(mean, st) == ["L"]
+
+
 def test_a_mutant_only_a_two_three_tail_exposes_is_refuted_from_the_grid(
         monkeypatch):
     # mean's value form broken for the index search and the token search
@@ -964,20 +972,45 @@ def test_rotations_move_each_cycles_first_letter_to_its_end(k):
         assert _cycle_at(target, k) == cycle[1:] + cycle[:1], pos
 
 
+def _walked(word):
+    # a word and its first SHIFTS suffixes, in the shift search's order
+    prefix, cycle = word
+    yield word
+    for _ in range(SHIFTS):
+        if prefix:
+            prefix = prefix[1:]
+        else:
+            cycle = cycle[1:] + cycle[:1]
+        yield prefix, cycle
+
+
 @pytest.mark.parametrize("max_cycle", [1, 2, 4])
-def test_exhaustive_words_are_the_shift_search_words_in_order(max_cycle):
-    # prefixes of 0..2 letters, then cycles of 1..min(max_cycle, 2)
-    # letters, each in `itertools.product` order, as drawn-word rows
-    rows = verify._exhaustive_words(5, max_cycle)
-    assert rows.shape[1] == len(_word_columns(5, max_cycle, 3))
-    assert [verify._word(row, 3) for row in rows.tolist()] == [
-        (prefix, cycle) for plen in range(3)
-        for clen in range(1, min(max_cycle, 2) + 1)
-        for prefix in itertools.product(range(5), repeat=plen)
-        for cycle in itertools.product(range(5), repeat=clen)]
-    # built once and shared by every search, so no search may write to it
-    assert verify._exhaustive_words(5, max_cycle) is rows
-    assert not rows.flags.writeable
+def test_exhaustive_words_are_the_shift_search_words_in_order(monkeypatch,
+                                                              max_cycle):
+    # the per-word walk values prefixes of 0..2 letters, then cycles of
+    # 1..min(max_cycle, 2) letters, each in `itertools.product` order, and
+    # then, when seeded words are asked for, those: recorded off
+    # `word_value`, which the search's memo calls once per distinct word,
+    # on a payoff that values every word alike, so nothing is refuted
+    spec = parse_payoff_spec("suffixtarget:ab")
+    k = len(default_alphabet(spec))
+    words = [(prefix, cycle) for plen in range(3)
+             for clen in range(1, min(max_cycle, 2) + 1)
+             for prefix in itertools.product(range(k), repeat=plen)
+             for cycle in itertools.product(range(k), repeat=clen)]
+    valued = list(dict.fromkeys(w for word in words for w in _walked(word)))
+    real = payoff.word_value
+    for random_cases in (0, 50):
+        calls = []
+        monkeypatch.setattr(verify, "word_value", lambda spec, letters, *pair:
+                            calls.append(pair) or real(spec, letters, *pair))
+        report = search_shift_invariance_violation(
+            spec, SearchBounds(max_cycle, random_cases), seed=0)
+        assert report.verdict == "confirmed"
+        assert report.quantities["cases"] == len(words) + random_cases
+        assert calls[:len(valued)] == valued, random_cases
+        # the seeded words, with prefixes of 3 letters, come after them
+        assert (len(calls) > len(valued)) == bool(random_cases)
 
 
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
@@ -1369,17 +1402,20 @@ def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
                                      2 ** 63 - 1])
 def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
                                                               penalty):
-    # each comparison `_fast_violations` makes, the shuffle above u and
-    # above v, is decided on every cell of a grid of the rows distinct in
-    # any statistic, under every tail at max_cycle 1-4, on the int64 statistics
-    # as on the same statistics read as Python ints, though a meancobuchi
-    # penalty times a cycle length passes int64
+    # the table `_widened` makes of a grid's rows distinct in any statistic
+    # is the one a search decides: each comparison `_fast_violations` makes
+    # on it, the shuffle above u and above v, is decided on every cell under
+    # every tail at max_cycle 1-4 as on the same statistics read as Python
+    # ints, though a meancobuchi penalty times a cycle length passes int64.
+    # Its bound on the cross-products is at least the penalty squared, so
+    # it keeps int64 at 2^31 and widens from 2^62 // 6 on
     real = verify._above
     halves = []
     monkeypatch.setattr(verify, "_above", lambda *args: halves.append(
         real(*args)) or halves[-1])
     spec = payoff.PayoffSpec("meancobuchi", penalty=F(penalty))
     letters = payoff.letter_table(spec, default_alphabet(spec))
+    tables = []
     for max_cycle in range(1, 5):
         st = _cycle_stats(letters, max_cycle)
         rows = np.column_stack(list(st.values()))
@@ -1387,15 +1423,31 @@ def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
         narrow = {key: x[first] for key, x in st.items()}
         wide = {key: x if x.dtype == bool else x.astype(object)
                 for key, x in narrow.items()}
+        table = verify._widened(spec, narrow)
         for a, b in TAILS:
-            for stats in (narrow, wide):
-                _fast_violations(spec, {key: x[:, None]
-                                        for key, x in stats.items()},
-                                 {key: x[None, :] for key, x in stats.items()},
-                                 a, b)
-            int64, python = halves[-4:-2], halves[-2:]
-            wrong = [int((x != y).sum()) for x, y in zip(int64, python)]
+            for stats in (table, wide):
+                _fast_violations(spec, *_whole_grid(stats), a, b)
+            decided, python = halves[-4:-2], halves[-2:]
+            wrong = [int((x != y).sum()) for x, y in zip(decided, python)]
             assert wrong == [0, 0], (max_cycle, a, b, wrong)
+        tables.append((table, narrow if penalty == 2 ** 31 else wide))
+    for table, want in tables:
+        assert [(x.dtype, x.tolist()) for x in table.values()] \
+            == [(x.dtype, x.tolist()) for x in want.values()]
+
+
+@pytest.mark.parametrize("name", FAST_PAYOFFS + (f"meancobuchi:{2 ** 63}",))
+def test_a_submixing_search_widens_its_table_once(monkeypatch, name):
+    # the int64-or-exact question is decided once per class-determined
+    # submixing search, on its keyed distinct rows, never per grid
+    real = verify._widened
+    calls = []
+    monkeypatch.setattr(verify, "_widened", lambda spec, st: calls.append(
+        sorted(st)) or real(spec, st))
+    spec = parse_payoff_spec(name)
+    search_submixing_violation(spec, SearchBounds(), seed=0)
+    st = _cycle_stats(payoff.letter_table(spec, default_alphabet(spec)), 4)
+    assert calls == [sorted(verify._form_reads(spec, st))]
 
 
 def _default_words(k):
