@@ -19,6 +19,9 @@ enumerator for finite-memory strategies (`product_values`,
 `guarantee_exceeds`), the product of one fixed maximizer strategy, seeded
 at every (memory, state) pair.  A strategy pair or response table is a
 choice vector over it, and picking the rows gives the pair's chain.
+`guarantee_exceeds` first values one such chain with both players fixed,
+a finite-memory strategy against a stationary reply, and folds the
+responses only where that reply leaves some pair above its floor.
 
 A skeleton's moves carry letters, not colours, so a pair's chain, bottom
 classes and absorption (`PairEvaluator`) serve every colouring; the pairs
@@ -392,13 +395,29 @@ class _Fold(NamedTuple):
     total: int                       # response tables in the full fold
 
 
+def _response_count(arena: Arena, sigma: FiniteMemoryStrategy,
+                    budget: int) -> int:
+    """The number of response tables on sigma's memory product, one action
+    per (memory, minimizer state) pair; a budget below 1 is a `ValueError`
+    and a count above the budget a `BudgetError`."""
+    _check_budget(budget)
+    total = prod(len(arena.available[s]) for _ in sigma.memory_states
+                 for s in arena.player_states(P2))
+    if total > budget:
+        raise BudgetError(f"{total} responses exceed budget {budget}")
+    return total
+
+
 def _fold_responses(arena: Arena, spec: PayoffSpec,
                     sigma: FiniteMemoryStrategy, budget: int,
-                    floor: Optional[dict[tuple, Fraction]] = None) -> _Fold:
+                    floor: Optional[dict[tuple, Fraction]] = None,
+                    tau: Optional[PureStationaryStrategy] = None) -> _Fold:
     """Fold the minimizer's response tables on sigma's memory product, in
     `itertools.product` order, into the minimum at each (memory, state).
     A table maps each (memory, minimizer state) pair to an action, played
-    by a strategy whose memory shadows sigma's automaton.
+    by a strategy whose memory shadows sigma's automaton.  With a
+    stationary `tau`, its lifted table, tau's action at every (memory,
+    minimizer state), is folded first and skipped in the order.
 
     With a `floor`, a map from (memory, state) pairs to values, the fold
     stops as soon as each listed pair has met a table valued at or below
@@ -411,12 +430,9 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     compared as integers, and the minima stay (numerator, denominator)
     pairs; the callers build `Fraction`s for the values they report.  A
     budget below 1 is a `ValueError`."""
-    _check_budget(budget)
+    total = _response_count(arena, sigma, budget)
     pairs = [(m, s) for m in sigma.memory_states for s in arena.states]
     p2_pairs = [(m, s) for m, s in pairs if arena.owner[s] == P2]
-    total = prod(len(arena.available[s]) for _, s in p2_pairs)
-    if total > budget:
-        raise BudgetError(f"{total} responses exceed budget {budget}")
     skeleton = product_skeleton(arena, [(s, m, m) for m, s in pairs], sigma)
     seed_nodes = [skeleton.index[(s, m, m)] for m, s in pairs]
     open_nodes = [skeleton.index[(s, m, m)] for m, s in p2_pairs]
@@ -428,9 +444,15 @@ def _fold_responses(arena: Arena, spec: PayoffSpec,
     pending = None if floor is None else {
         pairs.index(pair): (v.numerator, v.denominator)
         for pair, v in floor.items()}
+    combos = itertools.product(*(range(len(arena.available[s]))
+                                 for _, s in p2_pairs))
+    if tau is not None:
+        first = tuple(arena.available[s].index(tau.choice[s])
+                      for _, s in p2_pairs)
+        combos = itertools.chain(
+            (first,), (combo for combo in combos if combo != first))
     tables = 0
-    for combo in itertools.product(*(range(len(arena.available[s]))
-                                     for _, s in p2_pairs)):
+    for combo in combos:
         for node, k in zip(open_nodes, combo):
             choice[node] = k
         picked = tuple(choice)
@@ -581,7 +603,8 @@ class FloorCheck(NamedTuple):
     """`guarantee_exceeds`'s answer: the (memory, state) pairs whose
     guarantee lies strictly above their floor, each with that exact
     guarantee (empty when responses hold every pair to its floor), and
-    the response tables evaluated out of the full fold's."""
+    the response tables evaluated, 1 where a given stationary reply held
+    every pair, out of the full fold's."""
 
     above: dict[tuple, Fraction]
     tables: int
@@ -591,17 +614,37 @@ class FloorCheck(NamedTuple):
 def guarantee_exceeds(arena: Arena, spec: PayoffSpec,
                       sigma: FiniteMemoryStrategy,
                       floor: dict[tuple, Fraction],
-                      budget: int = DEFAULT_BUDGET) -> FloorCheck:
+                      budget: int = DEFAULT_BUDGET,
+                      tau: Optional[PureStationaryStrategy] = None
+                      ) -> FloorCheck:
     """Does sigma's guarantee (`product_values`) exceed `floor` at some
-    listed (memory, state) pair?  The response fold stops once every
-    listed pair has met a response at or below its floor, so it usually
-    evaluates a few tables, not all of them.  A pair above its floor was
-    never held there, so the fold ran to the end and its guarantee is
-    exact.  The guarantees are compared with the floor by
-    cross-multiplication, and only those above it become `Fraction`s.  The
-    budget applies to the full fold, before any table is evaluated."""
+    listed (memory, state) pair?
+
+    A stationary minimizer strategy `tau` is tried first, on the one chain
+    of the pair (sigma, tau) seeded at the listed pairs: if it holds every
+    pair to its floor, no pair exceeds it, and no response product is
+    built.  Otherwise the response fold runs with tau's lifted table first
+    (`_fold_responses`), and stops once every listed pair has met a table
+    at or below its floor.  Where a pair is held does not depend on the
+    order of the tables, so tau changes only how many are evaluated.  A
+    pair above its floor was never held there, so the fold ran to the end
+    and its guarantee is exact.  The guarantees are compared with the
+    floor by cross-multiplication, and only those above it become
+    `Fraction`s.  The budget applies to the full fold, before any table
+    or chain is evaluated."""
     sigma.check_in(arena)
-    fold = _fold_responses(arena, spec, sigma, budget, floor)
+    total = _response_count(arena, sigma, budget)
+    if tau is not None and floor:
+        seeds = [(s, m, tau.initial) for m, s in floor]
+        skeleton = product_skeleton(arena, seeds, sigma, tau)
+        choice = (0,) * len(skeleton)
+        vals = Colouring(arena, skeleton).values(PairEvaluator(
+            skeleton.pick(choice), [skeleton.index[seed] for seed in seeds],
+            choice, {}), spec)
+        if all(n * f.denominator <= f.numerator * d
+               for (n, d), f in zip(vals, floor.values())):
+            return FloorCheck({}, 1, total)
+    fold = _fold_responses(arena, spec, sigma, budget, floor, tau)
     best = fold.best
     return FloorCheck({pair: Fraction(*best[pair]) for pair, v in floor.items()
                        if best[pair][0] * v.denominator

@@ -17,8 +17,11 @@ agree with the index verdict.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
-the best stationary guarantee: its responses are enumerated only until
-every state is held to the floor, so a candidate's guarantee is computed
+the best stationary guarantee: first on its one chain against the grid's
+column that attains the floor at every state, which holds it there
+wherever the maximizer's best reply to a stationary strategy is
+stationary, and only otherwise on its responses, enumerated until every
+state is held to the floor.  So a candidate's guarantee is computed
 exactly only where it beats the floor.  A candidate that beats the floor
 refutes only where that response class is exact for the payoff
 (`PayoffSpec.min_responses_exact`); elsewhere the verdict is inconclusive.
@@ -97,15 +100,23 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     get a bounded refutation sweep: seeded finite-memory candidates (up to
     `memory_bound` memories) try to beat the best stationary guarantee, the
     floor, against stationary responses on their memory products.  Each
-    candidate is decided against the floor (`solve.guarantee_exceeds`): its
-    responses are enumerated until every state is held to the floor, so its
+    candidate is decided against the floor (`solve.guarantee_exceeds`),
+    first on its pair chain with the grid's first column that attains the
+    floor at every state (`_stationary_guarantees`).  Against that
+    stationary reply the maximizer faces a decision process, where for
+    these payoffs a stationary response is optimal (Gimbert 2007), so the
+    column's maximum, the floor, bounds every candidate and one table
+    decides it.  Where the column does not hold every state, or no column
+    attains the floor, the candidate's responses are enumerated, the
+    column's first, until every state is held to the floor, so its
     guarantee is exact only at the states where it beats the floor.  The
     first candidate that beats it somewhere is reported as the witness,
     with those exact guarantees, where the payoff's stationary responses are
     exact (`min_responses_exact`); elsewhere the report is inconclusive,
     with the response class and the beaten values and no witness.
-    `quantities["stats"]` counts the response tables evaluated and the
-    tables the full enumeration would evaluate.
+    `quantities["stats"]` counts the response tables evaluated, one per
+    candidate the column holds, and the tables the full enumeration would
+    evaluate.
     `memory_bound` and `candidates` must be at least 1 (`ValueError`).
     """
     if memory_bound < 1:
@@ -145,14 +156,15 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     instance["candidates"] = candidates
     rng = random.Random(seed)
     try:
-        v_plus, sigma_plus = _stationary_guarantees(arena, spec, budget)
+        v_plus, sigma_plus, tau = _stationary_guarantees(arena, spec, budget)
         cand_count = 0
         stats = {"response_tables": 0, "response_tables_full": 0}
         for _ in range(candidates):
             cand = _random_memory_strategy(arena, rng, memory_bound)
             check = solve.guarantee_exceeds(
                 arena, spec, cand,
-                {(cand.initial, s): v_plus[s] for s in arena.states}, budget)
+                {(cand.initial, s): v_plus[s] for s in arena.states}, budget,
+                tau)
             cand_count += 1
             stats["response_tables"] += check.tables
             stats["response_tables_full"] += check.total
@@ -185,20 +197,26 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
 
 def _stationary_guarantees(arena: Arena, spec: PayoffSpec, budget: int):
     """Per-state max over stationary maximizer strategies of the min over
-    stationary responses, plus the first strategy with the largest total
-    guarantee (informational; per-state maxima may come from different
-    strategies), the one strategy the grid builds.  The grid's values are
-    compared as integers (`solve.first_least`)."""
+    stationary responses, the floor; the first strategy with the largest
+    total guarantee (informational; per-state maxima may come from
+    different strategies), the one strategy the grid builds; and the first
+    column whose max over the rows equals the floor at every state, as the
+    minimizer's strategy, or None where no column does.  The grid's values
+    are compared as integers (`solve.first_least`)."""
     grid = solve.GridSolver(arena, budget)
-    worst = [solve.first_least([grid.int_pair_values(spec, i, j)
-                                for j in range(len(grid.columns))])[1]
-             for i in range(len(grid.rows))]
+    vals = [[grid.int_pair_values(spec, i, j)
+             for j in range(len(grid.columns))]
+            for i in range(len(grid.rows))]
+    worst = [solve.first_least(row)[1] for row in vals]
     best = solve.first_least(worst, -1)[1]
     totals = [sum(Fraction(*v) for v in row) for row in worst]
     (top,), _ = solve.first_least([[(t.numerator, t.denominator)]
                                    for t in totals], -1)
+    tau = next((grid.strategy(P2, j) for j, column in enumerate(zip(*vals))
+                if all(map(solve._same, solve.first_least(column, -1)[1],
+                           best))), None)
     return ({s: Fraction(*v) for s, v in zip(arena.states, best)},
-            grid.strategy(P1, top))
+            grid.strategy(P1, top), tau)
 
 
 # The weight of a pure law's one action, shared by every law the sweep draws.
@@ -365,13 +383,16 @@ def _widened(spec: PayoffSpec, st: dict) -> dict:
     non-bool column read as Python ints, in object arrays, on which nothing
     wraps.  For e the largest of TAIL_MAX and the statistics in magnitude,
     a shuffle's statistics are at most 2·e^3.  Over denominator 1 each
-    number of a form's pair is a statistic, 0 or 1, or a number it also
-    gives a word (meancobuchi's penalty), so for p the largest number of
-    the words' value pairs, `_above`'s cross-products are at most
-    max(2·e^3, p)·p."""
+    number of a form's pair keeps its place: a numerator is a statistic,
+    0 or 1, or a numerator the form also gives a word (meancobuchi's
+    penalty's), and so is a denominator.  So for n the largest numerator
+    and d the largest denominator of the words' value pairs, `_above`'s
+    cross-products, a numerator times a denominator, are at most
+    max(2·e^3, n)·max(2·e^3, d)."""
     e = _extent(TAIL_MAX, *(x for x in st.values() if x.dtype != bool))
-    p = _extent(*limit_value(spec, st, 1))
-    if max(2 * e ** 3, p) * p < 2 ** 63:
+    shuffled = 2 * e ** 3
+    n, d = map(_extent, limit_value(spec, st, 1))
+    if max(shuffled, n) * max(shuffled, d) < 2 ** 63:
         return st
     return {key: x if x.dtype == bool else x.astype(object)
             for key, x in st.items()}

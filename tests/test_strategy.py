@@ -10,6 +10,7 @@ from math import prod
 
 import pytest
 
+from stochgame import solve
 from stochgame.arena import P1, P2, random_arena
 from stochgame.chain import (
     ProductSkeleton, bottom_classes, induce_chain, product_skeleton,
@@ -24,7 +25,7 @@ from stochgame.strategy import (
     FiniteMemoryStrategy, PureStationaryStrategy, StrategyError,
     reset_strategy, strategy_from_json,
 )
-from stochgame.verify import _random_memory_strategy
+from stochgame.verify import _random_memory_strategy, verify_halfpos
 from helpers import enumerate_pure_stationary, fold_tables
 
 F = Fraction
@@ -368,13 +369,18 @@ def _picks(monkeypatch):
 def test_guarantee_exceeds_returns_the_pairs_above_their_floor(name, kind):
     # floors below, at and above the guarantees, folded from node_values,
     # at a random subset of the pairs (on odd seeds none below): exactly the
-    # pairs strictly above come back, with their values
+    # pairs strictly above come back, with their values.  A stationary
+    # reply tau only reorders the fold: the answer is the same for every
+    # pure stationary tau, one table where tau's own pair chain holds every
+    # listed pair (or the fold has one table), else the tables of the fold
+    # that starts with tau's
     spec = parse_payoff_spec(name)
     rng = random.Random(name)
-    above = held = 0
+    above = held = tau_held = tau_failed = 0
     for seed in range(12):
         arena = random_arena(4, 3, seed=seed, kind=kind)
         sigma = _random_memory_strategy(arena, rng, rng.randint(1, 2))
+        oracle = list(_response_tables_oracle(arena, spec, sigma))
         guaranteed = _product_values_oracle(arena, spec, sigma)[0]
         assert product_values(arena, spec, sigma) == guaranteed
         offsets = ((F(0), F(1, 3), F(1)) if seed % 2
@@ -386,23 +392,43 @@ def test_guarantee_exceeds_returns_the_pairs_above_their_floor(name, kind):
                 if guaranteed[pair] > floor[pair]}
         assert check.above == want
         assert check.total == _table_count(arena, sigma)
-        assert check.tables == _stop_oracle(arena, spec, sigma, floor)
+        assert check.tables == _stop_at(
+            [vals for _, vals, _ in oracle], floor)
         above += bool(want)
         held += not want
-    assert above and held
+        for tau in enumerate_pure_stationary(arena, P2):
+            first = next(vals for table, vals, _ in oracle if all(
+                a == tau.choice[s] for (_, s), a in table.items()))
+            rest = [vals for _, vals, _ in oracle if vals is not first]
+            seeds = [(s, m, tau.initial) for m, s in floor]
+            holds = all(v <= f for v, f in zip(
+                node_values(arena, spec, sigma, tau, seeds), floor.values()))
+            by_tau = guarantee_exceeds(arena, spec, sigma, floor, tau=tau)
+            assert (by_tau.above, by_tau.total) == (check.above, check.total)
+            assert (by_tau.tables == 1) == (holds or by_tau.total == 1)
+            assert by_tau.tables == _stop_at([first] + rest, floor) \
+                <= by_tau.total
+            tau_held += holds
+            tau_failed += not holds
+    assert above and held and tau_held and tau_failed
 
 
-def _stop_oracle(arena, spec, sigma, floor):
-    """How many response tables, in order, it takes until every pair of
-    `floor` has met a table valued at or below its floor; all of them if
+def _stop_at(tables, floor):
+    """How many of the tables' values, in order, it takes until every pair
+    of `floor` has met a table valued at or below its floor; all of them if
     some pair never does."""
     pending = set(floor)
-    for n, (_, vals, _) in enumerate(
-            _response_tables_oracle(arena, spec, sigma), 1):
+    for n, vals in enumerate(tables, 1):
         pending = {pair for pair in pending if vals[pair] > floor[pair]}
         if not pending:
             return n
     return n
+
+
+def _stop_oracle(arena, spec, sigma, floor):
+    """`_stop_at` over the response tables in `itertools.product` order."""
+    return _stop_at((vals for _, vals, _ in
+                     _response_tables_oracle(arena, spec, sigma)), floor)
 
 
 def test_guarantee_exceeds_holds_a_floor_at_the_guarantee():
@@ -444,15 +470,43 @@ def test_guarantee_exceeds_checks_the_budget_before_any_table(monkeypatch):
     total = _table_count(arena, sigma)
     picked = _picks(monkeypatch)
     floor = {(sigma.initial, s): F(2) for s in arena.states}
-    for call in (guarantee_exceeds, product_values):
-        args = (floor,) if call is guarantee_exceeds else ()
+    tau = next(enumerate_pure_stationary(arena, P2))
+    for call, args, kwargs in ((guarantee_exceeds, (floor,), {}),
+                               (guarantee_exceeds, (floor,), {"tau": tau}),
+                               (product_values, (), {})):
         with pytest.raises(BudgetError,
                            match=f"^{total} responses exceed budget {total - 1}$"):
             call(arena, parse_payoff_spec("posavg"), sigma, *args,
-                 budget=total - 1)
+                 budget=total - 1, **kwargs)
     assert picked == []
     assert guarantee_exceeds(arena, parse_payoff_spec("posavg"), sigma, floor,
                              budget=total).tables == 1
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("posavg", "reward"), ("meancobuchi:100", "cobuchi")])
+def test_halfpos_sweep_holds_every_candidate_with_the_grid_column(
+        monkeypatch, name, kind):
+    # against a stationary reply the maximizer's best response is
+    # stationary for these payoffs, so the grid column that attains the
+    # floor holds every candidate there: the sweep evaluates one pair chain
+    # per candidate and builds no open response product
+    spec = parse_payoff_spec(name)
+    folds = []
+    real = solve.product_skeleton
+
+    def recording(arena, seeds, sigma=None, tau=None):
+        folds.append(sigma is not None and tau is None)
+        return real(arena, seeds, sigma, tau)
+
+    monkeypatch.setattr(solve, "product_skeleton", recording)
+    for seed in range(30):
+        arena = random_arena(4, 3, seed=seed, kind=kind)
+        report = verify_halfpos(arena, spec, seed=seed)
+        assert report.verdict == "confirmed"
+        assert report.quantities["stats"]["response_tables"] \
+            == report.quantities["candidates_swept"] == 12
+    assert folds.count(True) == 0 and folds.count(False) >= 30 * 12
 
 
 def test_product_values_of_optimal_strategy_equals_values():

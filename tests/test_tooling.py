@@ -128,8 +128,9 @@ def test_library_module_graph_has_no_cycle():
 
 
 def test_grid_and_response_folds_never_order_fractions(monkeypatch):
-    # the grid's max-min, the response fold, the floor check and the
-    # stationary guarantees compare values as integers, and bottom classes
+    # the grid's max-min, the response fold, the floor check, with and
+    # without a stationary reply's pair chain, and the stationary
+    # guarantees compare values as integers, and bottom classes
     # keep letters, read in tuples of colours: with Fraction's order
     # comparisons and the colour hash raising, every call completes
     cases = [(random_arena(4, 3, kind=kind), parse_payoff_spec(name))
@@ -156,12 +157,16 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
         solve.best_response_min(arena, spec, values.sigma_star)
         verify._stationary_guarantees(arena, spec, solve.DEFAULT_BUDGET)
     arena = cases[0][0]
-    floor, _ = verify._stationary_guarantees(arena, posavg,
-                                             solve.DEFAULT_BUDGET)
+    floor, _, tau = verify._stationary_guarantees(arena, posavg,
+                                                  solve.DEFAULT_BUDGET)
     sigma = verify._random_memory_strategy(arena, random.Random(1), 2)
-    check = solve.guarantee_exceeds(
-        arena, posavg, sigma, {(sigma.initial, s): v for s, v in floor.items()})
+    floor = {(sigma.initial, s): v for s, v in floor.items()}
+    check = solve.guarantee_exceeds(arena, posavg, sigma, floor)
     assert check.tables >= 1
+    # the same check on the pair chain of sigma and the grid's column
+    assert tau is not None
+    assert solve.guarantee_exceeds(arena, posavg, sigma, floor,
+                                   tau=tau).above == check.above
     report = verify.verify_halfpos(arena, posavg)
     assert report.verdict == "confirmed"
 

@@ -1398,8 +1398,8 @@ def test_batch_hit_without_a_witness_is_an_error(monkeypatch, check):
                                                   seed=1)
 
 
-@pytest.mark.parametrize("penalty", [2 ** 31, 2 ** 62 // 6, 2 ** 62,
-                                     2 ** 63 - 1])
+@pytest.mark.parametrize("penalty", [2 ** 31, 2 ** 32, 2 ** 62 // 6,
+                                     2 ** 62, 2 ** 63 - 1])
 def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
                                                               penalty):
     # the table `_widened` makes of a grid's rows distinct in any statistic
@@ -1407,8 +1407,9 @@ def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
     # on it, the shuffle above u and above v, is decided on every cell under
     # every tail at max_cycle 1-4 as on the same statistics read as Python
     # ints, though a meancobuchi penalty times a cycle length passes int64.
-    # Its bound on the cross-products is at least the penalty squared, so
-    # it keeps int64 at 2^31 and widens from 2^62 // 6 on
+    # Its bound on the cross-products multiplies the penalty by a shuffle's
+    # denominator, never by itself, so it keeps int64 at 2^31 and 2^32 and
+    # widens from 2^62 // 6 on
     real = verify._above
     halves = []
     monkeypatch.setattr(verify, "_above", lambda *args: halves.append(
@@ -1430,7 +1431,7 @@ def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
             decided, python = halves[-4:-2], halves[-2:]
             wrong = [int((x != y).sum()) for x, y in zip(decided, python)]
             assert wrong == [0, 0], (max_cycle, a, b, wrong)
-        tables.append((table, narrow if penalty == 2 ** 31 else wide))
+        tables.append((table, narrow if penalty <= 2 ** 32 else wide))
     for table, want in tables:
         assert [(x.dtype, x.tolist()) for x in table.values()] \
             == [(x.dtype, x.tolist()) for x in want.values()]
