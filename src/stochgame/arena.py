@@ -61,15 +61,14 @@ class Arena:
                     if type(p) is bool or not isinstance(p, (int, Fraction)):
                         raise ArenaError(f"probability {p!r} at ({s},{a}) is "
                                          "not an int or a Fraction")
-                # the law in integers: numerators over the lcm, as
-                # `_over_lcd` reads them
-                d = math.lcm(*(p.denominator for p in dist.values()))
-                total = 0
-                for p in dist.values():
-                    n = p.numerator * (d // p.denominator)
+                # the law in integers, as `int_transition` reads it; the
+                # zero weights it drops never leave [0, 1]
+                d, nums = _over_lcd(dist)
+                for t, n in nums.items():
                     if not 0 <= n <= d:
-                        raise ArenaError(f"probability {p} at ({s},{a}) outside [0,1]")
-                    total += n
+                        raise ArenaError(f"probability {dist[t]} at ({s},{a}) "
+                                         "outside [0,1]")
+                total = sum(nums.values())
                 if total != d:
                     raise ArenaError(f"distribution at ({s},{a}) sums to "
                                      f"{Fraction(total, d)}")

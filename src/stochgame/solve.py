@@ -6,11 +6,12 @@ stopped-value suites.
 
 Values are computed by exhaustive enumeration of deterministic stationary
 strategies: for the positional payoff catalog the enumerated grid attains the
-game value, and the saddle-point assertion is the guard that it did.  For
-that catalog a pure stationary sigma's best response is also stationary,
-so `best_response_min` reads sigma's row of the grid: from the arena's live
-`GridSolver` (`_LIVE_GRIDS`, weak references by `id(arena)`), whose pairs a
-`brute_force_value` on it has evaluated, or else from a fresh grid.
+game value, and the saddle-point assertion, on the grid's one reduction
+(`GridSolver.reduce`), is the guard that it did.  For that catalog a pure
+stationary sigma's best response is also stationary, so
+`best_response_min` reads sigma's row of the grid: from the arena's live
+`GridSolver` (`_LIVE_GRIDS`, weak references by `id(arena)`), which keeps
+the rows a `brute_force_value` on it evaluated, or else from a fresh grid.
 
 Each enumeration walks its product once, with `chain.product_skeleton`,
 which holds every row any of its pairs can induce: `GridSolver` the grid,
@@ -328,8 +329,8 @@ class GridSolver:
     once, when it is reported.  A grid is its arena's `Colouring` of the
     `_GridCore` of its dynamics, so the colourings of one dynamics, such as
     `random_arena`'s kinds for one seed, share the chains and classes; it
-    keeps each pair's discounted solve.  A grid records itself as its
-    arena's live grid (`_LIVE_GRIDS`).  A budget
+    keeps each row it evaluates, per payoff (`row_values`).  A grid records
+    itself as its arena's live grid (`_LIVE_GRIDS`).  A budget
     below 1 is a `ValueError`, raised before any work, and so is the
     `BudgetError` of too many pairs."""
 
@@ -349,7 +350,7 @@ class GridSolver:
         self._core = core
         self.rows, self.columns = core.rows, core.columns
         self._colouring = Colouring(arena, core.skeleton)
-        self._discounted: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._row_values: dict[tuple[PayoffSpec, int], list] = {}
         _LIVE_GRIDS[id(arena)] = self
 
     def strategy(self, player: int, k: int) -> PureStationaryStrategy:
@@ -364,14 +365,33 @@ class GridSolver:
     def int_pair_values(self, spec: PayoffSpec, i: int, j: int
                         ) -> list[tuple[int, int]]:
         """Pair (i, j)'s `Colouring.values`, in state order."""
-        pair = self._core.pair(i, j)
-        if spec.name != "discounted":
-            return self._colouring.values(pair, spec)
-        found = self._discounted.get((i, j))
+        return self._colouring.values(self._core.pair(i, j), spec)
+
+    def row_values(self, spec: PayoffSpec, i: int) -> list[list[tuple]]:
+        """Row i's `int_pair_values` for `spec`, kept from the first read."""
+        found = self._row_values.get((spec, i))
         if found is None:
-            found = self._discounted[(i, j)] = self._colouring.values(pair,
-                                                                      spec)
+            found = self._row_values[(spec, i)] = [
+                self.int_pair_values(spec, i, j)
+                for j in range(len(self.columns))]
         return found
+
+    def reduce(self, spec: PayoffSpec) -> tuple:
+        """Every row for `spec`, reduced to five things, per state in state
+        order: the maxmin and the minmax; the first row whose minima are
+        the maxmin at every state, and its first minimizing column at each
+        state; and the first column whose maxima are the maxmin at every
+        state; None where no such row or column is."""
+        vals = [self.row_values(spec, i) for i in range(len(self.rows))]
+        argmin, minima = zip(*map(first_least, vals))
+        maxmin = first_least(minima, -1)[1]
+        maxima = [first_least(column, -1)[1] for column in zip(*vals)]
+        row = next((i for i, m in enumerate(minima)
+                    if all(map(_same, m, maxmin))), None)
+        return (maxmin, first_least(maxima)[1], row,
+                None if row is None else argmin[row],
+                next((j for j, m in enumerate(maxima)
+                      if all(map(_same, m, maxmin))), None))
 
 
 @dataclass(frozen=True)
@@ -479,8 +499,8 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
     stationary reply is optimal in the decision process sigma leaves the
     minimizer, so the row's minima are the exact best-response values.
 
-    The row is read from the arena's live grid (`_LIVE_GRIDS`), whose pairs
-    a `brute_force_value` on it has already evaluated; without one, from a
+    The row is read from the arena's live grid (`_LIVE_GRIDS`), which keeps
+    the rows a `brute_force_value` on it has evaluated; without one, from a
     fresh grid, built without the pairs' gate since only the row is
     evaluated.  The budget bounds the row's columns.  Per state the
     minimizer is the first column attaining the minimum, and the uniform
@@ -506,7 +526,7 @@ def best_response_min(arena: Arena, spec: PayoffSpec,
         grid = GridSolver(arena, count_pure_stationary(arena, P1) * total)
     i = grid.rows.index([arena.available[s].index(sigma.choice[s])
                          for s in arena.player_states(P1)])
-    row = [grid.int_pair_values(spec, i, j) for j in range(total)]
+    row = grid.row_values(spec, i)
     argmin, best = first_least(row)
     uniform = None
     for j, vals in enumerate(row):
@@ -550,26 +570,20 @@ def brute_force_value(arena: Arena, spec: PayoffSpec,
             f"not {spec.format()}")
     if grid is None:
         grid = GridSolver(arena, budget)
-    vals = [[grid.int_pair_values(spec, i, j) for j in range(len(grid.columns))]
-            for i in range(len(grid.rows))]
-    argmin, min_per_sigma = zip(*map(first_least, vals))
-    maxmin = first_least(min_per_sigma, -1)[1]
-    minmax = first_least([first_least(col, -1)[1] for col in zip(*vals)])[1]
+    maxmin, minmax, best_i, argmin, _ = grid.reduce(spec)
     value = dict(zip(arena.states, (Fraction(*v) for v in maxmin)))
     if not all(map(_same, maxmin, minmax)):
         raise SaddlePointError(
             f"enumerated maxmin {value} differs from minmax "
             f"{dict(zip(arena.states, (Fraction(*v) for v in minmax)))}")
-    best_i = next((i for i, m in enumerate(min_per_sigma)
-                   if all(map(_same, m, maxmin))), None)
     if best_i is None:
         raise SaddlePointError(
             "no stationary strategy attains the maxmin at every state")
     # sigma*'s row has its minimum at the value at every state; the first
     # tau reaching it is the certificate, built once per column
-    taus = {j: grid.strategy(P2, j) for j in argmin[best_i]}
+    taus = {j: grid.strategy(P2, j) for j in argmin}
     certificates = {s: (taus[j], value[s])
-                    for s, j in zip(arena.states, argmin[best_i])}
+                    for s, j in zip(arena.states, argmin)}
     return ValueVector(value, grid.strategy(P1, best_i), certificates, spec,
                        arena)
 

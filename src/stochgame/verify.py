@@ -17,8 +17,9 @@ agree with the index verdict.
 Verdicts on the half-positional-only payoffs are budget-qualified: the
 minimizer's responses range over a bounded class that is recorded in the
 report.  Each memory candidate is decided against the stationary floor,
-the best stationary guarantee: first on its one chain against the grid's
-column that attains the floor at every state, which holds it there
+the best stationary guarantee, which the grid's one reduction
+(`solve.GridSolver.reduce`) gives with the column that attains it at every
+state: first on its one chain against that column, which holds it there
 wherever the maximizer's best reply to a stationary strategy is
 stationary, and only otherwise on its responses, enumerated until every
 state is held to the floor.  So a candidate's guarantee is computed
@@ -102,7 +103,9 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     floor, against stationary responses on their memory products.  Each
     candidate is decided against the floor (`solve.guarantee_exceeds`),
     first on its pair chain with the grid's first column that attains the
-    floor at every state (`_stationary_guarantees`).  Against that
+    floor at every state, read with the floor and `best_stationary` (the
+    first row attaining it everywhere, or null) off the grid's one
+    reduction (`solve.GridSolver.reduce`).  Against that
     stationary reply the maximizer faces a decision process, where for
     these payoffs a stationary response is optimal (Gimbert 2007), so the
     column's maximum, the floor, bounds every candidate and one table
@@ -156,8 +159,10 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     instance["candidates"] = candidates
     rng = random.Random(seed)
     try:
-        v_plus, sigma_plus, tau = _stationary_guarantees(arena, spec, budget)
-        cand_count = 0
+        grid = solve.GridSolver(arena, budget)
+        maxmin, _, row, _, column = grid.reduce(spec)
+        v_plus = dict(zip(arena.states, itertools.starmap(Fraction, maxmin)))
+        tau = None if column is None else grid.strategy(P2, column)
         stats = {"response_tables": 0, "response_tables_full": 0}
         for _ in range(candidates):
             cand = _random_memory_strategy(arena, rng, memory_bound)
@@ -165,7 +170,6 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
                 arena, spec, cand,
                 {(cand.initial, s): v_plus[s] for s in arena.states}, budget,
                 tau)
-            cand_count += 1
             stats["response_tables"] += check.tables
             stats["response_tables_full"] += check.total
             if check.above:
@@ -188,35 +192,12 @@ def verify_halfpos(arena: Arena, spec: PayoffSpec,
     return VerificationReport(
         "halfpos", instance, "confirmed",
         {"stationary_values": {s: str(v_plus[s]) for s in arena.states},
-         "best_stationary": sigma_plus.choice,
-         "candidates_swept": cand_count,
+         "best_stationary": (None if row is None
+                             else grid.strategy(P1, row).choice),
+         "candidates_swept": candidates,
          "response_class": RESPONSE_CLASS,
          "stats": stats,
          "exact": False})
-
-
-def _stationary_guarantees(arena: Arena, spec: PayoffSpec, budget: int):
-    """Per-state max over stationary maximizer strategies of the min over
-    stationary responses, the floor; the first strategy with the largest
-    total guarantee (informational; per-state maxima may come from
-    different strategies), the one strategy the grid builds; and the first
-    column whose max over the rows equals the floor at every state, as the
-    minimizer's strategy, or None where no column does.  The grid's values
-    are compared as integers (`solve.first_least`)."""
-    grid = solve.GridSolver(arena, budget)
-    vals = [[grid.int_pair_values(spec, i, j)
-             for j in range(len(grid.columns))]
-            for i in range(len(grid.rows))]
-    worst = [solve.first_least(row)[1] for row in vals]
-    best = solve.first_least(worst, -1)[1]
-    totals = [sum(Fraction(*v) for v in row) for row in worst]
-    (top,), _ = solve.first_least([[(t.numerator, t.denominator)]
-                                   for t in totals], -1)
-    tau = next((grid.strategy(P2, j) for j, column in enumerate(zip(*vals))
-                if all(map(solve._same, solve.first_least(column, -1)[1],
-                           best))), None)
-    return ({s: Fraction(*v) for s, v in zip(arena.states, best)},
-            grid.strategy(P1, top), tau)
 
 
 # The weight of a pure law's one action, shared by every law the sweep draws.

@@ -197,19 +197,27 @@ def _counting_new_work(monkeypatch):
 
 
 def test_best_response_reads_the_live_grid_without_new_work(monkeypatch):
-    # brute_force_value has evaluated every pair of the live grid, so the
-    # best response to sigma* builds no product and evaluates no pair; its
-    # minimizers are the grid's own column strategies, the certificates'
+    # brute_force_value has evaluated every pair of the live grid, and the
+    # grid keeps every row of every payoff, so the best response to sigma*
+    # builds no product and values no pair; its minimizers are the grid's
+    # own column strategies, the certificates'
     built = _counting_new_work(monkeypatch)
+    valued = []
+    int_pair_values = solve.GridSolver.int_pair_values
+    monkeypatch.setattr(solve.GridSolver, "int_pair_values",
+                        lambda self, *args: valued.append(args)
+                        or int_pair_values(self, *args))
     for name, kind in POSITIONAL_KINDS:
         spec = parse_payoff_spec(name)
         for seed in range(8):
             arena = random_arena(4 + seed % 2, 3, seed=seed, kind=kind)
             grid = solve.GridSolver(arena)
             vv = brute_force_value(arena, spec, grid=grid)
+            assert len(valued) == len(grid.rows) * len(grid.columns)
             built.clear()
+            valued.clear()
             response = best_response_min(arena, spec, vv.sigma_star)
-            assert built == []
+            assert built == [] and valued == []
             assert response.values == vv.values
             for s in arena.states:
                 assert response.minimizers[s] is vv.best_response[s][0]
@@ -448,7 +456,7 @@ def test_arenas_of_other_dynamics_never_share_a_core():
 
 def test_best_response_on_a_live_discounted_grid_solves_nothing(monkeypatch):
     # brute_force_value has solved every pair's discounted system, and the
-    # grid keeps each solve, so sigma*'s row is read without a new one
+    # grid keeps each row, so sigma*'s row is read without a new solve
     disc = parse_payoff_spec("discounted")
     solves = []
     discounted_values = solve.discounted_values
@@ -629,6 +637,80 @@ def test_grid_matches_a_per_pair_node_values_grid(name, kind):
             tau, achieved = vv.best_response[s]
             assert (tau.choice, achieved) == (taus[j].choice, value[s])
     assert several  # some pairs' chains have several bottom classes
+
+
+REDUCED_KINDS = POSITIONAL_KINDS + [
+    ("posavg", "reward"), ("meancobuchi:100", "cobuchi"),
+    ("optgenmean:2", "vector2"), ("counter+inf", "increment")]
+
+
+def _fraction_reduction(arena, spec):
+    """The grid reduction in `Fraction`s, from `node_values` on each pair
+    of stationary strategies: maxmin, minmax, the first row attaining the
+    maxmin at every state, its first minimizing column per state, the
+    first column holding every state to the maxmin, and the first row of
+    the largest total guarantee."""
+    sigmas = list(enumerate_pure_stationary(arena, P1))
+    taus = list(enumerate_pure_stationary(arena, P2))
+    vals = [[node_values(arena, spec, sigma, tau) for tau in taus]
+            for sigma in sigmas]
+    states = range(len(arena.states))
+    minima = [[min(v[k] for v in row) for k in states] for row in vals]
+    maxima = [[max(row[j][k] for row in vals) for k in states]
+              for j in range(len(taus))]
+    maxmin = [max(m[k] for m in minima) for k in states]
+    minmax = [min(m[k] for m in maxima) for k in states]
+    row = next((i for i, m in enumerate(minima) if m == maxmin), None)
+    argmin = None if row is None else [
+        min(range(len(taus)), key=lambda j: vals[row][j][k]) for k in states]
+    column = next((j for j, m in enumerate(maxima) if m == maxmin), None)
+    totals = [sum(m) for m in minima]
+    return maxmin, minmax, row, argmin, column, totals.index(max(totals))
+
+
+def _reduced(arena, spec):
+    maxmin, minmax, *rest = solve.GridSolver(arena).reduce(spec)
+    return ([F(*v) for v in maxmin], [F(*v) for v in minmax], *rest)
+
+
+@pytest.mark.parametrize("name, kind", REDUCED_KINDS)
+def test_grid_reduction_matches_a_fraction_reduction(name, kind):
+    # the integer reduction of the kept rows is the Fraction reduction of
+    # node_values on every pair; where a row attains the maxmin everywhere
+    # it is also the first row of the largest total guarantee
+    spec = parse_payoff_spec(name)
+    for n in (3, 4):
+        for seed in range(20):
+            arena = random_arena(n, 3, seed=seed, kind=kind)
+            *want, top = _fraction_reduction(arena, spec)
+            got = _reduced(arena, spec)
+            assert got == tuple(want)
+            assert got[2] in (None, top)
+
+
+def test_grid_reduction_without_a_floor_column():
+    # optgenmean:2 grids where no column holds every state to the maxmin
+    spec = parse_payoff_spec("optgenmean:2")
+    for n, seed in ((3, 40), (4, 1)):
+        arena = random_arena(n, 3, seed=seed, kind="vector2")
+        *want, _ = _fraction_reduction(arena, spec)
+        got = _reduced(arena, spec)
+        assert got == tuple(want)
+        assert got[4] is None
+
+
+@pytest.mark.parametrize("name, kind", [("posavg", "reward"),
+                                        ("meancobuchi:100", "cobuchi")])
+def test_half_positional_grids_close_with_a_floor_row_and_column(name, kind):
+    # on these grids maxmin equals minmax, some row attains the maxmin at
+    # every state, and some column holds every state to it
+    spec = parse_payoff_spec(name)
+    for n in (3, 4, 5):
+        for seed in range(50):
+            maxmin, minmax, row, _, column = solve.GridSolver(
+                random_arena(n, 3, seed=seed, kind=kind)).reduce(spec)
+            assert all(map(solve._same, maxmin, minmax))
+            assert row is not None and column is not None
 
 
 EVALUABLE_KINDS = POSITIONAL_KINDS + [

@@ -128,11 +128,12 @@ def test_library_module_graph_has_no_cycle():
 
 
 def test_grid_and_response_folds_never_order_fractions(monkeypatch):
-    # the grid's max-min, the response fold, the floor check, with and
-    # without a stationary reply's pair chain, and the stationary
-    # guarantees compare values as integers, and bottom classes
-    # keep letters, read in tuples of colours: with Fraction's order
-    # comparisons and the colour hash raising, every call completes
+    # the grid's one reduction (max-min, min-max, the floor's row and
+    # column), the response fold, and the floor check, with and without a
+    # stationary reply's pair chain, compare values as integers, and
+    # bottom classes keep letters, read in tuples of colours: with
+    # Fraction's order comparisons and the colour hash raising, every call
+    # completes
     cases = [(random_arena(4, 3, kind=kind), parse_payoff_spec(name))
              for name, kind in (("mean", "reward"), ("limsup", "reward"),
                                 ("parity", "priority"),
@@ -155,10 +156,12 @@ def test_grid_and_response_folds_never_order_fractions(monkeypatch):
     for arena, spec in cases:
         values = solve.brute_force_value(arena, spec)
         solve.best_response_min(arena, spec, values.sigma_star)
-        verify._stationary_guarantees(arena, spec, solve.DEFAULT_BUDGET)
+        solve.GridSolver(arena).reduce(spec)
     arena = cases[0][0]
-    floor, _, tau = verify._stationary_guarantees(arena, posavg,
-                                                  solve.DEFAULT_BUDGET)
+    grid = solve.GridSolver(arena)
+    maxmin, _, _, _, column = grid.reduce(posavg)
+    floor = dict(zip(arena.states, (Fraction(*v) for v in maxmin)))
+    tau = None if column is None else grid.strategy(P2, column)
     sigma = verify._random_memory_strategy(arena, random.Random(1), 2)
     floor = {(sigma.initial, s): v for s, v in floor.items()}
     check = solve.guarantee_exceeds(arena, posavg, sigma, floor)

@@ -32,8 +32,8 @@ from stochgame.verify import (
     SEARCH_PATTERNS, SHIFTS, TAILS, FlagGateError, SearchBounds, _case,
     _case_columns, _cycle_at, _cycle_stats, _drawn_blocks, _fast_violations,
     _random_memory_strategy, _class_states, _sample_locally_optimal,
-    _shift_witness_doc, _spelled, _stationary_guarantees,
-    _submix_witness_doc, _value_changing_recurrent, _word_columns,
+    _shift_witness_doc, _spelled, _submix_witness_doc,
+    _value_changing_recurrent, _word_columns,
     default_alphabet, doob_suite, replay_submixing_witness,
     reproduce_counterexample, search_shift_invariance_violation,
     search_submixing_violation, verify_halfpos, verify_subgame_perfect,
@@ -85,8 +85,7 @@ def test_stationary_pair_chains_hold_each_state_once(monkeypatch):
     monkeypatch.setattr(solve, "product_skeleton", recording)
     vv = solve.brute_force_value(arena, mean)
     solve.best_response_min(arena, mean, vv.sigma_star)
-    _stationary_guarantees(arena, parse_payoff_spec("posavg"),
-                           solve.DEFAULT_BUDGET)
+    solve.GridSolver(arena).reduce(parse_payoff_spec("posavg"))
     # the grid of brute_force_value, the response fold, the second grid
     assert len(products) == 3
     assert all(nodes == tuple((s, "m0", "m0") for s in arena.states)
