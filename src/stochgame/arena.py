@@ -41,10 +41,14 @@ class Arena:
         self.validate()
 
     def validate(self) -> None:
+        """Raise ArenaError unless the arena is well formed.  Each law is
+        read in integers on the way (`_over_lcd`), and that table, keyed in
+        `transition`'s order, is kept as `int_transition`'s."""
         if not self.states:
             raise ArenaError("arena has no states")
         if len(set(self.states)) != len(self.states):
             raise ArenaError("duplicate state names")
+        laws = {}
         for s in self.states:
             if self.owner.get(s) not in (P1, P2):
                 raise ArenaError(f"state {s} has no owner")
@@ -63,7 +67,7 @@ class Arena:
                                          "not an int or a Fraction")
                 # the law in integers, as `int_transition` reads it; the
                 # zero weights it drops never leave [0, 1]
-                d, nums = _over_lcd(dist)
+                d, nums = laws[(s, a)] = _over_lcd(dist)
                 for t, n in nums.items():
                     if not 0 <= n <= d:
                         raise ArenaError(f"probability {dist[t]} at ({s},{a}) "
@@ -80,6 +84,9 @@ class Arena:
         for (s, a) in self.colour:
             if a not in self.available.get(s, ()):
                 raise ArenaError(f"colour at ({s},{a}) but {a} not available")
+        # every law is an available pair's, so `laws` holds them all
+        object.__setattr__(self, "_int_transition",
+                           {sa: laws[sa] for sa in self.transition})
 
     def player_states(self, player: int) -> tuple[str, ...]:
         return tuple(s for s in self.states if self.owner[s] == player)
@@ -88,13 +95,9 @@ class Arena:
         """The transition table over integers: `(s, a) -> (d, {t: n})`, the
         successors of positive probability in the table's order, each with
         its probability's numerator over d, their lowest common
-        denominator.  Built once and cached: the skeleton walks read it
-        many times per arena."""
-        cached = self.__dict__.get("_int_transition")
-        if cached is None:
-            cached = {sa: _over_lcd(dist) for sa, dist in self.transition.items()}
-            object.__setattr__(self, "_int_transition", cached)
-        return cached
+        denominator.  Built once, by `validate`, and kept: the skeleton
+        walks read it many times per arena."""
+        return self._int_transition
 
     def letters(self) -> dict[tuple[str, str], int]:
         """Each (state, action) pair's index in the letter order: the

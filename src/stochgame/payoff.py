@@ -284,9 +284,10 @@ class LetterTable(NamedTuple):
     be a colour of the payoff's kind, and their values as integer
     numerators `nums` over one denominator `den`, so that `letters[i]`'s
     value is `nums[i] / den`.  A vector letter's numerators are a tuple,
-    one per dimension, and a reward-Buchi letter's are its reward's.  The
-    discounted and letter payoffs read the letters themselves, and their
-    `nums` are None."""
+    one per dimension, and a reward-Buchi letter's are its reward's.  A
+    discounted letter's are its reward's and its discount's numerators and
+    denominators, (r num, r den, λ num, λ den), over `den` 1.  The letter
+    payoff reads the letters themselves, and its `nums` are None."""
 
     letters: tuple
     nums: Optional[tuple]
@@ -301,8 +302,12 @@ def letter_table(spec: PayoffSpec, letters) -> LetterTable:
     letters = tuple(letters)
     _check_kind(spec, letters)
     kind = spec.colour_kind
-    if kind in (DISCOUNTED, LETTER):
+    if kind == LETTER:
         return LetterTable(letters, None, 1)
+    if kind == DISCOUNTED:
+        return LetterTable(letters, tuple(
+            (r.numerator, r.denominator, lam.numerator, lam.denominator)
+            for r, lam in (t.value for t in letters)), 1)
     if kind == VECTOR:
         dim = spec.dim
         flat, den = scaled([x for t in letters for x in t.value])
@@ -509,22 +514,26 @@ def scaled(values) -> tuple[list[int], int]:
 
 
 def _discounted_value(letters: LetterTable, prefix, cycle) -> tuple[int, int]:
-    toks = letters.letters
-    total = Fraction(0)
-    factor = Fraction(1)
-    for i in prefix:
-        r, lam = toks[i].value
-        total += factor * r
-        factor *= lam
-    cyc_sum = Fraction(0)
-    cyc_factor = Fraction(1)
-    for i in cycle:
-        r, lam = toks[i].value
-        cyc_sum += cyc_factor * r
-        cyc_factor *= lam
-    # value of cycle^omega solves v = cyc_sum + cyc_factor * v
-    value = total + factor * cyc_sum / (1 - cyc_factor)
-    return value.numerator, value.denominator
+    """The discounted value of prefix . cycle^omega, walked in integers.
+    Each letter's (r, λ) is read as its table's numerators and
+    denominators, and each walk folds r + λ·v from the back of its letters,
+    one integer pair for v.  The cycle's fold gives its sum C and its
+    discounts' product Λ, and cycle^omega's value solves v = C + Λ·v, so
+    it is C / (1 - Λ); the prefix folds onto that.  Every λ is in [0, 1)
+    (`ColourToken`), so the denominators stay positive, and the pair is
+    reduced once, at the end."""
+    steps = letters.nums
+    num, den, lam_num, lam_den = 0, 1, 1, 1
+    for i in reversed(cycle):
+        rn, rd, ln, ld = steps[i]
+        num, den = rn * ld * den + rd * ln * num, rd * ld * den
+        lam_num *= ln
+        lam_den *= ld
+    num, den = num * lam_den, den * (lam_den - lam_num)
+    for i in reversed(prefix):
+        rn, rd, ln, ld = steps[i]
+        num, den = rn * ld * den + rd * ln * num, rd * ld * den
+    return _lowest(num, den)
 
 
 def _geom_first_one(letters: LetterTable, prefix, cycle) -> tuple[int, int]:

@@ -8,9 +8,10 @@ replays.  Both searches decide index words over one letter table.  A
 class-determined payoff is valued by its value form (`payoff.limit_value`)
 on integer cycle statistics: the shift-invariance search values every
 cycle once and compares it with its rotation, and the submixing search
-asks of every pair of cycles, under every tail, whether their shuffle
-beats both.  Other payoffs value index words one at a time, through a memo
-of `word_value`.
+keys the cycles by a dict on the statistics the form reads, values each
+distinct row once, and asks of every pair of rows, under every tail,
+whether their shuffle beats both.  Other payoffs value index words one at
+a time, through a memo of `word_value`, a discounted word in integers.
 Each search spells only its first flagged case, and its witness comes from
 the token check (`check_submixing`, `check_shift_invariance`), which must
 agree with the index verdict.
@@ -379,16 +380,18 @@ def _widened(spec: PayoffSpec, st: dict) -> dict:
             for key, x in st.items()}
 
 
-def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, a, b) -> np.ndarray:
+def _fast_violations(spec: PayoffSpec, su: dict, sv: dict, fu: tuple,
+                     fv: tuple, a, b) -> np.ndarray:
     """Does the shuffle of u's and v's cycles, taking a letters of u for
     every b of v, beat both components?  The payoff's value form
-    (`payoff.limit_value`) values all three, the shuffle on its `_Shuffled`
-    statistics, over denominator 1: the default alphabets' tables have
-    that denominator, so meancobuchi's penalty meets the true means.  It
-    multiplies unchecked, on statistics a search passed through `_widened`."""
+    (`payoff.limit_value`) values the shuffle on its `_Shuffled`
+    statistics, over denominator 1, against fu and fv, the words' values
+    under the same form, which depend on no tail, so a search reads them
+    once.  The default alphabets' tables have denominator 1, so
+    meancobuchi's penalty meets the true means.  It multiplies unchecked,
+    on statistics a search passed through `_widened`."""
     w = limit_value(spec, _Shuffled(su, sv, a, b), 1)
-    return _above(w, limit_value(spec, su, 1)) \
-        & _above(w, limit_value(spec, sv, 1))
+    return _above(w, fu) & _above(w, fv)
 
 
 def _above(x: tuple, y: tuple) -> np.ndarray:
@@ -451,10 +454,14 @@ def search_submixing_violation(spec: PayoffSpec,
     tail (a, b).  So for each tail in `TAILS` the search decides the grid of
     every pair of cycles of 1..max_cycle letters, flagging a cell whose
     shuffle the form values above both words (`_fast_violations`), on the
-    cycles that differ in a statistic the form reads (`_form_reads`), read
-    as Python ints where a product could wrap (`_widened`); `cases` counts
-    each grid's n^2 cells, whatever the seed.  Other payoffs compare the
-    `_word_values` of each case's three index words: the cycles of
+    cycles that differ in a statistic the form reads (`_form_reads`), found
+    by a dict from each row of those statistics to its first cycle, read
+    as Python ints where a product could wrap (`_widened`).  The words'
+    values depend on no tail, so each is read once per search; only the
+    shuffle's is read per tail.  `cases` counts each grid's n^2 cells,
+    whatever the seed.  Other payoffs compare the `_word_values` of each
+    case's three index words (a discounted word walked in integers,
+    `payoff._discounted_value`): the cycles of
     1..min(max_cycle, 2) letters under SEARCH_PATTERNS, then the seeded
     cases (`_drawn_blocks`).  Only the first flagged case is spelled and
     checked again on tokens (`check_submixing`) before it is reported: a
@@ -484,13 +491,17 @@ def search_submixing_violation(spec: PayoffSpec,
         # a cell reads only these: decide the grid of their distinct rows, in
         # first-appearance order, so that its first hit is the full grid's
         rows = np.column_stack([x.reshape(n, -1) for x in st.values()])
-        first = np.sort(np.unique(rows, axis=0, return_index=True)[1]).tolist()
+        seen: dict = {}
+        for i, key in enumerate(map(tuple, rows.tolist())):
+            seen.setdefault(key, i)
+        first = list(seen.values())
         st = _widened(spec, {key: x[first] for key, x in st.items()})
         col = {key: x[:, None] for key, x in st.items()}
         row = {key: x[None, :] for key, x in st.items()}
+        fu, fv = limit_value(spec, col, 1), limit_value(spec, row, 1)
         for a, b in tails:
             cases += n ** 2
-            viol = _fast_violations(spec, col, row, a, b)
+            viol = _fast_violations(spec, col, row, fu, fv, a, b)
             if viol.any():
                 u, v = (((), _cycle_at(first[i], k))
                         for i in np.argwhere(viol)[0])

@@ -3,8 +3,8 @@ state's actions cut down, a player's stationary strategies one by one, an
 arena's colours in letter order, a bottom class's colours and stationary
 distribution as `Fraction`s, a response fold's first and uniform
 minimizing tables, lassos of rewards, priorities or vectors spelled from
-plain values, and a lasso's payoff evaluated letter by letter in
-`Fraction`s."""
+plain values, and a lasso's payoff, or an index word's discounted value,
+evaluated letter by letter in `Fraction`s."""
 
 import dataclasses
 import itertools
@@ -195,6 +195,18 @@ def _discounted_oracle(word):
     head, head_factor = partial(0, len(word.prefix))
     cycle, cycle_factor = partial(len(word.prefix), len(word.cycle))
     return head + head_factor * cycle / (1 - cycle_factor)
+
+
+def discounted_value_oracle(letters, prefix, cycle):
+    """The discounted value of the index word prefix . cycle^omega over the
+    letter table `letters`, as a (numerator, denominator) pair in lowest
+    terms: the lasso its indices spell, summed letter by letter in
+    `Fraction`s (`_discounted_oracle`), the walk that
+    `payoff._discounted_value` makes in integers."""
+    toks = letters.letters
+    value = _discounted_oracle(Lasso(tuple(toks[i] for i in prefix),
+                                     tuple(toks[i] for i in cycle)))
+    return value.numerator, value.denominator
 
 
 def _geom_first_one_oracle(word):

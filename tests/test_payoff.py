@@ -19,7 +19,8 @@ from stochgame.payoff import (
 )
 from stochgame.verify import _drawn_blocks, _word_columns, default_alphabet
 from helpers import (
-    evaluate_lasso_oracle, priority_lasso, reward_lasso, vector_lasso,
+    discounted_value_oracle, evaluate_lasso_oracle, priority_lasso,
+    reward_lasso, vector_lasso,
 )
 
 mean = parse_payoff_spec("mean")
@@ -101,6 +102,27 @@ def test_discounted_matches_truncated_series():
         total += factor * r
         factor *= lam
     assert abs(evaluate_lasso(disc, word) - total) < Fraction(1, 2 ** 38)
+
+
+def test_integer_discounted_walk_matches_the_fraction_walk():
+    # the integer walk against the letter-by-letter Fraction walk, as
+    # lowest-terms pairs, on seeded index words with prefixes of 0-3
+    # letters and cycles of 1-6, over letters with discount 0, discounts of
+    # denominators 2, 3 and 7, and negative and fractional rewards
+    letters = payoff.letter_table(disc, [
+        discounted(3, 0), discounted(-2, Fraction(1, 2)),
+        discounted(1, Fraction(2, 3)), discounted(-5, Fraction(3, 7)),
+        discounted(Fraction(-7, 3), Fraction(6, 7)),
+        discounted(0, Fraction(1, 3)), discounted(Fraction(5, 2), 0)])
+    k = len(letters.letters)
+    rng = random.Random(51)
+    for _ in range(2000):
+        prefix = tuple(rng.randrange(k) for _ in range(rng.randint(0, 3)))
+        cycle = tuple(rng.randrange(k) for _ in range(rng.randint(1, 6)))
+        num, den = payoff._discounted_value(letters, prefix, cycle)
+        assert (num, den) == discounted_value_oracle(letters, prefix, cycle), \
+            (prefix, cycle)
+        assert den > 0 and math.gcd(num, den) == 1
 
 
 def test_limsup_liminf():

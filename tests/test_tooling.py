@@ -311,6 +311,29 @@ def test_shift_searches_never_compare_fractions(monkeypatch):
         assert report.verdict == "confirmed", name
 
 
+def test_discounted_searches_do_no_fraction_arithmetic(monkeypatch):
+    # the per-word walks value discounted words in integers: with
+    # Fraction's +, -, * and / raising, reflected forms too, both searches
+    # still refute discounted, and the token re-check of each witness, which
+    # values its lassos through the same walk, agrees
+    def refuse(self, other):
+        raise AssertionError("a Fraction operation")
+
+    names = [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv")
+             for r in ("", "r")]
+    for name in names:
+        monkeypatch.setattr(Fraction, name, refuse)
+    for name in names:
+        with pytest.raises(AssertionError, match="Fraction operation"):
+            getattr(Fraction(1, 2), name)(Fraction(1, 3))
+    spec = parse_payoff_spec("discounted")
+    submixing, shift = (search(spec) for search in (
+        verify.search_submixing_violation,
+        verify.search_shift_invariance_violation))
+    assert (submixing.verdict, shift.verdict) == ("refuted", "refuted")
+    assert verify.replay_submixing_witness(spec, submixing.witness)
+
+
 def test_shift_searches_check_and_scale_their_alphabet_once(monkeypatch):
     # the letters' colour kinds are checked and their values scaled per
     # search, not per word or case: 2,000 more seeded cases make no more

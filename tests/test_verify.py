@@ -347,7 +347,7 @@ def test_fast_sweep_agrees_with_full_evaluation():
                          for c in cycles]
         for a, b in itertools.product(range(1, 4), repeat=2):
             pattern = ShufflePattern.alternating(a, b)
-            grid = _fast_violations(spec, col, row, a, b)
+            grid = _violations(spec, col, row, a, b)
             (nw, dw), (nu, du), (nv, dv) = (
                 [np.broadcast_to(x, grid.shape).astype(np.int64)
                  for x in form(st, letters.den)]
@@ -437,6 +437,13 @@ def _whole_grid(st):
             {key: x[None, :] for key, x in st.items()})
 
 
+def _violations(spec, su, sv, a, b):
+    # `_fast_violations` with the words' values read off their statistics
+    # by the value form, over denominator 1, as a search reads them
+    return _fast_violations(spec, su, sv, payoff.limit_value(spec, su, 1),
+                            payoff.limit_value(spec, sv, 1), a, b)
+
+
 @pytest.mark.parametrize("name", FAST_PAYOFFS)
 def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
         monkeypatch, name):
@@ -456,7 +463,7 @@ def test_seeded_blocks_agree_with_full_evaluation_on_every_case(
         max_cycle = seed + 1
         st = _cycle_stats(payoff.letter_table(spec, alphabet), max_cycle)
         at = {_cycle_at(i, k): i for i in range(len(st["L"]))}
-        grids = {tail: _fast_violations(spec, *_whole_grid(st), *tail)
+        grids = {tail: _violations(spec, *_whole_grid(st), *tail)
                  for tail in TAILS}
         columns = _case_columns(k, max_cycle)
         blocks = list(_drawn_blocks(random.Random(seed), columns, 2 * 64 + 23))
@@ -798,7 +805,7 @@ def _whole_grid_search(spec, bounds, seed, cells):
         cases += n ** 2
         for top in range(0, n, height):
             col = {key: x[top:top + height, None] for key, x in st.items()}
-            viol = _fast_violations(spec, col, row, a, b)
+            viol = _violations(spec, col, row, a, b)
             assert viol.shape == (min(height, n - top), n)
             if viol.any():
                 iu, iv = map(int, np.argwhere(viol)[0])
@@ -828,20 +835,32 @@ def test_grid_row_blocks_give_the_whole_grid_reports(name, cells):
 def test_submixing_grid_is_decided_on_its_distinct_rows(monkeypatch):
     # at the default bounds, the 780 cycles of mean's table hold 44
     # distinct (L, S) rows, the statistics its form reads; each tail's grid
-    # is decided on those, and still counted as 780^2 cells
+    # is decided on those, and still counted as 780^2 cells.  The words'
+    # forms are valued once per search, not once per tail: the grid's
+    # column and row statistics each reach the value form once
     real = verify._fast_violations
-    grids = []
+    real_form = verify.limit_value
+    grids, words, valued = [], [], []
 
-    def counted(spec, su, sv, a, b):
+    def counted(spec, su, sv, fu, fv, a, b):
         grids.append((sorted(su), np.broadcast_shapes(su["L"].shape,
                                                       sv["L"].shape)))
-        return real(spec, su, sv, a, b)
+        words.append((su, sv))
+        return real(spec, su, sv, fu, fv, a, b)
+
+    def form(spec, st, den):
+        valued.append(st)
+        return real_form(spec, st, den)
 
     monkeypatch.setattr(verify, "_fast_violations", counted)
+    monkeypatch.setattr(verify, "limit_value", form)
     report = search_submixing_violation(mean, SearchBounds(), seed=0)
     assert (report.verdict, report.quantities["cases"]) \
         == ("confirmed", 9 * 780 ** 2)
     assert grids == [(["L", "S"], (44, 44))] * 9
+    su, sv = words[0]
+    assert all(pair[0] is su and pair[1] is sv for pair in words)
+    assert [sum(st is x for st in valued) for x in (su, sv)] == [1, 1]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -1127,7 +1146,7 @@ def _token_submixing_search(spec, bounds, seed):
         cycles = _exhaustive_cycles(alphabet, bounds.max_cycle)
         st = _token_cycle_stats(spec, cycles)
         for a, b in tails:
-            viol = _fast_violations(spec, *_whole_grid(st), a, b)
+            viol = _violations(spec, *_whole_grid(st), a, b)
             cases += viol.size
             if viol.any():
                 iu, iv = map(int, np.argwhere(viol)[0])
@@ -1426,7 +1445,7 @@ def test_fast_violations_on_int64_statistics_match_python_ints(monkeypatch,
         table = verify._widened(spec, narrow)
         for a, b in TAILS:
             for stats in (table, wide):
-                _fast_violations(spec, *_whole_grid(stats), a, b)
+                _violations(spec, *_whole_grid(stats), a, b)
             decided, python = halves[-4:-2], halves[-2:]
             wrong = [int((x != y).sum()) for x, y in zip(decided, python)]
             assert wrong == [0, 0], (max_cycle, a, b, wrong)
@@ -1483,12 +1502,12 @@ def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
     if spec.name in ("limsup", "liminf", "parity"):
         col = {key: x[:, None] for key, x in st.items()}
         row = {key: x[None, :] for key, x in st.items()}
-        grids = [_fast_violations(spec, col, row, *p) for p in TAILS]
+        grids = [_violations(spec, col, row, *p) for p in TAILS]
         assert all((grid == grids[0]).all() for grid in grids)
-        _fast_violations(spec, st, st, None, None)
+        _violations(spec, st, st, None, None)
     else:
         with pytest.raises(TypeError):
-            _fast_violations(spec, st, st, None, None)
+            _violations(spec, st, st, None, None)
 
 
 @pytest.mark.parametrize("name", ["limsup", "liminf", "parity", "mean",
@@ -1496,14 +1515,16 @@ def test_only_the_pattern_free_closed_forms_ignore_the_pattern(name):
 def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
                                                                name):
     # one grid pass per tail, in order, whether or not the value form reads
-    # the tail, and no seeded case drawn
+    # the tail, and no seeded case drawn; every pass reads the same values
+    # of the two words, valued once for the search
     spec = parse_payoff_spec(name)
     real = verify._fast_violations
-    tails = []
+    tails, values = [], []
 
-    def counted(spec, su, sv, a, b):
+    def counted(spec, su, sv, fu, fv, a, b):
         tails.append((a, b))
-        return real(spec, su, sv, a, b)
+        values.append((fu, fv))
+        return real(spec, su, sv, fu, fv, a, b)
 
     monkeypatch.setattr(verify, "_fast_violations", counted)
     monkeypatch.setattr(verify, "_drawn_blocks", None)
@@ -1511,6 +1532,8 @@ def test_every_submixing_grid_and_seeded_block_is_decided_once(monkeypatch,
     assert (report.verdict, report.quantities["cases"]) \
         == ("confirmed", len(TAILS) * 780 ** 2)
     assert tails == list(TAILS)
+    fu, fv = values[0]
+    assert all(pair[0] is fu and pair[1] is fv for pair in values)
 
 
 def test_fast_submixing_search_spells_only_its_witness(monkeypatch):
